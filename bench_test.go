@@ -10,6 +10,7 @@
 package seedblast_test
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -494,9 +495,11 @@ func BenchmarkPSCMicroEngine(b *testing.B) {
 
 // ---- streaming shard engine vs batch -----------------------------------
 
-// BenchmarkStreamingOverlap compares the batch driver (steps strictly
-// sequential, core.CompareBatch) against the streaming shard engine at
-// 1, 2 and 4 shards in flight between stages. Every configuration
+// BenchmarkStreamingOverlap compares the single-shard run (steps
+// strictly sequential — the batch schedule, pinned element-for-element
+// to the batch oracle by core's TestSingleShardOrderIdentical) against
+// the streaming shard engine at 1, 2 and 4 shards in flight between
+// stages. Every configuration
 // moves identical work with one worker per stage, so the reported
 // overlap_gain is purely the host/device-style stage overlap — step 3
 // of earlier shards running while step 2 of later shards is still
@@ -506,39 +509,44 @@ func BenchmarkPSCMicroEngine(b *testing.B) {
 func BenchmarkStreamingOverlap(b *testing.B) {
 	w, _, _ := workload(b)
 	bk := w.Banks[len(w.Banks)-1]
-	opt := core.DefaultOptions()
-	opt.Seed = w.Scale.SeedModel
-	opt.N = w.Scale.N
-	opt.UngappedThreshold = w.Scale.Threshold
-	opt.Workers = 1
+	opts := []core.Option{
+		core.WithSeed(w.Scale.SeedModel),
+		core.WithNeighborhood(w.Scale.N),
+		core.WithUngappedThreshold(w.Scale.Threshold),
+		core.WithWorkers(1),
+	}
+	// run times one search against fresh targets, so every
+	// configuration pays its own subject-index build.
+	run := func(b *testing.B, opts ...core.Option) float64 {
+		s, err := core.NewSearcher(opts...)
+		if err != nil {
+			b.Fatal(err)
+		}
+		t0 := testingClock()
+		if _, err := s.Search(context.Background(), core.NewProteinTarget(bk), core.NewProteinTarget(w.Frames)).Collect(); err != nil {
+			b.Fatal(err)
+		}
+		return testingClock() - t0
+	}
 
 	var batchSec float64
 	b.Run("batch", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			t0 := testingClock()
-			if _, err := core.CompareBatch(bk, w.Frames, opt); err != nil {
-				b.Fatal(err)
-			}
-			batchSec = testingClock() - t0
+			batchSec = run(b, opts...)
 		}
 	})
 	for _, inflight := range []int{1, 2, 4} {
 		inflight := inflight
 		b.Run(fmt.Sprintf("stream/inflight=%d", inflight), func(b *testing.B) {
-			sopt := opt
-			sopt.Pipeline = pipeline.Config{
+			sopts := append(opts[:len(opts):len(opts)], core.WithPipeline(pipeline.Config{
 				ShardSize:    (bk.Len() + 7) / 8, // 8 shards
 				InFlight:     inflight,
 				Step2Workers: 1,
 				Step3Workers: 1,
-			}
+			}))
 			var streamSec float64
 			for i := 0; i < b.N; i++ {
-				t0 := testingClock()
-				if _, err := core.Compare(bk, w.Frames, sopt); err != nil {
-					b.Fatal(err)
-				}
-				streamSec = testingClock() - t0
+				streamSec = run(b, sopts...)
 			}
 			if batchSec > 0 && streamSec > 0 {
 				b.ReportMetric(batchSec/streamSec, "overlap_gain")

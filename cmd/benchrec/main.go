@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -23,6 +24,7 @@ import (
 	"seedblast/internal/core"
 	"seedblast/internal/index"
 	"seedblast/internal/matrix"
+	"seedblast/internal/pipeline"
 	"seedblast/internal/seed"
 	"seedblast/internal/ungapped"
 )
@@ -228,10 +230,9 @@ func measureStream(n0, l0, n1, l1 int) (*StreamSample, error) {
 		residues += len(p)
 		b1.Add(fmt.Sprintf("s%d", i), p)
 	}
-	opt := core.DefaultOptions()
-	opt.Pipeline.ShardSize = 2 // shard the small query side, stream the pipeline
-	opt.Pipeline.InFlight = 2
-	res, err := core.Compare(b0, b1, opt)
+	// Shard the small query side, stream the pipeline.
+	_, res, err := search(core.NewProteinTarget(b0), core.NewProteinTarget(b1),
+		core.WithPipeline(pipeline.Config{ShardSize: 2, InFlight: 2}))
 	if err != nil {
 		return nil, err
 	}
@@ -275,29 +276,25 @@ func measurePrefilter() ([]PrefilterSample, string, error) {
 	desc := fmt.Sprintf("%d×~120aa queries vs %d mutated homologs (10–50%% divergence), single shard",
 		nQueries, nSubjects)
 
-	// Pre-build the subject index once so cells measure the
-	// per-request stages, as a warm server would.
-	opt := core.DefaultOptions()
-	ix1, err := index.BuildParallel(subjects, opt.Seed, opt.N, 0)
-	if err != nil {
-		return nil, "", err
-	}
+	// One subject target serves every cell: its index is built by the
+	// first search and reused, and engine wall time never includes the
+	// build, so cells measure the per-request stages, as a warm server
+	// would.
+	qt, st := core.NewProteinTarget(queries), core.NewProteinTarget(subjects)
 
 	var out []PrefilterSample
 	var offWall float64
 	for _, k := range []int{0, 50, 100, 500} {
-		opt := core.DefaultOptions()
-		opt.MaxCandidates = k
-		opt.SubjectIndex = ix1
-		var best *core.Result
+		var best *core.Summary
+		var matches int
 		var bestWall time.Duration
 		for rep := 0; rep < 3; rep++ {
-			res, err := core.Compare(queries, subjects, opt)
+			ms, res, err := search(qt, st, core.WithMaxCandidates(k))
 			if err != nil {
 				return nil, "", err
 			}
 			if best == nil || res.Pipeline.Wall < bestWall {
-				best, bestWall = res, res.Pipeline.Wall
+				best, matches, bestWall = res, len(ms), res.Pipeline.Wall
 			}
 		}
 		wallMS := float64(bestWall.Nanoseconds()) / 1e6
@@ -307,13 +304,28 @@ func measurePrefilter() ([]PrefilterSample, string, error) {
 		out = append(out, PrefilterSample{
 			MaxCandidates: k,
 			WallMS:        round3(wallMS),
-			Matches:       len(best.Alignments),
+			Matches:       matches,
 			Kept:          best.Pipeline.PrefilterKept,
 			Dropped:       best.Pipeline.PrefilterDropped,
 			SpeedupVsOff:  round3(offWall / wallMS),
 		})
 	}
 	return out, desc, nil
+}
+
+// search builds a Searcher from opts and drains one search.
+func search(query, target core.Target, opts ...core.Option) ([]core.Match, *core.Summary, error) {
+	s, err := core.NewSearcher(opts...)
+	if err != nil {
+		return nil, nil, err
+	}
+	res := s.Search(context.Background(), query, target)
+	ms, err := res.Collect()
+	if err != nil {
+		return nil, nil, err
+	}
+	sum, err := res.Summary()
+	return ms, sum, err
 }
 
 func round3(v float64) float64 {

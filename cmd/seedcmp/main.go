@@ -2,7 +2,7 @@
 // seed-based pipeline, printing matches in genome coordinates and the
 // per-step timing profile. It is the reproduction's equivalent of
 // running tblastn: either real FASTA inputs or a synthetic workload.
-// It drives the v2 search API: a Searcher built once from options, a
+// It drives the search API: a Searcher built once from options, a
 // GenomeTarget owning the six-frame translation and its index, and a
 // streaming result — with -format json|tsv matches are written as they
 // leave the pipeline, before the run has finished.
@@ -72,10 +72,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	code, err := seedblast.GeneticCodeByName(*codeName)
-	if err != nil {
-		log.Fatal(err)
-	}
 
 	workers := *streamW
 	if workers <= 0 {
@@ -84,44 +80,34 @@ func main() {
 			workers = 2 // one in-flight shard per backend, so cpu and rasc run concurrently
 		}
 	}
-	kernel, err := seedblast.ParseKernel(*kernelName)
+	// The knobs the service also exposes go through its wire-option
+	// translation, so a flag and a JSON field mean — and fail — the same.
+	opts, err := service.OptionsJSON{
+		Engine:        *engine,
+		Kernel:        *kernelName,
+		Threshold:     threshold,
+		MaxCandidates: maxCand,
+		MaxEValue:     evalue,
+		Traceback:     *full,
+		ShardSize:     *shardSize,
+		InFlight:      *inflight,
+		StreamWorkers: workers,
+		GeneticCode:   *codeName,
+	}.CoreOptions()
 	if err != nil {
 		log.Fatal(err)
 	}
-	opts := []seedblast.Option{
-		seedblast.WithStep2Kernel(kernel),
-		seedblast.WithUngappedThreshold(*threshold),
-		seedblast.WithMaxCandidates(*maxCand),
-		seedblast.WithMaxEValue(*evalue),
-		seedblast.WithTraceback(*full),
-		seedblast.WithPipeline(seedblast.PipelineConfig{
-			ShardSize:    *shardSize,
-			InFlight:     *inflight,
-			Step2Workers: workers,
-			Step3Workers: workers,
-		}),
+	if *offloadGap && *engine == "multi" {
+		log.Fatal("-offload-gapped requires -engine rasc (step 3 stays on the host under multi dispatch)")
 	}
-	rasc := seedblast.RASCOptions{NumPEs: *pes, NumFPGAs: *fpgas, OffloadGapped: *offloadGap}
-	switch *engine {
-	case "cpu":
-		opts = append(opts, seedblast.WithEngine(seedblast.EngineCPU))
-	case "rasc":
-		opts = append(opts, seedblast.WithEngine(seedblast.EngineRASC), seedblast.WithRASC(rasc))
-	case "multi":
-		if *offloadGap {
-			log.Fatal("-offload-gapped requires -engine rasc (step 3 stays on the host under multi dispatch)")
-		}
-		opts = append(opts, seedblast.WithEngine(seedblast.EngineMulti), seedblast.WithRASC(rasc))
-	default:
-		log.Fatalf("unknown engine %q (cpu, rasc, multi)", *engine)
-	}
+	opts = append(opts, seedblast.WithRASC(seedblast.RASCOptions{NumPEs: *pes, NumFPGAs: *fpgas, OffloadGapped: *offloadGap}))
 
 	searcher, err := seedblast.NewSearcher(opts...)
 	if err != nil {
 		log.Fatal(err)
 	}
 	results := searcher.Search(context.Background(),
-		seedblast.NewProteinTarget(bank), seedblast.NewGenomeTarget(genome, code))
+		seedblast.NewProteinTarget(bank), seedblast.NewGenomeTarget(genome, searcher.Options().GeneticCode))
 
 	if *format != "" {
 		sum, n := streamMatches(results, *format)
@@ -143,35 +129,34 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res := seedblast.GenomeResultFrom(ms, sum, len(genome))
 
 	if *full {
-		if err := report.WriteGenomeReport(os.Stdout, bank, genome, res, matrix.BLOSUM62); err != nil {
+		if err := report.WriteGenomeReport(os.Stdout, bank, genome, ms, sum, matrix.BLOSUM62); err != nil {
 			log.Fatal(err)
 		}
-		printTiming(res)
+		printTiming(sum)
 		return
 	}
 
 	fmt.Printf("bank: %d proteins, %d aa; genome: %d nt\n",
 		bank.Len(), bank.TotalResidues(), len(genome))
 	fmt.Printf("pairs scored: %d; hits: %d; matches: %d\n",
-		res.Pairs, res.Hits, len(res.Matches))
-	printTiming(res)
+		sum.Pairs, sum.Hits, len(ms))
+	printTiming(sum)
 
-	n := len(res.Matches)
+	n := len(ms)
 	if *top > 0 && *top < n {
 		n = *top
 	}
 	fmt.Printf("\n%-14s %-8s %8s %10s %12s  %s\n",
 		"protein", "frame", "score", "bits", "E-value", "genome interval")
-	for _, m := range res.Matches[:n] {
+	for _, m := range ms[:n] {
 		fmt.Printf("%-14s %-8s %8d %10.1f %12.2e  [%d, %d)\n",
-			bank.ID(m.Protein), m.Frame, m.Score, m.BitScore, m.EValue,
-			m.NucStart, m.NucEnd)
+			m.Query.ID, m.Subject.Frame, m.Score, m.BitScore, m.EValue,
+			m.Subject.NucStart, m.Subject.NucEnd)
 	}
-	if n < len(res.Matches) {
-		fmt.Printf("... and %d more\n", len(res.Matches)-n)
+	if n < len(ms) {
+		fmt.Printf("... and %d more\n", len(ms)-n)
 	}
 }
 
@@ -209,7 +194,7 @@ func streamMatches(results *seedblast.Results, format string) (*seedblast.Summar
 	return sum, n
 }
 
-func printTiming(res *seedblast.GenomeResult) {
+func printTiming(res *seedblast.Summary) {
 	fr := res.Times.Fractions()
 	fmt.Printf("timing: step1 %v, step2 %v, step3 %v (%.1f%% / %.1f%% / %.1f%%)\n",
 		res.Times.Index, res.Times.Ungapped, res.Times.Gapped,

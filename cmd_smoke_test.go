@@ -3,10 +3,12 @@ package seedblast_test
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -54,6 +56,28 @@ func TestCmdSeedcmpSmoke(t *testing.T) {
 		"-engine", "rasc", "-pes", "64", "-offload-gapped")
 	if !strings.Contains(out, "gap operator") || !strings.Contains(out, "device:") {
 		t.Errorf("rasc output missing device sections:\n%s", out)
+	}
+
+	// The knobs seedcmp shares with the service go through the service's
+	// translation, so the same bad value fails both with the same words.
+	bad, err := exec.Command(bin, "-synthetic", "4", "-engine", "bogus").CombinedOutput()
+	if err == nil {
+		t.Fatalf("seedcmp -engine bogus succeeded:\n%s", bad)
+	}
+	cliMsg := strings.TrimPrefix(strings.TrimSpace(string(bad)), "seedcmp: ")
+	svc := service.New(service.Config{})
+	defer svc.Close()
+	ts := httptest.NewServer(service.NewHandler(svc))
+	defer ts.Close()
+	seq := []service.SequenceJSON{{ID: "x", Seq: "MKV"}}
+	_, err = service.NewClient(ts.URL, service.ClientConfig{}).Submit(context.Background(),
+		&service.JobRequestJSON{Query: seq, Subject: seq, Options: service.OptionsJSON{Engine: "bogus"}})
+	var apiErr *service.APIError
+	if !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusBadRequest {
+		t.Fatalf(`{"engine":"bogus"}: %v, want a 400`, err)
+	}
+	if apiErr.Message != "options: "+cliMsg || !strings.Contains(cliMsg, `unknown engine "bogus"`) {
+		t.Errorf("flag and JSON field fail differently:\n cli: %s\nhttp: %s", cliMsg, apiErr.Message)
 	}
 }
 

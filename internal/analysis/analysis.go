@@ -16,8 +16,8 @@
 // Finalize: Collect exports Facts from each package (the zero-dep
 // analogue of x/tools fact export), and Finalize sees the whole Unit —
 // every loaded package plus every collected fact — and reports the
-// cross-layer drift no single package can see (a wire option missing
-// its core setter, a metric family the schema check never learned).
+// cross-layer drift no single package can see (a metric family the
+// schema check never learned).
 //
 // Analyzers are purely syntactic: they parse, they do not type-check.
 // Each one is calibrated against this repository's idioms (see the
@@ -65,8 +65,8 @@ func CrossPackage(a *Analyzer) bool { return a.Collect != nil || a.Finalize != n
 
 // Fact is one exported per-package observation a cross-package
 // analyzer carries from Collect to Finalize: "package P registers
-// metric N here", "setter S writes Options fields F". The schema of
-// Kind/Name/Attrs is private to each analyzer.
+// metric N here". The schema of Kind/Name/Attrs is private to each
+// analyzer.
 type Fact struct {
 	// Pkg is the import path of the package the fact came from.
 	Pkg string

@@ -11,7 +11,6 @@ var Analyzers = []*Analyzer{
 	SpanEnd,
 	MapDet,
 	MetricName,
-	OptPlumb,
 	Directive,
 }
 

@@ -28,9 +28,9 @@ type LocalConfig struct {
 
 // Local runs the cluster's scatter-gather inside one process: the
 // subject bank is partitioned exactly like the distributed
-// coordinator's, but each volume runs through its own pipeline engine
-// via core.CompareContext instead of a remote worker — the
-// single-binary multi-socket deployment, and the reference
+// coordinator's, but each volume is searched by one shared
+// core.Searcher instead of a remote worker — the single-binary
+// multi-socket deployment, and the reference
 // implementation the HTTP path is equivalence-tested against. A Local
 // is safe for concurrent use.
 type Local struct {
@@ -52,7 +52,7 @@ func NewLocal(cfg LocalConfig) *Local {
 // run.
 type LocalResult struct {
 	// Alignments are globally numbered and ranked exactly as a
-	// single-node core.Compare over the unpartitioned bank.
+	// single-node search over the unpartitioned bank.
 	Alignments []gapped.Alignment
 	Hits       int
 	Pairs      int64
@@ -66,17 +66,12 @@ type LocalResult struct {
 	Metrics   pipeline.Metrics
 }
 
-// Compare partitions the subject bank and runs one comparison per
-// volume, each with the full bank's search-space geometry, then
-// merges. Options semantics match core.Compare; a caller-provided
-// SubjectIndex is rejected (it describes the unpartitioned bank, and
-// silently dropping it would hide the performance regression).
-func (l *Local) Compare(pctx context.Context, query, subject *bank.Bank, opt core.Options) (*LocalResult, error) {
+// Compare partitions the subject bank and searches every volume with
+// one Searcher built from opts plus the full bank's search-space
+// geometry, then merges.
+func (l *Local) Compare(pctx context.Context, query, subject *bank.Bank, opts ...core.Option) (*LocalResult, error) {
 	if query == nil || subject == nil {
 		return nil, fmt.Errorf("cluster: Compare needs both banks")
-	}
-	if opt.SubjectIndex != nil {
-		return nil, fmt.Errorf("cluster: SubjectIndex is whole-bank; it cannot be reused across volumes")
 	}
 	lens := make([]int, subject.Len())
 	for i := range lens {
@@ -86,7 +81,14 @@ func (l *Local) Compare(pctx context.Context, query, subject *bank.Bank, opt cor
 	if err := checkPartition(lens, vols); err != nil {
 		return nil, fmt.Errorf("%w (partitioner %q)", err, l.cfg.Partitioner.Name())
 	}
-	opt.SearchSpaceOverride = stats.SearchSpace{DBLen: subject.TotalResidues(), DBSeqs: subject.Len()}
+	// Appended last so the full-bank geometry wins over any caller value;
+	// the full slice expression keeps append off the caller's array.
+	searcher, err := core.NewSearcher(append(opts[:len(opts):len(opts)],
+		core.WithSearchSpace(stats.SearchSpace{DBLen: subject.TotalResidues(), DBSeqs: subject.Len()}))...)
+	if err != nil {
+		return nil, err
+	}
+	qt := core.NewProteinTarget(query)
 
 	parallel := l.cfg.Parallel
 	if parallel <= 0 || parallel > len(vols) {
@@ -108,7 +110,8 @@ func (l *Local) Compare(pctx context.Context, query, subject *bank.Bank, opt cor
 		cancel()
 	}
 
-	perVol := make([]*core.Result, len(vols))
+	aligns := make([][]gapped.Alignment, len(vols))
+	sums := make([]*core.Summary, len(vols))
 	sem := make(chan struct{}, parallel)
 	var wg sync.WaitGroup
 	for vi := range vols {
@@ -125,12 +128,19 @@ func (l *Local) Compare(pctx context.Context, query, subject *bank.Bank, opt cor
 			for _, gi := range vols[vi].Seqs {
 				sub.Add(subject.ID(gi), subject.Seq(gi))
 			}
-			res, err := core.CompareContext(ctx, query, sub, opt)
+			res := searcher.Search(ctx, qt, core.NewProteinTarget(sub))
+			ms, err := res.Collect()
+			if err == nil {
+				sums[vi], err = res.Summary()
+			}
 			if err != nil {
 				fail(fmt.Errorf("cluster: volume %d: %w", vi, err))
 				return
 			}
-			perVol[vi] = res
+			aligns[vi] = make([]gapped.Alignment, len(ms))
+			for i := range ms {
+				aligns[vi][i] = ms[i].Alignment
+			}
 		}(vi)
 	}
 	wg.Wait()
@@ -142,9 +152,7 @@ func (l *Local) Compare(pctx context.Context, query, subject *bank.Bank, opt cor
 	}
 
 	out := &LocalResult{Volumes: vols, PerVolume: make([]pipeline.Metrics, len(vols))}
-	aligns := make([][]gapped.Alignment, len(vols))
-	for vi, res := range perVol {
-		aligns[vi] = res.Alignments
+	for vi, res := range sums {
 		out.Hits += res.Hits
 		out.Pairs += res.Pairs
 		out.GappedWork.Hits += res.GappedWork.Hits

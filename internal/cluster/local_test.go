@@ -10,7 +10,6 @@ import (
 	"seedblast/internal/bank"
 	"seedblast/internal/core"
 	"seedblast/internal/gapped"
-	"seedblast/internal/index"
 )
 
 // testWorkload returns a query bank and a subject bank holding mutated
@@ -29,29 +28,45 @@ func testWorkload(t testing.TB, n int, seed int64) (*bank.Bank, *bank.Bank) {
 	return b0, b1
 }
 
-func testOptions() core.Options {
-	opt := core.DefaultOptions()
-	opt.Workers = 1
-	g := gapped.DefaultConfig()
-	g.MaxEValue = 10
-	g.Workers = 1
-	opt.Gapped = g
-	return opt
+// testOptions is the option set every Local test runs: one worker,
+// E ≤ 10, then any extra options.
+func testOptions(extra ...core.Option) []core.Option {
+	return append([]core.Option{core.WithWorkers(1), core.WithMaxEValue(10)}, extra...)
+}
+
+// singleNode is the reference: one Searcher over the unpartitioned
+// bank, alignments and summary.
+func singleNode(t *testing.T, b0, b1 *bank.Bank) ([]gapped.Alignment, *core.Summary) {
+	t.Helper()
+	s, err := core.NewSearcher(testOptions()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := s.Search(context.Background(), core.NewProteinTarget(b0), core.NewProteinTarget(b1))
+	ms, err := res.Collect()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum, err := res.Summary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var as []gapped.Alignment
+	for i := range ms {
+		as = append(as, ms[i].Alignment)
+	}
+	return as, sum
 }
 
 // TestLocalEquivalence is the subsystem's acceptance criterion: the
 // merged scatter-gather output — alignments, E-values, and ranking —
-// must be bit-identical to a single-node core.Compare over the
+// must be bit-identical to a single-node search over the
 // unpartitioned bank, for multiple partitioning strategies and volume
 // counts.
 func TestLocalEquivalence(t *testing.T) {
 	b0, b1 := testWorkload(t, 10, 41)
-	opt := testOptions()
-	want, err := core.Compare(b0, b1, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(want.Alignments) == 0 {
+	wantAligns, want := singleNode(t, b0, b1)
+	if len(wantAligns) == 0 {
 		t.Fatal("workload produced no alignments; the equivalence test would be vacuous")
 	}
 
@@ -59,13 +74,13 @@ func TestLocalEquivalence(t *testing.T) {
 		for _, volumes := range []int{2, 3, 5, 7} {
 			t.Run(fmt.Sprintf("%s/%dvol", p.Name(), volumes), func(t *testing.T) {
 				l := NewLocal(LocalConfig{Partitioner: p, Volumes: volumes})
-				got, err := l.Compare(context.Background(), b0, b1, testOptions())
+				got, err := l.Compare(context.Background(), b0, b1, testOptions()...)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !reflect.DeepEqual(got.Alignments, want.Alignments) {
+				if !reflect.DeepEqual(got.Alignments, wantAligns) {
 					t.Fatalf("merged alignments differ from single-node run:\n got %d: %+v\nwant %d: %+v",
-						len(got.Alignments), head(got.Alignments), len(want.Alignments), head(want.Alignments))
+						len(got.Alignments), head(got.Alignments), len(wantAligns), head(wantAligns))
 				}
 				if got.Hits != want.Hits || got.Pairs != want.Pairs {
 					t.Errorf("hits/pairs differ: got %d/%d, want %d/%d", got.Hits, got.Pairs, want.Hits, want.Pairs)
@@ -95,28 +110,13 @@ func head(as []gapped.Alignment) []gapped.Alignment {
 	return as
 }
 
-// A whole-bank SubjectIndex cannot be reused across volumes; silently
-// dropping it would hide the rebuild cost, so Local must reject it.
-func TestLocalRejectsSubjectIndex(t *testing.T) {
-	b0, b1 := testWorkload(t, 3, 42)
-	opt := testOptions()
-	ix, err := index.BuildParallel(b1, opt.Seed, opt.N, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt.SubjectIndex = ix
-	if _, err := NewLocal(LocalConfig{Volumes: 2}).Compare(context.Background(), b0, b1, opt); err == nil {
-		t.Fatal("whole-bank SubjectIndex accepted by the cluster's local mode")
-	}
-}
-
 func TestLocalCancellation(t *testing.T) {
 	b0, b1 := testWorkload(t, 12, 43)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // already cancelled: every volume must abort promptly
 	l := NewLocal(LocalConfig{Volumes: 4})
 	start := time.Now()
-	_, err := l.Compare(ctx, b0, b1, testOptions())
+	_, err := l.Compare(ctx, b0, b1, testOptions()...)
 	if err == nil {
 		t.Fatal("cancelled Compare returned no error")
 	}

@@ -4,6 +4,8 @@ import (
 	"context"
 	"reflect"
 	"testing"
+
+	"seedblast/internal/core"
 )
 
 // TestClusterPrefilterPerVolume pins the documented per-volume
@@ -22,7 +24,7 @@ func TestClusterPrefilterPerVolume(t *testing.T) {
 	const volumes = 3
 	l := NewLocal(LocalConfig{Volumes: volumes})
 
-	ref, err := l.Compare(context.Background(), b0, b1, testOptions())
+	ref, err := l.Compare(context.Background(), b0, b1, testOptions()...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,9 +35,7 @@ func TestClusterPrefilterPerVolume(t *testing.T) {
 		t.Fatalf("k=0 cluster run recorded prefilter work: %+v", ref.Metrics.Prefilter)
 	}
 
-	wide := testOptions()
-	wide.MaxCandidates = b1.Len()
-	got, err := l.Compare(context.Background(), b0, b1, wide)
+	got, err := l.Compare(context.Background(), b0, b1, testOptions(core.WithMaxCandidates(b1.Len()))...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,9 +51,7 @@ func TestClusterPrefilterPerVolume(t *testing.T) {
 	}
 
 	const k = 2
-	tight := testOptions()
-	tight.MaxCandidates = k
-	cut, err := l.Compare(context.Background(), b0, b1, tight)
+	cut, err := l.Compare(context.Background(), b0, b1, testOptions(core.WithMaxCandidates(k))...)
 	if err != nil {
 		t.Fatal(err)
 	}

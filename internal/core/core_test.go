@@ -35,7 +35,7 @@ func plantedWorkload(t *testing.T, nProteins, genomeLen, plants int) (*bank.Bank
 
 func TestCompareGenomeFindsPlantedGenes(t *testing.T) {
 	proteins, genome, genes := plantedWorkload(t, 10, 60_000, 6)
-	res, err := CompareGenome(proteins, genome, DefaultOptions())
+	res, err := searchGenome(proteins, genome, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,15 +47,15 @@ func TestCompareGenomeFindsPlantedGenes(t *testing.T) {
 	for gi, g := range genes {
 		found := false
 		for _, m := range res.Matches {
-			if m.Protein != g.ProteinIdx {
+			if m.Query.Seq != g.ProteinIdx {
 				continue
 			}
-			lo := max(m.NucStart, g.Start)
-			hi := min(m.NucEnd, g.Start+g.NucLen)
+			lo := max(m.Subject.NucStart, g.Start)
+			hi := min(m.Subject.NucEnd, g.Start+g.NucLen)
 			if hi-lo >= g.NucLen/2 {
 				found = true
-				if m.Frame != g.Frame {
-					t.Errorf("gene %d found in frame %s, planted in %s", gi, m.Frame, g.Frame)
+				if m.Subject.Frame != g.Frame {
+					t.Errorf("gene %d found in frame %s, planted in %s", gi, m.Subject.Frame, g.Frame)
 				}
 				break
 			}
@@ -76,7 +76,7 @@ func TestCompareEnginesBitIdentical(t *testing.T) {
 	}
 
 	optCPU := DefaultOptions()
-	cpu, err := Compare(proteins, fbank, optCPU)
+	cpu, err := searchBanks(proteins, fbank, optCPU)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestCompareEnginesBitIdentical(t *testing.T) {
 		optR := DefaultOptions()
 		optR.Engine = EngineRASC
 		optR.RASC.NumFPGAs = fpgas
-		rasc, err := Compare(proteins, fbank, optR)
+		rasc, err := searchBanks(proteins, fbank, optR)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -120,7 +120,7 @@ func TestCompareKernelsBitIdentical(t *testing.T) {
 
 	optRef := DefaultOptions()
 	optRef.Step2Kernel = ungapped.KernelScalar
-	ref, err := Compare(proteins, fbank, optRef)
+	ref, err := searchBanks(proteins, fbank, optRef)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestCompareKernelsBitIdentical(t *testing.T) {
 	for _, kernel := range []ungapped.Kernel{ungapped.KernelAuto, ungapped.KernelBlocked} {
 		opt := DefaultOptions()
 		opt.Step2Kernel = kernel
-		res, err := Compare(proteins, fbank, opt)
+		res, err := searchBanks(proteins, fbank, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -157,7 +157,7 @@ func TestCompareKernelsBitIdentical(t *testing.T) {
 		// ShardsByKernel must attribute every shard to the blocked
 		// kernel (auto resolves to blocked for the default workload).
 		opt.Pipeline = pipeline.Config{ShardSize: 3, Step2Workers: 2, Step3Workers: 2}
-		res, err = Compare(proteins, fbank, opt)
+		res, err = searchBanks(proteins, fbank, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -173,7 +173,7 @@ func TestCompareKernelsBitIdentical(t *testing.T) {
 	optR := DefaultOptions()
 	optR.Engine = EngineRASC
 	optR.Step2Kernel = ungapped.KernelBlocked
-	res, err := Compare(proteins, fbank, optR)
+	res, err := searchBanks(proteins, fbank, optR)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +185,7 @@ func TestCompareKernelsBitIdentical(t *testing.T) {
 
 func TestCompareTimesPopulated(t *testing.T) {
 	proteins, genome, _ := plantedWorkload(t, 6, 30_000, 3)
-	res, err := CompareGenome(proteins, genome, DefaultOptions())
+	res, err := searchGenome(proteins, genome, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +206,7 @@ func TestCompareRASCReportsSimulatedTime(t *testing.T) {
 	proteins, genome, _ := plantedWorkload(t, 6, 30_000, 3)
 	opt := DefaultOptions()
 	opt.Engine = EngineRASC
-	res, err := CompareGenome(proteins, genome, opt)
+	res, err := searchGenome(proteins, genome, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,23 +224,24 @@ func TestCompareRASCReportsSimulatedTime(t *testing.T) {
 
 func TestGenomeMatchCoordinates(t *testing.T) {
 	proteins, genome, _ := plantedWorkload(t, 6, 30_000, 4)
-	res, err := CompareGenome(proteins, genome, DefaultOptions())
+	res, err := searchGenome(proteins, genome, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, m := range res.Matches {
-		if m.NucStart < 0 || m.NucEnd > len(genome) || m.NucStart >= m.NucEnd {
-			t.Errorf("bad nucleotide interval [%d,%d)", m.NucStart, m.NucEnd)
+		l := m.Subject
+		if l.NucStart < 0 || l.NucEnd > len(genome) || l.NucStart >= l.NucEnd {
+			t.Errorf("bad nucleotide interval [%d,%d)", l.NucStart, l.NucEnd)
 		}
-		if (m.NucEnd-m.NucStart)%3 != 0 {
-			t.Errorf("interval length %d not a codon multiple", m.NucEnd-m.NucStart)
+		if (l.NucEnd-l.NucStart)%3 != 0 {
+			t.Errorf("interval length %d not a codon multiple", l.NucEnd-l.NucStart)
 		}
-		if (m.NucEnd-m.NucStart)/3 != m.S.Len() {
+		if (l.NucEnd-l.NucStart)/3 != m.S.Len() {
 			t.Errorf("interval %d codons vs span %d residues",
-				(m.NucEnd-m.NucStart)/3, m.S.Len())
+				(l.NucEnd-l.NucStart)/3, m.S.Len())
 		}
-		if !m.Frame.Valid() {
-			t.Errorf("invalid frame %d", m.Frame)
+		if !l.Frame.Valid() {
+			t.Errorf("invalid frame %d", l.Frame)
 		}
 	}
 }
@@ -248,17 +249,17 @@ func TestGenomeMatchCoordinates(t *testing.T) {
 func TestCompareValidation(t *testing.T) {
 	b := bank.GenerateProteins(bank.ProteinConfig{N: 2, Seed: 1})
 	var opt Options // zero: invalid
-	if _, err := Compare(b, b, opt); err == nil {
+	if _, err := searchBanks(b, b, opt); err == nil {
 		t.Error("zero options accepted")
 	}
 	opt = DefaultOptions()
 	opt.N = -1
-	if _, err := Compare(b, b, opt); err == nil {
+	if _, err := searchBanks(b, b, opt); err == nil {
 		t.Error("negative N accepted")
 	}
 	opt = DefaultOptions()
 	opt.Engine = Engine(99)
-	if _, err := Compare(b, b, opt); err == nil {
+	if _, err := searchBanks(b, b, opt); err == nil {
 		t.Error("unknown engine accepted")
 	}
 }
@@ -269,6 +270,18 @@ func TestEngineString(t *testing.T) {
 	}
 	if Engine(9).String() == "" {
 		t.Error("unknown engine should still format")
+	}
+	// ParseEngine is String's inverse; "" is the wire default.
+	for _, e := range []Engine{EngineCPU, EngineRASC, EngineMulti} {
+		if got, err := ParseEngine(e.String()); err != nil || got != e {
+			t.Errorf("ParseEngine(%q) = %v, %v", e.String(), got, err)
+		}
+	}
+	if got, err := ParseEngine(""); err != nil || got != EngineCPU {
+		t.Errorf("ParseEngine(\"\") = %v, %v", got, err)
+	}
+	if _, err := ParseEngine("gpu"); err == nil {
+		t.Error("unknown engine name parsed")
 	}
 }
 
@@ -282,7 +295,7 @@ func TestStepTimesZero(t *testing.T) {
 func TestCompareOffloadGapped(t *testing.T) {
 	proteins, genome, _ := plantedWorkload(t, 6, 30_000, 3)
 	optCPU := DefaultOptions()
-	cpu, err := CompareGenome(proteins, genome, optCPU)
+	cpu, err := searchGenome(proteins, genome, optCPU)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +303,7 @@ func TestCompareOffloadGapped(t *testing.T) {
 	opt := DefaultOptions()
 	opt.Engine = EngineRASC
 	opt.RASC.OffloadGapped = true
-	res, err := CompareGenome(proteins, genome, opt)
+	res, err := searchGenome(proteins, genome, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +321,7 @@ func TestCompareOffloadGapped(t *testing.T) {
 	}
 	for i := range res.Matches {
 		if res.Matches[i].Score != cpu.Matches[i].Score ||
-			res.Matches[i].NucStart != cpu.Matches[i].NucStart {
+			res.Matches[i].Subject.NucStart != cpu.Matches[i].Subject.NucStart {
 			t.Fatal("offload changed alignment content")
 		}
 	}
@@ -321,7 +334,7 @@ func TestCompareOffloadGapped(t *testing.T) {
 
 func TestGappedWorkStatsPopulated(t *testing.T) {
 	proteins, genome, _ := plantedWorkload(t, 8, 40_000, 4)
-	res, err := CompareGenome(proteins, genome, DefaultOptions())
+	res, err := searchGenome(proteins, genome, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -73,7 +73,7 @@ func TestStreamingEquivalence(t *testing.T) {
 				Step2Workers: 2,
 				Step3Workers: 2,
 			}
-			res, err := Compare(proteins, fbank, opt)
+			res, err := searchBanks(proteins, fbank, opt)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
@@ -129,7 +129,7 @@ func TestSingleShardOrderIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		stream, err := Compare(proteins, fbank, opt)
+		stream, err := searchBanks(proteins, fbank, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -160,13 +160,14 @@ func TestSingleShardOrderIdentical(t *testing.T) {
 	}
 }
 
-// TestCompareContextCancelled pins cancellation through the public
-// adapter.
+// TestCompareContextCancelled pins cancellation of a blastp search
+// (TestSearchCancellation covers the genome target).
 func TestCompareContextCancelled(t *testing.T) {
 	proteins, fbank := equivWorkload(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := CompareContext(ctx, proteins, fbank, DefaultOptions()); err == nil {
+	s := newSearcher(t, DefaultOptions())
+	if _, err := collect(ctx, s, NewProteinTarget(proteins), NewProteinTarget(fbank)); err == nil {
 		t.Fatal("cancelled context accepted")
 	}
 }

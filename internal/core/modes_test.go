@@ -25,7 +25,7 @@ func TestCompareDNAQueriesBlastx(t *testing.T) {
 		dna = append(dna, bank.RandomProtein(rng, 0)...)
 		queries = append(queries, dna)
 	}
-	res, err := CompareDNAQueries(queries, proteins, DefaultOptions())
+	res, err := search(NewDNATarget(queries, nil), NewProteinTarget(proteins), DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,17 +35,17 @@ func TestCompareDNAQueriesBlastx(t *testing.T) {
 	for qi, subj := range wantSubject {
 		found := false
 		for _, m := range res.Matches {
-			if m.Query == qi && m.Subject == subj {
+			if q := m.Query; q.Seq == qi && m.Subject.Seq == subj {
 				found = true
-				if m.Frame != 2 {
-					t.Errorf("query %d matched in frame %s, want +2", qi, m.Frame)
+				if q.Frame != 2 {
+					t.Errorf("query %d matched in frame %s, want +2", qi, q.Frame)
 				}
-				if m.NucStart < 0 || m.NucEnd > len(queries[qi]) || m.NucStart >= m.NucEnd {
-					t.Errorf("bad nucleotide interval [%d,%d)", m.NucStart, m.NucEnd)
+				if q.NucStart < 0 || q.NucEnd > len(queries[qi]) || q.NucStart >= q.NucEnd {
+					t.Errorf("bad nucleotide interval [%d,%d)", q.NucStart, q.NucEnd)
 				}
-				if (m.NucEnd-m.NucStart)/3 != m.Q.Len() {
+				if (q.NucEnd-q.NucStart)/3 != m.Q.Len() {
 					t.Errorf("interval/span mismatch: %d nt vs %d aa",
-						m.NucEnd-m.NucStart, m.Q.Len())
+						q.NucEnd-q.NucStart, m.Q.Len())
 				}
 			}
 		}
@@ -55,10 +55,20 @@ func TestCompareDNAQueriesBlastx(t *testing.T) {
 	}
 }
 
+// An empty DNA query side is an empty search, not a failure: no
+// frames, no shards, no matches.
 func TestCompareDNAQueriesEmpty(t *testing.T) {
 	proteins := bank.GenerateProteins(bank.ProteinConfig{N: 2, Seed: 1})
-	if _, err := CompareDNAQueries(nil, proteins, DefaultOptions()); err == nil {
-		t.Error("no queries accepted")
+	q := NewDNATarget(nil, nil)
+	if q.Queries() != 0 || q.Bank().Len() != 0 {
+		t.Fatalf("empty DNA target holds %d queries, %d frames", q.Queries(), q.Bank().Len())
+	}
+	res, err := search(q, NewProteinTarget(proteins), DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Matches) != 0 || res.Pairs != 0 {
+		t.Errorf("empty query side produced work: %d matches, %d pairs", len(res.Matches), res.Pairs)
 	}
 }
 
@@ -78,7 +88,7 @@ func TestCompareGenomesTblastx(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := CompareGenomes(g0, g1, DefaultOptions())
+	res, err := search(NewGenomeTarget(g0, nil), NewGenomeTarget(g1, nil), DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,16 +111,17 @@ func TestCompareGenomesTblastx(t *testing.T) {
 		t.Skip("workload has no shared protein between the genomes")
 	}
 	for _, m := range res.Matches {
-		if !m.Frame0.Valid() || !m.Frame1.Valid() {
-			t.Errorf("invalid frames %d/%d", m.Frame0, m.Frame1)
+		l0, l1 := m.Query, m.Subject
+		if !l0.Frame.Valid() || !l1.Frame.Valid() {
+			t.Errorf("invalid frames %d/%d", l0.Frame, l1.Frame)
 		}
-		if m.NucStart0 < 0 || m.NucEnd0 > len(g0) || m.NucStart0 >= m.NucEnd0 {
-			t.Errorf("bad interval 0: [%d,%d)", m.NucStart0, m.NucEnd0)
+		if l0.NucStart < 0 || l0.NucEnd > len(g0) || l0.NucStart >= l0.NucEnd {
+			t.Errorf("bad interval 0: [%d,%d)", l0.NucStart, l0.NucEnd)
 		}
-		if m.NucStart1 < 0 || m.NucEnd1 > len(g1) || m.NucStart1 >= m.NucEnd1 {
-			t.Errorf("bad interval 1: [%d,%d)", m.NucStart1, m.NucEnd1)
+		if l1.NucStart < 0 || l1.NucEnd > len(g1) || l1.NucStart >= l1.NucEnd {
+			t.Errorf("bad interval 1: [%d,%d)", l1.NucStart, l1.NucEnd)
 		}
-		if (m.NucEnd0-m.NucStart0)/3 != m.Q.Len() || (m.NucEnd1-m.NucStart1)/3 != m.S.Len() {
+		if (l0.NucEnd-l0.NucStart)/3 != m.Q.Len() || (l1.NucEnd-l1.NucStart)/3 != m.S.Len() {
 			t.Error("interval/span mismatch")
 		}
 	}
@@ -126,8 +137,8 @@ func TestCompareGenomesTblastx(t *testing.T) {
 		}
 		return false
 	}
-	if !overlapsGene(best.NucStart0, best.NucEnd0, genes0) ||
-		!overlapsGene(best.NucStart1, best.NucEnd1, genes1) {
+	if !overlapsGene(best.Query.NucStart, best.Query.NucEnd, genes0) ||
+		!overlapsGene(best.Subject.NucStart, best.Subject.NucEnd, genes1) {
 		t.Error("best tblastx match does not link planted gene regions")
 	}
 }
@@ -169,13 +180,13 @@ func TestCompareGenomeWithMitochondrialCode(t *testing.T) {
 
 	opt := DefaultOptions()
 	opt.GeneticCode = translate.VertebrateMitoCode
-	res, err := CompareGenome(proteins, genome, opt)
+	res, err := searchGenome(proteins, genome, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	found := false
 	for _, m := range res.Matches {
-		if m.NucStart <= 600 && m.NucEnd >= 600+len(coding) {
+		if m.Subject.NucStart <= 600 && m.Subject.NucEnd >= 600+len(coding) {
 			found = true
 		}
 	}

@@ -108,7 +108,7 @@ func TestCompareSearchSpaceOverrideMatchesFullBank(t *testing.T) {
 	opt := DefaultOptions()
 	opt.UngappedThreshold = 22
 	opt.Gapped.MaxEValue = 10 // loose enough that chance hits survive
-	full, err := Compare(b0, b1, opt)
+	full, err := searchBanks(b0, b1, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestCompareSearchSpaceOverrideMatchesFullBank(t *testing.T) {
 	}
 	vopt := opt
 	vopt.SearchSpaceOverride = stats.SearchSpace{DBLen: b1.TotalResidues(), DBSeqs: b1.Len()}
-	vres, err := Compare(b0, vol, vopt)
+	vres, err := searchBanks(b0, vol, vopt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,14 +153,14 @@ func TestCompareHonorsGappedEValueWithNilMatrix(t *testing.T) {
 	loose := DefaultOptions()
 	loose.UngappedThreshold = 20
 	loose.Gapped = gapped.Config{MaxEValue: 1e6} // Matrix nil: fill it, keep the cutoff
-	rl, err := Compare(b0, b1, loose)
+	rl, err := searchBanks(b0, b1, loose)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	strict := DefaultOptions() // default E ≤ 1e-3
 	strict.UngappedThreshold = 20
-	rs, err := Compare(b0, b1, strict)
+	rs, err := searchBanks(b0, b1, strict)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,14 +175,14 @@ func TestCompareHonorsGappedEValueWithNilMatrix(t *testing.T) {
 	}
 }
 
-// SubjectIndex reuse must be validated and bit-identical to a fresh
-// build.
+// A prebuilt index handed to a target with Adopt must be bit-identical
+// to a fresh build, and a mismatched one rejected loudly.
 func TestCompareWithPrebuiltSubjectIndex(t *testing.T) {
 	b0 := bank.GenerateProteins(bank.ProteinConfig{N: 8, MeanLen: 100, LenJitter: 10, Seed: 3})
 	b1 := bank.GenerateProteins(bank.ProteinConfig{N: 8, MeanLen: 100, LenJitter: 10, Seed: 4})
 
 	opt := DefaultOptions()
-	fresh, err := Compare(b0, b1, opt)
+	fresh, err := searchBanks(b0, b1, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,8 +191,12 @@ func TestCompareWithPrebuiltSubjectIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt.SubjectIndex = ix1
-	reused, err := Compare(b0, b1, opt)
+	tgt := NewProteinTarget(b1)
+	tgt.Adopt(ix1)
+	if tgt.cached(opt.Seed, opt.N) != ix1 {
+		t.Fatal("adopted index not installed")
+	}
+	reused, err := search(NewProteinTarget(b0), tgt, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,22 +213,18 @@ func TestCompareWithPrebuiltSubjectIndex(t *testing.T) {
 		}
 	}
 
-	// A mismatched index must be rejected, not silently used.
-	bad := DefaultOptions()
-	bad.N = opt.N + 1
-	bad.SubjectIndex = ix1
-	if _, err := Compare(b0, b1, bad); err == nil {
-		t.Fatal("mismatched SubjectIndex (wrong N) accepted")
-	}
-	if _, err := CompareBatch(b0, b1, bad); err == nil {
-		t.Fatal("CompareBatch accepted mismatched SubjectIndex")
+	// A mismatched index — built from another bank — must be rejected,
+	// not silently used or rebuilt.
+	bad := NewProteinTarget(b0)
+	bad.Adopt(ix1)
+	if _, err := search(NewProteinTarget(b0), bad, opt); err == nil {
+		t.Fatal("index of a different bank accepted")
 	}
 }
 
-// Regression for the optplumb calibration finding: the geneticCode
-// wire option reached Options.GeneticCode through buildOptions, but no
-// With* setter managed the field — the v2 functional-option API could
-// not express it at all.
+// Regression: the geneticCode wire option once reached
+// Options.GeneticCode with no With* setter managing the field, so the
+// functional-option API could not express it at all.
 func TestWithGeneticCodeSetsTranslationTable(t *testing.T) {
 	opt := DefaultOptions()
 	if err := WithGeneticCode(translate.VertebrateMitoCode)(&opt); err != nil {

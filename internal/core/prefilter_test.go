@@ -67,13 +67,13 @@ func sameAlignment(a, b gapped.Alignment) bool {
 func TestPrefilterOffBitIdentical(t *testing.T) {
 	proteins, fbank := equivWorkload(t)
 	for _, c := range prefilterConfigs(proteins.Len()) {
-		ref, err := Compare(proteins, fbank, prefilterOpts(c, 0))
+		ref, err := searchBanks(proteins, fbank, prefilterOpts(c, 0))
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
 		opt := prefilterOpts(c, 0)
 		opt.MaxCandidates = 0 // explicit zero via the documented off switch
-		res, err := Compare(proteins, fbank, opt)
+		res, err := searchBanks(proteins, fbank, opt)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
@@ -93,14 +93,14 @@ func TestPrefilterOffBitIdentical(t *testing.T) {
 func TestPrefilterWideOpenBitIdentical(t *testing.T) {
 	proteins, fbank := equivWorkload(t)
 	for _, c := range prefilterConfigs(proteins.Len()) {
-		ref, err := Compare(proteins, fbank, prefilterOpts(c, 0))
+		ref, err := searchBanks(proteins, fbank, prefilterOpts(c, 0))
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
 		if ref.Hits == 0 || len(ref.Alignments) == 0 {
 			t.Fatalf("%s: degenerate reference", c.name)
 		}
-		res, err := Compare(proteins, fbank, prefilterOpts(c, fbank.Len()))
+		res, err := searchBanks(proteins, fbank, prefilterOpts(c, fbank.Len()))
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
@@ -146,7 +146,7 @@ func assertIdenticalResults(t *testing.T, name string, res, ref *Result) {
 // (search-space geometry still describes the full bank).
 func TestPrefilterSmallKSubsetInvariantEValues(t *testing.T) {
 	proteins, fbank := equivWorkload(t)
-	ref, err := Compare(proteins, fbank, DefaultOptions())
+	ref, err := searchBanks(proteins, fbank, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestPrefilterSmallKSubsetInvariantEValues(t *testing.T) {
 			opt := DefaultOptions()
 			opt.Engine = eng
 			opt.MaxCandidates = k
-			res, err := Compare(proteins, fbank, opt)
+			res, err := searchBanks(proteins, fbank, opt)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}

@@ -19,23 +19,13 @@ import (
 	"seedblast/internal/ungapped"
 )
 
-// This file is the v2 search API: one Searcher, constructed once from
+// This file is the search API: one Searcher, constructed once from
 // functional options, searching any query against any Target through
-// one entry point with streaming results. The four v1 entry points
-// (Compare, CompareGenome, CompareDNAQueries, CompareGenomes) are thin
-// adapters over it — equivalence tests pin them bit-identical,
-// ordering included.
+// one entry point with streaming results.
 
 // Option configures a Searcher. Options apply in order over
 // DefaultOptions, so later options win.
 type Option func(*Options) error
-
-// WithOptions replaces the whole option set — the migration bridge for
-// callers that already hold a v1 Options value. SubjectIndex is
-// ignored (targets own their indexes in v2).
-func WithOptions(o Options) Option {
-	return func(dst *Options) error { *dst = o; return nil }
-}
 
 // WithSeed selects the seed model (step 1).
 func WithSeed(m seed.Model) Option {
@@ -188,30 +178,19 @@ func NewSearcher(opts ...Option) (*Searcher, error) {
 			return nil, err
 		}
 	}
-	return SearcherFromOptions(o)
-}
-
-// SearcherFromOptions builds a Searcher from a resolved v1 Options
-// value — the adapter path the deprecated Compare* entry points and
-// the comparison service use. Options.SubjectIndex is ignored; prebuilt
-// indexes belong to targets (Adopt).
-func SearcherFromOptions(opt Options) (*Searcher, error) {
-	if opt.Seed == nil || opt.Matrix == nil {
-		return nil, fmt.Errorf("core: Seed and Matrix are required (use DefaultOptions)")
+	// The setters reject nil; this guards a hand-written Option.
+	if o.Seed == nil || o.Matrix == nil {
+		return nil, fmt.Errorf("core: Seed and Matrix are required")
 	}
-	if opt.N < 0 {
-		return nil, fmt.Errorf("core: negative neighbourhood %d", opt.N)
-	}
-	opt.SubjectIndex = nil
-	backend, err := backendFor(&opt)
+	backend, err := backendFor(&o)
 	if err != nil {
 		return nil, err
 	}
-	eng, err := pipeline.New(opt.Pipeline, backend)
+	eng, err := pipeline.New(o.Pipeline, backend)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	return &Searcher{opt: opt, gcfg: opt.gappedConfig(), eng: eng}, nil
+	return &Searcher{opt: o, gcfg: o.gappedConfig(), eng: eng}, nil
 }
 
 // Options returns a copy of the searcher's resolved options.
@@ -265,8 +244,8 @@ func (s *Searcher) Search(ctx context.Context, query, target Target) *Results {
 // Results is a streaming search outcome. The match stream (Matches or
 // Collect) is single-use and drives the shard engine as it is
 // consumed: matches are yielded shard by shard as final ranking
-// completes, in exactly the order the materialized v1 slice had —
-// bank-0 order, then E-value, then bank-1 order. Summary data becomes
+// completes, in exactly the order Collect's slice has — bank-0 order,
+// then E-value, then bank-1 order. Summary data becomes
 // available once the stream has been fully drained.
 type Results struct {
 	s             *Searcher
@@ -317,10 +296,8 @@ func (r *Results) Matches() iter.Seq2[Match, error] {
 			return
 		}
 		// Resolve the target's index, timing the resolution: a cold
-		// target pays the build here (it used to be timed inside the
-		// engine), a warm one costs ~nothing — so step-1 accounting
-		// keeps the v1 semantics where index time only grows when an
-		// index is actually built.
+		// target pays the build here, a warm one costs ~nothing — so
+		// step-1 index time only grows when an index is actually built.
 		t0 := time.Now()
 		ix1, err := r.target.index(r.s.opt.Seed, r.s.opt.N, r.s.opt.Workers)
 		ixDur := time.Since(t0)
@@ -407,7 +384,7 @@ func (r *Results) Matches() iter.Seq2[Match, error] {
 	}
 }
 
-// Collect drains the stream into a slice — the v1 behaviour.
+// Collect drains the stream into a slice.
 func (r *Results) Collect() ([]Match, error) {
 	var ms []Match
 	for m, err := range r.Matches() {
@@ -434,8 +411,8 @@ func (r *Results) Summary() (*Summary, error) {
 	return r.sum, nil
 }
 
-// summarize maps the engine output onto the v1 StepTimes semantics:
-// the RASC engine's step-2 time is the aggregated simulated device
+// summarize maps the engine output onto the StepTimes semantics: the
+// RASC engine's step-2 time is the aggregated simulated device
 // seconds, and the future-work configuration times step 3 on the
 // simulated gap operator.
 func summarize(out *pipeline.Output, opt *Options, gcfg gapped.Config) (*Summary, error) {
@@ -467,68 +444,4 @@ func summarize(out *pipeline.Output, opt *Options, gcfg gapped.Config) (*Summary
 		sum.Times.Gapped = time.Duration(rep.Seconds * float64(time.Second))
 	}
 	return sum, nil
-}
-
-// alignmentsOf strips v2 matches back to the engine alignments — the
-// exact slice a v1 call would have returned.
-func alignmentsOf(ms []Match) []gapped.Alignment {
-	if len(ms) == 0 {
-		return nil
-	}
-	out := make([]gapped.Alignment, len(ms))
-	for i := range ms {
-		out[i] = ms[i].Alignment
-	}
-	return out
-}
-
-// ResultFrom assembles a v1 Result from collected v2 matches and their
-// summary.
-func ResultFrom(ms []Match, sum *Summary) *Result {
-	return &Result{Alignments: alignmentsOf(ms), Summary: *sum}
-}
-
-// GenomeResultFrom assembles a v1 GenomeResult (tblastn) from
-// collected v2 matches against a GenomeTarget.
-func GenomeResultFrom(ms []Match, sum *Summary, genomeLen int) *GenomeResult {
-	out := &GenomeResult{Result: *ResultFrom(ms, sum), GenomeLen: genomeLen}
-	for i := range ms {
-		m := &ms[i]
-		out.Matches = append(out.Matches, GenomeMatch{
-			Alignment: m.Alignment,
-			Protein:   m.Alignment.Seq0,
-			Frame:     m.Subject.Frame,
-			NucStart:  m.Subject.NucStart,
-			NucEnd:    m.Subject.NucEnd,
-		})
-	}
-	return out
-}
-
-// collectResult is the shared v1 adapter tail: drain, summarize,
-// assemble.
-func collectResult(res *Results) (*Result, error) {
-	ms, err := res.Collect()
-	if err != nil {
-		return nil, err
-	}
-	sum, err := res.Summary()
-	if err != nil {
-		return nil, err
-	}
-	return ResultFrom(ms, sum), nil
-}
-
-// adoptSubjectIndex applies a v1 Options.SubjectIndex to a v2 target,
-// preserving the v1 contract: a mismatched index is rejected loudly,
-// never silently rebuilt.
-func adoptSubjectIndex(opt *Options, t Target, adopt func(*index.Index)) error {
-	if opt.SubjectIndex == nil {
-		return nil
-	}
-	if err := pipeline.MatchesRequest(opt.SubjectIndex, t.Bank(), opt.Seed, opt.N); err != nil {
-		return fmt.Errorf("core: provided subject index %w", err)
-	}
-	adopt(opt.SubjectIndex)
-	return nil
 }

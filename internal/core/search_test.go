@@ -5,12 +5,15 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
+	"time"
 
 	"seedblast/internal/bank"
+	"seedblast/internal/gapped"
 	"seedblast/internal/pipeline"
+	"seedblast/internal/translate"
 )
 
-// searchWorkload is the shared v2-vs-v1 equivalence workload.
+// searchWorkload is the shared Searcher-vs-oracle equivalence workload.
 func searchWorkload(t testing.TB) (*bank.Bank, []byte) {
 	t.Helper()
 	proteins := bank.GenerateProteins(bank.ProteinConfig{
@@ -25,12 +28,29 @@ func searchWorkload(t testing.TB) (*bank.Bank, []byte) {
 	return proteins, genome
 }
 
-// TestSearchEquivalentToCompare is the v2 acceptance gate: for CPU and
-// simulated-RASC engines, single-shard and sharded, the streaming
-// Search must reproduce the legacy Compare / CompareGenome results
-// bit-identically — matches AND order — plus the summary counters.
+// wantLocus re-derives a translated locus from first principles — the
+// frame of the effective-bank sequence and the codon arithmetic — so
+// the loci a Search reports are checked against something other than
+// the target code that produced them.
+func wantLocus(frames [6]translate.FrameTranslation, seq int, span gapped.Span, nucLen int) (translate.Frame, int, int) {
+	f := frames[seq%6].Frame
+	first := translate.CodonStart(f, span.Start, nucLen)
+	last := translate.CodonStart(f, span.End-1, nucLen)
+	if f > 0 {
+		return f, first, last + 3
+	}
+	return f, last, first + 3
+}
+
+// TestSearchEquivalentToCompare is the Searcher's acceptance gate: for
+// CPU and simulated-RASC engines, single-shard and sharded, the
+// streaming Search must reproduce the CompareBatch oracle
+// bit-identically — matches AND order — plus the summary counters,
+// for a genome target (tblastn) and a protein target (blastp) alike.
 func TestSearchEquivalentToCompare(t *testing.T) {
 	proteins, genome := searchWorkload(t)
+	frames := translate.SixFrames(genome)
+	fb := NewGenomeTarget(genome, nil).Bank()
 
 	for _, eng := range []Engine{EngineCPU, EngineRASC} {
 		for _, ss := range []int{0, 3, 5} {
@@ -39,43 +59,42 @@ func TestSearchEquivalentToCompare(t *testing.T) {
 			opt.Engine = eng
 			opt.Pipeline = pipeline.Config{ShardSize: ss, InFlight: 2, Step2Workers: 2, Step3Workers: 2}
 
-			// tblastn: legacy CompareGenome vs Search over a GenomeTarget.
-			want, err := CompareGenome(proteins, genome, opt)
+			want, err := CompareBatch(proteins, fb, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(want.Matches) == 0 {
+			if len(want.Alignments) == 0 {
 				t.Fatalf("%s: degenerate reference", name)
 			}
 
-			s, err := SearcherFromOptions(opt)
-			if err != nil {
-				t.Fatal(err)
-			}
+			// tblastn: Search over a GenomeTarget.
+			s := newSearcher(t, opt)
 			res := s.Search(context.Background(), NewProteinTarget(proteins), NewGenomeTarget(genome, nil))
 
-			// Stream element by element against the legacy result so an
-			// ordering bug cannot hide behind a set comparison.
+			// Stream element by element against the oracle so an ordering
+			// bug cannot hide behind a set comparison.
 			i := 0
 			for m, err := range res.Matches() {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if i >= len(want.Matches) {
-					t.Fatalf("%s: stream yielded more than %d matches", name, len(want.Matches))
+				if i >= len(want.Alignments) {
+					t.Fatalf("%s: stream yielded more than %d matches", name, len(want.Alignments))
 				}
-				ref := &want.Matches[i]
-				if !reflect.DeepEqual(m.Alignment, ref.Alignment) {
-					t.Fatalf("%s: match %d alignment differs:\n got %+v\nwant %+v", name, i, m.Alignment, ref.Alignment)
+				ref := want.Alignments[i]
+				if !reflect.DeepEqual(m.Alignment, ref) {
+					t.Fatalf("%s: match %d alignment differs:\n got %+v\nwant %+v", name, i, m.Alignment, ref)
 				}
-				if m.Subject.Frame != ref.Frame || m.Subject.NucStart != ref.NucStart ||
-					m.Subject.NucEnd != ref.NucEnd || m.Query.Seq != ref.Protein {
-					t.Fatalf("%s: match %d locus differs:\n got %+v\nwant %+v", name, i, m, ref)
+				frame, nucStart, nucEnd := wantLocus(frames, ref.Seq1, ref.S, len(genome))
+				if m.Subject.Frame != frame || m.Subject.NucStart != nucStart ||
+					m.Subject.NucEnd != nucEnd || m.Query.Seq != ref.Seq0 {
+					t.Fatalf("%s: match %d locus differs:\n got %+v\nwant %s [%d,%d) query %d",
+						name, i, m, frame, nucStart, nucEnd, ref.Seq0)
 				}
 				i++
 			}
-			if i != len(want.Matches) {
-				t.Fatalf("%s: stream yielded %d matches, want %d", name, i, len(want.Matches))
+			if i != len(want.Alignments) {
+				t.Fatalf("%s: stream yielded %d matches, want %d", name, i, len(want.Alignments))
 			}
 			sum, err := res.Summary()
 			if err != nil {
@@ -84,91 +103,103 @@ func TestSearchEquivalentToCompare(t *testing.T) {
 			if sum.Hits != want.Hits || sum.Pairs != want.Pairs ||
 				sum.GappedWork != want.GappedWork ||
 				sum.Stats0 != want.Stats0 || sum.Stats1 != want.Stats1 {
-				t.Errorf("%s: summary diverges from legacy result", name)
+				t.Errorf("%s: summary diverges from the oracle", name)
 			}
 			if eng == EngineRASC {
 				if sum.Device == nil || want.Device == nil {
 					t.Fatalf("%s: missing device report", name)
 				}
-				if sum.Device.Seconds != want.Device.Seconds || sum.Times.Ungapped != want.Times.Ungapped {
+				// Step 2 is timed as simulated device seconds; a single
+				// shard is the oracle's one device run verbatim (sharded
+				// runs aggregate one report per shard).
+				if sum.Times.Ungapped != time.Duration(sum.Device.Seconds*float64(time.Second)) ||
+					(ss == 0 && (sum.Device.Seconds != want.Device.Seconds || sum.Times.Ungapped != want.Times.Ungapped)) {
 					t.Errorf("%s: device timing semantics diverge", name)
 				}
 			}
 
-			// blastp: legacy Compare vs Search over two ProteinTargets.
-			fb := NewGenomeTarget(genome, nil).Bank()
-			wantP, err := Compare(proteins, fb, opt)
+			// blastp: Search over two ProteinTargets.
+			resP, err := collect(context.Background(), s, NewProteinTarget(proteins), NewProteinTarget(fb))
 			if err != nil {
 				t.Fatal(err)
 			}
-			resP := s.Search(context.Background(), NewProteinTarget(proteins), NewProteinTarget(fb))
-			msP, err := resP.Collect()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(alignmentsOf(msP), wantP.Alignments) {
-				t.Errorf("%s: protein-target search diverges from Compare", name)
+			if !reflect.DeepEqual(resP.Alignments, want.Alignments) {
+				t.Errorf("%s: protein-target search diverges from the oracle", name)
 			}
 		}
 	}
 }
 
 // TestSearchModesEquivalent pins the blastx / tblastx target shapes
-// against their legacy mode adapters.
+// against the CompareBatch oracle run over hand-built frame banks,
+// loci re-derived independently.
 func TestSearchModesEquivalent(t *testing.T) {
 	proteins, genome := searchWorkload(t)
 	opt := DefaultOptions()
+	s := newSearcher(t, opt)
 
 	// blastx: DNA queries (the genome, twice, so query numbering > 0 is
 	// exercised) against the protein bank.
 	queries := [][]byte{genome[:20_000], genome[20_000:]}
-	want, err := CompareDNAQueries(queries, proteins, opt)
+	qbank := bank.New("dna-query-frames")
+	var qframes [][6]translate.FrameTranslation
+	for qi, dna := range queries {
+		fr := translate.SixFrames(dna)
+		qframes = append(qframes, fr)
+		for _, ft := range fr {
+			qbank.Add(fmt.Sprintf("q%d%s", qi, ft.Frame), ft.Protein)
+		}
+	}
+	want, err := CompareBatch(qbank, proteins, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(want.Matches) == 0 {
+	if len(want.Alignments) == 0 {
 		t.Fatal("degenerate blastx reference")
-	}
-	s, err := SearcherFromOptions(opt)
-	if err != nil {
-		t.Fatal(err)
 	}
 	ms, err := s.Search(context.Background(), NewDNATarget(queries, nil), NewProteinTarget(proteins)).Collect()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ms) != len(want.Matches) {
-		t.Fatalf("blastx: %d matches, want %d", len(ms), len(want.Matches))
+	if len(ms) != len(want.Alignments) {
+		t.Fatalf("blastx: %d matches, want %d", len(ms), len(want.Alignments))
 	}
 	for i := range ms {
-		m, ref := &ms[i], &want.Matches[i]
-		if !reflect.DeepEqual(m.Alignment, ref.Alignment) ||
-			m.Query.Seq != ref.Query || m.Query.Frame != ref.Frame ||
-			m.Query.NucStart != ref.NucStart || m.Query.NucEnd != ref.NucEnd {
-			t.Fatalf("blastx match %d differs:\n got %+v\nwant %+v", i, m, ref)
+		m, ref := &ms[i], want.Alignments[i]
+		qi := ref.Seq0 / 6
+		frame, nucStart, nucEnd := wantLocus(qframes[qi], ref.Seq0, ref.Q, len(queries[qi]))
+		if !reflect.DeepEqual(m.Alignment, ref) ||
+			m.Query.Seq != qi || m.Query.Frame != frame ||
+			m.Query.NucStart != nucStart || m.Query.NucEnd != nucEnd {
+			t.Fatalf("blastx match %d differs:\n got %+v\nwant %+v query %d %s [%d,%d)",
+				i, m, ref, qi, frame, nucStart, nucEnd)
 		}
 	}
 
 	// tblastx: genome vs itself.
-	wantG, err := CompareGenomes(genome, genome, opt)
+	frames := translate.SixFrames(genome)
+	fb := NewGenomeTarget(genome, nil).Bank()
+	wantG, err := CompareBatch(fb, fb, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(wantG.Matches) == 0 {
+	if len(wantG.Alignments) == 0 {
 		t.Fatal("degenerate tblastx reference")
 	}
 	msG, err := s.Search(context.Background(), NewGenomeTarget(genome, nil), NewGenomeTarget(genome, nil)).Collect()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(msG) != len(wantG.Matches) {
-		t.Fatalf("tblastx: %d matches, want %d", len(msG), len(wantG.Matches))
+	if len(msG) != len(wantG.Alignments) {
+		t.Fatalf("tblastx: %d matches, want %d", len(msG), len(wantG.Alignments))
 	}
 	for i := range msG {
-		m, ref := &msG[i], &wantG.Matches[i]
-		if !reflect.DeepEqual(m.Alignment, ref.Alignment) ||
-			m.Query.Frame != ref.Frame0 || m.Query.NucStart != ref.NucStart0 || m.Query.NucEnd != ref.NucEnd0 ||
-			m.Subject.Frame != ref.Frame1 || m.Subject.NucStart != ref.NucStart1 || m.Subject.NucEnd != ref.NucEnd1 {
+		m, ref := &msG[i], wantG.Alignments[i]
+		f0, s0, e0 := wantLocus(frames, ref.Seq0, ref.Q, len(genome))
+		f1, s1, e1 := wantLocus(frames, ref.Seq1, ref.S, len(genome))
+		if !reflect.DeepEqual(m.Alignment, ref) ||
+			m.Query.Frame != f0 || m.Query.NucStart != s0 || m.Query.NucEnd != e0 ||
+			m.Subject.Frame != f1 || m.Subject.NucStart != s1 || m.Subject.NucEnd != e1 {
 			t.Fatalf("tblastx match %d differs:\n got %+v\nwant %+v", i, m, ref)
 		}
 	}
@@ -179,10 +210,7 @@ func TestSearchModesEquivalent(t *testing.T) {
 // and its results are bit-identical.
 func TestTargetIndexReuse(t *testing.T) {
 	proteins, genome := searchWorkload(t)
-	s, err := SearcherFromOptions(DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newSearcher(t, DefaultOptions())
 	tgt := NewGenomeTarget(genome, nil)
 	if tgt.cached(s.opt.Seed, s.opt.N) != nil {
 		t.Fatal("index built before any search")
@@ -227,10 +255,7 @@ func TestSearchEarlyBreak(t *testing.T) {
 	proteins, genome := searchWorkload(t)
 	opt := DefaultOptions()
 	opt.Pipeline = pipeline.Config{ShardSize: 2, InFlight: 2, Step2Workers: 2, Step3Workers: 2}
-	s, err := SearcherFromOptions(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newSearcher(t, opt)
 	res := s.Search(context.Background(), NewProteinTarget(proteins), NewGenomeTarget(genome, nil))
 	for _, err := range res.Matches() {
 		if err != nil {
@@ -275,13 +300,10 @@ func TestSearcherOptionErrors(t *testing.T) {
 	}
 }
 
-// TestSearchCancellation pins ctx cancellation through the v2 path.
+// TestSearchCancellation pins ctx cancellation through Search.
 func TestSearchCancellation(t *testing.T) {
 	proteins, genome := searchWorkload(t)
-	s, err := SearcherFromOptions(DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newSearcher(t, DefaultOptions())
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := s.Search(ctx, NewProteinTarget(proteins), NewGenomeTarget(genome, nil)).Collect(); err == nil {
@@ -305,10 +327,7 @@ func benchSearch(b *testing.B) (*Searcher, *ProteinTarget, *GenomeTarget) {
 	}
 	opt := DefaultOptions()
 	opt.Pipeline = pipeline.Config{ShardSize: 4, InFlight: 2, Step2Workers: 2, Step3Workers: 2}
-	s, err := SearcherFromOptions(opt)
-	if err != nil {
-		b.Fatal(err)
-	}
+	s := newSearcher(b, opt)
 	return s, NewProteinTarget(proteins), NewGenomeTarget(genome, nil)
 }
 
@@ -372,10 +391,7 @@ func benchStreamBank(b *testing.B, k int) {
 	}
 	opt := DefaultOptions()
 	opt.MaxCandidates = k
-	s, err := SearcherFromOptions(opt)
-	if err != nil {
-		b.Fatal(err)
-	}
+	s := newSearcher(b, opt)
 	q, tgt := NewProteinTarget(queries), NewProteinTarget(subjects)
 	// Warm the target's cached subject index so iterations measure the
 	// per-request stages, not the one-time step-1 build.
@@ -403,7 +419,7 @@ func countMatches(b *testing.B, s *Searcher, q *ProteinTarget, tgt *ProteinTarge
 	return total
 }
 
-// materializedRequest rebuilds the engine request a v1 materialized
+// materializedRequest rebuilds the engine request a materialized
 // run would issue for the benchmark workload, so the same engine can
 // be driven through Run (full slice resident) as the reference.
 func materializedRequest(tb testing.TB, s *Searcher, q *ProteinTarget, tgt *GenomeTarget) *pipeline.Request {
@@ -423,7 +439,7 @@ func materializedRequest(tb testing.TB, s *Searcher, q *ProteinTarget, tgt *Geno
 	}
 }
 
-// BenchmarkSearchMaterialized is the v1-style materialized-slice path
+// BenchmarkSearchMaterialized is the materialized-slice path
 // over the same workload and engine: every shard's alignments stay
 // resident until assembly, so peak-matches equals the full result.
 func BenchmarkSearchMaterialized(b *testing.B) {
@@ -443,17 +459,14 @@ func BenchmarkSearchMaterialized(b *testing.B) {
 }
 
 // TestStreamPeakBelowMaterialized is the asserted form of the two
-// benchmarks: on a multi-shard run the v2 streaming path's peak
+// benchmarks: on a multi-shard run the streaming path's peak
 // resident match buffer must be strictly below the materialized
 // path's, whose peak is the whole result.
 func TestStreamPeakBelowMaterialized(t *testing.T) {
 	proteins, genome := searchWorkload(t)
 	opt := DefaultOptions()
 	opt.Pipeline = pipeline.Config{ShardSize: 2, InFlight: 2, Step2Workers: 2, Step3Workers: 1}
-	s, err := SearcherFromOptions(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newSearcher(t, opt)
 	tgt := NewGenomeTarget(genome, nil)
 	q := NewProteinTarget(proteins)
 

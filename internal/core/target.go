@@ -11,12 +11,13 @@ import (
 	"seedblast/internal/translate"
 )
 
-// Target is one side of a v2 comparison: a set of sequences together
+// Target is one side of a comparison: a set of sequences together
 // with the prebuilt, reusable step-1 indexes the engine compares
 // against. A Target is built once and handed to any number of
 // Searcher.Search calls — its index for a given (seed model, N) is
-// built on first use and cached for every later search, subsuming the
-// old Options.SubjectIndex / FrameBank plumbing. Translated targets
+// built on first use and cached for every later search; a caller that
+// already holds the index (the comparison service's cache) installs
+// it with Adopt. Translated targets
 // (GenomeTarget, DNATarget) also own the frame bookkeeping that maps
 // engine alignments back to source nucleotide coordinates.
 //
@@ -112,8 +113,8 @@ func (s *indexSet) peek(model seed.Model, n int) *index.Index {
 
 // adopt installs a prebuilt index under its own (model, N) identity.
 // The index must have been built from the target's effective bank; the
-// engine re-validates shape on every run (pipeline.MatchesRequest),
-// exactly as Options.SubjectIndex was validated.
+// engine re-validates shape on every run (pipeline.MatchesRequest)
+// and fails the search on a mismatch rather than rebuilding silently.
 func (s *indexSet) adopt(ix *index.Index) {
 	if ix == nil {
 		return
@@ -184,6 +185,17 @@ func NewGenomeTarget(genome []byte, code *translate.Code) *GenomeTarget {
 		frames: frames,
 		fbank:  frameBank(frames),
 	}
+}
+
+// frameBank is the one place a frame set becomes a subject bank, so an
+// index built from GenomeTarget.Bank (the service caches them) always
+// describes the bank the target searches.
+func frameBank(frames [6]translate.FrameTranslation) *bank.Bank {
+	fbank := bank.New("genome-frames")
+	for _, ft := range frames {
+		fbank.Add(ft.Frame.String(), ft.Protein)
+	}
+	return fbank
 }
 
 // Kind implements Target.
@@ -278,4 +290,15 @@ func (t *DNATarget) locus(seq int, span gapped.Span) Locus {
 	l := Locus{Seq: ref.query, ID: t.fbank.ID(seq), Frame: ref.frame}
 	l.NucStart, l.NucEnd = frameSpanToNuc(ref.frame, span.Start, span.End, ref.qLen)
 	return l
+}
+
+// frameSpanToNuc maps a half-open protein span within a reading frame
+// to the forward-strand nucleotide interval it covers.
+func frameSpanToNuc(f translate.Frame, aaStart, aaEnd, genomeLen int) (int, int) {
+	first := translate.CodonStart(f, aaStart, genomeLen)
+	last := translate.CodonStart(f, aaEnd-1, genomeLen)
+	if f > 0 {
+		return first, last + 3
+	}
+	return last, first + 3
 }

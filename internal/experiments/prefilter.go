@@ -7,7 +7,6 @@ import (
 
 	"seedblast/internal/bank"
 	"seedblast/internal/core"
-	"seedblast/internal/index"
 	"seedblast/internal/metrics"
 )
 
@@ -37,8 +36,9 @@ type PrefilterSweep struct {
 // genome harness of Table 6 has only six frame-subjects, too few for
 // a per-subject top-K cut to mean anything). Truth is family
 // membership; rankings are scored exactly as Table 6 scores them.
-// The subject index is built once and shared, so rows measure the
-// per-request stages the cut shrinks.
+// One subject target serves every row: its index is built by the
+// first search and reused, and engine wall time never includes that
+// build, so rows measure the per-request stages the cut shrinks.
 func RunPrefilterSweep(cfg Table6Config, ks []int) (*PrefilterSweep, error) {
 	fc := cfg.Family
 	rng := bank.NewRNG(fc.Seed)
@@ -58,35 +58,24 @@ func RunPrefilterSweep(cfg Table6Config, ks []int) (*PrefilterSweep, error) {
 		subjFamily = append(subjFamily, -1)
 	}
 
-	base := core.DefaultOptions()
-	base.Seed = reducedSeed()
-	if cfg.Threshold > 0 {
-		base.UngappedThreshold = cfg.Threshold
-	}
-	base.Gapped.MaxEValue = cfg.MaxEValue
-	ix1, err := index.BuildParallel(subjects, base.Seed, base.N, 0)
-	if err != nil {
-		return nil, err
-	}
+	qt, st := core.NewProteinTarget(queries), core.NewProteinTarget(subjects)
 
 	out := &PrefilterSweep{Queries: queries.Len(), Subjects: subjects.Len()}
 	var offWall float64
 	for _, k := range ks {
-		opt := base
-		opt.MaxCandidates = k
-		opt.SubjectIndex = ix1
-		var res *core.Result
+		var ms []core.Match
+		var res *core.Summary
 		for rep := 0; rep < 3; rep++ { // best-of-3 wall; results are deterministic
-			r, err := core.Compare(queries, subjects, opt)
+			m, r, err := search(qt, st, sensitivityOptions(cfg, core.WithMaxCandidates(k))...)
 			if err != nil {
 				return nil, err
 			}
 			if res == nil || r.Pipeline.Wall < res.Pipeline.Wall {
-				res = r
+				ms, res = m, r
 			}
 		}
 		perQuery := make(map[int][]metrics.RankedHit)
-		for _, a := range res.Alignments {
+		for _, a := range ms {
 			perQuery[a.Seq0] = append(perQuery[a.Seq0], metrics.RankedHit{
 				Score: float64(a.Score),
 				True:  subjFamily[a.Seq1] == a.Seq0,
@@ -113,7 +102,7 @@ func RunPrefilterSweep(cfg Table6Config, ks []int) (*PrefilterSweep, error) {
 			MaxCandidates: k,
 			ROC50:         metrics.Mean(rocs),
 			APMean:        metrics.Mean(aps),
-			Matches:       len(res.Alignments),
+			Matches:       len(ms),
 			WallMS:        wallMS,
 			SpeedupVsOff:  speedup,
 		})

@@ -295,6 +295,17 @@ func DefaultTable6Config() Table6Config {
 	}
 }
 
+// sensitivityOptions are the options the sensitivity runs (Table 6,
+// the prefilter sweep) share: the coarse subset seed, the config's
+// threshold when set, and its E-value cut.
+func sensitivityOptions(cfg Table6Config, extra ...core.Option) []core.Option {
+	opts := []core.Option{core.WithSeed(reducedSeed()), core.WithMaxEValue(cfg.MaxEValue)}
+	if cfg.Threshold > 0 {
+		opts = append(opts, core.WithUngappedThreshold(cfg.Threshold))
+	}
+	return append(opts, extra...)
+}
+
 // RunTable6 runs both engines over the family benchmark and scores
 // their rankings.
 func RunTable6(cfg Table6Config) (*Table6, error) {
@@ -307,22 +318,17 @@ func RunTable6(cfg Table6Config) (*Table6, error) {
 	// engine used for speed). Sensitivity runs use the coarse subset
 	// seed — the paper's subset-seed design [11] trades key-space size
 	// for BLAST-level sensitivity — and a matching lower threshold.
-	opt := core.DefaultOptions()
-	opt.Seed = reducedSeed()
-	if cfg.Threshold > 0 {
-		opt.UngappedThreshold = cfg.Threshold
-	}
-	opt.Gapped.MaxEValue = cfg.MaxEValue
-	res, err := core.CompareGenome(fb.Queries, fb.Genome, opt)
+	ms, _, err := search(core.NewProteinTarget(fb.Queries), core.NewGenomeTarget(fb.Genome, nil),
+		sensitivityOptions(cfg)...)
 	if err != nil {
 		return nil, err
 	}
 	rascHits := make(map[int][]metrics.RankedHit)
-	for _, m := range res.Matches {
-		fam := fb.QueryFamily[m.Protein]
-		rascHits[m.Protein] = append(rascHits[m.Protein], metrics.RankedHit{
+	for _, m := range ms {
+		q, g := m.Query.Seq, m.Subject
+		rascHits[q] = append(rascHits[q], metrics.RankedHit{
 			Score: float64(m.Score),
-			True:  fb.TrueHit(fam, m.NucStart, m.NucEnd-m.NucStart),
+			True:  fb.TrueHit(fb.QueryFamily[q], g.NucStart, g.NucEnd-g.NucStart),
 		})
 	}
 

@@ -240,7 +240,7 @@ func TestEmptyQueryBank(t *testing.T) {
 	}
 }
 
-func TestPrebuiltSubjectIndex(t *testing.T) {
+func TestPrebuiltIndexReuse(t *testing.T) {
 	b0, b1 := testBanks(t, 6)
 	req := testRequest(t, b0, b1)
 	ref := mustRun(t, Config{ShardSize: 2}, testBackend(), req)

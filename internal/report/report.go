@@ -64,21 +64,22 @@ func ComputeStats(q, s []byte, loc align.Local, ops []align.Op, m *matrix.Matrix
 	return st
 }
 
-// WriteGenomeReport renders a tblastn-style report for CompareGenome
-// results. Alignment blocks appear only for matches that carry
-// traceback operations (Options.Gapped.Traceback).
-func WriteGenomeReport(w io.Writer, proteins *bank.Bank, genome []byte, res *core.GenomeResult, m *matrix.Matrix) error {
+// WriteGenomeReport renders a tblastn-style report for a collected
+// search of proteins against a GenomeTarget of genome. Alignment blocks
+// appear only for matches that carry traceback operations
+// (WithTraceback).
+func WriteGenomeReport(w io.Writer, proteins *bank.Bank, genome []byte, matches []core.Match, sum *core.Summary, m *matrix.Matrix) error {
 	fmt.Fprintf(w, "seedblast tblastn-style search\n")
 	fmt.Fprintf(w, "Query bank: %s (%d sequences, %d residues)\n",
 		proteins.Name(), proteins.Len(), proteins.TotalResidues())
-	fmt.Fprintf(w, "Subject: %d nt genome, 6 reading frames\n", res.GenomeLen)
+	fmt.Fprintf(w, "Subject: %d nt genome, 6 reading frames\n", len(genome))
 	fmt.Fprintf(w, "Matches: %d (pairs scored: %d, hits: %d)\n\n",
-		len(res.Matches), res.Pairs, res.Hits)
+		len(matches), sum.Pairs, sum.Hits)
 
 	// Group matches per query, best first.
-	perQuery := map[int][]core.GenomeMatch{}
-	for _, gm := range res.Matches {
-		perQuery[gm.Protein] = append(perQuery[gm.Protein], gm)
+	perQuery := map[int][]core.Match{}
+	for _, gm := range matches {
+		perQuery[gm.Query.Seq] = append(perQuery[gm.Query.Seq], gm)
 	}
 	queries := make([]int, 0, len(perQuery))
 	for q := range perQuery {
@@ -95,7 +96,7 @@ func WriteGenomeReport(w io.Writer, proteins *bank.Bank, genome []byte, res *cor
 			"frame", "genome interval", "score", "bits", "E-value")
 		for _, gm := range ms {
 			fmt.Fprintf(w, "  %-8s [%9d, %9d) %8d %10.1f %12.2e\n",
-				gm.Frame, gm.NucStart, gm.NucEnd, gm.Score, gm.BitScore, gm.EValue)
+				gm.Subject.Frame, gm.Subject.NucStart, gm.Subject.NucEnd, gm.Score, gm.BitScore, gm.EValue)
 		}
 		for _, gm := range ms {
 			if len(gm.Ops) == 0 {
@@ -113,7 +114,7 @@ func WriteGenomeReport(w io.Writer, proteins *bank.Bank, genome []byte, res *cor
 			}
 			st := ComputeStats(proteins.Seq(q), frames[gm.Seq1], loc, gm.Ops, m)
 			fmt.Fprintf(w, "\n  Frame %s, length %d: identities %d/%d (%.0f%%), positives %d, gaps %d\n",
-				gm.Frame, st.Length, st.Identities, st.Length,
+				gm.Subject.Frame, st.Length, st.Identities, st.Length,
 				100*st.Identity(), st.Positives, st.Gaps)
 			fmt.Fprint(w, indent(align.FormatAlignment(
 				proteins.Seq(q), frames[gm.Seq1], loc, gm.Ops, m), "  "))

@@ -2,6 +2,7 @@ package report
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -66,6 +67,25 @@ func TestComputeStatsEmpty(t *testing.T) {
 	}
 }
 
+// searchGenome collects one tblastn search for the report to render.
+func searchGenome(t *testing.T, proteins *bank.Bank, genome []byte, opts ...core.Option) ([]core.Match, *core.Summary) {
+	t.Helper()
+	s, err := core.NewSearcher(opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := s.Search(context.Background(), core.NewProteinTarget(proteins), core.NewGenomeTarget(genome, nil))
+	ms, err := res.Collect()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum, err := res.Summary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ms, sum
+}
+
 func TestWriteGenomeReport(t *testing.T) {
 	proteins := bank.GenerateProteins(bank.ProteinConfig{N: 6, MeanLen: 100, Seed: 61})
 	genome, _, err := bank.GenerateGenome(bank.GenomeConfig{
@@ -74,17 +94,12 @@ func TestWriteGenomeReport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := core.DefaultOptions()
-	opt.Gapped.Traceback = true
-	res, err := core.CompareGenome(proteins, genome, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Matches) == 0 {
+	ms, sum := searchGenome(t, proteins, genome, core.WithTraceback(true))
+	if len(ms) == 0 {
 		t.Fatal("no matches to report")
 	}
 	var buf bytes.Buffer
-	if err := WriteGenomeReport(&buf, proteins, genome, res, matrix.BLOSUM62); err != nil {
+	if err := WriteGenomeReport(&buf, proteins, genome, ms, sum, matrix.BLOSUM62); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -109,12 +124,9 @@ func TestWriteGenomeReportNoTraceback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.CompareGenome(proteins, genome, core.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	ms, sum := searchGenome(t, proteins, genome)
 	var buf bytes.Buffer
-	if err := WriteGenomeReport(&buf, proteins, genome, res, matrix.BLOSUM62); err != nil {
+	if err := WriteGenomeReport(&buf, proteins, genome, ms, sum, matrix.BLOSUM62); err != nil {
 		t.Fatal(err)
 	}
 	if strings.Contains(buf.String(), "identities") {

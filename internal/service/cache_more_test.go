@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"seedblast/internal/bank"
+	"seedblast/internal/core"
 	"seedblast/internal/index"
 )
 
@@ -20,7 +21,7 @@ import (
 func TestCacheEvictSkipsInFlight(t *testing.T) {
 	c := newIndexCache(1) // tightest capacity: every insert pressures the LRU
 	b := bank.GenerateProteins(bank.ProteinConfig{N: 3, MeanLen: 50, Seed: 8})
-	opt := testOptions()
+	opt := core.DefaultOptions()
 
 	var buildsA atomic.Int32
 	started := make(chan struct{})
@@ -92,7 +93,7 @@ func TestCacheEvictSkipsInFlight(t *testing.T) {
 func TestCacheAllInFlightOverflows(t *testing.T) {
 	c := newIndexCache(1)
 	b := bank.GenerateProteins(bank.ProteinConfig{N: 2, MeanLen: 40, Seed: 9})
-	opt := testOptions()
+	opt := core.DefaultOptions()
 
 	release := make(chan struct{})
 	var wg sync.WaitGroup
@@ -137,7 +138,7 @@ func TestCacheAllInFlightOverflows(t *testing.T) {
 func TestCacheWaiterContextCancelled(t *testing.T) {
 	c := newIndexCache(2)
 	b := bank.GenerateProteins(bank.ProteinConfig{N: 3, MeanLen: 50, Seed: 10})
-	opt := testOptions()
+	opt := core.DefaultOptions()
 
 	started := make(chan struct{})
 	release := make(chan struct{})

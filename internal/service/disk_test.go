@@ -1,7 +1,6 @@
 package service
 
 import (
-	"context"
 	"os"
 	"path/filepath"
 	"testing"
@@ -15,7 +14,7 @@ import (
 // and writes its seeddb, returning the path.
 func writeSubjectDB(t *testing.T, subject *bank.Bank) string {
 	t.Helper()
-	opt := testOptions()
+	opt := core.DefaultOptions()
 	ix, err := index.BuildParallel(subject, opt.Seed, opt.N, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -35,10 +34,7 @@ func TestPreloadDBWarmsCache(t *testing.T) {
 	b0, b1 := testWorkload(t, 5, 81)
 	path := writeSubjectDB(t, b1)
 
-	ref, err := core.Compare(b0, b1, testOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := libraryBanks(t, testSearcher(t), b0, b1)
 
 	svc := New(Config{})
 	defer svc.Close()
@@ -46,12 +42,12 @@ func TestPreloadDBWarmsCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := testOptions()
+	opt := core.DefaultOptions()
 	if want := index.Fingerprint(b1, opt.Seed, opt.N); fp != want {
 		t.Fatalf("preloaded fingerprint %.24s… does not key the request's %.24s…", fp, want)
 	}
 
-	res, err := svc.Compare(context.Background(), b0, b1, testOptions())
+	res, err := searchBanks(svc, testSearcher(t), b0, b1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,15 +76,12 @@ func TestDiskFallbackAfterEviction(t *testing.T) {
 	// Churn the capacity-1 cache with a different subject: the
 	// preloaded entry is the LRU and gets evicted.
 	other0, other1 := testWorkload(t, 4, 83)
-	if _, err := svc.Compare(context.Background(), other0, other1, testOptions()); err != nil {
+	if _, err := searchBanks(svc, testSearcher(t), other0, other1); err != nil {
 		t.Fatal(err)
 	}
 
-	ref, err := core.Compare(b0, b1, testOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := svc.Compare(context.Background(), b0, b1, testOptions())
+	ref := libraryBanks(t, testSearcher(t), b0, b1)
+	res, err := searchBanks(svc, testSearcher(t), b0, b1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,14 +104,11 @@ func TestRegisterDBServesColdMiss(t *testing.T) {
 	if _, err := svc.RegisterDB(path); err != nil {
 		t.Fatal(err)
 	}
-	res, err := svc.Compare(context.Background(), b0, b1, testOptions())
+	res, err := searchBanks(svc, testSearcher(t), b0, b1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := core.Compare(b0, b1, testOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := libraryBanks(t, testSearcher(t), b0, b1)
 	assertSameResult(t, ref, res)
 	if st := svc.Metrics(); st.Cache.DiskLoads != 1 || st.Cache.Misses != 1 {
 		t.Errorf("cache stats %+v, want 1 miss served by 1 disk load", st.Cache)
@@ -140,14 +130,11 @@ func TestDiskFallbackSurvivesMissingFile(t *testing.T) {
 	if err := os.Remove(path); err != nil {
 		t.Fatal(err)
 	}
-	res, err := svc.Compare(context.Background(), b0, b1, testOptions())
+	res, err := searchBanks(svc, testSearcher(t), b0, b1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := core.Compare(b0, b1, testOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := libraryBanks(t, testSearcher(t), b0, b1)
 	assertSameResult(t, ref, res)
 	if st := svc.Metrics(); st.Cache.DiskLoads != 0 {
 		t.Errorf("disk loads = %d for a vanished file, want 0 (rebuild fallback)", st.Cache.DiskLoads)

@@ -10,7 +10,6 @@ import (
 	"seedblast/internal/alphabet"
 	"seedblast/internal/bank"
 	"seedblast/internal/core"
-	"seedblast/internal/gapped"
 	"seedblast/internal/pipeline"
 	"seedblast/internal/stats"
 	"seedblast/internal/telemetry"
@@ -167,73 +166,61 @@ func WriteError(w http.ResponseWriter, code int, format string, args ...any) {
 	WriteJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
-// buildOptions maps the wire options onto core.Options.
-func buildOptions(oj OptionsJSON) (core.Options, error) {
-	opt := core.DefaultOptions()
-	switch oj.Engine {
-	case "", "cpu":
-		opt.Engine = core.EngineCPU
-	case "rasc":
-		opt.Engine = core.EngineRASC
-	case "multi":
-		opt.Engine = core.EngineMulti
-	default:
-		return opt, fmt.Errorf("unknown engine %q (cpu, rasc, multi)", oj.Engine)
+// CoreOptions translates the wire options into typed core options, in
+// the order NewSearcher applies them. It parses names (engine, kernel,
+// genetic code) and nothing else: every range check lives in the
+// With* setter, so a bad value fails NewSearcher with the same message
+// whether it arrived as JSON or as a cmd/seedcmp flag.
+func (oj OptionsJSON) CoreOptions() ([]core.Option, error) {
+	engine, err := core.ParseEngine(oj.Engine)
+	if err != nil {
+		return nil, err
 	}
-	if oj.N != nil {
-		if *oj.N < 0 {
-			return opt, fmt.Errorf("negative n %d", *oj.N)
-		}
-		opt.N = *oj.N
-	}
-	if oj.Threshold != nil {
-		opt.UngappedThreshold = *oj.Threshold
-	}
-	g := gapped.DefaultConfig()
-	if oj.MaxEValue != nil {
-		if *oj.MaxEValue <= 0 {
-			return opt, fmt.Errorf("maxEValue must be positive, got %g", *oj.MaxEValue)
-		}
-		g.MaxEValue = *oj.MaxEValue
-	}
-	g.Traceback = oj.Traceback
-	opt.Gapped = g
-	opt.Workers = oj.Workers
 	kernel, err := ungapped.ParseKernel(oj.Kernel)
 	if err != nil {
-		return opt, err
+		return nil, err
 	}
-	opt.Step2Kernel = kernel
-	opt.Pipeline = pipeline.Config{
-		ShardSize:    oj.ShardSize,
-		InFlight:     oj.InFlight,
-		Step2Workers: oj.StreamWorkers,
-		Step3Workers: oj.StreamWorkers,
+	opts := []core.Option{
+		core.WithEngine(engine),
+		core.WithStep2Kernel(kernel),
+		core.WithTraceback(oj.Traceback),
+		core.WithWorkers(oj.Workers),
+		core.WithPipeline(pipeline.Config{
+			ShardSize:    oj.ShardSize,
+			InFlight:     oj.InFlight,
+			Step2Workers: oj.StreamWorkers,
+			Step3Workers: oj.StreamWorkers,
+		}),
+	}
+	if oj.N != nil {
+		opts = append(opts, core.WithNeighborhood(*oj.N))
+	}
+	if oj.Threshold != nil {
+		opts = append(opts, core.WithUngappedThreshold(*oj.Threshold))
+	}
+	if oj.MaxEValue != nil {
+		opts = append(opts, core.WithMaxEValue(*oj.MaxEValue))
 	}
 	if oj.MaxCandidates != nil {
-		if *oj.MaxCandidates < 0 {
-			return opt, fmt.Errorf("negative maxCandidates %d", *oj.MaxCandidates)
-		}
-		opt.MaxCandidates = *oj.MaxCandidates
+		opts = append(opts, core.WithMaxCandidates(*oj.MaxCandidates))
 	}
 	if oj.GeneticCode != "" {
 		code, err := translate.CodeByName(oj.GeneticCode)
 		if err != nil {
-			return opt, err
+			return nil, err
 		}
-		opt.GeneticCode = code
+		opts = append(opts, core.WithGeneticCode(code))
 	}
 	if oj.SearchSpace != nil {
 		sp := stats.SearchSpace{DBLen: oj.SearchSpace.DBLen, DBSeqs: oj.SearchSpace.DBSeqs}
-		if err := sp.Validate(); err != nil {
-			return opt, err
-		}
+		// Presence is a wire notion the setter cannot see: a zero
+		// geometry would silently mean "no override".
 		if sp.IsZero() {
-			return opt, fmt.Errorf("searchSpace present but empty (needs dbLen)")
+			return nil, fmt.Errorf("searchSpace present but empty (needs dbLen)")
 		}
-		opt.SearchSpaceOverride = sp
+		opts = append(opts, core.WithSearchSpace(sp))
 	}
-	return opt, nil
+	return opts, nil
 }
 
 func decodeBank(name string, seqs []SequenceJSON) (*bank.Bank, error) {
@@ -267,12 +254,16 @@ func (h *handler) submit(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusBadRequest, "request needs exactly one of subject or genome")
 		return
 	}
-	opt, err := buildOptions(body.Options)
+	opts, err := body.Options.CoreOptions()
 	if err != nil {
 		WriteError(w, http.StatusBadRequest, "options: %v", err)
 		return
 	}
-	req := &Request{Options: opt}
+	req := &Request{}
+	if req.Searcher, err = core.NewSearcher(opts...); err != nil {
+		WriteError(w, http.StatusBadRequest, "options: %v", err)
+		return
+	}
 	if req.Query, err = decodeBank("query", body.Query); err != nil {
 		WriteError(w, http.StatusBadRequest, "query: %v", err)
 		return
@@ -297,41 +288,38 @@ func (h *handler) submit(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// jobStatus builds the poll reply from one snapshot of the job, so a
+// job finishing mid-call is reported either running or done with its
+// finish time and summary — never half of each.
 func jobStatus(j *Job) JobStatusJSON {
-	sub, started, fin := j.Times()
+	snap := j.Snapshot()
 	st := JobStatusJSON{
 		ID:        j.ID(),
-		State:     string(j.State()),
+		State:     string(snap.State),
 		Mode:      "bank",
 		TraceID:   j.Trace().ID(),
-		Submitted: sub,
+		Submitted: snap.Submitted,
 	}
 	if j.Request().Genome != nil {
 		st.Mode = "genome"
 	}
-	if !started.IsZero() {
-		st.Started = &started
+	if !snap.Started.IsZero() {
+		st.Started = &snap.Started
 	}
-	if !fin.IsZero() {
-		st.Finished = &fin
+	if !snap.Finished.IsZero() {
+		st.Finished = &snap.Finished
 	}
-	if err := j.Err(); err != nil {
-		st.Error = err.Error()
+	if snap.Err != nil {
+		st.Error = snap.Err.Error()
 	}
-	var res *core.Result
-	if gr := j.GenomeResult(); gr != nil {
-		res = &gr.Result
-	} else {
-		res = j.Result()
-	}
-	if res != nil {
-		n := len(res.Alignments)
+	if sum := snap.Summary; sum != nil {
+		n := len(snap.Matches)
 		st.Alignments = &n
-		st.Hits = &res.Hits
-		st.Pairs = &res.Pairs
-		ms := float64(res.Pipeline.Wall) / float64(time.Millisecond)
+		st.Hits = &sum.Hits
+		st.Pairs = &sum.Pairs
+		ms := float64(sum.Pipeline.Wall) / float64(time.Millisecond)
 		st.WallMS = &ms
-		st.Shards = res.Pipeline.ShardsByBackend
+		st.Shards = sum.Pipeline.ShardsByBackend
 	}
 	return st
 }
@@ -407,28 +395,10 @@ func (h *handler) alignments(w http.ResponseWriter, r *http.Request) {
 // wire record at a time — the single producer behind both the array
 // and the NDJSON fetch paths.
 func jobAlignments(j *Job) iter.Seq[AlignmentJSON] {
-	req := j.Request()
+	ms := j.Snapshot().Matches
 	return func(yield func(AlignmentJSON) bool) {
-		if gr := j.GenomeResult(); gr != nil {
-			for i := range gr.Matches {
-				m := &gr.Matches[i]
-				// The frame doubles as the subject id: in genome mode the
-				// subject sequences are the six frame translations.
-				frame := m.Frame.String()
-				aj := alignmentJSON(req.Query.ID(m.Seq0), frame, &m.Alignment)
-				aj.Frame = frame
-				ns, ne := m.NucStart, m.NucEnd
-				aj.NucStart, aj.NucEnd = &ns, &ne
-				if !yield(aj) {
-					return
-				}
-			}
-			return
-		}
-		res := j.Result()
-		for i := range res.Alignments {
-			a := &res.Alignments[i]
-			if !yield(alignmentJSON(req.Query.ID(a.Seq0), req.Subject.ID(a.Seq1), a)) {
+		for i := range ms {
+			if !yield(MatchJSON(&ms[i])) {
 				return
 			}
 		}
@@ -458,28 +428,25 @@ func WriteNDJSON[T any](w http.ResponseWriter, seq iter.Seq[T]) {
 	_ = rc.Flush()
 }
 
-func alignmentJSON(qid, sid string, a *gapped.Alignment) AlignmentJSON {
-	return AlignmentJSON{
-		Query:    qid,
-		Subject:  sid,
-		Score:    a.Score,
-		BitScore: a.BitScore,
-		EValue:   a.EValue,
-		QStart:   a.Q.Start,
-		QEnd:     a.Q.End,
-		SStart:   a.S.Start,
-		SEnd:     a.S.End,
-	}
-}
-
-// MatchJSON renders a v2 match in the service's wire encoding: the
-// query id from the match's query locus, the subject id from its
-// subject locus (the frame string for genome targets), and — when the
-// subject side is translated — the frame and nucleotide interval the
-// genome-mode API reports. cmd/seedcmp's machine-readable output uses
-// it so CLI and service speak one dialect.
+// MatchJSON renders a match in the service's wire encoding: the query
+// id from the match's query locus, the subject id from its subject
+// locus (the frame string for genome targets — the subject sequences
+// are the six frame translations), and — when the subject side is
+// translated — the frame and nucleotide interval the genome-mode API
+// reports. cmd/seedcmp's machine-readable output uses it so CLI and
+// service speak one dialect.
 func MatchJSON(m *core.Match) AlignmentJSON {
-	aj := alignmentJSON(m.Query.ID, m.Subject.ID, &m.Alignment)
+	aj := AlignmentJSON{
+		Query:    m.Query.ID,
+		Subject:  m.Subject.ID,
+		Score:    m.Score,
+		BitScore: m.BitScore,
+		EValue:   m.EValue,
+		QStart:   m.Q.Start,
+		QEnd:     m.Q.End,
+		SStart:   m.S.Start,
+		SEnd:     m.S.End,
+	}
 	if m.Subject.Translated() {
 		aj.Frame = m.Subject.Frame.String()
 		ns, ne := m.Subject.NucStart, m.Subject.NucEnd

@@ -2,7 +2,6 @@ package service
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -70,16 +69,12 @@ func bankToJSON(b *bank.Bank) []SequenceJSON {
 
 // The acceptance path: submit a bank-vs-bank job over HTTP, poll its
 // status, fetch the alignments, and check them against a direct
-// core.Compare run with the same options.
+// library run with the same options.
 func TestHTTPSubmitPollFetch(t *testing.T) {
 	b0, b1 := testWorkload(t, 10, 23)
-	opt := testOptions()
-	opt.Workers = 0 // the HTTP layer builds options itself; match its default
-	want, err := core.Compare(b0, b1, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(want.Alignments) == 0 {
+	// The HTTP layer builds options itself; match its default workers.
+	want := libraryBanks(t, testSearcher(t, core.WithWorkers(0)), b0, b1)
+	if len(want.Matches) == 0 {
 		t.Fatal("reference run found no alignments")
 	}
 
@@ -107,19 +102,19 @@ func TestHTTPSubmitPollFetch(t *testing.T) {
 	if st.State != string(JobDone) {
 		t.Fatalf("job failed: %s", st.Error)
 	}
-	if st.Mode != "bank" || st.Alignments == nil || *st.Alignments != len(want.Alignments) {
+	if st.Mode != "bank" || st.Alignments == nil || *st.Alignments != len(want.Matches) {
 		t.Fatalf("status summary wrong: %+v", st)
 	}
 
-	resp, err = http.Get(ts.URL + "/v1/jobs/" + id + "/alignments")
+	resp, err := http.Get(ts.URL + "/v1/jobs/" + id + "/alignments")
 	if err != nil {
 		t.Fatal(err)
 	}
 	got := decodeJSON[[]AlignmentJSON](t, resp)
-	if len(got) != len(want.Alignments) {
-		t.Fatalf("fetched %d alignments, want %d", len(got), len(want.Alignments))
+	if len(got) != len(want.Matches) {
+		t.Fatalf("fetched %d alignments, want %d", len(got), len(want.Matches))
 	}
-	for i, a := range want.Alignments {
+	for i, a := range want.Matches {
 		g := got[i]
 		if g.Query != b0.ID(a.Seq0) || g.Subject != b1.ID(a.Seq1) ||
 			g.Score != a.Score || g.EValue != a.EValue ||
@@ -150,12 +145,7 @@ func TestHTTPGenomeJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := core.DefaultOptions()
-	opt.Gapped.MaxEValue = 10
-	want, err := core.CompareGenome(proteins, genome, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := library(t, testSearcher(t, core.WithWorkers(0)), proteins, core.NewGenomeTarget(genome, nil))
 	if len(want.Matches) == 0 {
 		t.Fatal("reference genome run found no matches")
 	}
@@ -190,8 +180,8 @@ func TestHTTPGenomeJob(t *testing.T) {
 	}
 	for i, m := range want.Matches {
 		g := got[i]
-		if g.Frame != m.Frame.String() || g.NucStart == nil || *g.NucStart != m.NucStart ||
-			g.NucEnd == nil || *g.NucEnd != m.NucEnd || g.Query != proteins.ID(m.Protein) {
+		if l := m.Subject; g.Frame != l.Frame.String() || g.NucStart == nil || *g.NucStart != l.NucStart ||
+			g.NucEnd == nil || *g.NucEnd != l.NucEnd || g.Query != proteins.ID(m.Query.Seq) {
 			t.Fatalf("genome match %d over HTTP differs:\nwant %+v\n got %+v", i, m, g)
 		}
 	}
@@ -203,7 +193,16 @@ func TestHTTPValidationAndMetrics(t *testing.T) {
 	ts := httptest.NewServer(NewHandler(svc))
 	defer ts.Close()
 
+	// Every out-of-range or unknown option value is refused at submit by
+	// the one check its With* setter or name parser holds.
+	q, s := []SequenceJSON{{ID: "q", Seq: "MKV"}}, []SequenceJSON{{ID: "s", Seq: "MKV"}}
 	for name, body := range map[string]JobRequestJSON{
+		"negative n":             {Query: q, Subject: s, Options: OptionsJSON{N: ptr(-1)}},
+		"zero maxEValue":         {Query: q, Subject: s, Options: OptionsJSON{MaxEValue: ptr(0.0)}},
+		"negative maxEValue":     {Query: q, Subject: s, Options: OptionsJSON{MaxEValue: ptr(-2.0)}},
+		"negative maxCandidates": {Query: q, Subject: s, Options: OptionsJSON{MaxCandidates: ptr(-1)}},
+		"bad genetic code":       {Query: q, Subject: s, Options: OptionsJSON{GeneticCode: "bogus"}},
+
 		"no query":           {Subject: []SequenceJSON{{ID: "s", Seq: "MKV"}}},
 		"subject and genome": {Query: []SequenceJSON{{ID: "q", Seq: "MKV"}}, Subject: []SequenceJSON{{ID: "s", Seq: "MKV"}}, Genome: "ACGT"},
 		"neither":            {Query: []SequenceJSON{{ID: "q", Seq: "MKV"}}},
@@ -225,11 +224,10 @@ func TestHTTPValidationAndMetrics(t *testing.T) {
 
 	// A healthy round trip, then the metrics reflect it.
 	b0, b1 := testWorkload(t, 6, 51)
-	if _, err := svc.Compare(context.Background(), b0, b1, testOptions()); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := svc.Compare(context.Background(), b0, b1, testOptions()); err != nil {
-		t.Fatal(err)
+	for range 2 {
+		if _, err := searchBanks(svc, testSearcher(t), b0, b1); err != nil {
+			t.Fatal(err)
+		}
 	}
 	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {

@@ -93,7 +93,7 @@ func TestServiceIdleTTLSweep(t *testing.T) {
 	svc := New(Config{JobTTL: 25 * time.Millisecond, SweepInterval: 5 * time.Millisecond})
 	defer svc.Close()
 
-	j, err := svc.Submit(&Request{Query: b0, Subject: b1, Options: testOptions()})
+	j, err := svc.Submit(&Request{Query: b0, Subject: b1, Searcher: testSearcher(t)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"context"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -35,13 +34,8 @@ func TestHTTPMaxCandidates(t *testing.T) {
 
 	// Reference without the prefilter, then a wide-open filtered job:
 	// the top-K cut never bites, so alignments must match exactly.
-	opt := testOptions()
-	opt.Workers = 0
-	want, err := core.Compare(b0, b1, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(want.Alignments) == 0 {
+	want := libraryBanks(t, testSearcher(t, core.WithWorkers(0)), b0, b1)
+	if len(want.Matches) == 0 {
 		t.Fatal("reference run found no alignments")
 	}
 	k := b1.Len()
@@ -58,15 +52,15 @@ func TestHTTPMaxCandidates(t *testing.T) {
 	if st.State != string(JobDone) {
 		t.Fatalf("job failed: %s", st.Error)
 	}
-	resp, err = http.Get(ts.URL + "/v1/jobs/" + sub["id"] + "/alignments")
+	resp, err := http.Get(ts.URL + "/v1/jobs/" + sub["id"] + "/alignments")
 	if err != nil {
 		t.Fatal(err)
 	}
 	got := decodeJSON[[]AlignmentJSON](t, resp)
-	if len(got) != len(want.Alignments) {
-		t.Fatalf("fetched %d alignments, want %d", len(got), len(want.Alignments))
+	if len(got) != len(want.Matches) {
+		t.Fatalf("fetched %d alignments, want %d", len(got), len(want.Matches))
 	}
-	for i, a := range want.Alignments {
+	for i, a := range want.Matches {
 		g := got[i]
 		if g.Query != b0.ID(a.Seq0) || g.Subject != b1.ID(a.Seq1) ||
 			g.Score != a.Score || g.EValue != a.EValue ||
@@ -78,9 +72,7 @@ func TestHTTPMaxCandidates(t *testing.T) {
 
 	// A tight-cut run drives the prefilter counters and the exported
 	// telemetry families.
-	opt = testOptions()
-	opt.MaxCandidates = 2
-	if _, err := svc.Compare(context.Background(), b0, b1, opt); err != nil {
+	if _, err := searchBanks(svc, testSearcher(t, core.WithMaxCandidates(2)), b0, b1); err != nil {
 		t.Fatal(err)
 	}
 	snap := svc.Metrics()

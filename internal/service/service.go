@@ -14,11 +14,12 @@
 //     simultaneously, so K requests stream through the engine without
 //     oversubscribing the step-2 backend or the host; the rest queue.
 //   - Async jobs. Submit returns immediately with a pollable Job;
-//     synchronous Compare/CompareGenome wrap the same path.
+//     the synchronous Search wraps the same path.
 //
-// Every request runs through core.CompareContext, so results are
-// bit-identical to a standalone core.Compare call with the same
-// options. cmd/seedservd exposes the service over HTTP+JSON.
+// Every request runs through its core.Searcher against a per-request
+// Target that adopts the cached index, so results are bit-identical to
+// a standalone Searcher.Search with the same options. cmd/seedservd
+// exposes the service over HTTP+JSON.
 package service
 
 import (
@@ -32,7 +33,6 @@ import (
 
 	"seedblast/internal/bank"
 	"seedblast/internal/core"
-	"seedblast/internal/gapped"
 	"seedblast/internal/index"
 	"seedblast/internal/telemetry"
 )
@@ -137,10 +137,10 @@ type Request struct {
 	Query   *bank.Bank
 	Subject *bank.Bank
 	Genome  []byte // encoded DNA (alphabet.EncodeDNA)
-	// Options parameterises the run. Zero Seed/Matrix/UngappedThreshold
-	// fall back to core.DefaultOptions; Options.SubjectIndex is managed
-	// by the service and overwritten.
-	Options core.Options
+	// Searcher runs the comparison, so its options were validated when
+	// it was built; one Searcher may serve any number of requests. Nil
+	// means the pipeline defaults (core.NewSearcher with no options).
+	Searcher *core.Searcher
 	// TraceID, when set, names the job's trace — the cluster coordinator
 	// propagates its trace ID here (via the Seedblast-Trace-Id header) so
 	// worker spans correlate with the coordinator's. Empty means a fresh
@@ -168,14 +168,23 @@ type Job struct {
 	cancel context.CancelFunc
 	done   chan struct{}
 
-	mu        sync.Mutex
-	state     JobState
-	submitted time.Time
-	started   time.Time
-	finished  time.Time
-	result    *core.Result
-	genome    *core.GenomeResult
-	err       error
+	mu   sync.Mutex
+	snap JobSnapshot
+}
+
+// JobSnapshot is a job's mutable state as of one instant: the
+// lifecycle position, its timestamps (zero until the phase is reached)
+// and, once finished, either the failure or the outcome. Matches and
+// Summary are set together with State == JobDone and Finished, so a
+// reader never sees a done job without them.
+type JobSnapshot struct {
+	State     JobState
+	Submitted time.Time
+	Started   time.Time
+	Finished  time.Time
+	Err       error // nil unless State is JobFailed
+	Matches   []core.Match
+	Summary   *core.Summary
 }
 
 // ID returns the job's identifier.
@@ -189,53 +198,27 @@ func (j *Job) Request() *Request { return j.req }
 // spans while the job runs, and Trace().Spans() snapshots safely.
 func (j *Job) Trace() *telemetry.Trace { return j.trace }
 
-// State returns the current lifecycle state.
-func (j *Job) State() JobState {
+// Snapshot returns the job's state read under one lock acquisition —
+// the only way to see state, timestamps and outcome consistent with
+// each other.
+func (j *Job) Snapshot() JobSnapshot {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.state
+	return j.snap
 }
 
-// Times returns the submitted/started/finished timestamps; zero values
-// mean the phase has not been reached.
-func (j *Job) Times() (submitted, started, finished time.Time) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.submitted, j.started, j.finished
-}
+// State returns the current lifecycle state.
+func (j *Job) State() JobState { return j.Snapshot().State }
 
 // Err returns the job's failure, nil unless State is JobFailed.
-func (j *Job) Err() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.err
-}
-
-// Result returns the bank-vs-bank result once the job is done (nil for
-// genome jobs or unfinished ones).
-func (j *Job) Result() *core.Result {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.result
-}
-
-// GenomeResult returns the genome-mode result once the job is done.
-func (j *Job) GenomeResult() *core.GenomeResult {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.genome
-}
+func (j *Job) Err() error { return j.Snapshot().Err }
 
 // Done returns a channel closed when the job finishes (done or failed).
 func (j *Job) Done() <-chan struct{} { return j.done }
 
 // FinishedAt returns the completion time (zero until finished); with
 // Done it satisfies JobStoreEntry.
-func (j *Job) FinishedAt() time.Time {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.finished
-}
+func (j *Job) FinishedAt() time.Time { return j.Snapshot().Finished }
 
 // Cancel stops the job; a queued job fails without running, a running
 // one is cancelled through its context.
@@ -438,20 +421,12 @@ func (s *Service) observeTrace(tr *telemetry.Trace) {
 // Config returns the resolved configuration.
 func (s *Service) Config() Config { return s.cfg }
 
-// Compare runs a bank-vs-bank comparison synchronously through the
-// service (shared index cache + admission). Results are bit-identical
-// to core.CompareContext with the same options.
-func (s *Service) Compare(ctx context.Context, query, subject *bank.Bank, opt core.Options) (*core.Result, error) {
-	res, _, err := s.run(ctx, &Request{Query: query, Subject: subject, Options: opt}, nil)
-	return res, err
-}
-
-// CompareGenome runs a protein-vs-genome comparison synchronously
-// through the service. The genome's six-frame index is cached like any
-// subject bank, keyed by genome digest, genetic code, seed and N.
-func (s *Service) CompareGenome(ctx context.Context, query *bank.Bank, genome []byte, opt core.Options) (*core.GenomeResult, error) {
-	_, gres, err := s.run(ctx, &Request{Query: query, Genome: genome, Options: opt}, nil)
-	return gres, err
+// Search runs a request synchronously through the service (shared
+// index cache + admission). Results are bit-identical to the request's
+// Searcher run standalone. A genome's six-frame index is cached like
+// any subject bank, keyed by genome digest, genetic code, seed and N.
+func (s *Service) Search(ctx context.Context, req *Request) ([]core.Match, *core.Summary, error) {
+	return s.run(ctx, req, nil)
 }
 
 // Submit accepts a request for asynchronous execution and returns its
@@ -483,13 +458,12 @@ func (s *Service) Submit(req *Request) (*Job, error) {
 	s.pending++
 	s.seq++
 	j := &Job{
-		id:        fmt.Sprintf("job-%d", s.seq),
-		req:       req,
-		trace:     tr,
-		cancel:    cancel,
-		done:      make(chan struct{}),
-		state:     JobQueued,
-		submitted: time.Now(),
+		id:     fmt.Sprintf("job-%d", s.seq),
+		req:    req,
+		trace:  tr,
+		cancel: cancel,
+		done:   make(chan struct{}),
+		snap:   JobSnapshot{State: JobQueued, Submitted: time.Now()},
 	}
 	s.wg.Add(1)
 	// Added under s.mu so concurrent submits land in the store in id
@@ -500,21 +474,21 @@ func (s *Service) Submit(req *Request) (*Job, error) {
 	go func() {
 		defer s.wg.Done()
 		defer cancel()
-		res, gres, err := s.run(ctx, req, func() {
+		ms, sum, err := s.run(ctx, req, func() {
 			j.mu.Lock()
-			j.state = JobRunning
-			j.started = time.Now()
+			j.snap.State = JobRunning
+			j.snap.Started = time.Now()
 			j.mu.Unlock()
 		})
 		j.mu.Lock()
-		j.finished = time.Now()
+		j.snap.Finished = time.Now()
 		if err != nil {
-			j.state = JobFailed
-			j.err = err
+			j.snap.State = JobFailed
+			j.snap.Err = err
 		} else {
-			j.state = JobDone
-			j.result = res
-			j.genome = gres
+			j.snap.State = JobDone
+			j.snap.Matches = ms
+			j.snap.Summary = sum
 		}
 		j.mu.Unlock()
 		close(j.done)
@@ -577,59 +551,43 @@ func validate(req *Request) error {
 	return nil
 }
 
-// resolveOptions fills unset core options from the defaults so HTTP
-// callers can send sparse option sets. An entirely zero Gapped config
-// takes the full step-3 defaults (matching the HTTP layer and the
-// historical core.Compare behaviour, gap-trigger pre-filter included);
-// a partially-set one is completed field-by-field downstream by
-// core's gappedConfig.
-func resolveOptions(opt core.Options) core.Options {
-	def := core.DefaultOptions()
-	if opt.Seed == nil {
-		opt.Seed = def.Seed
-		if opt.N == 0 {
-			opt.N = def.N
-		}
-	}
-	if opt.Matrix == nil {
-		opt.Matrix = def.Matrix
-	}
-	if opt.UngappedThreshold == 0 {
-		opt.UngappedThreshold = def.UngappedThreshold
-	}
-	if opt.Gapped == (gapped.Config{}) {
-		opt.Gapped = def.Gapped
-	}
-	return opt
+// subjectTarget is a search target that can adopt the cached index.
+type subjectTarget interface {
+	core.Target
+	Adopt(*index.Index)
 }
 
-// subjectKey returns the cache key and builder for the request's
-// subject index.
-func (s *Service) subjectKey(req *Request, opt core.Options) (string, func() (*index.Index, error)) {
+// subject builds the request's search target and the cache key of its
+// step-1 index. A genome is translated exactly once, here: the index
+// is built from — and later adopted by — this same target's frame
+// bank, so a cached genome index cannot mismatch its target.
+func subject(req *Request, opt *core.Options) (subjectTarget, string) {
 	if req.Genome != nil {
+		tgt := core.NewGenomeTarget(req.Genome, opt.GeneticCode)
 		sum := sha256.Sum256(req.Genome)
-		key := fmt.Sprintf("genome/%s/%s/%s",
-			hex.EncodeToString(sum[:]), opt.Code().Name(),
+		return tgt, fmt.Sprintf("genome/%s/%s/%s",
+			hex.EncodeToString(sum[:]), tgt.Code().Name(),
 			index.ModelIdentity(opt.Seed, opt.N))
-		return key, func() (*index.Index, error) {
-			fb := core.FrameBank(req.Genome, opt)
-			return index.BuildParallel(fb, opt.Seed, opt.N, opt.Workers)
-		}
 	}
-	return index.Fingerprint(req.Subject, opt.Seed, opt.N), func() (*index.Index, error) {
-		return index.BuildParallel(req.Subject, opt.Seed, opt.N, opt.Workers)
-	}
+	return core.NewProteinTarget(req.Subject), index.Fingerprint(req.Subject, opt.Seed, opt.N)
 }
 
-// run is the shared execution path: resolve options, obtain the shared
-// subject index (cache + singleflight), pass admission, run the
-// engine, record metrics. onStart, when non-nil, fires once the
-// request passes admission and actually starts comparing.
-func (s *Service) run(ctx context.Context, req *Request, onStart func()) (*core.Result, *core.GenomeResult, error) {
+// run is the shared execution path: obtain the shared subject index
+// (cache + singleflight), pass admission, run the engine, record
+// metrics. onStart, when non-nil, fires once the request passes
+// admission and actually starts comparing.
+func (s *Service) run(ctx context.Context, req *Request, onStart func()) ([]core.Match, *core.Summary, error) {
 	if err := validate(req); err != nil {
 		return nil, nil, err
 	}
-	opt := resolveOptions(req.Options)
+	searcher := req.Searcher
+	if searcher == nil {
+		var err error
+		if searcher, err = core.NewSearcher(); err != nil {
+			return nil, nil, err
+		}
+	}
+	opt := searcher.Options()
 
 	// Every run gets a trace: async jobs carry theirs in ctx (Submit
 	// puts it there), sync calls get an ephemeral one. The pipeline
@@ -647,7 +605,7 @@ func (s *Service) run(ctx context.Context, req *Request, onStart func()) (*core.
 	s.waiting++
 	s.mu.Unlock()
 
-	finish := func(res *core.Result, gres *core.GenomeResult, err error) (*core.Result, *core.GenomeResult, error) {
+	finish := func(ms []core.Match, sum *core.Summary, err error) ([]core.Match, *core.Summary, error) {
 		s.mu.Lock()
 		if err != nil {
 			s.failed++
@@ -655,40 +613,24 @@ func (s *Service) run(ctx context.Context, req *Request, onStart func()) (*core.
 			return nil, nil, err
 		}
 		s.completed++
-		pm := res
-		if gres != nil {
-			pm = &gres.Result
-		}
-		s.indexBusy += pm.Pipeline.Index.Busy
-		s.prefilterBusy += pm.Pipeline.Prefilter.Busy
-		s.step2Busy += pm.Pipeline.Step2.Busy
-		s.step3Busy += pm.Pipeline.Step3.Busy
-		s.wall += pm.Pipeline.Wall
-		s.alignments += int64(len(pm.Alignments))
-		s.prefilterKept += pm.Pipeline.PrefilterKept
-		s.prefilterDropped += pm.Pipeline.PrefilterDropped
+		pm := &sum.Pipeline
+		s.indexBusy += pm.Index.Busy
+		s.prefilterBusy += pm.Prefilter.Busy
+		s.step2Busy += pm.Step2.Busy
+		s.step3Busy += pm.Step3.Busy
+		s.wall += pm.Wall
+		s.alignments += int64(len(ms))
+		s.prefilterKept += pm.PrefilterKept
+		s.prefilterDropped += pm.PrefilterDropped
 		s.mu.Unlock()
-		if q := pm.Pipeline.PrefilterQueries; q > 0 {
-			s.survivorsHist.Observe(float64(pm.Pipeline.PrefilterKept) / float64(q))
+		if q := pm.PrefilterQueries; q > 0 {
+			s.survivorsHist.Observe(float64(pm.PrefilterKept) / float64(q))
 		}
 		d := time.Since(start)
 		tr.Record("request", start, d)
 		s.reqHist.Observe(d.Seconds())
 		s.observeTrace(tr)
-		return res, gres, nil
-	}
-
-	// The service runs on the v2 search API: the cached subject index
-	// is adopted by a per-request Target, and the engine streams
-	// through Collect — the same adapter path the deprecated v1 entry
-	// points use, so results stay bit-identical to a standalone
-	// core.Compare call.
-	searcher, err := core.SearcherFromOptions(opt)
-	if err != nil {
-		s.mu.Lock()
-		s.waiting--
-		s.mu.Unlock()
-		return finish(nil, nil, err)
+		return ms, sum, nil
 	}
 
 	// The index build/lookup happens outside the admission gate: a
@@ -701,7 +643,7 @@ func (s *Service) run(ctx context.Context, req *Request, onStart func()) (*core.
 	// result, so cancelling the request that happened to arrive first
 	// must not poison everyone else — ctx only bounds this caller's
 	// wait (inside cache.get).
-	key, build := s.subjectKey(req, opt)
+	tgt, key := subject(req, &opt)
 	gatedBuild := func() (*index.Index, error) {
 		s.buildSem <- struct{}{}
 		defer func() { <-s.buildSem }()
@@ -712,7 +654,7 @@ func (s *Service) run(ctx context.Context, req *Request, onStart func()) (*core.
 		if ix, ok := s.loadFromDisk(key); ok {
 			return ix, nil
 		}
-		return build()
+		return index.BuildParallel(tgt.Bank(), opt.Seed, opt.N, opt.Workers)
 	}
 	ix, err := s.cache.get(ctx, key, gatedBuild)
 	if err != nil {
@@ -721,6 +663,7 @@ func (s *Service) run(ctx context.Context, req *Request, onStart func()) (*core.
 		s.mu.Unlock()
 		return finish(nil, nil, fmt.Errorf("service: subject index: %w", err))
 	}
+	tgt.Adopt(ix)
 
 	// Admission: at most MaxConcurrent comparisons in flight.
 	select {
@@ -745,34 +688,11 @@ func (s *Service) run(ctx context.Context, req *Request, onStart func()) (*core.
 		onStart()
 	}
 
-	if req.Genome != nil {
-		tgt := core.NewGenomeTarget(req.Genome, opt.GeneticCode)
-		tgt.Adopt(ix)
-		ms, sum, err := search(ctx, searcher, req.Query, tgt)
-		if err != nil {
-			return finish(nil, nil, err)
-		}
-		return finish(nil, core.GenomeResultFrom(ms, sum, len(req.Genome)), nil)
-	}
-	tgt := core.NewProteinTarget(req.Subject)
-	tgt.Adopt(ix)
-	ms, sum, err := search(ctx, searcher, req.Query, tgt)
+	res := searcher.Search(ctx, core.NewProteinTarget(req.Query), tgt)
+	ms, err := res.Collect()
 	if err != nil {
 		return finish(nil, nil, err)
 	}
-	return finish(core.ResultFrom(ms, sum), nil, nil)
-}
-
-// search drains one v2 search and returns its matches and summary.
-func search(ctx context.Context, s *core.Searcher, query *bank.Bank, tgt core.Target) ([]core.Match, *core.Summary, error) {
-	res := s.Search(ctx, core.NewProteinTarget(query), tgt)
-	ms, err := res.Collect()
-	if err != nil {
-		return nil, nil, err
-	}
 	sum, err := res.Summary()
-	if err != nil {
-		return nil, nil, err
-	}
-	return ms, sum, nil
+	return finish(ms, sum, err)
 }

@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -10,7 +11,6 @@ import (
 
 	"seedblast/internal/bank"
 	"seedblast/internal/core"
-	"seedblast/internal/gapped"
 	"seedblast/internal/index"
 )
 
@@ -27,26 +27,62 @@ func testWorkload(t testing.TB, n int, seed int64) (*bank.Bank, *bank.Bank) {
 	return b0, b1
 }
 
-func testOptions() core.Options {
-	opt := core.DefaultOptions()
-	opt.Workers = 1
-	g := gapped.DefaultConfig()
-	g.MaxEValue = 10
-	g.Workers = 1
-	opt.Gapped = g
-	return opt
+// testSearcher builds the Searcher the service tests run: one worker,
+// E ≤ 10, then any extra options.
+func testSearcher(t testing.TB, extra ...core.Option) *core.Searcher {
+	t.Helper()
+	opts := append([]core.Option{core.WithWorkers(1), core.WithMaxEValue(10)}, extra...)
+	s, err := core.NewSearcher(opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
 }
 
-func assertSameResult(t *testing.T, want, got *core.Result) {
+// outcome is one collected run — what a done Job holds.
+type outcome struct {
+	Matches []core.Match
+	*core.Summary
+}
+
+// library runs s standalone: the reference every service result must
+// equal.
+func library(t testing.TB, s *core.Searcher, query *bank.Bank, target core.Target) outcome {
+	t.Helper()
+	res := s.Search(context.Background(), core.NewProteinTarget(query), target)
+	ms, err := res.Collect()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum, err := res.Summary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return outcome{ms, sum}
+}
+
+// libraryBanks is library over a protein subject bank.
+func libraryBanks(t testing.TB, s *core.Searcher, b0, b1 *bank.Bank) outcome {
+	t.Helper()
+	return library(t, s, b0, core.NewProteinTarget(b1))
+}
+
+// searchBanks runs a bank-vs-bank request synchronously through svc.
+func searchBanks(svc *Service, s *core.Searcher, b0, b1 *bank.Bank) (outcome, error) {
+	ms, sum, err := svc.Search(context.Background(), &Request{Query: b0, Subject: b1, Searcher: s})
+	return outcome{ms, sum}, err
+}
+
+func assertSameResult(t *testing.T, want, got outcome) {
 	t.Helper()
 	if want.Hits != got.Hits || want.Pairs != got.Pairs {
 		t.Fatalf("hits/pairs differ: want %d/%d, got %d/%d", want.Hits, want.Pairs, got.Hits, got.Pairs)
 	}
-	if len(want.Alignments) != len(got.Alignments) {
-		t.Fatalf("alignment counts differ: want %d, got %d", len(want.Alignments), len(got.Alignments))
+	if len(want.Matches) != len(got.Matches) {
+		t.Fatalf("alignment counts differ: want %d, got %d", len(want.Matches), len(got.Matches))
 	}
-	for i := range want.Alignments {
-		w, g := want.Alignments[i], got.Alignments[i]
+	for i := range want.Matches {
+		w, g := want.Matches[i], got.Matches[i]
 		if w.Seq0 != g.Seq0 || w.Seq1 != g.Seq1 || w.Score != g.Score ||
 			w.EValue != g.EValue || w.Q != g.Q || w.S != g.S {
 			t.Fatalf("alignment %d differs:\nwant %+v\n got %+v", i, w, g)
@@ -57,7 +93,7 @@ func assertSameResult(t *testing.T, want, got *core.Result) {
 func TestCacheSingleflight(t *testing.T) {
 	c := newIndexCache(4)
 	b := bank.GenerateProteins(bank.ProteinConfig{N: 4, MeanLen: 60, Seed: 1})
-	opt := testOptions()
+	opt := core.DefaultOptions()
 
 	var builds atomic.Int32
 	build := func() (*index.Index, error) {
@@ -120,7 +156,7 @@ func TestCacheFailedBuildNotCached(t *testing.T) {
 func TestCacheLRUEviction(t *testing.T) {
 	c := newIndexCache(2)
 	b := bank.GenerateProteins(bank.ProteinConfig{N: 2, MeanLen: 40, Seed: 5})
-	opt := testOptions()
+	opt := core.DefaultOptions()
 	mk := func() (*index.Index, error) { return index.BuildParallel(b, opt.Seed, opt.N, 1) }
 	for _, k := range []string{"a", "b", "a", "c"} { // touches keep "a" hot, "b" is LRU
 		if _, err := c.get(context.Background(), k, mk); err != nil {
@@ -149,17 +185,14 @@ func TestCacheLRUEviction(t *testing.T) {
 
 func TestServiceMatchesCore(t *testing.T) {
 	b0, b1 := testWorkload(t, 10, 3)
-	opt := testOptions()
-	want, err := core.Compare(b0, b1, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(want.Alignments) == 0 {
+	s := testSearcher(t)
+	want := libraryBanks(t, s, b0, b1)
+	if len(want.Matches) == 0 {
 		t.Fatal("workload produced no alignments")
 	}
 	svc := New(Config{})
 	defer svc.Close()
-	got, err := svc.Compare(context.Background(), b0, b1, opt)
+	got, err := searchBanks(svc, s, b0, b1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +204,7 @@ func TestServiceMatchesCore(t *testing.T) {
 	}
 
 	// Second identical request: cache hit, identical result.
-	got2, err := svc.Compare(context.Background(), b0, b1, opt)
+	got2, err := searchBanks(svc, s, b0, b1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,16 +224,9 @@ func TestServiceMatchesCore(t *testing.T) {
 func TestServiceConcurrentBitIdentical(t *testing.T) {
 	b0a, b1 := testWorkload(t, 12, 7)
 	b0b := bank.GenerateProteins(bank.ProteinConfig{N: 9, MeanLen: 100, LenJitter: 25, Seed: 7}) // prefix queries
-	opt := testOptions()
-
-	refA, err := core.Compare(b0a, b1, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	refB, err := core.Compare(b0b, b1, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := testSearcher(t)
+	refA := libraryBanks(t, s, b0a, b1)
+	refB := libraryBanks(t, s, b0b, b1)
 
 	svc := New(Config{MaxConcurrent: 3, CacheEntries: 4})
 	defer svc.Close()
@@ -216,7 +242,7 @@ func TestServiceConcurrentBitIdentical(t *testing.T) {
 			if i%2 == 1 {
 				q, want = b0b, refB
 			}
-			got, err := svc.Compare(context.Background(), q, b1, opt)
+			got, err := searchBanks(svc, s, q, b1)
 			if err != nil {
 				errs[i] = err
 				return
@@ -251,11 +277,8 @@ func TestServiceGenomeCached(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := testOptions()
-	want, err := core.CompareGenome(proteins, genome, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := testSearcher(t)
+	want := library(t, s, proteins, core.NewGenomeTarget(genome, nil))
 	if len(want.Matches) == 0 {
 		t.Fatal("no genome matches in reference run")
 	}
@@ -263,18 +286,17 @@ func TestServiceGenomeCached(t *testing.T) {
 	svc := New(Config{})
 	defer svc.Close()
 	for round := 0; round < 2; round++ {
-		got, err := svc.CompareGenome(context.Background(), proteins, genome, opt)
+		ms, sum, err := svc.Search(context.Background(), &Request{Query: proteins, Genome: genome, Searcher: s})
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertSameResult(t, &want.Result, &got.Result)
+		got := outcome{ms, sum}
+		assertSameResult(t, want, got)
 		if len(got.Matches) != len(want.Matches) {
 			t.Fatalf("round %d: %d matches, want %d", round, len(got.Matches), len(want.Matches))
 		}
 		for i := range want.Matches {
-			if want.Matches[i].NucStart != got.Matches[i].NucStart ||
-				want.Matches[i].NucEnd != got.Matches[i].NucEnd ||
-				want.Matches[i].Frame != got.Matches[i].Frame {
+			if want.Matches[i].Subject != got.Matches[i].Subject {
 				t.Fatalf("round %d: genome match %d differs", round, i)
 			}
 		}
@@ -288,7 +310,7 @@ func TestJobLifecycle(t *testing.T) {
 	b0, b1 := testWorkload(t, 8, 11)
 	svc := New(Config{})
 
-	j, err := svc.Submit(&Request{Query: b0, Subject: b1, Options: testOptions()})
+	j, err := svc.Submit(&Request{Query: b0, Subject: b1, Searcher: testSearcher(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,11 +320,11 @@ func TestJobLifecycle(t *testing.T) {
 	if j.State() != JobDone {
 		t.Fatalf("state = %s, want done", j.State())
 	}
-	if j.Result() == nil || len(j.Result().Alignments) == 0 {
+	snap := j.Snapshot()
+	if snap.Summary == nil || len(snap.Matches) == 0 {
 		t.Fatal("done job has no result")
 	}
-	sub, started, fin := j.Times()
-	if sub.IsZero() || started.IsZero() || fin.IsZero() || fin.Before(started) {
+	if sub, started, fin := snap.Submitted, snap.Started, snap.Finished; sub.IsZero() || started.IsZero() || fin.IsZero() || fin.Before(started) {
 		t.Errorf("inconsistent job times: %v %v %v", sub, started, fin)
 	}
 	if got, ok := svc.Job(j.ID()); !ok || got != j {
@@ -333,11 +355,11 @@ func TestJobCancel(t *testing.T) {
 
 	// Occupy the only slot so the second job sits in admission, then
 	// cancel it there.
-	first, err := svc.Submit(&Request{Query: b0, Subject: b1, Options: testOptions()})
+	first, err := svc.Submit(&Request{Query: b0, Subject: b1, Searcher: testSearcher(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := svc.Submit(&Request{Query: b0, Subject: b1, Options: testOptions()})
+	second, err := svc.Submit(&Request{Query: b0, Subject: b1, Searcher: testSearcher(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,20 +381,21 @@ func TestJobCancel(t *testing.T) {
 
 // The headline claim: repeated requests against a hot subject bank are
 // cheaper through the service (shared index) than naive per-request
-// core.Compare calls that rebuild the subject index every time.
+// searches against a fresh target, which rebuild the subject index
+// every time.
 func BenchmarkServiceConcurrent(b *testing.B) {
 	b0, b1 := testWorkload(b, 24, 17)
-	opt := testOptions()
+	s := testSearcher(b)
 	svc := New(Config{MaxConcurrent: 4, CacheEntries: 4})
 	defer svc.Close()
 	// Warm the cache so steady-state behaviour is measured.
-	if _, err := svc.Compare(context.Background(), b0, b1, opt); err != nil {
+	if _, err := searchBanks(svc, s, b0, b1); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			if _, err := svc.Compare(context.Background(), b0, b1, opt); err != nil {
+			if _, err := searchBanks(svc, s, b0, b1); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -380,17 +403,15 @@ func BenchmarkServiceConcurrent(b *testing.B) {
 }
 
 // BenchmarkNaiveConcurrent is the baseline BenchmarkServiceConcurrent
-// beats: the same workload with per-request core.Compare, rebuilding
-// the subject index on every call.
+// beats: the same workload with a fresh subject target per request,
+// rebuilding the subject index on every call.
 func BenchmarkNaiveConcurrent(b *testing.B) {
 	b0, b1 := testWorkload(b, 24, 17)
-	opt := testOptions()
+	s := testSearcher(b)
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			if _, err := core.Compare(b0, b1, opt); err != nil {
-				b.Fatal(err)
-			}
+			libraryBanks(b, s, b0, b1)
 		}
 	})
 }
@@ -401,7 +422,7 @@ func TestJobRetentionBounded(t *testing.T) {
 	defer svc.Close()
 	var last *Job
 	for i := 0; i < 5; i++ {
-		j, err := svc.Submit(&Request{Query: b0, Subject: b1, Options: testOptions()})
+		j, err := svc.Submit(&Request{Query: b0, Subject: b1, Searcher: testSearcher(t)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -431,7 +452,7 @@ func TestJobTTLEviction(t *testing.T) {
 	svc := New(Config{JobTTL: 30 * time.Millisecond})
 	defer svc.Close()
 
-	j, err := svc.Submit(&Request{Query: b0, Subject: b1, Options: testOptions()})
+	j, err := svc.Submit(&Request{Query: b0, Subject: b1, Searcher: testSearcher(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -456,7 +477,7 @@ func TestJobTTLEviction(t *testing.T) {
 
 	// TTL starts at finish time: a job that just finished is pollable
 	// even though older jobs have already expired.
-	j2, err := svc.Submit(&Request{Query: b0, Subject: b1, Options: testOptions()})
+	j2, err := svc.Submit(&Request{Query: b0, Subject: b1, Searcher: testSearcher(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -470,7 +491,7 @@ func TestJobTTLEviction(t *testing.T) {
 	// Negative TTL disables age-based eviction entirely.
 	keep := New(Config{JobTTL: -1})
 	defer keep.Close()
-	k, err := keep.Submit(&Request{Query: b0, Subject: b1, Options: testOptions()})
+	k, err := keep.Submit(&Request{Query: b0, Subject: b1, Searcher: testSearcher(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -492,15 +513,15 @@ func TestSubmitQueueBounded(t *testing.T) {
 
 	// Hold the only admission slot so submitted jobs stay pending.
 	svc.sem <- struct{}{}
-	j1, err := svc.Submit(&Request{Query: b0, Subject: b1, Options: testOptions()})
+	j1, err := svc.Submit(&Request{Query: b0, Subject: b1, Searcher: testSearcher(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	j2, err := svc.Submit(&Request{Query: b0, Subject: b1, Options: testOptions()})
+	j2, err := svc.Submit(&Request{Query: b0, Subject: b1, Searcher: testSearcher(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := svc.Submit(&Request{Query: b0, Subject: b1, Options: testOptions()}); err == nil {
+	if _, err := svc.Submit(&Request{Query: b0, Subject: b1, Searcher: testSearcher(t)}); err == nil {
 		t.Fatal("submission beyond MaxQueued accepted")
 	}
 	<-svc.sem // release admission; the pending jobs drain
@@ -511,7 +532,7 @@ func TestSubmitQueueBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	// With the queue drained, submissions are accepted again.
-	j3, err := svc.Submit(&Request{Query: b0, Subject: b1, Options: testOptions()})
+	j3, err := svc.Submit(&Request{Query: b0, Subject: b1, Searcher: testSearcher(t)})
 	if err != nil {
 		t.Fatalf("queue did not reopen after draining: %v", err)
 	}
@@ -520,20 +541,72 @@ func TestSubmitQueueBounded(t *testing.T) {
 	}
 }
 
-// A zero Options through the service must behave exactly like
-// core.Compare with DefaultOptions — including the gap-trigger
-// pre-filter, which a zero gapped.Config would silently disable.
+// A request without a Searcher must behave exactly like a Searcher
+// built with no options — the pipeline defaults, gap-trigger
+// pre-filter included.
 func TestZeroOptionsMatchDefaults(t *testing.T) {
 	b0, b1 := testWorkload(t, 8, 71)
-	want, err := core.Compare(b0, b1, core.DefaultOptions())
+	def, err := core.NewSearcher()
 	if err != nil {
 		t.Fatal(err)
 	}
+	want := libraryBanks(t, def, b0, b1)
 	svc := New(Config{})
 	defer svc.Close()
-	got, err := svc.Compare(context.Background(), b0, b1, core.Options{})
+	got, err := searchBanks(svc, nil, b0, b1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	assertSameResult(t, want, got)
+}
+
+// A status reply is built from one snapshot of the job, so a job that
+// finishes while it is being polled is never reported half-way: no
+// terminal state without its finish time, no "done" without the
+// summary. Regression for the torn reply the bench counted as
+// service.torn_status (state and timestamps were read under separate
+// lock acquisitions). Run under -race in CI.
+func TestJobStatusNeverTorn(t *testing.T) {
+	b0, b1 := testWorkload(t, 1, 91)
+	svc := New(Config{MaxConcurrent: 4})
+	defer svc.Close()
+	s := testSearcher(t)
+
+	const pollers, jobsEach = 4, 500
+	var wg sync.WaitGroup
+	for p := 0; p < pollers; p++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < jobsEach; i++ {
+				j, err := svc.Submit(&Request{Query: b0, Subject: b1, Searcher: s})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for {
+					st := jobStatus(j)
+					terminal := st.State == string(JobDone) || st.State == string(JobFailed)
+					if terminal && (st.Started == nil || st.Finished == nil) {
+						t.Errorf("%s: state %s without started/finished: %+v", st.ID, st.State, st)
+						return
+					}
+					if st.State == string(JobDone) &&
+						(st.Alignments == nil || st.Hits == nil || st.Pairs == nil || st.WallMS == nil) {
+						t.Errorf("%s: done without its summary: %+v", st.ID, st)
+						return
+					}
+					if st.State == string(JobFailed) {
+						t.Errorf("%s failed: %s", st.ID, st.Error)
+						return
+					}
+					if terminal {
+						break
+					}
+					runtime.Gosched() // poll tightly, but let the job have the CPU
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

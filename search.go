@@ -1,6 +1,6 @@
 package seedblast
 
-// This file is the v2 public search API: a Searcher constructed once
+// This file is the public search API: a Searcher constructed once
 // from functional options, reusable indexed Targets for every
 // comparison shape, and a single Search entry point with end-to-end
 // streaming results.
@@ -13,10 +13,6 @@ package seedblast
 //	for m, err := range searcher.Search(ctx, seedblast.NewProteinTarget(bank), target).Matches() {
 //		...
 //	}
-//
-// The v1 entry points (Compare, CompareGenome, CompareDNAQueries,
-// CompareGenomes) remain as deprecated adapters over this API,
-// equivalence-tested bit-identical, ordering included.
 
 import (
 	"seedblast/internal/core"
@@ -26,7 +22,7 @@ import (
 	"seedblast/internal/translate"
 )
 
-// v2 search types, re-exported.
+// Search types, re-exported.
 type (
 	// Searcher runs seed-based comparisons; build it once with
 	// NewSearcher and reuse it (safe for concurrent use).
@@ -57,7 +53,7 @@ type (
 	// Summary is the non-match part of a search outcome.
 	Summary = core.Summary
 	// Alignment is one engine alignment (the coordinate core of every
-	// match and v1 result entry).
+	// match).
 	Alignment = gapped.Alignment
 	// Span is a half-open residue range within a sequence.
 	Span = gapped.Span
@@ -103,22 +99,7 @@ func NewDNATarget(queries [][]byte, code *GeneticCode) *DNATarget {
 // the returned target to release the file mapping.
 func OpenTarget(path string) (*ProteinTarget, error) { return core.OpenTarget(path) }
 
-// ResultFrom assembles a v1 Result from collected v2 matches and
-// their summary — the bridge for code that still consumes the
-// materialized v1 shapes.
-func ResultFrom(ms []Match, sum *Summary) *Result { return core.ResultFrom(ms, sum) }
-
-// GenomeResultFrom assembles a v1 GenomeResult (tblastn) from
-// collected v2 matches against a GenomeTarget.
-func GenomeResultFrom(ms []Match, sum *Summary, genomeLen int) *GenomeResult {
-	return core.GenomeResultFrom(ms, sum, genomeLen)
-}
-
 // Functional options, re-exported.
-
-// WithOptions replaces the whole option set with a v1 Options value —
-// the migration bridge (SubjectIndex is ignored; targets own indexes).
-func WithOptions(o Options) Option { return core.WithOptions(o) }
 
 // WithSeed selects the seed model (step 1).
 func WithSeed(m SeedModel) Option { return core.WithSeed(m) }

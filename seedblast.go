@@ -6,20 +6,19 @@
 // parallel CPU engine or on a cycle-level simulation of the paper's
 // PSC operator on the SGI RASC-100 FPGA accelerator.
 //
-// The package is a facade over the internal packages. The primary
-// entry point is the v2 search API (search.go): a Searcher built once
-// from functional options, reusable indexed Targets for every
-// comparison shape (protein bank, genome, DNA queries), and one
-// Search call with streaming results. The v1 entry points (Compare,
-// CompareGenome, …) remain as deprecated bit-identical adapters. The
-// facade also exposes the workload generators the experiments use,
-// FASTA I/O helpers and the sequential BLAST-style baseline. See
-// DESIGN.md for the system inventory (including the v1→v2 migration
-// table) and EXPERIMENTS.md for the paper-vs-measured record.
+// The package is a facade over the internal packages. The one entry
+// point is the search API (search.go): a Searcher built once from
+// functional options, reusable indexed Targets for every comparison
+// shape (protein bank, genome, DNA queries), and one Search call with
+// streaming results. The facade also exposes the workload generators
+// the experiments use, FASTA I/O helpers and the sequential
+// BLAST-style baseline. See DESIGN.md for the system inventory
+// (including the v1→v2 upgrade table for code written against the
+// retired Compare* functions) and EXPERIMENTS.md for the
+// paper-vs-measured record.
 package seedblast
 
 import (
-	"context"
 	"fmt"
 
 	"seedblast/internal/alphabet"
@@ -35,16 +34,11 @@ import (
 
 // Core pipeline types, re-exported.
 type (
-	// Options parameterises the pipeline; start from DefaultOptions.
+	// Options is a Searcher's resolved parameter set, as returned by
+	// Searcher.Options; configure a search with the With* options.
 	Options = core.Options
 	// RASCOptions configures the simulated accelerator.
 	RASCOptions = core.RASCOptions
-	// Result is a bank-vs-bank comparison outcome.
-	Result = core.Result
-	// GenomeResult is a protein-bank-vs-genome (tblastn) outcome.
-	GenomeResult = core.GenomeResult
-	// GenomeMatch is one alignment in genome coordinates.
-	GenomeMatch = core.GenomeMatch
 	// StepTimes records per-step durations.
 	StepTimes = core.StepTimes
 	// Engine selects where step 2 runs.
@@ -59,7 +53,7 @@ type (
 	// shards in flight, per-stage concurrency); see Options.Pipeline.
 	PipelineConfig = pipeline.Config
 	// PipelineMetrics is the streaming engine's per-run accounting,
-	// reported in Result.Pipeline.
+	// reported in Summary.Pipeline.
 	PipelineMetrics = pipeline.Metrics
 )
 
@@ -95,74 +89,6 @@ func ParseKernel(s string) (Kernel, error) { return ungapped.ParseKernel(s) }
 // DefaultOptions returns the paper's defaults: W=4 subset seed, N=14,
 // BLOSUM62, ungapped threshold 38, gapped stage at E ≤ 10⁻³.
 func DefaultOptions() Options { return core.DefaultOptions() }
-
-// Compare runs the three-step pipeline on two protein banks through
-// the streaming shard engine (batch-identical with the zero
-// Options.Pipeline).
-//
-// Deprecated: use NewSearcher and Search with two ProteinTargets; the
-// adapter is pinned bit-identical (matches and order) by equivalence
-// tests. See DESIGN.md's v1→v2 migration table.
-func Compare(b0, b1 *Bank, opt Options) (*Result, error) {
-	return core.Compare(b0, b1, opt)
-}
-
-// CompareContext is Compare with cancellation: cancelling ctx shuts
-// the engine's stages down promptly and returns ctx's error.
-//
-// Deprecated: use NewSearcher and Search with two ProteinTargets.
-func CompareContext(ctx context.Context, b0, b1 *Bank, opt Options) (*Result, error) {
-	return core.CompareContext(ctx, b0, b1, opt)
-}
-
-// CompareGenome runs the tblastn-style workflow: proteins against a
-// six-frame-translated genome, with matches in genome coordinates.
-//
-// Deprecated: use NewSearcher and Search against a GenomeTarget, which
-// owns the six-frame translation, its reusable index and the
-// genome-coordinate mapping (Match.Subject).
-func CompareGenome(proteins *Bank, genome []byte, opt Options) (*GenomeResult, error) {
-	return core.CompareGenome(proteins, genome, opt)
-}
-
-// CompareGenomeContext is CompareGenome with cancellation.
-//
-// Deprecated: use NewSearcher and Search against a GenomeTarget.
-func CompareGenomeContext(ctx context.Context, proteins *Bank, genome []byte, opt Options) (*GenomeResult, error) {
-	return core.CompareGenomeContext(ctx, proteins, genome, opt)
-}
-
-// BLAST-family modes beyond tblastn (the paper's conclusion: the PSC
-// design "can be directly reused for implementing blastp, blastx, and
-// tblastx").
-type (
-	// DNAQueryResult is the outcome of CompareDNAQueries (blastx).
-	DNAQueryResult = core.DNAQueryResult
-	// DNAQueryMatch is one blastx alignment.
-	DNAQueryMatch = core.DNAQueryMatch
-	// GenomePairResult is the outcome of CompareGenomes (tblastx).
-	GenomePairResult = core.GenomePairResult
-	// GenomePairMatch is one tblastx alignment.
-	GenomePairMatch = core.GenomePairMatch
-)
-
-// CompareDNAQueries implements blastx: DNA queries are six-frame
-// translated and searched against a protein bank.
-//
-// Deprecated: use NewSearcher and Search with a DNATarget query side
-// against a ProteinTarget; Match.Query carries the frame and
-// nucleotide coordinates.
-func CompareDNAQueries(queries [][]byte, proteins *Bank, opt Options) (*DNAQueryResult, error) {
-	return core.CompareDNAQueries(queries, proteins, opt)
-}
-
-// CompareGenomes implements tblastx: both nucleotide sequences are
-// six-frame translated and compared protein-wise.
-//
-// Deprecated: use NewSearcher and Search with two GenomeTargets.
-func CompareGenomes(genome0, genome1 []byte, opt Options) (*GenomePairResult, error) {
-	return core.CompareGenomes(genome0, genome1, opt)
-}
 
 // Workload generation, re-exported for examples and experiments.
 type (

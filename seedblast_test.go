@@ -1,14 +1,32 @@
-//lint:file-ignore SA1019 the deprecated v1 entry points stay covered until removal
-
 package seedblast_test
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"seedblast"
 )
+
+// search runs one collected search through the public API.
+func search(t *testing.T, query, target seedblast.Target, opts ...seedblast.Option) ([]seedblast.Match, *seedblast.Summary) {
+	t.Helper()
+	searcher, err := seedblast.NewSearcher(opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := searcher.Search(context.Background(), query, target)
+	ms, err := res.Collect()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum, err := res.Summary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ms, sum
+}
 
 func TestPublicAPIEndToEnd(t *testing.T) {
 	proteins := seedblast.GenerateProteins(seedblast.ProteinConfig{
@@ -23,11 +41,8 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	if len(genes) == 0 {
 		t.Fatal("no planted genes")
 	}
-	res, err := seedblast.CompareGenome(proteins, genome, seedblast.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Matches) == 0 {
+	ms, _ := search(t, seedblast.NewProteinTarget(proteins), seedblast.NewGenomeTarget(genome, nil))
+	if len(ms) == 0 {
 		t.Fatal("no matches through the public API")
 	}
 }
@@ -42,14 +57,9 @@ func TestPublicAPIRASCEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := seedblast.DefaultOptions()
-	opt.Engine = seedblast.EngineRASC
-	opt.RASC.NumPEs = 64
-	res, err := seedblast.CompareGenome(proteins, genome, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Device == nil {
+	_, sum := search(t, seedblast.NewProteinTarget(proteins), seedblast.NewGenomeTarget(genome, nil),
+		seedblast.WithEngine(seedblast.EngineRASC), seedblast.WithRASC(seedblast.RASCOptions{NumPEs: 64}))
+	if sum.Device == nil {
 		t.Fatal("no device report from RASC engine")
 	}
 }
@@ -133,15 +143,12 @@ func TestPublicAPICompareBlastp(t *testing.T) {
 		t.Fatal(err)
 	}
 	b1.Add("homolog", src)
-	res, err := seedblast.Compare(b0, b1, seedblast.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Alignments) == 0 {
+	ms, _ := search(t, seedblast.NewProteinTarget(b0), seedblast.NewProteinTarget(b1))
+	if len(ms) == 0 {
 		t.Fatal("blastp found nothing")
 	}
-	if res.Alignments[0].Seq0 != 2 {
-		t.Errorf("top alignment query %d, want 2", res.Alignments[0].Seq0)
+	if ms[0].Seq0 != 2 {
+		t.Errorf("top alignment query %d, want 2", ms[0].Seq0)
 	}
 }
 
@@ -154,19 +161,13 @@ func TestPublicAPIBlastxAndTblastx(t *testing.T) {
 		t.Fatal(err)
 	}
 	// blastx: the genome as one DNA query against the protein bank.
-	dres, err := seedblast.CompareDNAQueries([][]byte{genome}, proteins, seedblast.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(dres.Matches) == 0 {
+	dms, _ := search(t, seedblast.NewDNATarget([][]byte{genome}, nil), seedblast.NewProteinTarget(proteins))
+	if len(dms) == 0 {
 		t.Error("blastx found nothing")
 	}
 	// tblastx: the genome against itself must at least find its own genes.
-	gres, err := seedblast.CompareGenomes(genome, genome, seedblast.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(gres.Matches) == 0 {
+	gms, _ := search(t, seedblast.NewGenomeTarget(genome, nil), seedblast.NewGenomeTarget(genome, nil))
+	if len(gms) == 0 {
 		t.Error("tblastx found nothing")
 	}
 }
@@ -222,8 +223,6 @@ func TestPublicAPISeedConstructors(t *testing.T) {
 		t.Error("invalid spec accepted")
 	}
 	// A custom seed must be usable end to end.
-	opt := seedblast.DefaultOptions()
-	opt.Seed = m
 	proteins := seedblast.GenerateProteins(seedblast.ProteinConfig{N: 3, MeanLen: 80, Seed: 13})
 	genome, _, err := seedblast.GenerateGenome(seedblast.GenomeConfig{
 		Length: 10_000, Source: proteins, PlantCount: 1, Seed: 14,
@@ -231,7 +230,5 @@ func TestPublicAPISeedConstructors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := seedblast.CompareGenome(proteins, genome, opt); err != nil {
-		t.Fatal(err)
-	}
+	search(t, seedblast.NewProteinTarget(proteins), seedblast.NewGenomeTarget(genome, nil), seedblast.WithSeed(m))
 }

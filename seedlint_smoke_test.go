@@ -28,7 +28,7 @@ func TestSeedlintSmoke(t *testing.T) {
 	out = run(t, bin, "-list")
 	for _, name := range []string{
 		"mmapclose", "ctxselect", "kernelparity", "optclone", "errclose",
-		"spanend", "mapdet", "metricname", "optplumb", "directive",
+		"spanend", "mapdet", "metricname", "directive",
 	} {
 		if !strings.Contains(out, name) {
 			t.Errorf("seedlint -list missing analyzer %q:\n%s", name, out)

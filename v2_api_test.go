@@ -1,5 +1,3 @@
-//lint:file-ignore SA1019 this file deliberately exercises the deprecated v1 adapters to pin them against v2
-
 package seedblast_test
 
 import (
@@ -15,8 +13,8 @@ import (
 	"seedblast/internal/ungapped"
 )
 
-// Compile-time exhaustiveness gate for the v2 facade: every exported
-// v2 symbol must round-trip through its internal counterpart. A facade
+// Compile-time exhaustiveness gate for the search facade: every
+// exported search symbol must round-trip through its internal counterpart. A facade
 // alias that drifts from its core type, or a constructor whose
 // signature no longer matches, fails this file at build time — before
 // any test runs. (The apidiff CI gate guards the other direction:
@@ -50,11 +48,6 @@ var (
 	_ func([]byte, *seedblast.GeneticCode) *seedblast.GenomeTarget = seedblast.NewGenomeTarget
 	_ func([][]byte, *seedblast.GeneticCode) *seedblast.DNATarget  = seedblast.NewDNATarget
 
-	// v1-shape bridges.
-	_ func([]seedblast.Match, *seedblast.Summary) *seedblast.Result            = seedblast.ResultFrom
-	_ func([]seedblast.Match, *seedblast.Summary, int) *seedblast.GenomeResult = seedblast.GenomeResultFrom
-
-	_ seedblast.Option                                = seedblast.WithOptions(seedblast.Options{})
 	_ func(seedblast.SeedModel) seedblast.Option      = seedblast.WithSeed
 	_ func(int) seedblast.Option                      = seedblast.WithNeighborhood
 	_ func(*seedblast.Matrix) seedblast.Option        = seedblast.WithMatrix
@@ -111,7 +104,9 @@ func TestV2FacadeSearchSurface(t *testing.T) {
 	}
 
 	// Collect on a fresh Results must equal the streamed sequence, and
-	// both must match the deprecated v1 adapter bit-for-bit.
+	// both must match the engine reached without the facade bit-for-bit
+	// (internal/core's suites pin that engine to the CompareBatch
+	// oracle, which lives in its test files).
 	collected, err := searcher.Search(context.Background(), seedblast.NewProteinTarget(proteins), target).Collect()
 	if err != nil {
 		t.Fatal(err)
@@ -119,19 +114,21 @@ func TestV2FacadeSearchSurface(t *testing.T) {
 	if len(collected) != len(streamed) {
 		t.Fatalf("Collect returned %d matches, stream %d", len(collected), len(streamed))
 	}
-	opt := seedblast.DefaultOptions()
-	opt.Gapped.MaxEValue = 10
-	legacy, err := seedblast.CompareGenome(proteins, genome, opt)
+	direct, err := core.NewSearcher(core.WithMaxEValue(10))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(legacy.Matches) != len(streamed) {
-		t.Fatalf("legacy adapter returned %d matches, v2 %d", len(legacy.Matches), len(streamed))
+	want, err := direct.Search(context.Background(), core.NewProteinTarget(proteins), core.NewGenomeTarget(genome, nil)).Collect()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want) != len(streamed) {
+		t.Fatalf("internal/core returned %d matches, the facade %d", len(want), len(streamed))
 	}
 	for i := range streamed {
-		if !reflect.DeepEqual(streamed[i].Alignment, legacy.Matches[i].Alignment) {
-			t.Fatalf("match %d diverges between v2 and the legacy adapter:\n got %+v\nwant %+v",
-				i, streamed[i].Alignment, legacy.Matches[i].Alignment)
+		if !reflect.DeepEqual(streamed[i], collected[i]) || !reflect.DeepEqual(streamed[i], want[i]) {
+			t.Fatalf("match %d diverges between stream, Collect and internal/core:\n%+v\n%+v\n%+v",
+				i, streamed[i], collected[i], want[i])
 		}
 	}
 }
