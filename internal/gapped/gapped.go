@@ -8,6 +8,8 @@ package gapped
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"runtime"
 	"sort"
 	"sync"
@@ -114,24 +116,17 @@ func RunWithStats(b0, b1 *bank.Bank, hits []ungapped.Hit, cfg Config) ([]Alignme
 		return nil, Stats{}, fmt.Errorf("gapped: %w", err)
 	}
 
-	// Group hits by sequence pair, preserving deterministic order.
-	type pairKey struct{ s0, s1 uint32 }
-	groups := make(map[pairKey][]ungapped.Hit)
-	var order []pairKey
-	for _, h := range hits {
-		k := pairKey{h.E0.Seq, h.E1.Seq}
-		if _, seen := groups[k]; !seen {
-			order = append(order, k)
-		}
-		groups[k] = append(groups[k], h)
+	groups, offs, err := groupHits(hits)
+	if err != nil {
+		return nil, Stats{}, err
 	}
 
 	workers := cfg.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(order) {
-		workers = max(len(order), 1)
+	if workers > len(groups) {
+		workers = max(len(groups), 1)
 	}
 	space := cfg.SearchSpace
 	if space.IsZero() {
@@ -142,7 +137,7 @@ func RunWithStats(b0, b1 *bank.Bank, hits []ungapped.Hit, cfg Config) ([]Alignme
 		as []Alignment
 		st Stats
 	}
-	results := make([]groupResult, len(order))
+	results := make([]groupResult, len(groups))
 	var wg sync.WaitGroup
 	next := make(chan int)
 	for w := 0; w < workers; w++ {
@@ -151,14 +146,18 @@ func RunWithStats(b0, b1 *bank.Bank, hits []ungapped.Hit, cfg Config) ([]Alignme
 			defer wg.Done()
 			al := align.NewAligner(cfg.Matrix, cfg.Gaps)
 			for gi := range next {
-				k := order[gi]
+				g := groups[gi]
+				start := uint32(0)
+				if gi > 0 {
+					start = groups[gi-1].end
+				}
 				results[gi].as, results[gi].st = extendGroup(al,
-					b0.Seq(int(k.s0)), b1.Seq(int(k.s1)),
-					int(k.s0), int(k.s1), groups[k], &cfg, space)
+					b0.Seq(int(g.seq0)), b1.Seq(int(g.seq1)),
+					int(g.seq0), int(g.seq1), offs[start:g.end], &cfg, space)
 			}
 		}()
 	}
-	for gi := range order {
+	for gi := range groups {
 		next <- gi
 	}
 	close(next)
@@ -186,16 +185,96 @@ func RunWithStats(b0, b1 *bank.Bank, hits []ungapped.Hit, cfg Config) ([]Alignme
 	return out, stats, nil
 }
 
+// seedPos is all extendGroup reads of a hit: the seed's residue
+// offsets in the bank-0 and bank-1 sequence of its group.
+type seedPos struct{ q, s uint32 }
+
+// hitGroup is one (seq0, seq1) pair's run of the grouped seed buffer:
+// group g owns offs[groups[g-1].end:groups[g].end], from 0 for g = 0.
+type hitGroup struct {
+	seq0, seq1 uint32
+	end        uint32
+}
+
+// groupHits buckets hits by (E0.Seq, E1.Seq) in O(len(hits)) with a
+// fixed number of allocations: a flat open-addressing table assigns
+// dense group ids, a counting sort scatters the seed offsets into one
+// buffer. Two orders are part of the stage's result and are kept by
+// construction: groups are numbered in order of first appearance (the
+// final sort over alignments is not stable, so its input order
+// matters) and a group's seeds keep their input order (the
+// containment rule in extendGroup is order-dependent).
+func groupHits(hits []ungapped.Hit) ([]hitGroup, []seedPos, error) {
+	n := len(hits)
+	if n == 0 {
+		return nil, nil, nil
+	}
+	if n > math.MaxInt32 {
+		return nil, nil, fmt.Errorf("gapped: %d hits exceed the stage's 32-bit hit index", n)
+	}
+	// Load factor ≤ 1/2 even when every hit is its own group.
+	shift := 64 - bits.Len(uint(2*n-1))
+	// table maps a pair's hash slot to 1 + the index of the pair's
+	// first hit (0 = empty); the pair itself is read back from that
+	// hit, its dense id from gids.
+	table := make([]uint32, 1<<(64-shift))
+	mask := uint64(len(table) - 1)
+	gids := make([]uint32, n)
+	ngroups := uint32(0)
+	for i := range hits {
+		s0, s1 := hits[i].E0.Seq, hits[i].E1.Seq
+		slot := (uint64(s0)<<32 | uint64(s1)) * 0x9E3779B97F4A7C15 >> shift
+		for {
+			first := table[slot]
+			if first == 0 {
+				table[slot] = uint32(i) + 1
+				gids[i] = ngroups
+				ngroups++
+				break
+			}
+			if f := &hits[first-1]; f.E0.Seq == s0 && f.E1.Seq == s1 {
+				gids[i] = gids[first-1]
+				break
+			}
+			slot = (slot + 1) & mask
+		}
+	}
+
+	// Counting sort: sizes, exclusive prefix sums held in end, then a
+	// scatter that advances each group's end to its true value.
+	groups := make([]hitGroup, ngroups)
+	seen := uint32(0)
+	for i, g := range gids {
+		if g == seen { // ids are dense in first-appearance order
+			groups[g].seq0, groups[g].seq1 = hits[i].E0.Seq, hits[i].E1.Seq
+			seen++
+		}
+		groups[g].end++
+	}
+	sum := uint32(0)
+	for g := range groups {
+		size := groups[g].end
+		groups[g].end = sum
+		sum += size
+	}
+	offs := make([]seedPos, n)
+	for i, g := range gids {
+		offs[groups[g].end] = seedPos{hits[i].E0.Off, hits[i].E1.Off}
+		groups[g].end++
+	}
+	return groups, offs, nil
+}
+
 // extendGroup processes all hits of one (seq0, seq1) pair: hits whose
 // seed lands inside an alignment already found on a nearby diagonal are
 // skipped (BLAST's containment rule), others are extended with a banded
 // local alignment around their diagonal.
 func extendGroup(al *align.Aligner, q, s []byte, seq0, seq1 int,
-	hits []ungapped.Hit, cfg *Config, space stats.SearchSpace) ([]Alignment, Stats) {
+	hits []seedPos, cfg *Config, space stats.SearchSpace) ([]Alignment, Stats) {
 	var found []Alignment
 	var st Stats
 	for _, h := range hits {
-		qPos, sPos := int(h.E0.Off), int(h.E1.Off)
+		qPos, sPos := int(h.q), int(h.s)
 		if contained(found, qPos, sPos, cfg.Band) {
 			st.Contained++
 			continue

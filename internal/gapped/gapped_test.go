@@ -1,6 +1,7 @@
 package gapped
 
 import (
+	"fmt"
 	"testing"
 
 	"seedblast/internal/alphabet"
@@ -303,5 +304,57 @@ func TestStatsAccounting(t *testing.T) {
 	}
 	if st.Extended > 0 && st.DPCells <= st.DPRows {
 		t.Errorf("DP volume inconsistent: %+v", st)
+	}
+}
+
+// homologBank mirrors the benchmark's homolog_full inputs at a chosen
+// size: 16 queries of 90..150 aa and subjects that are copies of
+// query i%16 mutated at 10..50 %, so almost every (query, subject)
+// pair of a family is a group of ~40 hits ending in one alignment.
+func homologBank(subjects int) (*bank.Bank, *bank.Bank) {
+	rng := bank.NewRNG(3)
+	b0, b1 := bank.New("q"), bank.New("s")
+	for i := 0; i < 16; i++ {
+		b0.Add("q", bank.RandomProtein(rng, 90+4*i))
+	}
+	for i := 0; i < subjects; i++ {
+		b1.Add("h", bank.MutateProtein(rng, b0.Seq(i%16), 0.1+0.1*float64((i/16)%5)))
+	}
+	return b0, b1
+}
+
+// BenchmarkRunHomolog times the whole stage on a homolog_full-shaped
+// hit list at 1 and 2 workers (EXPERIMENTS.md quotes the ratio), and
+// reports ns per nominal DP cell as the benchmark does.
+func BenchmarkRunHomolog(b *testing.B) {
+	b0, b1 := homologBank(5000)
+	model := seed.Default()
+	ix0, err := index.Build(b0, model, 14)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ix1, err := index.Build(b1, model, 14)
+	if err != nil {
+		b.Fatal(err)
+	}
+	res, err := ungapped.Run(ix0, ix1, ungapped.Config{Matrix: matrix.BLOSUM62, Threshold: 38})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			cfg := DefaultConfig()
+			cfg.Workers = workers
+			b.ReportAllocs()
+			var cells int64
+			for i := 0; i < b.N; i++ {
+				_, st, err := RunWithStats(b0, b1, res.Hits, cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				cells = st.DPCells
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(cells), "ns/cell")
+		})
 	}
 }
