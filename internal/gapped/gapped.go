@@ -13,6 +13,7 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"seedblast/internal/align"
 	"seedblast/internal/bank"
@@ -125,53 +126,72 @@ func RunWithStats(b0, b1 *bank.Bank, hits []ungapped.Hit, cfg Config) ([]Alignme
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(groups) {
-		workers = max(len(groups), 1)
-	}
+	workers = max(min(workers, len(groups)), 1)
 	space := cfg.SearchSpace
 	if space.IsZero() {
 		space = stats.SearchSpace{DBLen: b1.TotalResidues(), DBSeqs: b1.Len()}
 	}
 
-	type groupResult struct {
-		as []Alignment
-		st Stats
-	}
-	results := make([]groupResult, len(groups))
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			al := align.NewAligner(cfg.Matrix, cfg.Gaps)
-			for gi := range next {
+	// Workers claim chunks of consecutive groups from a shared cursor:
+	// small enough that a run of expensive groups cannot leave one
+	// worker with the tail, large enough that the cursor's cache line
+	// is touched once per several extensions.
+	chunk := min(max(len(groups)/(8*workers), 1), 64)
+	var cursor atomic.Int64
+	found := make([][]Alignment, len(groups)) // found[gi]: written by the worker that claimed gi
+	totals := make([]Stats, workers)
+	work := func(w int) {
+		al := align.NewAligner(cfg.Matrix, cfg.Gaps)
+		var st Stats
+		for {
+			hi := int(cursor.Add(int64(chunk)))
+			lo := hi - chunk
+			if lo >= len(groups) {
+				break
+			}
+			for gi := lo; gi < min(hi, len(groups)); gi++ {
 				g := groups[gi]
 				start := uint32(0)
 				if gi > 0 {
 					start = groups[gi-1].end
 				}
-				results[gi].as, results[gi].st = extendGroup(al,
-					b0.Seq(int(g.seq0)), b1.Seq(int(g.seq1)),
-					int(g.seq0), int(g.seq1), offs[start:g.end], &cfg, space)
+				found[gi] = extendGroup(al, b0.Seq(int(g.seq0)), b1.Seq(int(g.seq1)),
+					int(g.seq0), int(g.seq1), offs[start:g.end], &cfg, space, &st)
 			}
+		}
+		totals[w] = st
+	}
+	// The caller is worker 0, so a one-worker run (or a job with a
+	// single group) starts no goroutine at all.
+	var wg sync.WaitGroup
+	for w := 1; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work(w)
 		}()
 	}
-	for gi := range groups {
-		next <- gi
-	}
-	close(next)
+	work(0)
 	wg.Wait()
 
-	var out []Alignment
+	total := 0
+	for _, as := range found {
+		total += len(as)
+	}
+	var out []Alignment // nil when nothing was found, as before
+	if total > 0 {
+		out = make([]Alignment, 0, total)
+	}
+	for _, as := range found {
+		out = append(out, as...)
+	}
 	stats := Stats{Hits: len(hits)}
-	for _, r := range results {
-		out = append(out, r.as...)
-		stats.Contained += r.st.Contained
-		stats.PreFiltered += r.st.PreFiltered
-		stats.Extended += r.st.Extended
-		stats.DPRows += r.st.DPRows
-		stats.DPCells += r.st.DPCells
+	for _, st := range totals {
+		stats.Contained += st.Contained
+		stats.PreFiltered += st.PreFiltered
+		stats.Extended += st.Extended
+		stats.DPRows += st.DPRows
+		stats.DPCells += st.DPCells
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Seq0 != out[j].Seq0 {
@@ -268,11 +288,10 @@ func groupHits(hits []ungapped.Hit) ([]hitGroup, []seedPos, error) {
 // extendGroup processes all hits of one (seq0, seq1) pair: hits whose
 // seed lands inside an alignment already found on a nearby diagonal are
 // skipped (BLAST's containment rule), others are extended with a banded
-// local alignment around their diagonal.
+// local alignment around their diagonal. Work counts are added to st.
 func extendGroup(al *align.Aligner, q, s []byte, seq0, seq1 int,
-	hits []seedPos, cfg *Config, space stats.SearchSpace) ([]Alignment, Stats) {
+	hits []seedPos, cfg *Config, space stats.SearchSpace, st *Stats) []Alignment {
 	var found []Alignment
-	var st Stats
 	for _, h := range hits {
 		qPos, sPos := int(h.q), int(h.s)
 		if contained(found, qPos, sPos, cfg.Band) {
@@ -312,7 +331,7 @@ func extendGroup(al *align.Aligner, q, s []byte, seq0, seq1 int,
 			Ops:      ops,
 		})
 	}
-	return dedup(found), st
+	return dedup(found)
 }
 
 // extendOne aligns the full query against a subject window around the
