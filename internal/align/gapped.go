@@ -39,6 +39,8 @@ type Aligner struct {
 	gap GapParams
 	h   []int32
 	e   []int32
+	// ra and rb hold the reversed prefixes of LocalBandedStart.
+	ra, rb []byte
 }
 
 // NewAligner returns an Aligner for the given matrix and gap costs.
@@ -141,11 +143,20 @@ func (al *Aligner) localStart(a, b []byte, end Local) (int, int) {
 }
 
 func reverse(s []byte) []byte {
-	out := make([]byte, len(s))
-	for i, c := range s {
-		out[len(s)-1-i] = c
+	return reverseInto(nil, s)
+}
+
+// reverseInto writes s reversed into buf's storage, growing it when
+// needed, and returns the result.
+func reverseInto(buf, s []byte) []byte {
+	if cap(buf) < len(s) {
+		buf = make([]byte, len(s))
 	}
-	return out
+	buf = buf[:len(s)]
+	for i, c := range s {
+		buf[len(s)-1-i] = c
+	}
+	return buf
 }
 
 // LocalBanded computes a local alignment restricted to the diagonal
@@ -157,23 +168,65 @@ func (al *Aligner) LocalBanded(a, b []byte, diag, band int) Local {
 	if best.Score == 0 {
 		return Local{}
 	}
-	// Recover starts with a reverse banded pass on the bounded window:
-	// reversed coordinates map (i, j) to (AEnd-i, BEnd-j), so the band
-	// |(j-i) - diag| ≤ band becomes |(j'-i') - rd| ≤ band with
-	// rd = BEnd - AEnd - diag.
+	best.AStart, best.BStart = al.LocalBandedStart(a, b, best, diag, band)
+	return best
+}
+
+// LocalBandedEnd is LocalBanded without start recovery: the maximum
+// of H over the in-band cells and the first cell in row-major order
+// that attains it. The gapped stage calls it alone first and pays for
+// LocalBandedStart only when the score survives the E-value cut.
+func (al *Aligner) LocalBandedEnd(a, b []byte, diag, band int) Local {
+	return al.bandedEnd(a, b, diag, band, noStop)
+}
+
+// LocalBandedStart recovers the start of the alignment LocalBandedEnd
+// reported as end (same a, b, diag and band) by running the same DP
+// on the reversed prefixes that end there. Reversed coordinates map
+// (i, j) to (AEnd-i, BEnd-j), so the band |(j-i) - diag| ≤ band
+// becomes |(j'-i') - rd| ≤ band with rd = BEnd - AEnd - diag. The
+// reverse pass visits the forward pass's band cells restricted to the
+// prefix rectangle, so it can reach end.Score but never exceed it:
+// it stops at the first cell that does, which is the cell a full pass
+// would report.
+func (al *Aligner) LocalBandedStart(a, b []byte, end Local, diag, band int) (aStart, bStart int) {
+	al.ra = reverseInto(al.ra, a[:end.AEnd])
+	al.rb = reverseInto(al.rb, b[:end.BEnd])
+	sub := al.bandedEnd(al.ra, al.rb, end.BEnd-end.AEnd-diag, band, end.Score)
+	return end.AEnd - sub.AEnd, end.BEnd - sub.BEnd
+}
+
+// LocalBandedReference is LocalBanded computed the plain way: the
+// scalar loop for both passes, the reverse pass run to completion on
+// fresh copies. It is what the equivalence tests of this package, of
+// internal/gapped and of internal/core pin the shipped path to; no
+// option reaches it.
+func (al *Aligner) LocalBandedReference(a, b []byte, diag, band int) Local {
+	best := al.bandedEndScalar(a, b, diag, band, noStop)
+	if best.Score == 0 {
+		return Local{}
+	}
 	ra := reverse(a[:best.AEnd])
 	rb := reverse(b[:best.BEnd])
-	rd := best.BEnd - best.AEnd - diag
-	sub := al.LocalBandedEnd(ra, rb, rd, band)
+	sub := al.bandedEndScalar(ra, rb, best.BEnd-best.AEnd-diag, band, noStop)
 	best.AStart = best.AEnd - sub.AEnd
 	best.BStart = best.BEnd - sub.BEnd
 	return best
 }
 
-// LocalBandedEnd is LocalBanded without start recovery (score and
-// endpoint only); exported for tests that validate the banded DP
-// against the full Local.
-func (al *Aligner) LocalBandedEnd(a, b []byte, diag, band int) Local {
+// noStop as a pass's stop score lets it run to completion: no cell
+// scores it.
+const noStop = -1
+
+func (al *Aligner) bandedEnd(a, b []byte, diag, band, stop int) Local {
+	return al.bandedEndScalar(a, b, diag, band, stop)
+}
+
+// bandedEndScalar is the banded score pass, one int32 cell at a time:
+// the reference implementation, the path of every GOARCH without a
+// kernel and the fallback when a call does not fit the kernel's int16
+// lanes. It returns early at the first cell scoring stop.
+func (al *Aligner) bandedEndScalar(a, b []byte, diag, band, stop int) Local {
 	if band < 0 {
 		band = 0
 	}
@@ -209,6 +262,9 @@ func (al *Aligner) LocalBandedEnd(a, b []byte, diag, band int) Local {
 			e[j] = pe
 			if int(val) > best.Score {
 				best = Local{Score: int(val), AEnd: i, BEnd: j}
+				if best.Score == stop {
+					return best
+				}
 			}
 			f = maxI32(val-openExt, f-ext)
 		}

@@ -193,6 +193,15 @@ func RunWithStats(b0, b1 *bank.Bank, hits []ungapped.Hit, cfg Config) ([]Alignme
 		stats.DPRows += st.DPRows
 		stats.DPCells += st.DPCells
 	}
+	sortAlignments(out)
+	return out, stats, nil
+}
+
+// sortAlignments puts the stage's output in its reported order:
+// (Seq0, EValue, Seq1). The sort is not stable, so the order of its
+// input — groups by first appearance, dedup order inside a group — is
+// part of the result.
+func sortAlignments(out []Alignment) {
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Seq0 != out[j].Seq0 {
 			return out[i].Seq0 < out[j].Seq0
@@ -202,7 +211,6 @@ func RunWithStats(b0, b1 *bank.Bank, hits []ungapped.Hit, cfg Config) ([]Alignme
 		}
 		return out[i].Seq1 < out[j].Seq1
 	})
-	return out, stats, nil
 }
 
 // seedPos is all extendGroup reads of a hit: the seed's residue
@@ -312,31 +320,23 @@ func extendGroup(al *align.Aligner, q, s []byte, seq0, seq1 int,
 		st.Extended++
 		st.DPRows += int64(len(q))
 		st.DPCells += int64(len(q)) * int64(2*cfg.Band+1)
-		loc, ops := extendOne(al, q, s, qPos, sPos, cfg)
-		if loc.Score <= 0 {
-			continue
+		if a, ok := extendOne(al, q, s, qPos, sPos, cfg, space); ok {
+			a.Seq0, a.Seq1 = seq0, seq1
+			found = append(found, a)
 		}
-		ev := cfg.Params.EValueIn(loc.Score, len(q), space)
-		if ev > cfg.MaxEValue {
-			continue
-		}
-		found = append(found, Alignment{
-			Seq0:     seq0,
-			Seq1:     seq1,
-			Score:    loc.Score,
-			BitScore: cfg.Params.BitScore(loc.Score),
-			EValue:   ev,
-			Q:        Span{loc.AStart, loc.AEnd},
-			S:        Span{loc.BStart, loc.BEnd},
-			Ops:      ops,
-		})
 	}
 	return dedup(found)
 }
 
 // extendOne aligns the full query against a subject window around the
-// hit's diagonal and maps coordinates back to the subject.
-func extendOne(al *align.Aligner, q, s []byte, qPos, sPos int, cfg *Config) (align.Local, []align.Op) {
+// hit's diagonal and reports the alignment, in subject coordinates,
+// when its E-value passes the cut. The banded path scores first and
+// recovers the alignment's start only for survivors, which halves the
+// DP of every extension the cut rejects; DPRows and DPCells keep their
+// nominal per-extension definition either way. Traceback stays
+// unbanded and runs before the cut, because it can find alignments the
+// banded pass cannot.
+func extendOne(al *align.Aligner, q, s []byte, qPos, sPos int, cfg *Config, space stats.SearchSpace) (Alignment, bool) {
 	slack := cfg.Band + 8
 	winStart := max(0, sPos-qPos-slack)
 	winEnd := min(len(s), sPos+(len(q)-qPos)+slack)
@@ -348,11 +348,26 @@ func extendOne(al *align.Aligner, q, s []byte, qPos, sPos int, cfg *Config) (ali
 	if cfg.Traceback {
 		loc, ops = al.Traceback(q, window)
 	} else {
-		loc = al.LocalBanded(q, window, diag, cfg.Band)
+		loc = al.LocalBandedEnd(q, window, diag, cfg.Band)
 	}
-	loc.BStart += winStart
-	loc.BEnd += winStart
-	return loc, ops
+	if loc.Score <= 0 {
+		return Alignment{}, false
+	}
+	ev := cfg.Params.EValueIn(loc.Score, len(q), space)
+	if ev > cfg.MaxEValue {
+		return Alignment{}, false
+	}
+	if !cfg.Traceback {
+		loc.AStart, loc.BStart = al.LocalBandedStart(q, window, loc, diag, cfg.Band)
+	}
+	return Alignment{
+		Score:    loc.Score,
+		BitScore: cfg.Params.BitScore(loc.Score),
+		EValue:   ev,
+		Q:        Span{loc.AStart, loc.AEnd},
+		S:        Span{loc.BStart + winStart, loc.BEnd + winStart},
+		Ops:      ops,
+	}, true
 }
 
 // contained reports whether the seed (qPos, sPos) lies inside an

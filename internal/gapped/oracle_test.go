@@ -1,11 +1,15 @@
 package gapped
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
 
+	"seedblast/internal/align"
+	"seedblast/internal/bank"
 	"seedblast/internal/index"
+	"seedblast/internal/stats"
 	"seedblast/internal/ungapped"
 )
 
@@ -91,5 +95,157 @@ func TestGroupHitsMatchesMapOracle(t *testing.T) {
 			hits[i] = hit(uint32(rng.Intn(n0)), uint32(rng.Intn(n1)), uint32(rng.Intn(50)), uint32(rng.Intn(50)))
 		}
 		checkGrouping(t, "random", hits)
+	}
+}
+
+// oracleRun is RunWithStats as it was before the stage was rebuilt:
+// map grouping, one goroutine, and per hit the full forward + reverse
+// scalar banded DP (align.LocalBandedReference) before the E-value
+// cut. It shares only contained, dedup and the final sort with the
+// shipped path.
+func oracleRun(b0, b1 *bank.Bank, hits []ungapped.Hit, cfg Config) ([]Alignment, Stats) {
+	space := cfg.SearchSpace
+	if space.IsZero() {
+		space = stats.SearchSpace{DBLen: b1.TotalResidues(), DBSeqs: b1.Len()}
+	}
+	al := align.NewAligner(cfg.Matrix, cfg.Gaps)
+	order, groups := oracleGroups(hits)
+	var out []Alignment
+	st := Stats{Hits: len(hits)}
+	for _, k := range order {
+		q, s := b0.Seq(int(k[0])), b1.Seq(int(k[1]))
+		var found []Alignment
+		for _, h := range groups[k] {
+			qPos, sPos := int(h.E0.Off), int(h.E1.Off)
+			if contained(found, qPos, sPos, cfg.Band) {
+				st.Contained++
+				continue
+			}
+			if cfg.GapTrigger > 0 {
+				ext := align.ExtendUngapped(q, s, qPos, sPos, 1, cfg.XDrop, cfg.Matrix)
+				if ext.Score < cfg.GapTrigger {
+					st.PreFiltered++
+					continue
+				}
+			}
+			st.Extended++
+			st.DPRows += int64(len(q))
+			st.DPCells += int64(len(q)) * int64(2*cfg.Band+1)
+
+			slack := cfg.Band + 8
+			winStart := max(0, sPos-qPos-slack)
+			winEnd := min(len(s), sPos+(len(q)-qPos)+slack)
+			window := s[winStart:winEnd]
+			var loc align.Local
+			var ops []align.Op
+			if cfg.Traceback {
+				loc, ops = al.Traceback(q, window)
+			} else {
+				loc = al.LocalBandedReference(q, window, (sPos-winStart)-qPos, cfg.Band)
+			}
+			loc.BStart += winStart
+			loc.BEnd += winStart
+			if loc.Score <= 0 {
+				continue
+			}
+			ev := cfg.Params.EValueIn(loc.Score, len(q), space)
+			if ev > cfg.MaxEValue {
+				continue
+			}
+			found = append(found, Alignment{
+				Seq0: int(k[0]), Seq1: int(k[1]),
+				Score:    loc.Score,
+				BitScore: cfg.Params.BitScore(loc.Score),
+				EValue:   ev,
+				Q:        Span{loc.AStart, loc.AEnd},
+				S:        Span{loc.BStart, loc.BEnd},
+				Ops:      ops,
+			})
+		}
+		out = append(out, dedup(found)...)
+	}
+	sortAlignments(out)
+	return out, st
+}
+
+// TestRunMatchesOracle pins the rebuilt stage — flat grouping, chunked
+// dispatch, score-first extension, the banded kernel — to oracleRun:
+// identical alignments (values and order) and identical Stats.
+func TestRunMatchesOracle(t *testing.T) {
+	type banks struct {
+		name      string
+		b0, b1    *bank.Bank
+		threshold int
+	}
+	h0, h1 := homologBank(48)
+	// Subjects with two or three similarity regions per pair, on
+	// diagonals further apart than the band: a homolog split by a
+	// 40-residue insertion, and a tandem repeat of the query. These
+	// are the groups where containment against an earlier alignment's
+	// recovered start and the per-pair dedup decide the result.
+	srng := bank.NewRNG(5)
+	s1 := bank.New("split")
+	for i := 0; i < 32; i++ {
+		q := h0.Seq(i % h0.Len())
+		m := bank.MutateProtein(srng, q, 0.15)
+		var s []byte
+		if i%2 == 0 {
+			s = append(append(append(s, m[:len(m)/2]...), bank.RandomProtein(srng, 40)...), m[len(m)/2:]...)
+		} else {
+			s = append(append(s, m...), bank.MutateProtein(srng, q, 0.3)...)
+		}
+		s1.Add("s", s)
+	}
+	rng := bank.NewRNG(99)
+	r0, r1 := bank.New("r0"), bank.New("r1")
+	for i := 0; i < 10; i++ {
+		r0.Add("q", bank.RandomProtein(rng, 150+10*i))
+	}
+	for i := 0; i < 40; i++ {
+		r1.Add("s", bank.RandomProtein(rng, 300+7*i))
+	}
+	// Threshold 20 on the random banks lets a thousand chance hits
+	// through, so most extensions die at the E-value cut (the
+	// score-only path); the homolog bank is the opposite case.
+	for _, bk := range []banks{{"homolog", h0, h1, 38}, {"split", h0, s1, 38}, {"random", r0, r1, 20}} {
+		hits := runPipelineUpTo2(t, bk.b0, bk.b1, bk.threshold)
+		if len(hits) < 500 {
+			t.Fatalf("%s: only %d hits", bk.name, len(hits))
+		}
+		for _, traceback := range []bool{false, true} {
+			for _, trigger := range []int{0, 41} {
+				for _, maxE := range []float64{1e-3, 10} {
+					cfg := DefaultConfig()
+					cfg.Traceback = traceback
+					cfg.GapTrigger = trigger
+					cfg.MaxEValue = maxE
+					cfg.Workers = 3
+					hits := hits
+					if traceback && trigger == 0 && bk.name == "random" {
+						// Every hit is an unbanded traceback here, twice;
+						// a slice of them keeps the test under a second.
+						hits = hits[:100]
+					}
+					got, gotStats, err := RunWithStats(bk.b0, bk.b1, hits, cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want, wantStats := oracleRun(bk.b0, bk.b1, hits, cfg)
+					name := fmt.Sprintf("%s traceback=%v trigger=%d maxE=%g", bk.name, traceback, trigger, maxE)
+					if gotStats != wantStats {
+						t.Errorf("%s: stats %+v, oracle %+v", name, gotStats, wantStats)
+					}
+					if gotStats.Extended == 0 {
+						t.Errorf("%s: nothing was extended", name)
+					}
+					if bk.name == "split" && len(got) < 3*s1.Len()/2 {
+						t.Errorf("%s: %d alignments, want about two per subject", name, len(got))
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Errorf("%s: %d alignments differ from the oracle's %d", name, len(got), len(want))
+					}
+				}
+			}
+		}
 	}
 }
