@@ -1,6 +1,7 @@
 package align
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -107,5 +108,229 @@ func TestLocalBandedMatchesReference(t *testing.T) {
 	}
 	if scored < cases/3 {
 		t.Errorf("only %d of %d cases scored above zero: the generator no longer reaches the DP", scored, cases)
+	}
+}
+
+// checkKernelCase compares the kernel path with the scalar loop on
+// one case, forwards and over the reversed prefixes the way
+// LocalBandedStart drives it. It reports whether the kernel took the
+// case.
+func checkKernelCase(t *testing.T, al *Aligner, c bandedCase) bool {
+	t.Helper()
+	want := al.bandedEndScalar(c.a, c.b, c.diag, c.band, noStop)
+	got, ok := al.bandedEndKernel(c.a, c.b, c.diag, c.band, noStop, false)
+	if !ok {
+		return false
+	}
+	if got != want {
+		t.Fatalf("forward (len(a)=%d len(b)=%d diag=%d band=%d gaps=%+v):\nkernel %+v\nscalar %+v\na=%v\nb=%v",
+			len(c.a), len(c.b), c.diag, c.band, al.gap, got, want, c.a, c.b)
+	}
+	if want.Score == 0 {
+		return true
+	}
+	ra, rb := reverse(c.a[:want.AEnd]), reverse(c.b[:want.BEnd])
+	rd := want.BEnd - want.AEnd - c.diag
+	wantRev := al.bandedEndScalar(ra, rb, rd, c.band, noStop)
+	for _, stop := range []int{noStop, want.Score} {
+		gotRev, ok := al.bandedEndKernel(c.a[:want.AEnd], c.b[:want.BEnd], rd, c.band, stop, true)
+		if !ok || gotRev != wantRev {
+			t.Fatalf("reverse stop=%d (len(a)=%d len(b)=%d diag=%d band=%d gaps=%+v end=%+v):\nkernel %+v ok=%v\nscalar %+v\na=%v\nb=%v",
+				stop, len(c.a), len(c.b), c.diag, c.band, al.gap, want, gotRev, ok, wantRev, c.a, c.b)
+		}
+	}
+	return true
+}
+
+// TestBandedKernelMatchesScalar is the deterministic sweep behind
+// FuzzLocalBandedKernel: random and planted cases over every alphabet
+// size, band and scoring system of the sweep, then the shapes a random
+// draw rarely produces.
+func TestBandedKernelMatchesScalar(t *testing.T) {
+	if !hasBandedKernel {
+		t.Skip("no banded kernel on this platform")
+	}
+	cases := 40000
+	if testing.Short() {
+		cases = 4000
+	}
+	rng := rand.New(rand.NewSource(7))
+	aligners := sweepAligners()
+	for n := 0; n < cases; n++ {
+		c := drawBandedCase(rng, []int{2, 3, 4, 20}[n%4])
+		if !checkKernelCase(t, aligners[n%len(aligners)], c) {
+			t.Fatalf("case %d: kernel declined a case that fits it (len(a)=%d len(b)=%d band=%d)", n, len(c.a), len(c.b), c.band)
+		}
+	}
+
+	al := aligners[0]
+	// Every diagonal from wholly left of the matrix to wholly right
+	// of it, for each band: the band clipped at all four edges.
+	for _, shape := range [][2]int{{1, 1}, {1, 9}, {9, 1}, {5, 23}, {23, 5}, {17, 17}, {40, 64}} {
+		a, b := randomResidues(rng, shape[0], 3), randomResidues(rng, shape[1], 3)
+		for _, band := range sweepBands {
+			for diag := -shape[0] - band - 2; diag <= shape[1]+band+2; diag++ {
+				for _, al := range aligners {
+					if !checkKernelCase(t, al, bandedCase{a, b, diag, band}) {
+						t.Fatalf("kernel declined shape %v diag %d band %d", shape, diag, band)
+					}
+				}
+			}
+		}
+	}
+	// Band widths around the 8-lane vector boundaries, on identical
+	// sequences (one long diagonal of ties in a 2-letter alphabet).
+	s := randomResidues(rng, 90, 2)
+	for band := 0; band <= 20; band++ {
+		for _, diag := range []int{-3, 0, 2} {
+			checkKernelCase(t, aligners[2], bandedCase{s, s, diag, band})
+		}
+	}
+	// Empty inputs.
+	for _, c := range []bandedCase{{nil, nil, 0, 3}, {s, nil, 0, 3}, {nil, s, 0, 3}} {
+		if got, ok := al.bandedEndKernel(c.a, c.b, c.diag, c.band, noStop, false); !ok || got != (Local{}) {
+			t.Errorf("empty input: kernel returned %+v ok=%v", got, ok)
+		}
+	}
+}
+
+// TestBandedKernelFallback pins the calls the kernel must decline,
+// and that LocalBanded still answers them exactly.
+func TestBandedKernelFallback(t *testing.T) {
+	if !hasBandedKernel {
+		t.Skip("no banded kernel on this platform")
+	}
+	rng := rand.New(rand.NewSource(3))
+	// 3000 identical residues at BLOSUM62's W-W score of 11 would
+	// reach 33000 > MaxInt16.
+	long := make([]byte, 3000)
+	for i := range long {
+		long[i] = 17 // Trp
+	}
+	al := NewAligner(matrix.BLOSUM62, DefaultGaps)
+	if _, ok := al.bandedEndKernel(long, long, 0, 4, noStop, false); ok {
+		t.Error("kernel took a call whose scores can exceed int16")
+	}
+	if got, want := al.LocalBanded(long, long, 0, 4), al.LocalBandedReference(long, long, 0, 4); got != want || got.Score != 33000 {
+		t.Errorf("int16 fallback: got %+v, reference %+v, want score 33000", got, want)
+	}
+	// The same length is fine when the other side is short.
+	if _, ok := al.bandedEndKernel(long, long[:100], 0, 4, noStop, false); !ok {
+		t.Error("kernel declined a long query against a short subject")
+	}
+	a, b := randomResidues(rng, 50, 20), randomResidues(rng, 60, 20)
+	for _, gap := range []GapParams{{Open: -1, Extend: 2}, {Open: 3, Extend: 0}, {Open: 11, Extend: -1}, {Open: 5000, Extend: 1}} {
+		al := NewAligner(matrix.BLOSUM62, gap)
+		if _, ok := al.bandedEndKernel(a, b, 0, 8, noStop, false); ok {
+			t.Errorf("kernel took gap costs %+v", gap)
+		}
+	}
+	// A band wider than the kernel's scratch bound.
+	wide := randomResidues(rng, 2000, 20)
+	if _, ok := al.bandedEndKernel(wide, wide, 0, 2000, noStop, false); ok {
+		t.Error("kernel took a 4001-lane band")
+	}
+	// Residues outside the alphabet, in either sequence, forwards or
+	// reversed: declined, so that the scalar loop reports them.
+	for _, code := range []byte{24, 31, 32, 127, 128, 255} {
+		for _, pos := range []int{0, 7, 8, 49} {
+			bad := append([]byte(nil), a...)
+			bad[pos] = code
+			for _, reversed := range []bool{false, true} {
+				if _, ok := al.bandedEndKernel(bad, b, 0, 8, noStop, reversed); ok {
+					t.Errorf("kernel took query residue %d at %d (reversed=%v)", code, pos, reversed)
+				}
+				if _, ok := al.bandedEndKernel(b, bad, 0, 8, noStop, reversed); ok {
+					t.Errorf("kernel took subject residue %d at %d (reversed=%v)", code, pos, reversed)
+				}
+			}
+		}
+	}
+}
+
+// FuzzLocalBandedKernel fuzzes the kernel against the scalar loop:
+// sequences, diagonal, band, gap costs and a matrix all derived from
+// the fuzzed arguments.
+func FuzzLocalBandedKernel(f *testing.F) {
+	f.Add(int64(1), 120, 150, 10, 16, 11, 1, int8(5), int8(-4), 20)
+	f.Add(int64(2), 1, 1, 0, 0, 0, 1, int8(1), int8(-1), 2)
+	f.Add(int64(3), 64, 9, -70, 40, 2, 1, int8(127), int8(-128), 3)
+	f.Add(int64(4), 33, 200, 150, 7, 3, 2, int8(0), int8(0), 4)
+	f.Add(int64(5), 300, 300, 0, 1, 100, 50, int8(11), int8(-128), 2)
+	// Found by the fuzzer: a negative extension cost, under which the
+	// reverse pass exceeds the forward score and must not stop early.
+	f.Add(int64(18), 17, 156, 113, 58, 3, -20, int8(91), int8(0), 4)
+	f.Fuzz(func(t *testing.T, rngSeed int64, la, lb, diag, band, open, extend int, match, mismatch int8, letters int) {
+		if !hasBandedKernel {
+			t.Skip()
+		}
+		if la < 0 || la > 400 || lb < 0 || lb > 400 || band < -2 || band > 500 ||
+			diag < -1000 || diag > 1000 || letters < 1 || letters > 24 {
+			t.Skip()
+		}
+		rng := rand.New(rand.NewSource(rngSeed))
+		// A full random matrix built from the two fuzzed scores, as in
+		// FuzzWindowScoreKernel: asymmetric and extreme tables included.
+		table := make([]int8, 24*24)
+		for i := range table {
+			switch rng.Intn(3) {
+			case 0:
+				table[i] = match
+			case 1:
+				table[i] = mismatch
+			default:
+				table[i] = int8(rng.Intn(256) - 128)
+			}
+		}
+		m, err := matrix.New("fuzz", table)
+		if err != nil {
+			t.Fatal(err)
+		}
+		al := NewAligner(m, GapParams{Open: open, Extend: extend})
+		c := bandedCase{a: randomResidues(rng, la, letters), diag: diag, band: band}
+		if rng.Intn(2) == 0 {
+			c.b = randomResidues(rng, lb, letters)
+		} else {
+			c.b = mutate(rng, c.a, letters, 0.2, 0.05)
+		}
+		// Whether the kernel takes the case or declines it, the
+		// shipped entry point must agree with the reference.
+		checkKernelCase(t, al, c)
+		if got, want := al.LocalBanded(c.a, c.b, c.diag, c.band), al.LocalBandedReference(c.a, c.b, c.diag, c.band); got != want {
+			t.Fatalf("LocalBanded %+v, reference %+v", got, want)
+		}
+	})
+}
+
+// BenchmarkStep3Kernel times the banded score pass on a homolog pair
+// at the gapped stage's band, kernel against scalar loop, in ns per
+// nominal DP cell (rows × 33), the unit of the benchmark's
+// gapped.ns_per_cell.
+func BenchmarkStep3Kernel(b *testing.B) {
+	const band = 16
+	al := NewAligner(matrix.BLOSUM62, DefaultGaps)
+	for _, rows := range []int{120, 600} {
+		rng := rand.New(rand.NewSource(int64(rows)))
+		q := randomResidues(rng, rows, 20)
+		s := append(randomResidues(rng, band+8, 20), mutate(rng, q, 20, 0.3, 0.02)...)
+		s = append(s, randomResidues(rng, band+8, 20)...)
+		want := al.bandedEndScalar(q, s, band+8, band, noStop)
+		run := func(name string, pass func() Local) {
+			b.Run(fmt.Sprintf("%s/rows=%d", name, rows), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					if got := pass(); got != want {
+						b.Fatalf("got %+v, want %+v", got, want)
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(rows*(2*band+1)), "ns/cell")
+			})
+		}
+		run("scalar", func() Local { return al.bandedEndScalar(q, s, band+8, band, noStop) })
+		if hasBandedKernel {
+			run("kernel", func() Local {
+				got, _ := al.bandedEndKernel(q, s, band+8, band, noStop, false)
+				return got
+			})
+		}
 	}
 }

@@ -39,13 +39,17 @@ type Aligner struct {
 	gap GapParams
 	h   []int32
 	e   []int32
-	// ra and rb hold the reversed prefixes of LocalBandedStart.
+	// ra and rb hold the reversed prefixes of LocalBandedStart when
+	// its pass runs the scalar loop.
 	ra, rb []byte
+	kern   bandedKernel
 }
 
 // NewAligner returns an Aligner for the given matrix and gap costs.
 func NewAligner(m *matrix.Matrix, gap GapParams) *Aligner {
-	return &Aligner{m: m, gap: gap}
+	al := &Aligner{m: m, gap: gap}
+	al.kern.init(m, gap)
+	return al
 }
 
 func (al *Aligner) scratch(n int) (h, e []int32) {
@@ -177,7 +181,7 @@ func (al *Aligner) LocalBanded(a, b []byte, diag, band int) Local {
 // that attains it. The gapped stage calls it alone first and pays for
 // LocalBandedStart only when the score survives the E-value cut.
 func (al *Aligner) LocalBandedEnd(a, b []byte, diag, band int) Local {
-	return al.bandedEnd(a, b, diag, band, noStop)
+	return al.bandedEnd(a, b, diag, band, noStop, false)
 }
 
 // LocalBandedStart recovers the start of the alignment LocalBandedEnd
@@ -186,13 +190,18 @@ func (al *Aligner) LocalBandedEnd(a, b []byte, diag, band int) Local {
 // (i, j) to (AEnd-i, BEnd-j), so the band |(j-i) - diag| ≤ band
 // becomes |(j'-i') - rd| ≤ band with rd = BEnd - AEnd - diag. The
 // reverse pass visits the forward pass's band cells restricted to the
-// prefix rectangle, so it can reach end.Score but never exceed it:
-// it stops at the first cell that does, which is the cell a full pass
-// would report.
+// prefix rectangle, so (gap costs being costs) it can reach end.Score
+// but never exceed it: it stops at the first cell that does, which is
+// the cell a full pass would report.
 func (al *Aligner) LocalBandedStart(a, b []byte, end Local, diag, band int) (aStart, bStart int) {
-	al.ra = reverseInto(al.ra, a[:end.AEnd])
-	al.rb = reverseInto(al.rb, b[:end.BEnd])
-	sub := al.bandedEnd(al.ra, al.rb, end.BEnd-end.AEnd-diag, band, end.Score)
+	stop := end.Score
+	if al.gap.Extend < 0 || al.gap.Open+al.gap.Extend < 0 {
+		// Gaps that pay make leading and trailing gaps part of the
+		// best alignment, and those the DP does not treat
+		// symmetrically: the reverse pass can then exceed end.Score.
+		stop = noStop
+	}
+	sub := al.bandedEnd(a[:end.AEnd], b[:end.BEnd], end.BEnd-end.AEnd-diag, band, stop, true)
 	return end.AEnd - sub.AEnd, end.BEnd - sub.BEnd
 }
 
@@ -218,7 +227,20 @@ func (al *Aligner) LocalBandedReference(a, b []byte, diag, band int) Local {
 // scores it.
 const noStop = -1
 
-func (al *Aligner) bandedEnd(a, b []byte, diag, band, stop int) Local {
+// bandedEnd is the banded score pass behind LocalBandedEnd and
+// LocalBandedStart: the kernel when the call fits it (kernel.go), the
+// scalar loop otherwise. With reversed set the pass runs over a and b
+// read backwards. stop is noStop or the maximum the pass is known to
+// reach, and ends the pass at the first cell (or row) reaching it.
+func (al *Aligner) bandedEnd(a, b []byte, diag, band, stop int, reversed bool) Local {
+	if best, ok := al.bandedEndKernel(a, b, diag, band, stop, reversed); ok {
+		return best
+	}
+	if reversed {
+		al.ra = reverseInto(al.ra, a)
+		al.rb = reverseInto(al.rb, b)
+		a, b = al.ra, al.rb
+	}
 	return al.bandedEndScalar(a, b, diag, band, stop)
 }
 

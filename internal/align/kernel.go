@@ -1,0 +1,280 @@
+// The step-3 kernel: an exact lane-parallel implementation of the
+// banded score pass (bandedEndScalar is the reference).
+//
+// Contract. For every (a, b, diag, band) the kernel path returns the
+// Score, AEnd and BEnd the scalar loop returns: the maximum of H over
+// the cells that are both in the band and in the matrix, and the first
+// such cell in row-major order that attains it. bandedEnd chooses it
+// per call (see Fallback); no caller and no option does.
+//
+// Layout. The band is held in diagonal coordinates: lane k of a row is
+// the cell on diagonal dlo+k, so a row is W = dhi-dlo+1 int16 lanes
+// (the band clipped to the diagonals that cross the matrix, padded to
+// whole 8-lane vectors) and the band slides one subject residue to the
+// right per row. In these coordinates the diagonal predecessor of a
+// cell is the same lane of the row above, the vertical predecessor is
+// lane k+1 of the row above (one unaligned load), and the horizontal
+// predecessor is lane k-1 of the same row. The query residue is
+// constant along a row, so the row's scores come from one 32-byte
+// table row through two PSHUFB lookups of the subject bytes under the
+// lanes. The horizontal gap state F is an inclusive max-plus prefix
+// scan of H-open-extend along the row, decaying by extend per lane:
+// three doubling steps inside a vector and a one-lane carry between
+// vectors. Scanning H before F is applied is exact because opening a
+// second gap from a cell that was itself reached by a horizontal gap
+// costs Open ≥ 0 more than extending the first.
+//
+// No masks on E and F. H is clamped at 0, so E and F matter only when
+// positive, and every non-positive value stands for the scalar loop's
+// negInf: subtracting gap costs from it (with saturation) keeps it
+// non-positive, and max() with it changes nothing that is positive. So
+// the lanes start at 0 instead of -∞, byte shifts may shift zeros in,
+// and cells left of the band or above the matrix need no special case.
+//
+// Matrix edges. The subject is copied between two runs of a padding
+// code that scores -128 against everything. Left of column 1 every
+// lane therefore stays at H = 0 by induction (its three predecessors
+// are 0 or non-positive), which is what the scalar loop reads there.
+// Right of the last column a lane can hold a positive value, but only
+// one derived from an in-matrix cell earlier in row-major order minus
+// a positive amount (128, or a gap cost), and it feeds no in-matrix
+// cell (no predecessor relation goes left in column terms); so it can
+// neither reach nor tie the running maximum. Lanes right of the band
+// (vector padding) are different — lane W is the vertical predecessor
+// of lane W-1 — and are masked to 0 in H.
+//
+// End cell. Each row's H lanes are kept (rows × lanes × 2 bytes of
+// scratch); the kernel tracks the running maximum and the first row
+// that reached it, and the first lane of that row holding it is found
+// afterwards. Row-major order is row first, then lane, so this is the
+// scalar loop's cell.
+//
+// Fallback. Lanes are int16 with saturating arithmetic. A call runs
+// the scalar loop instead when min(len(a), len(b))·MaxScore could
+// exceed the lanes, when the gap costs are negative, zero-extend or
+// huge, when the clipped band is wider than kernelMaxLanes (the H
+// scratch bound), when a residue is not a protein code
+// (the scalar loop panics on those, and keeps doing so), or when the
+// CPU lacks SSE4.1.
+//
+// There is no portable SWAR variant and no selector: a band-coordinate
+// scalar rewrite measured within 3 % of the plain loop (the loop-
+// carried F chain binds scalar code, not the addressing), and an exact
+// kernel leaves a user nothing to choose.
+package align
+
+import (
+	"encoding/binary"
+	"math"
+	"unsafe"
+
+	"seedblast/internal/alphabet"
+	"seedblast/internal/matrix"
+)
+
+const (
+	// kernelTabRows × kernelTabStride is the score table the kernel
+	// reads: row a holds Score(a, c) for the 24 protein codes c and
+	// kernelPadScore for codes 24..31, so that a row is exactly the
+	// two 16-byte halves the PSHUFB lookups take.
+	kernelTabRows   = alphabet.NumAA
+	kernelTabStride = 32
+	// kernelPad is the residue code the subject copy is padded with;
+	// kernelPadScore is what it scores against every residue.
+	kernelPad      = 31
+	kernelPadScore = -128
+	// kernelLanes is the vector width in int16 lanes.
+	kernelLanes = 8
+	// kernelMaxGap bounds open+extend so that eight lanes of extension
+	// (the scan's ramp) stay inside int16.
+	kernelMaxGap = math.MaxInt16 / kernelLanes
+	// kernelMaxLanes bounds the clipped band width the kernel takes,
+	// and with it the H scratch (rows × lanes × 2 bytes); the gapped
+	// stage's bands are 33 lanes.
+	kernelMaxLanes = 1024
+)
+
+// bandedArgs is the argument block of bandedRowsSSE41. kernel_amd64.s
+// addresses its fields by offset, so the two change together.
+type bandedArgs struct {
+	a      unsafe.Pointer // query residue of the first row
+	aStep  int            // +1, or -1 to walk the query backwards
+	b      unsafe.Pointer // padded subject: the byte under lane 0 of the first row
+	tab    unsafe.Pointer // kernelTabRows rows of kernelTabStride score bytes
+	h      unsafe.Pointer // H rows of stride bytes each; row 0 is the zero row above the first
+	e      unsafe.Pointer // E lanes, zeroed, nvec·8+1 of them
+	mask   unsafe.Pointer // nvec·8 lanes: all ones inside the band, 0 right of it
+	rows   int            // rows to run, ≥ 1; counted down by the kernel
+	nvec   int            // 8-lane vectors per row, ≥ 1
+	stride int            // bytes between H rows, ≥ (nvec·8+1)·2
+	oe     int            // gap open + extend
+	ext    int            // gap extend
+	stop   int            // return after the first row whose maximum reaches it
+	// Results.
+	best    int // maximum of H over all rows run
+	bestRem int // value of rows when the row that first reached best started
+	bad     int // 1 when a query residue ≥ alphabet.NumAA was met; nothing else is valid then
+}
+
+// bandedKernel is the per-Aligner state of the kernel path.
+type bandedKernel struct {
+	ok       bool // gap costs and matrix admit the kernel at all
+	maxScore int  // largest matrix score, clamped at 0
+	tab      [kernelTabRows * kernelTabStride]int8
+
+	bpad []byte  // padded (and, for a reverse pass, reversed) subject
+	h    []int16 // H rows, stride lanes apart, row 0 all zero
+	e    []int16 // E lanes
+	mask []int16 // lane mask, valid for maskW lanes of maskLanes
+	// maskW and maskLanes describe what mask currently holds.
+	maskW, maskLanes int
+}
+
+func (k *bandedKernel) init(m *matrix.Matrix, gap GapParams) {
+	if !hasBandedKernel || gap.Open < 0 || gap.Extend < 1 || gap.Open+gap.Extend > kernelMaxGap {
+		return
+	}
+	k.ok = true
+	k.maxScore = max(m.MaxScore(), 0)
+	for a := 0; a < kernelTabRows; a++ {
+		row := k.tab[a*kernelTabStride : (a+1)*kernelTabStride]
+		copy(row, m.Row(byte(a)))
+		for c := alphabet.NumAA; c < kernelTabStride; c++ {
+			row[c] = kernelPadScore
+		}
+	}
+}
+
+// validResidues reports whether every byte of s is a protein code
+// (< alphabet.NumAA), eight bytes at a time: adding 0x80-NumAA to a
+// byte sets its top bit exactly when the byte is ≥ NumAA and < 0x80,
+// and a byte ≥ 0x80 has it set already; a carry out of a byte can only
+// come from a byte that is itself invalid.
+func validResidues(s []byte) bool {
+	const (
+		hi   = 0x8080808080808080
+		bias = (0x80 - alphabet.NumAA) * 0x0101010101010101
+	)
+	var bad uint64
+	for ; len(s) >= 8; s = s[8:] {
+		x := binary.LittleEndian.Uint64(s)
+		bad |= x | (x + bias)
+	}
+	for _, c := range s {
+		bad |= uint64(c) | (uint64(c) + bias)
+	}
+	return bad&hi == 0
+}
+
+// bandedEndKernel is the kernel path of bandedEnd. ok is false when
+// the call does not fit the kernel (see the package comment) and the
+// scalar loop must run instead. With reversed set, the pass runs over
+// a and b read backwards, without the caller having to reverse them.
+func (al *Aligner) bandedEndKernel(a, b []byte, diag, band, stop int, reversed bool) (best Local, ok bool) {
+	k := &al.kern
+	la, lb := len(a), len(b)
+	if !k.ok || min(la, lb)*k.maxScore > math.MaxInt16 {
+		return Local{}, false
+	}
+	if band < 0 {
+		band = 0
+	}
+	// Clip the band to the diagonals d = j-i that cross the matrix.
+	dlo := max(diag-band, 1-la)
+	dhi := min(diag+band, lb-1)
+	if la == 0 || lb == 0 || dlo > dhi {
+		return Local{}, true
+	}
+	w := dhi - dlo + 1
+	if w > kernelMaxLanes || !validResidues(b) {
+		return Local{}, false
+	}
+	nvec := (w + kernelLanes - 1) / kernelLanes
+	lanes := nvec * kernelLanes
+	// Rows i0..i1 (1-based) are those in which some lane is inside the
+	// matrix; above i0 every lane is 0, below i1 the band has left.
+	i0 := max(1, 1-dhi)
+	i1 := min(la, lb-dlo)
+	rows := i1 - i0 + 1
+
+	// Subject copy: lanes pad codes, b, lanes pad codes. Lane k of row
+	// i sits on column j = i+dlo+k, subject byte j-1, which is never
+	// more than w-1 left of b nor lanes-1 right of it.
+	if need := lb + 2*lanes; cap(k.bpad) < need {
+		k.bpad = make([]byte, need)
+	}
+	bp := k.bpad[:lb+2*lanes]
+	for i := 0; i < lanes; i++ {
+		bp[i], bp[lanes+lb+i] = kernelPad, kernelPad
+	}
+	if reversed {
+		for i, c := range b {
+			bp[lanes+lb-1-i] = c
+		}
+	} else {
+		copy(bp[lanes:], b)
+	}
+
+	// H rows carry one lane beyond the vectors for the shifted load of
+	// the row below; row 0 is the all-zero row above row i0.
+	stride := lanes + kernelLanes
+	if need := (rows + 1) * stride; cap(k.h) < need {
+		k.h = make([]int16, need)
+	}
+	h := k.h[:(rows+1)*stride]
+	clear(h[:stride])
+	if cap(k.e) < stride {
+		k.e = make([]int16, stride)
+		k.mask = make([]int16, stride)
+		k.maskLanes = 0
+	}
+	e := k.e[:stride]
+	clear(e)
+	if k.maskW != w || k.maskLanes != lanes {
+		mask := k.mask[:lanes]
+		for i := range mask {
+			mask[i] = 0
+			if i < w {
+				mask[i] = -1
+			}
+		}
+		k.maskW, k.maskLanes = w, lanes
+	}
+
+	args := bandedArgs{
+		a:      unsafe.Pointer(&a[i0-1]),
+		aStep:  1,
+		b:      unsafe.Pointer(&bp[lanes+i0-1+dlo]),
+		tab:    unsafe.Pointer(&k.tab[0]),
+		h:      unsafe.Pointer(&h[0]),
+		e:      unsafe.Pointer(&e[0]),
+		mask:   unsafe.Pointer(&k.mask[0]),
+		rows:   rows,
+		nvec:   nvec,
+		stride: stride * 2,
+		oe:     al.gap.Open + al.gap.Extend,
+		ext:    al.gap.Extend,
+		stop:   stop,
+	}
+	if reversed {
+		args.a, args.aStep = unsafe.Pointer(&a[la-i0]), -1
+	}
+	if stop < 0 {
+		args.stop = math.MaxInt16 + 1 // no lane reaches it
+	}
+	bandedRowsSSE41(&args)
+	if args.bad != 0 {
+		return Local{}, false
+	}
+	if args.best == 0 {
+		return Local{}, true
+	}
+	r := rows - args.bestRem // 0-based among the rows run
+	for lane, v := range h[(r+1)*stride:][:w] {
+		if int(v) == args.best {
+			i := i0 + r
+			return Local{Score: args.best, AEnd: i, BEnd: i + dlo + lane}, true
+		}
+	}
+	panic("align: banded kernel lost its maximum")
+}

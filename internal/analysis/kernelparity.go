@@ -11,8 +11,9 @@ import (
 	"strings"
 )
 
-// KernelParity keeps the build-tag variants of the step-2 kernel from
-// drifting (PR 6): kernel_<arch>.go (asm declarations) and
+// KernelParity keeps the build-tag variants of the asm kernels — step
+// 2's in internal/ungapped, step 3's in internal/align — from
+// drifting: kernel_<arch>.go (asm declarations) and
 // kernel_noasm.go (portable stubs) are alternative definitions of the
 // same dispatch surface, selected by GOARCH, so a signature or
 // name-set mismatch compiles fine on the developer's machine and
@@ -22,7 +23,7 @@ import (
 //
 //   - every name (func, const, var) declared in kernel_noasm.go exists
 //     in each kernel_<arch>.go, and vice versa — except arch-only
-//     helpers referenced from no shared file (cpuidSSSE3);
+//     helpers referenced from no shared file (cpuidLeaf1ECX);
 //   - functions declared in both variants have identical signatures;
 //   - every body-less (assembly-implemented) declaration has a
 //     matching TEXT ·name symbol in the package's .s files;

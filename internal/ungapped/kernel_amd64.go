@@ -1,5 +1,7 @@
 package ungapped
 
+import "seedblast/internal/align"
+
 // hasAsmKernel gates the architecture-specific group scanners: on
 // amd64 the blocked kernel scores whole groups of windows per pass
 // with the exact SIMD routines in kernel_amd64.s instead of the
@@ -8,12 +10,9 @@ const hasAsmKernel = true
 
 // hasSSSE3 selects between the two asm scanners: the 16-lane
 // PSHUFB-based scanner needs SSSE3, the 8-lane PINSRW-based one only
-// baseline SSE2. Detected once at startup.
-var hasSSSE3 = cpuidSSSE3()
-
-// cpuidSSSE3 reports whether the CPU supports SSSE3 (CPUID leaf 1,
-// ECX bit 9). Implemented in kernel_amd64.s.
-func cpuidSSSE3() bool
+// baseline SSE2. Read from internal/align, which holds the tree's one
+// CPUID probe.
+var hasSSSE3 = align.HasSSSE3
 
 // scanGroup16SSSE3 scores 16 consecutive subject windows of subLen
 // bytes starting at win against the query window w0, writing each

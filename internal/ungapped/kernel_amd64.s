@@ -19,18 +19,6 @@
 
 #include "textflag.h"
 
-// func cpuidSSSE3() bool
-//
-// CPUID leaf 1, ECX bit 9. SSE2 needs no check (amd64 baseline);
-// SSSE3 does.
-TEXT ·cpuidSSSE3(SB), NOSPLIT, $0-1
-	MOVL $1, AX
-	CPUID
-	SHRL $9, CX
-	ANDL $1, CX
-	MOVB CX, ret+0(FP)
-	RET
-
 // func scanGroup16SSSE3(btab *uint8, w0 *byte, win *byte, subLen int, best *[16]int16)
 //
 // btab: 32×256-byte biased score table (score+128 as uint8)
