@@ -43,6 +43,10 @@ type Aligner struct {
 	// its pass runs the scalar loop.
 	ra, rb []byte
 	kern   bandedKernel
+	// dir and ops are Traceback's direction matrix and the operations
+	// of its walk back, last first.
+	dir []byte
+	ops []Op
 }
 
 // NewAligner returns an Aligner for the given matrix and gap costs.
@@ -372,7 +376,14 @@ func (al *Aligner) Traceback(a, b []byte) (Local, []Op) {
 	ext := int32(al.gap.Extend)
 	table := al.m.Table()
 	cols := len(b) + 1
-	dir := make([]byte, (len(a)+2)*cols)
+	// The direction matrix is |=-written (a cell's gap provenance is
+	// recorded before its source), so the reused prefix is cleared.
+	if need := (len(a) + 2) * cols; cap(al.dir) < need {
+		al.dir = make([]byte, need)
+	} else {
+		clear(al.dir[:need])
+	}
+	dir := al.dir[:(len(a)+2)*cols]
 	h, e := al.scratch(len(b) + 1)
 	var best Local
 	for i := 1; i <= len(a); i++ {
@@ -425,7 +436,7 @@ func (al *Aligner) Traceback(a, b []byte) (Local, []Op) {
 		return Local{}, nil
 	}
 	// Walk back from the endpoint.
-	var rev []Op
+	rev := al.ops[:0]
 	pushOp := func(k OpKind) {
 		if len(rev) > 0 && rev[len(rev)-1].Kind == k {
 			rev[len(rev)-1].Len++
@@ -468,10 +479,14 @@ walk:
 		}
 	}
 	best.AStart, best.BStart = i, j
-	for l, r := 0, len(rev)-1; l < r; l, r = l+1, r-1 {
-		rev[l], rev[r] = rev[r], rev[l]
+	al.ops = rev
+	// The caller keeps the operations, so they leave the scratch as an
+	// exact-size copy, reversed on the way.
+	ops := make([]Op, len(rev))
+	for l, op := range rev {
+		ops[len(rev)-1-l] = op
 	}
-	return best, rev
+	return best, ops
 }
 
 // FormatAlignment renders a three-line alignment (query, midline,

@@ -1,6 +1,8 @@
 package align
 
 import (
+	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -294,5 +296,32 @@ func TestAlignerScratchReuse(t *testing.T) {
 	second := al.Local(a, b).Score
 	if first != second {
 		t.Errorf("scratch reuse changed result: %d vs %d", first, second)
+	}
+}
+
+func TestTracebackScratchReuse(t *testing.T) {
+	// One Aligner tracing pairs of changing size must answer each as a
+	// fresh Aligner does: the direction matrix is |=-written, so a
+	// stale cell from a larger earlier call would corrupt the walk.
+	rng := rand.New(rand.NewSource(11))
+	reused := NewAligner(matrix.BLOSUM62, GapParams{Open: 3, Extend: 1})
+	var kept [][]Op
+	var want [][]Op
+	for n := 0; n < 200; n++ {
+		a := randomResidues(rng, 1+rng.Intn(60), 4)
+		b := mutate(rng, a, 4, 0.2, 0.1)
+		if len(b) == 0 {
+			continue
+		}
+		loc, ops := reused.Traceback(a, b)
+		wantLoc, wantOps := NewAligner(matrix.BLOSUM62, GapParams{Open: 3, Extend: 1}).Traceback(a, b)
+		if loc != wantLoc || !reflect.DeepEqual(ops, wantOps) {
+			t.Fatalf("call %d: reused aligner %+v %v, fresh aligner %+v %v", n, loc, ops, wantLoc, wantOps)
+		}
+		kept, want = append(kept, ops), append(want, wantOps)
+	}
+	// Returned operations must not alias the scratch later calls reuse.
+	if !reflect.DeepEqual(kept, want) {
+		t.Error("operations returned by earlier calls changed under later ones")
 	}
 }

@@ -389,9 +389,10 @@ func (ks *blockedScratch) scanGroup4(w0, hood1 []byte, base int) uint64 {
 }
 
 // scanBucket scores every (IL0, IL1) pair of one bucket with the
-// blocked kernel and appends surviving hits to *hits in exactly the
-// scalar kernel's (i, j) order.
-func (ks *blockedScratch) scanBucket(key uint32, il0 []index.Entry, hood0 []byte, il1 []index.Entry, hood1 []byte, hits *[]Hit) {
+// blocked kernel and leaves the survivors pending; it returns how many
+// there are, so the caller can make room once before flush appends
+// them in exactly the scalar kernel's (i, j) order.
+func (ks *blockedScratch) scanBucket(il0 []index.Entry, hood0 []byte, il1 []index.Entry, hood1 []byte) int {
 	subLen := ks.subLen
 	n0, n1 := len(il0), len(il1)
 
@@ -433,8 +434,7 @@ func (ks *blockedScratch) scanBucket(key uint32, il0 []index.Entry, hood0 []byte
 			}
 		}
 	}
-
-	ks.flush(key, il0, il1, hits)
+	return len(ks.nodes)
 }
 
 // scanSpan scores one lanes-wide group of IL1 windows starting at

@@ -70,7 +70,15 @@ func Run(ix0, ix1 *index.Index, cfg Config) (*Result, error) {
 			defer wg.Done()
 			lo := space * w / workers
 			hi := space * (w + 1) / workers
-			chunks[w] = scanKeys(ix0, ix1, uint32(lo), uint32(hi), &cfg, kernel)
+			// Chunk 0 projects its growth over the whole key space
+			// rather than its own share, so that it usually ends up
+			// with room for every chunk and the merge below can append
+			// to it in place.
+			span := hi - lo
+			if w == 0 {
+				span = space
+			}
+			chunks[w] = scanKeys(ix0, ix1, uint32(lo), uint32(hi), uint32(span), &cfg, kernel)
 		}(w)
 	}
 	wg.Wait()
@@ -81,10 +89,13 @@ func Run(ix0, ix1 *index.Index, cfg Config) (*Result, error) {
 		total += len(c.hits)
 		res.Pairs += c.pairs
 	}
-	// One exact allocation for the merged hits instead of growing by
-	// repeated append.
-	res.Hits = make([]Hit, 0, total)
-	for _, c := range chunks {
+	// Merge into chunk 0's buffer when it has the room, into one exact
+	// allocation otherwise.
+	res.Hits = chunks[0].hits
+	if cap(res.Hits) < total {
+		res.Hits = append(make([]Hit, 0, total), res.Hits...)
+	}
+	for _, c := range chunks[1:] {
 		res.Hits = append(res.Hits, c.hits...)
 	}
 	return res, nil
@@ -116,31 +127,30 @@ type chunk struct {
 	pairs int64
 }
 
+// reserve makes room for need more hits. append alone regrows a large
+// slice 1.25× at a time — on a bank of homologs, where most pairs
+// pass, that copied a search's hits five times over and was its
+// largest allocator. Instead the chunk grows to the size its hit rate
+// so far projects over span keys, of which done have been scanned,
+// plus an eighth; the projection is clamped to [2×, 4×] of what is
+// needed now, so a skewed start can neither stall growth nor
+// over-allocate by more than that.
+func (c *chunk) reserve(need int, done, span uint32) {
+	need += len(c.hits)
+	if need <= cap(c.hits) {
+		return
+	}
+	projected := int(int64(need) * int64(span) / int64(done))
+	projected += projected / 8
+	grown := make([]Hit, len(c.hits), min(max(projected, 2*need), 4*need))
+	copy(grown, c.hits)
+	c.hits = grown
+}
+
 // scanKeys runs the paper's nested loops over keys [lo, hi) with the
 // resolved kernel (never KernelAuto).
-func scanKeys(ix0, ix1 *index.Index, lo, hi uint32, cfg *Config, kernel Kernel) (c chunk) {
+func scanKeys(ix0, ix1 *index.Index, lo, hi, span uint32, cfg *Config, kernel Kernel) (c chunk) {
 	subLen := ix0.SubLen()
-
-	// Pre-size the chunk's hit slice from a bucket-density estimate:
-	// the expected pair count for uniformly spread buckets is
-	// e0/space × e1/space pairs per key. With the paper's thresholds a
-	// small fraction of scored pairs survive, so 1/128 of that
-	// (clamped) avoids most of the append regrowth without
-	// overcommitting memory — and the O(1) estimate keeps the hot
-	// per-op path free of an extra pass over the key space.
-	space := int64(ix0.Model().KeySpace())
-	chunkPairs := int64(ix0.NumEntries()) * int64(ix1.NumEntries()) / space
-	chunkPairs = chunkPairs * int64(hi-lo) / space
-	if chunkPairs > 0 {
-		est := chunkPairs / 128
-		if est < 16 {
-			est = 16
-		}
-		if est > 1<<20 {
-			est = 1 << 20
-		}
-		c.hits = make([]Hit, 0, est)
-	}
 
 	var ks *blockedScratch
 	if kernel == KernelBlocked {
@@ -157,7 +167,9 @@ func scanKeys(ix0, ix1 *index.Index, lo, hi uint32, cfg *Config, kernel Kernel) 
 		il1, hood1 := ix1.Bucket(k)
 		c.pairs += int64(len(il0)) * int64(len(il1))
 		if ks != nil && len(il1) >= ks.minIL1 {
-			ks.scanBucket(k, il0, hood0, il1, hood1, &c.hits)
+			n := ks.scanBucket(il0, hood0, il1, hood1)
+			c.reserve(n, k-lo+1, span)
+			ks.flush(k, il0, il1, &c.hits)
 			continue
 		}
 		// Scalar reference path; also used by the blocked kernel for
@@ -168,6 +180,9 @@ func scanKeys(ix0, ix1 *index.Index, lo, hi uint32, cfg *Config, kernel Kernel) 
 				w1 := hood1[j*subLen : (j+1)*subLen]
 				score := align.WindowScore(w0, w1, cfg.Matrix)
 				if score >= cfg.Threshold {
+					if len(c.hits) == cap(c.hits) {
+						c.reserve(1, k-lo+1, span)
+					}
 					c.hits = append(c.hits, Hit{
 						Key:    k,
 						E0:     il0[i],
