@@ -224,14 +224,17 @@ type hitGroup struct {
 	end        uint32
 }
 
-// groupHits buckets hits by (E0.Seq, E1.Seq) in O(len(hits)) with a
-// fixed number of allocations: a flat open-addressing table assigns
-// dense group ids, a counting sort scatters the seed offsets into one
+// groupHits buckets hits by (E0.Seq, E1.Seq) in O(len(hits)) without a
+// map and without per-group storage: one pass through a flat
+// open-addressing table assigns dense group ids and counts group
+// sizes, a counting sort then scatters the seed offsets into one
 // buffer. Two orders are part of the stage's result and are kept by
 // construction: groups are numbered in order of first appearance (the
 // final sort over alignments is not stable, so its input order
 // matters) and a group's seeds keep their input order (the
-// containment rule in extendGroup is order-dependent).
+// containment rule in extendGroup is order-dependent). Besides three
+// arrays sized from len(hits) it allocates only the group list, which
+// grows by doubling.
 func groupHits(hits []ungapped.Hit) ([]hitGroup, []seedPos, error) {
 	n := len(hits)
 	if n == 0 {
@@ -242,43 +245,35 @@ func groupHits(hits []ungapped.Hit) ([]hitGroup, []seedPos, error) {
 	}
 	// Load factor ≤ 1/2 even when every hit is its own group.
 	shift := 64 - bits.Len(uint(2*n-1))
-	// table maps a pair's hash slot to 1 + the index of the pair's
-	// first hit (0 = empty); the pair itself is read back from that
-	// hit, its dense id from gids.
+	// table maps a pair's hash slot to its group id + 1 (0 = empty);
+	// the pair itself is compared in groups, which stays cache-sized
+	// when hits outnumber groups — the case where grouping is a
+	// visible share of the stage.
 	table := make([]uint32, 1<<(64-shift))
 	mask := uint64(len(table) - 1)
 	gids := make([]uint32, n)
-	ngroups := uint32(0)
+	groups := make([]hitGroup, 0, 1024)
 	for i := range hits {
 		s0, s1 := hits[i].E0.Seq, hits[i].E1.Seq
 		slot := (uint64(s0)<<32 | uint64(s1)) * 0x9E3779B97F4A7C15 >> shift
 		for {
-			first := table[slot]
-			if first == 0 {
-				table[slot] = uint32(i) + 1
-				gids[i] = ngroups
-				ngroups++
-				break
+			id := table[slot]
+			if id == 0 {
+				groups = append(groups, hitGroup{seq0: s0, seq1: s1})
+				id = uint32(len(groups))
+				table[slot] = id
+			} else if g := &groups[id-1]; g.seq0 != s0 || g.seq1 != s1 {
+				slot = (slot + 1) & mask
+				continue
 			}
-			if f := &hits[first-1]; f.E0.Seq == s0 && f.E1.Seq == s1 {
-				gids[i] = gids[first-1]
-				break
-			}
-			slot = (slot + 1) & mask
+			gids[i] = id - 1
+			groups[id-1].end++ // the group's size, for now
+			break
 		}
 	}
 
-	// Counting sort: sizes, exclusive prefix sums held in end, then a
-	// scatter that advances each group's end to its true value.
-	groups := make([]hitGroup, ngroups)
-	seen := uint32(0)
-	for i, g := range gids {
-		if g == seen { // ids are dense in first-appearance order
-			groups[g].seq0, groups[g].seq1 = hits[i].E0.Seq, hits[i].E1.Seq
-			seen++
-		}
-		groups[g].end++
-	}
+	// Counting sort: exclusive prefix sums of the sizes held in end,
+	// then a scatter that advances each group's end to its true value.
 	sum := uint32(0)
 	for g := range groups {
 		size := groups[g].end
