@@ -50,11 +50,15 @@ TEXT ·cpuidLeaf1ECX(SB), NOSPLIT, $0-4
 // lane arrays), R13 = its bound, DI = best score so far, R8 = rows
 // that were left when it was first reached, DX = temp.
 //
-// XMM plan: X15 = 0, X14 = open+extend, X13/X12/X11 = 1/2/4 × extend,
-// X10 = (1..8) × extend, X9 = 0x70 bytes, X8 = 0x10 bytes, X4/X5 = the
-// row's 32 score bytes, X7 = running maximum of the row, X6 = the
-// previous vector's inclusive gap scan (its last lane is the carry),
-// X0-X3 = temps.
+// XMM plan: X15 = PSHUFB control broadcasting lane 7, X14 =
+// open+extend, X13/X12/X11 = 1/2/4 × extend, X10 = (1..8) × extend,
+// X9 = 0x70 bytes, X8 = 0x10 bytes, X4/X5 = the row's 32 score bytes,
+// X7 = running maximum of the row, X6 = the previous vector's inclusive
+// gap scan (its last lane is the carry), X0-X3 = temps.
+//
+// Gap costs are subtracted with unsigned saturation, so E and F bottom
+// out at 0 — as good as the scalar loop's negInf, see kernel.go — and
+// max(H+score, E) needs no separate clamp at 0.
 TEXT ·bandedRowsSSE41(SB), NOSPLIT, $0-8
 	MOVQ args+0(FP), AX
 	MOVQ ARG_A(AX), SI
@@ -69,7 +73,9 @@ TEXT ·bandedRowsSSE41(SB), NOSPLIT, $0-8
 	XORL DI, DI
 	XORL R8, R8
 
-	PXOR X15, X15
+	MOVQ $0x0F0E0F0E0F0E0F0E, DX
+	MOVQ DX, X15
+	PUNPCKLQDQ X15, X15
 	MOVQ ARG_OE(AX), DX
 	MOVQ DX, X14
 	PSHUFLW $0, X14, X14
@@ -125,9 +131,9 @@ vecLoop:
 	// above. The E lanes are updated in place — the lanes read here
 	// are overwritten only by this store and the next vector's.
 	MOVOU 2(R9)(CX*2), X0
-	PSUBSW X14, X0
+	PSUBUSW X14, X0
 	MOVOU 2(R11)(CX*2), X1
-	PSUBSW X13, X1
+	PSUBUSW X13, X1
 	PMAXSW X1, X0
 	MOVOU X0, (R11)(CX*2)
 
@@ -136,28 +142,27 @@ vecLoop:
 	MOVOU (R9)(CX*2), X1
 	PADDSW X1, X2
 	PMAXSW X0, X2
-	PMAXSW X15, X2
 
 	// F: inclusive max-plus scan of H-open-extend along the row,
 	// decaying by extend per lane, in three doubling steps...
 	MOVOU X2, X0
-	PSUBSW X14, X0
+	PSUBUSW X14, X0
 	MOVOU X0, X1
 	PSLLO $2, X1
-	PSUBSW X13, X1
+	PSUBUSW X13, X1
 	PMAXSW X1, X0
 	MOVOU X0, X1
 	PSLLO $4, X1
-	PSUBSW X12, X1
+	PSUBUSW X12, X1
 	PMAXSW X1, X0
 	MOVOU X0, X1
 	PSLLO $8, X1
-	PSUBSW X11, X1
+	PSUBUSW X11, X1
 	PMAXSW X1, X0
 	// ...joined with the previous vector's last lane...
-	PSHUFHW $0xFF, X6, X1
-	PSHUFD  $0xFF, X1, X1
-	PSUBSW X10, X1
+	MOVOU X6, X1
+	PSHUFB X15, X1
+	PSUBUSW X10, X1
 	PMAXSW X1, X0
 	// ...and shifted one lane right, because a gap opened at lane k
 	// is first usable at lane k+1.
