@@ -26,10 +26,12 @@
 //
 // No masks on E and F. H is clamped at 0, so E and F matter only when
 // positive, and every non-positive value stands for the scalar loop's
-// negInf: subtracting gap costs from it (with saturation) keeps it
-// non-positive, and max() with it changes nothing that is positive. So
-// the lanes start at 0 instead of -∞, byte shifts may shift zeros in,
-// and cells left of the band or above the matrix need no special case.
+// negInf: subtracting gap costs from it keeps it non-positive, and
+// max() with it changes nothing that is positive. The kernel subtracts
+// gap costs with unsigned saturation, so E and F bottom out at 0: the
+// lanes start at 0 instead of -∞, byte shifts may shift zeros in,
+// cells left of the band or above the matrix need no special case, and
+// max(H+score, E) needs no separate clamp at 0.
 //
 // Matrix edges. The subject is copied between two runs of a padding
 // code that scores -128 against everything. Left of column 1 every
@@ -49,13 +51,13 @@
 // afterwards. Row-major order is row first, then lane, so this is the
 // scalar loop's cell.
 //
-// Fallback. Lanes are int16 with saturating arithmetic. A call runs
-// the scalar loop instead when min(len(a), len(b))·MaxScore could
-// exceed the lanes, when the gap costs are negative, zero-extend or
-// huge, when the clipped band is wider than kernelMaxLanes (the H
-// scratch bound), when a residue is not a protein code
-// (the scalar loop panics on those, and keeps doing so), or when the
-// CPU lacks SSE4.1.
+// Fallback. Lanes are int16, and no value that matters may saturate.
+// A call runs the scalar loop instead when min(len(a), len(b))·MaxScore
+// could exceed the lanes, when the gap costs are negative, zero-extend
+// or huge, when the clipped band is wider than kernelMaxLanes (the H
+// scratch bound), when a residue is not a protein code (the scalar
+// loop panics on those, and keeps doing so), or when the CPU lacks
+// SSE4.1.
 //
 // There is no portable SWAR variant and no selector: a band-coordinate
 // scalar rewrite measured within 3 % of the plain loop (the loop-
