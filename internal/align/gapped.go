@@ -378,12 +378,12 @@ func (al *Aligner) Traceback(a, b []byte) (Local, []Op) {
 	cols := len(b) + 1
 	// The direction matrix is |=-written (a cell's gap provenance is
 	// recorded before its source), so the reused prefix is cleared.
-	if need := (len(a) + 2) * cols; cap(al.dir) < need {
+	need := (len(a) + 2) * cols
+	if cap(al.dir) < need {
 		al.dir = make([]byte, need)
-	} else {
-		clear(al.dir[:need])
 	}
-	dir := al.dir[:(len(a)+2)*cols]
+	dir := al.dir[:need]
+	clear(dir)
 	h, e := al.scratch(len(b) + 1)
 	var best Local
 	for i := 1; i <= len(a); i++ {

@@ -127,10 +127,18 @@ type bandedKernel struct {
 	bpad []byte  // padded (and, for a reverse pass, reversed) subject
 	h    []int16 // H rows, stride lanes apart, row 0 all zero
 	e    []int16 // E lanes
-	mask []int16 // lane mask, valid for maskW lanes of maskLanes
-	// maskW and maskLanes describe what mask currently holds.
-	maskW, maskLanes int
 }
+
+// kernelMask is every call's lane mask: kernelMaxLanes lanes of all
+// ones, then one vector of zeros. A band of w lanes reads it from
+// index kernelMaxLanes-w, so that its lanes 0..w-1 see ones and the
+// vector padding after them zeros.
+var kernelMask = func() (m [kernelMaxLanes + kernelLanes]int16) {
+	for i := range m[:kernelMaxLanes] {
+		m[i] = -1
+	}
+	return m
+}()
 
 func (k *bandedKernel) init(m *matrix.Matrix, gap GapParams) {
 	if !hasBandedKernel || gap.Open < 0 || gap.Extend < 1 || gap.Open+gap.Extend > kernelMaxGap {
@@ -227,21 +235,9 @@ func (al *Aligner) bandedEndKernel(a, b []byte, diag, band, stop int, reversed b
 	clear(h[:stride])
 	if cap(k.e) < stride {
 		k.e = make([]int16, stride)
-		k.mask = make([]int16, stride)
-		k.maskLanes = 0
 	}
 	e := k.e[:stride]
 	clear(e)
-	if k.maskW != w || k.maskLanes != lanes {
-		mask := k.mask[:lanes]
-		for i := range mask {
-			mask[i] = 0
-			if i < w {
-				mask[i] = -1
-			}
-		}
-		k.maskW, k.maskLanes = w, lanes
-	}
 
 	args := bandedArgs{
 		a:      unsafe.Pointer(&a[i0-1]),
@@ -250,7 +246,7 @@ func (al *Aligner) bandedEndKernel(a, b []byte, diag, band, stop int, reversed b
 		tab:    unsafe.Pointer(&k.tab[0]),
 		h:      unsafe.Pointer(&h[0]),
 		e:      unsafe.Pointer(&e[0]),
-		mask:   unsafe.Pointer(&k.mask[0]),
+		mask:   unsafe.Pointer(&kernelMask[kernelMaxLanes-w]),
 		rows:   rows,
 		nvec:   nvec,
 		stride: stride * 2,

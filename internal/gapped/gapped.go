@@ -178,7 +178,7 @@ func RunWithStats(b0, b1 *bank.Bank, hits []ungapped.Hit, cfg Config) ([]Alignme
 	for _, as := range found {
 		total += len(as)
 	}
-	var out []Alignment // nil when nothing was found, as before
+	var out []Alignment // stays nil when nothing was found
 	if total > 0 {
 		out = make([]Alignment, 0, total)
 	}
@@ -252,7 +252,7 @@ func groupHits(hits []ungapped.Hit) ([]hitGroup, []seedPos, error) {
 	table := make([]uint32, 1<<(64-shift))
 	mask := uint64(len(table) - 1)
 	gids := make([]uint32, n)
-	groups := make([]hitGroup, 0, 1024)
+	groups := make([]hitGroup, 0, min(n, 1024))
 	for i := range hits {
 		s0, s1 := hits[i].E0.Seq, hits[i].E1.Seq
 		slot := (uint64(s0)<<32 | uint64(s1)) * 0x9E3779B97F4A7C15 >> shift

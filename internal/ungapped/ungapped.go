@@ -180,9 +180,7 @@ func scanKeys(ix0, ix1 *index.Index, lo, hi, span uint32, cfg *Config, kernel Ke
 				w1 := hood1[j*subLen : (j+1)*subLen]
 				score := align.WindowScore(w0, w1, cfg.Matrix)
 				if score >= cfg.Threshold {
-					if len(c.hits) == cap(c.hits) {
-						c.reserve(1, k-lo+1, span)
-					}
+					c.reserve(1, k-lo+1, span)
 					c.hits = append(c.hits, Hit{
 						Key:    k,
 						E0:     il0[i],
