@@ -1,14 +1,13 @@
 // Command seedclusterd is the scatter-gather coordinator daemon: it
-// speaks the same submit/poll/fetch/cancel HTTP+JSON job API as
+// speaks the same submit/wait/fetch/cancel HTTP+JSON job API as
 // seedservd, but behind every job it partitions the subject bank into
 // volumes, scatters one comparison per volume across a set of
 // seedservd workers (each job carrying the full bank's search-space
 // geometry, so per-volume E-values match the unpartitioned run), and
 // gathers the merged, globally re-ranked alignments — streamed off
-// each worker's NDJSON fetch path and k-way merged, so no per-volume
-// input list is buffered whole on the coordinator (the merged report
-// itself is retained for the job API). Failed workers are retried
-// around; /cluster/metrics exposes per-worker latency, retry counts
+// each worker's NDJSON fetch path as its volume finishes, counted
+// against the volume job's status, and k-way merged. Failed workers,
+// short streams included, are retried around; /cluster/metrics exposes per-worker latency, retry counts
 // and volume skew.
 //
 //	# two workers, then the coordinator over them:
@@ -30,7 +29,7 @@
 //	# exactly the seedservd client flow:
 //	curl -s localhost:8844/v1/jobs -d '{"query":[{"id":"q0","seq":"MKV..."}],
 //	  "subject":[{"id":"s0","seq":"MKI..."}],"options":{"maxEValue":10}}'
-//	curl -s localhost:8844/v1/jobs/cjob-1
+//	curl -s localhost:8844/v1/jobs/cjob-1?wait=30s
 //	curl -s localhost:8844/v1/jobs/cjob-1/alignments
 //	curl -sN localhost:8844/v1/jobs/cjob-1/alignments?stream=1
 //	curl -s localhost:8844/v1/jobs/cjob-1/trace
@@ -43,6 +42,7 @@ import (
 	"errors"
 	"flag"
 	"log/slog"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -61,7 +61,6 @@ func main() {
 		volumes     = flag.Int("volumes", 0, "volumes per request (0 = one per worker)")
 		maxAttempts = flag.Int("max-attempts", 0, "distinct workers tried per volume before the request fails (0 = all)")
 		fanOut      = flag.Int("fan-out", 0, "volume jobs in flight at once per request (0 = one per worker)")
-		poll        = flag.Duration("poll-interval", 25*time.Millisecond, "worker job poll cadence")
 		maxJobs     = flag.Int("max-jobs", 256, "finished jobs kept pollable before the oldest are dropped")
 		jobTTL      = flag.Duration("job-ttl", 15*time.Minute, "finished jobs expire after this age (negative disables)")
 		maxQueued   = flag.Int("max-queued", 1024, "unfinished jobs accepted before submissions get 503")
@@ -86,12 +85,11 @@ func main() {
 		fatal("bad -strategy", "err", err)
 	}
 	coord, err := cluster.New(cluster.Config{
-		Workers:      urls,
-		Partitioner:  part,
-		Volumes:      *volumes,
-		MaxAttempts:  *maxAttempts,
-		FanOut:       *fanOut,
-		PollInterval: *poll,
+		Workers:     urls,
+		Partitioner: part,
+		Volumes:     *volumes,
+		MaxAttempts: *maxAttempts,
+		FanOut:      *fanOut,
 	})
 	if err != nil {
 		fatal("coordinator setup failed", "err", err)
@@ -114,14 +112,17 @@ func main() {
 
 	server := cluster.NewServer(coord, cluster.ServerConfig{MaxJobsRetained: *maxJobs, JobTTL: *jobTTL, MaxQueued: *maxQueued})
 	defer server.Close()
+	// Requests inherit the signal context, so a long-poll returns on
+	// SIGINT instead of holding Shutdown to its timeout.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	defer stop()
 	srv := &http.Server{
 		Addr:              *addr,
 		Handler:           cluster.NewHandler(server),
 		ReadHeaderTimeout: 10 * time.Second,
+		BaseContext:       func(net.Listener) context.Context { return ctx },
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
 	go func() {
 		<-ctx.Done()
 		logger.Info("shutting down")

@@ -1,6 +1,6 @@
 // Command seedservd serves the seed-based comparison pipeline over
 // HTTP+JSON: clients submit bank-vs-bank or protein-vs-genome jobs,
-// poll their status and fetch alignments; prebuilt subject indexes are
+// wait on their status and fetch alignments; prebuilt subject indexes are
 // cached and shared across requests and a worker pool bounds how many
 // comparisons run at once.
 //
@@ -12,12 +12,12 @@
 //	seeddb build -proteins nr.fasta -out nr.seeddb
 //	seedservd -db nr.seeddb
 //
-//	# submit, poll, fetch (add ?stream=1 for chunked NDJSON — one
-//	# alignment per line, decoded incrementally by
-//	# service.Client.StreamAlignments):
+//	# submit, wait, fetch (?wait=30s holds the status reply until the
+//	# job ends; add ?stream=1 for chunked NDJSON — one alignment per
+//	# line, decoded incrementally by service.Client.StreamAlignments):
 //	curl -s localhost:8844/v1/jobs -d '{"query":[{"id":"q0","seq":"MKV..."}],
 //	  "subject":[{"id":"s0","seq":"MKI..."}],"options":{"maxEValue":10}}'
-//	curl -s localhost:8844/v1/jobs/job-1
+//	curl -s localhost:8844/v1/jobs/job-1?wait=30s
 //	curl -s localhost:8844/v1/jobs/job-1/alignments
 //	curl -sN localhost:8844/v1/jobs/job-1/alignments?stream=1
 //	curl -s localhost:8844/metrics
@@ -28,6 +28,7 @@ import (
 	"errors"
 	"flag"
 	"log/slog"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -83,14 +84,17 @@ func main() {
 		}
 		logger.Info("pprof listening", "addr", bound)
 	}
+	// Requests inherit the signal context, so a long-poll returns on
+	// SIGINT instead of holding Shutdown to its timeout.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	defer stop()
 	srv := &http.Server{
 		Addr:              *addr,
 		Handler:           service.NewHandler(svc),
 		ReadHeaderTimeout: 10 * time.Second,
+		BaseContext:       func(net.Listener) context.Context { return ctx },
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
 	go func() {
 		<-ctx.Done()
 		logger.Info("shutting down")

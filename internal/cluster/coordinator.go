@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"iter"
 	"sync"
 	"time"
 
@@ -32,8 +31,6 @@ type Config struct {
 	// FanOut bounds how many volume jobs the coordinator keeps in
 	// flight at once per request. Zero means one per worker.
 	FanOut int
-	// PollInterval is the job-status poll cadence. Zero means 25 ms.
-	PollInterval time.Duration
 	// Client tunes the per-worker HTTP clients (timeouts, retry
 	// backoff for idempotent calls).
 	Client service.ClientConfig
@@ -55,9 +52,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.FanOut <= 0 {
 		c.FanOut = len(c.Workers)
-	}
-	if c.PollInterval <= 0 {
-		c.PollInterval = 25 * time.Millisecond
 	}
 	return c
 }
@@ -210,7 +204,7 @@ func (c *Coordinator) Compare(ctx context.Context, query, subject []service.Sequ
 }
 
 // volumeResult is one scattered volume's completed job with its
-// already-opened (and primed) result stream, ready for the gather.
+// fetched result behind a merge cursor, ready for the gather.
 type volumeResult struct {
 	status   *service.JobStatusJSON
 	cursor   *volumeCursor
@@ -240,15 +234,6 @@ func (c *Coordinator) scatterGather(pctx context.Context, query, subject []servi
 	rank := wireRanker(vols, query, subject)
 	sem := make(chan struct{}, c.cfg.FanOut)
 	results := make([]volumeResult, len(vols))
-	// Every opened volume stream is released on exit, success or not
-	// (stopping an exhausted stream is a no-op).
-	defer func() {
-		for i := range results {
-			if cur := results[i].cursor; cur != nil {
-				cur.stop()
-			}
-		}
-	}()
 	tr := telemetry.TraceFromContext(pctx)
 	scatterStart := time.Now()
 	var wg sync.WaitGroup
@@ -262,7 +247,7 @@ func (c *Coordinator) scatterGather(pctx context.Context, query, subject []servi
 				return
 			}
 			defer func() { <-sem }()
-			res, err := c.runVolume(ctx, vi, vols[vi], query, subject, opt, rank)
+			res, err := c.runVolume(ctx, vi, vols[vi], query, subject, opt)
 			if err != nil {
 				fail(err)
 				return
@@ -283,14 +268,10 @@ func (c *Coordinator) scatterGather(pctx context.Context, query, subject []servi
 		return nil, err
 	}
 
-	// Gather: k-way merge the per-volume result streams into the global
-	// ranking. Each volume's stream was opened — and its head pulled —
-	// the moment its job completed, so the worker began writing (and so
-	// pinned) the result immediately; the merge then consumes the
-	// streams head-first, buffering one in-flight record per volume on
-	// the input side instead of every volume's full list plus ranking
-	// scratch. The merged output itself is still materialized — the
-	// async job API has to hold it for later fetches.
+	// Gather: k-way merge the per-volume results, each already in the
+	// global order, into the global ranking — no ranking scratch and no
+	// sort. The merged output is materialized: the async job API has to
+	// hold it for later fetches.
 	rep := &Report{Volumes: len(vols)}
 	curs := make([]*volumeCursor, len(vols))
 	for vi := range results {
@@ -361,8 +342,7 @@ func wireRanker(vols []Volume, query, subject []service.SequenceJSON) func(int, 
 // starting at the volume's preferred worker (volumes spread
 // round-robin) and excluding workers that already failed this volume.
 func (c *Coordinator) runVolume(ctx context.Context, vi int, vol Volume,
-	query, subject []service.SequenceJSON, opt service.OptionsJSON,
-	rank func(int, service.AlignmentJSON) rankedAlignment) (volumeResult, error) {
+	query, subject []service.SequenceJSON, opt service.OptionsJSON) (volumeResult, error) {
 	sub := make([]service.SequenceJSON, len(vol.Seqs))
 	for local, gi := range vol.Seqs {
 		sub[local] = subject[gi]
@@ -377,7 +357,7 @@ func (c *Coordinator) runVolume(ctx context.Context, vi int, vol Volume,
 		wi := (vi + try) % len(c.clients)
 		attempts++
 		start := time.Now()
-		st, cur, err := c.runVolumeOn(ctx, c.clients[wi], req, vi, rank)
+		st, cur, err := c.runVolumeOn(ctx, c.clients[wi], req, vi)
 		if err == nil {
 			latency := time.Since(start)
 			c.met.volumeDone(wi, latency)
@@ -413,21 +393,20 @@ type permanentError struct{ err error }
 func (e *permanentError) Error() string { return e.err.Error() }
 func (e *permanentError) Unwrap() error { return e.err }
 
-// runVolumeOn executes one volume job on one worker: submit → poll to
-// completion → open the result stream and pull its head. Priming the
-// stream immediately makes the worker start writing the response, so
-// the result cannot be evicted from the worker's job store (max-jobs /
-// job-ttl) while slower volumes finish; the records themselves are
-// consumed later by the gather's k-way merge. A failure to open the
-// stream counts as a worker failure — the caller retries the volume on
-// another worker, exactly as a failed fetch always did. When the wait
-// or the open is abandoned (context cancelled or worker unreachable)
+// runVolumeOn executes one volume job on one worker: submit → long-poll
+// to completion → stream the result off the worker and count it. The
+// fetch follows the job's end at once, so the result cannot be evicted
+// from the worker's job store (max-jobs / job-ttl) while slower volumes
+// finish, and it happens here rather than in the gather so that a
+// stream that fails, or ends cleanly short of the alignment count the
+// job's status reports, is this worker's failure — the caller retries
+// the volume on another worker — and never a short merge. When the wait
+// or the fetch is abandoned (context cancelled or worker unreachable)
 // the job is best-effort cancelled on the worker over a detached
 // context, so an abandoned volume does not keep burning a worker's
 // admission slot.
 func (c *Coordinator) runVolumeOn(ctx context.Context, cl *service.Client,
-	req *service.JobRequestJSON, vi int,
-	rank func(int, service.AlignmentJSON) rankedAlignment) (*service.JobStatusJSON, *volumeCursor, error) {
+	req *service.JobRequestJSON, vi int) (*service.JobStatusJSON, *volumeCursor, error) {
 	id, err := cl.Submit(ctx, req)
 	if err != nil {
 		var ae *service.APIError
@@ -441,7 +420,7 @@ func (c *Coordinator) runVolumeOn(ctx context.Context, cl *service.Client,
 		defer dcancel()
 		_ = cl.Cancel(dctx, id)
 	}
-	st, err := cl.Wait(ctx, id, c.cfg.PollInterval)
+	st, err := cl.Wait(ctx, id, 0)
 	if err != nil {
 		abandon()
 		return nil, nil, fmt.Errorf("wait: %w", err)
@@ -449,12 +428,20 @@ func (c *Coordinator) runVolumeOn(ctx context.Context, cl *service.Client,
 	if st.State != string(service.JobDone) {
 		return nil, nil, &permanentError{fmt.Errorf("worker job %s: %s", st.State, st.Error)}
 	}
-	next, stop := iter.Pull2(cl.StreamAlignments(ctx, id))
-	cur := &volumeCursor{vi: vi, pull: next, stop: stop}
-	if err := cur.advance(rank); err != nil {
-		stop()
-		abandon()
-		return nil, nil, fmt.Errorf("fetch: %w", err)
+	var aligns []service.AlignmentJSON
+	for a, err := range cl.StreamAlignments(ctx, id) {
+		if err != nil {
+			abandon()
+			return nil, nil, fmt.Errorf("fetch: %w", err)
+		}
+		aligns = append(aligns, a)
+	}
+	want := -1 // a done status without its summary matches no stream
+	if st.Alignments != nil {
+		want = *st.Alignments
+	}
+	if len(aligns) != want {
+		return nil, nil, fmt.Errorf("fetch: stream ended after %d alignments, job status reports %d", len(aligns), want)
 	}
 	// Stitch the worker's spans into the request trace, stamped with
 	// where they ran. The worker recorded them under the same trace ID
@@ -466,7 +453,7 @@ func (c *Coordinator) runVolumeOn(ctx context.Context, cl *service.Client,
 				telemetry.String("worker", cl.BaseURL()), telemetry.Int("volume", vi))
 		}
 	}
-	return st, cur, nil
+	return st, sliceCursor(vi, aligns), nil
 }
 
 // normalizeIDs fills empty sequence ids with the same positional

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -9,6 +10,7 @@ import (
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -177,6 +179,76 @@ func TestCoordinatorRetriesOnWorkerFailure(t *testing.T) {
 	}
 }
 
+// shortWorker is a real worker whose NDJSON fetch drops the last line
+// of every non-empty result and still ends the body cleanly — the
+// handler that stops writing early. dropped counts the lines lost.
+func shortWorker(t testing.TB) (url string, dropped *atomic.Int64) {
+	t.Helper()
+	svc := service.New(service.Config{})
+	h := service.NewHandler(svc)
+	dropped = new(atomic.Int64)
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Query().Get("stream") != "1" {
+			h.ServeHTTP(w, r)
+			return
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, r)
+		body := rec.Body.Bytes()
+		if cut := bytes.LastIndexByte(bytes.TrimSuffix(body, []byte("\n")), '\n'); rec.Code == http.StatusOK && cut >= 0 {
+			body = body[:cut+1]
+			dropped.Add(1)
+		}
+		w.Header().Set("Content-Type", rec.Header().Get("Content-Type"))
+		w.WriteHeader(rec.Code)
+		_, _ = w.Write(body)
+	}))
+	t.Cleanup(func() {
+		srv.Close()
+		svc.Close()
+	})
+	return srv.URL, dropped
+}
+
+// TestCoordinatorRetriesOnShortStream: a volume whose stream delivers
+// fewer records than its job's status promised — well-formed lines, a
+// clean EOF — is a failed fetch: the volume moves to the next worker
+// and the merge is whole, or the request fails; never a short answer.
+func TestCoordinatorRetriesOnShortStream(t *testing.T) {
+	query, subject := wireWorkload(t, 6, 52)
+	want := singleNodeReference(t, query, subject)
+
+	short, dropped := shortWorker(t)
+	coord, err := New(Config{Workers: []string{short, startWorker(t)}, Volumes: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := coord.Compare(context.Background(), query, subject, wireOptions())
+	if err != nil {
+		t.Fatalf("short stream was not retried around: %v", err)
+	}
+	if dropped.Load() == 0 {
+		t.Fatal("the short worker served no stream; the test exercised nothing")
+	}
+	if !reflect.DeepEqual(rep.Alignments, want) {
+		t.Fatalf("gather after a short stream differs from single-node output: got %d alignments, want %d",
+			len(rep.Alignments), len(want))
+	}
+	if m := coord.Metrics(); rep.Retries == 0 || m.Workers[0].Failures == 0 {
+		t.Errorf("short stream not charged: %d retries, %d failures on the short worker", rep.Retries, m.Workers[0].Failures)
+	}
+
+	// With nobody to retry on, the request fails and says why.
+	alone, err := New(Config{Workers: []string{short}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = alone.Compare(context.Background(), query, subject, wireOptions())
+	if err == nil || !strings.Contains(err.Error(), "job status reports") {
+		t.Fatalf("short stream from the only worker: %v", err)
+	}
+}
+
 // TestCoordinatorFailsWhenNoWorkerSurvives: when every worker is
 // broken the request must fail with the volume's last error, and the
 // failure must be counted.
@@ -302,7 +374,7 @@ func TestCoordinatorCancellationPropagates(t *testing.T) {
 	query, subject := wireWorkload(t, 4, 54)
 	h1, u1 := newHangingWorker(t)
 	h2, u2 := newHangingWorker(t)
-	coord, err := New(Config{Workers: []string{u1, u2}, Volumes: 4, PollInterval: 5 * time.Millisecond})
+	coord, err := New(Config{Workers: []string{u1, u2}, Volumes: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -101,7 +101,8 @@ func (s *Server) Close() { s.store.StopSweeper() }
 //
 //	POST   /v1/jobs                 submit a comparison; returns {"id": ...}
 //	GET    /v1/jobs                 list job summaries
-//	GET    /v1/jobs/{id}            poll one job's status
+//	GET    /v1/jobs/{id}            one job's status (?wait=30s: held until
+//	                                the job ends, as on workers)
 //	DELETE /v1/jobs/{id}            cancel a job (propagates to workers)
 //	GET    /v1/jobs/{id}/alignments fetch a finished job's merged alignments
 //	                                (?stream=1: chunked NDJSON, as on workers)
@@ -262,7 +263,7 @@ func (j *clusterJob) statusJSON() service.JobStatusJSON {
 }
 
 func (s *Server) status(w http.ResponseWriter, r *http.Request) {
-	if j, ok := s.lookup(w, r); ok {
+	if j, ok := s.lookup(w, r); ok && service.AwaitJob(w, r, j.done) {
 		service.WriteJSON(w, http.StatusOK, j.statusJSON())
 	}
 }
@@ -309,8 +310,7 @@ func (s *Server) alignments(w http.ResponseWriter, r *http.Request) {
 		service.WriteError(w, http.StatusConflict, "job failed: %v", err)
 		return
 	case service.JobQueued, service.JobRunning:
-		w.Header().Set("Retry-After", "1")
-		service.WriteError(w, http.StatusConflict, "job is %s; poll until done", state)
+		service.WriteError(w, http.StatusConflict, "job is %s; GET /v1/jobs/%s?wait=30s returns when it ends", state, j.id)
 		return
 	}
 	if r.URL.Query().Get("stream") == "1" {

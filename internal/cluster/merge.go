@@ -100,19 +100,25 @@ func mergeWireAlignments(vols []Volume, perVol [][]service.AlignmentJSON,
 }
 
 // volumeCursor is one volume's position in the k-way merge: a pull
-// over its (already globally-ranked) wire stream plus the current
-// head. The coordinator primes each cursor (advances it once) the
-// moment its volume job completes, which starts the worker writing the
-// response and so freezes the result against job-store eviction while
-// the remaining volumes finish.
+// over its (already globally-ranked) records plus the current head.
 type volumeCursor struct {
 	vi     int
 	pull   func() (service.AlignmentJSON, error, bool)
-	stop   func()
 	cur    rankedAlignment
 	primed bool // cur holds an unconsumed head
 	done   bool // stream exhausted
 	count  int  // alignments consumed from this volume
+}
+
+// sliceCursor is a cursor over one volume's fetched records.
+func sliceCursor(vi int, as []service.AlignmentJSON) *volumeCursor {
+	return &volumeCursor{vi: vi, pull: func() (a service.AlignmentJSON, err error, ok bool) {
+		if len(as) == 0 {
+			return a, nil, false
+		}
+		a, as = as[0], as[1:]
+		return a, nil, true
+	}}
 }
 
 // advance loads the next stream element into cur, setting primed, or
@@ -134,7 +140,7 @@ func (c *volumeCursor) advance(rank func(vi int, a service.AlignmentJSON) ranked
 }
 
 // mergeAlignmentStreams k-way merges per-volume wire streams into the
-// globally ranked result without buffering any volume's input whole.
+// globally ranked result in one pass, holding one head per volume.
 // Each stream must already be ordered under the global ranking — which
 // per-volume results are: a worker sorts by (Seq0, EValue, local
 // Seq1), query numbering is shared, and a volume's local→global
@@ -145,13 +151,11 @@ func (c *volumeCursor) advance(rank func(vi int, a service.AlignmentJSON) ranked
 // pinned against mergeWireAlignments by tests.
 func mergeAlignmentStreams(curs []*volumeCursor,
 	rank func(vi int, a service.AlignmentJSON) rankedAlignment) ([]service.AlignmentJSON, error) {
-	// Seed the heap with each stream's head (cursors may arrive primed).
+	// Seed the heap with each stream's head.
 	h := make([]*volumeCursor, 0, len(curs))
 	for _, c := range curs {
-		if !c.primed && !c.done {
-			if err := c.advance(rank); err != nil {
-				return nil, fmt.Errorf("volume %d: %w", c.vi, err)
-			}
+		if err := c.advance(rank); err != nil {
+			return nil, fmt.Errorf("volume %d: %w", c.vi, err)
 		}
 		if c.primed {
 			h = append(h, c)

@@ -11,23 +11,13 @@ import (
 	"seedblast/internal/service"
 )
 
-// sliceCursor wraps a buffered per-volume list as a stream cursor, so
-// the k-way merge can be pinned against the buffered reference merge
-// on synthetic data.
+// sliceCursors wraps buffered per-volume lists as the cursors the
+// coordinator builds, so the k-way merge can be pinned against the
+// buffered reference merge on synthetic data.
 func sliceCursors(perVol [][]service.AlignmentJSON) []*volumeCursor {
 	curs := make([]*volumeCursor, len(perVol))
 	for vi, as := range perVol {
-		seq := func(as []service.AlignmentJSON) iter.Seq2[service.AlignmentJSON, error] {
-			return func(yield func(service.AlignmentJSON, error) bool) {
-				for _, a := range as {
-					if !yield(a, nil) {
-						return
-					}
-				}
-			}
-		}(as)
-		next, _ := iter.Pull2(seq)
-		curs[vi] = &volumeCursor{vi: vi, pull: next}
+		curs[vi] = sliceCursor(vi, as)
 	}
 	return curs
 }

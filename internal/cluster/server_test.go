@@ -77,7 +77,7 @@ func TestServerJobFlow(t *testing.T) {
 // beyond MaxQueued get 503 instead of pinning unbounded memory.
 func TestServerQueueBounded(t *testing.T) {
 	_, u := newHangingWorker(t)
-	coord, err := New(Config{Workers: []string{u}, PollInterval: 5 * time.Millisecond})
+	coord, err := New(Config{Workers: []string{u}})
 	if err != nil {
 		t.Fatal(err)
 	}

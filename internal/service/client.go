@@ -1,13 +1,13 @@
 package service
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"iter"
-	"math/rand/v2"
 	"net/http"
 	"strings"
 	"time"
@@ -16,7 +16,7 @@ import (
 )
 
 // Client is a typed HTTP client for the service's job API
-// (submit/poll/fetch/cancel as served by NewHandler). It is the one
+// (submit/wait/fetch/cancel as served by NewHandler). It is the one
 // place the wire protocol is spoken from the client side: the cluster
 // coordinator scatters volumes through it and the end-to-end smoke
 // tests drive daemons with it, so a protocol change breaks loudly in
@@ -104,59 +104,38 @@ func (c *Client) Submit(ctx context.Context, req *JobRequestJSON) (string, error
 	return out.ID, nil
 }
 
-// Status polls one job.
-func (c *Client) Status(ctx context.Context, id string) (*JobStatusJSON, error) {
-	var st JobStatusJSON
-	if err := c.do(ctx, http.MethodGet, "/v1/jobs/"+id, nil, &st, true); err != nil {
-		return nil, err
-	}
-	return &st, nil
-}
-
-// waitBackoffCap bounds how far Wait's poll interval grows: 16× the
-// base interval, but never beyond 5 s, so a long job is still noticed
-// within seconds of finishing.
-const (
-	waitBackoffFactor = 16
-	waitBackoffMax    = 5 * time.Second
-)
-
-// Wait polls the job until it reaches a terminal state (done or failed
-// — inspect the returned status) or ctx is cancelled. interval <= 0
-// means 25 ms.
-//
-// interval is the base poll cadence, not a fixed one: successive polls
-// back off exponentially from interval up to min(16×interval, 5s), and
-// every delay is jittered ±25%. A fixed cadence synchronizes thousands
-// of concurrent pollers against one daemon — every client that
-// submitted in the same burst polls in the same instant, forever; the
-// jittered backoff spreads them out while keeping the first polls (the
-// ones that catch short jobs) fast.
+// Wait returns the job's status once it is terminal (done or failed —
+// inspect the returned status), or an error when ctx is cancelled or a
+// request fails. It long-polls: each request asks the server to hold
+// the reply for MaxWait (GET /v1/jobs/{id}?wait=30s), so a job costs
+// one request however long it runs and the caller learns of its end as
+// soon as the server does. A reply that is still not terminal — the
+// wait ran out, or the server predates the wait parameter and answered
+// at once — is asked for again after interval, which paces that loop
+// and nothing else. interval <= 0 means 25 ms.
 func (c *Client) Wait(ctx context.Context, id string, interval time.Duration) (*JobStatusJSON, error) {
 	if interval <= 0 {
 		interval = 25 * time.Millisecond
 	}
-	maxDelay := min(waitBackoffFactor*interval, waitBackoffMax)
-	if maxDelay < interval {
-		maxDelay = interval
+	// The reply must arrive inside the HTTP client's own response timeout.
+	wait := MaxWait
+	if t := c.httpc.Timeout; t > 0 {
+		wait = min(wait, t/2)
 	}
-	delay := interval
+	path := "/v1/jobs/" + id + "?wait=" + wait.String()
 	for {
-		st, err := c.Status(ctx, id)
-		if err != nil {
+		var st JobStatusJSON
+		if err := c.do(ctx, http.MethodGet, path, nil, &st, true); err != nil {
 			return nil, err
 		}
 		if st.State == string(JobDone) || st.State == string(JobFailed) {
-			return st, nil
+			return &st, nil
 		}
-		// ±25% jitter, then grow toward the cap.
-		jittered := delay/2 + time.Duration(rand.Int64N(int64(delay)))/2 + delay/4
 		select {
-		case <-time.After(jittered):
+		case <-time.After(interval):
 		case <-ctx.Done():
 			return nil, ctx.Err()
 		}
-		delay = min(2*delay, maxDelay)
 	}
 }
 
@@ -186,29 +165,79 @@ func (c *Client) StreamAlignments(ctx context.Context, id string) iter.Seq2[Alig
 			return
 		}
 		defer drainClose(resp.Body) // drained even when the consumer stops early, so the stream connection is reused
-		dec := json.NewDecoder(resp.Body)
-		array := strings.Contains(resp.Header.Get("Content-Type"), "application/json")
-		if array {
-			// Array fallback: consume the opening bracket, then decode
-			// elements one by one — still incremental.
-			if _, err := dec.Token(); err != nil {
-				yield(AlignmentJSON{}, fmt.Errorf("service: decoding alignments: %w", err))
-				return
-			}
+		records := ndjsonAlignments
+		if strings.Contains(resp.Header.Get("Content-Type"), "application/json") {
+			records = arrayAlignments
 		}
-		for {
-			if array && !dec.More() {
-				return
-			}
-			var aj AlignmentJSON
-			if err := dec.Decode(&aj); err != nil {
-				if !array && err == io.EOF {
-					return
-				}
+		for aj, err := range records(resp.Body) {
+			if err != nil {
 				if ctx.Err() != nil {
 					err = ctx.Err()
 				}
 				yield(AlignmentJSON{}, fmt.Errorf("service: decoding alignments: %w", err))
+				return
+			}
+			if !yield(aj, nil) {
+				return
+			}
+		}
+	}
+}
+
+// ndjsonAlignments decodes one alignment per line: parseAlignment for
+// the lines WriteNDJSON writes, json.Unmarshal for any other. A body
+// that ends inside a line is an error, from the read or from the
+// decode of the fragment.
+func ndjsonAlignments(body io.Reader) iter.Seq2[AlignmentJSON, error] {
+	return func(yield func(AlignmentJSON, error) bool) {
+		br := bufio.NewReaderSize(body, 32<<10)
+		var long []byte // a line that outgrew br's buffer, collected
+		for {
+			line, err := br.ReadSlice('\n')
+			if err == bufio.ErrBufferFull {
+				long = append(long[:0], line...)
+				for err == bufio.ErrBufferFull {
+					line, err = br.ReadSlice('\n')
+					long = append(long, line...)
+				}
+				line = long
+			}
+			if err != nil && err != io.EOF {
+				yield(AlignmentJSON{}, err)
+				return
+			}
+			if line = bytes.TrimSpace(line); len(line) > 0 {
+				aj, ok := parseAlignment(line)
+				if !ok {
+					aj = AlignmentJSON{}
+					if uerr := json.Unmarshal(line, &aj); uerr != nil {
+						yield(AlignmentJSON{}, uerr)
+						return
+					}
+				}
+				if !yield(aj, nil) {
+					return
+				}
+			}
+			if err == io.EOF {
+				return
+			}
+		}
+	}
+}
+
+// arrayAlignments decodes the JSON-array form element by element.
+func arrayAlignments(body io.Reader) iter.Seq2[AlignmentJSON, error] {
+	return func(yield func(AlignmentJSON, error) bool) {
+		dec := json.NewDecoder(body)
+		if _, err := dec.Token(); err != nil { // the opening bracket
+			yield(AlignmentJSON{}, err)
+			return
+		}
+		for dec.More() {
+			var aj AlignmentJSON
+			if err := dec.Decode(&aj); err != nil {
+				yield(AlignmentJSON{}, err)
 				return
 			}
 			if !yield(aj, nil) {

@@ -30,7 +30,9 @@ const streamFlushEvery = 64
 //
 //	POST   /v1/jobs                submit a comparison; returns {"id": ...}
 //	GET    /v1/jobs                list job summaries
-//	GET    /v1/jobs/{id}           poll one job's status
+//	GET    /v1/jobs/{id}           one job's status (?wait=30s: held
+//	                               until the job ends or the wait,
+//	                               capped at MaxWait, runs out)
 //	DELETE /v1/jobs/{id}           cancel a job
 //	GET    /v1/jobs/{id}/alignments fetch a finished job's alignments
 //	                               (?stream=1: chunked NDJSON, one
@@ -117,7 +119,7 @@ type JobRequestJSON struct {
 	Options OptionsJSON    `json:"options"`
 }
 
-// JobStatusJSON is the poll response.
+// JobStatusJSON is the status response.
 type JobStatusJSON struct {
 	ID        string     `json:"id"`
 	State     string     `json:"state"`
@@ -288,7 +290,7 @@ func (h *handler) submit(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// jobStatus builds the poll reply from one snapshot of the job, so a
+// jobStatus builds the status reply from one snapshot of the job, so a
 // job finishing mid-call is reported either running or done with its
 // finish time and summary — never half of each.
 func jobStatus(j *Job) JobStatusJSON {
@@ -342,9 +344,52 @@ func (h *handler) lookup(w http.ResponseWriter, r *http.Request) (*Job, bool) {
 }
 
 func (h *handler) status(w http.ResponseWriter, r *http.Request) {
-	if j, ok := h.lookup(w, r); ok {
+	if j, ok := h.lookup(w, r); ok && AwaitJob(w, r, j.Done()) {
 		WriteJSON(w, http.StatusOK, jobStatus(j))
 	}
+}
+
+// MaxWait caps how long a status request may ask to be held. It sits
+// below the 60 s response timeout of NewClient's default HTTP client.
+const MaxWait = 30 * time.Second
+
+// AwaitJob serves the wait parameter of GET /v1/jobs/{id}, for both
+// daemons: ?wait=<duration> holds the request until done is closed, the
+// duration (clamped to MaxWait) runs out or the client goes away, and
+// the caller then answers with whatever state the job is in — an
+// expired wait is a 200 with a non-terminal state. Without the
+// parameter it returns at once. A malformed or negative duration gets
+// a 400 here and the result is false.
+func AwaitJob(w http.ResponseWriter, r *http.Request, done <-chan struct{}) bool {
+	d, err := waitParam(r)
+	if err != nil {
+		WriteError(w, http.StatusBadRequest, "%v", err)
+		return false
+	}
+	if d == 0 {
+		return true
+	}
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-done:
+	case <-t.C:
+	case <-r.Context().Done():
+	}
+	return true
+}
+
+// waitParam reads the wait parameter: zero when absent, at most MaxWait.
+func waitParam(r *http.Request) (time.Duration, error) {
+	arg := r.URL.Query().Get("wait")
+	if arg == "" {
+		return 0, nil
+	}
+	d, err := time.ParseDuration(arg)
+	if err != nil || d < 0 {
+		return 0, fmt.Errorf("wait=%q: want a non-negative duration such as 30s", arg)
+	}
+	return min(d, MaxWait), nil
 }
 
 // trace serves the job's span trace — the per-request equivalent of
@@ -373,8 +418,7 @@ func (h *handler) alignments(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusConflict, "job failed: %v", j.Err())
 		return
 	case JobQueued, JobRunning:
-		w.Header().Set("Retry-After", "1")
-		WriteError(w, http.StatusConflict, "job is %s; poll until done", j.State())
+		WriteError(w, http.StatusConflict, "job is %s; GET /v1/jobs/%s?wait=30s returns when it ends", j.State(), j.ID())
 		return
 	}
 	if r.URL.Query().Get("stream") == "1" {
@@ -406,26 +450,36 @@ func jobAlignments(j *Job) iter.Seq[AlignmentJSON] {
 }
 
 // WriteNDJSON streams records as application/x-ndjson — one JSON
-// object per line, flushed every streamFlushEvery lines so consumers
-// decode results while the response is still being written. Shared
-// with the cluster daemon's streaming fetch.
-func WriteNDJSON[T any](w http.ResponseWriter, seq iter.Seq[T]) {
+// object per line, the bytes json.Encoder would write, flushed every
+// streamFlushEvery lines so consumers decode results while the response
+// is still being written. Shared with the cluster daemon's streaming
+// fetch. The status line is out before the first record, so a record
+// that cannot be encoded or written aborts the connection: the reader
+// sees a torn stream, never a short body that ends cleanly.
+func WriteNDJSON(w http.ResponseWriter, seq iter.Seq[AlignmentJSON]) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	rc := http.NewResponseController(w)
-	enc := json.NewEncoder(w)
-	n := 0
-	for v := range seq {
-		// Encode appends the newline NDJSON needs; a write error means
-		// the client went away, which ends the response anyway.
-		if err := enc.Encode(v); err != nil {
-			return
+	var buf []byte
+	flush := func() {
+		if _, err := w.Write(buf); err != nil {
+			panic(http.ErrAbortHandler)
 		}
+		_ = rc.Flush()
+		buf = buf[:0]
+	}
+	n := 0
+	for a := range seq {
+		var err error
+		if buf, err = appendAlignment(buf, &a); err != nil {
+			panic(http.ErrAbortHandler)
+		}
+		buf = append(buf, '\n')
 		if n++; n%streamFlushEvery == 0 {
-			_ = rc.Flush()
+			flush()
 		}
 	}
-	_ = rc.Flush()
+	flush()
 }
 
 // MatchJSON renders a match in the service's wire encoding: the query
