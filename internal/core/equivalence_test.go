@@ -48,8 +48,8 @@ func sortAligns(as []gapped.Alignment) []gapped.Alignment {
 
 // TestStreamingEquivalence is the acceptance gate for the shard
 // engine: for every engine and shard size, the streaming path must
-// reproduce the batch path's Hits, Pairs, index statistics, gapped
-// work profile and exact (order-normalised) alignment set.
+// reproduce the batch path's Hits, Pairs, gapped work profile and
+// exact (order-normalised) alignment set.
 func TestStreamingEquivalence(t *testing.T) {
 	proteins, fbank := equivWorkload(t)
 	ref, err := CompareBatch(proteins, fbank, DefaultOptions())
@@ -80,10 +80,6 @@ func TestStreamingEquivalence(t *testing.T) {
 			if res.Hits != ref.Hits || res.Pairs != ref.Pairs {
 				t.Fatalf("%s: hits/pairs %d/%d, want %d/%d",
 					name, res.Hits, res.Pairs, ref.Hits, ref.Pairs)
-			}
-			if res.Stats0 != ref.Stats0 || res.Stats1 != ref.Stats1 {
-				t.Errorf("%s: index stats diverged:\n%+v %+v\nwant\n%+v %+v",
-					name, res.Stats0, res.Stats1, ref.Stats0, ref.Stats1)
 			}
 			if res.GappedWork != ref.GappedWork {
 				t.Errorf("%s: gapped work %+v, want %+v", name, res.GappedWork, ref.GappedWork)

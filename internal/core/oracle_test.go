@@ -51,7 +51,7 @@ func CompareBatch(b0, b1 *bank.Bank, opt Options) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: indexing bank 1: %w", err)
 	}
-	res := &Result{Summary: Summary{Stats0: ix0.Stats(), Stats1: ix1.Stats()}}
+	res := &Result{}
 	res.Times.Index = time.Since(t0)
 
 	// Step 2: ungapped extension on the selected engine.

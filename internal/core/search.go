@@ -9,7 +9,6 @@ import (
 
 	"seedblast/internal/gapped"
 	"seedblast/internal/hwsim"
-	"seedblast/internal/index"
 	"seedblast/internal/matrix"
 	"seedblast/internal/pipeline"
 	"seedblast/internal/prefilter"
@@ -217,8 +216,6 @@ type Summary struct {
 	Device     *hwsim.Step2Report // non-nil when shards ran on the accelerator
 	GapDevice  *hwsim.GapOpReport // non-nil when RASC.OffloadGapped
 	GappedWork gapped.Stats
-	Stats0     index.Stats
-	Stats1     index.Stats
 	// Pipeline reports the streaming engine's per-stage accounting,
 	// including MaxBufferedMatches — the peak resident match buffer,
 	// which streaming consumption keeps far below the full result size.
@@ -421,8 +418,6 @@ func summarize(out *pipeline.Output, opt *Options, gcfg gapped.Config) (*Summary
 		Pairs:      out.Pairs,
 		Device:     out.Device,
 		GappedWork: out.GappedWork,
-		Stats0:     out.Stats0,
-		Stats1:     out.Stats1,
 		Pipeline:   out.Metrics,
 	}
 	sum.Times.Index = out.IndexTime

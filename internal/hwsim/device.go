@@ -127,27 +127,27 @@ func (d *Device) RunStep2(ix0, ix1 *index.Index) (*Step2Report, error) {
 }
 
 // splitByWork partitions the key space into numFPGAs contiguous ranges
-// with approximately equal pair workload.
+// with approximately equal pair workload. Only keys occupied in bank 0
+// carry work, so the cut is found walking those.
 func splitByWork(ix0, ix1 *index.Index, space, numFPGAs int) [][2]uint32 {
 	if numFPGAs == 1 {
 		return [][2]uint32{{0, uint32(space)}}
 	}
 	var total int64
-	for k := 0; k < space; k++ {
-		total += int64(ix0.BucketLen(uint32(k))) * int64(ix1.BucketLen(uint32(k)))
+	for _, k := range ix0.Keys() {
+		total += int64(ix0.BucketLen(k)) * int64(ix1.BucketLen(k))
 	}
 	half := total / 2
 	var acc int64
-	cut := space / 2
-	for k := 0; k < space; k++ {
-		acc += int64(ix0.BucketLen(uint32(k))) * int64(ix1.BucketLen(uint32(k)))
-		if acc >= half {
-			cut = k + 1
-			break
+	cut := 1 // with under two pairs the half is zero, met at key 0
+	if half > 0 {
+		for _, k := range ix0.Keys() {
+			acc += int64(ix0.BucketLen(k)) * int64(ix1.BucketLen(k))
+			if acc >= half {
+				cut = int(k) + 1
+				break
+			}
 		}
-	}
-	if cut <= 0 {
-		cut = 1
 	}
 	if cut >= space {
 		cut = space - 1
@@ -155,20 +155,18 @@ func splitByWork(ix0, ix1 *index.Index, space, numFPGAs int) [][2]uint32 {
 	return [][2]uint32{{0, uint32(cut)}, {uint32(cut), uint32(space)}}
 }
 
-// runKeyRange processes keys [lo, hi) on one FPGA: for each key, IL0 is
-// loaded in passes of up to NumPEs sub-sequences and the full IL1
-// stream is sent past the array per pass. Functional scoring uses the
-// same WindowScore as the CPU engine; cycles follow the validated
-// closed-form model; DMA bytes count IL0 loads, IL1 streams (replayed
-// from SRAM across passes when the stream fits) and result records.
+// runKeyRange processes the occupied bank-0 keys in [lo, hi) on one
+// FPGA: for each key, IL0 is loaded in passes of up to NumPEs
+// sub-sequences and the full IL1 stream is sent past the array per
+// pass. Functional scoring uses the same WindowScore as the CPU
+// engine; cycles follow the validated closed-form model; DMA bytes
+// count IL0 loads, IL1 streams (replayed from SRAM across passes when
+// the stream fits) and result records.
 func runKeyRange(ix0, ix1 *index.Index, lo, hi uint32, psc *PSCConfig, sramBytes int) (
 	hits []ungapped.Hit, pairs int64, cycles, bytesIn, xfers uint64) {
 	subLen := psc.SubLen
-	for k := lo; k < hi; k++ {
+	for _, k := range ix0.KeysIn(lo, hi) {
 		il0, hood0 := ix0.Bucket(k)
-		if len(il0) == 0 {
-			continue
-		}
 		il1, hood1 := ix1.Bucket(k)
 		if len(il1) == 0 {
 			continue

@@ -36,11 +36,8 @@ func (d *Device) EstimateStep2(ix0, ix1 *index.Index, records int) (*Step2Report
 	for _, rg := range ranges {
 		var cycles, bytesIn, xfers uint64
 		var pairs int64
-		for k := rg[0]; k < rg[1]; k++ {
+		for _, k := range ix0.KeysIn(rg[0], rg[1]) {
 			k0 := ix0.BucketLen(k)
-			if k0 == 0 {
-				continue
-			}
 			k1 := ix1.BucketLen(k)
 			if k1 == 0 {
 				continue

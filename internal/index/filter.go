@@ -28,9 +28,10 @@ func (ix *Index) FilterSeqs(keep []uint32) *Index {
 		subLen:      ix.subLen,
 		bucketStart: make([]uint32, space+1),
 	}
-	// Pass 1: surviving bucket sizes, accumulated directly as the
-	// shifted prefix-sum layout Build uses.
-	for k := 0; k < space; k++ {
+	// Pass 1: surviving bucket sizes of the occupied keys, accumulated
+	// directly as the shifted prefix-sum layout Build uses.
+	out.keys = make([]uint32, 0, len(ix.keys))
+	for _, k := range ix.keys {
 		lo, hi := ix.bucketStart[k], ix.bucketStart[k+1]
 		n := uint32(0)
 		for i := lo; i < hi; i++ {
@@ -38,7 +39,10 @@ func (ix *Index) FilterSeqs(keep []uint32) *Index {
 				n++
 			}
 		}
-		out.bucketStart[k+1] = n
+		if n != 0 {
+			out.bucketStart[k+1] = n
+			out.keys = append(out.keys, k)
+		}
 	}
 	for k := 1; k <= space; k++ {
 		out.bucketStart[k] += out.bucketStart[k-1]

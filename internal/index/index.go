@@ -10,6 +10,7 @@ package index
 
 import (
 	"fmt"
+	"slices"
 
 	"seedblast/internal/alphabet"
 	"seedblast/internal/bank"
@@ -29,7 +30,12 @@ type Index struct {
 	n           int // neighbourhood extension on each side
 	subLen      int // W + 2N
 	bucketStart []uint32
-	entries     []Entry
+	// keys lists the occupied keys (non-empty buckets) in ascending
+	// order, so per-search loops cost the entries the index holds, not
+	// its KeySpace. Every constructor fills it in the pass over the
+	// bucket table it already makes.
+	keys    []uint32
+	entries []Entry
 	// neighborhoods stores, for entry i, the window
 	// [off-N, off+W+N) padded with X at sequence boundaries, at
 	// neighborhoods[i*subLen : (i+1)*subLen].
@@ -60,9 +66,15 @@ func Build(b *bank.Bank, model seed.Model, n int) (*Index, error) {
 		subLen: w + 2*n,
 	}
 	space := model.KeySpace()
-	counts := make([]uint32, space+1)
+	// Shifted-prefix layout: pass 1 counts bucket k at counts[k+2], the
+	// prefix sum turns counts[k+1] into bucket k's start, pass 2 uses
+	// counts[k+1] as bucket k's fill cursor, and the fill leaves
+	// counts[k] at bucket k's start — bucketStart, with no second
+	// key-space cursor array.
+	counts := make([]uint32, space+2)
 
 	// Pass 1: bucket sizes.
+	used := 0
 	for s := 0; s < b.Len(); s++ {
 		seq := b.Seq(s)
 		for off := 0; off+w <= len(seq); off++ {
@@ -70,22 +82,26 @@ func Build(b *bank.Bank, model seed.Model, n int) (*Index, error) {
 				if int(key) >= space {
 					return nil, errKeyRange(key, space)
 				}
-				counts[key+1]++
+				if counts[key+2] == 0 {
+					used++
+				}
+				counts[key+2]++
 			}
 		}
 	}
-	// Prefix sums: counts becomes bucketStart.
-	for k := 1; k <= space; k++ {
-		counts[k] += counts[k-1]
+	ix.keys = make([]uint32, 0, used)
+	var total uint32
+	for k, c := range counts[2:] {
+		if c != 0 {
+			ix.keys = append(ix.keys, uint32(k))
+		}
+		total += c
+		counts[k+2] = total
 	}
-	total := counts[space]
-	ix.bucketStart = counts
 	ix.entries = make([]Entry, total)
 	ix.neighborhoods = make([]byte, int(total)*ix.subLen)
 
-	// Pass 2: fill buckets using a moving cursor per key.
-	cursor := make([]uint32, space)
-	copy(cursor, ix.bucketStart[:space])
+	// Pass 2: fill buckets.
 	for s := 0; s < b.Len(); s++ {
 		seq := b.Seq(s)
 		for off := 0; off+w <= len(seq); off++ {
@@ -93,12 +109,13 @@ func Build(b *bank.Bank, model seed.Model, n int) (*Index, error) {
 			if !ok {
 				continue
 			}
-			i := cursor[key]
-			cursor[key]++
+			i := counts[key+1]
+			counts[key+1]++
 			ix.entries[i] = Entry{Seq: uint32(s), Off: uint32(off)}
 			extractWindow(ix.neighborhoods[int(i)*ix.subLen:(int(i)+1)*ix.subLen], seq, off-n)
 		}
 	}
+	ix.bucketStart = counts[:space+1]
 	return ix, nil
 }
 
@@ -156,67 +173,21 @@ func (ix *Index) BucketLen(k uint32) int {
 	return int(ix.bucketStart[k+1] - ix.bucketStart[k])
 }
 
-// Stats summarises index shape; used by reports and load-balance tests.
-type Stats struct {
-	Keys         int
-	UsedKeys     int
-	Entries      int
-	MaxBucket    int
-	MeanOccupied float64 // mean entries per non-empty bucket
-}
+// Keys returns the occupied keys — those with a non-empty bucket — in
+// ascending order. The slice aliases index storage and must not be
+// modified.
+func (ix *Index) Keys() []uint32 { return ix.keys }
 
-// Stats computes summary statistics over all buckets.
-func (ix *Index) Stats() Stats {
-	st := Stats{Keys: ix.model.KeySpace(), Entries: len(ix.entries)}
-	for k := 0; k < st.Keys; k++ {
-		n := ix.BucketLen(uint32(k))
-		if n == 0 {
-			continue
-		}
-		st.UsedKeys++
-		if n > st.MaxBucket {
-			st.MaxBucket = n
-		}
-	}
-	if st.UsedKeys > 0 {
-		st.MeanOccupied = float64(st.Entries) / float64(st.UsedKeys)
-	}
-	return st
+// KeysIn returns the occupied keys inside [lo, hi), ascending (a
+// sub-slice of Keys).
+func (ix *Index) KeysIn(lo, hi uint32) []uint32 {
+	i, _ := slices.BinarySearch(ix.keys, lo)
+	j, _ := slices.BinarySearch(ix.keys, hi)
+	return ix.keys[i:j]
 }
 
 // Neighborhood returns the stored window of entry index ei (aliasing
 // internal storage).
 func (ix *Index) Neighborhood(ei int) []byte {
 	return ix.neighborhoods[ei*ix.subLen : (ei+1)*ix.subLen]
-}
-
-// AddBucketCounts adds this index's per-key bucket lengths into dst,
-// which must have KeySpace elements. The streaming engine builds one
-// index per query shard and merges their histograms with this to
-// recover the whole-bank statistics a monolithic build would report.
-func (ix *Index) AddBucketCounts(dst []uint32) {
-	for k := range dst {
-		dst[k] += ix.bucketStart[k+1] - ix.bucketStart[k]
-	}
-}
-
-// StatsFromBucketCounts computes the same summary as (*Index).Stats
-// from a per-key bucket-length histogram (e.g. one merged with
-// AddBucketCounts across shard indexes).
-func StatsFromBucketCounts(counts []uint32) Stats {
-	st := Stats{Keys: len(counts)}
-	for _, n := range counts {
-		if n == 0 {
-			continue
-		}
-		st.UsedKeys++
-		st.Entries += int(n)
-		if int(n) > st.MaxBucket {
-			st.MaxBucket = int(n)
-		}
-	}
-	if st.UsedKeys > 0 {
-		st.MeanOccupied = float64(st.Entries) / float64(st.UsedKeys)
-	}
-	return st
 }

@@ -1,6 +1,10 @@
 package index
 
 import (
+	"fmt"
+	"os"
+	"path/filepath"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -154,24 +158,85 @@ func TestNeighborhoodMatchesSequence(t *testing.T) {
 	}
 }
 
-func TestStats(t *testing.T) {
-	b := mkBank("ARNDARND", "ARND")
-	ix, err := Build(b, seed.Exact(2), 0)
-	if err != nil {
-		t.Fatal(err)
+// checkKeys asserts the Keys invariant: exactly the non-empty buckets,
+// in ascending order, found here by a full key-space scan.
+func checkKeys(t *testing.T, name string, ix *Index) {
+	t.Helper()
+	var want []uint32
+	for k := 0; k < ix.Model().KeySpace(); k++ {
+		if ix.BucketLen(uint32(k)) > 0 {
+			want = append(want, uint32(k))
+		}
 	}
-	st := ix.Stats()
-	if st.Entries != ix.NumEntries() {
-		t.Errorf("Stats.Entries = %d, want %d", st.Entries, ix.NumEntries())
+	if got := ix.Keys(); !slices.Equal(got, want) {
+		t.Fatalf("%s: Keys() = %v, want the %d occupied buckets %v", name, got, len(want), want)
 	}
-	if st.UsedKeys == 0 || st.MaxBucket < 2 {
-		t.Errorf("stats = %+v", st)
+}
+
+// TestIndexKeys pins Keys on every constructor: Build, BuildParallel
+// on both sides of the serial fallback, seeddb Load and Open,
+// FilterSeqs (including filters that empty buckets), and banks with
+// no indexable window at all.
+func TestIndexKeys(t *testing.T) {
+	model := seed.Default()
+	rng := bank.NewRNG(29)
+	small, large := bank.New("small"), bank.New("large")
+	for small.TotalResidues() < parallelBuildMinResidues/2 {
+		small.Add("s", bank.RandomProtein(rng, 90))
 	}
-	if st.Keys != 400 {
-		t.Errorf("Keys = %d, want 400", st.Keys)
+	for large.TotalResidues() < 2*parallelBuildMinResidues {
+		large.Add("l", bank.RandomProtein(rng, 150))
 	}
-	if st.MeanOccupied <= 0 {
-		t.Error("MeanOccupied should be positive")
+	for _, b := range []*bank.Bank{small, large, bank.New("empty"), mkBank("XXXXXXXX", "AXBXC", "")} {
+		ix, err := Build(b, model, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkKeys(t, b.Name()+"/Build", ix)
+		for _, workers := range []int{1, 2, 3, 8} {
+			par, err := BuildParallel(b, model, 4, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkKeys(t, fmt.Sprintf("%s/BuildParallel(%d)", b.Name(), workers), par)
+		}
+		if b.TotalResidues() == 0 {
+			continue // seeddb round trips need a non-empty bank
+		}
+
+		path := filepath.Join(t.TempDir(), "keys.seeddb")
+		if err := ix.WriteFile(path); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		loaded, err := Load(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkKeys(t, b.Name()+"/Load", loaded)
+		opened, err := Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkKeys(t, b.Name()+"/Open", opened)
+		if err := opened.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		// Keeping every other sequence empties the buckets only the
+		// dropped ones fill; keeping none empties them all.
+		var half []uint32
+		for s := 0; s < b.Len(); s += 2 {
+			half = append(half, uint32(s))
+		}
+		checkKeys(t, b.Name()+"/FilterSeqs(half)", ix.FilterSeqs(half))
+		checkKeys(t, b.Name()+"/FilterSeqs(none)", ix.FilterSeqs(nil))
+		if got := len(ix.FilterSeqs(nil).Keys()); got != 0 {
+			t.Fatalf("%s: empty filter kept %d keys", b.Name(), got)
+		}
 	}
 }
 

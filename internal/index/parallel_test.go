@@ -1,6 +1,7 @@
 package index
 
 import (
+	"slices"
 	"testing"
 
 	"seedblast/internal/bank"
@@ -8,11 +9,22 @@ import (
 )
 
 func TestBuildParallelBitIdentical(t *testing.T) {
-	rng := bank.NewRNG(71)
-	b := bank.New("p")
-	for i := 0; i < 17; i++ { // odd count: uneven worker ranges
-		b.Add(string(rune('a'+i)), bank.RandomProtein(rng, 80+i*7))
+	// 17 sequences fall back to Build; 17·23 take the parallel path.
+	for _, nseq := range []int{17, 17 * 23} { // odd counts: uneven worker ranges
+		rng := bank.NewRNG(71)
+		b := bank.New("p")
+		for i := 0; i < nseq; i++ {
+			b.Add(string(rune('a'+i%26)), bank.RandomProtein(rng, 80+i%17*7))
+		}
+		if (b.TotalResidues() >= parallelBuildMinResidues) != (nseq > 17) {
+			t.Fatalf("%d sequences, %d residues: wrong side of the serial fallback", nseq, b.TotalResidues())
+		}
+		checkBuildParallelBitIdentical(t, b)
 	}
+}
+
+func checkBuildParallelBitIdentical(t *testing.T, b *bank.Bank) {
+	t.Helper()
 	model := seed.Default()
 	ref, err := Build(b, model, 6)
 	if err != nil {
@@ -40,6 +52,9 @@ func TestBuildParallelBitIdentical(t *testing.T) {
 			if par.bucketStart[k] != ref.bucketStart[k] {
 				t.Fatalf("workers=%d: bucketStart[%d] differs", workers, k)
 			}
+		}
+		if !slices.Equal(par.keys, ref.keys) {
+			t.Fatalf("workers=%d: occupied keys differ", workers)
 		}
 	}
 }

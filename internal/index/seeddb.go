@@ -360,6 +360,9 @@ func load(data []byte) (*Index, error) {
 		if bs[k] < bs[k-1] {
 			return nil, fmt.Errorf("seeddb: bucket table not monotone at key %d", k-1)
 		}
+		if bs[k] > bs[k-1] {
+			ix.keys = append(ix.keys, uint32(k-1))
+		}
 	}
 	for i := range ix.entries {
 		e := &ix.entries[i]

@@ -47,10 +47,7 @@ func FuzzSeedDBLoad(f *testing.F) {
 		// self-consistent index: exercise the read surface the engine
 		// uses so latent decode bugs surface as failures here, not as
 		// panics inside a search.
-		st := ix.Stats()
-		if st.Entries != ix.NumEntries() {
-			t.Fatalf("Stats entries %d != NumEntries %d", st.Entries, ix.NumEntries())
-		}
+		checkKeys(t, "loaded", ix)
 		for k := 0; k < ix.Model().KeySpace(); k += 97 {
 			es, nb := ix.Bucket(uint32(k))
 			if len(nb) != len(es)*ix.SubLen() {

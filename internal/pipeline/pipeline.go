@@ -217,8 +217,6 @@ type Output struct {
 	Hits       int   // step-2 survivors
 	Pairs      int64 // step-2 scorings performed
 	GappedWork gapped.Stats
-	Stats0     index.Stats // whole-bank statistics merged across shards
-	Stats1     index.Stats
 
 	// Step durations under the batch StepTimes semantics: IndexTime
 	// sums the subject-index and shard-index builds; Step2Time sums the
@@ -372,7 +370,6 @@ func (e *Engine) run(pctx context.Context, req *Request, emit func([]gapped.Alig
 	// Stage 1 — sharder: cut bank 0 into shards and build each shard's
 	// index. Bounded shardCh stalls this stage once the step-2 pool
 	// falls behind.
-	merger := newStatsMerger(req.Seed.KeySpace())
 	go func() {
 		defer close(shardCh)
 		for id, rg := range shards {
@@ -395,7 +392,6 @@ func (e *Engine) run(pctx context.Context, req *Request, emit func([]gapped.Alig
 				return
 			}
 			tr.Record("step1", t0, d, telemetry.Int("shard", id))
-			merger.add(sh.Index)
 			select {
 			case shardCh <- sh:
 			case <-ctx.Done():
@@ -607,7 +603,7 @@ func (e *Engine) run(pctx context.Context, req *Request, emit func([]gapped.Alig
 
 	// Assemble in shard order so the output is deterministic for any
 	// worker and in-flight configuration.
-	out := &Output{Stats1: ix1.Stats()}
+	out := &Output{}
 	var dev deviceAggregator
 	for i := range outs {
 		so := &outs[i]
@@ -624,7 +620,6 @@ func (e *Engine) run(pctx context.Context, req *Request, emit func([]gapped.Alig
 	}
 	out.Device = dev.report()
 	out.IndexTime = met.Index.Busy
-	out.Stats0 = merger.stats()
 	// Stable sort under the gapped stage's ordering: a single-shard run
 	// arrives already sorted and keeps the batch path's exact order.
 	sort.SliceStable(out.Alignments, func(i, j int) bool {
@@ -705,21 +700,6 @@ func buildShard(req *Request, id, lo, hi int) (*Shard, error) {
 	}
 	return &Shard{ID: id, Start: lo, End: hi, Bank: b, Index: ix}, nil
 }
-
-// statsMerger accumulates per-key bucket counts across shard indexes;
-// summed per key they equal the monolithic index's histogram, so the
-// derived statistics match a whole-bank build exactly.
-type statsMerger struct {
-	counts []uint32
-}
-
-func newStatsMerger(space int) *statsMerger {
-	return &statsMerger{counts: make([]uint32, space)}
-}
-
-func (m *statsMerger) add(ix *index.Index) { ix.AddBucketCounts(m.counts) }
-
-func (m *statsMerger) stats() index.Stats { return index.StatsFromBucketCounts(m.counts) }
 
 func addGappedStats(dst, src *gapped.Stats) {
 	dst.Hits += src.Hits

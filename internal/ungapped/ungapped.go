@@ -49,19 +49,22 @@ func Run(ix0, ix1 *index.Index, cfg Config) (*Result, error) {
 	if err := validate(ix0, ix1, &cfg); err != nil {
 		return nil, err
 	}
+	kernel := cfg.Kernel.resolve(cfg.Matrix, ix0.SubLen())
+	used := len(ix0.Keys())
+	if used == 0 {
+		return &Result{Kernel: kernel}, nil
+	}
 	workers := cfg.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
+	workers = min(workers, used)
 	space := ix0.Model().KeySpace()
-	if workers > space {
-		workers = space
-	}
-	kernel := cfg.Kernel.resolve(cfg.Matrix, ix0.SubLen())
 
 	// Static partition of the key space: each worker owns a contiguous
-	// chunk, appends hits locally, and chunks are concatenated in order,
-	// keeping the result deterministic.
+	// key range, walks the occupied bank-0 keys inside it, appends hits
+	// locally, and chunks are concatenated in order, keeping the result
+	// deterministic.
 	chunks := make([]chunk, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -147,8 +150,8 @@ func (c *chunk) reserve(need int, done, span uint32) {
 	c.hits = grown
 }
 
-// scanKeys runs the paper's nested loops over keys [lo, hi) with the
-// resolved kernel (never KernelAuto).
+// scanKeys runs the paper's nested loops over the occupied bank-0
+// keys in [lo, hi) with the resolved kernel (never KernelAuto).
 func scanKeys(ix0, ix1 *index.Index, lo, hi, span uint32, cfg *Config, kernel Kernel) (c chunk) {
 	subLen := ix0.SubLen()
 
@@ -157,10 +160,10 @@ func scanKeys(ix0, ix1 *index.Index, lo, hi, span uint32, cfg *Config, kernel Ke
 		ks = newBlockedScratch(cfg.Matrix, subLen, cfg.Threshold)
 	}
 
-	for k := lo; k < hi; k++ {
-		// Length-only probes first: most keys have an empty side, and
-		// skipping them avoids materialising both bucket views.
-		if ix0.BucketLen(k) == 0 || ix1.BucketLen(k) == 0 {
+	for _, k := range ix0.KeysIn(lo, hi) {
+		// A length-only probe first: skipping keys empty in bank 1
+		// avoids materialising both bucket views.
+		if ix1.BucketLen(k) == 0 {
 			continue
 		}
 		il0, hood0 := ix0.Bucket(k)
@@ -200,9 +203,8 @@ func scanKeys(ix0, ix1 *index.Index, lo, hi, span uint32, cfg *Config, kernel Ke
 // running them. The hardware simulator uses it for cross-checking.
 func PairCount(ix0, ix1 *index.Index) int64 {
 	var n int64
-	space := ix0.Model().KeySpace()
-	for k := 0; k < space; k++ {
-		n += int64(ix0.BucketLen(uint32(k))) * int64(ix1.BucketLen(uint32(k)))
+	for _, k := range ix0.Keys() {
+		n += int64(ix0.BucketLen(k)) * int64(ix1.BucketLen(k))
 	}
 	return n
 }

@@ -181,19 +181,27 @@ func TestRunValidation(t *testing.T) {
 	}
 }
 
+// TestRunEmptyBank covers bank-0 indexes with no occupied key — an
+// empty bank and an all-ambiguous one: an empty Result naming the
+// resolved kernel, at any worker count.
 func TestRunEmptyBank(t *testing.T) {
-	b0 := bank.New("empty")
+	allX := bank.New("all-X")
+	allX.Add("x", alphabet.MustEncodeProtein("XXXXXXXXXXXX"))
 	b1 := bank.New("full")
 	b1.Add("s", alphabet.MustEncodeProtein("ARNDCQEGHILK"))
 	model := seed.Exact(3)
-	ix0, _ := index.Build(b0, model, 2)
 	ix1, _ := index.Build(b1, model, 2)
-	res, err := Run(ix0, ix1, Config{Matrix: matrix.BLOSUM62, Threshold: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Hits) != 0 || res.Pairs != 0 {
-		t.Errorf("empty bank produced work: %+v", res)
+	for _, b0 := range []*bank.Bank{bank.New("empty"), allX} {
+		ix0, _ := index.Build(b0, model, 2)
+		for _, kernel := range []Kernel{KernelScalar, KernelBlocked, KernelAuto} {
+			res, err := Run(ix0, ix1, Config{Matrix: matrix.BLOSUM62, Threshold: 10, Workers: 4, Kernel: kernel})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Hits) != 0 || res.Pairs != 0 || res.Kernel != kernel.resolve(matrix.BLOSUM62, ix0.SubLen()) {
+				t.Errorf("%s/%v: produced work or lost the kernel: %+v", b0.Name(), kernel, res)
+			}
+		}
 	}
 }
 
