@@ -4,20 +4,18 @@
 // and the SGI RASC-100 accelerator it runs on (two Virtex-4 FPGAs
 // behind a NUMAlink-attached DMA engine).
 //
-// The simulator has two layers that are cross-validated against each
-// other in tests:
+// The simulator has two layers:
 //
 //   - a cycle-accurate micro-engine (PE shift registers, score ROMs,
 //     slot register barriers, cascaded result FIFOs, input/output
 //     controllers) mirroring Figures 1 and 2 of the paper, used on
-//     small workloads and to validate the timing model; and
-//   - a batch-level device model (Device) that computes identical
-//     functional results and accounts cycles with closed-form per-pass
-//     formulas plus a DMA/host-link model, fast enough for the paper's
-//     table-scale experiments.
-//
-// Functional results are bit-identical to the CPU ungapped engine: the
-// same hits in the same deterministic order.
+//     small workloads and as the test oracle of the timing model; and
+//   - a batch-level device model (Device) fast enough for the paper's
+//     table-scale experiments. The operator changes where step 2 runs,
+//     not what it returns, so the model delegates the functional
+//     results to the CPU ungapped engine — the same hits in the same
+//     deterministic order — and accounts time in closed form: per-pass
+//     cycle formulas plus a DMA/host-link model, without scoring.
 package hwsim
 
 import (

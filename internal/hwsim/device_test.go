@@ -11,7 +11,7 @@ import (
 )
 
 // testIndexes builds a pair of small indexes with guaranteed overlap.
-func testIndexes(t *testing.T, n0Seqs, n1Seqs, seqLen, n int) (*index.Index, *index.Index) {
+func testIndexes(t testing.TB, n0Seqs, n1Seqs, seqLen, n int) (*index.Index, *index.Index) {
 	t.Helper()
 	rng := bank.NewRNG(31)
 	b0 := bank.New("b0")
@@ -37,7 +37,7 @@ func testIndexes(t *testing.T, n0Seqs, n1Seqs, seqLen, n int) (*index.Index, *in
 	return ix0, ix1
 }
 
-func deviceFor(t *testing.T, ix *index.Index, numPEs, numFPGAs, threshold int) *Device {
+func deviceFor(t testing.TB, ix *index.Index, numPEs, numFPGAs, threshold int) *Device {
 	t.Helper()
 	psc := DefaultPSC(matrix.BLOSUM62, ix.SubLen(), threshold)
 	psc.NumPEs = numPEs
@@ -133,7 +133,7 @@ func TestDeviceCycleAccountingAgainstMicroEngine(t *testing.T) {
 
 // denseIndexes builds indexes over a tiny key space (width-1 seed) so
 // IL0 buckets overfill even a 192-PE array, as the paper's large banks do.
-func denseIndexes(t *testing.T, n0Seqs, n1Seqs, seqLen, n int) (*index.Index, *index.Index) {
+func denseIndexes(t testing.TB, n0Seqs, n1Seqs, seqLen, n int) (*index.Index, *index.Index) {
 	t.Helper()
 	rng := bank.NewRNG(32)
 	b0 := bank.New("d0")

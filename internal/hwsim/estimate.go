@@ -8,26 +8,26 @@ import (
 
 // EstimateStep2 computes the timing side of RunStep2 — cycles, DMA
 // traffic and the derived simulated seconds — without scoring any
-// pairs. The functional results of step 2 do not depend on the PE
-// count, so experiments run the scoring once (on the CPU engine or one
-// device configuration) and sweep array sizes with this estimator;
-// tests pin it to RunStep2's accounting.
+// pairs. The key space is split between FPGAs by balancing the pair
+// workload; each FPGA processes its keys in passes of up to NumPEs IL0
+// sub-sequences, streaming the key's IL1 list past the array per pass
+// (replayed from SRAM across passes when the stream fits). The
+// functional results of step 2 do not depend on the PE count, so
+// experiments run the scoring once and sweep array sizes with this
+// estimator; tests pin it to the micro-engine and to a key-space
+// reference that scores every pair.
 //
 // records is the number of result records crossing the host link,
 // taken from a functional run at the same threshold.
 func (d *Device) EstimateStep2(ix0, ix1 *index.Index, records int) (*Step2Report, error) {
-	cfg := &d.cfg
-	if ix0.SubLen() != cfg.PSC.SubLen || ix1.SubLen() != cfg.PSC.SubLen {
-		return nil, fmt.Errorf("hwsim: index SubLen %d/%d does not match PSC SubLen %d",
-			ix0.SubLen(), ix1.SubLen(), cfg.PSC.SubLen)
-	}
-	if ix0.Model().KeySpace() != ix1.Model().KeySpace() {
-		return nil, fmt.Errorf("hwsim: indexes built with different seed models")
+	if err := d.check(ix0, ix1); err != nil {
+		return nil, err
 	}
 	if records < 0 {
 		return nil, fmt.Errorf("hwsim: negative record count %d", records)
 	}
 
+	cfg := &d.cfg
 	space := ix0.Model().KeySpace()
 	ranges := splitByWork(ix0, ix1, space, cfg.NumFPGAs)
 	rep := &Step2Report{Records: records}
@@ -69,12 +69,15 @@ func (d *Device) EstimateStep2(ix0, ix1 *index.Index, records int) (*Step2Report
 	rep.ComputeSeconds = float64(slowestCycles) / cfg.ClockHz
 	bandwidth := cfg.DMABandwidth
 	if cfg.SharedLink && len(ranges) > 1 {
+		// Both FPGAs contend for the one NUMAlink attachment.
 		bandwidth /= float64(len(ranges))
 	}
 	perFPGABytes := (rep.BytesToDevice + rep.BytesFromDev) / uint64(len(ranges))
 	perFPGAXfers := rep.Transfers / uint64(len(ranges))
 	rep.DMASeconds = dmaCost(perFPGABytes, perFPGAXfers, bandwidth, cfg.DMALatency)
-	rep.Seconds = maxF(rep.ComputeSeconds, rep.DMASeconds) + cfg.DMALatency
+	// Streaming DMA overlaps compute; the wall time is the slower of
+	// the two plus a fixed device setup cost per run.
+	rep.Seconds = max(rep.ComputeSeconds, rep.DMASeconds) + cfg.DMALatency
 	if slowestCycles > 0 {
 		useful := float64(rep.Pairs) * float64(subLen)
 		var provisioned float64

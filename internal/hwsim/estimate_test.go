@@ -4,44 +4,6 @@ import (
 	"testing"
 )
 
-func TestEstimateMatchesRunStep2(t *testing.T) {
-	ix0, ix1 := testIndexes(t, 6, 8, 150, 8)
-	for _, fpgas := range []int{1, 2} {
-		for _, pes := range []int{16, 64, 192} {
-			d := deviceFor(t, ix0, pes, fpgas, 22)
-			full, err := d.RunStep2(ix0, ix1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			est, err := d.EstimateStep2(ix0, ix1, full.Records)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if est.Pairs != full.Pairs {
-				t.Errorf("pes=%d fpgas=%d: pairs %d vs %d", pes, fpgas, est.Pairs, full.Pairs)
-			}
-			if len(est.CyclesPerFPGA) != len(full.CyclesPerFPGA) {
-				t.Fatalf("cycle vectors differ in length")
-			}
-			for i := range est.CyclesPerFPGA {
-				if est.CyclesPerFPGA[i] != full.CyclesPerFPGA[i] {
-					t.Errorf("pes=%d fpgas=%d: fpga %d cycles %d vs %d",
-						pes, fpgas, i, est.CyclesPerFPGA[i], full.CyclesPerFPGA[i])
-				}
-			}
-			if est.BytesToDevice != full.BytesToDevice ||
-				est.BytesFromDev != full.BytesFromDev ||
-				est.Transfers != full.Transfers {
-				t.Errorf("pes=%d fpgas=%d: traffic accounting differs", pes, fpgas)
-			}
-			if est.Seconds != full.Seconds || est.Utilization != full.Utilization {
-				t.Errorf("pes=%d fpgas=%d: derived timing differs (%.9f vs %.9f)",
-					pes, fpgas, est.Seconds, full.Seconds)
-			}
-		}
-	}
-}
-
 func TestEstimateValidation(t *testing.T) {
 	ix0, ix1 := testIndexes(t, 2, 2, 60, 4)
 	d := deviceFor(t, ix0, 64, 1, 20)
