@@ -4,8 +4,7 @@
 // before and after the run, every job's span trace is fetched over
 // GET /v1/jobs/{id}/trace, and the result is a schema-versioned
 // BENCH_*.json with cold-start latency, sustained throughput per core
-// and exact per-stage p50/p95/p99 — the serving-side counterpart of
-// cmd/benchrec's offline microbenchmarks.
+// and exact per-stage p50/p95/p99.
 //
 // Closed mode (default) keeps -concurrency jobs in flight
 // back-to-back, measuring capacity; open mode submits at a fixed

@@ -44,7 +44,6 @@ func main() {
 		plant        = flag.Int("plant", 10, "genes planted in the synthetic genome")
 		seed         = flag.Int64("seed", 1, "synthetic workload RNG seed")
 		engine       = flag.String("engine", "cpu", "step-2 engine: cpu, rasc, or multi (shards fanned across both)")
-		kernelName   = flag.String("kernel", "auto", "CPU step-2 inner loop: auto, scalar, or blocked (bit-identical results)")
 		shardSize    = flag.Int("shard-size", 0, "stream the bank through the pipeline in shards of this many proteins (0 = one shard)")
 		inflight     = flag.Int("inflight", 2, "shards in flight between pipeline stages")
 		streamW      = flag.Int("stream-workers", 0, "concurrent shards per pipeline stage (0 = auto: 1, or one per backend with -engine multi)")
@@ -84,7 +83,6 @@ func main() {
 	// translation, so a flag and a JSON field mean — and fail — the same.
 	opts, err := service.OptionsJSON{
 		Engine:        *engine,
-		Kernel:        *kernelName,
 		Threshold:     threshold,
 		MaxCandidates: maxCand,
 		MaxEValue:     evalue,
@@ -220,12 +218,11 @@ func printTiming(res *seedblast.Summary) {
 			fmt.Printf("  backend %s: %d shards\n", name, pm.ShardsByBackend[name])
 		}
 	}
-	printKernels(res.Pipeline.ShardsByKernel)
 	printPrefilter(&res.Pipeline)
 }
 
 // printPrefilter reports the candidate-selection cut when the stage
-// ran. Like the kernel split, the counters come from pipeline.Metrics,
+// ran. Like the backend split, the counters come from pipeline.Metrics,
 // so a merged (multi-run) Metrics prints its fold-up the same way.
 func printPrefilter(pm *seedblast.PipelineMetrics) {
 	if pm.Prefilter.Shards == 0 {
@@ -238,20 +235,6 @@ func printPrefilter(pm *seedblast.PipelineMetrics) {
 	}
 	fmt.Printf("prefilter: %d shards in %v; kept %d / dropped %d candidate pairs (%.1f%% extended)\n",
 		pm.Prefilter.Shards, pm.Prefilter.Busy, pm.PrefilterKept, pm.PrefilterDropped, sel)
-}
-
-// printKernels reports which step-2 CPU kernel(s) actually ran — the
-// resolution of -kernel auto is otherwise invisible. Accelerator
-// shards carry no kernel and are reported by the device line instead.
-func printKernels(byKernel map[string]int) {
-	names := make([]string, 0, len(byKernel))
-	for name := range byKernel {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		fmt.Printf("kernel %s: %d shards\n", name, byKernel[name])
-	}
 }
 
 func loadInputs(proteinsPath, genomePath string, synthetic, genomeLen, plant int, seed int64) (*seedblast.Bank, []byte, error) {

@@ -4,10 +4,9 @@
 // provenance every record carries — without it a recorded speedup is
 // uninterpretable a few commits later ("fast compared to what, where?").
 //
-// cmd/benchrec (kernel/pipeline microbenchmarks) and cmd/loadgen
-// (daemon-level load generation) both stamp their records through
-// Collect, so every BENCH file answers the same questions: which
-// commit, which Go, which CPU, how many cores.
+// cmd/loadgen (daemon-level load generation) stamps its records
+// through Collect, so every BENCH file answers the same questions:
+// which commit, which Go, which CPU, how many cores.
 package benchfmt
 
 import (
@@ -20,16 +19,11 @@ import (
 	"time"
 )
 
-// Schema version strings. A record's "schema" field names its layout;
-// bump the suffix when a record type changes incompatibly.
-const (
-	// SchemaBench is cmd/benchrec's record: kernel grid + speedups +
-	// one streaming-pipeline sample.
-	SchemaBench = "seedblast-bench/2"
-	// SchemaLoadgen is cmd/loadgen's record: daemon-level throughput,
-	// cold start and per-stage latency quantiles.
-	SchemaLoadgen = "seedblast-loadgen/1"
-)
+// SchemaLoadgen is cmd/loadgen's record layout: daemon-level
+// throughput, cold start and per-stage latency quantiles. A record's
+// "schema" field names its layout; bump the suffix when it changes
+// incompatibly.
+const SchemaLoadgen = "seedblast-loadgen/1"
 
 // Provenance identifies the code and host a record was measured on.
 type Provenance struct {

@@ -133,10 +133,10 @@ type Options struct {
 	Engine            Engine
 	RASC              RASCOptions
 	Workers           int // CPU engine parallelism; 0 = GOMAXPROCS
-	// Step2Kernel selects the CPU step-2 inner-loop implementation.
-	// The zero value (ungapped.KernelAuto) uses the blocked
-	// lane-parallel kernel whenever the matrix and window length fit
-	// its arithmetic bounds; results are bit-identical across kernels.
+	// Step2Kernel is always ungapped.KernelAuto: no option sets it and
+	// the search runs the kernel ungapped.Run resolves. It is kept only
+	// because the benchmark harness reads it when it runs step 2 on
+	// its own; it goes when that harness is next changed.
 	Step2Kernel ungapped.Kernel
 	// Pipeline tunes the streaming shard engine: shard size and how
 	// many shards each stage runs in flight. The zero value processes
@@ -250,7 +250,6 @@ func backendFor(opt *Options) (pipeline.Backend, error) {
 		Matrix:    opt.Matrix,
 		Threshold: opt.UngappedThreshold,
 		Workers:   opt.Workers,
-		Kernel:    opt.Step2Kernel,
 	}
 	switch opt.Engine {
 	case EngineCPU:

@@ -5,9 +5,7 @@ import (
 	"time"
 
 	"seedblast/internal/bank"
-	"seedblast/internal/pipeline"
 	"seedblast/internal/translate"
-	"seedblast/internal/ungapped"
 )
 
 // plantedWorkload builds a protein bank and a genome containing mutated
@@ -103,83 +101,6 @@ func TestCompareEnginesBitIdentical(t *testing.T) {
 				t.Fatalf("fpgas=%d: alignment %d differs: %+v vs %+v", fpgas, i, a, b)
 			}
 		}
-	}
-}
-
-// TestCompareKernelsBitIdentical pins the step-2 kernel contract at
-// the engine level: scalar, blocked and auto produce the same
-// alignments in the same order, batch or sharded, and the pipeline
-// metrics record which kernel actually ran.
-func TestCompareKernelsBitIdentical(t *testing.T) {
-	proteins, genome, _ := plantedWorkload(t, 8, 40_000, 4)
-	frames := translate.SixFrames(genome)
-	fbank := bank.New("frames")
-	for _, ft := range frames {
-		fbank.Add(ft.Frame.String(), ft.Protein)
-	}
-
-	optRef := DefaultOptions()
-	optRef.Step2Kernel = ungapped.KernelScalar
-	ref, err := searchBanks(proteins, fbank, optRef)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	check := func(name string, res *Result) {
-		t.Helper()
-		if res.Hits != ref.Hits || res.Pairs != ref.Pairs {
-			t.Fatalf("%s: hits/pairs %d/%d, want %d/%d",
-				name, res.Hits, res.Pairs, ref.Hits, ref.Pairs)
-		}
-		if len(res.Alignments) != len(ref.Alignments) {
-			t.Fatalf("%s: %d alignments, want %d",
-				name, len(res.Alignments), len(ref.Alignments))
-		}
-		for i := range res.Alignments {
-			a, b := res.Alignments[i], ref.Alignments[i]
-			if a.Seq0 != b.Seq0 || a.Seq1 != b.Seq1 || a.Score != b.Score ||
-				a.Q != b.Q || a.S != b.S {
-				t.Fatalf("%s: alignment %d differs: %+v vs %+v", name, i, a, b)
-			}
-		}
-	}
-
-	for _, kernel := range []ungapped.Kernel{ungapped.KernelAuto, ungapped.KernelBlocked} {
-		opt := DefaultOptions()
-		opt.Step2Kernel = kernel
-		res, err := searchBanks(proteins, fbank, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		check("batch/"+kernel.String(), res)
-
-		// Sharded pipeline with the same kernel: identical results, and
-		// ShardsByKernel must attribute every shard to the blocked
-		// kernel (auto resolves to blocked for the default workload).
-		opt.Pipeline = pipeline.Config{ShardSize: 3, Step2Workers: 2, Step3Workers: 2}
-		res, err = searchBanks(proteins, fbank, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		check("sharded/"+kernel.String(), res)
-		if got := res.Pipeline.ShardsByKernel["blocked"]; got != res.Pipeline.Shards {
-			t.Fatalf("kernel %s: ShardsByKernel = %v, want all %d shards blocked",
-				kernel, res.Pipeline.ShardsByKernel, res.Pipeline.Shards)
-		}
-	}
-
-	// RASC shards bypass the CPU kernel entirely; the forced kernel must
-	// not disturb the accelerator path and no kernel may be recorded.
-	optR := DefaultOptions()
-	optR.Engine = EngineRASC
-	optR.Step2Kernel = ungapped.KernelBlocked
-	res, err := searchBanks(proteins, fbank, optR)
-	if err != nil {
-		t.Fatal(err)
-	}
-	check("rasc", res)
-	if len(res.Pipeline.ShardsByKernel) != 0 {
-		t.Fatalf("rasc: ShardsByKernel = %v, want empty", res.Pipeline.ShardsByKernel)
 	}
 }
 

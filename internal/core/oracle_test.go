@@ -31,7 +31,9 @@ type Result struct {
 // shares no code with the shard engine above the step packages, which
 // is what makes it the reference the streaming Searcher is
 // equivalence-tested against. It never prefilters (MaxCandidates is
-// ignored), so it stays the exhaustive reference.
+// ignored) and its CPU step 2 always runs the scalar kernel, so it
+// stays the exhaustive reference and every comparison against it is
+// also a blocked-vs-scalar kernel check.
 func CompareBatch(b0, b1 *bank.Bank, opt Options) (*Result, error) {
 	if opt.Seed == nil || opt.Matrix == nil {
 		return nil, fmt.Errorf("core: Seed and Matrix are required (use DefaultOptions)")
@@ -63,7 +65,7 @@ func CompareBatch(b0, b1 *bank.Bank, opt Options) (*Result, error) {
 			Matrix:    opt.Matrix,
 			Threshold: opt.UngappedThreshold,
 			Workers:   opt.Workers,
-			Kernel:    opt.Step2Kernel,
+			Kernel:    ungapped.KernelScalar,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("core: step 2: %w", err)

@@ -6,43 +6,36 @@ import (
 
 	"seedblast/internal/gapped"
 	"seedblast/internal/pipeline"
-	"seedblast/internal/ungapped"
 )
 
-// prefilterConfigs is the engine × kernel × shard-size grid the
-// prefilter equivalence contract is pinned over.
+// prefilterConfigs is the engine × shard-size grid the prefilter
+// equivalence contract is pinned over.
 func prefilterConfigs(n int) []struct {
-	name   string
-	eng    Engine
-	kernel ungapped.Kernel
-	shard  int
+	name  string
+	eng   Engine
+	shard int
 } {
 	return []struct {
-		name   string
-		eng    Engine
-		kernel ungapped.Kernel
-		shard  int
+		name  string
+		eng   Engine
+		shard int
 	}{
-		{"cpu-scalar/shard=0", EngineCPU, ungapped.KernelScalar, 0},
-		{"cpu-scalar/shard=5", EngineCPU, ungapped.KernelScalar, 5},
-		{"cpu-blocked/shard=0", EngineCPU, ungapped.KernelBlocked, 0},
-		{"cpu-blocked/shard=5", EngineCPU, ungapped.KernelBlocked, 5},
-		{"rasc/shard=0", EngineRASC, ungapped.KernelAuto, 0},
-		{"rasc/shard=5", EngineRASC, ungapped.KernelAuto, 5},
-		{"multi/shard=5", EngineMulti, ungapped.KernelAuto, 5},
-		{"cpu-scalar/shard=big", EngineCPU, ungapped.KernelScalar, n + 9},
+		{"cpu/shard=0", EngineCPU, 0},
+		{"cpu/shard=5", EngineCPU, 5},
+		{"rasc/shard=0", EngineRASC, 0},
+		{"rasc/shard=5", EngineRASC, 5},
+		{"multi/shard=5", EngineMulti, 5},
+		{"cpu/shard=big", EngineCPU, n + 9},
 	}
 }
 
 func prefilterOpts(c struct {
-	name   string
-	eng    Engine
-	kernel ungapped.Kernel
-	shard  int
+	name  string
+	eng   Engine
+	shard int
 }, maxCand int) Options {
 	opt := DefaultOptions()
 	opt.Engine = c.eng
-	opt.Step2Kernel = c.kernel
 	opt.MaxCandidates = maxCand
 	if c.shard > 0 {
 		opt.Pipeline = pipeline.Config{
@@ -89,7 +82,7 @@ func TestPrefilterOffBitIdentical(t *testing.T) {
 // MaxCandidates at least the subject-bank size no candidate is ever
 // cut, so the filtered pipeline must reproduce the unfiltered result
 // bit-for-bit — same Hits, Pairs, stats, and alignments in the same
-// order — on every engine, kernel and shard size.
+// order — on every engine and shard size.
 func TestPrefilterWideOpenBitIdentical(t *testing.T) {
 	proteins, fbank := equivWorkload(t)
 	for _, c := range prefilterConfigs(proteins.Len()) {

@@ -15,7 +15,6 @@ import (
 	"seedblast/internal/seed"
 	"seedblast/internal/stats"
 	"seedblast/internal/translate"
-	"seedblast/internal/ungapped"
 )
 
 // This file is the search API: one Searcher, constructed once from
@@ -80,13 +79,6 @@ func WithRASC(r RASCOptions) Option {
 // WithWorkers sets the host parallelism (0 = GOMAXPROCS).
 func WithWorkers(n int) Option {
 	return func(o *Options) error { o.Workers = n; return nil }
-}
-
-// WithStep2Kernel selects the CPU step-2 inner-loop implementation
-// (ungapped.KernelAuto, KernelScalar, or KernelBlocked). Results are
-// bit-identical across kernels; only throughput differs.
-func WithStep2Kernel(k ungapped.Kernel) Option {
-	return func(o *Options) error { o.Step2Kernel = k; return nil }
 }
 
 // WithPipeline tunes the streaming shard engine (shard size, shards in

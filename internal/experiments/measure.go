@@ -80,6 +80,33 @@ func (o MeasureOptions) withDefaults(base int) MeasureOptions {
 	return o
 }
 
+// scalarBackend runs step 2 on one core with the scalar reference
+// kernel. The paper's software baseline is that sequential scalar
+// loop, so pinning it keeps the measured profile (Tables 1, 7) in the
+// paper's shape whatever kernel KernelAuto would pick. The blocked
+// kernel's speedup is recorded separately (BENCH_0006, EXPERIMENTS.md
+// "Step-2 blocked kernel").
+type scalarBackend struct{ threshold int }
+
+func (scalarBackend) Name() string { return "cpu" }
+
+func (b scalarBackend) Step2(ctx context.Context, shard *pipeline.Shard, ix1 *index.Index) (*pipeline.Step2Output, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	t0 := time.Now()
+	r, err := ungapped.Run(shard.Index, ix1, ungapped.Config{
+		Matrix:    matrix.BLOSUM62,
+		Threshold: b.threshold,
+		Workers:   1,
+		Kernel:    ungapped.KernelScalar,
+	})
+	if err != nil {
+		return nil, err
+	}
+	return &pipeline.Step2Output{Shard: shard, Hits: r.Hits, Pairs: r.Pairs, Elapsed: time.Since(t0), Backend: "cpu"}, nil
+}
+
 // Measure runs the pipeline over every bank of the workload and
 // collects the raw numbers behind the tables. The software pipeline is
 // driven through the streaming shard engine pinned to one shard and
@@ -100,17 +127,7 @@ func Measure(w *Workload, opt MeasureOptions) (*Measurements, error) {
 	}
 	genomeIndexSec := time.Since(tGenome).Seconds()
 
-	// The paper's software baseline is the sequential scalar inner
-	// loop; pin it so the measured profile (Tables 1, 7) keeps the
-	// paper's shape regardless of what KernelAuto would pick. The
-	// blocked kernel's speedup is recorded separately (BENCH_0006,
-	// EXPERIMENTS.md "Step-2 blocked kernel").
-	eng, err := pipeline.New(pipeline.Config{}, &pipeline.CPUBackend{
-		Matrix:    matrix.BLOSUM62,
-		Threshold: w.Scale.Threshold,
-		Workers:   1,
-		Kernel:    ungapped.KernelScalar,
-	})
+	eng, err := pipeline.New(pipeline.Config{}, scalarBackend{threshold: w.Scale.Threshold})
 	if err != nil {
 		return nil, err
 	}

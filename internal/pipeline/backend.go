@@ -30,11 +30,6 @@ type Step2Output struct {
 	// Backend names the backend that processed the shard, so fan-out
 	// dispatch is observable in Metrics.ShardsByBackend.
 	Backend string
-	// Kernel names the step-2 inner-loop implementation that actually
-	// ran ("scalar" or "blocked" — never "auto") when the shard was
-	// scored by the CPU engine; empty for accelerator shards. Recorded
-	// in Metrics.ShardsByKernel.
-	Kernel string
 }
 
 // Backend abstracts where step 2 (ungapped extension) runs. Backends
@@ -51,11 +46,6 @@ type CPUBackend struct {
 	Matrix    *matrix.Matrix
 	Threshold int
 	Workers   int // per-shard parallelism; 0 = GOMAXPROCS
-	// Kernel selects the step-2 inner-loop implementation; the zero
-	// value (KernelAuto) picks the blocked kernel whenever the
-	// workload fits its arithmetic bounds. Results are bit-identical
-	// across kernels either way.
-	Kernel ungapped.Kernel
 }
 
 // Name implements Backend.
@@ -71,7 +61,6 @@ func (b *CPUBackend) Step2(ctx context.Context, shard *Shard, ix1 *index.Index) 
 		Matrix:    b.Matrix,
 		Threshold: b.Threshold,
 		Workers:   b.Workers,
-		Kernel:    b.Kernel,
 	})
 	if err != nil {
 		return nil, err
@@ -82,7 +71,6 @@ func (b *CPUBackend) Step2(ctx context.Context, shard *Shard, ix1 *index.Index) 
 		Pairs:   r.Pairs,
 		Elapsed: time.Since(t0),
 		Backend: b.Name(),
-		Kernel:  r.Kernel.String(),
 	}, nil
 }
 

@@ -148,11 +148,6 @@ type Metrics struct {
 	Step2           StageMetrics
 	Step3           StageMetrics
 	ShardsByBackend map[string]int // step-2 dispatch split (MultiBackend)
-	// ShardsByKernel counts CPU-scored shards by the step-2 kernel
-	// that actually ran ("scalar" or "blocked"), so kernel selection —
-	// including auto-resolution and its arithmetic-bound fallback — is
-	// observable per run. Accelerator shards are not counted here.
-	ShardsByKernel map[string]int
 	// PrefilterKept and PrefilterDropped count candidate
 	// (query, subject) pairs — pairs sharing at least one seed hit —
 	// that survived and fell to the prefilter's per-query top-K cut.
@@ -199,12 +194,6 @@ func (m *Metrics) Merge(o *Metrics) {
 			m.ShardsByBackend = make(map[string]int)
 		}
 		m.ShardsByBackend[k] += v
-	}
-	for k, v := range o.ShardsByKernel {
-		if m.ShardsByKernel == nil {
-			m.ShardsByKernel = make(map[string]int)
-		}
-		m.ShardsByKernel[k] += v
 	}
 }
 
@@ -476,18 +465,8 @@ func (e *Engine) run(pctx context.Context, req *Request, emit func([]gapped.Alig
 					}
 					met.ShardsByBackend[r.Backend]++
 				}
-				if r.Kernel != "" {
-					if met.ShardsByKernel == nil {
-						met.ShardsByKernel = make(map[string]int)
-					}
-					met.ShardsByKernel[r.Kernel]++
-				}
 				mu.Unlock()
-				attrs := []telemetry.Attr{telemetry.Int("shard", sh.ID), telemetry.String("backend", e.backend.Name())}
-				if r.Kernel != "" {
-					attrs = append(attrs, telemetry.String("kernel", r.Kernel))
-				}
-				tr.Record("step2", t0, d, attrs...)
+				tr.Record("step2", t0, d, telemetry.Int("shard", sh.ID), telemetry.String("backend", e.backend.Name()))
 				select {
 				case step2Ch <- r:
 				case <-ctx.Done():

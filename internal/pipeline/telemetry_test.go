@@ -87,8 +87,8 @@ func TestRunWithoutTraceRecordsNothing(t *testing.T) {
 	}
 }
 
-// TestMetricsMergeFoldsMaps is the direct Merge unit test: kernel and
-// backend shard counts fold per key, additive fields add, and
+// TestMetricsMergeFoldsMaps is the direct Merge unit test: backend
+// shard counts fold per key, additive fields add, and
 // MaxBufferedMatches keeps the max — not the sum — because peaks of
 // concurrent runs never coexist with each other's totals.
 func TestMetricsMergeFoldsMaps(t *testing.T) {
@@ -105,10 +105,6 @@ func TestMetricsMergeFoldsMaps(t *testing.T) {
 		ShardsByBackend: map[string]int{
 			"cpu": 2,
 		},
-		ShardsByKernel: map[string]int{
-			"blocked": 1,
-			"scalar":  1,
-		},
 		MaxBufferedMatches: 10,
 	}
 	b := Metrics{
@@ -124,9 +120,6 @@ func TestMetricsMergeFoldsMaps(t *testing.T) {
 		ShardsByBackend: map[string]int{
 			"cpu":  1,
 			"rasc": 2,
-		},
-		ShardsByKernel: map[string]int{
-			"blocked": 3,
 		},
 		MaxBufferedMatches: 7,
 	}
@@ -148,9 +141,6 @@ func TestMetricsMergeFoldsMaps(t *testing.T) {
 	if a.ShardsByBackend["cpu"] != 3 || a.ShardsByBackend["rasc"] != 2 {
 		t.Errorf("ShardsByBackend = %v", a.ShardsByBackend)
 	}
-	if a.ShardsByKernel["blocked"] != 4 || a.ShardsByKernel["scalar"] != 1 {
-		t.Errorf("ShardsByKernel = %v", a.ShardsByKernel)
-	}
 	if a.MaxBufferedMatches != 10 {
 		t.Errorf("MaxBufferedMatches = %d, want max semantics (10)", a.MaxBufferedMatches)
 	}
@@ -164,7 +154,7 @@ func TestMetricsMergeFoldsMaps(t *testing.T) {
 	// Merging into zero-value maps allocates them.
 	var z Metrics
 	z.Merge(&b)
-	if z.ShardsByKernel["blocked"] != 3 || z.ShardsByBackend["rasc"] != 2 {
-		t.Errorf("zero-value merge = %v / %v", z.ShardsByKernel, z.ShardsByBackend)
+	if z.ShardsByBackend["rasc"] != 2 {
+		t.Errorf("zero-value merge = %v", z.ShardsByBackend)
 	}
 }

@@ -14,7 +14,6 @@ import (
 	"seedblast/internal/stats"
 	"seedblast/internal/telemetry"
 	"seedblast/internal/translate"
-	"seedblast/internal/ungapped"
 )
 
 // MaxRequestBytes bounds a submitted job body (banks are sent inline).
@@ -75,20 +74,16 @@ type SequenceJSON struct {
 // OptionsJSON is the wire form of the per-request option subset the
 // API exposes. Absent fields take the pipeline defaults.
 type OptionsJSON struct {
-	Engine    string   `json:"engine,omitempty"` // cpu (default), rasc, multi
-	N         *int     `json:"n,omitempty"`
-	Threshold *int     `json:"threshold,omitempty"`
-	MaxEValue *float64 `json:"maxEValue,omitempty"`
-	Traceback bool     `json:"traceback,omitempty"`
-	Workers   int      `json:"workers,omitempty"`
-	// Kernel selects the CPU step-2 inner loop: "auto" (default),
-	// "scalar" or "blocked". Results are bit-identical across kernels;
-	// only throughput differs.
-	Kernel        string `json:"kernel,omitempty"`
-	ShardSize     int    `json:"shardSize,omitempty"`
-	InFlight      int    `json:"inFlight,omitempty"`
-	StreamWorkers int    `json:"streamWorkers,omitempty"`
-	GeneticCode   string `json:"geneticCode,omitempty"`
+	Engine        string   `json:"engine,omitempty"` // cpu (default), rasc, multi
+	N             *int     `json:"n,omitempty"`
+	Threshold     *int     `json:"threshold,omitempty"`
+	MaxEValue     *float64 `json:"maxEValue,omitempty"`
+	Traceback     bool     `json:"traceback,omitempty"`
+	Workers       int      `json:"workers,omitempty"`
+	ShardSize     int      `json:"shardSize,omitempty"`
+	InFlight      int      `json:"inFlight,omitempty"`
+	StreamWorkers int      `json:"streamWorkers,omitempty"`
+	GeneticCode   string   `json:"geneticCode,omitempty"`
 	// MaxCandidates enables the two-stage prefilter: only the top k
 	// subjects per query (by hashed-seed diagonal score) are extended.
 	// Absent or 0 disables it (bit-identical to today's behaviour);
@@ -169,8 +164,8 @@ func WriteError(w http.ResponseWriter, code int, format string, args ...any) {
 }
 
 // CoreOptions translates the wire options into typed core options, in
-// the order NewSearcher applies them. It parses names (engine, kernel,
-// genetic code) and nothing else: every range check lives in the
+// the order NewSearcher applies them. It parses names (engine, genetic
+// code) and nothing else: every range check lives in the
 // With* setter, so a bad value fails NewSearcher with the same message
 // whether it arrived as JSON or as a cmd/seedcmp flag.
 func (oj OptionsJSON) CoreOptions() ([]core.Option, error) {
@@ -178,13 +173,8 @@ func (oj OptionsJSON) CoreOptions() ([]core.Option, error) {
 	if err != nil {
 		return nil, err
 	}
-	kernel, err := ungapped.ParseKernel(oj.Kernel)
-	if err != nil {
-		return nil, err
-	}
 	opts := []core.Option{
 		core.WithEngine(engine),
-		core.WithStep2Kernel(kernel),
 		core.WithTraceback(oj.Traceback),
 		core.WithWorkers(oj.Workers),
 		core.WithPipeline(pipeline.Config{

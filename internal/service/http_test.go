@@ -137,6 +137,57 @@ func TestHTTPSubmitPollFetch(t *testing.T) {
 	}
 }
 
+// TestHTTPIgnoresRetiredKernelOption: the "kernel" option is gone and
+// the request decoder ignores unknown fields, so a client that still
+// sends one — even a value the old parser refused — gets exactly the
+// alignments of a request without it.
+func TestHTTPIgnoresRetiredKernelOption(t *testing.T) {
+	b0, b1 := testWorkload(t, 6, 61)
+	svc := New(Config{})
+	defer svc.Close()
+	ts := httptest.NewServer(NewHandler(svc))
+	defer ts.Close()
+
+	run := func(kernel string) []byte {
+		t.Helper()
+		opts := map[string]any{"maxEValue": 10.0}
+		if kernel != "" {
+			opts["kernel"] = kernel
+		}
+		resp := postJSON(t, ts.URL+"/v1/jobs", map[string]any{
+			"query": bankToJSON(b0), "subject": bankToJSON(b1), "options": opts,
+		})
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("kernel %q: submit status = %d", kernel, resp.StatusCode)
+		}
+		id := decodeJSON[map[string]string](t, resp)["id"]
+		if st := pollDone(t, ts.URL, id); st.State != string(JobDone) {
+			t.Fatalf("kernel %q: job failed: %s", kernel, st.Error)
+		}
+		resp, err := http.Get(ts.URL + "/v1/jobs/" + id + "/alignments")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		raw, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return raw
+	}
+
+	want := run("")
+	var aligns []AlignmentJSON
+	if err := json.Unmarshal(want, &aligns); err != nil || len(aligns) == 0 {
+		t.Fatalf("reference job: %d alignments, %v; test is vacuous", len(aligns), err)
+	}
+	for _, kernel := range []string{"scalar", "blocked", "simd"} {
+		if got := run(kernel); !bytes.Equal(got, want) {
+			t.Errorf("kernel %q changed the alignments:\n got %s\nwant %s", kernel, got, want)
+		}
+	}
+}
+
 func TestHTTPGenomeJob(t *testing.T) {
 	proteins := bank.GenerateProteins(bank.ProteinConfig{N: 6, MeanLen: 100, LenJitter: 15, Seed: 31})
 	genome, _, err := bank.GenerateGenome(bank.GenomeConfig{
@@ -208,7 +259,6 @@ func TestHTTPValidationAndMetrics(t *testing.T) {
 		"neither":            {Query: []SequenceJSON{{ID: "q", Seq: "MKV"}}},
 		"bad residue":        {Query: []SequenceJSON{{ID: "q", Seq: "M1V"}}, Subject: []SequenceJSON{{ID: "s", Seq: "MKV"}}},
 		"bad engine":         {Query: []SequenceJSON{{ID: "q", Seq: "MKV"}}, Subject: []SequenceJSON{{ID: "s", Seq: "MKV"}}, Options: OptionsJSON{Engine: "gpu"}},
-		"bad kernel":         {Query: []SequenceJSON{{ID: "q", Seq: "MKV"}}, Subject: []SequenceJSON{{ID: "s", Seq: "MKV"}}, Options: OptionsJSON{Kernel: "simd"}},
 		"bad nucleotide":     {Query: []SequenceJSON{{ID: "q", Seq: "MKV"}}, Genome: "ACGZ"},
 		"negative search space": {Query: []SequenceJSON{{ID: "q", Seq: "MKV"}}, Subject: []SequenceJSON{{ID: "s", Seq: "MKV"}},
 			Options: OptionsJSON{SearchSpace: &SearchSpaceJSON{DBLen: -5}}},

@@ -7,7 +7,6 @@ import (
 	"seedblast/internal/core"
 	"seedblast/internal/stats"
 	"seedblast/internal/translate"
-	"seedblast/internal/ungapped"
 )
 
 func ptr[T any](v T) *T { return &v }
@@ -28,7 +27,6 @@ func TestWireOptionsReachSearcher(t *testing.T) {
 		"MaxEValue": {OptionsJSON{MaxEValue: ptr(7.5)}, func(o core.Options) bool { return o.Gapped.MaxEValue == 7.5 }},
 		"Traceback": {OptionsJSON{Traceback: true}, func(o core.Options) bool { return o.Gapped.Traceback }},
 		"Workers":   {OptionsJSON{Workers: 3}, func(o core.Options) bool { return o.Workers == 3 }},
-		"Kernel":    {OptionsJSON{Kernel: "scalar"}, func(o core.Options) bool { return o.Step2Kernel == ungapped.KernelScalar }},
 		"ShardSize": {OptionsJSON{ShardSize: 5}, func(o core.Options) bool { return o.Pipeline.ShardSize == 5 }},
 		"InFlight":  {OptionsJSON{InFlight: 4}, func(o core.Options) bool { return o.Pipeline.InFlight == 4 }},
 		"StreamWorkers": {OptionsJSON{StreamWorkers: 2}, func(o core.Options) bool {

@@ -1,21 +1,17 @@
-// Architecture-specific fast paths for the blocked step-2 kernel.
-// Both scanners keep one int16 lane per IL1 window and compute the
-// exact zero-clamped running sum (Kadane) via saturating adds and
-// maxima: PADDSW never saturates inside the blockedMaxWindowScore
-// bound, PMAXSW against zero implements the clamp, and PMAXSW into
-// the best register tracks the running maximum. Unlike the portable
-// SWAR kernel the lanes hold the exact align.WindowScore value, so
-// the caller reads exact scores from best and needs no rescore pass.
+// The blocked step-2 kernel's group scanner. It keeps one int16 lane
+// per IL1 window and computes the exact zero-clamped running sum
+// (Kadane) via saturating adds and maxima: PADDSW never saturates
+// inside the blockedMaxWindowScore bound, PMAXSW against zero
+// implements the clamp, and PMAXSW into the best register tracks the
+// running maximum. The lanes hold the exact align.WindowScore value,
+// so the caller reads exact scores from best.
 //
-//   - scanGroup16SSSE3: 16 windows per group. Subject windows are
-//     transposed 8 positions at a time into position-major rows with
-//     a PUNPCK network, then each position's 16 scores come from two
-//     PSHUFB lookups into the 32-byte btab row (low/high half of the
-//     residue range selected by biasing the index bytes), replacing
-//     the scalar gather chains entirely. Needs SSSE3 (PSHUFB).
-//   - scanGroup8SSE: 8 windows per group, scores gathered byte by
-//     byte with PINSRW chains. SSE2 only, the amd64 baseline — the
-//     fallback on pre-SSSE3 CPUs.
+// scanGroup16SSSE3 scores 16 windows per group. Subject windows are
+// transposed 8 positions at a time into position-major rows with a
+// PUNPCK network, then each position's 16 scores come from two PSHUFB
+// lookups into the 32-byte btab row (low/high half of the residue
+// range selected by biasing the index bytes), replacing scalar gather
+// chains entirely. Needs SSSE3 (PSHUFB).
 
 #include "textflag.h"
 
@@ -329,7 +325,7 @@ pos4Loop:
 
 tailScalar:
 	// Remaining subLen%4 positions: gather scores byte by byte into
-	// word lanes, as in scanGroup8SSE, once per 8-window half.
+	// word lanes with PINSRW chains, once per 8-window half.
 
 tailLoop:
 	MOVBLZX (BX), R13
@@ -414,92 +410,4 @@ done:
 	MOVQ  best+32(FP), R12
 	MOVOU X5, (R12)
 	MOVOU X9, 16(R12)
-	RET
-
-// func scanGroup8SSE(btab *uint8, w0 *byte, win *byte, subLen int, best *[8]int16)
-//
-// btab: 32×256-byte biased score table (score+128 as uint8)
-// w0:   query window, subLen residues
-// win:  first of 8 consecutive subject windows, each subLen bytes
-// best: out: per-window maximum zero-clamped running sum
-TEXT ·scanGroup8SSE(SB), NOSPLIT, $0-40
-	MOVQ btab+0(FP), AX
-	MOVQ w0+8(FP), BX
-	MOVQ win+16(FP), SI
-	MOVQ subLen+24(FP), CX
-
-	// Three advancing base pointers cover the 8 window streams with
-	// {0, CX, 2·CX} scaled addressing: SI → windows 0-2, DI → 3-5,
-	// R8 → 6-7.
-	LEAQ (SI)(CX*2), DI
-	ADDQ CX, DI
-	LEAQ (DI)(CX*2), R8
-	ADDQ CX, R8
-
-	// X0 = running scores (zero-clamped), X5 = best so far, X4 = 0,
-	// X3 = the +128 byte bias replicated across lanes.
-	PXOR X0, X0
-	PXOR X4, X4
-	PXOR X5, X5
-	MOVQ $0x0080008000800080, R11
-	MOVQ R11, X3
-	PUNPCKLQDQ X3, X3
-
-	MOVQ CX, R9 // remaining positions
-
-loop:
-	// Biased score row for this query residue.
-	MOVBLZX (BX), R10
-	INCQ    BX
-	ANDL    $31, R10
-	SHLL    $8, R10
-	ADDQ    AX, R10
-
-	// Gather the 8 subject scores of this position: lanes 0-3 built
-	// in X1, lanes 4-7 in X2, merged with one unpack. The first write
-	// of each half is a full-register MOVQ so neither half carries a
-	// false dependency on the previous iteration's value, and the two
-	// halves' insert chains run in parallel.
-	MOVBLZX (SI), R11
-	MOVBLZX (R10)(R11*1), R11
-	MOVQ    R11, X1
-	MOVBLZX (SI)(CX*1), R12
-	MOVBLZX (R10)(R12*1), R12
-	PINSRW  $1, R12, X1
-	MOVBLZX (SI)(CX*2), R11
-	MOVBLZX (R10)(R11*1), R11
-	PINSRW  $2, R11, X1
-	MOVBLZX (DI), R12
-	MOVBLZX (R10)(R12*1), R12
-	PINSRW  $3, R12, X1
-	MOVBLZX (DI)(CX*1), R11
-	MOVBLZX (R10)(R11*1), R11
-	MOVQ    R11, X2
-	MOVBLZX (DI)(CX*2), R12
-	MOVBLZX (R10)(R12*1), R12
-	PINSRW  $1, R12, X2
-	MOVBLZX (R8), R11
-	MOVBLZX (R10)(R11*1), R11
-	PINSRW  $2, R11, X2
-	MOVBLZX (R8)(CX*1), R12
-	MOVBLZX (R10)(R12*1), R12
-	PINSRW  $3, R12, X2
-	PUNPCKLQDQ X2, X1
-	INCQ    SI
-	INCQ    DI
-	INCQ    R8
-
-	// s = max(s + p, 0); best = max(best, s). The +128 byte bias is
-	// removed on the gather register, keeping the loop-carried chain
-	// through X0 at two instructions (PADDSW, PMAXSW) per position.
-	PSUBW  X3, X1
-	PADDSW X1, X0
-	PMAXSW X4, X0
-	PMAXSW X0, X5
-
-	DECQ R9
-	JNZ  loop
-
-	MOVQ  best+32(FP), R10
-	MOVOU X5, (R10)
 	RET

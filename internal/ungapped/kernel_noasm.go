@@ -2,20 +2,12 @@
 
 package ungapped
 
-// hasAsmKernel: no architecture-specific group scanner on this GOARCH;
-// the blocked kernel uses the portable 4-lane SWAR pass.
-const hasAsmKernel = false
-
-// hasSSSE3 is never consulted when hasAsmKernel is false.
+// hasSSSE3: no x86 vector extensions on this GOARCH, so Kernel.resolve
+// always picks the scalar reference.
 const hasSSSE3 = false
 
-// The asm scanners are never called when hasAsmKernel is false; these
-// stubs keep the portable build compiling.
-
+// scanGroup16SSSE3 is never called when hasSSSE3 is false; the stub
+// keeps the portable build compiling.
 func scanGroup16SSSE3(btab *uint8, w0 *byte, win *byte, subLen int, best *[ssse3Lanes]int16) {
-	panic("ungapped: asm kernel called on unsupported GOARCH")
-}
-
-func scanGroup8SSE(btab *uint8, w0 *byte, win *byte, subLen int, best *[asmLanes]int16) {
 	panic("ungapped: asm kernel called on unsupported GOARCH")
 }

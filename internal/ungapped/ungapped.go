@@ -32,7 +32,7 @@ type Config struct {
 	Matrix    *matrix.Matrix
 	Threshold int    // minimal window score to survive
 	Workers   int    // 0 means GOMAXPROCS
-	Kernel    Kernel // inner-loop implementation (default KernelAuto)
+	Kernel    Kernel // inner-loop implementation (default KernelAuto; see Kernel for who sets it)
 }
 
 // Result is the outcome of step 2.
@@ -169,7 +169,7 @@ func scanKeys(ix0, ix1 *index.Index, lo, hi, span uint32, cfg *Config, kernel Ke
 		il0, hood0 := ix0.Bucket(k)
 		il1, hood1 := ix1.Bucket(k)
 		c.pairs += int64(len(il0)) * int64(len(il1))
-		if ks != nil && len(il1) >= ks.minIL1 {
+		if ks != nil && len(il1) >= blockedMinIL1 {
 			n := ks.scanBucket(il0, hood0, il1, hood1)
 			c.reserve(n, k-lo+1, span)
 			ks.flush(k, il0, il1, &c.hits)

@@ -124,11 +124,6 @@ func WithRASC(r RASCOptions) Option { return core.WithRASC(r) }
 // WithWorkers sets the host parallelism (0 = GOMAXPROCS).
 func WithWorkers(n int) Option { return core.WithWorkers(n) }
 
-// WithStep2Kernel selects the CPU step-2 inner-loop implementation
-// (KernelAuto, KernelScalar or KernelBlocked); results are
-// bit-identical across kernels.
-func WithStep2Kernel(k Kernel) Option { return core.WithStep2Kernel(k) }
-
 // WithPipeline tunes the streaming shard engine.
 func WithPipeline(cfg PipelineConfig) Option { return core.WithPipeline(cfg) }
 

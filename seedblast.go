@@ -29,7 +29,6 @@ import (
 	"seedblast/internal/seed"
 	"seedblast/internal/seqio"
 	"seedblast/internal/translate"
-	"seedblast/internal/ungapped"
 )
 
 // Core pipeline types, re-exported.
@@ -43,10 +42,6 @@ type (
 	StepTimes = core.StepTimes
 	// Engine selects where step 2 runs.
 	Engine = core.Engine
-	// Kernel selects the CPU step-2 inner-loop implementation (see
-	// Options.Step2Kernel and WithStep2Kernel). Results are
-	// bit-identical across kernels; only throughput differs.
-	Kernel = ungapped.Kernel
 	// Bank is an ordered set of protein sequences.
 	Bank = bank.Bank
 	// PipelineConfig tunes the streaming shard engine (shard size,
@@ -67,24 +62,6 @@ const (
 	// the paper's multicore-plus-FPGA dispatch, answered greedily.
 	EngineMulti = core.EngineMulti
 )
-
-// Kernel values.
-const (
-	// KernelAuto (the zero value) picks the blocked kernel whenever
-	// the matrix and window length fit its arithmetic bounds, falling
-	// back to scalar otherwise.
-	KernelAuto = ungapped.KernelAuto
-	// KernelScalar forces the scalar reference inner loop.
-	KernelScalar = ungapped.KernelScalar
-	// KernelBlocked requests the blocked lane-parallel inner loop; it
-	// still falls back to scalar when the workload's score bound does
-	// not fit its int16 lanes.
-	KernelBlocked = ungapped.KernelBlocked
-)
-
-// ParseKernel parses "auto", "scalar" or "blocked" (the CLI/service
-// spelling) into a Kernel.
-func ParseKernel(s string) (Kernel, error) { return ungapped.ParseKernel(s) }
 
 // DefaultOptions returns the paper's defaults: W=4 subset seed, N=14,
 // BLOSUM62, ungapped threshold 38, gapped stage at E ≤ 10⁻³.

@@ -10,7 +10,6 @@ import (
 	"seedblast/internal/gapped"
 	"seedblast/internal/stats"
 	"seedblast/internal/translate"
-	"seedblast/internal/ungapped"
 )
 
 // Compile-time exhaustiveness gate for the search facade: every
@@ -55,10 +54,6 @@ var (
 	_ func(seedblast.Engine) seedblast.Option         = seedblast.WithEngine
 	_ func(seedblast.RASCOptions) seedblast.Option    = seedblast.WithRASC
 	_ func(int) seedblast.Option                      = seedblast.WithWorkers
-	_ func(seedblast.Kernel) seedblast.Option         = seedblast.WithStep2Kernel
-	_ ungapped.Kernel                                 = seedblast.KernelBlocked
-	_ seedblast.Kernel                                = ungapped.KernelScalar
-	_ func(string) (seedblast.Kernel, error)          = seedblast.ParseKernel
 	_ func(seedblast.PipelineConfig) seedblast.Option = seedblast.WithPipeline
 	_ func(seedblast.GappedConfig) seedblast.Option   = seedblast.WithGapped
 	_ func(float64) seedblast.Option                  = seedblast.WithMaxEValue
