@@ -7,8 +7,9 @@
 // gathers the merged, globally re-ranked alignments — streamed off
 // each worker's NDJSON fetch path as its volume finishes, counted
 // against the volume job's status, and k-way merged. Failed workers,
-// short streams included, are retried around; /cluster/metrics exposes per-worker latency, retry counts
-// and volume skew.
+// short streams included, are retried around; /metrics exposes
+// per-worker volume counts, failures and latency, retry counts and the
+// last partition's volume skew.
 //
 //	# two workers, then the coordinator over them:
 //	seedservd -addr 127.0.0.1:8845 &
@@ -34,7 +35,6 @@
 //	curl -sN localhost:8844/v1/jobs/cjob-1/alignments?stream=1
 //	curl -s localhost:8844/v1/jobs/cjob-1/trace
 //	curl -s localhost:8844/metrics
-//	curl -s localhost:8844/cluster/metrics
 package main
 
 import (

@@ -1,15 +1,15 @@
 // Seedlint is the repository's own static analyzer: a multichecker of
-// nine repo-specific analyzers enforcing engine invariants that no
+// eight repo-specific analyzers enforcing engine invariants that no
 // off-the-shelf tool knows about. Five are per-package checks — mmap
 // lifetimes (mmapclose), goroutine cancellation discipline
 // (ctxselect), asm/noasm kernel parity (kernelparity), copy-on-write
 // option setters (optclone), and meaningful Close errors (errclose) —
 // joined by span lifetimes (spanend) and directive hygiene
-// (directive). Two are cross-package dataflow checks that parse
+// (directive). One is a cross-package dataflow check that parses
 // several packages into a shared facts layer: map-iteration
-// determinism at order-sensitive sinks (mapdet), and telemetry
-// registry ↔ loadgen schema agreement (metricname). See DESIGN.md "Static analysis" for the invariants
-// and internal/analysis for the implementations.
+// determinism at order-sensitive sinks (mapdet). See DESIGN.md
+// "Static analysis" for the invariants and internal/analysis for the
+// implementations.
 //
 // Direct mode (what CI runs) analyzes packages like the go tool does:
 //
@@ -21,7 +21,7 @@
 // analyzer: message" line per finding otherwise (-json switches to one
 // NDJSON record per finding). Findings are waived in place with a
 // //seedlint:allow <analyzer> -- reason comment. The go list load is
-// performed once and shared by all nine analyzers (-timings prints the
+// performed once and shared by all eight analyzers (-timings prints the
 // cold and memoized load wall times; -cpuprofile writes a pprof
 // profile for measuring it).
 //
@@ -120,7 +120,7 @@ func main() {
 		patterns = []string{"./..."}
 	}
 	// One go list + parse, memoized by SharedLoader and shared by all
-	// nine analyzers in this process.
+	// eight analyzers in this process.
 	start := time.Now()
 	pkgs, err := analysis.SharedLoader.Load(".", patterns...)
 	if err != nil {

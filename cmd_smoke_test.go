@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"seedblast/internal/service"
+	"seedblast/internal/telemetry"
 )
 
 // buildTool compiles one command into a temp dir and returns its path.
@@ -359,7 +360,7 @@ func TestCmdSeeddbSmoke(t *testing.T) {
 // seedclusterd coordinator over them and runs the same scatter-gather
 // job flow through the same client — the coordinator is
 // indistinguishable from a worker at the API level — then checks the
-// cluster metrics recorded per-worker volume traffic.
+// coordinator's /metrics recorded per-worker volume traffic.
 func TestCmdSeedclusterdSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cmd smoke tests in -short mode")
@@ -379,7 +380,7 @@ func TestCmdSeedclusterdSmoke(t *testing.T) {
 
 	smokeJob(t, base)
 
-	metrics := fetchMetrics(t, base+"/cluster/metrics")
+	metrics := fetchMetrics(t, base+"/metrics")
 	for _, want := range []string{
 		"seedclusterd_requests_completed_total 1",
 		"seedclusterd_last_volumes 3",
@@ -387,13 +388,31 @@ func TestCmdSeedclusterdSmoke(t *testing.T) {
 		"seedclusterd_worker_volumes_total{worker=\"http://" + w2 + "\"}",
 	} {
 		if !strings.Contains(metrics, want) {
-			t.Errorf("/cluster/metrics missing %q:\n%s", want, metrics)
+			t.Errorf("/metrics missing %q:\n%s", want, metrics)
 		}
+	}
+	fams, err := telemetry.ParseText(strings.NewReader(metrics))
+	if err != nil {
+		t.Fatalf("/metrics violates the exposition grammar: %v\n%s", err, metrics)
 	}
 	// Three volumes over two healthy workers: both must have served at
 	// least one (round-robin placement), with no retries burned.
-	if strings.Contains(metrics, "worker_volumes_total{worker=\"http://"+w1+"\"} 0") ||
-		strings.Contains(metrics, "worker_volumes_total{worker=\"http://"+w2+"\"} 0") {
-		t.Errorf("a healthy worker served no volumes:\n%s", metrics)
+	for _, w := range []string{w1, w2} {
+		if v, ok := fams.Value("seedclusterd_worker_volumes_total", telemetry.L("worker", "http://"+w)); !ok || v < 1 {
+			t.Errorf("healthy worker %s served %g volumes, want >= 1:\n%s", w, v, metrics)
+		}
+	}
+	if v, ok := fams.Value("seedclusterd_volume_retries_total"); !ok || v != 0 {
+		t.Errorf("seedclusterd_volume_retries_total = %g (present=%v), want 0", v, ok)
+	}
+
+	// The hand-rendered page is gone; /metrics is the one exposition.
+	resp, err := http.Get(base + "/cluster/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("GET /cluster/metrics: %d, want 404", resp.StatusCode)
 	}
 }

@@ -16,8 +16,8 @@
 // Finalize: Collect exports Facts from each package (the zero-dep
 // analogue of x/tools fact export), and Finalize sees the whole Unit —
 // every loaded package plus every collected fact — and reports the
-// cross-layer drift no single package can see (a metric family the
-// schema check never learned).
+// cross-layer drift no single package can see (a map declared in one
+// package ranged into an order-sensitive sink in another).
 //
 // Analyzers are purely syntactic: they parse, they do not type-check.
 // Each one is calibrated against this repository's idioms (see the

@@ -10,7 +10,6 @@ var Analyzers = []*Analyzer{
 	ErrClose,
 	SpanEnd,
 	MapDet,
-	MetricName,
 	Directive,
 }
 

@@ -1,29 +1,18 @@
-// Package benchfmt is the shared layout of the repo's checked-in
-// benchmark records (BENCH_*.json): a schema version string, so tools
-// reading a record can tell which fields to expect, and the host
-// provenance every record carries — without it a recorded speedup is
+// Package benchfmt is the provenance for bench/ results: the code and
+// host a result was measured on — without it a recorded speedup is
 // uninterpretable a few commits later ("fast compared to what, where?").
-//
-// cmd/loadgen (daemon-level load generation) stamps its records
-// through Collect, so every BENCH file answers the same questions:
-// which commit, which Go, which CPU, how many cores.
+// bench/ stamps every results file through Collect, so each one answers
+// the same questions: which commit, which Go, which CPU, how many cores.
 package benchfmt
 
 import (
 	"bytes"
-	"fmt"
 	"os"
 	"os/exec"
 	"runtime"
 	"strings"
 	"time"
 )
-
-// SchemaLoadgen is cmd/loadgen's record layout: daemon-level
-// throughput, cold start and per-stage latency quantiles. A record's
-// "schema" field names its layout; bump the suffix when it changes
-// incompatibly.
-const SchemaLoadgen = "seedblast-loadgen/1"
 
 // Provenance identifies the code and host a record was measured on.
 type Provenance struct {
@@ -54,24 +43,6 @@ func Collect() Provenance {
 		CPUModel:  cpuModel(),
 		Commit:    gitCommit(),
 	}
-}
-
-// Validate checks the fields every record must carry.
-func (p *Provenance) Validate() error {
-	switch {
-	case p.Date == "":
-		return fmt.Errorf("benchfmt: provenance missing date")
-	case p.GoVersion == "":
-		return fmt.Errorf("benchfmt: provenance missing goVersion")
-	case p.GOOS == "" || p.GOARCH == "":
-		return fmt.Errorf("benchfmt: provenance missing goos/goarch")
-	case p.NumCPU <= 0:
-		return fmt.Errorf("benchfmt: provenance numCPU = %d", p.NumCPU)
-	}
-	if _, err := time.Parse(time.RFC3339, p.Date); err != nil {
-		return fmt.Errorf("benchfmt: provenance date: %w", err)
-	}
-	return nil
 }
 
 // gitCommit returns HEAD's hash, "-dirty"-suffixed when the tree has

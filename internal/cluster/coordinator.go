@@ -34,10 +34,6 @@ type Config struct {
 	// Client tunes the per-worker HTTP clients (timeouts, retry
 	// backoff for idempotent calls).
 	Client service.ClientConfig
-	// Registry, when set, is the metrics registry the coordinator
-	// registers its counters and per-worker latency histograms on. Nil
-	// means a private one; either way Coordinator.Registry serves it.
-	Registry *telemetry.Registry
 }
 
 func (c Config) withDefaults() Config {
@@ -59,7 +55,7 @@ func (c Config) withDefaults() Config {
 // Coordinator scatters comparison requests across seedservd workers
 // volume by volume and gathers the merged report. It is safe for
 // concurrent use; all state beyond configuration lives in the
-// per-request call frames and the metrics counters.
+// per-request call frames and the registry's instruments.
 type Coordinator struct {
 	cfg     Config
 	clients []*service.Client
@@ -77,13 +73,8 @@ func New(cfg Config) (*Coordinator, error) {
 	for i, u := range cfg.Workers {
 		clients[i] = service.NewClient(u, cfg.Client)
 	}
-	reg := cfg.Registry
-	if reg == nil {
-		reg = telemetry.NewRegistry()
-	}
-	met := newMetrics(cfg.Workers)
-	met.register(reg, cfg.Workers)
-	return &Coordinator{cfg: cfg, clients: clients, met: met, reg: reg}, nil
+	reg := telemetry.NewRegistry()
+	return &Coordinator{cfg: cfg, clients: clients, met: newMetrics(reg, cfg.Workers), reg: reg}, nil
 }
 
 // Config returns the resolved configuration.
@@ -92,9 +83,6 @@ func (c *Coordinator) Config() Config { return c.cfg }
 // Registry returns the metrics registry the coordinator reports on;
 // the cluster daemon serves it on /metrics.
 func (c *Coordinator) Registry() *telemetry.Registry { return c.reg }
-
-// Metrics returns a snapshot of the coordinator's counters.
-func (c *Coordinator) Metrics() MetricsSnapshot { return c.met.snapshot() }
 
 // WaitHealthy blocks until every worker answers its health probe or
 // ctx is cancelled.

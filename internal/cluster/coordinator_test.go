@@ -16,6 +16,7 @@ import (
 
 	"seedblast/internal/alphabet"
 	"seedblast/internal/service"
+	"seedblast/internal/telemetry"
 )
 
 // wireWorkload converts the bank workload into the JSON sequence
@@ -30,6 +31,47 @@ func wireWorkload(t testing.TB, n int, seed int64) (query, subject []service.Seq
 		subject = append(subject, service.SequenceJSON{ID: b1.ID(i), Seq: alphabet.DecodeProtein(b1.Seq(i))})
 	}
 	return query, subject
+}
+
+// coordMetrics is the coordinator's registry as /metrics serves it,
+// parsed: one sample per (family, label set).
+type coordMetrics struct {
+	t    testing.TB
+	fams telemetry.Families
+}
+
+func scrapeCoordinator(t testing.TB, c *Coordinator) coordMetrics {
+	t.Helper()
+	var b strings.Builder
+	if _, err := c.Registry().WriteTo(&b); err != nil {
+		t.Fatal(err)
+	}
+	return parseCoordMetrics(t, b.String())
+}
+
+func parseCoordMetrics(t testing.TB, text string) coordMetrics {
+	t.Helper()
+	fams, err := telemetry.ParseText(strings.NewReader(text))
+	if err != nil {
+		t.Fatalf("coordinator metrics violate the exposition grammar: %v\n%s", err, text)
+	}
+	return coordMetrics{t: t, fams: fams}
+}
+
+// value reads one seedclusterd_ sample; a missing one fails the test.
+func (m coordMetrics) value(name string, labels ...telemetry.Label) float64 {
+	m.t.Helper()
+	v, ok := m.fams.Value("seedclusterd_"+name, labels...)
+	if !ok {
+		m.t.Fatalf("seedclusterd_%s%v not exposed", name, labels)
+	}
+	return v
+}
+
+// worker reads one per-worker seedclusterd_ sample.
+func (m coordMetrics) worker(name, url string) float64 {
+	m.t.Helper()
+	return m.value(name, telemetry.L("worker", url))
 }
 
 func wireOptions() service.OptionsJSON {
@@ -164,18 +206,18 @@ func TestCoordinatorRetriesOnWorkerFailure(t *testing.T) {
 	if rep.Retries == 0 {
 		t.Error("two broken workers but the report counts no retries")
 	}
-	m := coord.Metrics()
-	if m.Retries == 0 {
+	m := scrapeCoordinator(t, coord)
+	if m.value("volume_retries_total") == 0 {
 		t.Error("coordinator metrics count no retries")
 	}
-	if m.Workers[0].Failures == 0 && m.Workers[1].Failures == 0 {
+	if m.worker("worker_failures_total", workers[0]) == 0 && m.worker("worker_failures_total", workers[1]) == 0 {
 		t.Error("neither broken worker charged with a failure")
 	}
-	if m.Workers[2].Volumes == 0 {
+	if m.worker("worker_volumes_total", workers[2]) == 0 {
 		t.Error("surviving worker served no volumes")
 	}
-	if m.Completed != 1 || m.Failed != 0 {
-		t.Errorf("metrics completed/failed = %d/%d, want 1/0", m.Completed, m.Failed)
+	if c, f := m.value("requests_completed_total"), m.value("requests_failed_total"); c != 1 || f != 0 {
+		t.Errorf("metrics completed/failed = %g/%g, want 1/0", c, f)
 	}
 }
 
@@ -234,8 +276,8 @@ func TestCoordinatorRetriesOnShortStream(t *testing.T) {
 		t.Fatalf("gather after a short stream differs from single-node output: got %d alignments, want %d",
 			len(rep.Alignments), len(want))
 	}
-	if m := coord.Metrics(); rep.Retries == 0 || m.Workers[0].Failures == 0 {
-		t.Errorf("short stream not charged: %d retries, %d failures on the short worker", rep.Retries, m.Workers[0].Failures)
+	if f := scrapeCoordinator(t, coord).worker("worker_failures_total", short); rep.Retries == 0 || f == 0 {
+		t.Errorf("short stream not charged: %d retries, %g failures on the short worker", rep.Retries, f)
 	}
 
 	// With nobody to retry on, the request fails and says why.
@@ -268,8 +310,8 @@ func TestCoordinatorFailsWhenNoWorkerSurvives(t *testing.T) {
 	if !strings.Contains(err.Error(), "volume") {
 		t.Errorf("error does not identify the failed volume: %v", err)
 	}
-	if m := coord.Metrics(); m.Failed != 1 {
-		t.Errorf("metrics failed = %d, want 1", m.Failed)
+	if f := scrapeCoordinator(t, coord).value("requests_failed_total"); f != 1 {
+		t.Errorf("metrics failed = %g, want 1", f)
 	}
 }
 
@@ -292,13 +334,13 @@ func TestCoordinatorFailsFastOnClientError(t *testing.T) {
 	if !strings.Contains(err.Error(), "submit rejected") {
 		t.Errorf("error does not mark the rejection: %v", err)
 	}
-	m := coord.Metrics()
-	if m.Retries != 0 {
-		t.Errorf("client error burned %d retries; it should fail fast", m.Retries)
+	m := scrapeCoordinator(t, coord)
+	if r := m.value("volume_retries_total"); r != 0 {
+		t.Errorf("client error burned %g retries; it should fail fast", r)
 	}
-	for _, wm := range m.Workers {
-		if wm.Failures != 0 {
-			t.Errorf("worker %s charged %d failures for a client error", wm.URL, wm.Failures)
+	for _, u := range coord.Config().Workers {
+		if f := m.worker("worker_failures_total", u); f != 0 {
+			t.Errorf("worker %s charged %g failures for a client error", u, f)
 		}
 	}
 }

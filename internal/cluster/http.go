@@ -41,8 +41,8 @@ func (c ServerConfig) withDefaults() ServerConfig {
 
 // Server fronts a Coordinator with the same submit/poll/fetch/cancel
 // job API the workers speak, so a client cannot tell a coordinator
-// from a single worker — except for the extra /cluster/metrics
-// endpoint and the scatter-gather fan-out behind every job.
+// from a single worker — except for the coordinator's own families on
+// /metrics and the scatter-gather fan-out behind every job.
 type Server struct {
 	coord     *Coordinator
 	store     *service.JobStore[*clusterJob]
@@ -113,8 +113,6 @@ func (s *Server) Close() { s.store.StopSweeper() }
 //	GET    /metrics                 Prometheus text exposition (the
 //	                                coordinator registry, per-worker
 //	                                volume-latency histograms included)
-//	GET    /cluster/metrics         per-worker latency/retry and volume-skew stats
-//	                                (historical hand-rendered form)
 //	GET    /healthz                 liveness probe
 func NewHandler(s *Server) http.Handler {
 	mux := http.NewServeMux()
@@ -125,7 +123,6 @@ func NewHandler(s *Server) http.Handler {
 	mux.HandleFunc("GET /v1/jobs/{id}/alignments", s.alignments)
 	mux.HandleFunc("GET /v1/jobs/{id}/trace", s.trace)
 	mux.Handle("GET /metrics", s.coord.Registry().Handler())
-	mux.HandleFunc("GET /cluster/metrics", s.metrics)
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
 		w.WriteHeader(http.StatusOK)
 		fmt.Fprintln(w, "ok")
@@ -332,27 +329,4 @@ func (s *Server) alignments(w http.ResponseWriter, r *http.Request) {
 		aligns = []service.AlignmentJSON{}
 	}
 	service.WriteJSON(w, http.StatusOK, aligns)
-}
-
-// metrics renders the coordinator counters in the Prometheus text
-// exposition format: request totals, retry counts, per-worker volume
-// throughput and latency, and the last partition's volume skew.
-func (s *Server) metrics(w http.ResponseWriter, _ *http.Request) {
-	m := s.coord.Metrics()
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	p := func(name string, v any) { fmt.Fprintf(w, "seedclusterd_%s %v\n", name, v) }
-	p("requests_total", m.Requests)
-	p("requests_completed_total", m.Completed)
-	p("requests_failed_total", m.Failed)
-	p("volume_retries_total", m.Retries)
-	p("last_volumes", m.LastVolumes)
-	p("last_volume_skew", m.LastSkew)
-	for _, wm := range m.Workers {
-		l := fmt.Sprintf("{worker=%q}", wm.URL)
-		fmt.Fprintf(w, "seedclusterd_worker_volumes_total%s %d\n", l, wm.Volumes)
-		fmt.Fprintf(w, "seedclusterd_worker_failures_total%s %d\n", l, wm.Failures)
-		fmt.Fprintf(w, "seedclusterd_worker_latency_seconds_total%s %v\n", l, wm.TotalLatency.Seconds())
-		fmt.Fprintf(w, "seedclusterd_worker_latency_seconds_max%s %v\n", l, wm.MaxLatency.Seconds())
-		fmt.Fprintf(w, "seedclusterd_worker_latency_seconds_mean%s %v\n", l, wm.MeanLatency().Seconds())
-	}
 }

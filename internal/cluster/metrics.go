@@ -1,177 +1,93 @@
 package cluster
 
 import (
-	"sync"
 	"time"
 
 	"seedblast/internal/telemetry"
 )
 
-// WorkerMetrics is one worker's cumulative scatter-gather accounting.
-type WorkerMetrics struct {
-	URL          string
-	Volumes      int64         // volume jobs completed on this worker
-	Failures     int64         // volume attempts that failed here (then retried elsewhere)
-	TotalLatency time.Duration // summed submit→gather latency of completed volumes
-	MaxLatency   time.Duration
-}
-
-// MeanLatency returns the average completed-volume latency.
-func (w WorkerMetrics) MeanLatency() time.Duration {
-	if w.Volumes == 0 {
-		return 0
-	}
-	return w.TotalLatency / time.Duration(w.Volumes)
-}
-
-// MetricsSnapshot is a point-in-time view of the coordinator's
-// counters.
-type MetricsSnapshot struct {
-	Requests  int64 // cluster comparisons started
-	Completed int64
-	Failed    int64
-	Retries   int64 // volume attempts reissued after a worker failure
-
-	Workers []WorkerMetrics
-
-	// Volume-skew accounting for the most recent partition: how many
-	// volumes were cut and the max/mean residue ratio across them
-	// (1.0 = perfectly balanced). Scatter latency is bounded by the
-	// slowest volume, so skew is the number to watch when picking a
-	// partitioning strategy.
-	LastVolumes int
-	LastSkew    float64
-}
-
-// metrics is the coordinator's internal mutable counter set.
+// metrics is the coordinator's instrument set on its registry, updated
+// in place with atomics: the registry is the one store, and /metrics
+// renders it.
 type metrics struct {
-	// volHist holds one per-worker volume-latency histogram, set once at
-	// registration (before any volume runs) and read-only after.
-	volHist []*telemetry.Histogram
-
-	mu          sync.Mutex
-	requests    int64
-	completed   int64
-	failed      int64
-	retries     int64
-	workers     []WorkerMetrics
-	lastVolumes int
-	lastSkew    float64
+	requests    *telemetry.Counter
+	completed   *telemetry.Counter
+	failed      *telemetry.Counter
+	retries     *telemetry.Counter
+	lastVolumes *telemetry.Gauge
+	lastSkew    *telemetry.Gauge
+	workers     []workerMetrics // indexed like Config.Workers
 }
 
-func newMetrics(urls []string) *metrics {
-	m := &metrics{workers: make([]WorkerMetrics, len(urls))}
+// workerMetrics is one worker's scatter-gather accounting.
+type workerMetrics struct {
+	volumes  *telemetry.Counter   // volume jobs completed on this worker
+	failures *telemetry.Counter   // volume attempts that failed here (then retried elsewhere)
+	latency  *telemetry.Counter   // summed submit→gather latency of completed volumes
+	volHist  *telemetry.Histogram // the same latencies, bucketed
+}
+
+// newMetrics registers the coordinator's families on r. Registration
+// order fixes the exposition order.
+func newMetrics(r *telemetry.Registry, urls []string) *metrics {
+	m := &metrics{
+		requests:    r.Counter("seedclusterd_requests_total", "Cluster comparisons started."),
+		completed:   r.Counter("seedclusterd_requests_completed_total", "Cluster comparisons finished successfully."),
+		failed:      r.Counter("seedclusterd_requests_failed_total", "Cluster comparisons that errored or were cancelled."),
+		retries:     r.Counter("seedclusterd_volume_retries_total", "Volume attempts reissued after a worker failure."),
+		lastVolumes: r.Gauge("seedclusterd_last_volumes", "Volumes cut for the most recent request."),
+		lastSkew:    r.Gauge("seedclusterd_last_volume_skew", "Max/mean residue ratio of the last partition (1 = balanced)."),
+		workers:     make([]workerMetrics, len(urls)),
+	}
 	for i, u := range urls {
-		m.workers[i].URL = u
+		l := telemetry.L("worker", u)
+		m.workers[i] = workerMetrics{
+			volumes:  r.Counter("seedclusterd_worker_volumes_total", "Volume jobs completed per worker.", l),
+			failures: r.Counter("seedclusterd_worker_failures_total", "Failed volume attempts per worker.", l),
+			latency:  r.Counter("seedclusterd_worker_latency_seconds_total", "Summed submit-to-gather volume latency per worker.", l),
+			volHist:  r.Histogram("seedclusterd_volume_seconds", "Per-volume submit-to-gather latency.", telemetry.DurationBuckets, l),
+		}
 	}
 	return m
 }
 
+// requestStarted counts a request and records its partition's volume
+// count and skew — the max/mean residue ratio across volumes. Scatter
+// latency is bounded by the slowest volume, so skew is the number to
+// watch when picking a partitioning strategy.
 func (m *metrics) requestStarted(vols []Volume) {
 	var maxR, sum int
 	for _, v := range vols {
 		sum += v.Residues
-		if v.Residues > maxR {
-			maxR = v.Residues
-		}
+		maxR = max(maxR, v.Residues)
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.requests++
-	m.lastVolumes = len(vols)
+	m.requests.Inc()
+	m.lastVolumes.Set(float64(len(vols)))
+	skew := 0.0
 	if len(vols) > 0 && sum > 0 {
-		m.lastSkew = float64(maxR) * float64(len(vols)) / float64(sum)
-	} else {
-		m.lastSkew = 0
+		skew = float64(maxR) * float64(len(vols)) / float64(sum)
 	}
+	m.lastSkew.Set(skew)
 }
 
 func (m *metrics) requestDone(err error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if err != nil {
-		m.failed++
+		m.failed.Inc()
 	} else {
-		m.completed++
+		m.completed.Inc()
 	}
 }
 
 func (m *metrics) volumeDone(worker int, latency time.Duration) {
-	if m.volHist != nil {
-		m.volHist[worker].Observe(latency.Seconds())
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	w := &m.workers[worker]
-	w.Volumes++
-	w.TotalLatency += latency
-	if latency > w.MaxLatency {
-		w.MaxLatency = latency
-	}
+	w.volumes.Inc()
+	w.latency.Add(latency.Seconds())
+	w.volHist.Observe(latency.Seconds())
 }
 
 func (m *metrics) volumeFailed(worker int, retried bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.workers[worker].Failures++
+	m.workers[worker].failures.Inc()
 	if retried {
-		m.retries++
-	}
-}
-
-// register puts the coordinator's counters on a telemetry registry:
-// the historical /cluster/metrics names verbatim as callback-backed
-// metrics (one source of truth, now with HELP/TYPE lines), plus a real
-// per-worker volume-latency histogram fed by volumeDone.
-func (m *metrics) register(r *telemetry.Registry, urls []string) {
-	cnt := func(name, help string, get func(MetricsSnapshot) float64) {
-		r.Func("seedclusterd_"+name, help, telemetry.TypeCounter, func() float64 { return get(m.snapshot()) })
-	}
-	gau := func(name, help string, get func(MetricsSnapshot) float64) {
-		r.Func("seedclusterd_"+name, help, telemetry.TypeGauge, func() float64 { return get(m.snapshot()) })
-	}
-	cnt("requests_total", "Cluster comparisons started.",
-		func(s MetricsSnapshot) float64 { return float64(s.Requests) })
-	cnt("requests_completed_total", "Cluster comparisons finished successfully.",
-		func(s MetricsSnapshot) float64 { return float64(s.Completed) })
-	cnt("requests_failed_total", "Cluster comparisons that errored or were cancelled.",
-		func(s MetricsSnapshot) float64 { return float64(s.Failed) })
-	cnt("volume_retries_total", "Volume attempts reissued after a worker failure.",
-		func(s MetricsSnapshot) float64 { return float64(s.Retries) })
-	gau("last_volumes", "Volumes cut for the most recent request.",
-		func(s MetricsSnapshot) float64 { return float64(s.LastVolumes) })
-	gau("last_volume_skew", "Max/mean residue ratio of the last partition (1 = balanced).",
-		func(s MetricsSnapshot) float64 { return s.LastSkew })
-	m.volHist = make([]*telemetry.Histogram, len(urls))
-	for i, u := range urls {
-		r.Func("seedclusterd_worker_volumes_total", "Volume jobs completed per worker.",
-			telemetry.TypeCounter,
-			func() float64 { return float64(m.snapshot().Workers[i].Volumes) },
-			telemetry.L("worker", u))
-		r.Func("seedclusterd_worker_failures_total", "Failed volume attempts per worker.",
-			telemetry.TypeCounter,
-			func() float64 { return float64(m.snapshot().Workers[i].Failures) },
-			telemetry.L("worker", u))
-		r.Func("seedclusterd_worker_latency_seconds_total", "Summed submit-to-gather volume latency per worker.",
-			telemetry.TypeCounter,
-			func() float64 { return m.snapshot().Workers[i].TotalLatency.Seconds() },
-			telemetry.L("worker", u))
-		m.volHist[i] = r.Histogram("seedclusterd_volume_seconds",
-			"Per-volume submit-to-gather latency.",
-			telemetry.DurationBuckets, telemetry.L("worker", u))
-	}
-}
-
-func (m *metrics) snapshot() MetricsSnapshot {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return MetricsSnapshot{
-		Requests:    m.requests,
-		Completed:   m.completed,
-		Failed:      m.failed,
-		Retries:     m.retries,
-		Workers:     append([]WorkerMetrics(nil), m.workers...),
-		LastVolumes: m.lastVolumes,
-		LastSkew:    m.lastSkew,
+		m.retries.Inc()
 	}
 }

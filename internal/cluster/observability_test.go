@@ -4,6 +4,7 @@ import (
 	"context"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -98,6 +99,56 @@ func TestMetricsExpositionParses(t *testing.T) {
 	}
 	if v, ok := cf.Value("seedclusterd_volume_seconds_count", telemetry.L("worker", worker)); !ok || v <= 0 {
 		t.Errorf("coordinator volume histogram for %s empty: count=%v present=%v", worker, v, ok)
+	}
+}
+
+// coordinatorFamilies is the seedclusterd_ metric surface the
+// coordinator serves on /metrics, with each family's type — the
+// counterpart of the service package's workerFamilies.
+var coordinatorFamilies = map[string]telemetry.MetricType{
+	"seedclusterd_requests_total":               telemetry.TypeCounter,
+	"seedclusterd_requests_completed_total":     telemetry.TypeCounter,
+	"seedclusterd_requests_failed_total":        telemetry.TypeCounter,
+	"seedclusterd_volume_retries_total":         telemetry.TypeCounter,
+	"seedclusterd_last_volumes":                 telemetry.TypeGauge,
+	"seedclusterd_last_volume_skew":             telemetry.TypeGauge,
+	"seedclusterd_worker_volumes_total":         telemetry.TypeCounter,
+	"seedclusterd_worker_failures_total":        telemetry.TypeCounter,
+	"seedclusterd_worker_latency_seconds_total": telemetry.TypeCounter,
+	"seedclusterd_volume_seconds":               telemetry.TypeHistogram,
+}
+
+// TestCoordinatorFamiliesMatchRegistry: the families a fresh
+// coordinator registers and coordinatorFamilies agree in both
+// directions, and every per-worker family carries one series per
+// worker, so a family added, dropped, renamed or retyped without
+// updating the list fails here.
+func TestCoordinatorFamiliesMatchRegistry(t *testing.T) {
+	workers := []string{"http://127.0.0.1:1", "http://127.0.0.1:2"}
+	coord, err := New(Config{Workers: workers})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := scrapeCoordinator(t, coord)
+	for name, typ := range coordinatorFamilies {
+		switch f := m.fams[name]; {
+		case f == nil:
+			t.Errorf("coordinatorFamilies lists %s but the coordinator does not register it", name)
+		case f.Type != typ:
+			t.Errorf("%s is a %s, coordinatorFamilies says %s", name, f.Type, typ)
+		}
+	}
+	for name := range m.fams {
+		if _, listed := coordinatorFamilies[name]; strings.HasPrefix(name, "seedclusterd_") && !listed {
+			t.Errorf("coordinator registers %s but coordinatorFamilies does not list it", name)
+		}
+	}
+	for _, u := range workers {
+		for _, name := range []string{"worker_volumes_total", "worker_failures_total", "worker_latency_seconds_total", "volume_seconds_count"} {
+			if v := m.worker(name, u); v != 0 {
+				t.Errorf("fresh coordinator: seedclusterd_%s{worker=%q} = %g, want 0", name, u, v)
+			}
+		}
 	}
 }
 

@@ -17,7 +17,7 @@ import (
 // TestServerJobFlow drives the coordinator daemon's HTTP API end to
 // end with the shared service.Client — the same client the smoke
 // tests and the coordinator itself use — proving the daemon really
-// speaks the worker API (plus /cluster/metrics).
+// speaks the worker API, with the coordinator's families on /metrics.
 func TestServerJobFlow(t *testing.T) {
 	query, subject := wireWorkload(t, 6, 55)
 	want := singleNodeReference(t, query, subject)
@@ -55,7 +55,7 @@ func TestServerJobFlow(t *testing.T) {
 		t.Fatalf("daemon alignments differ from single-node worker: got %d, want %d", len(got), len(want))
 	}
 
-	resp, err := http.Get(srv.URL + "/cluster/metrics")
+	resp, err := http.Get(srv.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,8 +68,26 @@ func TestServerJobFlow(t *testing.T) {
 		"seedclusterd_worker_latency_seconds_total{worker=",
 	} {
 		if !strings.Contains(string(body), wantLine) {
-			t.Errorf("/cluster/metrics missing %q:\n%s", wantLine, body)
+			t.Errorf("/metrics missing %q:\n%s", wantLine, body)
 		}
+	}
+	// Three volumes over two healthy workers: round-robin placement
+	// gives each at least one.
+	m := parseCoordMetrics(t, string(body))
+	for _, u := range coord.Config().Workers {
+		if v := m.worker("worker_volumes_total", u); v < 1 {
+			t.Errorf("healthy worker %s served %g volumes, want >= 1", u, v)
+		}
+	}
+
+	// The hand-rendered page is gone; /metrics is the one exposition.
+	resp, err = http.Get(srv.URL + "/cluster/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("GET /cluster/metrics: %d, want 404", resp.StatusCode)
 	}
 }
 

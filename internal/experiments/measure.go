@@ -84,8 +84,8 @@ func (o MeasureOptions) withDefaults(base int) MeasureOptions {
 // kernel. The paper's software baseline is that sequential scalar
 // loop, so pinning it keeps the measured profile (Tables 1, 7) in the
 // paper's shape whatever kernel KernelAuto would pick. The blocked
-// kernel's speedup is recorded separately (BENCH_0006, EXPERIMENTS.md
-// "Step-2 blocked kernel").
+// kernel's speedup is recorded separately (EXPERIMENTS.md "Step-2
+// blocked kernel").
 type scalarBackend struct{ threshold int }
 
 func (scalarBackend) Name() string { return "cpu" }

@@ -74,11 +74,6 @@ type Config struct {
 	// discarding a stale disk-registry index. Nil discards them;
 	// daemons wire it to their structured logger.
 	Logger *slog.Logger
-	// Registry, when set, is the metrics registry the service registers
-	// its counters, gauges and stage-latency histograms on — daemons
-	// share one registry between the service and their own metrics. Nil
-	// means a private registry; either way Service.Registry serves it.
-	Registry *telemetry.Registry
 }
 
 func (c Config) withDefaults() Config {
@@ -312,10 +307,7 @@ func New(cfg Config) *Service {
 		buildSem: make(chan struct{}, cfg.MaxConcurrent),
 		cache:    newIndexCache(cfg.CacheEntries),
 		store:    NewJobStore[*Job](cfg.MaxJobsRetained, cfg.JobTTL),
-		reg:      cfg.Registry,
-	}
-	if s.reg == nil {
-		s.reg = telemetry.NewRegistry()
+		reg:      telemetry.NewRegistry(),
 	}
 	s.registerMetrics()
 	s.store.StartSweeper(cfg.SweepInterval)

@@ -74,76 +74,6 @@ outer:
 	return 0, false
 }
 
-// Quantile derives the q-quantile (0 < q < 1) of the named histogram
-// from its cumulative buckets by linear interpolation inside the
-// bucket that crosses the target rank — the same estimate
-// Prometheus's histogram_quantile computes. Extra labels select one
-// labeled histogram. ok is false when the histogram is missing, empty
-// or the target lands in the +Inf bucket (where no upper bound exists;
-// the highest finite bound is returned with ok true as Prometheus
-// does, unless there are no finite buckets at all).
-func (fs Families) Quantile(name string, q float64, labels ...Label) (float64, bool) {
-	f := fs[name+"_bucket"]
-	if f == nil {
-		// Buckets parse into the base family when a TYPE histogram line
-		// declared it.
-		f = fs[name]
-	}
-	if f == nil {
-		return 0, false
-	}
-	type bucket struct {
-		le  float64
-		cum float64
-	}
-	var bs []bucket
-outer:
-	for i := range f.Samples {
-		s := &f.Samples[i]
-		if s.Name != name+"_bucket" {
-			continue
-		}
-		for _, want := range labels {
-			if s.Label(want.Name) != want.Value {
-				continue outer
-			}
-		}
-		le, err := parseFloat(s.Label("le"))
-		if err != nil {
-			return 0, false
-		}
-		bs = append(bs, bucket{le: le, cum: s.Value})
-	}
-	if len(bs) == 0 {
-		return 0, false
-	}
-	sort.Slice(bs, func(i, j int) bool { return bs[i].le < bs[j].le })
-	total := bs[len(bs)-1].cum
-	if total == 0 {
-		return 0, false
-	}
-	rank := q * total
-	prevLe, prevCum := 0.0, 0.0
-	for _, b := range bs {
-		if b.cum >= rank {
-			if math.IsInf(b.le, 1) {
-				// Target beyond the last finite bound: report that bound.
-				if prevLe == 0 && prevCum == 0 {
-					return 0, false
-				}
-				return prevLe, true
-			}
-			span := b.cum - prevCum
-			if span == 0 {
-				return b.le, true
-			}
-			return prevLe + (b.le-prevLe)*(rank-prevCum)/span, true
-		}
-		prevLe, prevCum = b.le, b.cum
-	}
-	return prevLe, true
-}
-
 // ParseText parses (and validates) the Prometheus text exposition
 // format, version 0.0.4. It is deliberately strict — it exists so
 // tests can assert both daemons' /metrics stay machine-consumable:

@@ -2,7 +2,7 @@
 // zero-dependency metrics registry with exact Prometheus text
 // exposition (counters, gauges, callback-backed metrics and
 // fixed-bucket histograms), a parser for that same text format (so
-// tests and the load generator consume what the daemons expose), and
+// tests consume exactly what the daemons expose), and
 // a lightweight per-job span tracer with context propagation (trace.go)
 // that follows one comparison across the coordinator→worker scatter.
 //
@@ -207,8 +207,8 @@ func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
 
 // funcMetric reads its value from a callback at scrape time — the
 // bridge for counters that already live elsewhere (the service's
-// MetricsSnapshot, the coordinator's worker table) so migrating onto
-// the registry does not mean double-counting.
+// MetricsSnapshot) so migrating onto the registry does not mean
+// double-counting.
 type funcMetric struct{ fn func() float64 }
 
 func (f *funcMetric) render(w io.Writer, name, labels string) {

@@ -127,35 +127,6 @@ func TestExpositionParses(t *testing.T) {
 	}
 }
 
-func TestHistogramQuantile(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("q_seconds", "", []float64{1, 2, 4, 8})
-	// 100 observations uniform in (0, 1]: p50 interpolates to ~0.5
-	// inside the first bucket.
-	for i := 0; i < 100; i++ {
-		h.Observe(float64(i%10)/10 + 0.05)
-	}
-	var b strings.Builder
-	if _, err := r.WriteTo(&b); err != nil {
-		t.Fatal(err)
-	}
-	fams, err := ParseText(strings.NewReader(b.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	p50, ok := fams.Quantile("q_seconds", 0.5)
-	if !ok {
-		t.Fatal("no p50")
-	}
-	if p50 < 0.4 || p50 > 0.6 {
-		t.Errorf("p50 = %g, want ~0.5", p50)
-	}
-	p99, ok := fams.Quantile("q_seconds", 0.99)
-	if !ok || p99 > 1 {
-		t.Errorf("p99 = %g, %v; want <= 1 (all mass in first bucket)", p99, ok)
-	}
-}
-
 // TestHistogramConcurrent hammers one histogram from many goroutines
 // and checks the totals are exact — the -race run of this test is the
 // "concurrent observes never corrupt totals" gate.

@@ -23,12 +23,15 @@ func TestSeedlintSmoke(t *testing.T) {
 		t.Errorf("seedlint ./... reported findings on a clean tree:\n%s", out)
 	}
 
-	// -list enumerates the analyzers; pin the full set so dropping one
-	// from the registry is caught.
+	// -list enumerates the analyzers, one per line; pin the full set so
+	// adding or dropping one from the registry is caught.
 	out = run(t, bin, "-list")
+	if n := len(strings.Split(strings.TrimSpace(out), "\n")); n != 8 {
+		t.Errorf("seedlint -list shows %d analyzers, want 8:\n%s", n, out)
+	}
 	for _, name := range []string{
 		"mmapclose", "ctxselect", "kernelparity", "optclone", "errclose",
-		"spanend", "mapdet", "metricname", "directive",
+		"spanend", "mapdet", "directive",
 	} {
 		if !strings.Contains(out, name) {
 			t.Errorf("seedlint -list missing analyzer %q:\n%s", name, out)
