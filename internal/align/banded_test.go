@@ -81,7 +81,8 @@ func sweepAligners() []*Aligner {
 }
 
 // TestLocalBandedMatchesReference pins the shipped path — score pass,
-// then a reverse pass on scratch buffers that stops at the first cell
+// then the walk over the kept rows, or where the kernel declined the
+// reverse pass on scratch buffers that stops at the first cell
 // reaching the forward score — to LocalBandedReference, which runs the
 // scalar loop over fresh copies to completion.
 func TestLocalBandedMatchesReference(t *testing.T) {
@@ -111,14 +112,24 @@ func TestLocalBandedMatchesReference(t *testing.T) {
 	}
 }
 
+// reverseStart is the start the scalar reverse pass returns for end,
+// on fresh copies of the reversed prefixes: the first cell reaching
+// end.Score, as in LocalBandedStart's fallback.
+func reverseStart(al *Aligner, a, b []byte, end Local, diag, band int) (aStart, bStart int) {
+	sub := al.bandedEndScalar(reverse(a[:end.AEnd]), reverse(b[:end.BEnd]), end.BEnd-end.AEnd-diag, band, end.Score)
+	return end.AEnd - sub.AEnd, end.BEnd - sub.BEnd
+}
+
 // checkKernelCase compares the kernel path with the scalar loop on
-// one case, forwards and over the reversed prefixes the way
-// LocalBandedStart drives it. It reports whether the kernel took the
-// case.
+// one case: the score pass, then the start the walk over the kept
+// rows recovers against LocalBandedReference's. It reports whether
+// the kernel took the case; every case it takes must be answered by
+// the walk.
 func checkKernelCase(t *testing.T, al *Aligner, c bandedCase) bool {
 	t.Helper()
 	want := al.bandedEndScalar(c.a, c.b, c.diag, c.band, noStop)
-	got, ok := al.bandedEndKernel(c.a, c.b, c.diag, c.band, noStop, false)
+	ref := al.LocalBandedReference(c.a, c.b, c.diag, c.band)
+	got, ok := al.bandedEndKernel(c.a, c.b, c.diag, c.band)
 	if !ok {
 		return false
 	}
@@ -129,17 +140,129 @@ func checkKernelCase(t *testing.T, al *Aligner, c bandedCase) bool {
 	if want.Score == 0 {
 		return true
 	}
-	ra, rb := reverse(c.a[:want.AEnd]), reverse(c.b[:want.BEnd])
-	rd := want.BEnd - want.AEnd - c.diag
-	wantRev := al.bandedEndScalar(ra, rb, rd, c.band, noStop)
-	for _, stop := range []int{noStop, want.Score} {
-		gotRev, ok := al.bandedEndKernel(c.a[:want.AEnd], c.b[:want.BEnd], rd, c.band, stop, true)
-		if !ok || gotRev != wantRev {
-			t.Fatalf("reverse stop=%d (len(a)=%d len(b)=%d diag=%d band=%d gaps=%+v end=%+v):\nkernel %+v ok=%v\nscalar %+v\na=%v\nb=%v",
-				stop, len(c.a), len(c.b), c.diag, c.band, al.gap, want, gotRev, ok, wantRev, c.a, c.b)
-		}
+	aStart, bStart, ok := al.walkStart(c.a, c.b, got, c.diag, c.band)
+	if !ok || aStart != ref.AStart || bStart != ref.BStart {
+		t.Fatalf("walk (len(a)=%d len(b)=%d diag=%d band=%d gaps=%+v):\nwalk %d,%d ok=%v\nreference %+v\na=%v\nb=%v",
+			len(c.a), len(c.b), c.diag, c.band, al.gap, aStart, bStart, ok, ref, c.a, c.b)
 	}
 	return true
+}
+
+// scalarGapStates runs bandedEndScalar's recurrences over the whole
+// matrix and returns the E and F of every cell, indexed [i][j]
+// (1-based), negInf outside the band.
+func scalarGapStates(al *Aligner, c bandedCase) (e, f [][]int32) {
+	band := max(c.band, 0)
+	oe, ext := int32(al.gap.Open+al.gap.Extend), int32(al.gap.Extend)
+	la, lb := len(c.a), len(c.b)
+	h := make([][]int32, la+1)
+	e, f = make([][]int32, la+1), make([][]int32, la+1)
+	for i := range h {
+		h[i], e[i], f[i] = make([]int32, lb+2), make([]int32, lb+2), make([]int32, lb+2)
+		for j := range e[i] {
+			e[i][j], f[i][j] = negInf, negInf
+		}
+	}
+	for i := 1; i <= la; i++ {
+		lo, hi := max(1, i+c.diag-band), min(lb, i+c.diag+band)
+		for j := lo; j <= hi; j++ {
+			e[i][j] = maxI32(h[i-1][j]-oe, e[i-1][j]-ext)
+			if j > lo {
+				f[i][j] = maxI32(h[i][j-1]-oe, f[i][j-1]-ext)
+			}
+			h[i][j] = max(0, h[i-1][j-1]+int32(al.m.Score(c.a[i-1], c.b[j-1])), e[i][j], f[i][j])
+		}
+	}
+	return e, f
+}
+
+// TestKernelKeptGapStates pins the E and F lanes the kernel keeps to
+// the scalar loop's: for every in-band, in-matrix cell, the value when
+// it is positive and 0 otherwise. The walk relies on nothing else.
+func TestKernelKeptGapStates(t *testing.T) {
+	if !hasBandedKernel {
+		t.Skip("no banded kernel on this platform")
+	}
+	cases := 4000
+	if testing.Short() {
+		cases = 400
+	}
+	rng := rand.New(rand.NewSource(11))
+	aligners := sweepAligners()
+	for n := 0; n < cases; n++ {
+		c := drawBandedCase(rng, []int{2, 3, 4, 20}[n%4])
+		al := aligners[n%len(aligners)]
+		if _, ok := al.bandedEndKernel(c.a, c.b, c.diag, c.band); !ok {
+			t.Fatalf("case %d: kernel declined a case that fits it", n)
+		}
+		k := &al.kern
+		e, f := scalarGapStates(al, c)
+		band := max(c.band, 0)
+		for i := 1; i <= len(c.a); i++ {
+			for j := max(1, i+c.diag-band); j <= min(len(c.b), i+c.diag+band); j++ {
+				p := (i-k.i0+1)*k.stride + j - i - k.dlo
+				for _, s := range []struct {
+					name      string
+					kept      int16
+					reference int32
+				}{{"E", k.e[p], e[i][j]}, {"F", k.f[p], f[i][j]}} {
+					if int32(s.kept) != max(s.reference, 0) {
+						t.Fatalf("case %d (gaps=%+v len(a)=%d len(b)=%d diag=%d band=%d): %s at (%d,%d) kept %d, scalar %d",
+							n, al.gap, len(c.a), len(c.b), c.diag, c.band, s.name, i, j, s.kept, s.reference)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestLocalBandedStartFallsBack pins the walk's precondition: a
+// LocalBandedStart that does not directly follow its own score pass —
+// another pass in between, another diagonal or band, or equal contents
+// in other slices — is not walked, and the reverse pass still returns
+// the reference start.
+func TestLocalBandedStartFallsBack(t *testing.T) {
+	if !hasBandedKernel {
+		t.Skip("no banded kernel on this platform")
+	}
+	rng := rand.New(rand.NewSource(5))
+	aligners := sweepAligners()
+	checked := 0
+	for n := 0; n < 2000; n++ {
+		al := aligners[n%len(aligners)]
+		letters := []int{2, 3, 4, 20}[n%4]
+		c, other := drawBandedCase(rng, letters), drawBandedCase(rng, letters)
+		end := al.LocalBandedEnd(c.a, c.b, c.diag, c.band)
+		if end.Score == 0 {
+			continue
+		}
+		checked++
+		bCopy := append([]byte(nil), c.b...)
+		for _, stale := range []struct {
+			name       string
+			a, b       []byte
+			diag, band int
+			between    func()
+		}{
+			{"pass between", c.a, c.b, c.diag, c.band, func() { al.LocalBandedEnd(other.a, other.b, other.diag, other.band) }},
+			{"copied subject", c.a, bCopy, c.diag, c.band, func() {}},
+			{"other diagonal", c.a, c.b, c.diag + 1, c.band, func() {}},
+			{"other band", c.a, c.b, c.diag, c.band + 1, func() {}},
+		} {
+			wa, wb := reverseStart(al, c.a, c.b, end, stale.diag, stale.band)
+			al.LocalBandedEnd(c.a, c.b, c.diag, c.band)
+			stale.between()
+			if _, _, ok := al.walkStart(stale.a, stale.b, end, stale.diag, stale.band); ok {
+				t.Fatalf("case %d, %s: walked rows of another pass", n, stale.name)
+			}
+			if a, b := al.LocalBandedStart(stale.a, stale.b, end, stale.diag, stale.band); a != wa || b != wb {
+				t.Fatalf("case %d, %s: start %d,%d, reverse pass %d,%d", n, stale.name, a, b, wa, wb)
+			}
+		}
+	}
+	if checked < 500 {
+		t.Errorf("only %d cases scored above zero", checked)
+	}
 }
 
 // TestBandedKernelMatchesScalar is the deterministic sweep behind
@@ -188,7 +311,7 @@ func TestBandedKernelMatchesScalar(t *testing.T) {
 	}
 	// Empty inputs.
 	for _, c := range []bandedCase{{nil, nil, 0, 3}, {s, nil, 0, 3}, {nil, s, 0, 3}} {
-		if got, ok := al.bandedEndKernel(c.a, c.b, c.diag, c.band, noStop, false); !ok || got != (Local{}) {
+		if got, ok := al.bandedEndKernel(c.a, c.b, c.diag, c.band); !ok || got != (Local{}) {
 			t.Errorf("empty input: kernel returned %+v ok=%v", got, ok)
 		}
 	}
@@ -208,41 +331,39 @@ func TestBandedKernelFallback(t *testing.T) {
 		long[i] = 17 // Trp
 	}
 	al := NewAligner(matrix.BLOSUM62, DefaultGaps)
-	if _, ok := al.bandedEndKernel(long, long, 0, 4, noStop, false); ok {
+	if _, ok := al.bandedEndKernel(long, long, 0, 4); ok {
 		t.Error("kernel took a call whose scores can exceed int16")
 	}
 	if got, want := al.LocalBanded(long, long, 0, 4), al.LocalBandedReference(long, long, 0, 4); got != want || got.Score != 33000 {
 		t.Errorf("int16 fallback: got %+v, reference %+v, want score 33000", got, want)
 	}
 	// The same length is fine when the other side is short.
-	if _, ok := al.bandedEndKernel(long, long[:100], 0, 4, noStop, false); !ok {
+	if _, ok := al.bandedEndKernel(long, long[:100], 0, 4); !ok {
 		t.Error("kernel declined a long query against a short subject")
 	}
 	a, b := randomResidues(rng, 50, 20), randomResidues(rng, 60, 20)
 	for _, gap := range []GapParams{{Open: -1, Extend: 2}, {Open: 3, Extend: 0}, {Open: 11, Extend: -1}, {Open: 5000, Extend: 1}} {
 		al := NewAligner(matrix.BLOSUM62, gap)
-		if _, ok := al.bandedEndKernel(a, b, 0, 8, noStop, false); ok {
+		if _, ok := al.bandedEndKernel(a, b, 0, 8); ok {
 			t.Errorf("kernel took gap costs %+v", gap)
 		}
 	}
 	// A band wider than the kernel's scratch bound.
 	wide := randomResidues(rng, 2000, 20)
-	if _, ok := al.bandedEndKernel(wide, wide, 0, 2000, noStop, false); ok {
+	if _, ok := al.bandedEndKernel(wide, wide, 0, 2000); ok {
 		t.Error("kernel took a 4001-lane band")
 	}
-	// Residues outside the alphabet, in either sequence, forwards or
-	// reversed: declined, so that the scalar loop reports them.
+	// Residues outside the alphabet, in either sequence: declined, so
+	// that the scalar loop reports them.
 	for _, code := range []byte{24, 31, 32, 127, 128, 255} {
 		for _, pos := range []int{0, 7, 8, 49} {
 			bad := append([]byte(nil), a...)
 			bad[pos] = code
-			for _, reversed := range []bool{false, true} {
-				if _, ok := al.bandedEndKernel(bad, b, 0, 8, noStop, reversed); ok {
-					t.Errorf("kernel took query residue %d at %d (reversed=%v)", code, pos, reversed)
-				}
-				if _, ok := al.bandedEndKernel(b, bad, 0, 8, noStop, reversed); ok {
-					t.Errorf("kernel took subject residue %d at %d (reversed=%v)", code, pos, reversed)
-				}
+			if _, ok := al.bandedEndKernel(bad, b, 0, 8); ok {
+				t.Errorf("kernel took query residue %d at %d", code, pos)
+			}
+			if _, ok := al.bandedEndKernel(b, bad, 0, 8); ok {
+				t.Errorf("kernel took subject residue %d at %d", code, pos)
 			}
 		}
 	}
@@ -305,7 +426,8 @@ func FuzzLocalBandedKernel(f *testing.F) {
 // BenchmarkStep3Kernel times the banded score pass on a homolog pair
 // at the gapped stage's band, kernel against scalar loop, in ns per
 // nominal DP cell (rows × 33), the unit of the benchmark's
-// gapped.ns_per_cell.
+// gapped.ns_per_cell. The kernel+start row is what a survivor of the
+// E-value cut costs: the score pass, then LocalBandedStart.
 func BenchmarkStep3Kernel(b *testing.B) {
 	const band = 16
 	al := NewAligner(matrix.BLOSUM62, DefaultGaps)
@@ -314,8 +436,8 @@ func BenchmarkStep3Kernel(b *testing.B) {
 		q := randomResidues(rng, rows, 20)
 		s := append(randomResidues(rng, band+8, 20), mutate(rng, q, 20, 0.3, 0.02)...)
 		s = append(s, randomResidues(rng, band+8, 20)...)
-		want := al.bandedEndScalar(q, s, band+8, band, noStop)
-		run := func(name string, pass func() Local) {
+		want := al.LocalBandedReference(q, s, band+8, band)
+		run := func(name string, want Local, pass func() Local) {
 			b.Run(fmt.Sprintf("%s/rows=%d", name, rows), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					if got := pass(); got != want {
@@ -325,12 +447,15 @@ func BenchmarkStep3Kernel(b *testing.B) {
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(rows*(2*band+1)), "ns/cell")
 			})
 		}
-		run("scalar", func() Local { return al.bandedEndScalar(q, s, band+8, band, noStop) })
+		end := want
+		end.AStart, end.BStart = 0, 0
+		run("scalar", end, func() Local { return al.bandedEndScalar(q, s, band+8, band, noStop) })
 		if hasBandedKernel {
-			run("kernel", func() Local {
-				got, _ := al.bandedEndKernel(q, s, band+8, band, noStop, false)
+			run("kernel", end, func() Local {
+				got, _ := al.bandedEndKernel(q, s, band+8, band)
 				return got
 			})
 		}
+		run("kernel+start", want, func() Local { return al.LocalBanded(q, s, band+8, band) })
 	}
 }

@@ -39,8 +39,8 @@ type Aligner struct {
 	gap GapParams
 	h   []int32
 	e   []int32
-	// ra and rb hold the reversed prefixes of LocalBandedStart when
-	// its pass runs the scalar loop.
+	// ra and rb hold the reversed prefixes of LocalBandedStart's
+	// reverse pass.
 	ra, rb []byte
 	kern   bandedKernel
 	// dir and ops are Traceback's direction matrix and the operations
@@ -183,21 +183,35 @@ func (al *Aligner) LocalBanded(a, b []byte, diag, band int) Local {
 // LocalBandedEnd is LocalBanded without start recovery: the maximum
 // of H over the in-band cells and the first cell in row-major order
 // that attains it. The gapped stage calls it alone first and pays for
-// LocalBandedStart only when the score survives the E-value cut.
+// LocalBandedStart only when the score survives the E-value cut. It
+// runs the kernel when the call fits it (kernel.go), which keeps its
+// rows for LocalBandedStart's walk, and the scalar loop otherwise.
 func (al *Aligner) LocalBandedEnd(a, b []byte, diag, band int) Local {
-	return al.bandedEnd(a, b, diag, band, noStop, false)
+	if best, ok := al.bandedEndKernel(a, b, diag, band); ok {
+		return best
+	}
+	return al.bandedEndScalar(a, b, diag, band, noStop)
 }
 
 // LocalBandedStart recovers the start of the alignment LocalBandedEnd
-// reported as end (same a, b, diag and band) by running the same DP
-// on the reversed prefixes that end there. Reversed coordinates map
-// (i, j) to (AEnd-i, BEnd-j), so the band |(j-i) - diag| ≤ band
-// becomes |(j'-i') - rd| ≤ band with rd = BEnd - AEnd - diag. The
-// reverse pass visits the forward pass's band cells restricted to the
-// prefix rectangle, so (gap costs being costs) it can reach end.Score
-// but never exceed it: it stops at the first cell that does, which is
-// the cell a full pass would report.
+// reported as end (same a, b, diag and band). It is the cell the DP
+// run over the reversed prefixes that end there reaches end.Score at
+// first: the largest AStart, then the largest BStart, of the optimal
+// alignments ending at end.
+//
+// When it directly follows the LocalBandedEnd call that returned end,
+// with the same slices unmodified, and that call ran the kernel, it
+// walks back over the rows the kernel kept (kernel.go). Otherwise it
+// runs that reverse pass: reversed coordinates map (i, j) to
+// (AEnd-i, BEnd-j), so the band |(j-i) - diag| ≤ band becomes
+// |(j'-i') - rd| ≤ band with rd = BEnd - AEnd - diag. The reverse pass
+// visits the forward pass's band cells restricted to the prefix
+// rectangle, so (gap costs being costs) it can reach end.Score but
+// never exceed it, and it stops at the first cell that does.
 func (al *Aligner) LocalBandedStart(a, b []byte, end Local, diag, band int) (aStart, bStart int) {
+	if aStart, bStart, ok := al.walkStart(a, b, end, diag, band); ok {
+		return aStart, bStart
+	}
 	stop := end.Score
 	if al.gap.Extend < 0 || al.gap.Open+al.gap.Extend < 0 {
 		// Gaps that pay make leading and trailing gaps part of the
@@ -205,7 +219,9 @@ func (al *Aligner) LocalBandedStart(a, b []byte, end Local, diag, band int) (aSt
 		// symmetrically: the reverse pass can then exceed end.Score.
 		stop = noStop
 	}
-	sub := al.bandedEnd(a[:end.AEnd], b[:end.BEnd], end.BEnd-end.AEnd-diag, band, stop, true)
+	al.ra = reverseInto(al.ra, a[:end.AEnd])
+	al.rb = reverseInto(al.rb, b[:end.BEnd])
+	sub := al.bandedEndScalar(al.ra, al.rb, end.BEnd-end.AEnd-diag, band, stop)
 	return end.AEnd - sub.AEnd, end.BEnd - sub.BEnd
 }
 
@@ -231,27 +247,11 @@ func (al *Aligner) LocalBandedReference(a, b []byte, diag, band int) Local {
 // scores it.
 const noStop = -1
 
-// bandedEnd is the banded score pass behind LocalBandedEnd and
-// LocalBandedStart: the kernel when the call fits it (kernel.go), the
-// scalar loop otherwise. With reversed set the pass runs over a and b
-// read backwards. stop is noStop or the maximum the pass is known to
-// reach, and ends the pass at the first cell (or row) reaching it.
-func (al *Aligner) bandedEnd(a, b []byte, diag, band, stop int, reversed bool) Local {
-	if best, ok := al.bandedEndKernel(a, b, diag, band, stop, reversed); ok {
-		return best
-	}
-	if reversed {
-		al.ra = reverseInto(al.ra, a)
-		al.rb = reverseInto(al.rb, b)
-		a, b = al.ra, al.rb
-	}
-	return al.bandedEndScalar(a, b, diag, band, stop)
-}
-
 // bandedEndScalar is the banded score pass, one int32 cell at a time:
 // the reference implementation, the path of every GOARCH without a
-// kernel and the fallback when a call does not fit the kernel's int16
-// lanes. It returns early at the first cell scoring stop.
+// kernel, the fallback when a call does not fit the kernel's int16
+// lanes, and LocalBandedStart's reverse pass when there are no kept
+// rows to walk. It returns early at the first cell scoring stop.
 func (al *Aligner) bandedEndScalar(a, b []byte, diag, band, stop int) Local {
 	if band < 0 {
 		band = 0

@@ -4,8 +4,8 @@
 // Contract. For every (a, b, diag, band) the kernel path returns the
 // Score, AEnd and BEnd the scalar loop returns: the maximum of H over
 // the cells that are both in the band and in the matrix, and the first
-// such cell in row-major order that attains it. bandedEnd chooses it
-// per call (see Fallback); no caller and no option does.
+// such cell in row-major order that attains it. LocalBandedEnd chooses
+// it per call (see Fallback); no caller and no option does.
 //
 // Layout. The band is held in diagonal coordinates: lane k of a row is
 // the cell on diagonal dlo+k, so a row is W = dhi-dlo+1 int16 lanes
@@ -45,19 +45,37 @@
 // (vector padding) are different — lane W is the vertical predecessor
 // of lane W-1 — and are masked to 0 in H.
 //
-// End cell. Each row's H lanes are kept (rows × lanes × 2 bytes of
-// scratch); the kernel tracks the running maximum and the first row
-// that reached it, and the first lane of that row holding it is found
-// afterwards. Row-major order is row first, then lane, so this is the
-// scalar loop's cell.
+// Kept rows, end cell and start cell. Each row's H, E and F lanes are
+// kept (3 × rows × lanes × 2 bytes of scratch). The kernel tracks the
+// running maximum and the first row that reached it; the first lane
+// of that row holding it is the scalar loop's end cell. A kept E or F
+// lane is the scalar loop's value when that is positive, else 0.
+// LocalBandedStart walks back from the end cell along tight edges (H
+// from its diagonal predecessor, E or F; E from H-open-extend or
+// E-extend one row up, lane k+1; F likewise one lane left) to starts,
+// H cells whose diagonal predecessor is 0 and whose value is their
+// substitution score, and returns the lexicographically largest. That
+// is the cell the scalar reverse pass returns: every alignment scoring
+// end.Score inside the band and the prefix rectangle ends at the end
+// cell, or an earlier cell in row-major order would attain it; every
+// prefix of an optimal alignment is optimal, so those alignments are
+// the tight-edge paths, with positive values in every state (a prefix
+// scoring ≤ 0 could be dropped); and the reverse pass stops at the
+// first reversed row, then lane, reaching end.Score: the largest
+// AStart, then BStart. No edge raises the row-major position, so the
+// walk prunes cells not after its best start; it follows a unique
+// predecessor inline, pushes only ties and, from the first tie on,
+// marks (cell, state) in a bitset, so that ties cannot blow it up.
 //
 // Fallback. Lanes are int16, and no value that matters may saturate.
 // A call runs the scalar loop instead when min(len(a), len(b))·MaxScore
 // could exceed the lanes, when the gap costs are negative, zero-extend
-// or huge, when the clipped band is wider than kernelMaxLanes (the H
+// or huge, when the clipped band is wider than kernelMaxLanes (the
 // scratch bound), when a residue is not a protein code (the scalar
 // loop panics on those, and keeps doing so), or when the CPU lacks
-// SSE4.1.
+// SSE4.1. A start whose score pass ran the scalar loop, or that does
+// not directly follow its score pass, is recovered by the scalar loop
+// run over the reversed prefixes.
 //
 // There is no portable SWAR variant and no selector: a band-coordinate
 // scalar rewrite measured within 3 % of the plain loop (the loop-
@@ -100,18 +118,17 @@ const (
 // addresses its fields by offset, so the two change together.
 type bandedArgs struct {
 	a      unsafe.Pointer // query residue of the first row
-	aStep  int            // +1, or -1 to walk the query backwards
 	b      unsafe.Pointer // padded subject: the byte under lane 0 of the first row
 	tab    unsafe.Pointer // kernelTabRows rows of kernelTabStride score bytes
 	h      unsafe.Pointer // H rows of stride bytes each; row 0 is the zero row above the first
-	e      unsafe.Pointer // E lanes, zeroed, nvec·8+1 of them
+	e      unsafe.Pointer // E rows, laid out like h; row 0 zero
+	f      unsafe.Pointer // F rows, laid out like h; row 0 unused
 	mask   unsafe.Pointer // nvec·8 lanes: all ones inside the band, 0 right of it
 	rows   int            // rows to run, ≥ 1; counted down by the kernel
 	nvec   int            // 8-lane vectors per row, ≥ 1
-	stride int            // bytes between H rows, ≥ (nvec·8+1)·2
+	stride int            // bytes between rows, ≥ (nvec·8+1)·2
 	oe     int            // gap open + extend
 	ext    int            // gap extend
-	stop   int            // return after the first row whose maximum reaches it
 	// Results.
 	best    int // maximum of H over all rows run
 	bestRem int // value of rows when the row that first reached best started
@@ -124,9 +141,19 @@ type bandedKernel struct {
 	maxScore int  // largest matrix score, clamped at 0
 	tab      [kernelTabRows * kernelTabStride]int8
 
-	bpad []byte  // padded (and, for a reverse pass, reversed) subject
-	h    []int16 // H rows, stride lanes apart, row 0 all zero
-	e    []int16 // E lanes
+	bpad    []byte  // padded subject
+	h, e, f []int16 // H, E and F rows, stride lanes apart; row 0 is above the first
+
+	// The last score pass, as LocalBandedStart's walk needs it: its
+	// arguments and result (end.Score 0 when there is nothing to walk),
+	// the first row's query index i0, the first lane's diagonal dlo and
+	// the row stride in lanes.
+	a, b            []byte
+	diag, band      int
+	end             Local
+	i0, dlo, stride int
+	seen            []uint64 // the walk's visited (cell, state) bits
+	stack           []int    // the walk's pending nodes, cell<<2 | state
 }
 
 // kernelMask is every call's lane mask: kernelMaxLanes lanes of all
@@ -176,16 +203,18 @@ func validResidues(s []byte) bool {
 	return bad&hi == 0
 }
 
-// bandedEndKernel is the kernel path of bandedEnd. ok is false when
+// bandedEndKernel is the kernel path of LocalBandedEnd. ok is false when
 // the call does not fit the kernel (see the package comment) and the
-// scalar loop must run instead. With reversed set, the pass runs over
-// a and b read backwards, without the caller having to reverse them.
-func (al *Aligner) bandedEndKernel(a, b []byte, diag, band, stop int, reversed bool) (best Local, ok bool) {
+// scalar loop must run instead. The rows it keeps, and the call they
+// belong to, stay in the Aligner for walkStart.
+func (al *Aligner) bandedEndKernel(a, b []byte, diag, band int) (best Local, ok bool) {
 	k := &al.kern
+	k.end = Local{}
 	la, lb := len(a), len(b)
 	if !k.ok || min(la, lb)*k.maxScore > math.MaxInt16 {
 		return Local{}, false
 	}
+	k.a, k.b, k.diag, k.band = a, b, diag, band
 	if band < 0 {
 		band = 0
 	}
@@ -217,48 +246,34 @@ func (al *Aligner) bandedEndKernel(a, b []byte, diag, band, stop int, reversed b
 	for i := 0; i < lanes; i++ {
 		bp[i], bp[lanes+lb+i] = kernelPad, kernelPad
 	}
-	if reversed {
-		for i, c := range b {
-			bp[lanes+lb-1-i] = c
-		}
-	} else {
-		copy(bp[lanes:], b)
-	}
+	copy(bp[lanes:], b)
 
-	// H rows carry one lane beyond the vectors for the shifted load of
+	// Rows carry one lane beyond the vectors for the shifted loads of
 	// the row below; row 0 is the all-zero row above row i0.
 	stride := lanes + kernelLanes
 	if need := (rows + 1) * stride; cap(k.h) < need {
 		k.h = make([]int16, need)
+		k.e = make([]int16, need)
+		k.f = make([]int16, need)
 	}
-	h := k.h[:(rows+1)*stride]
+	h, e := k.h[:(rows+1)*stride], k.e[:(rows+1)*stride]
 	clear(h[:stride])
-	if cap(k.e) < stride {
-		k.e = make([]int16, stride)
-	}
-	e := k.e[:stride]
-	clear(e)
+	clear(e[:stride])
 
+	k.i0, k.dlo, k.stride = i0, dlo, stride
 	args := bandedArgs{
 		a:      unsafe.Pointer(&a[i0-1]),
-		aStep:  1,
 		b:      unsafe.Pointer(&bp[lanes+i0-1+dlo]),
 		tab:    unsafe.Pointer(&k.tab[0]),
 		h:      unsafe.Pointer(&h[0]),
 		e:      unsafe.Pointer(&e[0]),
+		f:      unsafe.Pointer(&k.f[0]),
 		mask:   unsafe.Pointer(&kernelMask[kernelMaxLanes-w]),
 		rows:   rows,
 		nvec:   nvec,
 		stride: stride * 2,
 		oe:     al.gap.Open + al.gap.Extend,
 		ext:    al.gap.Extend,
-		stop:   stop,
-	}
-	if reversed {
-		args.a, args.aStep = unsafe.Pointer(&a[la-i0]), -1
-	}
-	if stop < 0 {
-		args.stop = math.MaxInt16 + 1 // no lane reaches it
 	}
 	bandedRowsSSE41(&args)
 	if args.bad != 0 {
@@ -271,8 +286,112 @@ func (al *Aligner) bandedEndKernel(a, b []byte, diag, band, stop int, reversed b
 	for lane, v := range h[(r+1)*stride:][:w] {
 		if int(v) == args.best {
 			i := i0 + r
-			return Local{Score: args.best, AEnd: i, BEnd: i + dlo + lane}, true
+			k.end = Local{Score: args.best, AEnd: i, BEnd: i + dlo + lane}
+			return k.end, true
 		}
 	}
 	panic("align: banded kernel lost its maximum")
+}
+
+// The walk's node states: a cell's H, E or F.
+const (
+	walkH = iota
+	walkE
+	walkF
+)
+
+// walkStart recovers the start of the alignment the last score pass
+// reported as end, walking back over the kernel's kept rows (see the
+// package comment). ok is false unless that pass ran the kernel and
+// was the call (a, b, diag, band) that returned end.
+func (al *Aligner) walkStart(a, b []byte, end Local, diag, band int) (aStart, bStart int, ok bool) {
+	k := &al.kern
+	if end.Score <= 0 || end != k.end || diag != k.diag || band != k.band || len(a) != len(k.a) || len(b) != len(k.b) ||
+		unsafe.SliceData(a) != unsafe.SliceData(k.a) || unsafe.SliceData(b) != unsafe.SliceData(k.b) {
+		return 0, 0, false
+	}
+	// Cell p = row·stride + lane, row 1 being query residue i0, grows
+	// in row-major order; its diagonal, upper and left predecessors are
+	// p-stride, p-stride+1 and p-1.
+	stride, h, e, f := k.stride, k.h, k.e, k.f
+	oe, ext := int16(al.gap.Open+al.gap.Extend), int16(al.gap.Extend)
+	p, st, best := (end.AEnd-k.i0+1)*stride+end.BEnd-end.AEnd-k.dlo, walkH, -1
+	// Until a node has two tight predecessors the walk is one chain,
+	// whose nodes nothing reaches again; seen is set up then.
+	var seen []uint64
+	stack := k.stack[:0]
+	for {
+	chain: // follow a unique predecessor; push several, then pop one
+		for p > best {
+			for seen == nil && st == walkH && h[p-stride] != 0 && e[p] != h[p] && f[p] != h[p] {
+				p -= stride // the common case: H from the diagonal, not a start
+			}
+			if seen != nil {
+				bit := uint(3*p + st)
+				if seen[bit/64]&(1<<(bit%64)) != 0 {
+					break
+				}
+				seen[bit/64] |= 1 << (bit % 64)
+			}
+			if st == walkH {
+				v, up := h[p], h[p-stride]
+				eT, fT := e[p] == v, f[p] == v
+				dT := !eT && !fT // then H came from the diagonal
+				if !dT {
+					i := k.i0 - 1 + p/stride
+					j := i + k.dlo + p%stride
+					dT = up+int16(k.tab[int(a[i-1])*kernelTabStride+int(b[j-1])]) == v
+				}
+				switch {
+				case dT && up == 0:
+					best = p // a start; every start behind it is smaller
+					break chain
+				case dT && !eT && !fT:
+					p -= stride
+					continue
+				case dT:
+					stack = append(stack, (p-stride)<<2|walkH)
+				}
+				if eT {
+					stack = append(stack, p<<2|walkE)
+				}
+				if fT {
+					stack = append(stack, p<<2|walkF)
+				}
+				break
+			}
+			// A gap state: E from the row above, F from the lane left.
+			g, q := e, p-stride+1
+			if st == walkF {
+				g, q = f, p-1
+			}
+			hT, gT := h[q]-oe == g[p], g[q]-ext == g[p]
+			if hT != gT {
+				if p = q; hT {
+					st = walkH
+				}
+				continue
+			}
+			if hT {
+				stack = append(stack, q<<2|walkH, q<<2|st)
+			}
+			break
+		}
+		if len(stack) == 0 {
+			break
+		}
+		if seen == nil && len(stack) > 1 {
+			// Every node from here on lies at or before p.
+			seen = append(k.seen[:0], make([]uint64, (3*p+66)/64)...)
+			k.seen = seen
+		}
+		n := stack[len(stack)-1]
+		p, st, stack = n>>2, n&3, stack[:len(stack)-1]
+	}
+	k.stack = stack
+	if best < 0 {
+		panic("align: start walk found no start")
+	}
+	i := k.i0 - 1 + best/stride
+	return i - 1, i + k.dlo + best%stride - 1, true
 }

@@ -16,7 +16,7 @@ var hasBandedKernel = HasSSSE3 && cpuFeatures&(1<<19) != 0
 func cpuidLeaf1ECX() uint32
 
 // bandedRowsSSE41 runs args.rows rows of the banded DP and leaves
-// every row's H lanes in args.h. The caller (bandedEndKernel)
+// every row's H, E and F lanes in args.h, args.e and args.f. The caller (bandedEndKernel)
 // guarantees that hasBandedKernel is true and that scores and gap
 // costs fit the int16 lanes.
 //

@@ -22,33 +22,33 @@ TEXT ·cpuidLeaf1ECX(SB), NOSPLIT, $0-4
 	MOVL CX, ret+0(FP)
 	RET
 
-// Field offsets of bandedArgs (kernel_amd64.go).
+// Field offsets of bandedArgs (kernel.go).
 #define ARG_A       0
-#define ARG_ASTEP   8
-#define ARG_B       16
-#define ARG_TAB     24
-#define ARG_H       32
-#define ARG_E       40
+#define ARG_B       8
+#define ARG_TAB     16
+#define ARG_H       24
+#define ARG_E       32
+#define ARG_F       40
 #define ARG_MASK    48
 #define ARG_ROWS    56
 #define ARG_NVEC    64
 #define ARG_STRIDE  72
 #define ARG_OE      80
 #define ARG_EXT     88
-#define ARG_STOP    96
-#define ARG_BEST    104
-#define ARG_BESTREM 112
-#define ARG_BAD     120
+#define ARG_BEST    96
+#define ARG_BESTREM 104
+#define ARG_BAD     112
 
 // func bandedRowsSSE41(args *bandedArgs)
 //
-// Register plan: AX = args, SI = query residue of the row (advances
-// by aStep), BX = subject byte of the row's lane 0 (advances by one:
-// the band slides right as it goes down), R9/R10 = previous/current H
-// row, R11 = E lanes (updated in place), R12 = lane mask, CX = 8 × the
-// vector index (byte offset into the subject, word index into the
-// lane arrays), R13 = its bound, DI = best score so far, R8 = rows
-// that were left when it was first reached, DX = temp.
+// Register plan: AX = args, SI = query residue of the row, BX =
+// subject byte of the row's lane 0 (both advance by one per row: the
+// band slides right as it goes down), R9/R10 = previous/current H row,
+// R11/R12 = previous/current E row, R13 = current F row, R8 = bytes
+// between rows, R14 = lane mask, CX = 8 × the vector index (byte
+// offset into the subject, word index into the lane arrays), DI = its
+// bound, DX = temp. The best score so far and the rows left when it
+// was first reached live in args.
 //
 // XMM plan: X15 = PSHUFB control broadcasting lane 7, X14 =
 // open+extend, X13/X12/X11 = 1/2/4 × extend, X10 = (1..8) × extend,
@@ -63,15 +63,16 @@ TEXT ·bandedRowsSSE41(SB), NOSPLIT, $0-8
 	MOVQ args+0(FP), AX
 	MOVQ ARG_A(AX), SI
 	MOVQ ARG_B(AX), BX
+	MOVQ ARG_STRIDE(AX), R8
 	MOVQ ARG_H(AX), R9
-	MOVQ R9, R10
-	ADDQ ARG_STRIDE(AX), R10
+	LEAQ (R9)(R8*1), R10
 	MOVQ ARG_E(AX), R11
-	MOVQ ARG_MASK(AX), R12
-	MOVQ ARG_NVEC(AX), R13
-	SHLQ $3, R13
-	XORL DI, DI
-	XORL R8, R8
+	LEAQ (R11)(R8*1), R12
+	MOVQ ARG_F(AX), R13
+	ADDQ R8, R13
+	MOVQ ARG_MASK(AX), R14
+	MOVQ ARG_NVEC(AX), DI
+	SHLQ $3, DI
 
 	MOVQ $0x0F0E0F0E0F0E0F0E, DX
 	MOVQ DX, X15
@@ -128,14 +129,13 @@ vecLoop:
 	PMOVSXBW X2, X2
 
 	// E: the vertical predecessor of lane k is lane k+1 of the row
-	// above. The E lanes are updated in place — the lanes read here
-	// are overwritten only by this store and the next vector's.
+	// above, in H and in E.
 	MOVOU 2(R9)(CX*2), X0
 	PSUBUSW X14, X0
 	MOVOU 2(R11)(CX*2), X1
 	PSUBUSW X13, X1
 	PMAXSW X1, X0
-	MOVOU X0, (R11)(CX*2)
+	MOVOU X0, (R12)(CX*2)
 
 	// H before horizontal gaps: the diagonal predecessor is the same
 	// lane of the row above.
@@ -169,21 +169,24 @@ vecLoop:
 	MOVOU X0, X1
 	PALIGNR $14, X6, X1
 	MOVOU X0, X6
+	MOVOU X1, (R13)(CX*2)
 	PMAXSW X1, X2
 
 	// Lanes right of the band hold 0, so that lane W feeds nothing
 	// into lane W-1's E and the padding never reaches the maximum.
-	MOVOU (R12)(CX*2), X1
+	MOVOU (R14)(CX*2), X1
 	PAND  X1, X2
 	MOVOU X2, (R10)(CX*2)
 	PMAXSW X2, X7
 
 	ADDQ $8, CX
-	CMPQ CX, R13
+	CMPQ CX, DI
 	JLT  vecLoop
 
-	// The lane after the last: read by the next row's shifted load.
+	// The lane after the last, in H and E: read by the next row's
+	// shifted loads.
 	MOVW $0, (R10)(CX*2)
+	MOVW $0, (R12)(CX*2)
 
 	// Row maximum: H is in [0, 32767], so the unsigned minimum of its
 	// complement is the complement of its maximum.
@@ -193,22 +196,22 @@ vecLoop:
 	MOVQ X0, DX
 	NOTL DX
 	MOVWLZX DX, DX
-	CMPL DX, DI
-	CMOVLGT DX, DI
-	CMOVQGT ARG_ROWS(AX), R8
-	CMPL DX, ARG_STOP(AX)
-	JGE  done
+	CMPQ DX, ARG_BEST(AX)
+	JLE  nextRow
+	MOVQ DX, ARG_BEST(AX)
+	MOVQ ARG_ROWS(AX), DX
+	MOVQ DX, ARG_BESTREM(AX)
 
-	ADDQ ARG_ASTEP(AX), SI
+nextRow:
+	INCQ SI
 	INCQ BX
 	MOVQ R10, R9
-	ADDQ ARG_STRIDE(AX), R10
+	ADDQ R8, R10
+	MOVQ R12, R11
+	ADDQ R8, R12
+	ADDQ R8, R13
 	DECQ ARG_ROWS(AX)
 	JNZ  rowLoop
-
-done:
-	MOVQ DI, ARG_BEST(AX)
-	MOVQ R8, ARG_BESTREM(AX)
 	RET
 
 badResidue:

@@ -326,9 +326,9 @@ func extendGroup(al *align.Aligner, q, s []byte, seq0, seq1 int,
 // extendOne aligns the full query against a subject window around the
 // hit's diagonal and reports the alignment, in subject coordinates,
 // when its E-value passes the cut. The banded path scores first and
-// recovers the alignment's start only for survivors, which halves the
-// DP of every extension the cut rejects; DPRows and DPCells keep their
-// nominal per-extension definition either way. Traceback stays
+// recovers the alignment's start only for survivors, which pay a walk
+// back over the score pass's kept rows, not a second DP; DPRows and
+// DPCells keep their nominal per-extension definition either way. Traceback stays
 // unbanded and runs before the cut, because it can find alignments the
 // banded pass cannot.
 func extendOne(al *align.Aligner, q, s []byte, qPos, sPos int, cfg *Config, space stats.SearchSpace) (Alignment, bool) {
