@@ -460,7 +460,10 @@ func BenchmarkSearchMaterialized(b *testing.B) {
 // TestStreamPeakBelowMaterialized is the asserted form of the two
 // benchmarks: on a multi-shard run the streaming path's peak
 // resident match buffer must be strictly below the materialized
-// path's, whose peak is the whole result.
+// path's, whose peak is the whole result. The pipeline holds at most
+// Step2Workers + Step3Workers shards between dispatch and emission,
+// which bounds it to the most matches any three consecutive shards
+// hold, however the shards finish.
 func TestStreamPeakBelowMaterialized(t *testing.T) {
 	proteins, genome := searchWorkload(t)
 	opt := DefaultOptions()
@@ -499,5 +502,16 @@ func TestStreamPeakBelowMaterialized(t *testing.T) {
 	if sum.Pipeline.MaxBufferedMatches >= out.Metrics.MaxBufferedMatches {
 		t.Errorf("streaming peak %d not below materialized peak %d",
 			sum.Pipeline.MaxBufferedMatches, out.Metrics.MaxBufferedMatches)
+	}
+	perShard := make([]int, (proteins.Len()+opt.Pipeline.ShardSize-1)/opt.Pipeline.ShardSize)
+	for _, a := range out.Alignments {
+		perShard[int(a.Seq0)/opt.Pipeline.ShardSize]++
+	}
+	bound := 0
+	for i := range perShard[:len(perShard)-2] {
+		bound = max(bound, perShard[i]+perShard[i+1]+perShard[i+2])
+	}
+	if sum.Pipeline.MaxBufferedMatches > bound {
+		t.Errorf("streaming peak %d above the three-shard window's %d", sum.Pipeline.MaxBufferedMatches, bound)
 	}
 }

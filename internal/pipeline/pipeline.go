@@ -162,8 +162,10 @@ type Metrics struct {
 	// every shard's alignments stay buffered until assembly, so the peak
 	// equals the total output; on a RunStream run a shard's alignments
 	// are released to the consumer as soon as every earlier shard has
-	// been emitted, so the peak is only the out-of-order backlog — the
-	// memory the streaming result path exists to save.
+	// been emitted, and at most Step2Workers + Step3Workers shards are
+	// dispatched but not yet emitted, so the peak is at most that many
+	// consecutive shards' output — the memory the streaming result path
+	// exists to save.
 	MaxBufferedMatches int
 }
 
@@ -277,8 +279,12 @@ func (e *Engine) Run(pctx context.Context, req *Request) (*Output, error) {
 // ascending bank-0 ranges and each batch arrives already sorted by
 // (Seq0, EValue, Seq1), which is exactly the engine's global order.
 // Ownership of each batch transfers to emit; the engine drops its
-// reference, so peak resident match memory is bounded by the
-// out-of-order backlog instead of the whole result (see
+// reference, and the sharder dispatches a shard only while fewer than
+// Step2Workers + Step3Workers shards await emission — one per worker,
+// enough to keep every worker busy — so a straggler or a slow consumer
+// stalls dispatch instead of letting later shards' alignments pile up.
+// Peak resident match memory is bounded by that many consecutive
+// shards' output instead of the whole result (see
 // Metrics.MaxBufferedMatches). An emit error fails the run. The
 // returned Output has a nil Alignments slice; all counters, statistics
 // and timings are reported as in Run.
@@ -355,6 +361,13 @@ func (e *Engine) run(pctx context.Context, req *Request, emit func([]gapped.Alig
 
 	shardCh := make(chan *Shard, e.cfg.InFlight)
 	step2Ch := make(chan *Step2Output, e.cfg.InFlight)
+	// Streaming runs only: one slot per shard between dispatch and
+	// emission. Slots are taken in shard order, so the oldest unemitted
+	// shard always holds one and the run cannot stall on itself.
+	var window chan struct{}
+	if emit != nil {
+		window = make(chan struct{}, e.cfg.Step2Workers+e.cfg.Step3Workers)
+	}
 
 	// Stage 1 — sharder: cut bank 0 into shards and build each shard's
 	// index. Bounded shardCh stalls this stage once the step-2 pool
@@ -381,6 +394,13 @@ func (e *Engine) run(pctx context.Context, req *Request, emit func([]gapped.Alig
 				return
 			}
 			tr.Record("step1", t0, d, telemetry.Int("shard", id))
+			if window != nil {
+				select {
+				case window <- struct{}{}:
+				case <-ctx.Done():
+					return
+				}
+			}
 			select {
 			case shardCh <- sh:
 			case <-ctx.Done():
@@ -495,7 +515,8 @@ func (e *Engine) run(pctx context.Context, req *Request, emit func([]gapped.Alig
 	// shards in any order; this goroutine releases each shard's
 	// alignments to the caller as soon as every earlier shard has been
 	// emitted, so the stream is in shard order — the engine's exact
-	// output order — while only the out-of-order backlog stays resident.
+	// output order — while only the backlog inside the window stays
+	// resident. Emitting a shard frees its window slot.
 	var buffered int // alignments currently resident in outs (under mu)
 	emitCh := make(chan int, len(shards))
 	emitDone := make(chan struct{})
@@ -518,6 +539,7 @@ func (e *Engine) run(pctx context.Context, req *Request, emit func([]gapped.Alig
 						fail(fmt.Errorf("pipeline: emitting shard %d: %w", next, err))
 					}
 				}
+				<-window
 				next++
 			}
 		}
