@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"sync"
@@ -131,9 +130,10 @@ func NewHandler(s *Server) http.Handler {
 }
 
 func (s *Server) submit(w http.ResponseWriter, r *http.Request) {
-	var body service.JobRequestJSON
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, service.MaxRequestBytes))
-	if err := dec.Decode(&body); err != nil {
+	// Bounded here too, so that the server closes the connection after
+	// answering a body over the limit.
+	body, err := service.DecodeJobRequest(http.MaxBytesReader(w, r.Body, service.MaxRequestBytes))
+	if err != nil {
 		service.WriteError(w, http.StatusBadRequest, "invalid JSON: %v", err)
 		return
 	}

@@ -92,10 +92,14 @@ func (e *APIError) Error() string {
 
 // Submit posts a job and returns its id. Not retried (see Client).
 func (c *Client) Submit(ctx context.Context, req *JobRequestJSON) (string, error) {
+	body, err := appendJobRequest(nil, req)
+	if err != nil {
+		return "", fmt.Errorf("service: encoding request: %w", err)
+	}
 	var out struct {
 		ID string `json:"id"`
 	}
-	if err := c.do(ctx, http.MethodPost, "/v1/jobs", req, &out, false); err != nil {
+	if err := c.do(ctx, http.MethodPost, "/v1/jobs", body, &out, false); err != nil {
 		return "", err
 	}
 	if out.ID == "" {
@@ -379,21 +383,14 @@ func sleepBackoff(ctx context.Context, backoff *time.Duration) error {
 	}
 }
 
-// do issues one API call: marshal in (when non-nil), decode the JSON
+// do issues one API call: send body (when non-nil), decode the JSON
 // response into out (when non-nil). retry enables the backoff loop for
 // idempotent calls; 4xx responses never retry (the request itself is
 // wrong), 5xx and transport errors do.
-func (c *Client) do(ctx context.Context, method, path string, in, out any, retry bool) error {
+func (c *Client) do(ctx context.Context, method, path string, body []byte, out any, retry bool) error {
 	attempts := 1
 	if retry {
 		attempts = c.attempts
-	}
-	var body []byte
-	if in != nil {
-		var err error
-		if body, err = json.Marshal(in); err != nil {
-			return fmt.Errorf("service: encoding request: %w", err)
-		}
 	}
 	backoff := c.backoff
 	var lastErr error

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -92,6 +93,30 @@ func TestAlignmentCodecMatchesEncodingJSON(t *testing.T) {
 			_, got := appendAlignment(nil, &a)
 			if want == nil || got == nil || got.Error() != want.Error() {
 				t.Errorf("%v: codec error %v, encoding/json error %v", f, got, want)
+			}
+		}
+	}
+}
+
+// TestPlainPrefixMatchesByteRule checks the eight-bytes-at-a-time scan
+// against the rule it implements, one byte at a time: every byte value
+// at every position of a word, a word and a half, and a tail.
+func TestPlainPrefixMatchesByteRule(t *testing.T) {
+	for n := 1; n <= 20; n++ {
+		for p := 0; p < n; p++ {
+			for c := 0; c < 256; c++ {
+				b := bytes.Repeat([]byte("A"), n)
+				b[p] = byte(c)
+				want := n
+				if c < 0x20 || c >= 0x80 || strings.IndexByte(`"\<>&`, byte(c)) >= 0 {
+					want = p
+				}
+				if got := plainPrefix(b); got != want {
+					t.Fatalf("plainPrefix(%q) = %d, want %d", b, got, want)
+				}
+				if got := plainPrefix(string(b)); got != want {
+					t.Fatalf("plainPrefix(string %q) = %d, want %d", b, got, want)
+				}
 			}
 		}
 	}

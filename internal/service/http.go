@@ -232,9 +232,10 @@ func decodeBank(name string, seqs []SequenceJSON) (*bank.Bank, error) {
 }
 
 func (h *handler) submit(w http.ResponseWriter, r *http.Request) {
-	var body JobRequestJSON
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxRequestBytes))
-	if err := dec.Decode(&body); err != nil {
+	// Bounded here too, so that the server closes the connection after
+	// answering a body over the limit.
+	body, err := DecodeJobRequest(http.MaxBytesReader(w, r.Body, MaxRequestBytes))
+	if err != nil {
 		WriteError(w, http.StatusBadRequest, "invalid JSON: %v", err)
 		return
 	}

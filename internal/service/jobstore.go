@@ -22,15 +22,34 @@ type JobStoreEntry interface {
 // otherwise pin dead jobs and their alignment payloads indefinitely —
 // on a background sweep (StartSweeper). Queued and running entries are
 // never evicted. Safe for concurrent use.
+//
+// An access costs what it can evict, not the store's size: each entry
+// is polled for completion only until it is seen finished, and the
+// store walks its entries only when the cap is exceeded (stopping once
+// it no longer is) or when the oldest finish time it has seen is past
+// the TTL.
 type JobStore[J JobStoreEntry] struct {
 	mu    sync.Mutex
 	max   int
 	ttl   time.Duration
-	jobs  map[string]J
-	order []string
+	now   func() time.Time // time.Now; a test's clock in the oracle test
+	jobs  map[string]*storeEntry[J]
+	order []*storeEntry[J] // submission order
+	open  []*storeEntry[J] // not yet seen finished, in no particular order
+	// oldest is at or before the finish time of every retained entry
+	// seen finished; valid when anyFinished.
+	oldest      time.Time
+	anyFinished bool
 
 	sweepStop chan struct{}
 	sweepDone chan struct{}
+}
+
+type storeEntry[J JobStoreEntry] struct {
+	id       string
+	job      J
+	finished bool
+	at       time.Time // FinishedAt, once finished
 }
 
 // NewJobStore returns a store evicting finished jobs beyond maxJobs
@@ -38,15 +57,17 @@ type JobStore[J JobStoreEntry] struct {
 // Config types resolve their "zero means default" semantics before
 // calling this.
 func NewJobStore[J JobStoreEntry](maxJobs int, ttl time.Duration) *JobStore[J] {
-	return &JobStore[J]{max: maxJobs, ttl: ttl, jobs: make(map[string]J)}
+	return &JobStore[J]{max: maxJobs, ttl: ttl, now: time.Now, jobs: make(map[string]*storeEntry[J])}
 }
 
 // Add inserts a job under id and prunes.
 func (s *JobStore[J]) Add(id string, j J) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.jobs[id] = j
-	s.order = append(s.order, id)
+	e := &storeEntry[J]{id: id, job: j}
+	s.jobs[id] = e
+	s.order = append(s.order, e)
+	s.open = append(s.open, e)
 	s.pruneLocked()
 }
 
@@ -56,8 +77,12 @@ func (s *JobStore[J]) Get(id string) (J, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.pruneLocked()
-	j, ok := s.jobs[id]
-	return j, ok
+	e, ok := s.jobs[id]
+	if !ok {
+		var zero J
+		return zero, false
+	}
+	return e.job, true
 }
 
 // All returns the retained jobs in submission order.
@@ -66,8 +91,8 @@ func (s *JobStore[J]) All() []J {
 	defer s.mu.Unlock()
 	s.pruneLocked()
 	out := make([]J, 0, len(s.order))
-	for _, id := range s.order {
-		out = append(out, s.jobs[id])
+	for _, e := range s.order {
+		out = append(out, e.job)
 	}
 	return out
 }
@@ -139,30 +164,49 @@ func (s *JobStore[J]) len() int {
 // pruneLocked drops finished jobs beyond the count cap (oldest first)
 // and finished jobs older than the TTL. Caller holds s.mu.
 func (s *JobStore[J]) pruneLocked() {
+	open := s.open[:0]
+	for _, e := range s.open {
+		select {
+		case <-e.job.Done():
+			e.finished, e.at = true, e.job.FinishedAt()
+			if !s.anyFinished || e.at.Before(s.oldest) {
+				s.oldest, s.anyFinished = e.at, true
+			}
+		default:
+			open = append(open, e)
+		}
+	}
+	clear(s.open[len(open):])
+	s.open = open
+
 	excess := len(s.order) - s.max
-	if excess <= 0 && s.ttl <= 0 {
+	now := s.now()
+	// Every finished entry finished at or after s.oldest, so none is
+	// past the TTL unless s.oldest is.
+	expiring := s.ttl > 0 && s.anyFinished && now.Sub(s.oldest) > s.ttl
+	if excess <= 0 && !expiring {
 		return
 	}
-	now := time.Now()
+	if expiring {
+		s.anyFinished = false // recomputed below over the entries kept
+	}
 	kept := s.order[:0]
-	for _, id := range s.order {
-		j := s.jobs[id]
-		finished := false
-		select {
-		case <-j.Done():
-			finished = true
-		default:
-		}
-		if finished {
-			if excess > 0 || (s.ttl > 0 && now.Sub(j.FinishedAt()) > s.ttl) {
-				delete(s.jobs, id)
-				if excess > 0 {
-					excess--
-				}
+	i := 0
+	for ; i < len(s.order) && (excess > 0 || expiring); i++ {
+		e := s.order[i]
+		if e.finished {
+			if excess > 0 || (s.ttl > 0 && now.Sub(e.at) > s.ttl) {
+				delete(s.jobs, e.id)
+				excess--
 				continue
 			}
+			if expiring && (!s.anyFinished || e.at.Before(s.oldest)) {
+				s.oldest, s.anyFinished = e.at, true
+			}
 		}
-		kept = append(kept, id)
+		kept = append(kept, e)
 	}
-	s.order = kept
+	n := len(kept) + copy(s.order[len(kept):], s.order[i:])
+	clear(s.order[n:])
+	s.order = s.order[:n]
 }
