@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"seedblast/internal/matrix"
 )
@@ -120,32 +121,91 @@ func reverseStart(al *Aligner, a, b []byte, end Local, diag, band int) (aStart, 
 	return end.AEnd - sub.AEnd, end.BEnd - sub.BEnd
 }
 
-// checkKernelCase compares the kernel path with the scalar loop on
-// one case: the score pass, then the start the walk over the kept
-// rows recovers against LocalBandedReference's. It reports whether
-// the kernel took the case; every case it takes must be answered by
-// the walk.
-func checkKernelCase(t *testing.T, al *Aligner, c bandedCase) bool {
+// kernelBatch is one LocalBandedEnds pass: one query, one band, a
+// subject window and a diagonal per lane.
+type kernelBatch struct {
+	a     []byte
+	bs    [][]byte
+	diags []int
+	band  int
+}
+
+func (kb kernelBatch) lane(l int) bandedCase {
+	return bandedCase{kb.a, kb.bs[l], kb.diags[l], kb.band}
+}
+
+// drawBatch draws a pass of 1..BatchLanes lanes over one query, as the
+// gapped stage builds them and beyond: windows of mixed lengths,
+// planted mutated copies of the query (the band near them or not),
+// unrelated subjects, and diagonals from left of the matrix to right
+// of it, so that lanes are clipped at both subject ends or lie wholly
+// outside the matrix.
+func drawBatch(rng *rand.Rand, letters int) kernelBatch {
+	first := drawBandedCase(rng, letters)
+	kb := kernelBatch{a: first.a, band: first.band}
+	n := 1 + rng.Intn(BatchLanes)
+	for l := 0; l < n; l++ {
+		c := first
+		if l > 0 {
+			c = drawBandedCase(rng, letters)
+			c.a = kb.a
+			if rng.Intn(2) == 0 {
+				left := rng.Intn(30)
+				c.b = append(randomResidues(rng, left, letters), mutate(rng, kb.a, letters, 0.2, 0.03)...)
+				c.b = append(c.b, randomResidues(rng, rng.Intn(30), letters)...)
+				c.diag = left + rng.Intn(2*kb.band+5) - kb.band - 2
+			} else {
+				c.diag = rng.Intn(len(kb.a)+len(c.b)+2*kb.band+8) - len(kb.a) - kb.band - 4
+			}
+		}
+		kb.bs, kb.diags = append(kb.bs, c.b), append(kb.diags, c.diag)
+	}
+	return kb
+}
+
+// checkBatch runs kb through the kernel and checks every lane it took
+// against the scalar loop, then every scored lane's walked start
+// against LocalBandedReference, walking the lanes in reverse so that
+// each walk reads rows of the pass, not of its own lane alone. It
+// returns the lanes the kernel took.
+func checkBatch(t *testing.T, al *Aligner, kb kernelBatch) uint32 {
 	t.Helper()
-	want := al.bandedEndScalar(c.a, c.b, c.diag, c.band, noStop)
-	ref := al.LocalBandedReference(c.a, c.b, c.diag, c.band)
-	got, ok := al.bandedEndKernel(c.a, c.b, c.diag, c.band)
-	if !ok {
-		return false
+	out := make([]Local, len(kb.bs))
+	done := al.bandedEndsKernel(kb.a, kb.bs, kb.diags, kb.band, out)
+	for l := range kb.bs {
+		if done&(1<<l) == 0 {
+			continue
+		}
+		c := kb.lane(l)
+		if want := al.bandedEndScalar(c.a, c.b, c.diag, c.band, noStop); out[l] != want {
+			t.Fatalf("lane %d of %d (len(a)=%d len(b)=%d diag=%d band=%d gaps=%+v):\nkernel %+v\nscalar %+v\na=%v\nb=%v",
+				l, len(kb.bs), len(c.a), len(c.b), c.diag, c.band, al.gap, out[l], want, c.a, c.b)
+		}
 	}
-	if got != want {
-		t.Fatalf("forward (len(a)=%d len(b)=%d diag=%d band=%d gaps=%+v):\nkernel %+v\nscalar %+v\na=%v\nb=%v",
-			len(c.a), len(c.b), c.diag, c.band, al.gap, got, want, c.a, c.b)
+	// The reference passes run the scalar loop, which leaves the kept
+	// rows alone.
+	for l := len(kb.bs) - 1; l >= 0; l-- {
+		if done&(1<<l) == 0 || out[l].Score == 0 {
+			continue
+		}
+		c := kb.lane(l)
+		ref := al.LocalBandedReference(c.a, c.b, c.diag, c.band)
+		aStart, bStart, ok := al.walkStart(c.a, c.b, out[l], c.diag, c.band)
+		if !ok || aStart != ref.AStart || bStart != ref.BStart {
+			t.Fatalf("walk, lane %d of %d (len(a)=%d len(b)=%d diag=%d band=%d gaps=%+v):\nwalk %d,%d ok=%v\nreference %+v\na=%v\nb=%v",
+				l, len(kb.bs), len(c.a), len(c.b), c.diag, c.band, al.gap, aStart, bStart, ok, ref, c.a, c.b)
+		}
 	}
-	if want.Score == 0 {
-		return true
+	return done
+}
+
+// allLanes is the done set of a pass that fits the kernel: every
+// lane, unless the query is empty and the scalar loop answers.
+func allLanes(kb kernelBatch) uint32 {
+	if len(kb.a) == 0 {
+		return 0
 	}
-	aStart, bStart, ok := al.walkStart(c.a, c.b, got, c.diag, c.band)
-	if !ok || aStart != ref.AStart || bStart != ref.BStart {
-		t.Fatalf("walk (len(a)=%d len(b)=%d diag=%d band=%d gaps=%+v):\nwalk %d,%d ok=%v\nreference %+v\na=%v\nb=%v",
-			len(c.a), len(c.b), c.diag, c.band, al.gap, aStart, bStart, ok, ref, c.a, c.b)
-	}
-	return true
+	return 1<<len(kb.bs) - 1
 }
 
 // scalarGapStates runs bandedEndScalar's recurrences over the whole
@@ -176,39 +236,44 @@ func scalarGapStates(al *Aligner, c bandedCase) (e, f [][]int32) {
 	return e, f
 }
 
-// TestKernelKeptGapStates pins the E and F lanes the kernel keeps to
-// the scalar loop's: for every in-band, in-matrix cell, the value when
-// it is positive and 0 otherwise. The walk relies on nothing else.
+// TestKernelKeptGapStates pins the E and F the kernel keeps, in the
+// interleaved rows of a pass, to the scalar loop's: for every lane and
+// every in-band, in-matrix cell, the value when it is positive and 0
+// otherwise. The walk relies on nothing else.
 func TestKernelKeptGapStates(t *testing.T) {
-	if !hasBandedKernel {
-		t.Skip("no banded kernel on this platform")
+	if !HasAVX2 {
+		t.Skip("no banded kernel on this host")
 	}
-	cases := 4000
+	cases := 1500
 	if testing.Short() {
-		cases = 400
+		cases = 150
 	}
 	rng := rand.New(rand.NewSource(11))
 	aligners := sweepAligners()
 	for n := 0; n < cases; n++ {
-		c := drawBandedCase(rng, []int{2, 3, 4, 20}[n%4])
+		kb := drawBatch(rng, []int{2, 3, 4, 20}[n%4])
 		al := aligners[n%len(aligners)]
-		if _, ok := al.bandedEndKernel(c.a, c.b, c.diag, c.band); !ok {
-			t.Fatalf("case %d: kernel declined a case that fits it", n)
+		out := make([]Local, len(kb.bs))
+		if done := al.bandedEndsKernel(kb.a, kb.bs, kb.diags, kb.band, out); done != allLanes(kb) {
+			t.Fatalf("case %d: kernel took lanes %b of a pass that fits it", n, done)
 		}
 		k := &al.kern
-		e, f := scalarGapStates(al, c)
-		band := max(c.band, 0)
-		for i := 1; i <= len(c.a); i++ {
-			for j := max(1, i+c.diag-band); j <= min(len(c.b), i+c.diag+band); j++ {
-				p := (i-k.i0+1)*k.stride + j - i - k.dlo
-				for _, s := range []struct {
-					name      string
-					kept      int16
-					reference int32
-				}{{"E", k.e[p], e[i][j]}, {"F", k.f[p], f[i][j]}} {
-					if int32(s.kept) != max(s.reference, 0) {
-						t.Fatalf("case %d (gaps=%+v len(a)=%d len(b)=%d diag=%d band=%d): %s at (%d,%d) kept %d, scalar %d",
-							n, al.gap, len(c.a), len(c.b), c.diag, c.band, s.name, i, j, s.kept, s.reference)
+		band := max(kb.band, 0)
+		for l := range kb.bs {
+			c := kb.lane(l)
+			e, f := scalarGapStates(al, c)
+			for i := 1; i <= len(c.a); i++ {
+				for j := max(1, i+c.diag-band); j <= min(len(c.b), i+c.diag+band); j++ {
+					p := (i*k.stride+j-i-c.diag+band)*kernelCell + l
+					for _, s := range []struct {
+						name      string
+						kept      int16
+						reference int32
+					}{{"E", k.rows[p+BatchLanes], e[i][j]}, {"F", k.rows[p+2*BatchLanes], f[i][j]}} {
+						if int32(s.kept) != max(s.reference, 0) {
+							t.Fatalf("case %d lane %d of %d (gaps=%+v len(a)=%d len(b)=%d diag=%d band=%d): %s at (%d,%d) kept %d, scalar %d",
+								n, l, len(kb.bs), al.gap, len(c.a), len(c.b), c.diag, c.band, s.name, i, j, s.kept, s.reference)
+						}
 					}
 				}
 			}
@@ -217,13 +282,13 @@ func TestKernelKeptGapStates(t *testing.T) {
 }
 
 // TestLocalBandedStartFallsBack pins the walk's precondition: a
-// LocalBandedStart that does not directly follow its own score pass —
-// another pass in between, another diagonal or band, or equal contents
-// in other slices — is not walked, and the reverse pass still returns
-// the reference start.
+// LocalBandedStart for no lane of the last pass — another pass in
+// between, another diagonal or band, or equal contents in other
+// slices — is not walked, and the reverse pass still returns the
+// reference start.
 func TestLocalBandedStartFallsBack(t *testing.T) {
-	if !hasBandedKernel {
-		t.Skip("no banded kernel on this platform")
+	if !HasAVX2 {
+		t.Skip("no banded kernel on this host")
 	}
 	rng := rand.New(rand.NewSource(5))
 	aligners := sweepAligners()
@@ -245,6 +310,7 @@ func TestLocalBandedStartFallsBack(t *testing.T) {
 			between    func()
 		}{
 			{"pass between", c.a, c.b, c.diag, c.band, func() { al.LocalBandedEnd(other.a, other.b, other.diag, other.band) }},
+			{"forgotten", c.a, c.b, c.diag, c.band, al.Forget},
 			{"copied subject", c.a, bCopy, c.diag, c.band, func() {}},
 			{"other diagonal", c.a, c.b, c.diag + 1, c.band, func() {}},
 			{"other band", c.a, c.b, c.diag, c.band + 1, func() {}},
@@ -265,54 +331,107 @@ func TestLocalBandedStartFallsBack(t *testing.T) {
 	}
 }
 
-// TestBandedKernelMatchesScalar is the deterministic sweep behind
-// FuzzLocalBandedKernel: random and planted cases over every alphabet
-// size, band and scoring system of the sweep, then the shapes a random
-// draw rarely produces.
-func TestBandedKernelMatchesScalar(t *testing.T) {
-	if !hasBandedKernel {
-		t.Skip("no banded kernel on this platform")
+// TestBatchKernelMatchesScalar is the deterministic sweep behind
+// FuzzLocalBandedKernel: random passes of 1 to 16 lanes over every
+// alphabet size, band and scoring system of the sweep, passes with
+// lanes the kernel must leave to the scalar loop beside lanes it
+// takes, then the shapes a random draw rarely produces.
+func TestBatchKernelMatchesScalar(t *testing.T) {
+	if !HasAVX2 {
+		t.Skip("no banded kernel on this host")
 	}
-	cases := 40000
+	cases := 6000
 	if testing.Short() {
-		cases = 4000
+		cases = 600
 	}
 	rng := rand.New(rand.NewSource(7))
 	aligners := sweepAligners()
+	lanes := 0
 	for n := 0; n < cases; n++ {
-		c := drawBandedCase(rng, []int{2, 3, 4, 20}[n%4])
-		if !checkKernelCase(t, aligners[n%len(aligners)], c) {
-			t.Fatalf("case %d: kernel declined a case that fits it (len(a)=%d len(b)=%d band=%d)", n, len(c.a), len(c.b), c.band)
+		kb := drawBatch(rng, []int{2, 3, 4, 20}[n%4])
+		if done := checkBatch(t, aligners[n%len(aligners)], kb); done != allLanes(kb) {
+			t.Fatalf("case %d: kernel took lanes %b of a pass that fits it (len(a)=%d band=%d)", n, done, len(kb.a), kb.band)
 		}
+		lanes += len(kb.bs)
+	}
+	if lanes < 6*cases {
+		t.Errorf("%d lanes in %d passes: the generator no longer fills passes", lanes, cases)
 	}
 
+	// Fallback lanes beside kernel lanes: a subject with a code outside
+	// the alphabet, and one long enough that its scores can pass int16,
+	// in the middle and at both ends of a pass.
 	al := aligners[0]
-	// Every diagonal from wholly left of the matrix to wholly right
-	// of it, for each band: the band clipped at all four edges.
-	for _, shape := range [][2]int{{1, 1}, {1, 9}, {9, 1}, {5, 23}, {23, 5}, {17, 17}, {40, 64}} {
-		a, b := randomResidues(rng, shape[0], 3), randomResidues(rng, shape[1], 3)
-		for _, band := range sweepBands {
-			for diag := -shape[0] - band - 2; diag <= shape[1]+band+2; diag++ {
-				for _, al := range aligners {
-					if !checkKernelCase(t, al, bandedCase{a, b, diag, band}) {
-						t.Fatalf("kernel declined shape %v diag %d band %d", shape, diag, band)
-					}
+	a := randomResidues(rng, 3000, 20)
+	long := mutate(rng, a, 20, 0.05, 0)
+	for _, at := range []int{0, 7, 15} {
+		kb := kernelBatch{a: a, band: 16}
+		for l := 0; l < BatchLanes; l++ {
+			b := append(randomResidues(rng, 20, 20), mutate(rng, a[100*l:100*l+150], 20, 0.2, 0.02)...)
+			kb.bs, kb.diags = append(kb.bs, b), append(kb.diags, 20-100*l)
+		}
+		good := kb.bs[at]
+		bad := append([]byte(nil), good...)
+		bad[len(bad)/2] = 24
+		kb.bs[at] = bad
+		kb.bs[(at+5)%BatchLanes], kb.diags[(at+5)%BatchLanes] = long, 0
+		want := allLanes(kb) &^ (1<<at | 1<<((at+5)%BatchLanes))
+		if done := checkBatch(t, al, kb); done != want {
+			t.Fatalf("fallback lanes at %d: kernel took %b, want %b", at, done, want)
+		}
+		out := make([]Local, BatchLanes)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("fallback lanes at %d: a non-protein code did not reach the scalar loop's panic", at)
 				}
+			}()
+			al.LocalBandedEnds(kb.a, kb.bs, kb.diags, kb.band, out)
+		}()
+		kb.bs[at] = good
+		al.LocalBandedEnds(kb.a, kb.bs, kb.diags, kb.band, out)
+		for l := range kb.bs {
+			if c := kb.lane(l); out[l] != al.bandedEndScalar(c.a, c.b, c.diag, c.band, noStop) {
+				t.Fatalf("fallback lanes at %d: LocalBandedEnds lane %d differs from the scalar loop", at, l)
 			}
 		}
 	}
-	// Band widths around the 8-lane vector boundaries, on identical
-	// sequences (one long diagonal of ties in a 2-letter alphabet).
-	s := randomResidues(rng, 90, 2)
-	for band := 0; band <= 20; band++ {
-		for _, diag := range []int{-3, 0, 2} {
-			checkKernelCase(t, aligners[2], bandedCase{s, s, diag, band})
+
+	// Every diagonal from wholly left of the matrix to wholly right
+	// of it, sixteen to a pass, for each band: windows clipped at both
+	// subject ends.
+	for _, shape := range [][2]int{{1, 1}, {1, 9}, {9, 1}, {5, 23}, {23, 5}, {17, 17}, {40, 64}} {
+		a, b := randomResidues(rng, shape[0], 3), randomResidues(rng, shape[1], 3)
+		for _, band := range sweepBands {
+			kb := kernelBatch{a: a, band: band}
+			flush := func() {
+				for _, al := range aligners {
+					if done := checkBatch(t, al, kb); done != allLanes(kb) {
+						t.Fatalf("kernel declined shape %v diags %v band %d", shape, kb.diags, band)
+					}
+				}
+				kb.bs, kb.diags = nil, nil
+			}
+			for diag := -shape[0] - band - 2; diag <= shape[1]+band+2; diag++ {
+				kb.bs, kb.diags = append(kb.bs, b), append(kb.diags, diag)
+				if len(kb.bs) == BatchLanes {
+					flush()
+				}
+			}
+			if len(kb.bs) > 0 {
+				flush()
+			}
 		}
 	}
 	// Empty inputs.
-	for _, c := range []bandedCase{{nil, nil, 0, 3}, {s, nil, 0, 3}, {nil, s, 0, 3}} {
-		if got, ok := al.bandedEndKernel(c.a, c.b, c.diag, c.band); !ok || got != (Local{}) {
-			t.Errorf("empty input: kernel returned %+v ok=%v", got, ok)
+	s := randomResidues(rng, 90, 2)
+	for _, kb := range []kernelBatch{{nil, [][]byte{nil}, []int{0}, 3}, {s, [][]byte{nil, s}, []int{0, 5}, 3}, {nil, [][]byte{s}, []int{0}, 3}} {
+		out := make([]Local, len(kb.bs))
+		al.bandedEndsKernel(kb.a, kb.bs, kb.diags, kb.band, out)
+		for l := range kb.bs {
+			if c := kb.lane(l); out[l] != al.bandedEndScalar(c.a, c.b, c.diag, c.band, noStop) {
+				t.Errorf("empty input lane %d: kernel returned %+v", l, out[l])
+			}
 		}
 	}
 }
@@ -320,10 +439,14 @@ func TestBandedKernelMatchesScalar(t *testing.T) {
 // TestBandedKernelFallback pins the calls the kernel must decline,
 // and that LocalBanded still answers them exactly.
 func TestBandedKernelFallback(t *testing.T) {
-	if !hasBandedKernel {
-		t.Skip("no banded kernel on this platform")
+	if !HasAVX2 {
+		t.Skip("no banded kernel on this host")
 	}
 	rng := rand.New(rand.NewSource(3))
+	took := func(al *Aligner, a, b []byte, diag, band int) bool {
+		var out [1]Local
+		return al.bandedEndsKernel(a, [][]byte{b}, []int{diag}, band, out[:]) != 0
+	}
 	// 3000 identical residues at BLOSUM62's W-W score of 11 would
 	// reach 33000 > MaxInt16.
 	long := make([]byte, 3000)
@@ -331,27 +454,31 @@ func TestBandedKernelFallback(t *testing.T) {
 		long[i] = 17 // Trp
 	}
 	al := NewAligner(matrix.BLOSUM62, DefaultGaps)
-	if _, ok := al.bandedEndKernel(long, long, 0, 4); ok {
+	if took(al, long, long, 0, 4) {
 		t.Error("kernel took a call whose scores can exceed int16")
 	}
 	if got, want := al.LocalBanded(long, long, 0, 4), al.LocalBandedReference(long, long, 0, 4); got != want || got.Score != 33000 {
 		t.Errorf("int16 fallback: got %+v, reference %+v, want score 33000", got, want)
 	}
 	// The same length is fine when the other side is short.
-	if _, ok := al.bandedEndKernel(long, long[:100], 0, 4); !ok {
+	if !took(al, long, long[:100], 0, 4) {
 		t.Error("kernel declined a long query against a short subject")
 	}
 	a, b := randomResidues(rng, 50, 20), randomResidues(rng, 60, 20)
-	for _, gap := range []GapParams{{Open: -1, Extend: 2}, {Open: 3, Extend: 0}, {Open: 11, Extend: -1}, {Open: 5000, Extend: 1}} {
+	for _, gap := range []GapParams{{Open: -1, Extend: 2}, {Open: 3, Extend: 0}, {Open: 11, Extend: -1}, {Open: 40000, Extend: 1}} {
 		al := NewAligner(matrix.BLOSUM62, gap)
-		if _, ok := al.bandedEndKernel(a, b, 0, 8); ok {
+		if took(al, a, b, 0, 8) || al.BatchKernel() {
 			t.Errorf("kernel took gap costs %+v", gap)
 		}
 	}
-	// A band wider than the kernel's scratch bound.
+	// Passes past the kept rows' bound, by rows and by band.
 	wide := randomResidues(rng, 2000, 20)
-	if _, ok := al.bandedEndKernel(wide, wide, 0, 2000); ok {
-		t.Error("kernel took a 4001-lane band")
+	if took(al, wide, wide, 0, 2000) {
+		t.Error("kernel took a 4001-cell band")
+	}
+	tall := randomResidues(rng, kernelMaxCells/34, 20)
+	if took(al, tall, tall[:200], 0, 16) {
+		t.Errorf("kernel took a %d-row pass at band 16", len(tall))
 	}
 	// Residues outside the alphabet, in either sequence: declined, so
 	// that the scalar loop reports them.
@@ -359,32 +486,74 @@ func TestBandedKernelFallback(t *testing.T) {
 		for _, pos := range []int{0, 7, 8, 49} {
 			bad := append([]byte(nil), a...)
 			bad[pos] = code
-			if _, ok := al.bandedEndKernel(bad, b, 0, 8); ok {
+			if took(al, bad, b, 0, 8) {
 				t.Errorf("kernel took query residue %d at %d", code, pos)
 			}
-			if _, ok := al.bandedEndKernel(b, bad, 0, 8); ok {
+			if took(al, b, bad, 0, 8) {
 				t.Errorf("kernel took subject residue %d at %d", code, pos)
 			}
 		}
 	}
 }
 
+// TestReserveKeepsRows pins the kept rows' lifetime: Reserve maps
+// them once, passes within the reserved size (fewer rows, a narrower
+// band) reuse them, and a longer query maps larger ones, after which
+// passes still match the scalar loop.
+func TestReserveKeepsRows(t *testing.T) {
+	if !HasAVX2 {
+		t.Skip("no banded kernel on this host")
+	}
+	rng := rand.New(rand.NewSource(9))
+	al := NewAligner(matrix.BLOSUM62, DefaultGaps)
+	al.Reserve(150, 16)
+	rows := unsafe.SliceData(al.kern.rows)
+	if rows == nil {
+		t.Fatal("Reserve mapped no rows")
+	}
+	check := func(la, band int) {
+		t.Helper()
+		a := randomResidues(rng, la, 20)
+		kb := kernelBatch{a: a, band: band}
+		for l := 0; l < BatchLanes; l++ {
+			kb.bs, kb.diags = append(kb.bs, mutate(rng, a, 20, 0.2, 0.02)), append(kb.diags, rng.Intn(9)-4)
+		}
+		if done := checkBatch(t, al, kb); done != allLanes(kb) {
+			t.Fatalf("kernel took lanes %b of a %d-row pass", done, la)
+		}
+	}
+	for _, shape := range [][2]int{{150, 16}, {20, 16}, {150, 3}, {300, 7}} {
+		check(shape[0], shape[1])
+		if got := unsafe.SliceData(al.kern.rows); got != rows {
+			t.Fatalf("a pass of %d rows at band %d mapped new rows inside the reserved size", shape[0], shape[1])
+		}
+	}
+	check(600, 16)
+	if unsafe.SliceData(al.kern.rows) == rows {
+		t.Fatal("a 600-row pass ran in rows reserved for 150")
+	}
+	rows = unsafe.SliceData(al.kern.rows)
+	al.Reserve(100, 16)
+	check(100, 16)
+	if unsafe.SliceData(al.kern.rows) != rows {
+		t.Fatal("a smaller Reserve mapped new rows")
+	}
+}
+
 // FuzzLocalBandedKernel fuzzes the kernel against the scalar loop:
-// sequences, diagonal, band, gap costs and a matrix all derived from
-// the fuzzed arguments.
+// passes of up to sixteen lanes over one query, with sequences,
+// diagonals, band, gap costs and a matrix all derived from the fuzzed
+// arguments.
 func FuzzLocalBandedKernel(f *testing.F) {
-	f.Add(int64(1), 120, 150, 10, 16, 11, 1, int8(5), int8(-4), 20)
-	f.Add(int64(2), 1, 1, 0, 0, 0, 1, int8(1), int8(-1), 2)
-	f.Add(int64(3), 64, 9, -70, 40, 2, 1, int8(127), int8(-128), 3)
-	f.Add(int64(4), 33, 200, 150, 7, 3, 2, int8(0), int8(0), 4)
-	f.Add(int64(5), 300, 300, 0, 1, 100, 50, int8(11), int8(-128), 2)
+	f.Add(int64(1), 120, 150, 10, 16, 11, 1, int8(5), int8(-4), 20, uint8(16))
+	f.Add(int64(2), 1, 1, 0, 0, 0, 1, int8(1), int8(-1), 2, uint8(1))
+	f.Add(int64(3), 64, 9, -70, 40, 2, 1, int8(127), int8(-128), 3, uint8(5))
+	f.Add(int64(4), 33, 200, 150, 7, 3, 2, int8(0), int8(0), 4, uint8(9))
+	f.Add(int64(5), 300, 300, 0, 1, 100, 50, int8(11), int8(-128), 2, uint8(16))
 	// Found by the fuzzer: a negative extension cost, under which the
 	// reverse pass exceeds the forward score and must not stop early.
-	f.Add(int64(18), 17, 156, 113, 58, 3, -20, int8(91), int8(0), 4)
-	f.Fuzz(func(t *testing.T, rngSeed int64, la, lb, diag, band, open, extend int, match, mismatch int8, letters int) {
-		if !hasBandedKernel {
-			t.Skip()
-		}
+	f.Add(int64(18), 17, 156, 113, 58, 3, -20, int8(91), int8(0), 4, uint8(2))
+	f.Fuzz(func(t *testing.T, rngSeed int64, la, lb, diag, band, open, extend int, match, mismatch int8, letters int, lanes uint8) {
 		if la < 0 || la > 400 || lb < 0 || lb > 400 || band < -2 || band > 500 ||
 			diag < -1000 || diag > 1000 || letters < 1 || letters > 24 {
 			t.Skip()
@@ -408,54 +577,83 @@ func FuzzLocalBandedKernel(f *testing.F) {
 			t.Fatal(err)
 		}
 		al := NewAligner(m, GapParams{Open: open, Extend: extend})
-		c := bandedCase{a: randomResidues(rng, la, letters), diag: diag, band: band}
-		if rng.Intn(2) == 0 {
-			c.b = randomResidues(rng, lb, letters)
-		} else {
-			c.b = mutate(rng, c.a, letters, 0.2, 0.05)
+		kb := kernelBatch{a: randomResidues(rng, la, letters), band: band}
+		for l := 0; l < 1+int(lanes)%BatchLanes; l++ {
+			d := diag + rng.Intn(2*max(band, 0)+9) - max(band, 0) - 4
+			switch rng.Intn(3) {
+			case 0:
+				kb.bs = append(kb.bs, randomResidues(rng, lb, letters))
+			case 1:
+				kb.bs = append(kb.bs, mutate(rng, kb.a, letters, 0.2, 0.05))
+			default:
+				kb.bs = append(kb.bs, randomResidues(rng, rng.Intn(lb+1), letters))
+				d = rng.Intn(la+lb+2*max(band, 0)+9) - la - max(band, 0) - 4
+			}
+			kb.diags = append(kb.diags, d)
 		}
-		// Whether the kernel takes the case or declines it, the
-		// shipped entry point must agree with the reference.
-		checkKernelCase(t, al, c)
-		if got, want := al.LocalBanded(c.a, c.b, c.diag, c.band), al.LocalBandedReference(c.a, c.b, c.diag, c.band); got != want {
-			t.Fatalf("LocalBanded %+v, reference %+v", got, want)
+		// Whether the kernel takes a lane or declines it, the shipped
+		// entry points must agree with the reference.
+		checkBatch(t, al, kb)
+		out := make([]Local, len(kb.bs))
+		al.LocalBandedEnds(kb.a, kb.bs, kb.diags, kb.band, out)
+		for l := range kb.bs {
+			c := kb.lane(l)
+			want := al.LocalBandedReference(c.a, c.b, c.diag, c.band)
+			if got := out[l]; got.Score != want.Score || got.AEnd != want.AEnd || got.BEnd != want.BEnd {
+				t.Fatalf("LocalBandedEnds lane %d: %+v, reference %+v", l, got, want)
+			}
+			if got := al.LocalBanded(c.a, c.b, c.diag, c.band); got != want {
+				t.Fatalf("LocalBanded lane %d: %+v, reference %+v", l, got, want)
+			}
 		}
 	})
 }
 
-// BenchmarkStep3Kernel times the banded score pass on a homolog pair
-// at the gapped stage's band, kernel against scalar loop, in ns per
-// nominal DP cell (rows × 33), the unit of the benchmark's
-// gapped.ns_per_cell. The kernel+start row is what a survivor of the
-// E-value cut costs: the score pass, then LocalBandedStart.
+// BenchmarkStep3Kernel times the banded score pass on homolog windows
+// at the gapped stage's band, in ns per nominal DP cell (rows × 33 per
+// extension), the unit of the benchmark's gapped.ns_per_cell: the
+// scalar loop, a full pass of sixteen lanes, a pass of one lane, and
+// a full pass followed by every lane's LocalBandedStart, which is
+// what sixteen survivors of the E-value cut cost.
 func BenchmarkStep3Kernel(b *testing.B) {
 	const band = 16
 	al := NewAligner(matrix.BLOSUM62, DefaultGaps)
 	for _, rows := range []int{120, 600} {
 		rng := rand.New(rand.NewSource(int64(rows)))
 		q := randomResidues(rng, rows, 20)
-		s := append(randomResidues(rng, band+8, 20), mutate(rng, q, 20, 0.3, 0.02)...)
-		s = append(s, randomResidues(rng, band+8, 20)...)
-		want := al.LocalBandedReference(q, s, band+8, band)
-		run := func(name string, want Local, pass func() Local) {
+		var bs [][]byte
+		var diags []int
+		var want []Local
+		for l := 0; l < BatchLanes; l++ {
+			s := append(randomResidues(rng, band+8, 20), mutate(rng, q, 20, 0.3, 0.02)...)
+			s = append(s, randomResidues(rng, band+8, 20)...)
+			bs, diags = append(bs, s), append(diags, band+8)
+			want = append(want, al.LocalBandedReference(q, s, band+8, band))
+		}
+		ends := make([]Local, BatchLanes)
+		for l, w := range want {
+			ends[l] = Local{Score: w.Score, AEnd: w.AEnd, BEnd: w.BEnd}
+		}
+		out := make([]Local, BatchLanes)
+		run := func(name string, lanes int, pass func()) {
 			b.Run(fmt.Sprintf("%s/rows=%d", name, rows), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					if got := pass(); got != want {
-						b.Fatalf("got %+v, want %+v", got, want)
-					}
+					pass()
 				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(rows*(2*band+1)), "ns/cell")
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(lanes*rows*(2*band+1)), "ns/cell")
+				if out[0] != want[0] && out[0] != ends[0] {
+					b.Fatalf("got %+v, want %+v", out[0], want[0])
+				}
 			})
 		}
-		end := want
-		end.AStart, end.BStart = 0, 0
-		run("scalar", end, func() Local { return al.bandedEndScalar(q, s, band+8, band, noStop) })
-		if hasBandedKernel {
-			run("kernel", end, func() Local {
-				got, _ := al.bandedEndKernel(q, s, band+8, band)
-				return got
-			})
-		}
-		run("kernel+start", want, func() Local { return al.LocalBanded(q, s, band+8, band) })
+		run("scalar", 1, func() { out[0] = al.bandedEndScalar(q, bs[0], band+8, band, noStop) })
+		run("batch16", BatchLanes, func() { al.LocalBandedEnds(q, bs, diags, band, out) })
+		run("batch1", 1, func() { al.LocalBandedEnds(q, bs[:1], diags[:1], band, out[:1]) })
+		run("batch16+start", BatchLanes, func() {
+			al.LocalBandedEnds(q, bs, diags, band, out)
+			for l := range out {
+				out[l].AStart, out[l].BStart = al.LocalBandedStart(q, bs[l], out[l], diags[l], band)
+			}
+		})
 	}
 }

@@ -43,6 +43,10 @@ type Aligner struct {
 	// reverse pass.
 	ra, rb []byte
 	kern   bandedKernel
+	// oneB, oneDiag and oneOut are LocalBandedEnd's pass of one lane.
+	oneB    [1][]byte
+	oneDiag [1]int
+	oneOut  [1]Local
 	// dir and ops are Traceback's direction matrix and the operations
 	// of its walk back, last first.
 	dir []byte
@@ -182,15 +186,58 @@ func (al *Aligner) LocalBanded(a, b []byte, diag, band int) Local {
 
 // LocalBandedEnd is LocalBanded without start recovery: the maximum
 // of H over the in-band cells and the first cell in row-major order
-// that attains it. The gapped stage calls it alone first and pays for
-// LocalBandedStart only when the score survives the E-value cut. It
-// runs the kernel when the call fits it (kernel.go), which keeps its
-// rows for LocalBandedStart's walk, and the scalar loop otherwise.
+// that attains it. It is a LocalBandedEnds pass of one lane.
 func (al *Aligner) LocalBandedEnd(a, b []byte, diag, band int) Local {
-	if best, ok := al.bandedEndKernel(a, b, diag, band); ok {
-		return best
+	al.oneB[0], al.oneDiag[0] = b, diag
+	al.LocalBandedEnds(a, al.oneB[:], al.oneDiag[:], band, al.oneOut[:])
+	al.oneB[0] = nil
+	return al.oneOut[0]
+}
+
+// LocalBandedEnds runs LocalBandedEnd for up to BatchLanes windows of
+// one query in one pass: out[l] is LocalBandedEnd(a, bs[l], diags[l],
+// band). The gapped stage calls it alone first and pays for
+// LocalBandedStart only when a score survives the E-value cut. Lanes
+// that fit the kernel (kernel.go) run it, which keeps its rows for
+// LocalBandedStart's walk; the others run the scalar loop.
+func (al *Aligner) LocalBandedEnds(a []byte, bs [][]byte, diags []int, band int, out []Local) {
+	if len(bs) > BatchLanes || len(diags) != len(bs) || len(out) < len(bs) {
+		panic("align: LocalBandedEnds takes up to BatchLanes lanes, a diagonal and a result each")
 	}
-	return al.bandedEndScalar(a, b, diag, band, noStop)
+	done := al.bandedEndsKernel(a, bs, diags, band, out)
+	for l, b := range bs {
+		if done&(1<<l) == 0 {
+			out[l] = al.bandedEndScalar(a, b, diags[l], band, noStop)
+		}
+	}
+}
+
+// BatchKernel reports whether LocalBandedEnds runs the kernel for this
+// Aligner's gap costs on this CPU. When it is false every lane runs
+// the scalar loop, one after another, so a full pass costs what its
+// lanes cost alone.
+func (al *Aligner) BatchKernel() bool { return al.kern.ok && HasAVX2 }
+
+// Reserve sizes the kernel's scratch for queries of up to rows residues
+// at this band, so that the passes of a run allocate nothing. It is
+// for an Aligner kept for reuse: the kept rows it sizes live off the
+// Go heap, so that they do not count toward the garbage collector's
+// pacing of a small process, and are released once the Aligner is
+// unreachable.
+func (al *Aligner) Reserve(rows, band int) {
+	band = max(band, 0)
+	if al.BatchKernel() && kernelFits(rows, band) {
+		al.reserve(rows, band, true)
+	}
+}
+
+// Forget drops the Aligner's references to the sequences of its last
+// pass, so that an Aligner kept for reuse does not keep them alive. A
+// LocalBandedStart after it runs the reverse pass.
+func (al *Aligner) Forget() {
+	k := &al.kern
+	k.a, k.n = nil, 0
+	clear(k.lanes[:])
 }
 
 // LocalBandedStart recovers the start of the alignment LocalBandedEnd
@@ -199,12 +246,12 @@ func (al *Aligner) LocalBandedEnd(a, b []byte, diag, band int) Local {
 // first: the largest AStart, then the largest BStart, of the optimal
 // alignments ending at end.
 //
-// When it directly follows the LocalBandedEnd call that returned end,
-// with the same slices unmodified, and that call ran the kernel, it
-// walks back over the rows the kernel kept (kernel.go). Otherwise it
-// runs that reverse pass: reversed coordinates map (i, j) to
-// (AEnd-i, BEnd-j), so the band |(j-i) - diag| ≤ band becomes
-// |(j'-i') - rd| ≤ band with rd = BEnd - AEnd - diag. The reverse pass
+// When end is a kernel lane of the last LocalBandedEnds pass, with the
+// same slices unmodified, it walks back over the rows the kernel kept
+// (kernel.go). Otherwise it runs that reverse pass: reversed
+// coordinates map (i, j) to (AEnd-i, BEnd-j), so the band
+// |(j-i) - diag| ≤ band becomes |(j'-i') - rd| ≤ band with
+// rd = BEnd - AEnd - diag. The reverse pass
 // visits the forward pass's band cells restricted to the prefix
 // rectangle, so (gap costs being costs) it can reach end.Score but
 // never exceed it, and it stops at the first cell that does.

@@ -1,24 +1,37 @@
 package align
 
-// cpuFeatures is CPUID leaf 1's ECX feature word, read once at
-// startup: the tree's one CPU probe.
-var cpuFeatures = cpuidLeaf1ECX()
+// leaf1ECX is CPUID leaf 1's ECX feature word, read once at startup:
+// this file holds the tree's one CPU probe.
+var leaf1ECX = func() uint32 {
+	_, _, ecx, _ := cpuid(1, 0)
+	return ecx
+}()
 
 // HasSSSE3 reports SSSE3 (PSHUFB); internal/ungapped selects its
 // 16-lane step-2 scanner with it.
-var HasSSSE3 = cpuFeatures&(1<<9) != 0
+var HasSSSE3 = leaf1ECX&(1<<9) != 0
 
-// hasBandedKernel gates the step-3 kernel: bandedRowsSSE41 needs
-// SSE4.1 (PMOVSXBW, PHMINPOSUW) on top of SSSE3 (PSHUFB, PALIGNR).
-var hasBandedKernel = HasSSSE3 && cpuFeatures&(1<<19) != 0
+// HasAVX2 gates the step-3 kernel: AVX2 (CPUID.(7,0):EBX bit 5), and
+// an OS that saves YMM state (CPUID.1:ECX.OSXSAVE, then XCR0 bits 1
+// and 2), without which a VEX instruction faults. A var so that tests
+// can take the scalar fallback on any amd64 host.
+var HasAVX2 = func() bool {
+	if maxLeaf, _, _, _ := cpuid(0, 0); maxLeaf < 7 || leaf1ECX&(1<<27) == 0 || xgetbv0()&6 != 6 {
+		return false
+	}
+	_, ebx, _, _ := cpuid(7, 0)
+	return ebx&(1<<5) != 0
+}()
 
-// cpuidLeaf1ECX is implemented in kernel_amd64.s.
-func cpuidLeaf1ECX() uint32
+// cpuid and xgetbv0 are implemented in kernel_amd64.s.
+func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
+func xgetbv0() uint32
 
-// bandedRowsSSE41 runs args.rows rows of the banded DP and leaves
-// every row's H, E and F lanes in args.h, args.e and args.f. The caller (bandedEndKernel)
-// guarantees that hasBandedKernel is true and that scores and gap
-// costs fit the int16 lanes.
+// bandedBatchAVX2 runs args.nrows rows of the banded DP for sixteen
+// lanes and keeps every row's H, E and F cells in args.rows. The
+// caller (bandedEndsKernel) guarantees that HasAVX2 is true, that
+// args.nrows ≥ 1, that every query residue is a protein code and that
+// the lanes it reads back fit the int16 lanes.
 //
 //go:noescape
-func bandedRowsSSE41(args *bandedArgs)
+func bandedBatchAVX2(args *batchArgs)

@@ -1,219 +1,165 @@
-// Lane-parallel banded score pass (the step-3 kernel). One int16 lane
-// per diagonal of the band, eight lanes per XMM register, rows of the
-// DP matrix processed top to bottom; see kernel.go for the layout,
-// the exactness argument and the caller's side of the contract.
+// Inter-sequence banded score pass (the step-3 kernel). One int16 lane
+// per extension, sixteen lanes per YMM register, one register per band
+// cell, rows of the DP matrix processed top to bottom; see kernel.go
+// for the layout, the exactness argument and the caller's side of the
+// contract.
 
 #include "textflag.h"
 
-// Lane numbers 1..8: multiplied by the gap-extension cost they give
-// what a horizontal gap entering a vector from the left has paid by
-// the time it reaches each lane.
-DATA laneRamp<>+0(SB)/8, $0x0004000300020001
-DATA laneRamp<>+8(SB)/8, $0x0008000700060005
-GLOBL laneRamp<>(SB), RODATA|NOPTR, $16
-
-// func cpuidLeaf1ECX() uint32
-//
-// CPUID leaf 1, ECX: the feature word holding SSSE3 (bit 9) and
-// SSE4.1 (bit 19). SSE2 needs no check (amd64 baseline).
-TEXT ·cpuidLeaf1ECX(SB), NOSPLIT, $0-4
-	MOVL $1, AX
+// func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
+TEXT ·cpuid(SB), NOSPLIT, $0-24
+	MOVL leaf+0(FP), AX
+	MOVL sub+4(FP), CX
 	CPUID
-	MOVL CX, ret+0(FP)
+	MOVL AX, eax+8(FP)
+	MOVL BX, ebx+12(FP)
+	MOVL CX, ecx+16(FP)
+	MOVL DX, edx+20(FP)
 	RET
 
-// Field offsets of bandedArgs (kernel.go).
-#define ARG_A       0
-#define ARG_B       8
-#define ARG_TAB     16
-#define ARG_H       24
-#define ARG_E       32
-#define ARG_F       40
-#define ARG_MASK    48
-#define ARG_ROWS    56
-#define ARG_NVEC    64
-#define ARG_STRIDE  72
-#define ARG_OE      80
-#define ARG_EXT     88
-#define ARG_BEST    96
-#define ARG_BESTREM 104
-#define ARG_BAD     112
+// func xgetbv0() uint32
+//
+// XCR0's low word: which register states the OS saves. Only valid when
+// CPUID.1:ECX.OSXSAVE is set.
+TEXT ·xgetbv0(SB), NOSPLIT, $0-4
+	MOVL $0, CX
+	XGETBV
+	MOVL AX, ret+0(FP)
+	RET
 
-// func bandedRowsSSE41(args *bandedArgs)
+// Field offsets of batchArgs (kernel.go).
+#define ARG_A     0
+#define ARG_SUBJ  8
+#define ARG_TAB   16
+#define ARG_ROWS  24
+#define ARG_NROWS 32
+#define ARG_WIDTH 40
+#define ARG_OE    48
+#define ARG_EXT   56
+#define ARG_BEST  64
+#define ARG_ROW   96
+
+// A kept cell is three vectors: H, E, F.
+#define CELL 96
+
+// func bandedBatchAVX2(args *batchArgs)
 //
 // Register plan: AX = args, SI = query residue of the row, BX =
-// subject byte of the row's lane 0 (both advance by one per row: the
-// band slides right as it goes down), R9/R10 = previous/current H row,
-// R11/R12 = previous/current E row, R13 = current F row, R8 = bytes
-// between rows, R14 = lane mask, CX = 8 × the vector index (byte
-// offset into the subject, word index into the lane arrays), DI = its
-// bound, DX = temp. The best score so far and the rows left when it
-// was first reached live in args.
+// transposed subject row under cell 0 of the row (advances 16 bytes per
+// row: the band slides one column right per row), DI = cell 0 of the
+// current kept row, R8 = bytes between kept rows, R9 = score table,
+// R10 = rows left, R11 = current cell, R12 = current subject row,
+// R13 = the same cell one row up, CX = cells left in the row, DX = temp.
 //
-// XMM plan: X15 = PSHUFB control broadcasting lane 7, X14 =
-// open+extend, X13/X12/X11 = 1/2/4 × extend, X10 = (1..8) × extend,
-// X9 = 0x70 bytes, X8 = 0x10 bytes, X4/X5 = the row's 32 score bytes,
-// X7 = running maximum of the row, X6 = the previous vector's inclusive
-// gap scan (its last lane is the carry), X0-X3 = temps.
+// YMM plan: Y15 = open+extend, Y14 = extend, X13 = 0x70 bytes, X12 =
+// 0x10 bytes, X10/X11 = the row's 32 score bytes, Y9 = per-lane
+// maximum, Y8 = per-lane row that first reached it, Y7 = this row's
+// number, Y6 = -1 words, Y5 = this row's per-lane maximum, Y4 = F,
+// Y3 = zero, Y0-Y2 = temps.
 //
 // Gap costs are subtracted with unsigned saturation, so E and F bottom
 // out at 0 — as good as the scalar loop's negInf, see kernel.go — and
-// max(H+score, E) needs no separate clamp at 0.
-TEXT ·bandedRowsSSE41(SB), NOSPLIT, $0-8
+// max(H + score, E, F) needs no separate clamp at 0.
+TEXT ·bandedBatchAVX2(SB), NOSPLIT, $0-8
 	MOVQ args+0(FP), AX
 	MOVQ ARG_A(AX), SI
-	MOVQ ARG_B(AX), BX
-	MOVQ ARG_STRIDE(AX), R8
-	MOVQ ARG_H(AX), R9
-	LEAQ (R9)(R8*1), R10
-	MOVQ ARG_E(AX), R11
-	LEAQ (R11)(R8*1), R12
-	MOVQ ARG_F(AX), R13
-	ADDQ R8, R13
-	MOVQ ARG_MASK(AX), R14
-	MOVQ ARG_NVEC(AX), DI
-	SHLQ $3, DI
+	MOVQ ARG_SUBJ(AX), BX
+	MOVQ ARG_TAB(AX), R9
+	MOVQ ARG_ROWS(AX), DI
+	MOVQ ARG_WIDTH(AX), R8
+	INCQ R8
+	IMULQ $CELL, R8
+	ADDQ R8, DI
+	MOVQ ARG_NROWS(AX), R10
 
-	MOVQ $0x0F0E0F0E0F0E0F0E, DX
-	MOVQ DX, X15
-	PUNPCKLQDQ X15, X15
-	MOVQ ARG_OE(AX), DX
-	MOVQ DX, X14
-	PSHUFLW $0, X14, X14
-	PSHUFD  $0, X14, X14
-	MOVQ ARG_EXT(AX), DX
+	VPBROADCASTW ARG_OE(AX), Y15
+	VPBROADCASTW ARG_EXT(AX), Y14
+	MOVL $0x70, DX
 	MOVQ DX, X13
-	PSHUFLW $0, X13, X13
-	PSHUFD  $0, X13, X13
-	MOVOU X13, X12
-	PADDW X13, X12
-	MOVOU X12, X11
-	PADDW X12, X11
-	MOVOU laneRamp<>(SB), X10
-	PMULLW X13, X10
-	MOVQ $0x7070707070707070, DX
-	MOVQ DX, X9
-	PUNPCKLQDQ X9, X9
-	MOVQ $0x1010101010101010, DX
-	MOVQ DX, X8
-	PUNPCKLQDQ X8, X8
+	VPBROADCASTB X13, X13
+	MOVL $0x10, DX
+	MOVQ DX, X12
+	VPBROADCASTB X12, X12
+	VPXOR Y3, Y3, Y3
+	VPXOR Y9, Y9, Y9
+	VPXOR Y8, Y8, Y8
+	VPCMPEQW Y6, Y6, Y6
+	VPSUBW Y6, Y3, Y7
 
 rowLoop:
 	// The row's query residue selects a 32-byte score row: 24 real
 	// scores, then -128 for the padding codes.
 	MOVBLZX (SI), DX
-	CMPL DX, $24
-	JAE  badResidue
-	SHLL $5, DX
-	ADDQ ARG_TAB(AX), DX
-	MOVOU (DX), X4
-	MOVOU 16(DX), X5
-	PXOR X7, X7
-	PXOR X6, X6
-	XORL CX, CX
+	SHLQ $5, DX
+	VMOVDQU (R9)(DX*1), X10
+	VMOVDQU 16(R9)(DX*1), X11
+	VPXOR Y5, Y5, Y5
+	VPXOR Y4, Y4, Y4
+	MOVQ DI, R11
+	MOVQ DI, R13
+	SUBQ R8, R13
+	MOVQ BX, R12
+	MOVQ ARG_WIDTH(AX), CX
 
-vecLoop:
-	// Scores of the eight subject residues under these lanes: two
-	// PSHUFB lookups, the index bias choosing which half of the row
-	// answers (a control byte with bit 7 set yields 0), then widened
-	// to int16.
-	MOVQ  (BX)(CX*1), X0
-	MOVOU X0, X1
-	PADDB X9, X0
-	PSUBB X8, X1
-	MOVOU X4, X2
-	PSHUFB X0, X2
-	MOVOU X5, X3
-	PSHUFB X1, X3
-	POR   X3, X2
-	PMOVSXBW X2, X2
+cellLoop:
+	// Scores of the sixteen lanes' subject residues: two PSHUFB
+	// lookups, the index bias choosing which half of the row answers
+	// (a control byte with bit 7 set yields 0), widened to int16.
+	VMOVDQU (R12), X0
+	VPADDB X13, X0, X1
+	VPSUBB X12, X0, X0
+	VPSHUFB X1, X10, X1
+	VPSHUFB X0, X11, X0
+	VPOR X1, X0, X0
+	VPMOVSXBW X0, Y0
 
-	// E: the vertical predecessor of lane k is lane k+1 of the row
-	// above, in H and in E.
-	MOVOU 2(R9)(CX*2), X0
-	PSUBUSW X14, X0
-	MOVOU 2(R11)(CX*2), X1
-	PSUBUSW X13, X1
-	PMAXSW X1, X0
-	MOVOU X0, (R12)(CX*2)
+	// E: the vertical predecessor is the next cell of the row above.
+	VMOVDQU CELL(R13), Y1
+	VPSUBUSW Y15, Y1, Y1
+	VMOVDQU CELL+32(R13), Y2
+	VPSUBUSW Y14, Y2, Y2
+	VPMAXSW Y2, Y1, Y1
 
-	// H before horizontal gaps: the diagonal predecessor is the same
-	// lane of the row above.
-	MOVOU (R9)(CX*2), X1
-	PADDSW X1, X2
-	PMAXSW X0, X2
+	// H: the diagonal predecessor is the same cell of the row above,
+	// the horizontal one (F) the previous cell of this row.
+	VPADDSW (R13), Y0, Y0
+	VPMAXSW Y1, Y0, Y0
+	VPMAXSW Y4, Y0, Y0
+	VMOVDQU Y0, (R11)
+	VMOVDQU Y1, 32(R11)
+	VMOVDQU Y4, 64(R11)
+	VPMAXSW Y0, Y5, Y5
 
-	// F: inclusive max-plus scan of H-open-extend along the row,
-	// decaying by extend per lane, in three doubling steps...
-	MOVOU X2, X0
-	PSUBUSW X14, X0
-	MOVOU X0, X1
-	PSLLO $2, X1
-	PSUBUSW X13, X1
-	PMAXSW X1, X0
-	MOVOU X0, X1
-	PSLLO $4, X1
-	PSUBUSW X12, X1
-	PMAXSW X1, X0
-	MOVOU X0, X1
-	PSLLO $8, X1
-	PSUBUSW X11, X1
-	PMAXSW X1, X0
-	// ...joined with the previous vector's last lane...
-	MOVOU X6, X1
-	PSHUFB X15, X1
-	PSUBUSW X10, X1
-	PMAXSW X1, X0
-	// ...and shifted one lane right, because a gap opened at lane k
-	// is first usable at lane k+1.
-	MOVOU X0, X1
-	PALIGNR $14, X6, X1
-	MOVOU X0, X6
-	MOVOU X1, (R13)(CX*2)
-	PMAXSW X1, X2
+	// F of the next cell.
+	VPSUBUSW Y15, Y0, Y0
+	VPSUBUSW Y14, Y4, Y4
+	VPMAXSW Y0, Y4, Y4
 
-	// Lanes right of the band hold 0, so that lane W feeds nothing
-	// into lane W-1's E and the padding never reaches the maximum.
-	MOVOU (R14)(CX*2), X1
-	PAND  X1, X2
-	MOVOU X2, (R10)(CX*2)
-	PMAXSW X2, X7
+	ADDQ $CELL, R11
+	ADDQ $CELL, R13
+	ADDQ $16, R12
+	DECQ CX
+	JNZ  cellLoop
 
-	ADDQ $8, CX
-	CMPQ CX, DI
-	JLT  vecLoop
+	// The cell after the last, in H and E: read by the next row's
+	// vertical predecessor of its last cell.
+	VMOVDQU Y3, (R11)
+	VMOVDQU Y3, 32(R11)
 
-	// The lane after the last, in H and E: read by the next row's
-	// shifted loads.
-	MOVW $0, (R10)(CX*2)
-	MOVW $0, (R12)(CX*2)
+	// Lanes whose row maximum beats their maximum so far record this
+	// row as the first to reach it.
+	VPCMPGTW Y9, Y5, Y0
+	VPMAXSW Y5, Y9, Y9
+	VPBLENDVB Y0, Y7, Y8, Y8
+	VPSUBW Y6, Y7, Y7
 
-	// Row maximum: H is in [0, 32767], so the unsigned minimum of its
-	// complement is the complement of its maximum.
-	PCMPEQW X0, X0
-	PXOR    X7, X0
-	PHMINPOSUW X0, X0
-	MOVQ X0, DX
-	NOTL DX
-	MOVWLZX DX, DX
-	CMPQ DX, ARG_BEST(AX)
-	JLE  nextRow
-	MOVQ DX, ARG_BEST(AX)
-	MOVQ ARG_ROWS(AX), DX
-	MOVQ DX, ARG_BESTREM(AX)
-
-nextRow:
 	INCQ SI
-	INCQ BX
-	MOVQ R10, R9
-	ADDQ R8, R10
-	MOVQ R12, R11
-	ADDQ R8, R12
-	ADDQ R8, R13
-	DECQ ARG_ROWS(AX)
+	ADDQ $16, BX
+	ADDQ R8, DI
+	DECQ R10
 	JNZ  rowLoop
-	RET
 
-badResidue:
-	MOVQ $1, ARG_BAD(AX)
+	VMOVDQU Y9, ARG_BEST(AX)
+	VMOVDQU Y8, ARG_ROW(AX)
+	VZEROUPPER
 	RET

@@ -5,12 +5,12 @@ package align
 // HasSSSE3: no x86 vector extensions on this GOARCH.
 const HasSSSE3 = false
 
-// hasBandedKernel: no step-3 kernel on this GOARCH; every banded pass
-// runs the scalar loop.
-const hasBandedKernel = false
+// HasAVX2: no step-3 kernel on this GOARCH; every banded pass runs the
+// scalar loop.
+const HasAVX2 = false
 
-// bandedRowsSSE41 is never called when hasBandedKernel is false; the
-// stub keeps the portable build compiling.
-func bandedRowsSSE41(args *bandedArgs) {
+// bandedBatchAVX2 is never called when HasAVX2 is false; the stub
+// keeps the portable build compiling.
+func bandedBatchAVX2(args *batchArgs) {
 	panic("align: asm kernel called on unsupported GOARCH")
 }

@@ -23,7 +23,7 @@ import (
 //
 //   - every name (func, const, var) declared in kernel_noasm.go exists
 //     in each kernel_<arch>.go, and vice versa — except arch-only
-//     helpers referenced from no shared file (cpuidLeaf1ECX);
+//     helpers referenced from no shared file (cpuid, xgetbv0);
 //   - functions declared in both variants have identical signatures;
 //   - every body-less (assembly-implemented) declaration has a
 //     matching TEXT ·name symbol in the package's .s files;

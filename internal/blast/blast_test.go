@@ -269,3 +269,24 @@ func TestScannerStateDoesNotLeakAcrossSubjects(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkSearchHomolog times the baseline on a homolog_full-shaped
+// bank at a tenth of its size: 16 queries of 90..150 aa against 500
+// copies of them mutated at 10..50 %. Gapped extension runs once per
+// triggering hit, as a LocalBanded pass of one lane.
+func BenchmarkSearchHomolog(b *testing.B) {
+	rng := bank.NewRNG(3)
+	queries, subjects := bank.New("q"), bank.New("s")
+	for i := 0; i < 16; i++ {
+		queries.Add("q", bank.RandomProtein(rng, 90+4*i))
+	}
+	for i := 0; i < 500; i++ {
+		subjects.Add("h", bank.MutateProtein(rng, queries.Seq(i%16), 0.1+0.1*float64((i/16)%5)))
+	}
+	cfg := DefaultConfig()
+	for b.Loop() {
+		if _, err := Search(queries, subjects, cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -61,8 +61,10 @@ type Config struct {
 	// unpartitioned run exactly.
 	SearchSpace stats.SearchSpace
 	// Traceback records alignment operations for reporting. The
-	// traceback DP runs unbanded over the subject window, so it is
-	// slower and can find alignments that escape the band.
+	// traceback DP runs unbanded over the subject window, once per
+	// candidate in place of the kernel pass and with nothing
+	// speculated, so it is slower and can find alignments that escape
+	// the band.
 	Traceback bool
 	Workers   int // 0 means GOMAXPROCS
 }
@@ -104,65 +106,88 @@ func Run(b0, b1 *bank.Bank, hits []ungapped.Hit, cfg Config) ([]Alignment, error
 
 // RunWithStats is Run plus work statistics.
 func RunWithStats(b0, b1 *bank.Bank, hits []ungapped.Hit, cfg Config) ([]Alignment, Stats, error) {
+	out, st, _, err := run(b0, b1, hits, cfg)
+	return out, st, err
+}
+
+// fill counts the kernel passes of a run: passes, lanes extended, and
+// of those the lanes that were speculative and the speculative lanes
+// whose hit turned out to be contained (their result was dropped).
+type fill struct {
+	passes, lanes, speculated, dropped int
+}
+
+func (f *fill) add(g fill) {
+	f.passes += g.passes
+	f.lanes += g.lanes
+	f.speculated += g.speculated
+	f.dropped += g.dropped
+}
+
+// run is RunWithStats plus the kernel's fill, which tests read.
+func run(b0, b1 *bank.Bank, hits []ungapped.Hit, cfg Config) ([]Alignment, Stats, fill, error) {
 	if cfg.Matrix == nil {
-		return nil, Stats{}, fmt.Errorf("gapped: matrix is required")
+		return nil, Stats{}, fill{}, fmt.Errorf("gapped: matrix is required")
 	}
 	if cfg.Band <= 0 {
-		return nil, Stats{}, fmt.Errorf("gapped: band must be positive, got %d", cfg.Band)
+		return nil, Stats{}, fill{}, fmt.Errorf("gapped: band must be positive, got %d", cfg.Band)
 	}
 	if cfg.MaxEValue <= 0 {
-		return nil, Stats{}, fmt.Errorf("gapped: MaxEValue must be positive, got %g", cfg.MaxEValue)
+		return nil, Stats{}, fill{}, fmt.Errorf("gapped: MaxEValue must be positive, got %g", cfg.MaxEValue)
 	}
 	if err := cfg.SearchSpace.Validate(); err != nil {
-		return nil, Stats{}, fmt.Errorf("gapped: %w", err)
+		return nil, Stats{}, fill{}, fmt.Errorf("gapped: %w", err)
 	}
 
 	groups, offs, err := groupHits(hits)
 	if err != nil {
-		return nil, Stats{}, err
+		return nil, Stats{}, fill{}, err
 	}
+	order, chunks, longest := planChunks(groups, b0)
 
 	workers := cfg.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	workers = max(min(workers, len(groups)), 1)
+	workers = max(min(workers, len(chunks)), 1)
 	space := cfg.SearchSpace
 	if space.IsZero() {
 		space = stats.SearchSpace{DBLen: b1.TotalResidues(), DBSeqs: b1.Len()}
 	}
 
-	// Workers claim chunks of consecutive groups from a shared cursor:
-	// small enough that a run of expensive groups cannot leave one
-	// worker with the tail, large enough that the cursor's cache line
-	// is touched once per several extensions.
-	chunk := min(max(len(groups)/(8*workers), 1), 64)
+	// Workers claim chunks from a shared cursor: a chunk is at most
+	// chunkGroups groups of one query, the groups one kernel pass can
+	// draw its lanes from.
 	var cursor atomic.Int64
 	found := make([][]Alignment, len(groups)) // found[gi]: written by the worker that claimed gi
 	totals := make([]Stats, workers)
+	fills := make([]fill, workers)
 	work := func(w int) {
-		al := align.NewAligner(cfg.Matrix, cfg.Gaps)
-		var st Stats
+		al := getAligner(&cfg)
+		al.Reserve(longest, cfg.Band)
+		x := extender{al: al, cfg: &cfg, space: space, groups: groups, offs: offs, b0: b0, b1: b1, found: found,
+			speculate: !cfg.Traceback && al.BatchKernel(),
+			gs:        make([]groupState, 0, min(chunkGroups, len(groups))),
+			lanes:     make([]lane, 0, align.BatchLanes),
+			wins:      make([][]byte, 0, align.BatchLanes),
+			diags:     make([]int, 0, align.BatchLanes),
+			ends:      make([]align.Local, 0, align.BatchLanes)}
 		for {
-			hi := int(cursor.Add(int64(chunk)))
-			lo := hi - chunk
-			if lo >= len(groups) {
+			c := int(cursor.Add(1)) - 1
+			if c >= len(chunks) {
 				break
 			}
-			for gi := lo; gi < min(hi, len(groups)); gi++ {
-				g := groups[gi]
-				start := uint32(0)
-				if gi > 0 {
-					start = groups[gi-1].end
-				}
-				found[gi] = extendGroup(al, b0.Seq(int(g.seq0)), b1.Seq(int(g.seq1)),
-					int(g.seq0), int(g.seq1), offs[start:g.end], &cfg, space, &st)
+			lo := 0
+			if c > 0 {
+				lo = chunks[c-1]
 			}
+			x.chunk(order[lo:chunks[c]])
 		}
-		totals[w] = st
+		putAligner(&cfg, al)
+		totals[w], fills[w] = x.st, x.fill
 	}
 	// The caller is worker 0, so a one-worker run (or a job with a
-	// single group) starts no goroutine at all.
+	// single chunk) starts no goroutine at all.
 	var wg sync.WaitGroup
 	for w := 1; w < workers; w++ {
 		wg.Add(1)
@@ -186,15 +211,106 @@ func RunWithStats(b0, b1 *bank.Bank, hits []ungapped.Hit, cfg Config) ([]Alignme
 		out = append(out, as...)
 	}
 	stats := Stats{Hits: len(hits)}
-	for _, st := range totals {
+	var fl fill
+	for w, st := range totals {
 		stats.Contained += st.Contained
 		stats.PreFiltered += st.PreFiltered
 		stats.Extended += st.Extended
 		stats.DPRows += st.DPRows
 		stats.DPCells += st.DPCells
+		fl.add(fills[w])
 	}
 	sortAlignments(out)
-	return out, stats, nil
+	return out, stats, fl, nil
+}
+
+// chunkGroups bounds a chunk: enough groups of one query to fill a
+// kernel pass several times over, few enough that a run of expensive
+// groups cannot leave one worker with the tail.
+const chunkGroups = 64
+
+// planChunks puts the group ids in query order by a stable counting
+// sort on seq0 and cuts that order into chunks of at most chunkGroups
+// groups of one query each: chunk c is order[chunks[c-1]:chunks[c]],
+// from 0 for c = 0. It also returns the longest query a group uses.
+// found stays indexed by group id, so the output order does not
+// depend on this order.
+func planChunks(groups []hitGroup, b0 *bank.Bank) (order []uint32, chunks []int, longest int) {
+	if len(groups) == 0 {
+		return nil, nil, 0
+	}
+	start := make([]int, b0.Len()+1)
+	for _, g := range groups {
+		start[g.seq0+1]++
+	}
+	for q := 1; q < len(start); q++ {
+		start[q] += start[q-1]
+	}
+	order = make([]uint32, len(groups))
+	for gi, g := range groups {
+		order[start[g.seq0]] = uint32(gi)
+		start[g.seq0]++
+	}
+	last := 0
+	for i, gi := range order {
+		q := groups[gi].seq0
+		newQuery := i == 0 || q != groups[order[i-1]].seq0
+		if newQuery {
+			longest = max(longest, len(b0.Seq(int(q))))
+		}
+		if i > 0 && (newQuery || i-last == chunkGroups) {
+			chunks = append(chunks, i)
+			last = i
+		}
+	}
+	return order, append(chunks, len(order)), longest
+}
+
+// alignerStore keeps the Aligners of finished runs, with their kernel
+// scratch, for the next run: unlike a sync.Pool it survives garbage
+// collections, so that a daemon's first job after an idle spell does
+// not allocate and clear its kept rows again. It holds at most
+// GOMAXPROCS Aligners.
+var alignerStore struct {
+	sync.Mutex
+	free []storedAligner
+}
+
+// storedAligner is an Aligner in the store, with the scoring system
+// it was made for.
+type storedAligner struct {
+	m   *matrix.Matrix
+	gap align.GapParams
+	al  *align.Aligner
+}
+
+// getAligner takes a stored Aligner for cfg's scoring system, or makes
+// one.
+func getAligner(cfg *Config) *align.Aligner {
+	alignerStore.Lock()
+	defer alignerStore.Unlock()
+	free := alignerStore.free
+	for i := len(free) - 1; i >= 0; i-- {
+		if free[i].m == cfg.Matrix && free[i].gap == cfg.Gaps {
+			al := free[i].al
+			alignerStore.free = append(free[:i], free[i+1:]...)
+			return al
+		}
+	}
+	return align.NewAligner(cfg.Matrix, cfg.Gaps)
+}
+
+// putAligner stores al for the next run, replacing the oldest stored
+// Aligner when the store is full.
+func putAligner(cfg *Config, al *align.Aligner) {
+	al.Forget()
+	alignerStore.Lock()
+	defer alignerStore.Unlock()
+	if free := alignerStore.free; len(free) >= runtime.GOMAXPROCS(0) {
+		copy(free, free[1:])
+		alignerStore.free = free[:len(free)-1]
+	}
+	alignerStore.free = append(alignerStore.free, storedAligner{cfg.Matrix, cfg.Gaps, al})
 }
 
 // sortAlignments puts the stage's output in its reported order:
@@ -213,7 +329,7 @@ func sortAlignments(out []Alignment) {
 	})
 }
 
-// seedPos is all extendGroup reads of a hit: the seed's residue
+// seedPos is all step 3 reads of a hit: the seed's residue
 // offsets in the bank-0 and bank-1 sequence of its group.
 type seedPos struct{ q, s uint32 }
 
@@ -232,7 +348,7 @@ type hitGroup struct {
 // construction: groups are numbered in order of first appearance (the
 // final sort over alignments is not stable, so its input order
 // matters) and a group's seeds keep their input order (the
-// containment rule in extendGroup is order-dependent). Besides three
+// containment rule in extender.chunk is order-dependent). Besides three
 // arrays sized from len(hits) it allocates only the group list, which
 // grows by doubling.
 func groupHits(hits []ungapped.Hit) ([]hitGroup, []seedPos, error) {
@@ -288,79 +404,296 @@ func groupHits(hits []ungapped.Hit) ([]hitGroup, []seedPos, error) {
 	return groups, offs, nil
 }
 
-// extendGroup processes all hits of one (seq0, seq1) pair: hits whose
-// seed lands inside an alignment already found on a nearby diagonal are
-// skipped (BLAST's containment rule), others are extended with a banded
-// local alignment around their diagonal. Work counts are added to st.
-func extendGroup(al *align.Aligner, q, s []byte, seq0, seq1 int,
-	hits []seedPos, cfg *Config, space stats.SearchSpace, st *Stats) []Alignment {
-	var found []Alignment
-	for _, h := range hits {
-		qPos, sPos := int(h.q), int(h.s)
-		if contained(found, qPos, sPos, cfg.Band) {
-			st.Contained++
-			continue
-		}
-		// Cheap pre-filter: an ungapped X-drop extension anchored at the
-		// seed's first residue must reach the gap trigger before the
-		// banded DP is paid for (NCBI's two-stage extension). Chance
-		// hits from the ungapped window filter rarely extend.
-		if cfg.GapTrigger > 0 {
-			ext := align.ExtendUngapped(q, s, qPos, sPos, 1, cfg.XDrop, cfg.Matrix)
-			if ext.Score < cfg.GapTrigger {
-				st.PreFiltered++
-				continue
-			}
-		}
-		st.Extended++
-		st.DPRows += int64(len(q))
-		st.DPCells += int64(len(q)) * int64(2*cfg.Band+1)
-		if a, ok := extendOne(al, q, s, qPos, sPos, cfg, space); ok {
-			a.Seq0, a.Seq1 = seq0, seq1
-			found = append(found, a)
-		}
-	}
-	return dedup(found)
+// extender is one worker's step-3 state: the run it works for, its
+// Aligner, its counts, and the scratch of the chunk it is on.
+type extender struct {
+	al        *align.Aligner
+	cfg       *Config
+	space     stats.SearchSpace
+	groups    []hitGroup
+	offs      []seedPos
+	b0, b1    *bank.Bank
+	found     [][]Alignment
+	speculate bool // fill empty lanes with next candidates: the kernel runs, Traceback is off
+	st        Stats
+	fill      fill
+
+	gs    []groupState
+	lanes []lane
+	wins  [][]byte
+	diags []int
+	ends  []align.Local
 }
 
-// extendOne aligns the full query against a subject window around the
-// hit's diagonal and reports the alignment, in subject coordinates,
-// when its E-value passes the cut. The banded path scores first and
-// recovers the alignment's start only for survivors, which pay a walk
-// back over the score pass's kept rows, not a second DP; DPRows and
-// DPCells keep their nominal per-extension definition either way. Traceback stays
-// unbanded and runs before the cut, because it can find alignments the
-// banded pass cannot.
-func extendOne(al *align.Aligner, q, s []byte, qPos, sPos int, cfg *Config, space stats.SearchSpace) (Alignment, bool) {
-	slack := cfg.Band + 8
-	winStart := max(0, sPos-qPos-slack)
-	winEnd := min(len(s), sPos+(len(q)-qPos)+slack)
-	window := s[winStart:winEnd]
-	diag := (sPos - winStart) - qPos
+// groupState is a group's progress through its hits: hits[cur:] are
+// unresolved.
+type groupState struct {
+	gi         int
+	s          []byte
+	hits       []seedPos
+	cur        int
+	done       bool
+	found      []Alignment
+	first, end int  // the group's lanes in the current pass
+	settled    bool // the group speculates no further in the current pass
+}
 
-	var loc align.Local
+// lane is one extension of a pass: a hit of a group and its window,
+// and whether its extension is sure to pass the E-value cut.
+type lane struct {
+	g, hit   int
+	winStart int
+	sure     bool
+}
+
+// chunk extends every group of one chunk (groups of one query) in
+// kernel passes of up to align.BatchLanes lanes. Each group walks its
+// hits in order with at most one extension in flight, so containment
+// sees exactly the alignments it saw one extension at a time: a pass
+// takes each group's next candidate, from as many groups as fit, and
+// then resolves them. When every group has a lane and lanes are left,
+// they are filled with the same groups' later candidates (speculation);
+// resolving a group in hit order against the alignments found so far
+// then counts a speculated hit that has become contained as Contained
+// and drops its lane's result. Found alignments only grow, so a hit
+// contained when it is drawn stays contained, and Stats and results
+// are exactly those of the sequential walk.
+func (x *extender) chunk(gids []uint32) {
+	q := x.b0.Seq(int(x.groups[gids[0]].seq0))
+	x.gs = x.gs[:0]
+	for _, gi := range gids {
+		g := x.groups[gi]
+		start := uint32(0)
+		if gi > 0 {
+			start = x.groups[gi-1].end
+		}
+		x.gs = append(x.gs, groupState{gi: int(gi), s: x.b1.Seq(int(g.seq1)), hits: x.offs[start:g.end]})
+	}
+	for {
+		// Each group's next candidate, from as many groups as fit; a
+		// group without one is finished.
+		x.lanes = x.lanes[:0]
+		for i := range x.gs {
+			g := &x.gs[i]
+			g.first, g.end, g.settled = 0, 0, false
+			if g.done || len(x.lanes) == align.BatchLanes {
+				continue
+			}
+			h, sure := x.next(q, g)
+			if h < 0 {
+				g.done = true
+				x.found[g.gi] = dedup(g.found)
+				continue
+			}
+			g.first = len(x.lanes)
+			x.lanes = append(x.lanes, x.window(i, h, sure))
+			g.end = len(x.lanes)
+		}
+		if len(x.lanes) == 0 {
+			return
+		}
+		if x.speculate && len(x.lanes) < align.BatchLanes {
+			x.speculateLanes(q)
+		}
+		x.extend(q)
+		for i := range x.gs {
+			if g := &x.gs[i]; g.end > g.first {
+				x.resolve(q, g)
+			}
+		}
+	}
+}
+
+// next advances g to its next candidate, a hit not contained in what
+// the group has found and past the gap trigger, counting the hits
+// before it. It returns the candidate's index, -1 when the group has
+// none left, and whether its extension is sure to pass the E-value
+// cut (see triggers).
+func (x *extender) next(q []byte, g *groupState) (h int, sure bool) {
+	for ; g.cur < len(g.hits); g.cur++ {
+		sp := g.hits[g.cur]
+		if contained(g.found, int(sp.q), int(sp.s), x.cfg.Band) {
+			x.st.Contained++
+			continue
+		}
+		pass, sure := x.triggers(q, g.s, sp)
+		if pass {
+			return g.cur, sure
+		}
+		x.st.PreFiltered++
+	}
+	return -1, false
+}
+
+// triggers is the cheap pre-filter: an ungapped X-drop extension
+// anchored at the seed's first residue must reach the gap trigger
+// before the banded DP is paid for (NCBI's two-stage extension).
+// Chance hits from the ungapped window filter rarely extend. sure
+// reports that the ungapped segment alone passes the E-value cut: the
+// banded pass, whose band holds the segment, then reports an
+// alignment.
+func (x *extender) triggers(q, s []byte, h seedPos) (pass, sure bool) {
+	if x.cfg.GapTrigger <= 0 {
+		return true, false
+	}
+	score := align.ExtendUngapped(q, s, int(h.q), int(h.s), 1, x.cfg.XDrop, x.cfg.Matrix).Score
+	return score >= x.cfg.GapTrigger, x.cfg.Params.EValueIn(score, len(q), x.space) <= x.cfg.MaxEValue
+}
+
+// speculateLanes fills the pass's empty lanes with later candidates of
+// its groups, one per group per round: hits after the group's last
+// lane that are not contained in what the group has found so far and
+// pass the gap trigger. Lanes of a group stay contiguous and in hit
+// order, and every hit between two of them is contained or below the
+// trigger, which resolve relies on. A group stops speculating at a hit
+// within the band of the diagonal of one of its lanes that is sure to
+// report an alignment: that alignment will most likely contain it, as
+// it does the rest of a homolog's hits, while chance hits (which
+// rarely pass the cut) are worth speculating past.
+func (x *extender) speculateLanes(q []byte) {
+	for grew := true; grew && len(x.lanes) < align.BatchLanes; {
+		grew = false
+		for i := range x.gs {
+			g := &x.gs[i]
+			if g.end == g.first || g.settled || len(x.lanes) == align.BatchLanes {
+				continue
+			}
+			for h := x.lanes[g.end-1].hit + 1; h < len(g.hits); h++ {
+				sp := g.hits[h]
+				if contained(g.found, int(sp.q), int(sp.s), x.cfg.Band) {
+					continue
+				}
+				if x.nearSureLane(g, sp) {
+					g.settled = true
+					break
+				}
+				pass, sure := x.triggers(q, g.s, sp)
+				if !pass {
+					continue
+				}
+				// Shift the later groups' lanes up by one to keep
+				// each group's lanes contiguous.
+				x.lanes = append(x.lanes, lane{})
+				copy(x.lanes[g.end+1:], x.lanes[g.end:])
+				x.lanes[g.end] = x.window(i, h, sure)
+				for j := i + 1; j < len(x.gs); j++ {
+					if o := &x.gs[j]; o.end > o.first {
+						o.first++
+						o.end++
+					}
+				}
+				g.end++
+				x.fill.speculated++
+				grew = true
+				break
+			}
+		}
+	}
+}
+
+// nearSureLane reports whether the seed sp lies within the band of
+// the diagonal of one of g's lanes in the current pass that is sure to
+// report an alignment.
+func (x *extender) nearSureLane(g *groupState, sp seedPos) bool {
+	d := int(sp.s) - int(sp.q)
+	for _, ln := range x.lanes[g.first:g.end] {
+		h := g.hits[ln.hit]
+		if dd := d - (int(h.s) - int(h.q)); ln.sure && dd >= -x.cfg.Band && dd <= x.cfg.Band {
+			return true
+		}
+	}
+	return false
+}
+
+// window is the lane that aligns the full query against a subject
+// window around hit h's diagonal.
+func (x *extender) window(g, h int, sure bool) lane {
+	sp := x.gs[g].hits[h]
+	return lane{g: g, hit: h, winStart: max(0, int(sp.s)-int(sp.q)-(x.cfg.Band+8)), sure: sure}
+}
+
+// extend runs the pass: the banded score pass over every lane, or
+// Traceback per lane, leaving each lane's result in x.ends.
+func (x *extender) extend(q []byte) {
+	x.wins, x.diags, x.ends = x.wins[:0], x.diags[:0], x.ends[:0]
+	for _, ln := range x.lanes {
+		g := &x.gs[ln.g]
+		sp := g.hits[ln.hit]
+		winEnd := min(len(g.s), int(sp.s)+(len(q)-int(sp.q))+x.cfg.Band+8)
+		x.wins = append(x.wins, g.s[ln.winStart:winEnd])
+		x.diags = append(x.diags, int(sp.s)-ln.winStart-int(sp.q))
+		x.ends = append(x.ends, align.Local{})
+	}
+	x.fill.passes++
+	x.fill.lanes += len(x.lanes)
+	if !x.cfg.Traceback {
+		x.al.LocalBandedEnds(q, x.wins, x.diags, x.cfg.Band, x.ends)
+	}
+}
+
+// resolve walks g's hits in order through its lanes of the pass: a hit
+// contained in what the group has found so far is Contained (a lane's
+// result is dropped), a lane's hit is Extended, and a hit between two
+// lanes that is neither was below the gap trigger.
+func (x *extender) resolve(q []byte, g *groupState) {
+	for l := g.first; l < g.end; g.cur++ {
+		h := g.hits[g.cur]
+		switch {
+		case contained(g.found, int(h.q), int(h.s), x.cfg.Band):
+			x.st.Contained++
+			if x.lanes[l].hit == g.cur {
+				if l > g.first {
+					x.fill.dropped++
+				}
+				l++
+			}
+		case x.lanes[l].hit != g.cur:
+			x.st.PreFiltered++
+		default:
+			x.st.Extended++
+			x.st.DPRows += int64(len(q))
+			x.st.DPCells += int64(len(q)) * int64(2*x.cfg.Band+1)
+			if a, ok := x.report(q, g, l); ok {
+				g.found = append(g.found, a)
+			}
+			l++
+		}
+	}
+}
+
+// report turns lane l's result into an alignment, in subject
+// coordinates, when its E-value passes the cut. The banded path
+// scored first and recovers the alignment's start only for survivors,
+// which pay a walk back over the pass's kept rows, not a second DP;
+// DPRows and DPCells keep their nominal per-extension definition
+// either way. Traceback stays unbanded and runs before the cut,
+// because it can find alignments the banded pass cannot.
+func (x *extender) report(q []byte, g *groupState, l int) (Alignment, bool) {
 	var ops []align.Op
-	if cfg.Traceback {
-		loc, ops = al.Traceback(q, window)
-	} else {
-		loc = al.LocalBandedEnd(q, window, diag, cfg.Band)
+	loc := x.ends[l]
+	if x.cfg.Traceback {
+		loc, ops = x.al.Traceback(q, x.wins[l])
 	}
 	if loc.Score <= 0 {
 		return Alignment{}, false
 	}
-	ev := cfg.Params.EValueIn(loc.Score, len(q), space)
-	if ev > cfg.MaxEValue {
+	ev := x.cfg.Params.EValueIn(loc.Score, len(q), x.space)
+	if ev > x.cfg.MaxEValue {
 		return Alignment{}, false
 	}
-	if !cfg.Traceback {
-		loc.AStart, loc.BStart = al.LocalBandedStart(q, window, loc, diag, cfg.Band)
+	if !x.cfg.Traceback {
+		loc.AStart, loc.BStart = x.al.LocalBandedStart(q, x.wins[l], loc, x.diags[l], x.cfg.Band)
 	}
+	ws := x.lanes[l].winStart
+	gr := x.groups[g.gi]
 	return Alignment{
+		Seq0:     int(gr.seq0),
+		Seq1:     int(gr.seq1),
 		Score:    loc.Score,
-		BitScore: cfg.Params.BitScore(loc.Score),
+		BitScore: x.cfg.Params.BitScore(loc.Score),
 		EValue:   ev,
 		Q:        Span{loc.AStart, loc.AEnd},
-		S:        Span{loc.BStart + winStart, loc.BEnd + winStart},
+		S:        Span{loc.BStart + ws, loc.BEnd + ws},
 		Ops:      ops,
 	}, true
 }

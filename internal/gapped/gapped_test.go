@@ -3,8 +3,10 @@ package gapped
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 
+	"seedblast/internal/align"
 	"seedblast/internal/alphabet"
 	"seedblast/internal/bank"
 	"seedblast/internal/index"
@@ -328,11 +330,73 @@ func homologBank(subjects int) (*bank.Bank, *bank.Bank) {
 	return b0, b1
 }
 
-// BenchmarkRunHomolog times the whole stage on a homolog_full-shaped
-// hit list at 1 and 2 workers (EXPERIMENTS.md quotes the ratio), and
-// reports ns per nominal DP cell as the benchmark does.
-func BenchmarkRunHomolog(b *testing.B) {
-	b0, b1 := homologBank(5000)
+// TestWarmRunReusesAligners pins the kernel scratch to the Aligner
+// store: on the serve_hot shape (four 105-135 aa queries, 64 subjects
+// of 300 aa, 16 of them carrying a mutated query) a run after a
+// garbage collection takes the Aligners, and with them the kept rows,
+// that the previous run stored, and allocates less than one kept row
+// set on the heap. (align's TestReserveKeepsRows pins that passes
+// within an Aligner's reserved size map no rows.)
+func TestWarmRunReusesAligners(t *testing.T) {
+	rng := bank.NewRNG(83)
+	b0, b1 := bank.New("q"), bank.New("s")
+	for i := 0; i < 4; i++ {
+		b0.Add("q", bank.RandomProtein(rng, 105+10*i))
+	}
+	for j := 0; j < 64; j++ {
+		s := bank.RandomProtein(rng, 300)
+		if j < 16 {
+			hom := bank.MutateProtein(rng, b0.Seq(j%4), 0.20)
+			copy(s[(300-len(hom))/2:], hom)
+		}
+		b1.Add("s", s)
+	}
+	hits := runPipelineUpTo2(t, b0, b1, 38)
+	cfg := DefaultConfig()
+	cfg.Workers = 1
+	// Gap costs no other test uses, so the first run finds no stored
+	// Aligner.
+	cfg.Gaps = align.GapParams{Open: 10, Extend: 2}
+	stored := func() map[*align.Aligner]bool {
+		alignerStore.Lock()
+		defer alignerStore.Unlock()
+		out := map[*align.Aligner]bool{}
+		for _, s := range alignerStore.free {
+			if s.m == cfg.Matrix && s.gap == cfg.Gaps {
+				out[s.al] = true
+			}
+		}
+		return out
+	}
+	run := func() uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, _, err := RunWithStats(b0, b1, hits, cfg); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	run()
+	cold := stored()
+	if len(cold) != 1 {
+		t.Fatalf("a one-worker run stored %d Aligners for its gap costs, want 1", len(cold))
+	}
+	runtime.GC()
+	runtime.GC()
+	warm := run()
+	if got := stored(); !reflect.DeepEqual(got, cold) {
+		t.Errorf("the warm run did not take the stored Aligner back: stored %v, then %v", cold, got)
+	}
+	if kept := uint64((135 + 1) * (2*cfg.Band + 2) * 3 * align.BatchLanes * 2); warm >= kept/2 {
+		t.Errorf("warm run allocates %d bytes, want below %d", warm, kept/2)
+	}
+}
+
+// benchmarkRun times the whole stage on the hits of b0 against b1 at
+// 1 and 2 workers, and reports ns per nominal DP cell as the benchmark
+// does.
+func benchmarkRun(b *testing.B, b0, b1 *bank.Bank) {
 	model := seed.Default()
 	ix0, err := index.Build(b0, model, 14)
 	if err != nil {
@@ -352,14 +416,46 @@ func BenchmarkRunHomolog(b *testing.B) {
 			cfg.Workers = workers
 			b.ReportAllocs()
 			var cells int64
+			var fl fill
 			for i := 0; i < b.N; i++ {
-				_, st, err := RunWithStats(b0, b1, res.Hits, cfg)
+				_, st, f, err := run(b0, b1, res.Hits, cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
-				cells = st.DPCells
+				cells, fl = st.DPCells, f
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(cells), "ns/cell")
+			b.ReportMetric(float64(fl.lanes)/float64(align.BatchLanes*max(fl.passes, 1)), "fill")
 		})
 	}
+}
+
+// BenchmarkRunHomolog times the stage on a homolog_full-shaped hit
+// list (EXPERIMENTS.md quotes it): many groups per query, so kernel
+// passes are full without speculation.
+func BenchmarkRunHomolog(b *testing.B) {
+	b0, b1 := homologBank(5000)
+	benchmarkRun(b, b0, b1)
+}
+
+// BenchmarkRunScanShape times the stage on a scan_cpu-shaped hit list:
+// 64 random 200 aa queries against 2000 random 600 aa subjects, the
+// first 64 carrying a 25 % mutated copy of their query. Most groups
+// are a few chance hits, so passes are sparse and speculation fills
+// them: the low-fill case.
+func BenchmarkRunScanShape(b *testing.B) {
+	rng := bank.NewRNG(1)
+	b0, b1 := bank.New("q"), bank.New("s")
+	for i := 0; i < 64; i++ {
+		b0.Add("q", bank.RandomProtein(rng, 200))
+	}
+	for j := 0; j < 2000; j++ {
+		s := bank.RandomProtein(rng, 600)
+		if j < 64 {
+			hom := bank.MutateProtein(rng, b0.Seq(j), 0.25)
+			copy(s[(600-len(hom))/2:], hom)
+		}
+		b1.Add("s", s)
+	}
+	benchmarkRun(b, b0, b1)
 }

@@ -168,21 +168,31 @@ func oracleRun(b0, b1 *bank.Bank, hits []ungapped.Hit, cfg Config) ([]Alignment,
 	return out, st
 }
 
-// TestRunMatchesOracle pins the rebuilt stage — flat grouping, chunked
-// dispatch, score-first extension, the banded kernel — to oracleRun:
-// identical alignments (values and order) and identical Stats.
-func TestRunMatchesOracle(t *testing.T) {
-	type banks struct {
-		name      string
-		b0, b1    *bank.Bank
-		threshold int
-	}
+// oracleBank is one bank pair of the oracle suite with its step-2
+// hits.
+type oracleBank struct {
+	name   string
+	b0, b1 *bank.Bank
+	hits   []ungapped.Hit
+}
+
+// oracleBanks are the bank pairs the stage is pinned to oracleRun on:
+//   - homolog: the benchmark's homolog shape, full kernel passes;
+//   - split: subjects with two or three similarity regions per pair,
+//     on diagonals further apart than the band (a homolog split by a
+//     40-residue insertion, and a tandem repeat of the query), where
+//     containment against an earlier alignment's recovered start and
+//     the per-pair dedup decide the result;
+//   - random: threshold 20 lets a thousand chance hits through, so
+//     most extensions die at the E-value cut (the score-only path);
+//   - speculate: one near-identical subject per query, so a pass has
+//     one group and fifteen lanes to speculate with, and the
+//     speculated hits lie inside the first alignment: their lanes
+//     resolve as Contained (with the gap trigger on, the first lane
+//     is sure to report an alignment, and speculation stops at the
+//     hits along its diagonal instead).
+func oracleBanks(t *testing.T) []oracleBank {
 	h0, h1 := homologBank(48)
-	// Subjects with two or three similarity regions per pair, on
-	// diagonals further apart than the band: a homolog split by a
-	// 40-residue insertion, and a tandem repeat of the query. These
-	// are the groups where containment against an earlier alignment's
-	// recovered start and the per-pair dedup decide the result.
 	srng := bank.NewRNG(5)
 	s1 := bank.New("split")
 	for i := 0; i < 32; i++ {
@@ -204,14 +214,32 @@ func TestRunMatchesOracle(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		r1.Add("s", bank.RandomProtein(rng, 300+7*i))
 	}
-	// Threshold 20 on the random banks lets a thousand chance hits
-	// through, so most extensions die at the E-value cut (the
-	// score-only path); the homolog bank is the opposite case.
-	for _, bk := range []banks{{"homolog", h0, h1, 38}, {"split", h0, s1, 38}, {"random", r0, r1, 20}} {
+	p1 := bank.New("near")
+	for i := 0; i < h0.Len(); i++ {
+		s := append(bank.RandomProtein(srng, 30), bank.MutateProtein(srng, h0.Seq(i), 0.05)...)
+		p1.Add("s", append(s, bank.RandomProtein(srng, 30)...))
+	}
+	var out []oracleBank
+	for _, bk := range []struct {
+		name      string
+		b0, b1    *bank.Bank
+		threshold int
+	}{{"homolog", h0, h1, 38}, {"split", h0, s1, 38}, {"random", r0, r1, 20}, {"speculate", h0, p1, 38}} {
 		hits := runPipelineUpTo2(t, bk.b0, bk.b1, bk.threshold)
 		if len(hits) < 500 {
 			t.Fatalf("%s: only %d hits", bk.name, len(hits))
 		}
+		out = append(out, oracleBank{bk.name, bk.b0, bk.b1, hits})
+	}
+	return out
+}
+
+// TestRunMatchesOracle pins the rebuilt stage — flat grouping, chunked
+// dispatch, kernel passes across a query's groups with speculation,
+// score-first extension — to oracleRun: identical alignments (values
+// and order) and identical Stats.
+func TestRunMatchesOracle(t *testing.T) {
+	for _, bk := range oracleBanks(t) {
 		for _, traceback := range []bool{false, true} {
 			for _, trigger := range []int{0, 41} {
 				for _, maxE := range []float64{1e-3, 10} {
@@ -220,13 +248,13 @@ func TestRunMatchesOracle(t *testing.T) {
 					cfg.GapTrigger = trigger
 					cfg.MaxEValue = maxE
 					cfg.Workers = 3
-					hits := hits
+					hits := bk.hits
 					if traceback && trigger == 0 && bk.name == "random" {
 						// Every hit is an unbanded traceback here, twice;
 						// a slice of them keeps the test under a second.
 						hits = hits[:100]
 					}
-					got, gotStats, err := RunWithStats(bk.b0, bk.b1, hits, cfg)
+					got, gotStats, fl, err := run(bk.b0, bk.b1, hits, cfg)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -238,11 +266,22 @@ func TestRunMatchesOracle(t *testing.T) {
 					if gotStats.Extended == 0 {
 						t.Errorf("%s: nothing was extended", name)
 					}
-					if bk.name == "split" && len(got) < 3*s1.Len()/2 {
+					if bk.name == "split" && len(got) < 3*bk.b1.Len()/2 {
 						t.Errorf("%s: %d alignments, want about two per subject", name, len(got))
 					}
 					if !reflect.DeepEqual(got, want) {
 						t.Errorf("%s: %d alignments differ from the oracle's %d", name, len(got), len(want))
+					}
+					speculates := !traceback && align.NewAligner(cfg.Matrix, cfg.Gaps).BatchKernel()
+					if !speculates && fl.speculated != 0 {
+						t.Errorf("%s: %d lanes speculated without the kernel", name, fl.speculated)
+					}
+					// With the gap trigger off no lane is known to
+					// report an alignment before it runs, so nothing
+					// stops speculation along the homolog's diagonal.
+					if speculates && bk.name == "speculate" && trigger == 0 && fl.dropped < fl.passes {
+						t.Errorf("%s: %d speculated lanes, %d resolved as contained in %d passes: the bank no longer exercises speculation",
+							name, fl.speculated, fl.dropped, fl.passes)
 					}
 				}
 			}
