@@ -86,7 +86,6 @@ func main() {
 		Threshold:     threshold,
 		MaxCandidates: maxCand,
 		MaxEValue:     evalue,
-		Traceback:     *full,
 		ShardSize:     *shardSize,
 		InFlight:      *inflight,
 		StreamWorkers: workers,
@@ -98,7 +97,8 @@ func main() {
 	if *offloadGap && *engine == "multi" {
 		log.Fatal("-offload-gapped requires -engine rasc (step 3 stays on the host under multi dispatch)")
 	}
-	opts = append(opts, seedblast.WithRASC(seedblast.RASCOptions{NumPEs: *pes, NumFPGAs: *fpgas, OffloadGapped: *offloadGap}))
+	opts = append(opts, seedblast.WithRASC(seedblast.RASCOptions{NumPEs: *pes, NumFPGAs: *fpgas, OffloadGapped: *offloadGap}),
+		seedblast.WithTraceback(*full)) // the report's alignment blocks
 
 	searcher, err := seedblast.NewSearcher(opts...)
 	if err != nil {

@@ -3,6 +3,7 @@ package align
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 	"unsafe"
 
@@ -117,7 +118,7 @@ func TestLocalBandedMatchesReference(t *testing.T) {
 // on fresh copies of the reversed prefixes: the first cell reaching
 // end.Score, as in LocalBandedStart's fallback.
 func reverseStart(al *Aligner, a, b []byte, end Local, diag, band int) (aStart, bStart int) {
-	sub := al.bandedEndScalar(reverse(a[:end.AEnd]), reverse(b[:end.BEnd]), end.BEnd-end.AEnd-diag, band, end.Score)
+	sub := al.bandedEndScalar(reverse(a[:end.AEnd]), reverse(b[:end.BEnd]), end.BEnd-end.AEnd-diag, band, end.Score, nil)
 	return end.AEnd - sub.AEnd, end.BEnd - sub.BEnd
 }
 
@@ -165,9 +166,11 @@ func drawBatch(rng *rand.Rand, letters int) kernelBatch {
 
 // checkBatch runs kb through the kernel and checks every lane it took
 // against the scalar loop, then every scored lane's walked start
-// against LocalBandedReference, walking the lanes in reverse so that
-// each walk reads rows of the pass, not of its own lane alone. It
-// returns the lanes the kernel took.
+// against LocalBandedReference and its operations, walked over the
+// kept rows, against those of a scalar pass (opsError checks those),
+// walking the lanes in reverse so that each walk reads rows of the
+// pass, not of its own lane alone. It returns the lanes the kernel
+// took.
 func checkBatch(t *testing.T, al *Aligner, kb kernelBatch) uint32 {
 	t.Helper()
 	out := make([]Local, len(kb.bs))
@@ -177,13 +180,14 @@ func checkBatch(t *testing.T, al *Aligner, kb kernelBatch) uint32 {
 			continue
 		}
 		c := kb.lane(l)
-		if want := al.bandedEndScalar(c.a, c.b, c.diag, c.band, noStop); out[l] != want {
+		if want := al.bandedEndScalar(c.a, c.b, c.diag, c.band, noStop, nil); out[l] != want {
 			t.Fatalf("lane %d of %d (len(a)=%d len(b)=%d diag=%d band=%d gaps=%+v):\nkernel %+v\nscalar %+v\na=%v\nb=%v",
 				l, len(kb.bs), len(c.a), len(c.b), c.diag, c.band, al.gap, out[l], want, c.a, c.b)
 		}
 	}
 	// The reference passes run the scalar loop, which leaves the kept
-	// rows alone.
+	// rows alone; scalar has run no kernel pass.
+	scalar := NewAligner(al.m, al.gap)
 	for l := len(kb.bs) - 1; l >= 0; l-- {
 		if done&(1<<l) == 0 || out[l].Score == 0 {
 			continue
@@ -194,6 +198,11 @@ func checkBatch(t *testing.T, al *Aligner, kb kernelBatch) uint32 {
 		if !ok || aStart != ref.AStart || bStart != ref.BStart {
 			t.Fatalf("walk, lane %d of %d (len(a)=%d len(b)=%d diag=%d band=%d gaps=%+v):\nwalk %d,%d ok=%v\nreference %+v\na=%v\nb=%v",
 				l, len(kb.bs), len(c.a), len(c.b), c.diag, c.band, al.gap, aStart, bStart, ok, ref, c.a, c.b)
+		}
+		ops, want := al.LocalBandedOps(c.a, c.b, ref, c.diag, c.band), scalar.LocalBandedOps(c.a, c.b, ref, c.diag, c.band)
+		if err := opsError(c.a, c.b, ref, ops, al.m, al.gap, c.diag, c.band); err != nil || !reflect.DeepEqual(ops, want) {
+			t.Fatalf("ops, lane %d of %d (len(a)=%d len(b)=%d diag=%d band=%d gaps=%+v) %+v: %v\nkernel %v\nscalar %v\na=%v\nb=%v",
+				l, len(kb.bs), len(c.a), len(c.b), c.diag, c.band, al.gap, ref, err, ops, want, c.a, c.b)
 		}
 	}
 	return done
@@ -391,7 +400,7 @@ func TestBatchKernelMatchesScalar(t *testing.T) {
 		kb.bs[at] = good
 		al.LocalBandedEnds(kb.a, kb.bs, kb.diags, kb.band, out)
 		for l := range kb.bs {
-			if c := kb.lane(l); out[l] != al.bandedEndScalar(c.a, c.b, c.diag, c.band, noStop) {
+			if c := kb.lane(l); out[l] != al.bandedEndScalar(c.a, c.b, c.diag, c.band, noStop, nil) {
 				t.Fatalf("fallback lanes at %d: LocalBandedEnds lane %d differs from the scalar loop", at, l)
 			}
 		}
@@ -429,7 +438,7 @@ func TestBatchKernelMatchesScalar(t *testing.T) {
 		out := make([]Local, len(kb.bs))
 		al.bandedEndsKernel(kb.a, kb.bs, kb.diags, kb.band, out)
 		for l := range kb.bs {
-			if c := kb.lane(l); out[l] != al.bandedEndScalar(c.a, c.b, c.diag, c.band, noStop) {
+			if c := kb.lane(l); out[l] != al.bandedEndScalar(c.a, c.b, c.diag, c.band, noStop, nil) {
 				t.Errorf("empty input lane %d: kernel returned %+v", l, out[l])
 			}
 		}
@@ -553,6 +562,9 @@ func FuzzLocalBandedKernel(f *testing.F) {
 	// Found by the fuzzer: a negative extension cost, under which the
 	// reverse pass exceeds the forward score and must not stop early.
 	f.Add(int64(18), 17, 156, 113, 58, 3, -20, int8(91), int8(0), 4, uint8(2))
+	// Found by the fuzzer: a negative open cost, under which closing a
+	// gap and opening the next at once beats extending it.
+	f.Add(int64(-133), 120, 150, 10, 83, -2, 97, int8(-71), int8(25), 22, uint8(16))
 	f.Fuzz(func(t *testing.T, rngSeed int64, la, lb, diag, band, open, extend int, match, mismatch int8, letters int, lanes uint8) {
 		if la < 0 || la > 400 || lb < 0 || lb > 400 || band < -2 || band > 500 ||
 			diag < -1000 || diag > 1000 || letters < 1 || letters > 24 {
@@ -605,6 +617,15 @@ func FuzzLocalBandedKernel(f *testing.F) {
 			if got := al.LocalBanded(c.a, c.b, c.diag, c.band); got != want {
 				t.Fatalf("LocalBanded lane %d: %+v, reference %+v", l, got, want)
 			}
+			// Operations, under the gap costs that admit them.
+			ops := al.LocalBandedOps(c.a, c.b, want, c.diag, c.band)
+			if open >= 0 && extend >= 0 && open+extend >= 1 && want.Score > 0 {
+				if err := opsError(c.a, c.b, want, ops, m, al.gap, c.diag, c.band); err != nil {
+					t.Fatalf("LocalBandedOps lane %d %+v: %v", l, want, err)
+				}
+			} else if ops != nil {
+				t.Fatalf("LocalBandedOps lane %d %+v under gap costs %+v: %v", l, want, al.gap, ops)
+			}
 		}
 	})
 }
@@ -646,7 +667,7 @@ func BenchmarkStep3Kernel(b *testing.B) {
 				}
 			})
 		}
-		run("scalar", 1, func() { out[0] = al.bandedEndScalar(q, bs[0], band+8, band, noStop) })
+		run("scalar", 1, func() { out[0] = al.bandedEndScalar(q, bs[0], band+8, band, noStop, nil) })
 		run("batch16", BatchLanes, func() { al.LocalBandedEnds(q, bs, diags, band, out) })
 		run("batch1", 1, func() { al.LocalBandedEnds(q, bs[:1], diags[:1], band, out[:1]) })
 		run("batch16+start", BatchLanes, func() {

@@ -47,10 +47,8 @@ type Aligner struct {
 	oneB    [1][]byte
 	oneDiag [1]int
 	oneOut  [1]Local
-	// dir and ops are Traceback's direction matrix and the operations
-	// of its walk back, last first.
-	dir []byte
-	ops []Op
+	// kept holds the rows LocalBandedOps keeps of a scalar pass.
+	kept []int32
 }
 
 // NewAligner returns an Aligner for the given matrix and gap costs.
@@ -60,98 +58,11 @@ func NewAligner(m *matrix.Matrix, gap GapParams) *Aligner {
 	return al
 }
 
-func (al *Aligner) scratch(n int) (h, e []int32) {
-	if cap(al.h) < n {
-		al.h = make([]int32, n)
-		al.e = make([]int32, n)
-	}
-	h, e = al.h[:n], al.e[:n]
-	for j := range h {
-		h[j] = 0
-		e[j] = negInf
-	}
-	return h, e
-}
-
-// Local computes the best local alignment score of a against b with
-// affine gaps, returning score and end coordinates (half-open). Start
-// coordinates are recovered by a reverse pass only when needed — use
-// Traceback for full coordinates and operations.
+// Local computes the best local alignment of a against b with affine
+// gaps, unbanded: LocalBanded with a band as wide as the sequences.
+// LocalBandedOps with that band gives its operations.
 func (al *Aligner) Local(a, b []byte) Local {
-	openExt := int32(al.gap.Open + al.gap.Extend)
-	ext := int32(al.gap.Extend)
-	table := al.m.Table()
-	h, e := al.scratch(len(b) + 1)
-	var best Local
-	for i := 1; i <= len(a); i++ {
-		row := table[int(a[i-1])*24 : int(a[i-1])*24+24]
-		var diag int32 // H[i-1][j-1]
-		f := negInf
-		for j := 1; j <= len(b); j++ {
-			up := h[j] // H[i-1][j]
-			val := diag + int32(row[b[j-1]])
-			diag = up
-			if e[j] > val {
-				val = e[j]
-			}
-			if f > val {
-				val = f
-			}
-			if val < 0 {
-				val = 0
-			}
-			h[j] = val
-			if int(val) > best.Score {
-				best = Local{Score: int(val), AEnd: i, BEnd: j}
-			}
-			// E: gap in a (consume b); F: gap in b (consume a).
-			e[j] = maxI32(val-openExt, e[j]-ext)
-			f = maxI32(val-openExt, f-ext)
-		}
-	}
-	if best.Score == 0 {
-		return Local{}
-	}
-	best.AStart, best.BStart = al.localStart(a, b, best)
-	return best
-}
-
-// localStart recovers the start of the best alignment by running the
-// same DP on the reversed prefixes ending at the known endpoint.
-func (al *Aligner) localStart(a, b []byte, end Local) (int, int) {
-	ra := reverse(a[:end.AEnd])
-	rb := reverse(b[:end.BEnd])
-	openExt := int32(al.gap.Open + al.gap.Extend)
-	ext := int32(al.gap.Extend)
-	table := al.m.Table()
-	h, e := al.scratch(len(rb) + 1)
-	bestScore, bi, bj := int32(0), 0, 0
-	for i := 1; i <= len(ra); i++ {
-		row := table[int(ra[i-1])*24 : int(ra[i-1])*24+24]
-		var diag int32
-		f := negInf
-		for j := 1; j <= len(rb); j++ {
-			up := h[j]
-			val := diag + int32(row[rb[j-1]])
-			diag = up
-			if e[j] > val {
-				val = e[j]
-			}
-			if f > val {
-				val = f
-			}
-			if val < 0 {
-				val = 0
-			}
-			h[j] = val
-			if val > bestScore {
-				bestScore, bi, bj = val, i, j
-			}
-			e[j] = maxI32(val-openExt, e[j]-ext)
-			f = maxI32(val-openExt, f-ext)
-		}
-	}
-	return end.AEnd - bi, end.BEnd - bj
+	return al.LocalBanded(a, b, 0, max(len(a), len(b)))
 }
 
 func reverse(s []byte) []byte {
@@ -207,7 +118,7 @@ func (al *Aligner) LocalBandedEnds(a []byte, bs [][]byte, diags []int, band int,
 	done := al.bandedEndsKernel(a, bs, diags, band, out)
 	for l, b := range bs {
 		if done&(1<<l) == 0 {
-			out[l] = al.bandedEndScalar(a, b, diags[l], band, noStop)
+			out[l] = al.bandedEndScalar(a, b, diags[l], band, noStop, nil)
 		}
 	}
 }
@@ -268,7 +179,7 @@ func (al *Aligner) LocalBandedStart(a, b []byte, end Local, diag, band int) (aSt
 	}
 	al.ra = reverseInto(al.ra, a[:end.AEnd])
 	al.rb = reverseInto(al.rb, b[:end.BEnd])
-	sub := al.bandedEndScalar(al.ra, al.rb, end.BEnd-end.AEnd-diag, band, stop)
+	sub := al.bandedEndScalar(al.ra, al.rb, end.BEnd-end.AEnd-diag, band, stop, nil)
 	return end.AEnd - sub.AEnd, end.BEnd - sub.BEnd
 }
 
@@ -278,16 +189,91 @@ func (al *Aligner) LocalBandedStart(a, b []byte, end Local, diag, band int) (aSt
 // internal/gapped and of internal/core pin the shipped path to; no
 // option reaches it.
 func (al *Aligner) LocalBandedReference(a, b []byte, diag, band int) Local {
-	best := al.bandedEndScalar(a, b, diag, band, noStop)
+	best := al.bandedEndScalar(a, b, diag, band, noStop, nil)
 	if best.Score == 0 {
 		return Local{}
 	}
 	ra := reverse(a[:best.AEnd])
 	rb := reverse(b[:best.BEnd])
-	sub := al.bandedEndScalar(ra, rb, best.BEnd-best.AEnd-diag, band, noStop)
+	sub := al.bandedEndScalar(ra, rb, best.BEnd-best.AEnd-diag, band, noStop, nil)
 	best.AStart = best.AEnd - sub.AEnd
 	best.BStart = best.BEnd - sub.BEnd
 	return best
+}
+
+// LocalBandedOps returns the operations of the alignment LocalBanded
+// reported as loc (same a, b, diag and band): a path through the band
+// from loc's start cell to its end cell that scores loc.Score, the
+// first in the tie order of kernel.go. When loc's end is a kernel lane
+// of the last LocalBandedEnds pass, with the same slices unmodified,
+// it walks the rows the kernel kept; otherwise it runs the scalar loop
+// again for this one lane, keeping the rows the walk reads. It returns
+// nil for a loc that scores 0 or is not LocalBanded's result, and
+// under gap costs with Open < 0, Extend < 0 or Open+Extend < 1: there
+// the start need not begin a path to the end, or a path can close a
+// gap and open the next one at once, which runs of Ops cannot express.
+func (al *Aligner) LocalBandedOps(a, b []byte, loc Local, diag, band int) []Op {
+	w, dlo := 2*max(band, 0)+1, diag-max(band, 0)
+	ks, ke := loc.BStart-loc.AStart-dlo, loc.BEnd-loc.AEnd-dlo // band cells of the start and end
+	if loc.Score <= 0 || al.gap.Open < 0 || al.gap.Extend < 0 || al.gap.Open+al.gap.Extend < 1 ||
+		loc.AStart < 0 || loc.AStart >= loc.AEnd || ks < 0 || ks >= w {
+		return nil // an end that is not LocalBanded's fails below
+	}
+	end, stride := Local{Score: loc.Score, AEnd: loc.AEnd, BEnd: loc.BEnd}, w+1
+	k := &al.kern
+	if l := k.lane(a, b, end, diag, band); l >= 0 {
+		if al.walkLane(l, a, b, end, diag, band) != (loc.AStart+1)*stride+ks {
+			return nil
+		}
+	} else {
+		// The rows from the one above the start's: the walk, floored
+		// at the start, reads no others.
+		n := (loc.AEnd - loc.AStart + 1) * stride * 3
+		if cap(al.kept) < n {
+			al.kept = make([]int32, n)
+		}
+		keep := &scalarRows{from: loc.AStart, to: loc.AEnd, v: al.kept[:n], stride: stride}
+		clear(keep.v)
+		if al.bandedEndScalar(a, b, diag, band, loc.Score, keep) != end {
+			return nil
+		}
+		if walk(al, keptRows[int32]{keep.v, 3, stride, loc.AStart}, a, b, dlo,
+			(loc.AEnd-loc.AStart)*stride+ke, stride+ks) != stride+ks {
+			return nil
+		}
+	}
+	// The start's own pair, then the path, which runs last first.
+	ops := opPath(make([]Op, 0, len(k.best)+1)).add(OpAligned, 1)
+	for i := len(k.best) - 1; i >= 0; i-- {
+		ops = ops.add(k.best[i].Kind, k.best[i].Len)
+	}
+	return ops
+}
+
+// scalarRows are rows from..to of a scalar pass, kept in the kernel's
+// band layout (kernel.go) with three int32s a cell: row i's cells
+// start at v[(i-from)·stride·3].
+type scalarRows struct {
+	from, to int
+	v        []int32
+	stride   int
+}
+
+// row keeps columns lo..hi of row i, whose band cell 0 is column
+// first: H, and E and F clamped at 0 as the kernel keeps them. The
+// scalar loop keeps no F, so F runs again from H. A nil keep, or a row
+// outside from..to, keeps nothing.
+func (keep *scalarRows) row(i, first, lo, hi int, h, e []int32, openExt, ext int32) {
+	if keep == nil || i < keep.from || i > keep.to {
+		return
+	}
+	v := keep.v[(i-keep.from)*keep.stride*3:]
+	f := negInf
+	for j := lo; j <= hi; j++ {
+		c := v[3*(j-first):]
+		c[0], c[1], c[2] = h[j], max(e[j], 0), max(f, 0)
+		f = maxI32(h[j]-openExt, f-ext)
+	}
 }
 
 // noStop as a pass's stop score lets it run to completion: no cell
@@ -298,8 +284,9 @@ const noStop = -1
 // the reference implementation, the path of every GOARCH without a
 // kernel, the fallback when a call does not fit the kernel's int16
 // lanes, and LocalBandedStart's reverse pass when there are no kept
-// rows to walk. It returns early at the first cell scoring stop.
-func (al *Aligner) bandedEndScalar(a, b []byte, diag, band, stop int) Local {
+// rows to walk. It returns early at the first cell scoring stop. With
+// keep it also keeps the rows LocalBandedOps walks.
+func (al *Aligner) bandedEndScalar(a, b []byte, diag, band, stop int, keep *scalarRows) Local {
 	if band < 0 {
 		band = 0
 	}
@@ -336,11 +323,13 @@ func (al *Aligner) bandedEndScalar(a, b []byte, diag, band, stop int) Local {
 			if int(val) > best.Score {
 				best = Local{Score: int(val), AEnd: i, BEnd: j}
 				if best.Score == stop {
+					keep.row(i, i+diag-band, lo, j, h, e, openExt, ext)
 					return best
 				}
 			}
 			f = maxI32(val-openExt, f-ext)
 		}
+		keep.row(i, i+diag-band, lo, hi, h, e, openExt, ext)
 		// Sentinels: the next row reads columns lo'-1..hi' with
 		// lo' ≥ lo and hi' ≤ hi+1, so resetting the cells flanking the
 		// written range keeps out-of-band cells unreachable without a
@@ -395,146 +384,6 @@ const (
 	OpInsB    OpKind = 'I' // gap in a, residues consumed from b
 	OpDelB    OpKind = 'D' // gap in b, residues consumed from a
 )
-
-// Direction-matrix bit layout for Traceback. Per cell (i, j):
-//
-//	bits 0-1: source of H[i][j] — 0 stop, 1 diagonal, 2 vertical gap
-//	          state V[i][j], 3 horizontal gap state G[i][j];
-//	bit 2:    V[i][j] extends V[i-1][j] (otherwise opens from H[i-1][j]);
-//	bit 3:    G[i][j] extends G[i][j-1] (otherwise opens from H[i][j-1]).
-//
-// V is the gap-in-b state (consumes a, moves up); G is the gap-in-a
-// state (consumes b, moves left).
-const (
-	tbSrcMask  = 3
-	tbStop     = 0
-	tbDiag     = 1
-	tbVert     = 2
-	tbHoriz    = 3
-	tbVertExt  = 4
-	tbHorizExt = 8
-)
-
-// Traceback computes the best local alignment with full operations.
-// It stores a direction matrix of (len(a)+1)·(len(b)+1) bytes, so use
-// it on bounded windows (the gapped stage aligns query-sized windows).
-func (al *Aligner) Traceback(a, b []byte) (Local, []Op) {
-	openExt := int32(al.gap.Open + al.gap.Extend)
-	ext := int32(al.gap.Extend)
-	table := al.m.Table()
-	cols := len(b) + 1
-	// The direction matrix is |=-written (a cell's gap provenance is
-	// recorded before its source), so the reused prefix is cleared.
-	need := (len(a) + 2) * cols
-	if cap(al.dir) < need {
-		al.dir = make([]byte, need)
-	}
-	dir := al.dir[:need]
-	clear(dir)
-	h, e := al.scratch(len(b) + 1)
-	var best Local
-	for i := 1; i <= len(a); i++ {
-		row := table[int(a[i-1])*24 : int(a[i-1])*24+24]
-		var diag int32
-		f := negInf
-		for j := 1; j <= len(b); j++ {
-			up := h[j] // H[i-1][j]
-			val := diag + int32(row[b[j-1]])
-			src := byte(tbDiag)
-			if e[j] > val { // e[j] = V[i][j], provenance already recorded
-				val = e[j]
-				src = tbVert
-			}
-			if f > val { // f = G[i][j]
-				val = f
-				src = tbHoriz
-			}
-			if val <= 0 {
-				val = 0
-				src = tbStop
-			}
-			diag = up
-			h[j] = val
-			dir[i*cols+j] |= src
-			if int(val) > best.Score {
-				best = Local{Score: int(val), AEnd: i, BEnd: j}
-			}
-			// V[i+1][j] = max(H[i][j]-openExt, V[i][j]-ext): record its
-			// provenance in the next row's cell.
-			if e[j]-ext >= val-openExt {
-				e[j] -= ext
-				dir[(i+1)*cols+j] |= tbVertExt
-			} else {
-				e[j] = val - openExt
-			}
-			// G[i][j+1] = max(H[i][j]-openExt, G[i][j]-ext): record its
-			// provenance in the next column's cell.
-			if f-ext >= val-openExt {
-				f -= ext
-				if j+1 <= len(b) {
-					dir[i*cols+j+1] |= tbHorizExt
-				}
-			} else {
-				f = val - openExt
-			}
-		}
-	}
-	if best.Score == 0 {
-		return Local{}, nil
-	}
-	// Walk back from the endpoint.
-	rev := al.ops[:0]
-	pushOp := func(k OpKind) {
-		if len(rev) > 0 && rev[len(rev)-1].Kind == k {
-			rev[len(rev)-1].Len++
-			return
-		}
-		rev = append(rev, Op{Kind: k, Len: 1})
-	}
-	i, j := best.AEnd, best.BEnd
-	const stH, stV, stG = 0, 1, 2
-	state := stH
-walk:
-	for i > 0 && j > 0 {
-		d := dir[i*cols+j]
-		switch state {
-		case stH:
-			switch d & tbSrcMask {
-			case tbStop:
-				break walk
-			case tbDiag:
-				pushOp(OpAligned)
-				i--
-				j--
-			case tbVert:
-				state = stV
-			case tbHoriz:
-				state = stG
-			}
-		case stV: // gap in b: consume a[i-1], move up
-			pushOp(OpDelB)
-			if d&tbVertExt == 0 {
-				state = stH
-			}
-			i--
-		case stG: // gap in a: consume b[j-1], move left
-			pushOp(OpInsB)
-			if d&tbHorizExt == 0 {
-				state = stH
-			}
-			j--
-		}
-	}
-	best.AStart, best.BStart = i, j
-	al.ops = rev
-	// The caller keeps the operations, so they leave the scratch as an
-	// exact-size copy, reversed on the way.
-	ops := make([]Op, len(rev))
-	for l, op := range rev {
-		ops[len(rev)-1-l] = op
-	}
-	return best, ops
-}
 
 // FormatAlignment renders a three-line alignment (query, midline,
 // subject) for the traceback ops, starting at the Local coordinates.

@@ -1,6 +1,7 @@
 package align
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -142,9 +143,8 @@ func TestLocalBandedWideBandEqualsLocal(t *testing.T) {
 	al := NewAligner(matrix.BLOSUM62, DefaultGaps)
 	f := func(raw0, raw1 [18]byte) bool {
 		a, b := randSeqs(raw0[:], raw1[:])
-		full := al.Local(a, b)
 		banded := al.LocalBanded(a, b, 0, len(a)+len(b))
-		return full.Score == banded.Score
+		return banded.Score == naiveAffine(a, b, matrix.BLOSUM62, DefaultGaps)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -203,68 +203,167 @@ func TestLocalBandedStartRecoveryProperty(t *testing.T) {
 	}
 }
 
-func TestTracebackScoreMatchesLocal(t *testing.T) {
-	al := NewAligner(matrix.BLOSUM62, DefaultGaps)
-	f := func(raw0, raw1 [20]byte) bool {
-		a, b := randSeqs(raw0[:], raw1[:])
-		full := al.Local(a, b)
-		loc, ops := al.Traceback(a, b)
-		if loc.Score != full.Score {
-			return false
-		}
-		if loc.Score == 0 {
-			return ops == nil
-		}
-		return opsScore(a, b, loc, ops, matrix.BLOSUM62, DefaultGaps) == loc.Score
+// opsError re-scores ops under m and gap, walking them from loc's
+// start, and returns what is wrong with them: a cell outside the band
+// |(j - i) - diag| ≤ band or the matrix, spans they do not consume
+// exactly, or a score other than loc.Score. Cells are counted as the
+// DP counts them, 1-based, so an aligned pair at (i, j) is cell
+// (i+1, j+1).
+func opsError(a, b []byte, loc Local, ops []Op, m *matrix.Matrix, gap GapParams, diag, band int) error {
+	if len(ops) == 0 || ops[0].Kind != OpAligned || ops[len(ops)-1].Kind != OpAligned {
+		return fmt.Errorf("ops %v do not begin and end with an aligned pair", ops)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
-// opsScore recomputes an alignment's score from its operations; -1<<30
-// if the ops do not span the Local ranges exactly.
-func opsScore(a, b []byte, loc Local, ops []Op, m *matrix.Matrix, gap GapParams) int {
 	i, j, score := loc.AStart, loc.BStart, 0
 	for _, op := range ops {
-		switch op.Kind {
-		case OpAligned:
-			for k := 0; k < op.Len; k++ {
+		if op.Len < 1 {
+			return fmt.Errorf("empty run in %v", ops)
+		}
+		if op.Kind != OpAligned {
+			score -= gap.Open
+		}
+		for n := 0; n < op.Len; n++ {
+			switch op.Kind {
+			case OpAligned:
+				if i >= len(a) || j >= len(b) {
+					return fmt.Errorf("pair (%d,%d) outside the matrix", i, j)
+				}
 				score += m.Score(a[i], b[j])
+				i, j = i+1, j+1
+			case OpDelB:
+				score -= gap.Extend
 				i++
+			case OpInsB:
+				score -= gap.Extend
 				j++
+			default:
+				return fmt.Errorf("unknown op %q", op.Kind)
 			}
-		case OpInsB:
-			score -= gap.Open + gap.Extend*op.Len
-			j += op.Len
-		case OpDelB:
-			score -= gap.Open + gap.Extend*op.Len
-			i += op.Len
+			if d := j - i - diag; d < -max(band, 0) || d > max(band, 0) {
+				return fmt.Errorf("cell (%d,%d) outside the band", i, j)
+			}
 		}
 	}
 	if i != loc.AEnd || j != loc.BEnd {
-		return -1 << 30
+		return fmt.Errorf("ops end at (%d,%d), the alignment at (%d,%d)", i, j, loc.AEnd, loc.BEnd)
 	}
-	return score
+	if score != loc.Score {
+		return fmt.Errorf("ops score %d, the alignment %d", score, loc.Score)
+	}
+	return nil
 }
 
-func TestTracebackGappedOps(t *testing.T) {
+// TestLocalBandedOpsRescoreInBand pins LocalBandedOps on the sweep of
+// TestLocalBandedMatchesReference: the operations of every scored
+// alignment re-score to its Score, stay in the band and consume its
+// spans, and a lane the kernel scored (walked over its kept rows)
+// gets the operations a fresh Aligner's scalar pass gives. With a band
+// as wide as the sequences the score is naiveAffine's.
+func TestLocalBandedOpsRescoreInBand(t *testing.T) {
+	cases := 6000
+	if testing.Short() {
+		cases = 600
+	}
+	rng := rand.New(rand.NewSource(23))
+	aligners := sweepAligners()
+	walked := 0
+	for n := 0; n < cases; n++ {
+		letters := []int{2, 3, 4, 20}[n%4]
+		c := drawBandedCase(rng, letters)
+		al := aligners[n%len(aligners)]
+		wide := n%5 == 0
+		if wide {
+			c.diag, c.band = 0, len(c.a)+len(c.b)
+		}
+		loc := al.LocalBanded(c.a, c.b, c.diag, c.band)
+		kernel := al.kern.lane(c.a, c.b, Local{Score: loc.Score, AEnd: loc.AEnd, BEnd: loc.BEnd}, c.diag, c.band) >= 0
+		ops := al.LocalBandedOps(c.a, c.b, loc, c.diag, c.band)
+		if loc.Score == 0 {
+			if ops != nil {
+				t.Fatalf("case %d: ops %v for an alignment scoring 0", n, ops)
+			}
+			continue
+		}
+		if err := opsError(c.a, c.b, loc, ops, al.m, al.gap, c.diag, c.band); err != nil {
+			t.Fatalf("case %d (letters=%d len(a)=%d len(b)=%d diag=%d band=%d gaps=%+v, kernel lane %v) %+v: %v",
+				n, letters, len(c.a), len(c.b), c.diag, c.band, al.gap, kernel, loc, err)
+		}
+		if scalar := NewAligner(al.m, al.gap).LocalBandedOps(c.a, c.b, loc, c.diag, c.band); !reflect.DeepEqual(ops, scalar) {
+			t.Fatalf("case %d (kernel lane %v): ops %v, scalar pass %v", n, kernel, ops, scalar)
+		}
+		if wide && loc.Score != naiveAffine(c.a, c.b, al.m, al.gap) {
+			t.Fatalf("case %d: wide band scores %d, naiveAffine %d", n, loc.Score, naiveAffine(c.a, c.b, al.m, al.gap))
+		}
+		if kernel {
+			walked++
+		}
+	}
+	if HasAVX2 && walked < cases/4 {
+		t.Errorf("only %d of %d cases walked kernel rows", walked, cases)
+	}
+}
+
+// TestLocalBandedOpsGappedRun: two identical halves with an insertion
+// in b align with one gap of three, and the tie order puts the
+// operations of a free choice where it says.
+func TestLocalBandedOpsGappedRun(t *testing.T) {
 	al := NewAligner(matrix.NewMatchMismatch(2, -2), GapParams{Open: 3, Extend: 1})
 	a := alphabet.MustEncodeProtein("WWWWWWKKKKKK")
 	b := alphabet.MustEncodeProtein("WWWWWWAAAKKKKKK")
-	loc, ops := al.Traceback(a, b)
-	if got := opsScore(a, b, loc, ops, al.m, al.gap); got != loc.Score {
-		t.Errorf("ops score %d != loc score %d", got, loc.Score)
+	band := len(a) + len(b)
+	loc := al.LocalBanded(a, b, 0, band)
+	ops := al.LocalBandedOps(a, b, loc, 0, band)
+	want := []Op{{OpAligned, 6}, {OpInsB, 3}, {OpAligned, 6}}
+	if loc.Score != 12*2-(3+3*1) || !reflect.DeepEqual(ops, want) {
+		t.Errorf("%+v %v, want score 18 and %v", loc, ops, want)
 	}
-	// Must contain exactly one insertion run of length 3.
-	var ins int
-	for _, op := range ops {
-		if op.Kind == OpInsB {
-			ins += op.Len
+	// K against KK: the gap can sit before or after the pair, and at H
+	// the diagonal comes first, so the walk back takes the pair first
+	// and the gap goes in front of it.
+	al = NewAligner(matrix.NewMatchMismatch(5, -4), GapParams{Open: 1, Extend: 1})
+	a, b = alphabet.MustEncodeProtein("WKW"), alphabet.MustEncodeProtein("WKKW")
+	loc = al.LocalBanded(a, b, 0, 4)
+	ops = al.LocalBandedOps(a, b, loc, 0, 4)
+	want = []Op{{OpAligned, 1}, {OpInsB, 1}, {OpAligned, 2}}
+	if loc.Score != 13 || !reflect.DeepEqual(ops, want) {
+		t.Errorf("%+v %v, want score 13 and %v", loc, ops, want)
+	}
+}
+
+// TestLocalBandedOpsDeclines pins the nil results: an alignment
+// scoring 0, a loc that is not LocalBanded's, one whose start or end
+// lies outside the band, and gap costs under which a gap pays.
+func TestLocalBandedOpsDeclines(t *testing.T) {
+	al := NewAligner(matrix.BLOSUM62, DefaultGaps)
+	a := alphabet.MustEncodeProtein("MKVLILACDEFGHIKLMN")
+	b := alphabet.MustEncodeProtein("PPMKVLVLACDEFGHIKLMNPP")
+	loc := al.LocalBanded(a, b, 2, 3)
+	if err := opsError(a, b, loc, al.LocalBandedOps(a, b, loc, 2, 3), al.m, al.gap, 2, 3); err != nil {
+		t.Fatal(err)
+	}
+	bad := []Local{{}, loc, loc, loc, loc, loc}
+	bad[1].Score++
+	bad[2].BEnd--
+	bad[3].AStart, bad[3].BStart = loc.AStart+2, loc.BStart+2
+	bad[4].BStart = loc.AStart + 2 - 4
+	bad[5].AEnd = len(a) + 1
+	for i, l := range bad {
+		for _, fresh := range []bool{false, true} {
+			x := al
+			if fresh {
+				x = NewAligner(al.m, al.gap)
+			} else {
+				al.LocalBandedEnd(a, b, 2, 3)
+			}
+			if ops := x.LocalBandedOps(a, b, l, 2, 3); ops != nil {
+				t.Errorf("loc %d %+v (fresh Aligner %v): ops %v", i, l, fresh, ops)
+			}
 		}
 	}
-	if ins != 3 {
-		t.Errorf("insertion length = %d, want 3", ins)
+	for _, gap := range []GapParams{{Open: -1, Extend: 1}, {Open: 3, Extend: -1}} {
+		pay := NewAligner(matrix.BLOSUM62, gap)
+		if l := pay.LocalBanded(a, b, 2, 3); l.Score == 0 || pay.LocalBandedOps(a, b, l, 2, 3) != nil {
+			t.Errorf("gap costs %+v: %+v with ops", gap, l)
+		}
 	}
 }
 
@@ -272,8 +371,8 @@ func TestFormatAlignment(t *testing.T) {
 	al := NewAligner(matrix.BLOSUM62, DefaultGaps)
 	a := alphabet.MustEncodeProtein("MKVLILAC")
 	b := alphabet.MustEncodeProtein("MKVLVLAC")
-	loc, ops := al.Traceback(a, b)
-	out := FormatAlignment(a, b, loc, ops, matrix.BLOSUM62)
+	loc := al.LocalBanded(a, b, 0, len(a)+len(b))
+	out := FormatAlignment(a, b, loc, al.LocalBandedOps(a, b, loc, 0, len(a)+len(b)), matrix.BLOSUM62)
 	if !strings.Contains(out, "MKVLILAC") || !strings.Contains(out, "MKVLVLAC") {
 		t.Errorf("alignment text missing sequences:\n%s", out)
 	}
@@ -299,10 +398,10 @@ func TestAlignerScratchReuse(t *testing.T) {
 	}
 }
 
-func TestTracebackScratchReuse(t *testing.T) {
-	// One Aligner tracing pairs of changing size must answer each as a
-	// fresh Aligner does: the direction matrix is |=-written, so a
-	// stale cell from a larger earlier call would corrupt the walk.
+func TestLocalBandedOpsScratchReuse(t *testing.T) {
+	// One Aligner taking the operations of pairs of changing size must
+	// answer each as a fresh Aligner does, and the operations it
+	// returned must not alias the scratch later calls reuse.
 	rng := rand.New(rand.NewSource(11))
 	reused := NewAligner(matrix.BLOSUM62, GapParams{Open: 3, Extend: 1})
 	var kept [][]Op
@@ -310,17 +409,16 @@ func TestTracebackScratchReuse(t *testing.T) {
 	for n := 0; n < 200; n++ {
 		a := randomResidues(rng, 1+rng.Intn(60), 4)
 		b := mutate(rng, a, 4, 0.2, 0.1)
-		if len(b) == 0 {
-			continue
-		}
-		loc, ops := reused.Traceback(a, b)
-		wantLoc, wantOps := NewAligner(matrix.BLOSUM62, GapParams{Open: 3, Extend: 1}).Traceback(a, b)
-		if loc != wantLoc || !reflect.DeepEqual(ops, wantOps) {
-			t.Fatalf("call %d: reused aligner %+v %v, fresh aligner %+v %v", n, loc, ops, wantLoc, wantOps)
+		band := 1 + rng.Intn(12)
+		loc := reused.LocalBanded(a, b, 0, band)
+		ops := reused.LocalBandedOps(a, b, loc, 0, band)
+		fresh := NewAligner(matrix.BLOSUM62, GapParams{Open: 3, Extend: 1})
+		wantOps := fresh.LocalBandedOps(a, b, fresh.LocalBanded(a, b, 0, band), 0, band)
+		if !reflect.DeepEqual(ops, wantOps) {
+			t.Fatalf("call %d: reused aligner %+v %v, fresh aligner %v", n, loc, ops, wantOps)
 		}
 		kept, want = append(kept, ops), append(want, wantOps)
 	}
-	// Returned operations must not alias the scratch later calls reuse.
 	if !reflect.DeepEqual(kept, want) {
 		t.Error("operations returned by earlier calls changed under later ones")
 	}

@@ -68,6 +68,21 @@
 // ties and, from the first tie on, marks (cell, state) in a bitset, so
 // that ties cannot blow it up.
 //
+// Operations. The walk tries tight edges in one tie order: at H the
+// diagonal, then E (OpDelB), then F (OpInsB); in a gap state extend,
+// then open. It keeps its path, and a copy of it whenever it reaches a
+// better start. Depth first, the first path to reach the best start
+// is the first to it in that order, because no node pruned or visited
+// before can reach it; so LocalBandedOps reads the copy the start walk
+// left and walks a lane at most once. For a lane that ran the scalar loop, the
+// loop runs again for the one lane and keeps the rows from the one
+// above the start to the end's as int32s in this layout, E and F
+// clamped at 0 as here, and the same walk, floored at the start, reads
+// them: kernel and scalar lanes give the same operations. The clamp
+// changes no tight edge as long as no gap cost is negative and opening
+// a gap costs at least 1, because every node of such a path is then
+// positive.
+//
 // Fallback. Lanes are int16, and no value that matters may saturate.
 // A lane runs the scalar loop instead when min(len(a), len(b))·MaxScore
 // could exceed the lanes or when a subject residue is not a protein
@@ -138,9 +153,9 @@ type batchArgs struct {
 	row  [BatchLanes]int16 // first row (1-based) whose maximum is best
 }
 
-// keptLane is what LocalBandedStart's walk matches a lane of the last
-// pass by: its subject, diagonal and end (Score 0 when there is
-// nothing to walk: the lane scored 0 or ran the scalar loop).
+// keptLane is what the walk matches a lane of the last pass by: its
+// subject, diagonal and end (Score 0 when there is nothing to walk:
+// the lane scored 0 or ran the scalar loop).
 type keptLane struct {
 	b    []byte
 	diag int
@@ -158,15 +173,21 @@ type bandedKernel struct {
 	unmap   func()          // releases rows mapped off the Go heap; nil for heap rows
 	cleanup runtime.Cleanup // calls unmap once the Aligner is unreachable
 
-	// The last pass, as LocalBandedStart's walk needs it: its query,
-	// band and lanes, and the kept row stride in cells.
+	// The last pass, as the walk needs it: its query, band and lanes,
+	// and the kept row stride in cells.
 	a      []byte
 	band   int
 	lanes  [BatchLanes]keptLane
 	n      int
 	stride int
-	seen   []uint64 // the walk's visited (cell, state) bits
-	stack  []int    // the walk's pending nodes, cell<<2 | state
+	// The walk's scratch, and what its last run over a lane of the
+	// pass found: the lane (-1 for none), the start and the path to it.
+	seen   []uint64   // visited (cell, state) bits
+	stack  []walkNode // pending nodes
+	path   opPath     // the path to the node being visited
+	walked int
+	start  int
+	best   opPath
 }
 
 func (k *bandedKernel) init(m *matrix.Matrix, gap GapParams) {
@@ -261,7 +282,7 @@ func (al *Aligner) bandedEndsKernel(a []byte, bs [][]byte, diags []int, band int
 	}
 	w := 2*band + 1
 	al.reserve(la, band, false)
-	k.a, k.band, k.n, k.stride = a, raw, len(bs), w+1
+	k.a, k.band, k.n, k.stride, k.walked = a, raw, len(bs), w+1, -1
 
 	// Transpose: row t holds every lane's residue at column
 	// t + 1 + diag - band, the pad code outside its subject.
@@ -333,10 +354,213 @@ const (
 	walkF
 )
 
+// walkNode is a pending node of the walk, cell<<2 | state, and the
+// walk's path when it was pushed: its length and its last run's.
+type walkNode struct{ node, path, last int }
+
+// opPath is a path of the walk: runs of operations, last first.
+type opPath []Op
+
+// add appends n operations of kind to the path.
+func (p opPath) add(kind OpKind, n int) opPath {
+	if k := len(p); k > 0 && p[k-1].Kind == kind {
+		p[k-1].Len += n
+		return p
+	}
+	return append(p, Op{Kind: kind, Len: n})
+}
+
+// push returns the walkNode of node with the path as it is.
+func (p opPath) push(node int) walkNode {
+	if len(p) == 0 {
+		return walkNode{node, 0, 0}
+	}
+	return walkNode{node, len(p), p[len(p)-1].Len}
+}
+
 // sameSlice reports whether x and y are the same slice: same first
 // element, same length.
 func sameSlice(x, y []byte) bool {
 	return len(x) == len(y) && unsafe.SliceData(x) == unsafe.SliceData(y)
+}
+
+// keptRows is what the walk reads: rows of a pass in the kernel's band
+// layout. Cell p is band cell p%stride of row p/stride + row0; its H,
+// E and F are v[p·cell] and the values cell/3 and 2·cell/3 after it.
+type keptRows[T int16 | int32] struct {
+	v      []T
+	cell   int
+	stride int
+	row0   int
+}
+
+// visit marks a node, bit 3·cell + state, in seen and reports whether
+// it was marked already. A nil seen marks nothing: until the first tie
+// the walk is one chain, whose nodes nothing reaches again.
+func visit(seen []uint64, bit uint) bool {
+	if seen == nil {
+		return false
+	}
+	w, m := bit/64, uint64(1)<<(bit%64)
+	old := seen[w]
+	seen[w] = old | m
+	return old&m != 0
+}
+
+// diagonal visits H nodes from cell p back along the diagonal, down to
+// cell lo, while H came from the diagonal alone and is not a start,
+// the common case. It returns the cell it stops at, visited, and
+// whether that node had been visited before.
+func (r keptRows[T]) diagonal(p, lo int, seen []uint64) (int, bool) {
+	v, cE, cF := r.v, r.cell/3, 2*r.cell/3
+	for pc, sc := p*r.cell, r.stride*r.cell; p >= lo; p, pc = p-r.stride, pc-sc {
+		if seen != nil && visit(seen, uint(3*p+walkH)) {
+			return p, true
+		}
+		c := v[pc:]
+		if v[pc-sc] == 0 || c[cE] == c[0] || c[cF] == c[0] {
+			break
+		}
+	}
+	return p, false
+}
+
+// walk follows tight edges back from cell end's H over the kept rows
+// r of a pass of a against b, whose band cell 0 on row i is column
+// i + dlo (see the package comment), trying them in the tie order. It
+// returns the largest start it reaches at or after cell floor, or -1,
+// and leaves in k.best the first path to it in that order, the
+// start's own pair not included. Cells before floor, or not after the
+// best start so far, are pruned, because no edge moves forward in
+// row-major order.
+func walk[T int16 | int32](al *Aligner, r keptRows[T], a, b []byte, dlo, end, floor int) (start int) {
+	k := &al.kern
+	k.walked = -1
+	v, cell, stride := r.v, r.cell, r.stride
+	cE, cF := cell/3, 2*cell/3
+	oe, ext := al.gap.Open+al.gap.Extend, al.gap.Extend
+	tab := al.m.Table()
+	lo, start := floor, -1
+	p, st := end, walkH
+	var seen []uint64 // set up at the first tie
+	stack, path := k.stack[:0], k.path[:0]
+	for {
+	chain: // follow the first tight edge and push the others; pop at a dead end
+		for p >= lo {
+			if st != walkH {
+				if visit(seen, uint(3*p+st)) {
+					break
+				}
+				// A gap state: E from the row above, F from the cell
+				// left; extend before open.
+				g, q, op := cE, p-stride+1, OpDelB
+				if st == walkF {
+					g, q, op = cF, p-1, OpInsB
+				}
+				c, cq := v[p*cell:], v[q*cell:]
+				hT, gT := int(cq[0])-oe == int(c[g]), int(cq[g])-ext == int(c[g])
+				if !hT && !gT {
+					break
+				}
+				path = path.add(op, 1)
+				if hT && gT {
+					stack = append(stack, path.push(q<<2|walkH))
+					if seen == nil {
+						seen = k.seenUpTo(p)
+					}
+				}
+				if p = q; !gT {
+					st = walkH
+				}
+				continue
+			}
+			from, dead := p, false
+			p, dead = r.diagonal(p, lo, seen)
+			if from > p {
+				path = path.add(OpAligned, (from-p)/stride)
+			}
+			if dead || p < lo {
+				break
+			}
+			c := v[p*cell:]
+			val, up := int(c[0]), int(v[(p-stride)*cell])
+			eT, fT := int(c[cE]) == val, int(c[cF]) == val
+			dT := !eT && !fT // then H came from the diagonal
+			if !dT {
+				i := p/stride + r.row0
+				dT = up+int(tab[int(a[i-1])*alphabet.NumAA+int(b[i+dlo+p%stride-1])]) == val
+			}
+			if dT && up == 0 {
+				// A start; every start behind it is smaller.
+				start, lo = p, p+1
+				k.best = append(k.best[:0], path...)
+				break chain
+			}
+			if fT {
+				stack = append(stack, path.push(p<<2|walkF))
+			}
+			if eT {
+				stack = append(stack, path.push(p<<2|walkE))
+			}
+			if seen == nil && len(stack) > 0 {
+				seen = k.seenUpTo(p)
+			}
+			if !dT {
+				break
+			}
+			p -= stride
+			path = path.add(OpAligned, 1)
+		}
+		if len(stack) == 0 {
+			break
+		}
+		n := stack[len(stack)-1]
+		p, st, path, stack = n.node>>2, n.node&3, path[:n.path], stack[:len(stack)-1]
+		if n.path > 0 {
+			path[n.path-1].Len = n.last
+		}
+	}
+	k.stack, k.path = stack, path
+	runtime.KeepAlive(al) // its cleanup unmaps the rows v may read
+	return start
+}
+
+// seenUpTo returns the walk's visited bits, cleared, for the nodes of
+// cells up to p.
+func (k *bandedKernel) seenUpTo(p int) []uint64 {
+	k.seen = append(k.seen[:0], make([]uint64, (3*p+66)/64)...)
+	return k.seen
+}
+
+// lane returns the lane of the last pass that ran the kernel for
+// (a, b, diag, band) and returned end, or -1.
+func (k *bandedKernel) lane(a, b []byte, end Local, diag, band int) int {
+	if end.Score <= 0 || band != k.band || !sameSlice(a, k.a) {
+		return -1
+	}
+	for l := range k.lanes[:k.n] {
+		if kl := &k.lanes[l]; kl.end == end && kl.diag == diag && sameSlice(b, kl.b) {
+			return l
+		}
+	}
+	return -1
+}
+
+// walkLane returns the start, as a cell of the kept rows, of the
+// alignment lane l of the last pass reported as end for (a, b, diag,
+// band), and leaves the path to it in k.best. The walk runs once per
+// lane: LocalBandedOps after LocalBandedStart reads what it found.
+func (al *Aligner) walkLane(l int, a, b []byte, end Local, diag, band int) int {
+	k := &al.kern
+	if k.walked != l {
+		stride, dlo := k.stride, diag-max(band, 0)
+		s := walk(al, keptRows[int16]{k.rows[l:], kernelCell, stride, 0}, a, b, dlo, end.AEnd*stride+end.BEnd-end.AEnd-dlo, 0)
+		if s < 0 {
+			panic("align: start walk found no start")
+		}
+		k.walked, k.start = l, s
+	}
+	return k.start
 }
 
 // walkStart recovers the start of the alignment a lane of the last
@@ -344,112 +568,11 @@ func sameSlice(x, y []byte) bool {
 // (see the package comment). ok is false unless that pass ran the
 // kernel for a lane (a, b, diag, band) that returned end.
 func (al *Aligner) walkStart(a, b []byte, end Local, diag, band int) (aStart, bStart int, ok bool) {
-	k := &al.kern
-	if end.Score <= 0 || band != k.band || !sameSlice(a, k.a) {
+	l := al.kern.lane(a, b, end, diag, band)
+	if l < 0 {
 		return 0, 0, false
 	}
-	lane := -1
-	for l := range k.lanes[:k.n] {
-		if kl := &k.lanes[l]; kl.end == end && kl.diag == diag && sameSlice(b, kl.b) {
-			lane = l
-			break
-		}
-	}
-	if lane < 0 {
-		return 0, 0, false
-	}
-	// Cell p = row·stride + k, row i being query residue i, grows in
-	// row-major order; its diagonal, upper and left predecessors are
-	// p-stride, p-stride+1 and p-1. Its H, E and F are v[p·kernelCell]
-	// and the two vectors after it.
-	const cE, cF = BatchLanes, 2 * BatchLanes
-	stride, v := k.stride, k.rows[lane:]
-	dlo := diag - max(band, 0)
-	oe, ext := int16(al.gap.Open+al.gap.Extend), int16(al.gap.Extend)
-	p, st, best := end.AEnd*stride+end.BEnd-end.AEnd-dlo, walkH, -1
-	// Until a node has two tight predecessors the walk is one chain,
-	// whose nodes nothing reaches again; seen is set up then.
-	var seen []uint64
-	stack := k.stack[:0]
-	for {
-	chain: // follow a unique predecessor; push several, then pop one
-		for p > best {
-			for seen == nil && st == walkH {
-				c := v[p*kernelCell:]
-				if v[(p-stride)*kernelCell] == 0 || c[cE] == c[0] || c[cF] == c[0] {
-					break
-				}
-				p -= stride // the common case: H from the diagonal, not a start
-			}
-			if seen != nil {
-				bit := uint(3*p + st)
-				if seen[bit/64]&(1<<(bit%64)) != 0 {
-					break
-				}
-				seen[bit/64] |= 1 << (bit % 64)
-			}
-			c := v[p*kernelCell:]
-			if st == walkH {
-				val, up := c[0], v[(p-stride)*kernelCell]
-				eT, fT := c[cE] == val, c[cF] == val
-				dT := !eT && !fT // then H came from the diagonal
-				if !dT {
-					i := p / stride
-					j := i + dlo + p%stride
-					dT = up+int16(k.tab[int(a[i-1])*kernelTabStride+int(b[j-1])]) == val
-				}
-				switch {
-				case dT && up == 0:
-					best = p // a start; every start behind it is smaller
-					break chain
-				case dT && !eT && !fT:
-					p -= stride
-					continue
-				case dT:
-					stack = append(stack, (p-stride)<<2|walkH)
-				}
-				if eT {
-					stack = append(stack, p<<2|walkE)
-				}
-				if fT {
-					stack = append(stack, p<<2|walkF)
-				}
-				break
-			}
-			// A gap state: E from the row above, F from the cell left.
-			g, q := cE, p-stride+1
-			if st == walkF {
-				g, q = cF, p-1
-			}
-			cq := v[q*kernelCell:]
-			hT, gT := cq[0]-oe == c[g], cq[g]-ext == c[g]
-			if hT != gT {
-				if p = q; hT {
-					st = walkH
-				}
-				continue
-			}
-			if hT {
-				stack = append(stack, q<<2|walkH, q<<2|st)
-			}
-			break
-		}
-		if len(stack) == 0 {
-			break
-		}
-		if seen == nil && len(stack) > 1 {
-			// Every node from here on lies at or before p.
-			seen = append(k.seen[:0], make([]uint64, (3*p+66)/64)...)
-			k.seen = seen
-		}
-		n := stack[len(stack)-1]
-		p, st, stack = n>>2, n&3, stack[:len(stack)-1]
-	}
-	k.stack = stack
-	runtime.KeepAlive(al) // its cleanup unmaps the rows v reads
-	if best < 0 {
-		panic("align: start walk found no start")
-	}
-	i := best / stride
-	return i - 1, i + dlo + best%stride - 1, true
+	s := al.walkLane(l, a, b, end, diag, band)
+	i := s / al.kern.stride
+	return i - 1, i + diag - max(band, 0) + s%al.kern.stride - 1, true
 }

@@ -2,7 +2,8 @@
 // pipeline's ungapped stage, the gapped stage, the hardware simulator
 // and the BLAST baseline: window scores over fixed-length
 // neighbourhoods, X-drop ungapped extension, and banded affine-gap
-// local alignment with traceback.
+// local alignment, whose start and operations come from a walk back
+// over the rows the score pass kept (kernel.go).
 package align
 
 import (

@@ -121,7 +121,9 @@ func WithMaxEValue(ev float64) Option {
 	}
 }
 
-// WithTraceback records alignment operations for reporting.
+// WithTraceback keeps each match's alignment operations (Ops) for
+// reporting. They are the path the banded search found, recovered
+// for reported matches only; the matches are the same either way.
 func WithTraceback(on bool) Option {
 	return func(o *Options) error { o.Gapped.Traceback = on; return nil }
 }

@@ -129,6 +129,64 @@ func TestSearchEquivalentToCompare(t *testing.T) {
 	}
 }
 
+// TestTracebackKeepsMatches pins WithTraceback to "keep the
+// operations": on a protein bank whose subjects carry insertions (some
+// matches must have gaps) and on a GenomeTarget, the matches with it on are those with it off,
+// values and order, Ops aside, with the same work counters, and every
+// match then carries operations.
+func TestTracebackKeepsMatches(t *testing.T) {
+	proteins, genome := searchWorkload(t)
+	rng := bank.NewRNG(53)
+	subjects := bank.New("s")
+	for i := 0; i < proteins.Len(); i++ {
+		m := bank.MutateProtein(rng, proteins.Seq(i), 0.2)
+		s := append(append(append(bank.RandomProtein(rng, 20), m[:len(m)/2]...), bank.RandomProtein(rng, 3+i%4)...), m[len(m)/2:]...)
+		subjects.Add("s", append(s, bank.RandomProtein(rng, 20)...))
+	}
+	for _, tc := range []struct {
+		name   string
+		target func() Target
+	}{
+		{"protein bank", func() Target { return NewProteinTarget(subjects) }},
+		{"genome", func() Target { return NewGenomeTarget(genome, nil) }},
+	} {
+		var runs [2]*Result
+		for i, traceback := range []bool{false, true} {
+			opt := DefaultOptions()
+			opt.Gapped.Traceback = traceback
+			res, err := collect(context.Background(), newSearcher(t, opt), NewProteinTarget(proteins), tc.target())
+			if err != nil {
+				t.Fatal(err)
+			}
+			runs[i] = res
+		}
+		off, on := runs[0], runs[1]
+		if len(off.Matches) == 0 {
+			t.Fatalf("%s: no matches; the test is vacuous", tc.name)
+		}
+		if on.Hits != off.Hits || on.Pairs != off.Pairs || on.GappedWork != off.GappedWork {
+			t.Errorf("%s: traceback changed the work counters", tc.name)
+		}
+		stripped, gaps := make([]Match, len(on.Matches)), 0
+		for i, m := range on.Matches {
+			if len(m.Ops) == 0 {
+				t.Fatalf("%s: match %d has no operations", tc.name, i)
+			}
+			if len(m.Ops) > 1 {
+				gaps++
+			}
+			m.Ops = nil
+			stripped[i] = m
+		}
+		if tc.name == "protein bank" && gaps == 0 {
+			t.Errorf("%s: no match has a gap", tc.name)
+		}
+		if !reflect.DeepEqual(stripped, off.Matches) {
+			t.Errorf("%s: traceback changed the matches", tc.name)
+		}
+	}
+}
+
 // TestSearchModesEquivalent pins the blastx / tblastx target shapes
 // against the CompareBatch oracle run over hand-built frame banks,
 // loci re-derived independently.

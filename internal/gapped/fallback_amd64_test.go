@@ -11,7 +11,8 @@ import (
 // TestScalarFallbackWithoutAVX2 runs the path non-amd64 builds and
 // hosts without AVX2 take: with align.HasAVX2 false every lane runs
 // the scalar loop and nothing is speculated, and the stage returns the
-// same alignments and Stats on the oracle banks.
+// same alignments, operations included under Traceback, and Stats on
+// the oracle banks.
 func TestScalarFallbackWithoutAVX2(t *testing.T) {
 	if !align.HasAVX2 {
 		t.Skip("this host takes the scalar path already")
@@ -25,16 +26,19 @@ func TestScalarFallbackWithoutAVX2(t *testing.T) {
 	}
 	runAll := func() []result {
 		var out []result
-		for _, trigger := range []int{0, 41} {
-			cfg := DefaultConfig()
-			cfg.GapTrigger = trigger
-			cfg.Workers = 2
-			for _, bk := range banks {
-				as, st, fl, err := run(bk.b0, bk.b1, bk.hits, cfg)
-				if err != nil {
-					t.Fatal(err)
+		for _, traceback := range []bool{false, true} {
+			for _, trigger := range []int{0, 41} {
+				cfg := DefaultConfig()
+				cfg.Traceback = traceback
+				cfg.GapTrigger = trigger
+				cfg.Workers = 2
+				for _, bk := range banks {
+					as, st, fl, err := run(bk.b0, bk.b1, bk.hits, cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					out = append(out, result{fmt.Sprintf("%s traceback=%v trigger=%d", bk.name, traceback, trigger), as, st, fl})
 				}
-				out = append(out, result{fmt.Sprintf("%s trigger=%d", bk.name, trigger), as, st, fl})
 			}
 		}
 		return out

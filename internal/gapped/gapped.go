@@ -60,11 +60,11 @@ type Config struct {
 	// here so each volume's E-values (and the MaxEValue cut) match an
 	// unpartitioned run exactly.
 	SearchSpace stats.SearchSpace
-	// Traceback records alignment operations for reporting. The
-	// traceback DP runs unbanded over the subject window, once per
-	// candidate in place of the kernel pass and with nothing
-	// speculated, so it is slower and can find alignments that escape
-	// the band.
+	// Traceback keeps each reported alignment's operations
+	// (Alignment.Ops): the path through the band the search took from
+	// its start to its end, taken after the E-value cut for survivors
+	// only (align.LocalBandedOps). Alignments and Stats are the same
+	// either way.
 	Traceback bool
 	Workers   int // 0 means GOMAXPROCS
 }
@@ -166,7 +166,7 @@ func run(b0, b1 *bank.Bank, hits []ungapped.Hit, cfg Config) ([]Alignment, Stats
 		al := getAligner(&cfg)
 		al.Reserve(longest, cfg.Band)
 		x := extender{al: al, cfg: &cfg, space: space, groups: groups, offs: offs, b0: b0, b1: b1, found: found,
-			speculate: !cfg.Traceback && al.BatchKernel(),
+			speculate: al.BatchKernel(),
 			gs:        make([]groupState, 0, min(chunkGroups, len(groups))),
 			lanes:     make([]lane, 0, align.BatchLanes),
 			wins:      make([][]byte, 0, align.BatchLanes),
@@ -414,7 +414,7 @@ type extender struct {
 	offs      []seedPos
 	b0, b1    *bank.Bank
 	found     [][]Alignment
-	speculate bool // fill empty lanes with next candidates: the kernel runs, Traceback is off
+	speculate bool // fill empty lanes with next candidates: the kernel runs
 	st        Stats
 	fill      fill
 
@@ -612,8 +612,8 @@ func (x *extender) window(g, h int, sure bool) lane {
 	return lane{g: g, hit: h, winStart: max(0, int(sp.s)-int(sp.q)-(x.cfg.Band+8)), sure: sure}
 }
 
-// extend runs the pass: the banded score pass over every lane, or
-// Traceback per lane, leaving each lane's result in x.ends.
+// extend runs the pass: the banded score pass over every lane, leaving
+// each lane's result in x.ends.
 func (x *extender) extend(q []byte) {
 	x.wins, x.diags, x.ends = x.wins[:0], x.diags[:0], x.ends[:0]
 	for _, ln := range x.lanes {
@@ -626,9 +626,7 @@ func (x *extender) extend(q []byte) {
 	}
 	x.fill.passes++
 	x.fill.lanes += len(x.lanes)
-	if !x.cfg.Traceback {
-		x.al.LocalBandedEnds(q, x.wins, x.diags, x.cfg.Band, x.ends)
-	}
+	x.al.LocalBandedEnds(q, x.wins, x.diags, x.cfg.Band, x.ends)
 }
 
 // resolve walks g's hits in order through its lanes of the pass: a hit
@@ -662,18 +660,13 @@ func (x *extender) resolve(q []byte, g *groupState) {
 }
 
 // report turns lane l's result into an alignment, in subject
-// coordinates, when its E-value passes the cut. The banded path
-// scored first and recovers the alignment's start only for survivors,
-// which pay a walk back over the pass's kept rows, not a second DP;
-// DPRows and DPCells keep their nominal per-extension definition
-// either way. Traceback stays unbanded and runs before the cut,
-// because it can find alignments the banded pass cannot.
+// coordinates, when its E-value passes the cut. The pass scored first;
+// the alignment's start, and under Traceback its operations, are
+// recovered only for survivors, each by a walk back over the pass's
+// kept rows, not a second DP. DPRows and DPCells keep their nominal
+// per-extension definition either way.
 func (x *extender) report(q []byte, g *groupState, l int) (Alignment, bool) {
-	var ops []align.Op
 	loc := x.ends[l]
-	if x.cfg.Traceback {
-		loc, ops = x.al.Traceback(q, x.wins[l])
-	}
 	if loc.Score <= 0 {
 		return Alignment{}, false
 	}
@@ -681,8 +674,10 @@ func (x *extender) report(q []byte, g *groupState, l int) (Alignment, bool) {
 	if ev > x.cfg.MaxEValue {
 		return Alignment{}, false
 	}
-	if !x.cfg.Traceback {
-		loc.AStart, loc.BStart = x.al.LocalBandedStart(q, x.wins[l], loc, x.diags[l], x.cfg.Band)
+	loc.AStart, loc.BStart = x.al.LocalBandedStart(q, x.wins[l], loc, x.diags[l], x.cfg.Band)
+	var ops []align.Op
+	if x.cfg.Traceback {
+		ops = x.al.LocalBandedOps(q, x.wins[l], loc, x.diags[l], x.cfg.Band)
 	}
 	ws := x.lanes[l].winStart
 	gr := x.groups[g.gi]

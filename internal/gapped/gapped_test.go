@@ -1,7 +1,6 @@
 package gapped
 
 import (
-	"fmt"
 	"reflect"
 	"runtime"
 	"testing"
@@ -123,25 +122,14 @@ func TestRunTracebackOps(t *testing.T) {
 	if len(as) == 0 {
 		t.Fatal("no alignments")
 	}
-	a := as[0]
-	if len(a.Ops) == 0 {
-		t.Fatal("traceback requested but no ops")
+	// Ops must consume exactly the reported spans and score Score.
+	checkOps(t, "homolog pair", b0, b1, as, cfg)
+	off, err := Run(b0, b1, hits, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Ops must consume exactly the reported spans.
-	var qc, sc int
-	for _, op := range a.Ops {
-		switch op.Kind {
-		case 'M':
-			qc += op.Len
-			sc += op.Len
-		case 'I':
-			sc += op.Len
-		case 'D':
-			qc += op.Len
-		}
-	}
-	if qc != a.Q.Len() || sc != a.S.Len() {
-		t.Errorf("ops consume (%d,%d), spans are (%d,%d)", qc, sc, a.Q.Len(), a.S.Len())
+	if !reflect.DeepEqual(withoutOps(as), off) {
+		t.Errorf("traceback changed the alignments:\n got %+v\nwant %+v", withoutOps(as), off)
 	}
 }
 
@@ -394,9 +382,10 @@ func TestWarmRunReusesAligners(t *testing.T) {
 }
 
 // benchmarkRun times the whole stage on the hits of b0 against b1 at
-// 1 and 2 workers, and reports ns per nominal DP cell as the benchmark
-// does.
-func benchmarkRun(b *testing.B, b0, b1 *bank.Bank) {
+// 1 and 2 workers, and with traceback at 1 worker when traceback is
+// set, and reports ns per nominal DP cell as the benchmark does. It
+// first checks that traceback changes nothing but Ops on this bank.
+func benchmarkRun(b *testing.B, b0, b1 *bank.Bank, traceback bool) {
 	model := seed.Default()
 	ix0, err := index.Build(b0, model, 14)
 	if err != nil {
@@ -410,10 +399,31 @@ func benchmarkRun(b *testing.B, b0, b1 *bank.Bank) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, workers := range []int{1, 2} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+	var runs [2][]Alignment
+	var sts [2]Stats
+	for i := range runs {
+		cfg := DefaultConfig()
+		cfg.Traceback = i == 1
+		if runs[i], sts[i], err = RunWithStats(b0, b1, res.Hits, cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if sts[0] != sts[1] || !reflect.DeepEqual(withoutOps(runs[1]), runs[0]) {
+		b.Fatalf("traceback changed the alignments or the stats: %+v, %+v", sts[1], sts[0])
+	}
+	type runCase struct {
+		name      string
+		workers   int
+		traceback bool
+	}
+	cases := []runCase{{"workers=1", 1, false}, {"workers=2", 2, false}}
+	if traceback {
+		cases = append(cases, runCase{"workers=1,traceback", 1, true})
+	}
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
 			cfg := DefaultConfig()
-			cfg.Workers = workers
+			cfg.Workers, cfg.Traceback = c.workers, c.traceback
 			b.ReportAllocs()
 			var cells int64
 			var fl fill
@@ -432,10 +442,11 @@ func benchmarkRun(b *testing.B, b0, b1 *bank.Bank) {
 
 // BenchmarkRunHomolog times the stage on a homolog_full-shaped hit
 // list (EXPERIMENTS.md quotes it): many groups per query, so kernel
-// passes are full without speculation.
+// passes are full without speculation. Its traceback run is what
+// keeping every alignment's operations costs.
 func BenchmarkRunHomolog(b *testing.B) {
 	b0, b1 := homologBank(5000)
-	benchmarkRun(b, b0, b1)
+	benchmarkRun(b, b0, b1, true)
 }
 
 // BenchmarkRunScanShape times the stage on a scan_cpu-shaped hit list:
@@ -457,5 +468,5 @@ func BenchmarkRunScanShape(b *testing.B) {
 		}
 		b1.Add("s", s)
 	}
-	benchmarkRun(b, b0, b1)
+	benchmarkRun(b, b0, b1, false)
 }

@@ -101,8 +101,10 @@ func TestGroupHitsMatchesMapOracle(t *testing.T) {
 // oracleRun is RunWithStats as it was before the stage was rebuilt:
 // map grouping, one goroutine, and per hit the full forward + reverse
 // scalar banded DP (align.LocalBandedReference) before the E-value
-// cut. It shares only contained, dedup and the final sort with the
-// shipped path.
+// cut; under Traceback, a survivor's operations come from a fresh
+// Aligner, which has run no kernel pass and so takes the scalar path.
+// It shares only contained, dedup and the final sort with the shipped
+// path.
 func oracleRun(b0, b1 *bank.Bank, hits []ungapped.Hit, cfg Config) ([]Alignment, Stats) {
 	space := cfg.SearchSpace
 	if space.IsZero() {
@@ -135,16 +137,8 @@ func oracleRun(b0, b1 *bank.Bank, hits []ungapped.Hit, cfg Config) ([]Alignment,
 			slack := cfg.Band + 8
 			winStart := max(0, sPos-qPos-slack)
 			winEnd := min(len(s), sPos+(len(q)-qPos)+slack)
-			window := s[winStart:winEnd]
-			var loc align.Local
-			var ops []align.Op
-			if cfg.Traceback {
-				loc, ops = al.Traceback(q, window)
-			} else {
-				loc = al.LocalBandedReference(q, window, (sPos-winStart)-qPos, cfg.Band)
-			}
-			loc.BStart += winStart
-			loc.BEnd += winStart
+			window, diag := s[winStart:winEnd], (sPos-winStart)-qPos
+			loc := al.LocalBandedReference(q, window, diag, cfg.Band)
 			if loc.Score <= 0 {
 				continue
 			}
@@ -152,6 +146,12 @@ func oracleRun(b0, b1 *bank.Bank, hits []ungapped.Hit, cfg Config) ([]Alignment,
 			if ev > cfg.MaxEValue {
 				continue
 			}
+			var ops []align.Op
+			if cfg.Traceback {
+				ops = align.NewAligner(cfg.Matrix, cfg.Gaps).LocalBandedOps(q, window, loc, diag, cfg.Band)
+			}
+			loc.BStart += winStart
+			loc.BEnd += winStart
 			found = append(found, Alignment{
 				Seq0: int(k[0]), Seq1: int(k[1]),
 				Score:    loc.Score,
@@ -236,29 +236,27 @@ func oracleBanks(t *testing.T) []oracleBank {
 
 // TestRunMatchesOracle pins the rebuilt stage — flat grouping, chunked
 // dispatch, kernel passes across a query's groups with speculation,
-// score-first extension — to oracleRun: identical alignments (values
-// and order) and identical Stats.
+// score-first extension, operations walked over the kept rows — to
+// oracleRun: identical alignments (values and order) and identical
+// Stats. With Traceback on, the alignments are those of Traceback off
+// but for their Ops, which re-score to their Score (checkOps).
 func TestRunMatchesOracle(t *testing.T) {
 	for _, bk := range oracleBanks(t) {
-		for _, traceback := range []bool{false, true} {
-			for _, trigger := range []int{0, 41} {
-				for _, maxE := range []float64{1e-3, 10} {
+		for _, trigger := range []int{0, 41} {
+			for _, maxE := range []float64{1e-3, 10} {
+				var off []Alignment
+				var offStats Stats
+				for _, traceback := range []bool{false, true} {
 					cfg := DefaultConfig()
 					cfg.Traceback = traceback
 					cfg.GapTrigger = trigger
 					cfg.MaxEValue = maxE
 					cfg.Workers = 3
-					hits := bk.hits
-					if traceback && trigger == 0 && bk.name == "random" {
-						// Every hit is an unbanded traceback here, twice;
-						// a slice of them keeps the test under a second.
-						hits = hits[:100]
-					}
-					got, gotStats, fl, err := run(bk.b0, bk.b1, hits, cfg)
+					got, gotStats, fl, err := run(bk.b0, bk.b1, bk.hits, cfg)
 					if err != nil {
 						t.Fatal(err)
 					}
-					want, wantStats := oracleRun(bk.b0, bk.b1, hits, cfg)
+					want, wantStats := oracleRun(bk.b0, bk.b1, bk.hits, cfg)
 					name := fmt.Sprintf("%s traceback=%v trigger=%d maxE=%g", bk.name, traceback, trigger, maxE)
 					if gotStats != wantStats {
 						t.Errorf("%s: stats %+v, oracle %+v", name, gotStats, wantStats)
@@ -272,7 +270,15 @@ func TestRunMatchesOracle(t *testing.T) {
 					if !reflect.DeepEqual(got, want) {
 						t.Errorf("%s: %d alignments differ from the oracle's %d", name, len(got), len(want))
 					}
-					speculates := !traceback && align.NewAligner(cfg.Matrix, cfg.Gaps).BatchKernel()
+					if traceback {
+						checkOps(t, name, bk.b0, bk.b1, got, cfg)
+						if gotStats != offStats || !reflect.DeepEqual(withoutOps(got), off) {
+							t.Errorf("%s: %d alignments and stats %+v, traceback off %d and %+v", name, len(got), gotStats, len(off), offStats)
+						}
+					} else {
+						off, offStats = got, gotStats
+					}
+					speculates := align.NewAligner(cfg.Matrix, cfg.Gaps).BatchKernel()
 					if !speculates && fl.speculated != 0 {
 						t.Errorf("%s: %d lanes speculated without the kernel", name, fl.speculated)
 					}
@@ -285,6 +291,44 @@ func TestRunMatchesOracle(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// withoutOps returns a copy of as with every Ops nil.
+func withoutOps(as []Alignment) []Alignment {
+	out := append([]Alignment(nil), as...)
+	for i := range out {
+		out[i].Ops = nil
+	}
+	return out
+}
+
+// checkOps re-scores every alignment's operations under cfg's scoring
+// system, walking them from the alignment's start: they must consume
+// exactly its spans and score its Score.
+func checkOps(t *testing.T, name string, b0, b1 *bank.Bank, as []Alignment, cfg Config) {
+	t.Helper()
+	for n, a := range as {
+		q, s := b0.Seq(a.Seq0), b1.Seq(a.Seq1)
+		i, j, score := a.Q.Start, a.S.Start, 0
+		for _, op := range a.Ops {
+			switch op.Kind {
+			case align.OpAligned:
+				for k := 0; k < op.Len; k++ {
+					score += cfg.Matrix.Score(q[i+k], s[j+k])
+				}
+				i, j = i+op.Len, j+op.Len
+			case align.OpDelB:
+				score -= cfg.Gaps.Open + cfg.Gaps.Extend*op.Len
+				i += op.Len
+			case align.OpInsB:
+				score -= cfg.Gaps.Open + cfg.Gaps.Extend*op.Len
+				j += op.Len
+			}
+		}
+		if len(a.Ops) == 0 || i != a.Q.End || j != a.S.End || score != a.Score {
+			t.Fatalf("%s: alignment %d %+v: ops %v end at (%d,%d) and score %d", name, n, a, a.Ops, i, j, score)
 		}
 	}
 }

@@ -13,10 +13,19 @@ import (
 	"seedblast/internal/matrix"
 )
 
+// localWithOps is the unbanded local alignment of q against s and its
+// operations: LocalBanded and LocalBandedOps with a band as wide as the
+// sequences.
+func localWithOps(al *align.Aligner, q, s []byte) (align.Local, []align.Op) {
+	band := len(q) + len(s)
+	loc := al.LocalBanded(q, s, 0, band)
+	return loc, al.LocalBandedOps(q, s, loc, 0, band)
+}
+
 func TestComputeStatsIdentity(t *testing.T) {
 	q := alphabet.MustEncodeProtein("MKVLILAC")
 	al := align.NewAligner(matrix.BLOSUM62, align.DefaultGaps)
-	loc, ops := al.Traceback(q, q)
+	loc, ops := localWithOps(al, q, q)
 	st := ComputeStats(q, q, loc, ops, matrix.BLOSUM62)
 	if st.Identities != 8 || st.Length != 8 || st.Gaps != 0 {
 		t.Errorf("identity stats wrong: %+v", st)
@@ -32,7 +41,7 @@ func TestComputeStatsSubstitutionsAndGaps(t *testing.T) {
 	al := align.NewAligner(m, align.GapParams{Open: 3, Extend: 1})
 	q := alphabet.MustEncodeProtein("WWWWWWKKKKKK")
 	s := alphabet.MustEncodeProtein("WWWWWWAAAKKKKKK")
-	loc, ops := al.Traceback(q, s)
+	loc, ops := localWithOps(al, q, s)
 	st := ComputeStats(q, s, loc, ops, m)
 	if st.Gaps != 3 {
 		t.Errorf("gaps = %d, want 3", st.Gaps)
@@ -50,7 +59,7 @@ func TestComputeStatsPositives(t *testing.T) {
 	q := alphabet.MustEncodeProtein("MKVI")
 	s := alphabet.MustEncodeProtein("MKVV")
 	al := align.NewAligner(matrix.BLOSUM62, align.DefaultGaps)
-	loc, ops := al.Traceback(q, s)
+	loc, ops := localWithOps(al, q, s)
 	st := ComputeStats(q, s, loc, ops, matrix.BLOSUM62)
 	if st.Identities != 3 || st.Positives != 4 {
 		t.Errorf("stats = %+v, want 3 identities / 4 positives", st)

@@ -78,7 +78,6 @@ type OptionsJSON struct {
 	N             *int     `json:"n,omitempty"`
 	Threshold     *int     `json:"threshold,omitempty"`
 	MaxEValue     *float64 `json:"maxEValue,omitempty"`
-	Traceback     bool     `json:"traceback,omitempty"`
 	Workers       int      `json:"workers,omitempty"`
 	ShardSize     int      `json:"shardSize,omitempty"`
 	InFlight      int      `json:"inFlight,omitempty"`
@@ -175,7 +174,6 @@ func (oj OptionsJSON) CoreOptions() ([]core.Option, error) {
 	}
 	opts := []core.Option{
 		core.WithEngine(engine),
-		core.WithTraceback(oj.Traceback),
 		core.WithWorkers(oj.Workers),
 		core.WithPipeline(pipeline.Config{
 			ShardSize:    oj.ShardSize,

@@ -137,10 +137,10 @@ func TestHTTPSubmitPollFetch(t *testing.T) {
 	}
 }
 
-// TestHTTPIgnoresRetiredKernelOption: the "kernel" option is gone and
-// the request decoder ignores unknown fields, so a client that still
-// sends one — even a value the old parser refused — gets exactly the
-// alignments of a request without it.
+// TestHTTPIgnoresRetiredKernelOption: the "kernel" and "traceback"
+// options are gone and the request decoder ignores unknown fields, so
+// a client that still sends one — even a value the old parser refused
+// — gets exactly the alignments of a request without it.
 func TestHTTPIgnoresRetiredKernelOption(t *testing.T) {
 	b0, b1 := testWorkload(t, 6, 61)
 	svc := New(Config{})
@@ -148,21 +148,21 @@ func TestHTTPIgnoresRetiredKernelOption(t *testing.T) {
 	ts := httptest.NewServer(NewHandler(svc))
 	defer ts.Close()
 
-	run := func(kernel string) []byte {
+	run := func(retired map[string]any) []byte {
 		t.Helper()
 		opts := map[string]any{"maxEValue": 10.0}
-		if kernel != "" {
-			opts["kernel"] = kernel
+		for k, v := range retired {
+			opts[k] = v
 		}
 		resp := postJSON(t, ts.URL+"/v1/jobs", map[string]any{
 			"query": bankToJSON(b0), "subject": bankToJSON(b1), "options": opts,
 		})
 		if resp.StatusCode != http.StatusAccepted {
-			t.Fatalf("kernel %q: submit status = %d", kernel, resp.StatusCode)
+			t.Fatalf("%v: submit status = %d", retired, resp.StatusCode)
 		}
 		id := decodeJSON[map[string]string](t, resp)["id"]
 		if st := pollDone(t, ts.URL, id); st.State != string(JobDone) {
-			t.Fatalf("kernel %q: job failed: %s", kernel, st.Error)
+			t.Fatalf("%v: job failed: %s", retired, st.Error)
 		}
 		resp, err := http.Get(ts.URL + "/v1/jobs/" + id + "/alignments")
 		if err != nil {
@@ -176,14 +176,16 @@ func TestHTTPIgnoresRetiredKernelOption(t *testing.T) {
 		return raw
 	}
 
-	want := run("")
+	want := run(nil)
 	var aligns []AlignmentJSON
 	if err := json.Unmarshal(want, &aligns); err != nil || len(aligns) == 0 {
 		t.Fatalf("reference job: %d alignments, %v; test is vacuous", len(aligns), err)
 	}
-	for _, kernel := range []string{"scalar", "blocked", "simd"} {
-		if got := run(kernel); !bytes.Equal(got, want) {
-			t.Errorf("kernel %q changed the alignments:\n got %s\nwant %s", kernel, got, want)
+	for _, retired := range []map[string]any{
+		{"kernel": "scalar"}, {"kernel": "blocked"}, {"kernel": "simd"}, {"traceback": true},
+	} {
+		if got := run(retired); !bytes.Equal(got, want) {
+			t.Errorf("%v changed the alignments:\n got %s\nwant %s", retired, got, want)
 		}
 	}
 }

@@ -25,7 +25,6 @@ func TestWireOptionsReachSearcher(t *testing.T) {
 		"N":         {OptionsJSON{N: ptr(9)}, func(o core.Options) bool { return o.N == 9 }},
 		"Threshold": {OptionsJSON{Threshold: ptr(33)}, func(o core.Options) bool { return o.UngappedThreshold == 33 }},
 		"MaxEValue": {OptionsJSON{MaxEValue: ptr(7.5)}, func(o core.Options) bool { return o.Gapped.MaxEValue == 7.5 }},
-		"Traceback": {OptionsJSON{Traceback: true}, func(o core.Options) bool { return o.Gapped.Traceback }},
 		"Workers":   {OptionsJSON{Workers: 3}, func(o core.Options) bool { return o.Workers == 3 }},
 		"ShardSize": {OptionsJSON{ShardSize: 5}, func(o core.Options) bool { return o.Pipeline.ShardSize == 5 }},
 		"InFlight":  {OptionsJSON{InFlight: 4}, func(o core.Options) bool { return o.Pipeline.InFlight == 4 }},

@@ -141,7 +141,8 @@ func WithGapped(cfg GappedConfig) Option { return core.WithGapped(cfg) }
 // WithMaxEValue sets the significance cutoff.
 func WithMaxEValue(ev float64) Option { return core.WithMaxEValue(ev) }
 
-// WithTraceback records alignment operations for reporting.
+// WithTraceback keeps each match's alignment operations for reporting;
+// the matches are the same either way.
 func WithTraceback(on bool) Option { return core.WithTraceback(on) }
 
 // WithSearchSpace fixes the database geometry for E-value statistics
