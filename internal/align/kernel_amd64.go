@@ -1,21 +1,12 @@
 package align
 
-// leaf1ECX is CPUID leaf 1's ECX feature word, read once at startup:
-// this file holds the tree's one CPU probe.
-var leaf1ECX = func() uint32 {
-	_, _, ecx, _ := cpuid(1, 0)
-	return ecx
-}()
-
-// HasSSSE3 reports SSSE3 (PSHUFB); internal/ungapped selects its
-// 16-lane step-2 scanner with it.
-var HasSSSE3 = leaf1ECX&(1<<9) != 0
-
-// HasAVX2 gates the step-3 kernel: AVX2 (CPUID.(7,0):EBX bit 5), and
-// an OS that saves YMM state (CPUID.1:ECX.OSXSAVE, then XCR0 bits 1
-// and 2), without which a VEX instruction faults. A var so that tests
-// can take the scalar fallback on any amd64 host.
+// HasAVX2 gates the step-3 kernel and, through internal/ungapped, the
+// step-2 one: AVX2 (CPUID.(7,0):EBX bit 5), and an OS that saves YMM
+// state (CPUID.1:ECX.OSXSAVE, then XCR0 bits 1 and 2), without which a
+// VEX instruction faults. This file holds the tree's one CPU probe. A
+// var so that tests can take the scalar fallback on any amd64 host.
 var HasAVX2 = func() bool {
+	_, _, leaf1ECX, _ := cpuid(1, 0)
 	if maxLeaf, _, _, _ := cpuid(0, 0); maxLeaf < 7 || leaf1ECX&(1<<27) == 0 || xgetbv0()&6 != 6 {
 		return false
 	}

@@ -75,10 +75,10 @@ TEXT ·bandedBatchAVX2(SB), NOSPLIT, $0-8
 	VPBROADCASTW ARG_OE(AX), Y15
 	VPBROADCASTW ARG_EXT(AX), Y14
 	MOVL $0x70, DX
-	MOVQ DX, X13
+	VMOVQ DX, X13
 	VPBROADCASTB X13, X13
 	MOVL $0x10, DX
-	MOVQ DX, X12
+	VMOVQ DX, X12
 	VPBROADCASTB X12, X12
 	VPXOR Y3, Y3, Y3
 	VPXOR Y9, Y9, Y9

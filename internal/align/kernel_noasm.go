@@ -2,11 +2,8 @@
 
 package align
 
-// HasSSSE3: no x86 vector extensions on this GOARCH.
-const HasSSSE3 = false
-
-// HasAVX2: no step-3 kernel on this GOARCH; every banded pass runs the
-// scalar loop.
+// HasAVX2: no vector kernels on this GOARCH; step 2 and every banded
+// pass run their scalar loops.
 const HasAVX2 = false
 
 // bandedBatchAVX2 is never called when HasAVX2 is false; the stub

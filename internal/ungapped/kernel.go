@@ -6,34 +6,36 @@
 // prefilter and Farrar's striped Smith-Waterman do:
 //
 //   - Query-residue score rows: the substitution table is re-laid
-//     once per worker as 256-byte rows biased by +128 into uint8
-//     (btab), so the inner loop turns one query residue into a row
-//     base with a mask and a shift and then looks subject scores up
-//     in that row — no strided 24-wide lookups, no per-pair sign
-//     handling.
-//   - Lane parallelism: 16 IL1 windows are scored per pass — the
-//     windows are transposed into position-major rows eight positions
-//     at a time and each position's 16 scores come from two PSHUFB
-//     lookups into the 32-byte btab row, exactly the table-shuffle
-//     trick MMseqs2's prefilter uses (kernel_amd64.s). The scanner
-//     needs SSSE3; other hosts run the scalar reference (see
-//     Kernel.resolve).
+//     once per worker as 32-byte rows of signed scores (tab), one per
+//     query residue code, so a position's scores for every subject
+//     residue sit in one row that a table shuffle can index.
+//   - Lane parallelism: 32 IL1 windows are scored per call — two
+//     16-window tiles transposed into position-major rows eight
+//     positions at a time, each position's 32 scores taken from the
+//     row with two VPSHUFB lookups and widened to int16 lanes
+//     (kernel_amd64.s). The call also returns the mask of lanes that
+//     reach the threshold, so the Go side visits passing lanes only.
+//     The scanner needs AVX2; other hosts run the scalar reference
+//     (see Kernel.resolve).
 //   - Cache blocking: the bucket's IL1 windows are walked in blocks of
 //     at most blockedTargetBytes of neighbourhood data, with the IL0
 //     loop inside the block loop, so every IL0 window of the bucket
 //     rescans a block while it is hot in L1/L2.
+//   - Short buckets: a bucket of vectorMinIL1 to 31 windows still
+//     scans one full group, its extra lanes masked off (scanBucket).
 //
 // Bit-exactness: each int16 lane computes align.WindowScore exactly
 // (saturating adds cannot saturate within the blockedFits bound), so
-// surviving lanes are emitted directly with their exact scores. Hits
-// are buffered per IL0 row and flushed in (i, j) order, so the blocked
-// kernel is pinned bit-identical — values and order — to the scalar
-// path. Run falls back to the scalar kernel when a workload's scores
-// could overflow the lanes (see blockedFits).
+// surviving lanes are emitted directly with their exact scores, in the
+// scalar kernel's (i, j) order (see scanBucket). Run falls back to the
+// scalar kernel when a workload's scores could overflow the lanes (see
+// blockedFits).
 package ungapped
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 
 	"seedblast/internal/alphabet"
 	"seedblast/internal/index"
@@ -77,22 +79,20 @@ func (k Kernel) String() string {
 }
 
 const (
-	// btabRows and btabStride shape the biased score table: 32 ≥
-	// NumAA rows of 256 bytes, both powers of two, so a row base is
-	// (query residue & 31) << 8 and any subject byte indexes the row
-	// without masking: base+byte ≤ 31·256+255 < len(btab).
-	btabRows   = 32
-	btabStride = 256
+	// tabRows is both the row count and the row length of the signed
+	// score table: 32 ≥ NumAA, so a row base is (query residue & 31) << 5
+	// and every subject residue code indexes its row.
+	tabRows = 32
 
-	// ssse3Lanes is the group width of the PSHUFB-based scanner (two
-	// XMM registers of int16 lanes).
-	ssse3Lanes = 16
+	// avx2Lanes is the group width of the AVX2 scanner (two YMM
+	// registers of int16 lanes), one bit each in its pass mask.
+	avx2Lanes = 32
 
 	// blockedMaxWindowScore is the largest window score the int16
-	// lanes hold with headroom for two biased score bytes (≤ 2×0xFF)
-	// below 0x8000, so no saturating add ever saturates. Any real
-	// matrix is far below this (BLOSUM62: subLen=32 × max 11 = 352).
-	blockedMaxWindowScore = 0x7FFF - 0x1FF
+	// lanes hold with headroom for one signed score byte below 0x8000,
+	// so no saturating add ever saturates. Any real matrix is far
+	// below this (BLOSUM62: subLen=32 × max 11 = 352).
+	blockedMaxWindowScore = 0x7FFF - 0x7F
 
 	// blockedTargetBytes is the cache-block budget: IL1 windows are
 	// walked in blocks whose neighbourhood data fits L1/L2 alongside
@@ -100,12 +100,11 @@ const (
 	// block.
 	blockedTargetBytes = 32 << 10
 
-	// blockedMinIL1 is the per-bucket lane-occupancy heuristic:
-	// buckets with fewer IL1 windows than this run the scalar
-	// sub-path (identical results) rather than paying group setup
-	// for mostly-empty lanes. One full group is also what the
-	// overlapped final group needs as a span of real windows behind it.
-	blockedMinIL1 = ssse3Lanes
+	// vectorMinIL1 is the measured crossover below which a bucket runs
+	// the scalar sub-path (identical results): one group call costs
+	// one to two scalar window scores, and a sweep over small-bucket
+	// banks ran fastest at 3 (EXPERIMENTS.md, "Step 2 at AVX2 width").
+	vectorMinIL1 = 3
 )
 
 // blockedFits reports whether the blocked kernel's int16 lanes can
@@ -123,36 +122,30 @@ func blockedFits(m *matrix.Matrix, subLen int) bool {
 
 // resolve maps the configured kernel to the one that will actually
 // run for this workload: the blocked kernel when the host has its
-// SSSE3 scanner and the workload fits its lanes, the scalar reference
+// AVX2 scanner and the workload fits its lanes, the scalar reference
 // otherwise — and always for KernelScalar.
 func (k Kernel) resolve(m *matrix.Matrix, subLen int) Kernel {
-	if k != KernelScalar && hasSSSE3 && blockedFits(m, subLen) {
+	if k != KernelScalar && hasAVX2 && blockedFits(m, subLen) {
 		return KernelBlocked
 	}
 	return KernelScalar
 }
 
-// pendHit is a surviving (j, score) pair buffered per IL0 row so the
-// blocked traversal can emit hits in the scalar (i, j) order.
-type pendHit struct {
-	j     int32
-	score int32
-}
-
-// blockedScratch holds one worker's reusable kernel state: the biased
-// score table and the per-row pending-hit buffers. It is not safe for
+// blockedScratch holds one worker's reusable kernel state: the score
+// table and the per-row pending-hit buffers. It is not safe for
 // concurrent use; Run gives each worker its own.
 type blockedScratch struct {
-	// btab is the substitution table biased by +128 into uint8 and
-	// re-laid with btabStride-byte rows (see the btabRows comment).
-	btab [btabRows * btabStride]uint8
+	// tab is the substitution table re-laid with tabRows-byte rows.
+	tab [tabRows * tabRows]int8
 
-	subLen    int
-	threshold int
+	subLen int
+	// cut is the threshold minus one, clamped to the int16 lanes: a
+	// lane passes when its score exceeds cut.
+	cut int
 	// best receives the scanner's exact per-lane window scores.
-	best [ssse3Lanes]int16
+	best [avx2Lanes]int16
 	// jBlock is the number of IL1 windows per cache block, a multiple
-	// of ssse3Lanes sized from blockedTargetBytes.
+	// of avx2Lanes sized from blockedTargetBytes.
 	jBlock int
 
 	nodes []pendNode // pending-hit arena for the current bucket
@@ -161,90 +154,95 @@ type blockedScratch struct {
 
 func newBlockedScratch(m *matrix.Matrix, subLen, threshold int) *blockedScratch {
 	ks := &blockedScratch{
-		subLen:    subLen,
-		threshold: threshold,
+		subLen: subLen,
+		cut:    min(max(threshold, 0), 0x8000) - 1,
 	}
 	table := m.Table()
 	for a := 0; a < alphabet.NumAA; a++ {
-		for b := 0; b < alphabet.NumAA; b++ {
-			ks.btab[a*btabStride+b] = uint8(int(table[a*alphabet.NumAA+b]) + 128)
-		}
+		copy(ks.tab[a*tabRows:], table[a*alphabet.NumAA:(a+1)*alphabet.NumAA])
 	}
 	jb := blockedTargetBytes / subLen
-	jb -= jb % ssse3Lanes
-	ks.jBlock = max(jb, ssse3Lanes)
+	ks.jBlock = max(jb-jb%avx2Lanes, avx2Lanes)
 	return ks
 }
 
-// scanBucket scores every (IL0, IL1) pair of one bucket with the
-// blocked kernel and leaves the survivors pending; it returns how many
-// there are, so the caller can make room once before flush appends
-// them in exactly the scalar kernel's (i, j) order.
-func (ks *blockedScratch) scanBucket(il0 []index.Entry, hood0 []byte, il1 []index.Entry, hood1 []byte) int {
-	subLen := ks.subLen
-	n0, n1 := len(il0), len(il1)
-
-	ks.nodes = ks.nodes[:0]
-	if cap(ks.rows) < n0 {
-		ks.rows = make([][2]int, n0)
+// scanBucket scores every (IL0, IL1) pair of one bucket and appends
+// the hits to c in exactly the scalar kernel's (i, j) order; done and
+// span feed chunk.reserve. The caller guarantees that hood1 has
+// capacity for avx2Lanes windows: index.Bucket's window slice runs to
+// the end of the index's window array, so a short bucket scans one full
+// group from its first window and masks off the lanes past its end.
+//
+// Blocks are the outer loop so each block of subject windows is
+// rescanned by every IL0 window while hot. A bucket of one block emits
+// each row's hits straight from the masks, already in order. In a
+// wider bucket hits from different rows interleave, so they are chained
+// per row (each chain sorted by j: blocks, groups and lanes all advance
+// in ascending j) and flushed row by row at the end.
+func (ks *blockedScratch) scanBucket(c *chunk, key, done, span uint32, il0 []index.Entry, hood0 []byte, il1 []index.Entry, hood1 []byte) {
+	subLen, n1 := ks.subLen, len(il1)
+	room := cap(hood1) / subLen
+	direct := n1 <= ks.jBlock
+	if !direct {
+		ks.rows = slices.Grow(ks.rows[:0], len(il0))[:len(il0)]
+		for i := range ks.rows {
+			ks.rows[i] = [2]int{-1, -1}
+		}
 	}
-	ks.rows = ks.rows[:n0]
-	for i := range ks.rows {
-		ks.rows[i] = [2]int{-1, -1}
-	}
-
-	// Blocks are the outer loop so each block of subject windows is
-	// rescanned by every IL0 window while hot. Hits from different
-	// rows interleave in the arena, but each row's chain stays sorted
-	// by j (blocks advance in ascending j0; groups and lanes advance
-	// in ascending j), so the per-row flush reproduces the scalar
-	// (i, j) emission order exactly.
 	for j0 := 0; j0 < n1; j0 += ks.jBlock {
-		jn := min(n1-j0, ks.jBlock)
-		for i := 0; i < n0; i++ {
+		end := min(n1, j0+ks.jBlock)
+		for i, e0 := range il0 {
 			w0 := hood0[i*subLen : (i+1)*subLen]
-			g := 0
-			for ; g+ssse3Lanes <= jn; g += ssse3Lanes {
-				ks.scanSpan(i, w0, hood1, j0+g, 0)
-			}
-			if g < jn {
-				// Overlapped final group: re-span the last ssse3Lanes
-				// windows ending at the block edge and skip the lanes
-				// already scanned — possibly reaching into the previous
-				// block, whose windows this row has already scored.
-				// n1 ≥ blockedMinIL1 = ssse3Lanes keeps the span in
-				// bounds.
-				base := j0 + jn - ssse3Lanes
-				ks.scanSpan(i, w0, hood1, base, j0+g-base)
+			for g := j0; g < end; g += avx2Lanes {
+				base := g
+				if base+avx2Lanes > room {
+					// Overlapped final group, only ever in the last block
+					// of a bucket of ≥ avx2Lanes windows: re-span the last
+					// avx2Lanes and skip the lanes already scanned.
+					base = end - avx2Lanes
+				}
+				mask := ks.group(w0, hood1, base, g-base, end-base)
+				if direct && mask != 0 {
+					c.reserve(bits.OnesCount32(mask), done, span)
+				}
+				for ; mask != 0; mask &= mask - 1 {
+					j := base + bits.TrailingZeros32(mask)
+					score := int32(ks.best[j-base])
+					if direct {
+						c.hits = append(c.hits, Hit{Key: key, E0: e0, E1: il1[j], Score: score, SubLen: int32(subLen)})
+					} else {
+						ks.pendRow(i, int32(j), score)
+					}
+				}
 			}
 		}
 	}
-	return len(ks.nodes)
-}
-
-// scanSpan scores the ssse3Lanes IL1 windows starting at window base
-// against IL0 row i and queues those whose exact score reaches the
-// threshold, ignoring the first skip lanes (already scanned by earlier
-// groups).
-func (ks *blockedScratch) scanSpan(i int, w0, hood1 []byte, base, skip int) {
-	scanGroup16SSSE3(&ks.btab[0], &w0[0], &hood1[base*ks.subLen], ks.subLen, &ks.best)
-	for l := skip; l < ssse3Lanes; l++ {
-		if score := int(ks.best[l]); score >= ks.threshold {
-			ks.pendRow(i, pendHit{j: int32(base + l), score: int32(score)})
-		}
+	if !direct {
+		c.reserve(len(ks.nodes), done, span)
+		ks.flush(key, il0, il1, &c.hits)
 	}
 }
 
-// Row-grouped pending storage. Hits for one row arrive in ascending j
-// across blocks but interleaved with other rows; rows chains them.
+// group scores the avx2Lanes windows of hood1 starting at window base
+// against w0, leaving every lane's exact score in ks.best, and returns
+// the mask of lanes in [lo, hi) whose score reaches the threshold. hi
+// may exceed avx2Lanes: a shift of 32 or more keeps every lane.
+func (ks *blockedScratch) group(w0, hood1 []byte, base, lo, hi int) uint32 {
+	m := scanGroup32AVX2(&ks.tab, &w0[0], &hood1[base*ks.subLen], ks.subLen, ks.cut, &ks.best)
+	return m & (uint32(1)<<hi - 1) &^ (uint32(1)<<lo - 1)
+}
+
+// pendNode is a surviving (j, score) pair of a bucket of several
+// blocks. A row's hits arrive in ascending j but interleaved with other
+// rows' hits, so each row chains its own.
 type pendNode struct {
-	hit  pendHit
-	next int32 // index of the next hit of the same row, -1 at the tail
+	j, score int32
+	next     int32 // index of the next hit of the same row, -1 at the tail
 }
 
-func (ks *blockedScratch) pendRow(i int, h pendHit) {
+func (ks *blockedScratch) pendRow(i int, j, score int32) {
 	n := int32(len(ks.nodes))
-	ks.nodes = append(ks.nodes, pendNode{hit: h, next: -1})
+	ks.nodes = append(ks.nodes, pendNode{j: j, score: score, next: -1})
 	if ks.rows[i][0] < 0 {
 		ks.rows[i][0] = int(n)
 	} else {
@@ -262,8 +260,8 @@ func (ks *blockedScratch) flush(key uint32, il0, il1 []index.Entry, hits *[]Hit)
 			*hits = append(*hits, Hit{
 				Key:    key,
 				E0:     il0[i],
-				E1:     il1[nd.hit.j],
-				Score:  nd.hit.score,
+				E1:     il1[nd.j],
+				Score:  nd.score,
 				SubLen: subLen,
 			})
 			n = nd.next

@@ -1,413 +1,209 @@
 // The blocked step-2 kernel's group scanner. It keeps one int16 lane
 // per IL1 window and computes the exact zero-clamped running sum
-// (Kadane) via saturating adds and maxima: PADDSW never saturates
-// inside the blockedMaxWindowScore bound, PMAXSW against zero
-// implements the clamp, and PMAXSW into the best register tracks the
-// running maximum. The lanes hold the exact align.WindowScore value,
-// so the caller reads exact scores from best.
+// (Kadane) via saturating adds and maxima: VPADDSW never saturates
+// inside the blockedMaxWindowScore bound, VPMAXSW against zero
+// implements the clamp, and VPMAXSW into the best registers tracks the
+// running maximum. The lanes hold the exact align.WindowScore value.
 //
-// scanGroup16SSSE3 scores 16 windows per group. Subject windows are
-// transposed 8 positions at a time into position-major rows with a
-// PUNPCK network, then each position's 16 scores come from two PSHUFB
-// lookups into the 32-byte btab row (low/high half of the residue
-// range selected by biasing the index bytes), replacing scalar gather
-// chains entirely. Needs SSSE3 (PSHUFB).
+// scanGroup32AVX2 scores 32 windows per call as two 16-window tiles,
+// tile A (windows 0-15) in the low 128-bit half of every YMM register
+// and tile B (windows 16-31) in the high half. Because the unpack
+// instructions work within halves, one PUNPCK network transposes both
+// tiles at once into 32-byte position-major rows. Each row's 32 scores
+// come from two VPSHUFB lookups into the query residue's 32-byte
+// signed score row (one per 16-byte half of the row, chosen by bit 4 of
+// the subject residue), widened to int16 with VPMOVSXBW.
+//
+// Every instruction is VEX-encoded: a legacy-SSE instruction after a
+// VEX.256 one pays an upper-state transition on many cores; one legacy
+// MOVQ here made a call 2.1 times slower. TestKernelsVEXOnly guards it.
 
 #include "textflag.h"
 
-// func scanGroup16SSSE3(btab *uint8, w0 *byte, win *byte, subLen int, best *[16]int16)
+// WINDOWS loads the same positions of tile A's windows 2k and 2k+1
+// (R8) and tile B's windows 16+2k and 17+2k (R9) with the broadcast
+// BCAST, merges A into the low half and B into the high half, and
+// byte-interleaves each pair into P (T and U are clobbered). R8 and R9
+// step two windows on.
+#define WINDOWS(BCAST, P, T, U) \
+	BCAST (R8), P; \
+	BCAST (R9), U; \
+	VPBLENDD $0xF0, U, P, P; \
+	BCAST (R8)(CX*1), T; \
+	BCAST (R9)(CX*1), U; \
+	VPBLENDD $0xF0, U, T, T; \
+	VPUNPCKLBW T, P, P; \
+	LEAQ (R8)(CX*2), R8; \
+	LEAQ (R9)(CX*2), R9
+
+#define TILE(BCAST) \
+	WINDOWS(BCAST, Y1, Y13, Y15); \
+	WINDOWS(BCAST, Y2, Y13, Y15); \
+	WINDOWS(BCAST, Y3, Y13, Y15); \
+	WINDOWS(BCAST, Y4, Y13, Y15); \
+	WINDOWS(BCAST, Y6, Y13, Y15); \
+	WINDOWS(BCAST, Y7, Y13, Y15); \
+	WINDOWS(BCAST, Y10, Y13, Y15); \
+	WINDOWS(BCAST, Y11, Y13, Y15)
+
+// func scanGroup32AVX2(tab *[1024]int8, w0 *byte, win *byte, subLen int, cut int, best *[32]int16) uint32
 //
-// btab: 32×256-byte biased score table (score+128 as uint8)
+// tab:  32×32 signed score table, row = query residue code
 // w0:   query window, subLen residues
-// win:  first of 16 consecutive subject windows, each subLen bytes
+// win:  first of 32 consecutive subject windows, each subLen bytes
+// cut:  threshold − 1, within int16
 // best: out: per-window maximum zero-clamped running sum
+// ret:  bit x set when window x's score exceeds cut
 //
-// Register plan: AX=btab, BX=w0 (advances), CX=subLen (also the
-// addressing scale), SI/DI/R8/R9/R10/R11 = six advancing base
-// pointers covering the 16 window streams with {0, CX, 2·CX} scaled
-// addressing (rows 0-2, 3-5, 6-8, 9-11, 12-14, 15), DX = loop
-// counter, R12/R13 = temps, R15 = transposed-tile buffer.
+// Register plan: AX = tab, BX = w0 (advances), CX = subLen, SI / DI =
+// windows 0 / 16 at the current position, R8 / R9 = the same walking
+// over a tile's windows, DX = positions left, R10 = rows in the current
+// tile, R11 = temp, R13 = current tile row, R15 = 32-byte aligned tile
+// buffer (eight rows of 32 bytes).
 //
-// XMM plan: X0/X8 = running scores (windows 0-7 / 8-15), X5/X9 =
-// best so far, X12 = zero, X13 = +128 word bias, X11 = 0x10 bytes,
-// X10 = 0x70 bytes (rebuilt per tile; the transpose uses it as a
-// temp), X1-X4/X6/X7/X14/X15 = transpose working set.
-TEXT ·scanGroup16SSSE3(SB), NOSPLIT, $136-40
-	MOVQ btab+0(FP), AX
+// YMM plan: Y0 / Y8 = running sums of windows 0-15 / 16-31, Y5 / Y9 =
+// their maxima, Y12 = zero, Y6 / Y7 = the query residue's score row
+// halves, Y1-Y4, Y6, Y7, Y10, Y11, Y13-Y15 = transpose working set.
+TEXT ·scanGroup32AVX2(SB), NOSPLIT, $288-52
+	MOVQ tab+0(FP), AX
 	MOVQ w0+8(FP), BX
 	MOVQ win+16(FP), SI
 	MOVQ subLen+24(FP), CX
-
-	LEAQ (SI)(CX*2), DI
-	ADDQ CX, DI         // DI  = win +  3·subLen
-	LEAQ (DI)(CX*2), R8
-	ADDQ CX, R8         // R8  = win +  6·subLen
-	LEAQ (R8)(CX*2), R9
-	ADDQ CX, R9         // R9  = win +  9·subLen
-	LEAQ (R9)(CX*2), R10
-	ADDQ CX, R10        // R10 = win + 12·subLen
-	LEAQ (R10)(CX*2), R11
-	ADDQ CX, R11        // R11 = win + 15·subLen
-
-	PXOR X0, X0
-	PXOR X5, X5
-	PXOR X8, X8
-	PXOR X9, X9
-	PXOR X12, X12
-	MOVQ $0x0080008000800080, R12
-	MOVQ R12, X13
-	PUNPCKLQDQ X13, X13
-	MOVQ $0x1010101010101010, R12
-	MOVQ R12, X11
-	PUNPCKLQDQ X11, X11
-	MOVQ $0x7070707070707070, R12
-	MOVQ R12, X10
-	PUNPCKLQDQ X10, X10
-
-	LEAQ tile-136(SP), R15
-
+	MOVQ CX, DI
+	SHLQ $4, DI
+	ADDQ SI, DI
 	MOVQ CX, DX
-	SHRQ $3, DX
-	JZ   tail           // subLen < 8: tail positions only
-	MOVQ DX, cnt-8(SP)
+
+	LEAQ tile-288(SP), R15
+	ADDQ $31, R15
+	ANDQ $~31, R15
+
+	VPXOR Y0, Y0, Y0
+	VPXOR Y5, Y5, Y5
+	VPXOR Y8, Y8, Y8
+	VPXOR Y9, Y9, Y9
+	VPXOR Y12, Y12, Y12
 
 tileLoop:
-	// Transpose 16 windows × 8 positions into 8 position-major rows
-	// of 16 residue bytes (row p, byte x = window x, position p).
-	// Stage 1: byte-interleave window pairs (8 MOVQ-loaded pairs).
-	MOVQ (SI), X1
-	MOVQ (SI)(CX*1), X10
-	PUNPCKLBW X10, X1   // w0,w1
-	MOVQ (SI)(CX*2), X2
-	MOVQ (DI), X10
-	PUNPCKLBW X10, X2   // w2,w3
-	MOVQ (DI)(CX*1), X3
-	MOVQ (DI)(CX*2), X10
-	PUNPCKLBW X10, X3   // w4,w5
-	MOVQ (R8), X4
-	MOVQ (R8)(CX*1), X10
-	PUNPCKLBW X10, X4   // w6,w7
-	MOVQ (R8)(CX*2), X6
-	MOVQ (R9), X10
-	PUNPCKLBW X10, X6   // w8,w9
-	MOVQ (R9)(CX*1), X7
-	MOVQ (R9)(CX*2), X10
-	PUNPCKLBW X10, X7   // w10,w11
-	MOVQ (R10), X14
-	MOVQ (R10)(CX*1), X10
-	PUNPCKLBW X10, X14  // w12,w13
-	MOVQ (R10)(CX*2), X15
-	MOVQ (R11), X10
-	PUNPCKLBW X10, X15  // w14,w15
+	// Transpose the next 8, 4 or 1 positions of all 32 windows: qword,
+	// dword or byte loads feed the same network, and only the rows that
+	// hold real positions are scanned.
+	MOVQ SI, R8
+	MOVQ DI, R9
+	CMPQ DX, $8
+	JLT  part
+	TILE(VPBROADCASTQ)
+	MOVQ $8, R10
+	JMP  network
 
-	// Stage 2: word-interleave → dwords of 4 windows per position.
-	MOVOU X1, X10
-	PUNPCKLWL X2, X1    // X1  = pos0-3 × win0-3
-	PUNPCKHWL X2, X10   // X10 = pos4-7 × win0-3
-	MOVOU X3, X2
-	PUNPCKLWL X4, X3    // X3  = pos0-3 × win4-7
-	PUNPCKHWL X4, X2    // X2  = pos4-7 × win4-7
-	MOVOU X6, X4
-	PUNPCKLWL X7, X6    // X6  = pos0-3 × win8-11
-	PUNPCKHWL X7, X4    // X4  = pos4-7 × win8-11
-	MOVOU X14, X7
-	PUNPCKLWL X15, X14  // X14 = pos0-3 × win12-15
-	PUNPCKHWL X15, X7   // X7  = pos4-7 × win12-15
+part:
+	CMPQ DX, $4
+	JLT  single
+	TILE(VPBROADCASTD)
+	MOVQ $4, R10
+	JMP  network
 
-	// Stage 3: dword-interleave → qwords of 8 windows per position.
-	MOVOU X1, X15
-	PUNPCKLLQ X3, X1    // X1  = pos0-1 × win0-7
-	PUNPCKHLQ X3, X15   // X15 = pos2-3 × win0-7
-	MOVOU X10, X3
-	PUNPCKLLQ X2, X10   // X10 = pos4-5 × win0-7
-	PUNPCKHLQ X2, X3    // X3  = pos6-7 × win0-7
-	MOVOU X6, X2
-	PUNPCKLLQ X14, X6   // X6  = pos0-1 × win8-15
-	PUNPCKHLQ X14, X2   // X2  = pos2-3 × win8-15
-	MOVOU X4, X14
-	PUNPCKLLQ X7, X4    // X4  = pos4-5 × win8-15
-	PUNPCKHLQ X7, X14   // X14 = pos6-7 × win8-15
+single:
+	TILE(VPBROADCASTB)
+	MOVQ $1, R10
 
-	// Stage 4: qword-interleave → full 16-window rows, spilled to the
-	// tile buffer (registers cannot hold 8 rows plus the scan state).
-	MOVOU X1, X7
-	PUNPCKLQDQ X6, X1   // pos0
-	PUNPCKHQDQ X6, X7   // pos1
-	MOVOU X1, (R15)
-	MOVOU X7, 16(R15)
-	MOVOU X15, X6
-	PUNPCKLQDQ X2, X15  // pos2
-	PUNPCKHQDQ X2, X6   // pos3
-	MOVOU X15, 32(R15)
-	MOVOU X6, 48(R15)
-	MOVOU X10, X2
-	PUNPCKLQDQ X4, X10  // pos4
-	PUNPCKHQDQ X4, X2   // pos5
-	MOVOU X10, 64(R15)
-	MOVOU X2, 80(R15)
-	MOVOU X3, X4
-	PUNPCKLQDQ X14, X3  // pos6
-	PUNPCKHQDQ X14, X4  // pos7
-	MOVOU X3, 96(R15)
-	MOVOU X4, 112(R15)
+network:
+	// Word interleave: dwords of 4 windows per position.
+	VPUNPCKHWD Y2, Y1, Y13   // pos4-7 × w0-3
+	VPUNPCKLWD Y2, Y1, Y1    // pos0-3 × w0-3
+	VPUNPCKHWD Y4, Y3, Y2    // pos4-7 × w4-7
+	VPUNPCKLWD Y4, Y3, Y3    // pos0-3 × w4-7
+	VPUNPCKHWD Y7, Y6, Y4    // pos4-7 × w8-11
+	VPUNPCKLWD Y7, Y6, Y6    // pos0-3 × w8-11
+	VPUNPCKHWD Y11, Y10, Y7  // pos4-7 × w12-15
+	VPUNPCKLWD Y11, Y10, Y10 // pos0-3 × w12-15
 
-	ADDQ $8, SI
-	ADDQ $8, DI
-	ADDQ $8, R8
-	ADDQ $8, R9
-	ADDQ $8, R10
-	ADDQ $8, R11
+	// Dword interleave: qwords of 8 windows per position.
+	VPUNPCKHDQ Y3, Y1, Y11   // pos2-3 × w0-7
+	VPUNPCKLDQ Y3, Y1, Y1    // pos0-1 × w0-7
+	VPUNPCKHDQ Y10, Y6, Y3   // pos2-3 × w8-15
+	VPUNPCKLDQ Y10, Y6, Y6   // pos0-1 × w8-15
+	VPUNPCKHDQ Y2, Y13, Y10  // pos6-7 × w0-7
+	VPUNPCKLDQ Y2, Y13, Y13  // pos4-5 × w0-7
+	VPUNPCKHDQ Y7, Y4, Y2    // pos6-7 × w8-15
+	VPUNPCKLDQ Y7, Y4, Y4    // pos4-5 × w8-15
 
-	// The transpose used X10 as a temp; rebuild the 0x70 byte bias.
-	MOVQ $0x7070707070707070, R12
-	MOVQ R12, X10
-	PUNPCKLQDQ X10, X10
+	// Qword interleave: one row of 16 windows per half and position,
+	// spilled to the tile buffer (registers cannot hold 8 rows plus the
+	// scan state). Rows are stored and read back 32 bytes wide.
+	VPUNPCKLQDQ Y6, Y1, Y7
+	VMOVDQU     Y7, (R15)
+	VPUNPCKHQDQ Y6, Y1, Y14
+	VMOVDQU     Y14, 32(R15)
+	VPUNPCKLQDQ Y3, Y11, Y7
+	VMOVDQU     Y7, 64(R15)
+	VPUNPCKHQDQ Y3, Y11, Y14
+	VMOVDQU     Y14, 96(R15)
+	VPUNPCKLQDQ Y4, Y13, Y7
+	VMOVDQU     Y7, 128(R15)
+	VPUNPCKHQDQ Y4, Y13, Y14
+	VMOVDQU     Y14, 160(R15)
+	VPUNPCKLQDQ Y2, Y10, Y7
+	VMOVDQU     Y7, 192(R15)
+	VPUNPCKHQDQ Y2, Y10, Y14
+	VMOVDQU     Y14, 224(R15)
 
+	ADDQ R10, SI
+	ADDQ R10, DI
+	SUBQ R10, DX
 	MOVQ R15, R13
-	MOVQ $8, DX
 
 posLoop:
-	// Biased score row for this query residue; the row's 32 leading
-	// bytes are the scores for subject residues 0-31.
-	MOVBLZX (BX), R12
-	INCQ    BX
-	ANDL    $31, R12
-	SHLL    $8, R12
-	ADDQ    AX, R12
-	MOVOU   (R12), X6   // row bytes  0-15
-	MOVOU   16(R12), X7 // row bytes 16-31
+	// The query residue's score row, each 16-byte half broadcast to
+	// both halves of a register.
+	MOVBLZX        (BX), R11
+	INCQ           BX
+	ANDL           $31, R11
+	SHLL           $5, R11
+	VBROADCASTI128 (AX)(R11*1), Y6
+	VBROADCASTI128 16(AX)(R11*1), Y7
 
-	// 16 subject residues at this position, one per byte lane. Each
-	// PSHUFB control byte with bit 7 set yields 0, so biasing the
-	// index selects which half answers: idx+0x70 keeps residues 0-15
-	// (bit 7 sets exactly when idx ≥ 16), idx−0x10 keeps 16-31.
-	MOVOU (R13), X1
-	ADDQ  $16, R13
-	MOVOU X1, X2
-	PADDB X10, X1
-	PSUBB X11, X2
-	PSHUFB X1, X6
-	PSHUFB X2, X7
-	POR   X7, X6        // 16 biased scores, one byte per window
+	// 32 subject residues, one per byte. VPSHUFB reads the low four
+	// bits of each, so both halves of the row answer; bit 4 of the
+	// residue, shifted up to bit 7, picks the half.
+	VMOVDQU   (R13), Y1
+	ADDQ      $32, R13
+	VPSLLW    $3, Y1, Y2
+	VPSHUFB   Y1, Y6, Y6
+	VPSHUFB   Y1, Y7, Y7
+	VPBLENDVB Y2, Y7, Y6, Y1
 
-	// Widen to the two int16 lane sets, drop the bias, and run the
-	// exact clamped-sum recurrence per half.
-	MOVOU     X6, X7
-	PUNPCKLBW X12, X6   // windows 0-7
-	PUNPCKHBW X12, X7   // windows 8-15
-	PSUBW  X13, X6
-	PSUBW  X13, X7
-	PADDSW X6, X0
-	PADDSW X7, X8
-	PMAXSW X12, X0
-	PMAXSW X12, X8
-	PMAXSW X0, X5
-	PMAXSW X8, X9
+	// Widen to int16 per tile and run the exact clamped-sum recurrence.
+	VPMOVSXBW    X1, Y2
+	VEXTRACTI128 $1, Y1, X1
+	VPMOVSXBW    X1, Y1
+	VPADDSW      Y2, Y0, Y0
+	VPADDSW      Y1, Y8, Y8
+	VPMAXSW      Y12, Y0, Y0
+	VPMAXSW      Y12, Y8, Y8
+	VPMAXSW      Y0, Y5, Y5
+	VPMAXSW      Y8, Y9, Y9
 
-	DECQ DX
+	DECQ R10
 	JNZ  posLoop
-
-	DECQ cnt-8(SP)
+	TESTQ DX, DX
 	JNZ  tileLoop
 
-tail:
-	MOVQ CX, DX
-	ANDQ $7, DX
-	JZ   done
-	CMPQ DX, $4
-	JLT  tailScalar
+	MOVQ    best+40(FP), R11
+	VMOVDQU Y5, (R11)
+	VMOVDQU Y9, 32(R11)
 
-	// Four or more positions left: run one half-height tile (16
-	// windows × 4 positions, MOVL loads feeding the same PUNPCK
-	// network) so the common subLen ≡ 4 (mod 8) shapes never touch
-	// the byte-by-byte gather path below.
-	MOVQ DX, cnt-8(SP)
-
-	MOVL (SI), X1
-	MOVL (SI)(CX*1), X10
-	PUNPCKLBW X10, X1   // w0,w1
-	MOVL (SI)(CX*2), X2
-	MOVL (DI), X10
-	PUNPCKLBW X10, X2   // w2,w3
-	MOVL (DI)(CX*1), X3
-	MOVL (DI)(CX*2), X10
-	PUNPCKLBW X10, X3   // w4,w5
-	MOVL (R8), X4
-	MOVL (R8)(CX*1), X10
-	PUNPCKLBW X10, X4   // w6,w7
-	MOVL (R8)(CX*2), X6
-	MOVL (R9), X10
-	PUNPCKLBW X10, X6   // w8,w9
-	MOVL (R9)(CX*1), X7
-	MOVL (R9)(CX*2), X10
-	PUNPCKLBW X10, X7   // w10,w11
-	MOVL (R10), X14
-	MOVL (R10)(CX*1), X10
-	PUNPCKLBW X10, X14  // w12,w13
-	MOVL (R10)(CX*2), X15
-	MOVL (R11), X10
-	PUNPCKLBW X10, X15  // w14,w15
-
-	PUNPCKLWL X2, X1    // X1  = pos0-3 × win0-3
-	PUNPCKLWL X4, X3    // X3  = pos0-3 × win4-7
-	PUNPCKLWL X7, X6    // X6  = pos0-3 × win8-11
-	PUNPCKLWL X15, X14  // X14 = pos0-3 × win12-15
-
-	MOVOU X1, X2
-	PUNPCKLLQ X3, X1    // X1 = pos0-1 × win0-7
-	PUNPCKHLQ X3, X2    // X2 = pos2-3 × win0-7
-	MOVOU X6, X7
-	PUNPCKLLQ X14, X6   // X6 = pos0-1 × win8-15
-	PUNPCKHLQ X14, X7   // X7 = pos2-3 × win8-15
-
-	MOVOU X1, X3
-	PUNPCKLQDQ X6, X1   // pos0
-	PUNPCKHQDQ X6, X3   // pos1
-	MOVOU X1, (R15)
-	MOVOU X3, 16(R15)
-	MOVOU X2, X3
-	PUNPCKLQDQ X7, X2   // pos2
-	PUNPCKHQDQ X7, X3   // pos3
-	MOVOU X2, 32(R15)
-	MOVOU X3, 48(R15)
-
-	ADDQ $4, SI
-	ADDQ $4, DI
-	ADDQ $4, R8
-	ADDQ $4, R9
-	ADDQ $4, R10
-	ADDQ $4, R11
-
-	MOVQ $0x7070707070707070, R12
-	MOVQ R12, X10
-	PUNPCKLQDQ X10, X10
-
-	MOVQ R15, R13
-	MOVQ $4, DX
-
-pos4Loop:
-	// Same per-position body as posLoop, over the 4 tile rows.
-	MOVBLZX (BX), R12
-	INCQ    BX
-	ANDL    $31, R12
-	SHLL    $8, R12
-	ADDQ    AX, R12
-	MOVOU   (R12), X6
-	MOVOU   16(R12), X7
-
-	MOVOU (R13), X1
-	ADDQ  $16, R13
-	MOVOU X1, X2
-	PADDB X10, X1
-	PSUBB X11, X2
-	PSHUFB X1, X6
-	PSHUFB X2, X7
-	POR   X7, X6
-
-	MOVOU     X6, X7
-	PUNPCKLBW X12, X6
-	PUNPCKHBW X12, X7
-	PSUBW  X13, X6
-	PSUBW  X13, X7
-	PADDSW X6, X0
-	PADDSW X7, X8
-	PMAXSW X12, X0
-	PMAXSW X12, X8
-	PMAXSW X0, X5
-	PMAXSW X8, X9
-
-	DECQ DX
-	JNZ  pos4Loop
-
-	MOVQ cnt-8(SP), DX
-	SUBQ $4, DX
-	JZ   done
-
-tailScalar:
-	// Remaining subLen%4 positions: gather scores byte by byte into
-	// word lanes with PINSRW chains, once per 8-window half.
-
-tailLoop:
-	MOVBLZX (BX), R13
-	INCQ    BX
-	ANDL    $31, R13
-	SHLL    $8, R13
-	ADDQ    AX, R13
-
-	// Windows 0-7 into X1.
-	MOVBLZX (SI), R12
-	MOVBLZX (R13)(R12*1), R12
-	MOVQ    R12, X1
-	MOVBLZX (SI)(CX*1), R12
-	MOVBLZX (R13)(R12*1), R12
-	PINSRW  $1, R12, X1
-	MOVBLZX (SI)(CX*2), R12
-	MOVBLZX (R13)(R12*1), R12
-	PINSRW  $2, R12, X1
-	MOVBLZX (DI), R12
-	MOVBLZX (R13)(R12*1), R12
-	PINSRW  $3, R12, X1
-	MOVBLZX (DI)(CX*1), R12
-	MOVBLZX (R13)(R12*1), R12
-	MOVQ    R12, X2
-	MOVBLZX (DI)(CX*2), R12
-	MOVBLZX (R13)(R12*1), R12
-	PINSRW  $1, R12, X2
-	MOVBLZX (R8), R12
-	MOVBLZX (R13)(R12*1), R12
-	PINSRW  $2, R12, X2
-	MOVBLZX (R8)(CX*1), R12
-	MOVBLZX (R13)(R12*1), R12
-	PINSRW  $3, R12, X2
-	PUNPCKLQDQ X2, X1
-	PSUBW  X13, X1
-	PADDSW X1, X0
-	PMAXSW X12, X0
-	PMAXSW X0, X5
-
-	// Windows 8-15 into X1.
-	MOVBLZX (R8)(CX*2), R12
-	MOVBLZX (R13)(R12*1), R12
-	MOVQ    R12, X1
-	MOVBLZX (R9), R12
-	MOVBLZX (R13)(R12*1), R12
-	PINSRW  $1, R12, X1
-	MOVBLZX (R9)(CX*1), R12
-	MOVBLZX (R13)(R12*1), R12
-	PINSRW  $2, R12, X1
-	MOVBLZX (R9)(CX*2), R12
-	MOVBLZX (R13)(R12*1), R12
-	PINSRW  $3, R12, X1
-	MOVBLZX (R10), R12
-	MOVBLZX (R13)(R12*1), R12
-	MOVQ    R12, X2
-	MOVBLZX (R10)(CX*1), R12
-	MOVBLZX (R13)(R12*1), R12
-	PINSRW  $1, R12, X2
-	MOVBLZX (R10)(CX*2), R12
-	MOVBLZX (R13)(R12*1), R12
-	PINSRW  $2, R12, X2
-	MOVBLZX (R11), R12
-	MOVBLZX (R13)(R12*1), R12
-	PINSRW  $3, R12, X2
-	PUNPCKLQDQ X2, X1
-	PSUBW  X13, X1
-	PADDSW X1, X8
-	PMAXSW X12, X8
-	PMAXSW X8, X9
-
-	INCQ SI
-	INCQ DI
-	INCQ R8
-	INCQ R9
-	INCQ R10
-	INCQ R11
-
-	DECQ DX
-	JNZ  tailLoop
-
-done:
-	MOVQ  best+32(FP), R12
-	MOVOU X5, (R12)
-	MOVOU X9, 16(R12)
+	// Pass mask: compare with cut, pack the two word masks to bytes
+	// (the pack interleaves them per half, VPERMQ restores window
+	// order) and take the byte sign bits.
+	MOVQ         cut+32(FP), R11
+	VMOVQ        R11, X1
+	VPBROADCASTW X1, Y1
+	VPCMPGTW     Y1, Y5, Y5
+	VPCMPGTW     Y1, Y9, Y9
+	VPACKSSWB    Y9, Y5, Y5
+	VPERMQ       $0xD8, Y5, Y5
+	VPMOVMSKB    Y5, AX
+	MOVL         AX, ret+48(FP)
+	VZEROUPPER
 	RET

@@ -6,10 +6,10 @@ import (
 	"seedblast/internal/matrix"
 )
 
-// TestScalarFallbackWithoutSSSE3 runs the path non-amd64 builds and
-// pre-SSSE3 CPUs take: with hasSSSE3 false every kernel resolves to
-// the scalar reference, which returns the blocked kernel's hits.
-func TestScalarFallbackWithoutSSSE3(t *testing.T) {
+// TestScalarFallbackWithoutAVX2 runs the path non-amd64 builds and
+// pre-AVX2 CPUs take: with hasAVX2 false every kernel resolves to the
+// scalar reference, which returns the blocked kernel's hits.
+func TestScalarFallbackWithoutAVX2(t *testing.T) {
 	ix0, ix1 := randomIndexes(t, 7, 24, 260, 8)
 	cfg := Config{Matrix: matrix.BLOSUM62, Threshold: 16, Workers: 1, Kernel: KernelBlocked}
 	ref, err := Run(ix0, ix1, cfg)
@@ -20,8 +20,8 @@ func TestScalarFallbackWithoutSSSE3(t *testing.T) {
 		t.Fatal("no hits; test is vacuous")
 	}
 
-	defer func(old bool) { hasSSSE3 = old }(hasSSSE3)
-	hasSSSE3 = false
+	defer func(old bool) { hasAVX2 = old }(hasAVX2)
+	hasAVX2 = false
 	for _, k := range []Kernel{KernelAuto, KernelBlocked} {
 		cfg.Kernel = k
 		got, err := Run(ix0, ix1, cfg)
@@ -29,8 +29,9 @@ func TestScalarFallbackWithoutSSSE3(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got.Kernel != KernelScalar {
-			t.Fatalf("%v without SSSE3 resolved to %v, want scalar", k, got.Kernel)
+			t.Fatalf("%v without AVX2 resolved to %v, want scalar", k, got.Kernel)
 		}
-		requireIdentical(t, ref, got, k.String()+" without SSSE3")
+		requireIdentical(t, ref, got, k.String()+" without AVX2")
 	}
+	checkEdgeBuckets(t)
 }

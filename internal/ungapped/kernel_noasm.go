@@ -2,12 +2,12 @@
 
 package ungapped
 
-// hasSSSE3: no x86 vector extensions on this GOARCH, so Kernel.resolve
+// hasAVX2: no x86 vector extensions on this GOARCH, so Kernel.resolve
 // always picks the scalar reference.
-const hasSSSE3 = false
+const hasAVX2 = false
 
-// scanGroup16SSSE3 is never called when hasSSSE3 is false; the stub
-// keeps the portable build compiling.
-func scanGroup16SSSE3(btab *uint8, w0 *byte, win *byte, subLen int, best *[ssse3Lanes]int16) {
+// scanGroup32AVX2 is never called when hasAVX2 is false; the stub keeps
+// the portable build compiling.
+func scanGroup32AVX2(tab *[tabRows * tabRows]int8, w0, win *byte, subLen, cut int, best *[avx2Lanes]int16) uint32 {
 	panic("ungapped: asm kernel called on unsupported GOARCH")
 }

@@ -1,8 +1,14 @@
 package ungapped
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"regexp"
+	"slices"
+	"strings"
 	"testing"
 
 	"seedblast/internal/align"
@@ -14,10 +20,10 @@ import (
 )
 
 // blockedOnHost is what a fitting workload resolves to here: the
-// blocked kernel where the SSSE3 scanner runs, the scalar reference
+// blocked kernel where the AVX2 scanner runs, the scalar reference
 // elsewhere.
 func blockedOnHost() Kernel {
-	if hasSSSE3 {
+	if hasAVX2 {
 		return KernelBlocked
 	}
 	return KernelScalar
@@ -207,6 +213,252 @@ func TestBlockedKernelMatchMismatchMatrix(t *testing.T) {
 	requireIdentical(t, ref, got, "match/mismatch")
 }
 
+// flank returns n random standard residues other than Ala and Val, so
+// no seed.Default() word that starts inside it has the model's first
+// or last key (see edgeIndexes).
+func flank(rng *rand.Rand, n int) []byte {
+	s := make([]byte, n)
+	for i := range s {
+		s[i] = byte(1 + rng.Intn(alphabet.NumStandardAA-2))
+	}
+	return s
+}
+
+// planted returns copies of each word, every one between fresh flanks.
+func planted(rng *rand.Rand, copies int, words ...[]byte) []byte {
+	s := flank(rng, 5)
+	for c := 0; c < copies; c++ {
+		for _, w := range words {
+			s = append(append(s, w...), flank(rng, 5)...)
+		}
+	}
+	return s
+}
+
+// edgeWords are seed.Default()'s first key (Ala, LVIM, LVIM, Ala) and
+// last key (Val, His, His, Val). Flanks hold neither Ala nor Val, so
+// only planted copies carry these keys.
+var edgeWords = [2][]byte{
+	{alphabet.Ala, alphabet.Leu, alphabet.Leu, alphabet.Ala},
+	{alphabet.Val, alphabet.His, alphabet.His, alphabet.Val},
+}
+
+// edgeIndexes builds a query index and four subject indexes — built,
+// parallel-built, filtered and seeddb-loaded — whose first and last
+// occupied keys hold exactly n windows each. The first bucket has the
+// whole window array behind it; the last ends it (in the loaded index,
+// the file's next section follows).
+func edgeIndexes(t *testing.T, rng *rand.Rand, n, nExt int) (*index.Index, map[string]*index.Index) {
+	t.Helper()
+	model := seed.Default()
+	b0, b1 := bank.New("q"), bank.New("s")
+	b0.Add("q0", planted(rng, 3, edgeWords[0], edgeWords[1]))
+	b0.Add("q1", flank(rng, 120))
+	// Filler on both sides takes the bank past the parallel-build
+	// threshold; FilterSeqs drops the first one.
+	b1.Add("s0", flank(rng, 20000))
+	b1.Add("s1", planted(rng, n, edgeWords[0], edgeWords[1]))
+	b1.Add("s2", flank(rng, 20000))
+	ix0, err := index.Build(b0, model, nExt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	built, err := index.Build(b1, model, nExt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parallel, err := index.BuildParallel(b1, model, nExt, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := built.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := index.Load(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	subjects := map[string]*index.Index{
+		"built": built, "parallel": parallel,
+		"filtered": built.FilterSeqs([]uint32{1, 2}), "seeddb": loaded,
+	}
+	first, _ := model.Key(edgeWords[0])
+	last, _ := model.Key(edgeWords[1])
+	for name, ix := range subjects {
+		keys := ix.Keys()
+		if keys[0] != first || keys[len(keys)-1] != last || ix.BucketLen(first) != n || ix.BucketLen(last) != n {
+			t.Fatalf("%s n=%d: edge buckets %d:%d and %d:%d, want %d:%d and %d:%d", name, n,
+				keys[0], ix.BucketLen(keys[0]), keys[len(keys)-1], ix.BucketLen(keys[len(keys)-1]), first, n, last, n)
+		}
+	}
+	return ix0, subjects
+}
+
+// checkEdgeBuckets runs buckets of 1–70 windows at the first and last
+// keys of every subject index shape through the resolved kernel and
+// requires the scalar reference's hits. Window lengths 6, 12 and 18
+// take every tile height of the scanner.
+func checkEdgeBuckets(t *testing.T) {
+	rng := rand.New(rand.NewSource(70))
+	hits := 0
+	for n := 1; n <= 70; n++ {
+		nExt := []int{1, 4, 7}[n%3]
+		ix0, subjects := edgeIndexes(t, rng, n, nExt)
+		for name, ix1 := range subjects {
+			cfg := Config{Matrix: matrix.BLOSUM62, Threshold: 14, Workers: 1, Kernel: KernelScalar}
+			ref, err := Run(ix0, ix1, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.Kernel = KernelBlocked
+			got, err := Run(ix0, ix1, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireIdentical(t, ref, got, fmt.Sprintf("%s n=%d N=%d", name, n, nExt))
+			hits += len(ref.Hits)
+		}
+	}
+	if hits == 0 {
+		t.Fatal("no hits; test is vacuous")
+	}
+}
+
+func TestBlockedKernelEdgeBuckets(t *testing.T) { checkEdgeBuckets(t) }
+
+// TestBlockedKernelMatchesScalarWideBucket covers buckets wider than
+// one cache block, whose hits are chained per row and flushed, beside
+// the single-block buckets that emit directly.
+func TestBlockedKernelMatchesScalarWideBucket(t *testing.T) {
+	const nExt = 14
+	rng := rand.New(rand.NewSource(17))
+	jBlock := newBlockedScratch(matrix.BLOSUM62, 4+2*nExt, 1).jBlock
+	b0, b1 := bank.New("q"), bank.New("s")
+	b0.Add("q0", planted(rng, 5, edgeWords[0]))
+	b1.Add("s0", planted(rng, jBlock+77, edgeWords[0]))
+	model := seed.Default()
+	ix0, err := index.Build(b0, model, nExt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix1, err := index.Build(b1, model, nExt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if k, _ := model.Key(edgeWords[0]); ix1.BucketLen(k) <= jBlock {
+		t.Fatalf("widest bucket holds %d windows, want more than jBlock = %d", ix1.BucketLen(k), jBlock)
+	}
+	for _, thr := range []int{20, 30, 45} {
+		ref, err := Run(ix0, ix1, Config{Matrix: matrix.BLOSUM62, Threshold: thr, Workers: 1, Kernel: KernelScalar})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := Run(ix0, ix1, Config{Matrix: matrix.BLOSUM62, Threshold: thr, Workers: 1, Kernel: KernelBlocked})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if thr == 20 && len(ref.Hits) == 0 {
+			t.Fatal("no hits; test is vacuous")
+		}
+		requireIdentical(t, ref, got, fmt.Sprintf("thr=%d", thr))
+	}
+}
+
+// TestSmallBucketsBuildNoScratch runs a bank whose buckets all sit
+// below vectorMinIL1 at a threshold nothing reaches: every bucket takes
+// the scalar sub-path, so the blocked kernel's scan must allocate
+// nothing — no kernel scratch, no hit storage.
+func TestSmallBucketsBuildNoScratch(t *testing.T) {
+	ix0, ix1 := benchIndexes(t, 40, 200, 1, 80, 4)
+	for _, k := range ix1.Keys() {
+		if ix1.BucketLen(k) >= vectorMinIL1 {
+			t.Fatalf("key %d holds %d windows; the bank must have small buckets only", k, ix1.BucketLen(k))
+		}
+	}
+	cfg := Config{Matrix: matrix.BLOSUM62, Threshold: 1000}
+	space := uint32(ix0.Model().KeySpace())
+	allocs := testing.AllocsPerRun(20, func() {
+		if c := scanKeys(ix0, ix1, 0, space, space, &cfg, KernelBlocked); c.pairs == 0 {
+			t.Fatal("no pairs scored; test is vacuous")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("blocked scan of small buckets allocates %v times per run, want 0", allocs)
+	}
+}
+
+// TestKernelsVEXOnly fails on a legacy-SSE instruction in an assembly
+// function that uses YMM registers, or in an assembly macro: after a
+// VEX.256 instruction a legacy one pays an upper-state transition on
+// many cores, and one such MOVQ made the step-2 group scan 2.1 times
+// slower. Every instruction there that names an X or Y register
+// must be VEX-encoded (V-prefixed).
+func TestKernelsVEXOnly(t *testing.T) {
+	for _, path := range []string{"kernel_amd64.s", filepath.Join("..", "align", "kernel_amd64.s")} {
+		src, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bad := legacySSE(string(src)); len(bad) > 0 {
+			t.Errorf("%s: legacy-SSE instructions beside AVX2 code: %q", path, bad)
+		}
+	}
+	// The guard itself: a legacy MOVQ, MOVOU or PXOR beside a YMM
+	// instruction is caught, in a TEXT block and in a macro.
+	const sample = "#define M \\\n\tPXOR X1, X1\nTEXT ·f(SB), NOSPLIT, $0\n\tVPXOR Y1, Y1, Y1\n\tMOVQ R12, X13 // legacy\n\tMOVOU X1, (AX)\n\tRET\n"
+	if bad := legacySSE(sample); len(bad) != 3 {
+		t.Errorf("guard found %q in the sample, want its three legacy instructions", bad)
+	}
+}
+
+var (
+	vecReg = regexp.MustCompile(`\b[XY]([0-9]|1[0-5])\b`)
+	ymmReg = regexp.MustCompile(`\bY([0-9]|1[0-5])\b`)
+)
+
+// legacySSE returns the statements of an assembly file that name an X
+// or Y register without a V-prefixed mnemonic, taken from TEXT blocks
+// that use a Y register and from every macro body.
+func legacySSE(src string) []string {
+	var bad []string
+	for i, block := range strings.Split(src, "\nTEXT ") {
+		var stmts, macros []string
+		inDefine := false
+		for _, line := range strings.Split(block, "\n") {
+			code, _, _ := strings.Cut(line, "//")
+			code = strings.TrimSpace(code)
+			macro := inDefine || strings.HasPrefix(code, "#define")
+			inDefine = macro && strings.HasSuffix(code, `\`)
+			if strings.HasPrefix(code, "#define") {
+				_, code, _ = strings.Cut(code, ")") // drop the macro head
+			}
+			for _, st := range strings.Split(strings.TrimSuffix(code, `\`), ";") {
+				st = strings.TrimSpace(st)
+				// Skip blanks, labels, directives, the TEXT line and
+				// macro calls (their bodies are checked as macros).
+				if st == "" || strings.HasSuffix(st, ":") || st[0] == '#' || strings.Contains(strings.Fields(st)[0], "(") {
+					continue
+				}
+				if macro {
+					macros = append(macros, st)
+				} else {
+					stmts = append(stmts, st)
+				}
+			}
+		}
+		if i == 0 || !ymmReg.MatchString(strings.Join(stmts, "\n")) {
+			stmts = nil
+		}
+		for _, st := range append(stmts, macros...) {
+			if vecReg.MatchString(st) && st[0] != 'V' {
+				bad = append(bad, st)
+			}
+		}
+	}
+	return bad
+}
+
 // asmGroupTrial builds one random group-scan workload: a query window
 // and lanes consecutive subject windows backed by one hood slice.
 func asmGroupTrial(rng *rand.Rand, subLen, lanes int) (w0 []byte, windows [][]byte, hood []byte) {
@@ -226,13 +478,12 @@ func asmGroupTrial(rng *rand.Rand, subLen, lanes int) (w0 []byte, windows [][]by
 	return w0, windows, hood
 }
 
-// TestAsmScanGroupsExact pins the SSSE3 scanner to align.WindowScore
-// exactly, lane by lane. Window lengths sweep its three internal
-// phases (8-wide tiles, the 4-wide half tile, byte-gathered
-// remainders).
+// TestAsmScanGroupsExact pins the AVX2 scanner to align.WindowScore
+// exactly, lane by lane, and its pass mask to score >= threshold.
+// Window lengths sweep its three tile heights (8 positions, 4 and 1).
 func TestAsmScanGroupsExact(t *testing.T) {
-	if !hasSSSE3 {
-		t.Skip("no SSSE3 scanner on this host")
+	if !hasAVX2 {
+		t.Skip("no AVX2 scanner on this host")
 	}
 	rng := rand.New(rand.NewSource(123))
 	for trial := 0; trial < 400; trial++ {
@@ -241,17 +492,29 @@ func TestAsmScanGroupsExact(t *testing.T) {
 		if trial%3 == 1 {
 			m = matrix.NewMatchMismatch(int8(1+rng.Intn(11)), int8(-1-rng.Intn(11)))
 		}
-		ks := newBlockedScratch(m, subLen, 1)
+		checkScanGroup(t, rng, m, subLen, 1+rng.Intn(40))
+	}
+}
 
-		w0, windows, hood := asmGroupTrial(rng, subLen, ssse3Lanes)
-		want := scoreGroupRef(w0, windows, m)
-
-		var best [ssse3Lanes]int16
-		scanGroup16SSSE3(&ks.btab[0], &w0[0], &hood[0], subLen, &best)
-		for l := 0; l < ssse3Lanes; l++ {
-			if int(best[l]) != want[l] {
-				t.Fatalf("trial %d (subLen=%d): ssse3 lane %d = %d, want %d",
-					trial, subLen, l, best[l], want[l])
+// checkScanGroup scores one random group of avx2Lanes windows through
+// the scanner and requires every lane's score to be align.WindowScore's
+// and the mask to hold exactly the lanes whose score reaches the
+// threshold — for thr, thresholds ≤ 0, one equal to a lane's score, the
+// top score, one above every score and one above the int16 lanes.
+func checkScanGroup(t *testing.T, rng *rand.Rand, m *matrix.Matrix, subLen, thr int) {
+	t.Helper()
+	w0, windows, hood := asmGroupTrial(rng, subLen, avx2Lanes)
+	want := scoreGroupRef(w0, windows, m)
+	top := slices.Max(want)
+	for _, thr := range []int{thr, -5, 0, want[rng.Intn(avx2Lanes)], top, top + 1, 1 << 16} {
+		ks := newBlockedScratch(m, subLen, thr)
+		mask := ks.group(w0, hood, 0, 0, avx2Lanes)
+		for l, w := range want {
+			if int(ks.best[l]) != w {
+				t.Fatalf("subLen=%d: lane %d = %d, want %d", subLen, l, ks.best[l], w)
+			}
+			if pass := mask>>l&1 == 1; pass != (w >= thr) {
+				t.Fatalf("subLen=%d thr=%d: lane %d (score %d) pass bit %v", subLen, thr, l, w, pass)
 			}
 		}
 	}
@@ -266,17 +529,17 @@ func scoreGroupRef(w0 []byte, windows [][]byte, m *matrix.Matrix) []int {
 	return out
 }
 
-// FuzzWindowScoreKernel fuzzes random windows and matrices through the
-// SSSE3 group scanner against the align.WindowScore reference. The
-// threshold argument is unused: the scanner returns exact scores, so
-// the comparison is strict whatever the threshold.
+// FuzzWindowScoreKernel fuzzes random windows, matrices and thresholds
+// through the AVX2 group scanner against the align.WindowScore
+// reference, scores and pass mask both.
 func FuzzWindowScoreKernel(f *testing.F) {
 	f.Add(int64(1), 14, int8(11), int8(-4), 38)
 	f.Add(int64(2), 1, int8(1), int8(-1), 1)
 	f.Add(int64(3), 64, int8(127), int8(-128), 100)
 	f.Add(int64(4), 7, int8(0), int8(0), 5)
-	f.Fuzz(func(t *testing.T, rngSeed int64, subLen int, match, mismatch int8, _ int) {
-		if !hasSSSE3 || subLen < 1 || subLen > 256 {
+	f.Add(int64(5), 3, int8(5), int8(-2), -7)
+	f.Fuzz(func(t *testing.T, rngSeed int64, subLen int, match, mismatch int8, thr int) {
+		if !hasAVX2 || subLen < 1 || subLen > 256 {
 			t.Skip()
 		}
 		rng := rand.New(rand.NewSource(rngSeed))
@@ -303,18 +566,7 @@ func FuzzWindowScoreKernel(f *testing.F) {
 			// fall back to scalar, so there is nothing to compare.
 			t.Skip()
 		}
-
-		w0, windows, hood := asmGroupTrial(rng, subLen, ssse3Lanes)
-		want := scoreGroupRef(w0, windows, m)
-
-		ks := newBlockedScratch(m, subLen, 1)
-		var best [ssse3Lanes]int16
-		scanGroup16SSSE3(&ks.btab[0], &w0[0], &hood[0], subLen, &best)
-		for l := 0; l < ssse3Lanes; l++ {
-			if int(best[l]) != want[l] {
-				t.Fatalf("ssse3 lane %d = %d, want %d (subLen=%d)", l, best[l], want[l], subLen)
-			}
-		}
+		checkScanGroup(t, rng, m, subLen, thr)
 	})
 }
 

@@ -156,10 +156,6 @@ func scanKeys(ix0, ix1 *index.Index, lo, hi, span uint32, cfg *Config, kernel Ke
 	subLen := ix0.SubLen()
 
 	var ks *blockedScratch
-	if kernel == KernelBlocked {
-		ks = newBlockedScratch(cfg.Matrix, subLen, cfg.Threshold)
-	}
-
 	for _, k := range ix0.KeysIn(lo, hi) {
 		// A length-only probe first: skipping keys empty in bank 1
 		// avoids materialising both bucket views.
@@ -169,10 +165,14 @@ func scanKeys(ix0, ix1 *index.Index, lo, hi, span uint32, cfg *Config, kernel Ke
 		il0, hood0 := ix0.Bucket(k)
 		il1, hood1 := ix1.Bucket(k)
 		c.pairs += int64(len(il0)) * int64(len(il1))
-		if ks != nil && len(il1) >= blockedMinIL1 {
-			n := ks.scanBucket(il0, hood0, il1, hood1)
-			c.reserve(n, k-lo+1, span)
-			ks.flush(k, il0, il1, &c.hits)
+		// The vector path reads a full group of windows from the
+		// bucket's start (see scanBucket); its scratch is built at the
+		// first bucket that takes it.
+		if kernel == KernelBlocked && len(il1) >= vectorMinIL1 && cap(hood1) >= avx2Lanes*subLen {
+			if ks == nil {
+				ks = newBlockedScratch(cfg.Matrix, subLen, cfg.Threshold)
+			}
+			ks.scanBucket(&c, k, k-lo+1, span, il0, hood0, il1, hood1)
 			continue
 		}
 		// Scalar reference path; also used by the blocked kernel for
