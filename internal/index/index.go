@@ -161,10 +161,10 @@ func (ix *Index) NumEntries() int { return len(ix.entries) }
 
 // Bucket returns the index list for key k (entries and their
 // neighbourhood block, len(entries)*SubLen bytes). Both slices alias
-// index storage and must not be modified. The block's capacity runs to
-// the end of the index's neighbourhood array, so a reader may look past
-// the bucket at the windows of later keys (the step-2 kernel scans
-// whole lane groups that way and ignores the extra lanes).
+// index storage and must not be modified. The block's capacity runs at
+// least to the end of the index's neighbourhood array, so a reader may
+// look past the bucket at the windows of later keys (the step-2 kernel
+// scans whole lane groups that way and ignores the extra lanes).
 func (ix *Index) Bucket(k uint32) ([]Entry, []byte) {
 	lo, hi := ix.bucketStart[k], ix.bucketStart[k+1]
 	return ix.entries[lo:hi], ix.neighborhoods[int(lo)*ix.subLen : int(hi)*ix.subLen]

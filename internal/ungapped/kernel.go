@@ -26,10 +26,10 @@
 //
 // Bit-exactness: each int16 lane computes align.WindowScore exactly
 // (saturating adds cannot saturate within the blockedFits bound), so
-// surviving lanes are emitted directly with their exact scores, in the
-// scalar kernel's (i, j) order (see scanBucket). Run falls back to the
-// scalar kernel when a workload's scores could overflow the lanes (see
-// blockedFits).
+// surviving lanes are emitted with their exact scores, without a
+// rescore, in the scalar kernel's (i, j) order (see scanBucket). Run
+// falls back to the scalar kernel when a workload's scores could
+// overflow the lanes (see blockedFits).
 package ungapped
 
 import (
@@ -169,29 +169,26 @@ func newBlockedScratch(m *matrix.Matrix, subLen, threshold int) *blockedScratch 
 // scanBucket scores every (IL0, IL1) pair of one bucket and appends
 // the hits to c in exactly the scalar kernel's (i, j) order; done and
 // span feed chunk.reserve. The caller guarantees that hood1 has
-// capacity for avx2Lanes windows: index.Bucket's window slice runs to
-// the end of the index's window array, so a short bucket scans one full
-// group from its first window and masks off the lanes past its end.
+// capacity for avx2Lanes windows: index.Bucket's window slice runs at
+// least to the end of the index's window array, so a short bucket scans
+// one full group from its first window and masks off the lanes past its
+// end.
 //
 // Blocks are the outer loop so each block of subject windows is
-// rescanned by every IL0 window while hot. A bucket of one block emits
-// each row's hits straight from the masks, already in order. In a
-// wider bucket hits from different rows interleave, so they are chained
-// per row (each chain sorted by j: blocks, groups and lanes all advance
-// in ascending j) and flushed row by row at the end.
+// rescanned by every IL0 window while hot. Hits from different rows
+// then interleave, so they are chained per row (each chain sorted by j:
+// blocks, groups and lanes all advance in ascending j) and flushed row
+// by row at the end.
 func (ks *blockedScratch) scanBucket(c *chunk, key, done, span uint32, il0 []index.Entry, hood0 []byte, il1 []index.Entry, hood1 []byte) {
 	subLen, n1 := ks.subLen, len(il1)
 	room := cap(hood1) / subLen
-	direct := n1 <= ks.jBlock
-	if !direct {
-		ks.rows = slices.Grow(ks.rows[:0], len(il0))[:len(il0)]
-		for i := range ks.rows {
-			ks.rows[i] = [2]int{-1, -1}
-		}
+	ks.rows = slices.Grow(ks.rows[:0], len(il0))[:len(il0)]
+	for i := range ks.rows {
+		ks.rows[i] = [2]int{-1, -1}
 	}
 	for j0 := 0; j0 < n1; j0 += ks.jBlock {
 		end := min(n1, j0+ks.jBlock)
-		for i, e0 := range il0 {
+		for i := range il0 {
 			w0 := hood0[i*subLen : (i+1)*subLen]
 			for g := j0; g < end; g += avx2Lanes {
 				base := g
@@ -201,26 +198,15 @@ func (ks *blockedScratch) scanBucket(c *chunk, key, done, span uint32, il0 []ind
 					// avx2Lanes and skip the lanes already scanned.
 					base = end - avx2Lanes
 				}
-				mask := ks.group(w0, hood1, base, g-base, end-base)
-				if direct && mask != 0 {
-					c.reserve(bits.OnesCount32(mask), done, span)
-				}
-				for ; mask != 0; mask &= mask - 1 {
+				for mask := ks.group(w0, hood1, base, g-base, end-base); mask != 0; mask &= mask - 1 {
 					j := base + bits.TrailingZeros32(mask)
-					score := int32(ks.best[j-base])
-					if direct {
-						c.hits = append(c.hits, Hit{Key: key, E0: e0, E1: il1[j], Score: score, SubLen: int32(subLen)})
-					} else {
-						ks.pendRow(i, int32(j), score)
-					}
+					ks.pendRow(i, int32(j), int32(ks.best[j-base]))
 				}
 			}
 		}
 	}
-	if !direct {
-		c.reserve(len(ks.nodes), done, span)
-		ks.flush(key, il0, il1, &c.hits)
-	}
+	c.reserve(len(ks.nodes), done, span)
+	ks.flush(key, il0, il1, &c.hits)
 }
 
 // group scores the avx2Lanes windows of hood1 starting at window base
@@ -232,9 +218,9 @@ func (ks *blockedScratch) group(w0, hood1 []byte, base, lo, hi int) uint32 {
 	return m & (uint32(1)<<hi - 1) &^ (uint32(1)<<lo - 1)
 }
 
-// pendNode is a surviving (j, score) pair of a bucket of several
-// blocks. A row's hits arrive in ascending j but interleaved with other
-// rows' hits, so each row chains its own.
+// pendNode is a surviving (j, score) pair of the current bucket. A
+// row's hits arrive in ascending j but interleaved with other rows'
+// hits, so each row chains its own.
 type pendNode struct {
 	j, score int32
 	next     int32 // index of the next hit of the same row, -1 at the tail

@@ -295,17 +295,24 @@ func edgeIndexes(t *testing.T, rng *rand.Rand, n, nExt int) (*index.Index, map[s
 	return ix0, subjects
 }
 
-// checkEdgeBuckets runs buckets of 1–70 windows at the first and last
-// keys of every subject index shape through the resolved kernel and
-// requires the scalar reference's hits. Window lengths 6, 12 and 18
-// take every tile height of the scanner.
-func checkEdgeBuckets(t *testing.T) {
+// TestBlockedKernelEdgeBuckets runs buckets of 1–70 windows at the
+// first and last keys of every subject index shape through the resolved
+// kernel and requires the scalar reference's hits. Window lengths 6, 12
+// and 18 take every tile height of the scanner.
+func TestBlockedKernelEdgeBuckets(t *testing.T) {
 	rng := rand.New(rand.NewSource(70))
 	hits := 0
 	for n := 1; n <= 70; n++ {
 		nExt := []int{1, 4, 7}[n%3]
 		ix0, subjects := edgeIndexes(t, rng, n, nExt)
 		for name, ix1 := range subjects {
+			// The first bucket has later keys' windows behind it, so even
+			// a short one must have room for a full group and take the
+			// vector path rather than fall back to scalar.
+			if _, hood := ix1.Bucket(ix1.Keys()[0]); cap(hood) < avx2Lanes*ix1.SubLen() {
+				t.Fatalf("%s n=%d: first bucket has room for %d windows, want at least %d",
+					name, n, cap(hood)/ix1.SubLen(), avx2Lanes)
+			}
 			cfg := Config{Matrix: matrix.BLOSUM62, Threshold: 14, Workers: 1, Kernel: KernelScalar}
 			ref, err := Run(ix0, ix1, cfg)
 			if err != nil {
@@ -325,11 +332,9 @@ func checkEdgeBuckets(t *testing.T) {
 	}
 }
 
-func TestBlockedKernelEdgeBuckets(t *testing.T) { checkEdgeBuckets(t) }
-
-// TestBlockedKernelMatchesScalarWideBucket covers buckets wider than
-// one cache block, whose hits are chained per row and flushed, beside
-// the single-block buckets that emit directly.
+// TestBlockedKernelMatchesScalarWideBucket covers a bucket wider than
+// one cache block, whose rows' hits interleave across blocks before the
+// per-row flush puts them back in (i, j) order.
 func TestBlockedKernelMatchesScalarWideBucket(t *testing.T) {
 	const nExt = 14
 	rng := rand.New(rand.NewSource(17))
