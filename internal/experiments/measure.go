@@ -153,20 +153,18 @@ func Measure(w *Workload, opt MeasureOptions) (*Measurements, error) {
 		m.Step1Sec = time.Since(t0).Seconds() + genomeIndexSec
 
 		// Steps 2-3 through the engine; per-stage durations come from
-		// the engine's accounting. KeepHits retains the step-2 records
-		// for the raised-threshold traffic count below.
+		// the engine's accounting.
 		gcfg := gapped.DefaultConfig()
 		gcfg.Workers = 1
 		out, err := eng.Run(context.Background(), &pipeline.Request{
-			Bank0:    b,
-			Bank1:    w.Frames,
-			Seed:     w.Scale.SeedModel,
-			N:        w.Scale.N,
-			Workers:  1,
-			Gapped:   gcfg,
-			Index0:   ixB,
-			Index1:   ixG,
-			KeepHits: true,
+			Bank0:   b,
+			Bank1:   w.Frames,
+			Seed:    w.Scale.SeedModel,
+			N:       w.Scale.N,
+			Workers: 1,
+			Gapped:  gcfg,
+			Index0:  ixB,
+			Index1:  ixG,
 		})
 		if err != nil {
 			return nil, err
@@ -186,12 +184,15 @@ func Measure(w *Workload, opt MeasureOptions) (*Measurements, error) {
 			m.Device[pes] = dt
 		}
 		// Table 3: raised threshold, 1 vs 2 FPGAs, largest PE count.
-		raisedRecords := 0
-		for _, h := range out.UngappedHits {
-			if int(h.Score) >= opt.RaisedThreshold {
-				raisedRecords++
-			}
+		// The records are those of a step-2 run at the raised threshold
+		// on the same indexes: a window's score does not depend on the
+		// threshold, so they are the base run's hits that score at
+		// least as high.
+		raised, err := ungapped.Run(ixB, ixG, ungapped.Config{Matrix: matrix.BLOSUM62, Threshold: opt.RaisedThreshold})
+		if err != nil {
+			return nil, err
 		}
+		raisedRecords := len(raised.Hits)
 		bigPE := opt.PECounts[len(opt.PECounts)-1]
 		one, err := estimate(ixB, ixG, w, bigPE, 1, raisedRecords)
 		if err != nil {

@@ -98,7 +98,8 @@ type Stats struct {
 
 // Run extends hits into alignments. b0 and b1 are the banks the hits'
 // entries refer to. Results are sorted by (Seq0, EValue, Seq1) and
-// de-duplicated per sequence pair.
+// de-duplicated per sequence pair. A hit naming a sequence or offset
+// outside the banks is an error.
 func Run(b0, b1 *bank.Bank, hits []ungapped.Hit, cfg Config) ([]Alignment, error) {
 	as, _, err := RunWithStats(b0, b1, hits, cfg)
 	return as, err
@@ -139,7 +140,7 @@ func run(b0, b1 *bank.Bank, hits []ungapped.Hit, cfg Config) ([]Alignment, Stats
 		return nil, Stats{}, fill{}, fmt.Errorf("gapped: %w", err)
 	}
 
-	groups, offs, err := groupHits(hits)
+	groups, offs, err := groupHits(hits, b0.Len(), b1.Len())
 	if err != nil {
 		return nil, Stats{}, fill{}, err
 	}
@@ -162,6 +163,7 @@ func run(b0, b1 *bank.Bank, hits []ungapped.Hit, cfg Config) ([]Alignment, Stats
 	found := make([][]Alignment, len(groups)) // found[gi]: written by the worker that claimed gi
 	totals := make([]Stats, workers)
 	fills := make([]fill, workers)
+	errs := make([]error, workers)
 	work := func(w int) {
 		al := getAligner(&cfg)
 		al.Reserve(longest, cfg.Band)
@@ -181,7 +183,10 @@ func run(b0, b1 *bank.Bank, hits []ungapped.Hit, cfg Config) ([]Alignment, Stats
 			if c > 0 {
 				lo = chunks[c-1]
 			}
-			x.chunk(order[lo:chunks[c]])
+			if errs[w] = x.chunk(order[lo:chunks[c]]); errs[w] != nil {
+				cursor.Store(int64(len(chunks))) // the other workers stop too
+				break
+			}
 		}
 		putAligner(&cfg, al)
 		totals[w], fills[w] = x.st, x.fill
@@ -198,6 +203,11 @@ func run(b0, b1 *bank.Bank, hits []ungapped.Hit, cfg Config) ([]Alignment, Stats
 	}
 	work(0)
 	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, Stats{}, fill{}, err
+		}
+	}
 
 	total := 0
 	for _, as := range found {
@@ -348,10 +358,12 @@ type hitGroup struct {
 // construction: groups are numbered in order of first appearance (the
 // final sort over alignments is not stable, so its input order
 // matters) and a group's seeds keep their input order (the
-// containment rule in extender.chunk is order-dependent). Besides three
-// arrays sized from len(hits) it allocates only the group list, which
-// grows by doubling.
-func groupHits(hits []ungapped.Hit) ([]hitGroup, []seedPos, error) {
+// containment rule in extender.chunk is order-dependent). Besides two
+// arrays sized from len(hits) it allocates the group list and the
+// table, which grow with the groups by doubling. A pair naming a
+// sequence outside bank 0's n0 or bank 1's n1 sequences is an error,
+// found when its group is made.
+func groupHits(hits []ungapped.Hit, n0, n1 int) ([]hitGroup, []seedPos, error) {
 	n := len(hits)
 	if n == 0 {
 		return nil, nil, nil
@@ -359,27 +371,34 @@ func groupHits(hits []ungapped.Hit) ([]hitGroup, []seedPos, error) {
 	if n > math.MaxInt32 {
 		return nil, nil, fmt.Errorf("gapped: %d hits exceed the stage's 32-bit hit index", n)
 	}
-	// Load factor ≤ 1/2 even when every hit is its own group.
-	shift := 64 - bits.Len(uint(2*n-1))
 	// table maps a pair's hash slot to its group id + 1 (0 = empty);
 	// the pair itself is compared in groups, which stays cache-sized
 	// when hits outnumber groups — the case where grouping is a
-	// visible share of the stage.
+	// visible share of the stage. Its load factor stays ≤ 1/2: it
+	// starts at room for min(n, 512) groups and doubles as they come.
+	shift := 64 - bits.Len(uint(2*min(n, 512)-1))
 	table := make([]uint32, 1<<(64-shift))
-	mask := uint64(len(table) - 1)
 	gids := make([]uint32, n)
 	groups := make([]hitGroup, 0, min(n, 1024))
 	for i := range hits {
 		s0, s1 := hits[i].E0.Seq, hits[i].E1.Seq
-		slot := (uint64(s0)<<32 | uint64(s1)) * 0x9E3779B97F4A7C15 >> shift
+		slot := pairSlot(s0, s1, shift)
 		for {
 			id := table[slot]
 			if id == 0 {
+				if int(s0) >= n0 || int(s1) >= n1 {
+					return nil, nil, fmt.Errorf("gapped: hit %d pairs sequence %d of bank 0 (%d sequences) with sequence %d of bank 1 (%d sequences)",
+						i, s0, n0, s1, n1)
+				}
 				groups = append(groups, hitGroup{seq0: s0, seq1: s1})
 				id = uint32(len(groups))
 				table[slot] = id
+				if 2*len(groups) > len(table) {
+					shift--
+					table = regroup(groups, shift)
+				}
 			} else if g := &groups[id-1]; g.seq0 != s0 || g.seq1 != s1 {
-				slot = (slot + 1) & mask
+				slot = (slot + 1) & uint64(len(table)-1)
 				continue
 			}
 			gids[i] = id - 1
@@ -402,6 +421,27 @@ func groupHits(hits []ungapped.Hit) ([]hitGroup, []seedPos, error) {
 		groups[g].end++
 	}
 	return groups, offs, nil
+}
+
+// pairSlot is the home slot of a sequence pair in a groupHits table of
+// 1<<(64-shift) slots.
+func pairSlot(s0, s1 uint32, shift int) uint64 {
+	return (uint64(s0)<<32 | uint64(s1)) * 0x9E3779B97F4A7C15 >> shift
+}
+
+// regroup builds a groupHits table of 1<<(64-shift) slots holding every
+// group.
+func regroup(groups []hitGroup, shift int) []uint32 {
+	table := make([]uint32, 1<<(64-shift))
+	mask := uint64(len(table) - 1)
+	for gi, g := range groups {
+		slot := pairSlot(g.seq0, g.seq1, shift)
+		for table[slot] != 0 {
+			slot = (slot + 1) & mask
+		}
+		table[slot] = uint32(gi + 1)
+	}
+	return table
 }
 
 // extender is one worker's step-3 state: the run it works for, its
@@ -457,8 +497,9 @@ type lane struct {
 // then counts a speculated hit that has become contained as Contained
 // and drops its lane's result. Found alignments only grow, so a hit
 // contained when it is drawn stays contained, and Stats and results
-// are exactly those of the sequential walk.
-func (x *extender) chunk(gids []uint32) {
+// are exactly those of the sequential walk. A seed offset outside its
+// query or subject is an error, found before any extension.
+func (x *extender) chunk(gids []uint32) error {
 	q := x.b0.Seq(int(x.groups[gids[0]].seq0))
 	x.gs = x.gs[:0]
 	for _, gi := range gids {
@@ -467,7 +508,15 @@ func (x *extender) chunk(gids []uint32) {
 		if gi > 0 {
 			start = x.groups[gi-1].end
 		}
-		x.gs = append(x.gs, groupState{gi: int(gi), s: x.b1.Seq(int(g.seq1)), hits: x.offs[start:g.end]})
+		s := x.b1.Seq(int(g.seq1))
+		hits := x.offs[start:g.end]
+		for _, sp := range hits {
+			if int(sp.q) >= len(q) || int(sp.s) >= len(s) {
+				return fmt.Errorf("gapped: hit at offsets %d, %d lies outside sequence %d of bank 0 (%d residues) or %d of bank 1 (%d residues)",
+					sp.q, sp.s, g.seq0, len(q), g.seq1, len(s))
+			}
+		}
+		x.gs = append(x.gs, groupState{gi: int(gi), s: s, hits: hits})
 	}
 	for {
 		// Each group's next candidate, from as many groups as fit; a
@@ -490,7 +539,7 @@ func (x *extender) chunk(gids []uint32) {
 			g.end = len(x.lanes)
 		}
 		if len(x.lanes) == 0 {
-			return
+			return nil
 		}
 		if x.speculate && len(x.lanes) < align.BatchLanes {
 			x.speculateLanes(q)

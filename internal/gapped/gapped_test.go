@@ -470,3 +470,39 @@ func BenchmarkRunScanShape(b *testing.B) {
 	}
 	benchmarkRun(b, b0, b1, false)
 }
+
+// outOfBankCases are hits no index over b0 and b1 can produce, each
+// made from a valid hit h: a sequence number past either bank, and a
+// query or subject offset past its sequence.
+func outOfBankCases(b0, b1 *bank.Bank) map[string]func(h *ungapped.Hit) {
+	return map[string]func(h *ungapped.Hit){
+		"bank-0 sequence": func(h *ungapped.Hit) { h.E0.Seq = uint32(b0.Len()) },
+		"bank-1 sequence": func(h *ungapped.Hit) { h.E1.Seq = uint32(b1.Len()) + 7 },
+		"subject offset":  func(h *ungapped.Hit) { h.E1.Off = uint32(len(b1.Seq(int(h.E1.Seq)))) },
+		"query offset":    func(h *ungapped.Hit) { h.E0.Off = ^uint32(0) },
+	}
+}
+
+// TestRunRejectsHitsOutsideBanks: a hit outside the banks is an error
+// from step 3, not an index-out-of-range panic, at any worker count.
+func TestRunRejectsHitsOutsideBanks(t *testing.T) {
+	b0, b1 := homologPair(t)
+	hits := runPipelineUpTo2(t, b0, b1, 25)
+	if len(hits) < 2 {
+		t.Fatalf("%d hits; test is vacuous", len(hits))
+	}
+	cfg := DefaultConfig()
+	if _, err := Run(b0, b1, hits, cfg); err != nil {
+		t.Fatalf("valid hits rejected: %v", err)
+	}
+	for name, corrupt := range outOfBankCases(b0, b1) {
+		bad := append([]ungapped.Hit(nil), hits...)
+		corrupt(&bad[len(bad)/2])
+		for _, workers := range []int{1, 3} {
+			cfg.Workers = workers
+			if as, err := Run(b0, b1, bad, cfg); err == nil {
+				t.Errorf("%s/workers=%d: accepted, %d alignments", name, workers, len(as))
+			}
+		}
+	}
+}

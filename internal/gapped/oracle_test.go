@@ -2,6 +2,7 @@ package gapped
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -30,7 +31,8 @@ func oracleGroups(hits []ungapped.Hit) (order [][2]uint32, groups map[[2]uint32]
 
 func checkGrouping(t *testing.T, name string, hits []ungapped.Hit) {
 	t.Helper()
-	groups, offs, err := groupHits(hits)
+	// No bank bounds here: TestRunRejectsHitsOutsideBanks covers them.
+	groups, offs, err := groupHits(hits, math.MaxInt, math.MaxInt)
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}

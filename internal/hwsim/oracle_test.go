@@ -67,7 +67,7 @@ func keySpaceReference(cfg *DeviceConfig, ix0, ix1 *index.Index) *Step2Report {
 					for j := range il1 {
 						score := align.WindowScore(hood0[i*subLen:(i+1)*subLen], hood1[j*subLen:(j+1)*subLen], psc.Matrix)
 						if score >= psc.Threshold {
-							rep.Hits = append(rep.Hits, ungapped.Hit{Key: k, E0: il0[i], E1: il1[j], Score: int32(score), SubLen: int32(subLen)})
+							rep.Hits = append(rep.Hits, ungapped.Hit{E0: il0[i], E1: il1[j]})
 						}
 					}
 				}
@@ -198,17 +198,24 @@ func TestDeviceMatchesKeySpaceOracle(t *testing.T) {
 	// on each side of the 2-FPGA cut.
 	ref := keySpaceReference(&deviceFor(t, homolog0, 64, 2, 20).cfg, homolog0, homolog1)
 	cut := splitByWork(homolog0, homolog1, homolog0.Model().KeySpace(), 2)[0][1]
+	// A hit's key is the model's key of its bank-0 seed word.
+	model, width := homolog0.Model(), homolog0.Model().Width()
 	var hits, keys [2]int
 	last := [2]uint32{^uint32(0), ^uint32(0)}
 	for _, h := range ref.Hits {
+		off := int(h.E0.Off)
+		key, ok := model.Key(homolog0.Bank().Seq(int(h.E0.Seq))[off : off+width])
+		if !ok {
+			t.Fatalf("hit %+v: bank-0 seed word has no key", h)
+		}
 		side := 0
-		if h.Key >= cut {
+		if key >= cut {
 			side = 1
 		}
 		hits[side]++
-		if h.Key != last[side] {
+		if key != last[side] {
 			keys[side]++
-			last[side] = h.Key
+			last[side] = key
 		}
 	}
 	if min(hits[0], hits[1]) < 500 || min(keys[0], keys[1]) < 50 {

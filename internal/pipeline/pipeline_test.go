@@ -107,16 +107,14 @@ func TestPlanShards(t *testing.T) {
 
 // hitKey is a comparable projection of a hit for set comparison.
 type hitKey struct {
-	Key    uint32
 	S0, O0 uint32
 	S1, O1 uint32
-	Score  int32
 }
 
 func sortedHitKeys(hits []ungapped.Hit) []hitKey {
 	out := make([]hitKey, len(hits))
 	for i, h := range hits {
-		out[i] = hitKey{h.Key, h.E0.Seq, h.E0.Off, h.E1.Seq, h.E1.Off, h.Score}
+		out[i] = hitKey{h.E0.Seq, h.E0.Off, h.E1.Seq, h.E1.Off}
 	}
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]
@@ -125,9 +123,6 @@ func sortedHitKeys(hits []ungapped.Hit) []hitKey {
 		}
 		if a.S1 != b.S1 {
 			return a.S1 < b.S1
-		}
-		if a.Key != b.Key {
-			return a.Key < b.Key
 		}
 		if a.O0 != b.O0 {
 			return a.O0 < b.O0
@@ -501,5 +496,48 @@ func TestMetricsPopulated(t *testing.T) {
 	}
 	if out.IndexTime <= 0 || out.Step2Time <= 0 || out.Step3Time <= 0 {
 		t.Errorf("step times not recorded: %v %v %v", out.IndexTime, out.Step2Time, out.Step3Time)
+	}
+}
+
+// corruptBackend runs step 2 on the CPU, then appends a copy of one
+// hit that corrupt has moved outside the banks.
+type corruptBackend struct {
+	*CPUBackend
+	corrupt func(sh *Shard, h *ungapped.Hit)
+}
+
+func (b corruptBackend) Step2(ctx context.Context, sh *Shard, ix1 *index.Index) (*Step2Output, error) {
+	r, err := b.CPUBackend.Step2(ctx, sh, ix1)
+	if err != nil || len(r.Hits) == 0 {
+		return r, err
+	}
+	h := r.Hits[len(r.Hits)/2]
+	b.corrupt(sh, &h)
+	r.Hits = append(r.Hits, h)
+	return r, nil
+}
+
+// TestStep3RejectsHitsOutsideBanks: a backend that returns a hit
+// outside the banks fails the run with step 3's error; the step-3
+// goroutine must not panic, which would take the process down.
+func TestStep3RejectsHitsOutsideBanks(t *testing.T) {
+	b0, b1 := testBanks(t, 6)
+	cases := map[string]func(sh *Shard, h *ungapped.Hit){
+		"bank-0 sequence": func(sh *Shard, h *ungapped.Hit) { h.E0.Seq = uint32(b0.Len()) },
+		"bank-1 sequence": func(sh *Shard, h *ungapped.Hit) { h.E1.Seq = uint32(b1.Len()) },
+		"subject offset":  func(sh *Shard, h *ungapped.Hit) { h.E1.Off = uint32(len(b1.Seq(int(h.E1.Seq)))) },
+		"query offset":    func(sh *Shard, h *ungapped.Hit) { h.E0.Off = uint32(len(sh.Bank.Seq(int(h.E0.Seq)))) },
+	}
+	for name, corrupt := range cases {
+		for _, cfg := range []Config{{}, {ShardSize: 2, InFlight: 2, Step2Workers: 2, Step3Workers: 2}} {
+			eng, err := New(cfg, corruptBackend{testBackend(), corrupt})
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = eng.Run(context.Background(), testRequest(t, b0, b1))
+			if err == nil || !strings.Contains(err.Error(), "step 3") {
+				t.Errorf("%s/shard=%d: Run returned %v, want a step-3 error", name, cfg.ShardSize, err)
+			}
+		}
 	}
 }

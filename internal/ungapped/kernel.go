@@ -26,8 +26,9 @@
 //
 // Bit-exactness: each int16 lane computes align.WindowScore exactly
 // (saturating adds cannot saturate within the blockedFits bound), so
-// surviving lanes are emitted with their exact scores, without a
-// rescore, in the scalar kernel's (i, j) order (see scanBucket). Run
+// the pass mask selects exactly the pairs the scalar kernel keeps, and
+// they are emitted without a rescore in its (i, j) order (see
+// scanBucket). Run
 // falls back to the scalar kernel when a workload's scores could
 // overflow the lanes (see blockedFits).
 package ungapped
@@ -142,7 +143,9 @@ type blockedScratch struct {
 	// cut is the threshold minus one, clamped to the int16 lanes: a
 	// lane passes when its score exceeds cut.
 	cut int
-	// best receives the scanner's exact per-lane window scores.
+	// best receives the scanner's exact per-lane window scores. Only
+	// the pass mask is read on the search path; the lane-exactness
+	// tests read best.
 	best [avx2Lanes]int16
 	// jBlock is the number of IL1 windows per cache block, a multiple
 	// of avx2Lanes sized from blockedTargetBytes.
@@ -179,7 +182,7 @@ func newBlockedScratch(m *matrix.Matrix, subLen, threshold int) *blockedScratch 
 // then interleave, so they are chained per row (each chain sorted by j:
 // blocks, groups and lanes all advance in ascending j) and flushed row
 // by row at the end.
-func (ks *blockedScratch) scanBucket(c *chunk, key, done, span uint32, il0 []index.Entry, hood0 []byte, il1 []index.Entry, hood1 []byte) {
+func (ks *blockedScratch) scanBucket(c *chunk, done, span uint32, il0 []index.Entry, hood0 []byte, il1 []index.Entry, hood1 []byte) {
 	subLen, n1 := ks.subLen, len(il1)
 	room := cap(hood1) / subLen
 	ks.rows = slices.Grow(ks.rows[:0], len(il0))[:len(il0)]
@@ -200,13 +203,13 @@ func (ks *blockedScratch) scanBucket(c *chunk, key, done, span uint32, il0 []ind
 				}
 				for mask := ks.group(w0, hood1, base, g-base, end-base); mask != 0; mask &= mask - 1 {
 					j := base + bits.TrailingZeros32(mask)
-					ks.pendRow(i, int32(j), int32(ks.best[j-base]))
+					ks.pendRow(i, int32(j))
 				}
 			}
 		}
 	}
 	c.reserve(len(ks.nodes), done, span)
-	ks.flush(key, il0, il1, &c.hits)
+	ks.flush(il0, il1, &c.hits)
 }
 
 // group scores the avx2Lanes windows of hood1 starting at window base
@@ -218,17 +221,17 @@ func (ks *blockedScratch) group(w0, hood1 []byte, base, lo, hi int) uint32 {
 	return m & (uint32(1)<<hi - 1) &^ (uint32(1)<<lo - 1)
 }
 
-// pendNode is a surviving (j, score) pair of the current bucket. A
-// row's hits arrive in ascending j but interleaved with other rows'
-// hits, so each row chains its own.
+// pendNode is a surviving IL1 index j of the current bucket. A row's
+// hits arrive in ascending j but interleaved with other rows' hits, so
+// each row chains its own.
 type pendNode struct {
-	j, score int32
-	next     int32 // index of the next hit of the same row, -1 at the tail
+	j    int32
+	next int32 // index of the next hit of the same row, -1 at the tail
 }
 
-func (ks *blockedScratch) pendRow(i int, j, score int32) {
+func (ks *blockedScratch) pendRow(i int, j int32) {
 	n := int32(len(ks.nodes))
-	ks.nodes = append(ks.nodes, pendNode{j: j, score: score, next: -1})
+	ks.nodes = append(ks.nodes, pendNode{j: j, next: -1})
 	if ks.rows[i][0] < 0 {
 		ks.rows[i][0] = int(n)
 	} else {
@@ -238,19 +241,10 @@ func (ks *blockedScratch) pendRow(i int, j, score int32) {
 }
 
 // flush emits the bucket's pending hits in (i, j) order.
-func (ks *blockedScratch) flush(key uint32, il0, il1 []index.Entry, hits *[]Hit) {
-	subLen := int32(ks.subLen)
+func (ks *blockedScratch) flush(il0, il1 []index.Entry, hits *[]Hit) {
 	for i := range ks.rows[:len(il0)] {
-		for n := int32(ks.rows[i][0]); n >= 0; {
-			nd := &ks.nodes[n]
-			*hits = append(*hits, Hit{
-				Key:    key,
-				E0:     il0[i],
-				E1:     il1[nd.j],
-				Score:  nd.score,
-				SubLen: subLen,
-			})
-			n = nd.next
+		for n := int32(ks.rows[i][0]); n >= 0; n = ks.nodes[n].next {
+			*hits = append(*hits, Hit{il0[i], il1[ks.nodes[n].j]})
 		}
 	}
 	ks.nodes = ks.nodes[:0]

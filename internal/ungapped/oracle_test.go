@@ -30,7 +30,7 @@ func keySpaceOracle(ix0, ix1 *index.Index, cfg Config) *Result {
 			for j := range il1 {
 				score := align.WindowScore(w0, hood1[j*subLen:(j+1)*subLen], cfg.Matrix)
 				if score >= cfg.Threshold {
-					res.Hits = append(res.Hits, Hit{Key: k, E0: il0[i], E1: il1[j], Score: int32(score), SubLen: int32(subLen)})
+					res.Hits = append(res.Hits, Hit{il0[i], il1[j]})
 				}
 			}
 		}

@@ -18,13 +18,13 @@ import (
 )
 
 // Hit is a surviving seed pair: an occurrence in bank 0 and one in
-// bank 1 whose neighbourhood score reached the threshold.
+// bank 1 whose neighbourhood score reached the threshold. It holds the
+// two entries step 3 reads and nothing else (16 bytes). The seed key
+// only orders Result.Hits, and the window score is not kept: a window's
+// score does not depend on the threshold, so the hits at a higher
+// threshold are those of a run at that threshold.
 type Hit struct {
-	Key    uint32
-	E0     index.Entry
-	E1     index.Entry
-	Score  int32
-	SubLen int32 // neighbourhood window length, for downstream staging
+	E0, E1 index.Entry
 }
 
 // Config parameterises the ungapped stage.
@@ -172,7 +172,7 @@ func scanKeys(ix0, ix1 *index.Index, lo, hi, span uint32, cfg *Config, kernel Ke
 			if ks == nil {
 				ks = newBlockedScratch(cfg.Matrix, subLen, cfg.Threshold)
 			}
-			ks.scanBucket(&c, k, k-lo+1, span, il0, hood0, il1, hood1)
+			ks.scanBucket(&c, k-lo+1, span, il0, hood0, il1, hood1)
 			continue
 		}
 		// Scalar reference path; also used by the blocked kernel for
@@ -181,16 +181,9 @@ func scanKeys(ix0, ix1 *index.Index, lo, hi, span uint32, cfg *Config, kernel Ke
 			w0 := hood0[i*subLen : (i+1)*subLen]
 			for j := range il1 {
 				w1 := hood1[j*subLen : (j+1)*subLen]
-				score := align.WindowScore(w0, w1, cfg.Matrix)
-				if score >= cfg.Threshold {
+				if align.WindowScore(w0, w1, cfg.Matrix) >= cfg.Threshold {
 					c.reserve(1, k-lo+1, span)
-					c.hits = append(c.hits, Hit{
-						Key:    k,
-						E0:     il0[i],
-						E1:     il1[j],
-						Score:  int32(score),
-						SubLen: int32(subLen),
-					})
+					c.hits = append(c.hits, Hit{il0[i], il1[j]})
 				}
 			}
 		}

@@ -1,7 +1,9 @@
 package ungapped
 
 import (
+	"fmt"
 	"testing"
+	"unsafe"
 
 	"seedblast/internal/align"
 	"seedblast/internal/alphabet"
@@ -47,9 +49,10 @@ func TestRunFindsPlantedSimilarity(t *testing.T) {
 	if len(res.Hits) == 0 {
 		t.Fatal("no hits for planted identity")
 	}
+	subLen := ix0.SubLen()
 	for _, h := range res.Hits {
-		if h.Score < 30 {
-			t.Errorf("hit below threshold: %+v", h)
+		if score := align.WindowScore(windowOf(ix0, h.E0, subLen), windowOf(ix1, h.E1, subLen), matrix.BLOSUM62); score < 30 {
+			t.Errorf("hit below threshold: %+v scores %d", h, score)
 		}
 	}
 }
@@ -121,27 +124,69 @@ func TestRunDeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
-func TestRunHitScoresMatchWindowScore(t *testing.T) {
-	ix0, ix1 := buildPair(t,
+// TestRunHitsAreExactlyPassingWindows checks step 2 against a brute
+// force over every (IL0, IL1) pair of each key, scored with
+// align.WindowScore on windows cut from the raw sequences rather than
+// the index's neighbourhood copies: the hits must be exactly the pairs
+// at or above the threshold, in (key, i, j) order, for both kernels and
+// several worker counts.
+func TestRunHitsAreExactlyPassingWindows(t *testing.T) {
+	small0, small1 := buildPair(t,
 		[]string{"MKVLILACDEFGMKVLILAC"},
 		[]string{"MKVLILACDEFGWWWWWWWW"},
 		4)
-	res, err := Run(ix0, ix1, Config{Matrix: matrix.BLOSUM62, Threshold: 10})
+	homolog := oracleBanks()["homolog"]
+	hom0, err := index.Build(homolog[0], seed.Default(), 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Hits) == 0 {
-		t.Fatal("expected hits")
+	hom1, err := index.Build(homolog[1], seed.Default(), 8)
+	if err != nil {
+		t.Fatal(err)
 	}
-	subLen := ix0.SubLen()
-	for _, h := range res.Hits {
-		// Recompute the window score from the raw sequences.
-		w0 := windowOf(ix0, h.E0, subLen)
-		w1 := windowOf(ix1, h.E1, subLen)
-		want := align.WindowScore(w0, w1, matrix.BLOSUM62)
-		if int(h.Score) != want {
-			t.Errorf("hit score %d, recomputed %d", h.Score, want)
+	for _, c := range []struct {
+		name      string
+		ix0, ix1  *index.Index
+		threshold int
+	}{
+		{"small", small0, small1, 10},
+		{"homolog", hom0, hom1, 18},
+		{"homolog-raised", hom0, hom1, 36},
+	} {
+		subLen := c.ix0.SubLen()
+		var want []Hit
+		for k := uint32(0); k < uint32(c.ix0.Model().KeySpace()); k++ {
+			il0, _ := c.ix0.Bucket(k)
+			il1, _ := c.ix1.Bucket(k)
+			for _, e0 := range il0 {
+				for _, e1 := range il1 {
+					if align.WindowScore(windowOf(c.ix0, e0, subLen), windowOf(c.ix1, e1, subLen), matrix.BLOSUM62) >= c.threshold {
+						want = append(want, Hit{e0, e1})
+					}
+				}
+			}
 		}
+		if len(want) == 0 {
+			t.Fatalf("%s: no pair reaches %d; test is vacuous", c.name, c.threshold)
+		}
+		for _, kernel := range []Kernel{KernelScalar, KernelBlocked} {
+			for _, workers := range []int{1, 3} {
+				res, err := Run(c.ix0, c.ix1, Config{Matrix: matrix.BLOSUM62, Threshold: c.threshold, Workers: workers, Kernel: kernel})
+				if err != nil {
+					t.Fatal(err)
+				}
+				requireIdentical(t, &Result{Hits: want, Pairs: PairCount(c.ix0, c.ix1)}, res,
+					fmt.Sprintf("%s/%v/workers=%d", c.name, kernel, workers))
+			}
+		}
+	}
+}
+
+// TestHitIs16Bytes pins the step-2 record to the two entries step 3
+// reads.
+func TestHitIs16Bytes(t *testing.T) {
+	if got := unsafe.Sizeof(Hit{}); got != 16 {
+		t.Errorf("Hit is %d bytes, want 16", got)
 	}
 }
 
