@@ -21,6 +21,21 @@
 //	curl -s localhost:8844/v1/jobs/job-1/alignments
 //	curl -sN localhost:8844/v1/jobs/job-1/alignments?stream=1
 //	curl -s localhost:8844/metrics
+//
+// With -workers the daemon is the scatter-gather coordinator over other
+// seedservd workers, behind the same job API: it cuts each job's subject
+// bank into volumes, runs each on a worker against the full bank's
+// search space (so E-values match an unpartitioned run), retries a
+// failed volume once on each other worker and k-way merges the streamed
+// results. /metrics adds the seedclusterd_* families. It reads no index,
+// so -db, -max-concurrent and -cache-entries are rejected.
+//
+//	seedservd -addr :8844 -wait-workers 10s -strategy size -volumes 4 \
+//	  -workers http://127.0.0.1:8845,http://127.0.0.1:8846
+//
+//	# prebuilt volume indexes (seeddb build -volumes 4 -strategy size)
+//	# go to worker K for volumes K mod #workers, its scatter preference:
+//	seedservd -addr 127.0.0.1:8845 -db nr.vol0.seeddb,nr.vol2.seeddb
 package main
 
 import (
@@ -35,6 +50,7 @@ import (
 	"strings"
 	"time"
 
+	"seedblast/internal/cluster"
 	"seedblast/internal/service"
 	"seedblast/internal/telemetry"
 )
@@ -48,6 +64,10 @@ func main() {
 		jobTTL        = flag.Duration("job-ttl", 15*time.Minute, "finished jobs expire after this age (negative disables)")
 		maxQueued     = flag.Int("max-queued", 1024, "unfinished jobs accepted before submissions are rejected")
 		dbPaths       = flag.String("db", "", "comma-separated seeddb files (cmd/seeddb) to pre-warm the subject-index cache with; cache misses for their fingerprints reload from disk instead of rebuilding")
+		workers       = flag.String("workers", "", "comma-separated seedservd base URLs: run as the scatter-gather coordinator over them")
+		strategy      = flag.String("strategy", "size", "with -workers, the partitioning strategy: size (balanced residues) or seqcount (contiguous)")
+		volumes       = flag.Int("volumes", 0, "with -workers, volumes per request (0 = one per worker)")
+		waitWorkers   = flag.Duration("wait-workers", 0, "with -workers, wait up to this long for all workers to report healthy before serving")
 		pprofAddr     = flag.String("pprof-addr", "", "serve net/http/pprof on this address (own listener, kept off the public API; empty disables)")
 		logJSON       = flag.Bool("log-json", false, "emit logs as JSON instead of text")
 	)
@@ -59,18 +79,44 @@ func main() {
 		os.Exit(1)
 	}
 
-	svc := service.New(service.Config{
+	cfg := service.Config{
 		MaxConcurrent:   *maxConcurrent,
 		CacheEntries:    *cacheEntries,
 		MaxJobsRetained: *maxJobs,
 		JobTTL:          *jobTTL,
 		MaxQueued:       *maxQueued,
 		Logger:          logger,
-	})
-	for _, path := range strings.Split(*dbPaths, ",") {
-		if path = strings.TrimSpace(path); path == "" {
-			continue
+	}
+	var coord *cluster.Coordinator
+	if urls := splitList(*workers); len(urls) > 0 {
+		flag.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "db", "max-concurrent", "cache-entries":
+				fatal("-" + f.Name + " configures in-process search; a coordinator (-workers) has none")
+			}
+		})
+		part, err := cluster.PartitionerByName(*strategy)
+		if err != nil {
+			fatal("bad -strategy", "err", err)
 		}
+		if coord, err = cluster.New(cluster.Config{Workers: urls, Partitioner: part, Volumes: *volumes}); err != nil {
+			fatal("coordinator setup failed", "err", err)
+		}
+		if *waitWorkers > 0 {
+			wctx, wcancel := context.WithTimeout(context.Background(), *waitWorkers)
+			err := coord.WaitHealthy(wctx)
+			wcancel()
+			if err != nil {
+				fatal("workers not healthy", "err", err)
+			}
+		}
+		cfg.Run = coord.Run
+	}
+	svc := service.New(cfg)
+	if coord != nil {
+		svc.Registry().Include(coord.Registry())
+	}
+	for _, path := range splitList(*dbPaths) {
 		fp, err := svc.PreloadDB(path)
 		if err != nil {
 			fatal("preload failed", "path", path, "err", err)
@@ -103,8 +149,7 @@ func main() {
 		_ = srv.Shutdown(sctx)
 	}()
 
-	logger.Info("listening", "addr", *addr,
-		"maxConcurrent", svc.Config().MaxConcurrent, "cacheEntries", svc.Config().CacheEntries)
+	logger.Info("listening", "addr", *addr, "coordinator", coord != nil)
 	if err := srv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		fatal("serve failed", "err", err)
 	}
@@ -121,4 +166,15 @@ func newLogger(json bool) *slog.Logger {
 		h = slog.NewTextHandler(os.Stderr, nil)
 	}
 	return slog.New(h).With("daemon", "seedservd")
+}
+
+// splitList splits a comma-separated flag value, dropping blanks.
+func splitList(s string) []string {
+	var out []string
+	for _, v := range strings.Split(s, ",") {
+		if v = strings.TrimSpace(v); v != "" {
+			out = append(out, v)
+		}
+	}
+	return out
 }

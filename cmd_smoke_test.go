@@ -356,24 +356,23 @@ func TestCmdSeeddbSmoke(t *testing.T) {
 	}
 }
 
-// TestCmdSeedclusterdSmoke boots two real seedservd workers plus the
-// seedclusterd coordinator over them and runs the same scatter-gather
-// job flow through the same client — the coordinator is
+// TestCmdSeedservdClusterSmoke boots two real seedservd workers plus a
+// seedservd -workers coordinator over them and runs the same
+// scatter-gather job flow through the same client — the coordinator is
 // indistinguishable from a worker at the API level — then checks the
 // coordinator's /metrics recorded per-worker volume traffic.
-func TestCmdSeedclusterdSmoke(t *testing.T) {
+func TestCmdSeedservdClusterSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cmd smoke tests in -short mode")
 	}
-	workerBin := buildTool(t, "cmd/seedservd")
-	clusterBin := buildTool(t, "cmd/seedclusterd")
+	bin := buildTool(t, "cmd/seedservd")
 
 	w1, w2 := freeAddr(t), freeAddr(t)
-	startDaemon(t, workerBin, "-addr", w1, "-max-concurrent", "2")
-	startDaemon(t, workerBin, "-addr", w2, "-max-concurrent", "2")
+	startDaemon(t, bin, "-addr", w1, "-max-concurrent", "2")
+	startDaemon(t, bin, "-addr", w2, "-max-concurrent", "2")
 
 	caddr := freeAddr(t)
-	startDaemon(t, clusterBin, "-addr", caddr,
+	startDaemon(t, bin, "-addr", caddr,
 		"-workers", fmt.Sprintf("http://%s,http://%s", w1, w2),
 		"-strategy", "size", "-volumes", "3", "-wait-workers", "30s")
 	base := "http://" + caddr
@@ -414,5 +413,24 @@ func TestCmdSeedclusterdSmoke(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("GET /cluster/metrics: %d, want 404", resp.StatusCode)
+	}
+}
+
+// A coordinator reads no index and admits no local comparisons, so
+// seedservd -workers refuses the flags that configure them.
+func TestCmdSeedservdWorkersRejectsLocalFlags(t *testing.T) {
+	if testing.Short() {
+		t.Skip("cmd smoke tests in -short mode")
+	}
+	bin := buildTool(t, "cmd/seedservd")
+	for _, flag := range [][]string{{"-db", "x"}, {"-max-concurrent", "2"}, {"-cache-entries", "8"}} {
+		args := append([]string{"-addr", freeAddr(t), "-workers", "http://127.0.0.1:1"}, flag...)
+		out, err := exec.Command(bin, args...).CombinedOutput()
+		if err == nil {
+			t.Errorf("seedservd %v exited 0:\n%s", args, out)
+		}
+		if !strings.Contains(string(out), flag[0]) {
+			t.Errorf("seedservd %v: message does not name %s:\n%s", args, flag[0], out)
+		}
 	}
 }

@@ -127,6 +127,17 @@ func EncodeProtein(s string) ([]byte, error) {
 	return out, nil
 }
 
+// CheckProtein returns the error EncodeProtein would return for s,
+// without encoding it.
+func CheckProtein(s string) error {
+	for i := 0; i < len(s); i++ {
+		if aaCode[s[i]] == 0xFF {
+			return &InvalidLetterError{Letter: s[i], Pos: i, Kind: "protein"}
+		}
+	}
+	return nil
+}
+
 // MustEncodeProtein is EncodeProtein for known-good literals; it panics on
 // invalid input and is intended for tests and embedded tables.
 func MustEncodeProtein(s string) []byte {

@@ -215,3 +215,16 @@ func TestEncodeProteinPropertyRoundTrip(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+func TestCheckProteinMatchesEncodeProtein(t *testing.T) {
+	for _, in := range []string{"", "ARNDCQEGHILKMFPSTWYVBZX*", "acdefg", "U-OJ", "MK1", "1", "MKV\n"} {
+		_, want := EncodeProtein(in)
+		got := CheckProtein(in)
+		if (got == nil) != (want == nil) || (got != nil && got.Error() != want.Error()) {
+			t.Errorf("CheckProtein(%q) = %v, EncodeProtein says %v", in, got, want)
+		}
+	}
+	if n := testing.AllocsPerRun(10, func() { _ = CheckProtein("MKVLITGASGFIGSHLVDRLMSKGYEVIGLDNFNDYYDVRLKEARLELL") }); n != 0 {
+		t.Errorf("CheckProtein allocated %g times on a valid sequence", n)
+	}
+}

@@ -20,17 +20,11 @@ type Config struct {
 	// SizeBalanced.
 	Partitioner Partitioner
 	// Volumes is how many volumes each request is cut into. Zero means
-	// one per worker. More volumes than workers is useful when worker
-	// capacity is uneven: volumes queue behind the fan-out bound and
-	// fast workers take more of them — at the cost of more per-volume
-	// overhead.
+	// one per worker. A request keeps one volume per worker in flight,
+	// so more volumes than workers is useful when worker capacity is
+	// uneven: volumes queue and fast workers take more of them — at the
+	// cost of more per-volume overhead.
 	Volumes int
-	// MaxAttempts caps how many distinct workers a volume is tried on
-	// before the whole request fails. Zero means every worker once.
-	MaxAttempts int
-	// FanOut bounds how many volume jobs the coordinator keeps in
-	// flight at once per request. Zero means one per worker.
-	FanOut int
 	// Client tunes the per-worker HTTP clients (timeouts, retry
 	// backoff for idempotent calls).
 	Client service.ClientConfig
@@ -42,12 +36,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Volumes <= 0 {
 		c.Volumes = len(c.Workers)
-	}
-	if c.MaxAttempts <= 0 || c.MaxAttempts > len(c.Workers) {
-		c.MaxAttempts = len(c.Workers)
-	}
-	if c.FanOut <= 0 {
-		c.FanOut = len(c.Workers)
 	}
 	return c
 }
@@ -81,7 +69,8 @@ func New(cfg Config) (*Coordinator, error) {
 func (c *Coordinator) Config() Config { return c.cfg }
 
 // Registry returns the metrics registry the coordinator reports on;
-// the cluster daemon serves it on /metrics.
+// a coordinating service includes it in the registry it serves on
+// /metrics.
 func (c *Coordinator) Registry() *telemetry.Registry { return c.reg }
 
 // WaitHealthy blocks until every worker answers its health probe or
@@ -111,13 +100,22 @@ type VolumeReport struct {
 // Hits/Pairs/WallMS sum the workers' per-volume summaries (aggregate
 // work, not elapsed time).
 type Report struct {
-	Alignments []service.AlignmentJSON
-	Hits       int
-	Pairs      int64
-	WallMS     float64
-	Volumes    int
-	Retries    int // volume attempts beyond the first, summed
-	PerVolume  []VolumeReport
+	service.Result
+	Volumes   int
+	Retries   int // volume attempts beyond the first, summed
+	PerVolume []VolumeReport
+}
+
+// Run is the service.RunFunc of a coordinating service: it compares
+// the job's wire body as it arrived, with no admission wait of its
+// own.
+func (c *Coordinator) Run(ctx context.Context, req *service.Request, started func()) (*service.Result, error) {
+	started()
+	rep, err := c.Compare(ctx, req.Body.Query, req.Body.Subject, req.Body.Options)
+	if err != nil {
+		return nil, err
+	}
+	return &rep.Result, nil
 }
 
 // Compare scatters one comparison across the workers and gathers the
@@ -143,8 +141,8 @@ type Report struct {
 // run. With maxCandidates absent or 0 the bit-identity guarantee
 // above holds exactly.
 //
-// On the first volume failure (after per-volume retries across
-// distinct workers are exhausted) the whole request fails and every
+// On the first volume failure (after the volume was tried once on
+// every worker) the whole request fails and every
 // outstanding worker job is cancelled; cancelling ctx does the same.
 func (c *Coordinator) Compare(ctx context.Context, query, subject []service.SequenceJSON, opt service.OptionsJSON) (*Report, error) {
 	if len(query) == 0 {
@@ -220,7 +218,7 @@ func (c *Coordinator) scatterGather(pctx context.Context, query, subject []servi
 	}
 
 	rank := wireRanker(vols, query, subject)
-	sem := make(chan struct{}, c.cfg.FanOut)
+	sem := make(chan struct{}, len(c.clients)) // one volume per worker in flight
 	results := make([]volumeResult, len(vols))
 	tr := telemetry.TraceFromContext(pctx)
 	scatterStart := time.Now()
@@ -326,9 +324,8 @@ func wireRanker(vols []Volume, query, subject []service.SequenceJSON) func(int, 
 	}
 }
 
-// runVolume tries one volume on up to MaxAttempts distinct workers,
-// starting at the volume's preferred worker (volumes spread
-// round-robin) and excluding workers that already failed this volume.
+// runVolume tries one volume on each worker at most once, starting at
+// the volume's preferred worker (volumes spread round-robin).
 func (c *Coordinator) runVolume(ctx context.Context, vi int, vol Volume,
 	query, subject []service.SequenceJSON, opt service.OptionsJSON) (volumeResult, error) {
 	sub := make([]service.SequenceJSON, len(vol.Seqs))
@@ -338,12 +335,11 @@ func (c *Coordinator) runVolume(ctx context.Context, vi int, vol Volume,
 	req := &service.JobRequestJSON{Query: query, Subject: sub, Options: opt}
 
 	var lastErr error
-	attempts := 0
-	for try := 0; try < len(c.clients) && attempts < c.cfg.MaxAttempts; try++ {
+	for try := range len(c.clients) {
 		// Round-robin from the preferred worker; every retry lands on a
 		// worker this volume has not failed on yet.
 		wi := (vi + try) % len(c.clients)
-		attempts++
+		attempts := try + 1
 		start := time.Now()
 		st, cur, err := c.runVolumeOn(ctx, c.clients[wi], req, vi)
 		if err == nil {
@@ -364,8 +360,7 @@ func (c *Coordinator) runVolume(ctx context.Context, vi int, vol Volume,
 			return volumeResult{}, fmt.Errorf("cluster: volume %d on %s: %w",
 				vi, c.cfg.Workers[wi], err)
 		}
-		retrying := attempts < c.cfg.MaxAttempts && try+1 < len(c.clients)
-		c.met.volumeFailed(wi, retrying)
+		c.met.volumeFailed(wi, attempts < len(c.clients))
 		lastErr = fmt.Errorf("cluster: volume %d on %s (attempt %d): %w",
 			vi, c.cfg.Workers[wi], attempts, err)
 	}

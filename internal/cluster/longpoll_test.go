@@ -14,7 +14,7 @@ import (
 	"seedblast/internal/service"
 )
 
-// heldCluster is a seedclusterd front over one real worker whose
+// heldCluster is a coordinating service over one real worker whose
 // submissions the test holds back, so a cluster job stays running
 // until release.
 type heldCluster struct {

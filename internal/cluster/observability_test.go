@@ -191,8 +191,16 @@ func TestClusterTraceSpansWorkers(t *testing.T) {
 	byName := map[string]int{}
 	workersSeen := map[string]bool{}
 	enginesGrafted := map[string]bool{}
-	for _, sp := range tj.Spans {
+	var request *telemetry.Span
+	spans := telemetry.SpansFromJSON(tj.Spans)
+	for i, sp := range tj.Spans {
 		byName[sp.Name]++
+		if sp.Name == "request" && sp.Attrs["worker"] == "" {
+			if request != nil {
+				t.Errorf("two coordinator request spans")
+			}
+			request = &spans[i]
+		}
 		if w := sp.Attrs["worker"]; w != "" {
 			workersSeen[w] = true
 			if sp.Name == "step1" || sp.Name == "step2" || sp.Name == "step3" {
@@ -213,5 +221,21 @@ func TestClusterTraceSpansWorkers(t *testing.T) {
 	}
 	if len(enginesGrafted) < 2 {
 		t.Errorf("engine stages grafted from %d worker(s), want >= 2: %v", len(enginesGrafted), enginesGrafted)
+	}
+
+	// The service's request span holds the whole scatter-gather; the
+	// workers' own request spans are grafted with a worker attribute.
+	if request == nil {
+		t.Fatal("clustered job has no request span of its own")
+	}
+	reqEnd := request.Start.Add(request.Duration)
+	for _, sp := range spans {
+		switch sp.Name {
+		case "partition", "scatter", "volume", "gather":
+			if sp.Start.Before(request.Start) || sp.Start.Add(sp.Duration).After(reqEnd) {
+				t.Errorf("%s span [%v +%v] outside the request span [%v +%v]",
+					sp.Name, sp.Start, sp.Duration, request.Start, request.Duration)
+			}
+		}
 	}
 }

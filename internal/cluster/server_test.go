@@ -175,3 +175,85 @@ func TestServerValidation(t *testing.T) {
 		t.Errorf("unknown job id: %d, want 404", resp.StatusCode)
 	}
 }
+
+// A coordinator and a worker share one submit path, so a body a worker
+// rejects is rejected by the coordinator too — before a job exists,
+// with the same status and the same message.
+func TestCoordinatorRejectsWhatWorkersReject(t *testing.T) {
+	worker := startWorker(t)
+	coordURL := startClusterOver(t, 0, worker)
+	for _, c := range []struct{ name, body string }{
+		{"bogus engine", `{"query":[{"seq":"MKV"}],"subject":[{"seq":"MKV"}],"options":{"engine":"bogus"}}`},
+		{"negative n", `{"query":[{"seq":"MKV"}],"subject":[{"seq":"MKV"}],"options":{"n":-3}}`},
+		{"bad query residue", `{"query":[{"id":"q0","seq":"MK1V"}],"subject":[{"seq":"MKV"}]}`},
+		{"bad subject residue", `{"query":[{"seq":"MKV"}],"subject":[{"seq":"MKV"},{"seq":"1"}]}`},
+		{"missing query", `{"subject":[{"seq":"MKV"}]}`},
+		{"missing subject", `{"query":[{"seq":"MKV"}]}`},
+	} {
+		post := func(base string) (int, string) {
+			t.Helper()
+			resp, err := http.Post(base+"/v1/jobs", "application/json", strings.NewReader(c.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			body, _ := io.ReadAll(resp.Body)
+			return resp.StatusCode, string(body)
+		}
+		wCode, wBody := post(worker)
+		cCode, cBody := post(coordURL)
+		if wCode != http.StatusBadRequest {
+			t.Errorf("%s: worker answered %d %s, want 400", c.name, wCode, wBody)
+		}
+		if cCode != wCode || cBody != wBody {
+			t.Errorf("%s: coordinator answered %d %s, worker %d %s", c.name, cCode, cBody, wCode, wBody)
+		}
+	}
+}
+
+// Close cancels a coordinated job stuck on a worker that never
+// finishes, and returns: the volume is cancelled on the worker.
+func TestCoordinatorServiceCloseCancelsHungJob(t *testing.T) {
+	h, u := newHangingWorker(t)
+	coord, err := New(Config{Workers: []string{u}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc := service.New(service.Config{Run: coord.Run})
+	query, subject := wireWorkload(t, 2, 57)
+	j, err := svc.Submit(&service.Request{Body: &service.JobRequestJSON{Query: query, Subject: subject}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		h.mu.Lock()
+		n := len(h.submitted)
+		h.mu.Unlock()
+		if n > 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the volume never reached the worker")
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+
+	closed := make(chan struct{})
+	go func() { svc.Close(); close(closed) }()
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close still waiting on a hung job after 5s")
+	}
+	if j.State() != service.JobFailed {
+		t.Errorf("hung job ended %s, want failed", j.State())
+	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	for _, id := range h.submitted {
+		if !h.cancelled[id] {
+			t.Errorf("worker job %s was not cancelled on Close", id)
+		}
+	}
+}

@@ -189,7 +189,7 @@ func (c *Client) StreamAlignments(ctx context.Context, id string) iter.Seq2[Alig
 }
 
 // ndjsonAlignments decodes one alignment per line: parseAlignment for
-// the lines WriteNDJSON writes, json.Unmarshal for any other. A body
+// the lines writeNDJSON writes, json.Unmarshal for any other. A body
 // that ends inside a line is an error, from the read or from the
 // decode of the fragment.
 func ndjsonAlignments(body io.Reader) iter.Seq2[AlignmentJSON, error] {

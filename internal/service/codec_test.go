@@ -208,7 +208,7 @@ func TestStreamBodyMatchesJSONEncoder(t *testing.T) {
 		var want bytes.Buffer
 		enc := json.NewEncoder(&want)
 		n := 0
-		for aj := range jobAlignments(j) {
+		for _, aj := range j.Snapshot().Result.Alignments {
 			if err := enc.Encode(aj); err != nil {
 				t.Fatal(err)
 			}
@@ -227,9 +227,7 @@ func TestStreamBodyMatchesJSONEncoder(t *testing.T) {
 // may see an error, never a short body with a clean end.
 func TestWriteNDJSONAbortsOnUnencodableRecord(t *testing.T) {
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		WriteNDJSON(w, func(yield func(AlignmentJSON) bool) {
-			_ = yield(AlignmentJSON{Query: "q0", Subject: "s0"}) && yield(AlignmentJSON{Query: "q1", EValue: math.NaN()})
-		})
+		writeNDJSON(w, []AlignmentJSON{{Query: "q0", Subject: "s0"}, {Query: "q1", EValue: math.NaN()}})
 	}))
 	defer ts.Close()
 	n := 0

@@ -2,8 +2,8 @@ package service
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
-	"iter"
 	"net/http"
 	"time"
 
@@ -32,13 +32,16 @@ const streamFlushEvery = 64
 //	GET    /v1/jobs/{id}           one job's status (?wait=30s: held
 //	                               until the job ends or the wait,
 //	                               capped at MaxWait, runs out)
-//	DELETE /v1/jobs/{id}           cancel a job
+//	DELETE /v1/jobs/{id}           cancel a job (a coordinator cancels
+//	                               its volumes on the workers)
 //	GET    /v1/jobs/{id}/alignments fetch a finished job's alignments
 //	                               (?stream=1: chunked NDJSON, one
 //	                               alignment per line, instead of one
 //	                               JSON array)
 //	GET    /v1/jobs/{id}/trace     the job's span trace (per-shard
-//	                               stage timings; live while running)
+//	                               stage timings, or a coordinator's
+//	                               scatter-gather with the workers'
+//	                               spans; live while running)
 //	GET    /metrics                Prometheus text exposition (the
 //	                               service registry: counters, gauges,
 //	                               stage-latency histograms)
@@ -148,18 +151,17 @@ type AlignmentJSON struct {
 	NucEnd   *int   `json:"nucEnd,omitempty"`
 }
 
-// WriteJSON encodes v as the response with the given status code. It
-// is shared with the cluster daemon so both speak one wire dialect.
-func WriteJSON(w http.ResponseWriter, code int, v any) {
+// writeJSON encodes v as the response with the given status code.
+func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-// WriteError writes the API's {"error": ...} response — the shape
+// writeError writes the API's {"error": ...} response — the shape
 // Client.readError decodes.
-func WriteError(w http.ResponseWriter, code int, format string, args ...any) {
-	WriteJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
+func writeError(w http.ResponseWriter, code int, format string, args ...any) {
+	writeJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
 // CoreOptions translates the wire options into typed core options, in
@@ -213,20 +215,77 @@ func (oj OptionsJSON) CoreOptions() ([]core.Option, error) {
 	return opts, nil
 }
 
-func decodeBank(name string, seqs []SequenceJSON) (*bank.Bank, error) {
-	b := bank.New(name)
+// decodeBank encodes seqs into b. With a nil b it only checks their
+// residues and allocates nothing: a forwarded bank stays in wire form.
+func decodeBank(name string, seqs []SequenceJSON, b *bank.Bank) error {
 	for i, sj := range seqs {
+		var enc []byte
+		var err error
+		if b == nil {
+			err = alphabet.CheckProtein(sj.Seq)
+		} else {
+			enc, err = alphabet.EncodeProtein(sj.Seq)
+		}
+		if err == nil && b == nil {
+			continue
+		}
 		id := sj.ID
 		if id == "" {
 			id = fmt.Sprintf("%s%d", name, i)
 		}
-		enc, err := alphabet.EncodeProtein(sj.Seq)
 		if err != nil {
-			return nil, fmt.Errorf("sequence %q: %w", id, err)
+			return fmt.Errorf("sequence %q: %w", id, err)
 		}
 		b.Add(id, enc)
 	}
-	return b, nil
+	return nil
+}
+
+// request checks a submitted body and turns it into a Request. Options
+// are validated by building the Searcher, and residues are checked,
+// however the job will run, so a coordinator rejects at submit what its
+// workers would. An in-process service decodes the banks; a forwarding
+// one (Config.Run) keeps the body as it arrived.
+func (s *Service) request(body *JobRequestJSON) (*Request, error) {
+	forward := s.cfg.Run != nil
+	switch {
+	case len(body.Query) == 0:
+		return nil, errors.New("request needs a query bank")
+	case (len(body.Subject) == 0) == (body.Genome == ""):
+		return nil, errors.New("request needs exactly one of subject or genome")
+	case forward && body.Genome != "":
+		// The coordinator partitions a subject bank; a genome has no cut yet.
+		return nil, errors.New("cluster serves bank-vs-bank jobs; submit genome jobs to a worker directly")
+	case forward && body.Options.SearchSpace != nil:
+		return nil, errors.New("searchSpace is set by the coordinator; submit without it")
+	}
+	opts, err := body.Options.CoreOptions()
+	if err != nil {
+		return nil, fmt.Errorf("options: %w", err)
+	}
+	req := &Request{}
+	if req.Searcher, err = core.NewSearcher(opts...); err != nil {
+		return nil, fmt.Errorf("options: %w", err)
+	}
+	if forward {
+		req.Body = body
+	} else {
+		req.Query = bank.New("query")
+		if body.Genome == "" {
+			req.Subject = bank.New("subject")
+		}
+	}
+	if err := decodeBank("query", body.Query, req.Query); err != nil {
+		return nil, fmt.Errorf("query: %w", err)
+	}
+	if body.Genome != "" {
+		if req.Genome, err = alphabet.EncodeDNA(body.Genome); err != nil {
+			return nil, fmt.Errorf("genome: %w", err)
+		}
+	} else if err := decodeBank("subject", body.Subject, req.Subject); err != nil {
+		return nil, fmt.Errorf("subject: %w", err)
+	}
+	return req, nil
 }
 
 func (h *handler) submit(w http.ResponseWriter, r *http.Request) {
@@ -234,47 +293,21 @@ func (h *handler) submit(w http.ResponseWriter, r *http.Request) {
 	// answering a body over the limit.
 	body, err := DecodeJobRequest(http.MaxBytesReader(w, r.Body, MaxRequestBytes))
 	if err != nil {
-		WriteError(w, http.StatusBadRequest, "invalid JSON: %v", err)
+		writeError(w, http.StatusBadRequest, "invalid JSON: %v", err)
 		return
 	}
-	if len(body.Query) == 0 {
-		WriteError(w, http.StatusBadRequest, "request needs a query bank")
-		return
-	}
-	if (len(body.Subject) == 0) == (body.Genome == "") {
-		WriteError(w, http.StatusBadRequest, "request needs exactly one of subject or genome")
-		return
-	}
-	opts, err := body.Options.CoreOptions()
+	req, err := h.svc.request(body)
 	if err != nil {
-		WriteError(w, http.StatusBadRequest, "options: %v", err)
-		return
-	}
-	req := &Request{}
-	if req.Searcher, err = core.NewSearcher(opts...); err != nil {
-		WriteError(w, http.StatusBadRequest, "options: %v", err)
-		return
-	}
-	if req.Query, err = decodeBank("query", body.Query); err != nil {
-		WriteError(w, http.StatusBadRequest, "query: %v", err)
-		return
-	}
-	if body.Genome != "" {
-		if req.Genome, err = alphabet.EncodeDNA(body.Genome); err != nil {
-			WriteError(w, http.StatusBadRequest, "genome: %v", err)
-			return
-		}
-	} else if req.Subject, err = decodeBank("subject", body.Subject); err != nil {
-		WriteError(w, http.StatusBadRequest, "subject: %v", err)
+		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	req.TraceID = r.Header.Get(telemetry.TraceHeader)
 	j, err := h.svc.Submit(req)
 	if err != nil {
-		WriteError(w, http.StatusServiceUnavailable, "%v", err)
+		writeError(w, http.StatusServiceUnavailable, "%v", err)
 		return
 	}
-	WriteJSON(w, http.StatusAccepted, map[string]string{
+	writeJSON(w, http.StatusAccepted, map[string]string{
 		"id": j.ID(), "state": string(j.State()), "traceId": j.Trace().ID(),
 	})
 }
@@ -291,7 +324,7 @@ func jobStatus(j *Job) JobStatusJSON {
 		TraceID:   j.Trace().ID(),
 		Submitted: snap.Submitted,
 	}
-	if j.Request().Genome != nil {
+	if j.req.Genome != nil {
 		st.Mode = "genome"
 	}
 	if !snap.Started.IsZero() {
@@ -303,14 +336,13 @@ func jobStatus(j *Job) JobStatusJSON {
 	if snap.Err != nil {
 		st.Error = snap.Err.Error()
 	}
-	if sum := snap.Summary; sum != nil {
-		n := len(snap.Matches)
+	if res := snap.Result; res != nil {
+		n := len(res.Alignments)
 		st.Alignments = &n
-		st.Hits = &sum.Hits
-		st.Pairs = &sum.Pairs
-		ms := float64(sum.Pipeline.Wall) / float64(time.Millisecond)
-		st.WallMS = &ms
-		st.Shards = sum.Pipeline.ShardsByBackend
+		st.Hits = &res.Hits
+		st.Pairs = &res.Pairs
+		st.WallMS = &res.WallMS
+		st.Shards = res.Shards
 	}
 	return st
 }
@@ -321,20 +353,20 @@ func (h *handler) list(w http.ResponseWriter, _ *http.Request) {
 	for _, j := range jobs {
 		out = append(out, jobStatus(j))
 	}
-	WriteJSON(w, http.StatusOK, out)
+	writeJSON(w, http.StatusOK, out)
 }
 
 func (h *handler) lookup(w http.ResponseWriter, r *http.Request) (*Job, bool) {
 	j, ok := h.svc.Job(r.PathValue("id"))
 	if !ok {
-		WriteError(w, http.StatusNotFound, "no job %q", r.PathValue("id"))
+		writeError(w, http.StatusNotFound, "no job %q", r.PathValue("id"))
 	}
 	return j, ok
 }
 
 func (h *handler) status(w http.ResponseWriter, r *http.Request) {
-	if j, ok := h.lookup(w, r); ok && AwaitJob(w, r, j.Done()) {
-		WriteJSON(w, http.StatusOK, jobStatus(j))
+	if j, ok := h.lookup(w, r); ok && awaitJob(w, r, j.Done()) {
+		writeJSON(w, http.StatusOK, jobStatus(j))
 	}
 }
 
@@ -342,17 +374,17 @@ func (h *handler) status(w http.ResponseWriter, r *http.Request) {
 // below the 60 s response timeout of NewClient's default HTTP client.
 const MaxWait = 30 * time.Second
 
-// AwaitJob serves the wait parameter of GET /v1/jobs/{id}, for both
-// daemons: ?wait=<duration> holds the request until done is closed, the
+// awaitJob serves the wait parameter of GET /v1/jobs/{id}:
+// ?wait=<duration> holds the request until done is closed, the
 // duration (clamped to MaxWait) runs out or the client goes away, and
 // the caller then answers with whatever state the job is in — an
 // expired wait is a 200 with a non-terminal state. Without the
 // parameter it returns at once. A malformed or negative duration gets
 // a 400 here and the result is false.
-func AwaitJob(w http.ResponseWriter, r *http.Request, done <-chan struct{}) bool {
+func awaitJob(w http.ResponseWriter, r *http.Request, done <-chan struct{}) bool {
 	d, err := waitParam(r)
 	if err != nil {
-		WriteError(w, http.StatusBadRequest, "%v", err)
+		writeError(w, http.StatusBadRequest, "%v", err)
 		return false
 	}
 	if d == 0 {
@@ -386,14 +418,14 @@ func waitParam(r *http.Request) (time.Duration, error) {
 // snapshot holds whatever spans have finished so far.
 func (h *handler) trace(w http.ResponseWriter, r *http.Request) {
 	if j, ok := h.lookup(w, r); ok {
-		WriteJSON(w, http.StatusOK, j.Trace().JSON())
+		writeJSON(w, http.StatusOK, j.Trace().JSON())
 	}
 }
 
 func (h *handler) cancel(w http.ResponseWriter, r *http.Request) {
 	if j, ok := h.lookup(w, r); ok {
 		j.Cancel()
-		WriteJSON(w, http.StatusOK, map[string]string{"id": j.ID(), "state": string(j.State())})
+		writeJSON(w, http.StatusOK, map[string]string{"id": j.ID(), "state": string(j.State())})
 	}
 }
 
@@ -402,50 +434,35 @@ func (h *handler) alignments(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	switch j.State() {
+	snap := j.Snapshot()
+	switch snap.State {
 	case JobFailed:
-		WriteError(w, http.StatusConflict, "job failed: %v", j.Err())
+		writeError(w, http.StatusConflict, "job failed: %v", snap.Err)
 		return
 	case JobQueued, JobRunning:
-		WriteError(w, http.StatusConflict, "job is %s; GET /v1/jobs/%s?wait=30s returns when it ends", j.State(), j.ID())
+		writeError(w, http.StatusConflict, "job is %s; GET /v1/jobs/%s?wait=30s returns when it ends", snap.State, j.ID())
 		return
 	}
+	aligns := snap.Result.Alignments
 	if r.URL.Query().Get("stream") == "1" {
-		WriteNDJSON(w, jobAlignments(j))
+		writeNDJSON(w, aligns)
 		return
 	}
-	var out []AlignmentJSON
-	for aj := range jobAlignments(j) {
-		out = append(out, aj)
+	if aligns == nil {
+		// A zero-match merge is nil; the wire contract is an empty array.
+		aligns = []AlignmentJSON{}
 	}
-	if out == nil {
-		out = []AlignmentJSON{}
-	}
-	WriteJSON(w, http.StatusOK, out)
+	writeJSON(w, http.StatusOK, aligns)
 }
 
-// jobAlignments yields a finished job's alignments in rank order, one
-// wire record at a time — the single producer behind both the array
-// and the NDJSON fetch paths.
-func jobAlignments(j *Job) iter.Seq[AlignmentJSON] {
-	ms := j.Snapshot().Matches
-	return func(yield func(AlignmentJSON) bool) {
-		for i := range ms {
-			if !yield(MatchJSON(&ms[i])) {
-				return
-			}
-		}
-	}
-}
-
-// WriteNDJSON streams records as application/x-ndjson — one JSON
+// writeNDJSON streams records as application/x-ndjson — one JSON
 // object per line, the bytes json.Encoder would write, flushed every
 // streamFlushEvery lines so consumers decode results while the response
-// is still being written. Shared with the cluster daemon's streaming
-// fetch. The status line is out before the first record, so a record
-// that cannot be encoded or written aborts the connection: the reader
-// sees a torn stream, never a short body that ends cleanly.
-func WriteNDJSON(w http.ResponseWriter, seq iter.Seq[AlignmentJSON]) {
+// is still being written. The status line is out before the first
+// record, so a record that cannot be encoded or written aborts the
+// connection: the reader sees a torn stream, never a short body that
+// ends cleanly.
+func writeNDJSON(w http.ResponseWriter, aligns []AlignmentJSON) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	rc := http.NewResponseController(w)
@@ -457,14 +474,13 @@ func WriteNDJSON(w http.ResponseWriter, seq iter.Seq[AlignmentJSON]) {
 		_ = rc.Flush()
 		buf = buf[:0]
 	}
-	n := 0
-	for a := range seq {
+	for i := range aligns {
 		var err error
-		if buf, err = appendAlignment(buf, &a); err != nil {
+		if buf, err = appendAlignment(buf, &aligns[i]); err != nil {
 			panic(http.ErrAbortHandler)
 		}
 		buf = append(buf, '\n')
-		if n++; n%streamFlushEvery == 0 {
+		if (i+1)%streamFlushEvery == 0 {
 			flush()
 		}
 	}

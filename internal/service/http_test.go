@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -310,5 +311,28 @@ func TestHTTPValidationAndMetrics(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Errorf("healthz = %d", resp.StatusCode)
+	}
+}
+
+// A forwarding service checks a submitted bank's residues without
+// building it: the check allocates nothing however large the bank.
+func TestForwardedBankCheckAllocatesNothing(t *testing.T) {
+	b0, _ := testWorkload(t, 40, 7)
+	seqs := bankToJSON(b0)
+	if n := testing.AllocsPerRun(10, func() {
+		if err := decodeBank("subject", seqs, nil); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("checking a %d-sequence bank allocated %g times", len(seqs), n)
+	}
+	svc := New(Config{Run: func(context.Context, *Request, func()) (*Result, error) { return &Result{}, nil }})
+	defer svc.Close()
+	req, err := svc.request(&JobRequestJSON{Query: seqs, Subject: seqs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if req.Body == nil || req.Query != nil || req.Subject != nil {
+		t.Errorf("forwarded request decoded its banks: %+v", req)
 	}
 }

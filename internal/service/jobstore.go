@@ -5,37 +5,27 @@ import (
 	"time"
 )
 
-// JobStoreEntry is the minimal view a JobStore needs of a job: a
-// channel closed at completion, and the completion time — which must
-// be set before the channel closes, so it is stable once Done is
-// closed.
-type JobStoreEntry interface {
-	Done() <-chan struct{}
-	FinishedAt() time.Time
-}
-
-// JobStore is the bounded, submission-ordered job index shared by the
-// worker daemon and the cluster coordinator daemon (one eviction
-// policy, one implementation). Finished entries are evicted beyond a
-// count cap (oldest first) and past a TTL. The policy runs on every
-// access, and — because an idle daemon gets no accesses, which would
-// otherwise pin dead jobs and their alignment payloads indefinitely —
-// on a background sweep (StartSweeper). Queued and running entries are
-// never evicted. Safe for concurrent use.
+// JobStore is the service's bounded, submission-ordered job index.
+// Finished entries are evicted beyond a count cap (oldest first) and
+// past a TTL. The policy runs on every access, and — because an idle
+// daemon gets no accesses, which would otherwise pin dead jobs and
+// their alignment payloads indefinitely — on a background sweep
+// (StartSweeper). Queued and running entries are never evicted. Safe
+// for concurrent use.
 //
 // An access costs what it can evict, not the store's size: each entry
 // is polled for completion only until it is seen finished, and the
 // store walks its entries only when the cap is exceeded (stopping once
 // it no longer is) or when the oldest finish time it has seen is past
 // the TTL.
-type JobStore[J JobStoreEntry] struct {
+type JobStore struct {
 	mu    sync.Mutex
 	max   int
 	ttl   time.Duration
 	now   func() time.Time // time.Now; a test's clock in the oracle test
-	jobs  map[string]*storeEntry[J]
-	order []*storeEntry[J] // submission order
-	open  []*storeEntry[J] // not yet seen finished, in no particular order
+	jobs  map[string]*storeEntry
+	order []*storeEntry // submission order
+	open  []*storeEntry // not yet seen finished, in no particular order
 	// oldest is at or before the finish time of every retained entry
 	// seen finished; valid when anyFinished.
 	oldest      time.Time
@@ -45,26 +35,25 @@ type JobStore[J JobStoreEntry] struct {
 	sweepDone chan struct{}
 }
 
-type storeEntry[J JobStoreEntry] struct {
+type storeEntry struct {
 	id       string
-	job      J
+	job      *Job
 	finished bool
-	at       time.Time // FinishedAt, once finished
+	at       time.Time // the job's finish time, once finished
 }
 
 // NewJobStore returns a store evicting finished jobs beyond maxJobs
-// and older than ttl. ttl <= 0 disables age eviction — the daemons'
-// Config types resolve their "zero means default" semantics before
-// calling this.
-func NewJobStore[J JobStoreEntry](maxJobs int, ttl time.Duration) *JobStore[J] {
-	return &JobStore[J]{max: maxJobs, ttl: ttl, now: time.Now, jobs: make(map[string]*storeEntry[J])}
+// and older than ttl. ttl <= 0 disables age eviction — Config
+// resolves its "zero means default" semantics before calling this.
+func NewJobStore(maxJobs int, ttl time.Duration) *JobStore {
+	return &JobStore{max: maxJobs, ttl: ttl, now: time.Now, jobs: make(map[string]*storeEntry)}
 }
 
 // Add inserts a job under id and prunes.
-func (s *JobStore[J]) Add(id string, j J) {
+func (s *JobStore) Add(id string, j *Job) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	e := &storeEntry[J]{id: id, job: j}
+	e := &storeEntry{id: id, job: j}
 	s.jobs[id] = e
 	s.order = append(s.order, e)
 	s.open = append(s.open, e)
@@ -73,34 +62,33 @@ func (s *JobStore[J]) Add(id string, j J) {
 
 // Get returns the job with the given id. A finished job past its TTL
 // is gone: expiry is enforced on every lookup.
-func (s *JobStore[J]) Get(id string) (J, bool) {
+func (s *JobStore) Get(id string) (*Job, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.pruneLocked()
 	e, ok := s.jobs[id]
 	if !ok {
-		var zero J
-		return zero, false
+		return nil, false
 	}
 	return e.job, true
 }
 
 // All returns the retained jobs in submission order.
-func (s *JobStore[J]) All() []J {
+func (s *JobStore) All() []*Job {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.pruneLocked()
-	out := make([]J, 0, len(s.order))
+	out := make([]*Job, 0, len(s.order))
 	for _, e := range s.order {
 		out = append(out, e.job)
 	}
 	return out
 }
 
-// Prune applies the eviction policy now (the daemons call it when a
+// Prune applies the eviction policy now (the service calls it when a
 // job finishes, so completed results age out even without lookups
 // arriving first).
-func (s *JobStore[J]) Prune() {
+func (s *JobStore) Prune() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.pruneLocked()
@@ -110,7 +98,7 @@ func (s *JobStore[J]) Prune() {
 // StopSweeper is called, so an idle daemon sheds expired jobs (and
 // their retained alignments) without waiting for the next request to
 // happen by. interval <= 0 or an already-running sweeper is a no-op.
-func (s *JobStore[J]) StartSweeper(interval time.Duration) {
+func (s *JobStore) StartSweeper(interval time.Duration) {
 	if interval <= 0 {
 		return
 	}
@@ -140,7 +128,7 @@ func (s *JobStore[J]) StartSweeper(interval time.Duration) {
 
 // StopSweeper stops the background sweep and waits for it to exit. It
 // is safe to call with no sweeper running, and more than once.
-func (s *JobStore[J]) StopSweeper() {
+func (s *JobStore) StopSweeper() {
 	s.mu.Lock()
 	stop, done := s.sweepStop, s.sweepDone
 	s.sweepStop, s.sweepDone = nil, nil
@@ -155,7 +143,7 @@ func (s *JobStore[J]) StopSweeper() {
 // len reports the retained job count without pruning — the observer
 // the sweeper tests watch to see eviction happen with no access
 // traffic.
-func (s *JobStore[J]) len() int {
+func (s *JobStore) len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return len(s.order)
@@ -163,12 +151,13 @@ func (s *JobStore[J]) len() int {
 
 // pruneLocked drops finished jobs beyond the count cap (oldest first)
 // and finished jobs older than the TTL. Caller holds s.mu.
-func (s *JobStore[J]) pruneLocked() {
+func (s *JobStore) pruneLocked() {
 	open := s.open[:0]
 	for _, e := range s.open {
 		select {
-		case <-e.job.Done():
-			e.finished, e.at = true, e.job.FinishedAt()
+		case <-e.job.done:
+			// Finished is set before done closes, so it is stable here.
+			e.finished, e.at = true, e.job.Snapshot().Finished
 			if !s.anyFinished || e.at.Before(s.oldest) {
 				s.oldest, s.anyFinished = e.at, true
 			}

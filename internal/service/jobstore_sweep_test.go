@@ -6,26 +6,27 @@ import (
 	"time"
 )
 
-// fakeJob is a minimal JobStoreEntry for store-level tests.
-type fakeJob struct {
-	done chan struct{}
-	fin  time.Time
+// fakeJob is a bare Job for store-level tests: running until finish.
+func fakeJob() *Job { return &Job{done: make(chan struct{})} }
+
+// finish ends a fakeJob at the given time, in the order the service
+// does: the finish time is set before done closes.
+func finish(j *Job, at time.Time) {
+	j.snap = JobSnapshot{State: JobDone, Finished: at}
+	close(j.done)
 }
 
-func finishedFakeJob(at time.Time) *fakeJob {
-	f := &fakeJob{done: make(chan struct{}), fin: at}
-	close(f.done)
-	return f
+func finishedFakeJob(at time.Time) *Job {
+	j := fakeJob()
+	finish(j, at)
+	return j
 }
-
-func (f *fakeJob) Done() <-chan struct{} { return f.done }
-func (f *fakeJob) FinishedAt() time.Time { return f.fin }
 
 // TestJobStoreBackgroundSweep is the regression test for idle-daemon
 // retention: expired finished jobs must disappear with NO store
 // accesses at all — the background sweeper alone evicts them.
 func TestJobStoreBackgroundSweep(t *testing.T) {
-	s := NewJobStore[*fakeJob](100, 20*time.Millisecond)
+	s := NewJobStore(100, 20*time.Millisecond)
 	s.StartSweeper(5 * time.Millisecond)
 	defer s.StopSweeper()
 
@@ -47,7 +48,7 @@ func TestJobStoreBackgroundSweep(t *testing.T) {
 // StopSweeper returns, no further sweeps run; Stop is idempotent and
 // Start after Stop works again.
 func TestJobStoreSweeperShutdown(t *testing.T) {
-	s := NewJobStore[*fakeJob](100, 10*time.Millisecond)
+	s := NewJobStore(100, 10*time.Millisecond)
 	s.StartSweeper(2 * time.Millisecond)
 	s.StopSweeper()
 	s.StopSweeper() // idempotent
@@ -74,7 +75,7 @@ func TestJobStoreSweeperShutdown(t *testing.T) {
 }
 
 func TestJobStoreSweeperDisabled(t *testing.T) {
-	s := NewJobStore[*fakeJob](100, 10*time.Millisecond)
+	s := NewJobStore(100, 10*time.Millisecond)
 	s.StartSweeper(0)  // no-op
 	s.StartSweeper(-1) // no-op
 	s.StopSweeper()    // nothing to stop
@@ -121,8 +122,8 @@ func TestDefaultSweepInterval(t *testing.T) {
 		{15 * time.Minute, time.Minute},      // the daemon default
 	}
 	for _, c := range cases {
-		if got := DefaultSweepInterval(c.ttl); got != c.want {
-			t.Errorf("DefaultSweepInterval(%v) = %v, want %v", c.ttl, got, c.want)
+		if got := defaultSweepInterval(c.ttl); got != c.want {
+			t.Errorf("defaultSweepInterval(%v) = %v, want %v", c.ttl, got, c.want)
 		}
 	}
 }

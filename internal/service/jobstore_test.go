@@ -15,7 +15,7 @@ import (
 type scanStore struct {
 	max   int
 	ttl   time.Duration
-	jobs  map[string]*fakeJob
+	jobs  map[string]*Job
 	order []string
 }
 
@@ -34,7 +34,7 @@ func (s *scanStore) pruneLocked(now time.Time) {
 		default:
 		}
 		if finished {
-			if excess > 0 || (s.ttl > 0 && now.Sub(j.FinishedAt()) > s.ttl) {
+			if excess > 0 || (s.ttl > 0 && now.Sub(j.Snapshot().Finished) > s.ttl) {
 				delete(s.jobs, id)
 				if excess > 0 {
 					excess--
@@ -47,7 +47,7 @@ func (s *scanStore) pruneLocked(now time.Time) {
 	s.order = kept
 }
 
-func storeIDs(s *JobStore[*fakeJob]) []string {
+func storeIDs(s *JobStore) []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	ids := make([]string, len(s.order))
@@ -68,17 +68,17 @@ func TestJobStoreMatchesScanOracle(t *testing.T) {
 		maxJobs := 1 + rng.IntN(8)
 		ttl := time.Duration(rng.IntN(3)) * 10 * time.Millisecond // 0: no TTL
 		clock := time.Now()
-		s := NewJobStore[*fakeJob](maxJobs, ttl)
+		s := NewJobStore(maxJobs, ttl)
 		s.now = func() time.Time { return clock }
-		o := &scanStore{max: maxJobs, ttl: ttl, jobs: map[string]*fakeJob{}}
+		o := &scanStore{max: maxJobs, ttl: ttl, jobs: map[string]*Job{}}
 		var ids []string
-		var running []*fakeJob
+		var running []*Job
 		for step := 0; step < 200; step++ {
 			op := ""
 			switch rng.IntN(6) {
 			case 0, 1:
 				id := fmt.Sprintf("job-%d", step)
-				j := &fakeJob{done: make(chan struct{})}
+				j := fakeJob()
 				s.Add(id, j)
 				o.jobs[id] = j
 				o.order = append(o.order, id)
@@ -91,8 +91,7 @@ func TestJobStoreMatchesScanOracle(t *testing.T) {
 				}
 				k := rng.IntN(len(running))
 				j := running[k]
-				j.fin = clock.Add(-time.Duration(rng.IntN(25)) * time.Millisecond)
-				close(j.done)
+				finish(j, clock.Add(-time.Duration(rng.IntN(25))*time.Millisecond))
 				running = slices.Delete(running, k, k+1)
 				op = "finish"
 			case 3:
@@ -123,15 +122,13 @@ func TestJobStoreMatchesScanOracle(t *testing.T) {
 	}
 }
 
-// countedJob counts how often the store asks whether it is done.
-type countedJob struct {
-	fakeJob
-	polls int
-}
-
-func (c *countedJob) Done() <-chan struct{} {
-	c.polls++
-	return c.done
+// polled is how many jobs the store's next access asks whether they
+// are done: each access polls exactly the entries not yet seen
+// finished.
+func polled(s *JobStore) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.open)
 }
 
 // TestJobStoreAccessCostsWhatItEvicts: with the store full of finished
@@ -139,32 +136,24 @@ func (c *countedJob) Done() <-chan struct{} {
 // cap asks only the new job.
 func TestJobStoreAccessCostsWhatItEvicts(t *testing.T) {
 	const maxJobs = 256
-	s := NewJobStore[*countedJob](maxJobs, time.Hour)
-	var jobs []*countedJob
+	s := NewJobStore(maxJobs, time.Hour)
 	for i := 0; i <= maxJobs; i++ {
-		j := &countedJob{fakeJob: *finishedFakeJob(time.Now())}
-		s.Add(fmt.Sprintf("job-%d", i), j)
-		jobs = append(jobs, j)
+		s.Add(fmt.Sprintf("job-%d", i), finishedFakeJob(time.Now()))
 	}
-	polls := func() (n int) {
-		for _, j := range jobs {
-			n, j.polls = n+j.polls, 0
-		}
-		return n
-	}
-	polls()
+	n := 0
 	for i := 0; i < 100; i++ {
+		n += polled(s)
 		if _, ok := s.Get(fmt.Sprintf("job-%d", i+1)); !ok {
 			t.Fatalf("job-%d evicted from a store at its cap", i+1)
 		}
 	}
-	if n := polls(); n != 0 {
+	if n != 0 {
 		t.Errorf("100 lookups polled %d jobs; a full store of finished jobs should need none", n)
 	}
-	j := &countedJob{fakeJob: *finishedFakeJob(time.Now())}
-	jobs = append(jobs, j)
-	s.Add("job-new", j)
-	if n := polls(); n != 1 {
+	// The add polls the open entries it finds plus the new job.
+	n = polled(s) + 1
+	s.Add("job-new", finishedFakeJob(time.Now()))
+	if n != 1 || polled(s) != 0 {
 		t.Errorf("an add past the cap polled %d jobs, want 1 (the new one)", n)
 	}
 	if _, ok := s.Get("job-1"); ok {

@@ -23,8 +23,8 @@ import (
 
 // DecodeJobRequest reads a submitted job body, at most MaxRequestBytes
 // of it, and decodes it as json.NewDecoder(r).Decode would: the same
-// value for any body, the same error for a body it rejects. Both
-// daemons' submit handlers call it.
+// value for any body, the same error for a body it rejects. The submit
+// handler calls it.
 func DecodeJobRequest(r io.Reader) (*JobRequestJSON, error) {
 	buf := bodyBufs.Get().(*bytes.Buffer)
 	defer func() {

@@ -19,7 +19,8 @@
 // Every request runs through its core.Searcher against a per-request
 // Target that adopts the cached index, so results are bit-identical to
 // a standalone Searcher.Search with the same options. cmd/seedservd
-// exposes the service over HTTP+JSON.
+// exposes the service over HTTP+JSON; with a Config.Run hook the same
+// job API fronts the cluster coordinator instead of the engine.
 package service
 
 import (
@@ -74,6 +75,24 @@ type Config struct {
 	// discarding a stale disk-registry index. Nil discards them;
 	// daemons wire it to their structured logger.
 	Logger *slog.Logger
+	// Run, when set, runs every submitted job in place of the
+	// in-process search (seedservd -workers: the cluster coordinator).
+	// Jobs then carry their wire body (Request.Body), must be
+	// bank-vs-bank without a searchSpace, and read no index.
+	Run RunFunc
+}
+
+// RunFunc runs one job to completion. started fires once, when the job
+// stops waiting for admission and starts comparing.
+type RunFunc func(ctx context.Context, req *Request, started func()) (*Result, error)
+
+// Result is a finished job's outcome as the API reports it.
+type Result struct {
+	Alignments []AlignmentJSON // in rank order
+	Hits       int
+	Pairs      int64
+	WallMS     float64        // engine wall time; a clustered job sums its volumes'
+	Shards     map[string]int // shards per step-2 backend; nil for a clustered job
 }
 
 func (c Config) withDefaults() Config {
@@ -93,7 +112,7 @@ func (c Config) withDefaults() Config {
 		c.MaxQueued = 1024
 	}
 	if c.SweepInterval == 0 {
-		c.SweepInterval = DefaultSweepInterval(c.JobTTL)
+		c.SweepInterval = defaultSweepInterval(c.JobTTL)
 	}
 	return c
 }
@@ -107,12 +126,10 @@ func (s *Service) log() *slog.Logger {
 	return slog.New(slog.DiscardHandler)
 }
 
-// DefaultSweepInterval derives a job-store sweep cadence from a TTL:
+// defaultSweepInterval derives a job-store sweep cadence from a TTL:
 // half the TTL bounds staleness at 1.5× the configured age, clamped so
 // tiny test TTLs don't spin and huge TTLs still sweep every minute.
-// Shared with the cluster daemon so both front ends age jobs out the
-// same way.
-func DefaultSweepInterval(ttl time.Duration) time.Duration {
+func defaultSweepInterval(ttl time.Duration) time.Duration {
 	if ttl <= 0 {
 		return -1 // no TTL: access-time count pruning suffices
 	}
@@ -141,6 +158,9 @@ type Request struct {
 	// worker spans correlate with the coordinator's. Empty means a fresh
 	// random ID.
 	TraceID string
+	// Body is the request as it arrived over the wire, set instead of
+	// the banks when the service forwards its jobs (Config.Run).
+	Body *JobRequestJSON
 }
 
 // JobState is a job's lifecycle position.
@@ -169,25 +189,20 @@ type Job struct {
 
 // JobSnapshot is a job's mutable state as of one instant: the
 // lifecycle position, its timestamps (zero until the phase is reached)
-// and, once finished, either the failure or the outcome. Matches and
-// Summary are set together with State == JobDone and Finished, so a
-// reader never sees a done job without them.
+// and, once finished, either the failure or the outcome. Result is set
+// together with State == JobDone and Finished, so a reader never sees
+// a done job without it.
 type JobSnapshot struct {
 	State     JobState
 	Submitted time.Time
 	Started   time.Time
 	Finished  time.Time
 	Err       error // nil unless State is JobFailed
-	Matches   []core.Match
-	Summary   *core.Summary
+	Result    *Result
 }
 
 // ID returns the job's identifier.
 func (j *Job) ID() string { return j.id }
-
-// Request returns the request the job was submitted with (treated as
-// immutable after Submit).
-func (j *Job) Request() *Request { return j.req }
 
 // Trace returns the job's span trace. It is live: the pipeline appends
 // spans while the job runs, and Trace().Spans() snapshots safely.
@@ -210,10 +225,6 @@ func (j *Job) Err() error { return j.Snapshot().Err }
 
 // Done returns a channel closed when the job finishes (done or failed).
 func (j *Job) Done() <-chan struct{} { return j.done }
-
-// FinishedAt returns the completion time (zero until finished); with
-// Done it satisfies JobStoreEntry.
-func (j *Job) FinishedAt() time.Time { return j.Snapshot().Finished }
 
 // Cancel stops the job; a queued job fails without running, a running
 // one is cancelled through its context.
@@ -269,7 +280,8 @@ type Service struct {
 	cache    *indexCache
 	disk     diskRegistry // fingerprint → seeddb path (RegisterDB)
 
-	store *JobStore[*Job]
+	store *JobStore
+	run   RunFunc // Config.Run, or the in-process runLocal
 
 	reg           *telemetry.Registry
 	stageHist     map[string]*telemetry.Histogram // span name → latency histogram
@@ -306,8 +318,12 @@ func New(cfg Config) *Service {
 		sem:      make(chan struct{}, cfg.MaxConcurrent),
 		buildSem: make(chan struct{}, cfg.MaxConcurrent),
 		cache:    newIndexCache(cfg.CacheEntries),
-		store:    NewJobStore[*Job](cfg.MaxJobsRetained, cfg.JobTTL),
+		store:    NewJobStore(cfg.MaxJobsRetained, cfg.JobTTL),
 		reg:      telemetry.NewRegistry(),
+		run:      cfg.Run,
+	}
+	if s.run == nil {
+		s.run = s.runLocal
 	}
 	s.registerMetrics()
 	s.store.StartSweeper(cfg.SweepInterval)
@@ -410,22 +426,34 @@ func (s *Service) observeTrace(tr *telemetry.Trace) {
 	}
 }
 
-// Config returns the resolved configuration.
-func (s *Service) Config() Config { return s.cfg }
-
-// Search runs a request synchronously through the service (shared
-// index cache + admission). Results are bit-identical to the request's
-// Searcher run standalone. A genome's six-frame index is cached like
-// any subject bank, keyed by genome digest, genetic code, seed and N.
+// Search runs a request synchronously in process, whatever Config.Run
+// says. Results are bit-identical to the request's Searcher run
+// standalone. A genome's six-frame index is cached like any subject
+// bank, keyed by genome digest, genetic code, seed and N.
 func (s *Service) Search(ctx context.Context, req *Request) ([]core.Match, *core.Summary, error) {
-	return s.run(ctx, req, nil)
+	if err := validate(req); err != nil {
+		return nil, nil, err
+	}
+	tr := telemetry.TraceFromContext(ctx)
+	if tr == nil {
+		tr = telemetry.NewTrace(telemetry.NewTraceID())
+		ctx = telemetry.ContextWithTrace(ctx, tr)
+	}
+	start := s.begin()
+	ms, sum, err := s.compare(ctx, req, nil)
+	s.end(tr, start, err)
+	return ms, sum, err
 }
 
 // Submit accepts a request for asynchronous execution and returns its
 // Job immediately. The job runs as soon as admission allows.
 func (s *Service) Submit(req *Request) (*Job, error) {
-	if err := validate(req); err != nil {
-		return nil, err
+	if s.cfg.Run == nil {
+		if err := validate(req); err != nil {
+			return nil, err
+		}
+	} else if req == nil || req.Body == nil {
+		return nil, fmt.Errorf("service: a forwarded request needs its wire body")
 	}
 	// The job's trace: the submitter's ID when one came over the wire
 	// (the cluster coordinator correlating worker spans with its own),
@@ -466,12 +494,14 @@ func (s *Service) Submit(req *Request) (*Job, error) {
 	go func() {
 		defer s.wg.Done()
 		defer cancel()
-		ms, sum, err := s.run(ctx, req, func() {
+		start := s.begin()
+		res, err := s.run(ctx, req, func() {
 			j.mu.Lock()
 			j.snap.State = JobRunning
 			j.snap.Started = time.Now()
 			j.mu.Unlock()
 		})
+		s.end(tr, start, err)
 		j.mu.Lock()
 		j.snap.Finished = time.Now()
 		if err != nil {
@@ -479,8 +509,7 @@ func (s *Service) Submit(req *Request) (*Job, error) {
 			j.snap.Err = err
 		} else {
 			j.snap.State = JobDone
-			j.snap.Matches = ms
-			j.snap.Summary = sum
+			j.snap.Result = res
 		}
 		j.mu.Unlock()
 		close(j.done)
@@ -499,12 +528,16 @@ func (s *Service) Job(id string) (*Job, bool) { return s.store.Get(id) }
 // Jobs returns all retained jobs in submission order.
 func (s *Service) Jobs() []*Job { return s.store.All() }
 
-// Close stops accepting new jobs, waits for outstanding ones and
-// shuts the job-store sweeper down.
+// Close stops accepting new jobs, cancels the outstanding ones (a
+// forwarded job may hang on a worker that never answers), waits for
+// them to end and shuts the job-store sweeper down.
 func (s *Service) Close() {
 	s.mu.Lock()
 	s.closed = true
 	s.mu.Unlock()
+	for _, j := range s.store.All() { // unfinished jobs are never evicted
+		j.Cancel()
+	}
 	s.wg.Wait()
 	s.store.StopSweeper()
 }
@@ -564,14 +597,57 @@ func subject(req *Request, opt *core.Options) (subjectTarget, string) {
 	return core.NewProteinTarget(req.Subject), index.Fingerprint(req.Subject, opt.Seed, opt.N)
 }
 
-// run is the shared execution path: obtain the shared subject index
-// (cache + singleflight), pass admission, run the engine, record
-// metrics. onStart, when non-nil, fires once the request passes
-// admission and actually starts comparing.
-func (s *Service) run(ctx context.Context, req *Request, onStart func()) ([]core.Match, *core.Summary, error) {
-	if err := validate(req); err != nil {
-		return nil, nil, err
+// begin counts a request in and returns its start.
+func (s *Service) begin() time.Time {
+	s.mu.Lock()
+	s.submitted++
+	s.mu.Unlock()
+	return time.Now()
+}
+
+// end accounts a finished request: the outcome counters and, on
+// success, the request span over the whole run and its latency.
+func (s *Service) end(tr *telemetry.Trace, start time.Time, err error) {
+	d := time.Since(start)
+	s.mu.Lock()
+	if err != nil {
+		s.failed++
+	} else {
+		s.completed++
 	}
+	s.mu.Unlock()
+	if err == nil {
+		tr.Record("request", start, d)
+		s.reqHist.Observe(d.Seconds())
+	}
+}
+
+// runLocal is the in-process RunFunc: compare, with the matches put in
+// wire form.
+func (s *Service) runLocal(ctx context.Context, req *Request, started func()) (*Result, error) {
+	ms, sum, err := s.compare(ctx, req, started)
+	if err != nil {
+		return nil, err
+	}
+	res := &Result{
+		Alignments: make([]AlignmentJSON, len(ms)),
+		Hits:       sum.Hits,
+		Pairs:      sum.Pairs,
+		WallMS:     float64(sum.Pipeline.Wall) / float64(time.Millisecond),
+		Shards:     sum.Pipeline.ShardsByBackend,
+	}
+	for i := range ms {
+		res.Alignments[i] = MatchJSON(&ms[i])
+	}
+	return res, nil
+}
+
+// compare is the in-process execution path of a validated request:
+// obtain the shared subject index (cache + singleflight), pass
+// admission, run the engine, record the engine's metrics. onStart,
+// when non-nil, fires once the request passes admission and actually
+// starts comparing.
+func (s *Service) compare(ctx context.Context, req *Request, onStart func()) ([]core.Match, *core.Summary, error) {
 	searcher := req.Searcher
 	if searcher == nil {
 		var err error
@@ -581,30 +657,20 @@ func (s *Service) run(ctx context.Context, req *Request, onStart func()) ([]core
 	}
 	opt := searcher.Options()
 
-	// Every run gets a trace: async jobs carry theirs in ctx (Submit
-	// puts it there), sync calls get an ephemeral one. The pipeline
-	// records per-shard stage spans into it; on success they feed the
+	// The pipeline records per-shard stage spans into the run's trace
+	// (Submit and Search put one in ctx); on success they feed the
 	// stage-latency histograms.
 	tr := telemetry.TraceFromContext(ctx)
-	if tr == nil {
-		tr = telemetry.NewTrace(telemetry.NewTraceID())
-		ctx = telemetry.ContextWithTrace(ctx, tr)
-	}
-	start := time.Now()
 
 	s.mu.Lock()
-	s.submitted++
 	s.waiting++
 	s.mu.Unlock()
 
 	finish := func(ms []core.Match, sum *core.Summary, err error) ([]core.Match, *core.Summary, error) {
-		s.mu.Lock()
 		if err != nil {
-			s.failed++
-			s.mu.Unlock()
 			return nil, nil, err
 		}
-		s.completed++
+		s.mu.Lock()
 		pm := &sum.Pipeline
 		s.indexBusy += pm.Index.Busy
 		s.prefilterBusy += pm.Prefilter.Busy
@@ -618,9 +684,6 @@ func (s *Service) run(ctx context.Context, req *Request, onStart func()) ([]core
 		if q := pm.PrefilterQueries; q > 0 {
 			s.survivorsHist.Observe(float64(pm.PrefilterKept) / float64(q))
 		}
-		d := time.Since(start)
-		tr.Record("request", start, d)
-		s.reqHist.Observe(d.Seconds())
 		s.observeTrace(tr)
 		return ms, sum, nil
 	}

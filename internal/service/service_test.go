@@ -321,7 +321,7 @@ func TestJobLifecycle(t *testing.T) {
 		t.Fatalf("state = %s, want done", j.State())
 	}
 	snap := j.Snapshot()
-	if snap.Summary == nil || len(snap.Matches) == 0 {
+	if snap.Result == nil || len(snap.Result.Alignments) == 0 {
 		t.Fatal("done job has no result")
 	}
 	if sub, started, fin := snap.Submitted, snap.Started, snap.Finished; sub.IsZero() || started.IsZero() || fin.IsZero() || fin.Before(started) {

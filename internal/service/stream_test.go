@@ -105,7 +105,7 @@ func TestStreamAlignmentsArrayFallback(t *testing.T) {
 		{Query: "q1", Subject: "s1", Score: 7, EValue: 0.5},
 	}
 	mux.HandleFunc("GET /v1/jobs/{id}/alignments", func(w http.ResponseWriter, _ *http.Request) {
-		WriteJSON(w, http.StatusOK, want)
+		writeJSON(w, http.StatusOK, want)
 	})
 	ts := httptest.NewServer(mux)
 	defer ts.Close()

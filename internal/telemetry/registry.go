@@ -51,9 +51,10 @@ func L(name, value string) Label { return Label{Name: name, Value: value} }
 // registration; invalid names panic — they are programmer errors, and
 // failing at registration keeps the exposition exactly parseable.
 type Registry struct {
-	mu    sync.Mutex
-	fams  map[string]*family
-	order []string // family registration order
+	mu       sync.Mutex
+	fams     map[string]*family
+	order    []string    // family registration order
+	included []*Registry // rendered after r's own families (Include)
 }
 
 // family is every metric sharing one name (differing only in labels).
@@ -306,14 +307,28 @@ func ExpBuckets(start, factor float64, n int) []float64 {
 // and fine enough that p50/p99 of a sub-millisecond stage resolve.
 var DurationBuckets = ExpBuckets(100e-6, 2, 21)
 
-// WriteTo renders every family in registration order: HELP and TYPE
-// lines first, then each labeled series. The output parses under
-// ParseText — the registry and the parser are tested against each
-// other.
-func (r *Registry) WriteTo(w io.Writer) (int64, error) {
+// Include makes r render other's families after its own, so a daemon
+// whose components each own their instruments still serves them all
+// from one registry. Family names must not overlap.
+func (r *Registry) Include(other *Registry) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	r.included = append(r.included, other)
+}
+
+// WriteTo renders every family in registration order: HELP and TYPE
+// lines first, then each labeled series, then the included registries.
+// The output parses under ParseText — the registry and the parser are
+// tested against each other.
+func (r *Registry) WriteTo(w io.Writer) (int64, error) {
 	cw := &countingWriter{w: w}
+	r.writeTo(cw)
+	return cw.n, cw.err
+}
+
+func (r *Registry) writeTo(cw *countingWriter) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	for _, name := range r.order {
 		f := r.fams[name]
 		if f.help != "" {
@@ -324,7 +339,9 @@ func (r *Registry) WriteTo(w io.Writer) (int64, error) {
 			f.mets[sig].render(cw, f.name, sig)
 		}
 	}
-	return cw.n, cw.err
+	for _, inc := range r.included {
+		inc.writeTo(cw)
+	}
 }
 
 // Handler serves the registry as a Prometheus scrape endpoint.

@@ -195,3 +195,26 @@ func TestExpBuckets(t *testing.T) {
 		t.Errorf("DurationBuckets = %v", DurationBuckets)
 	}
 }
+
+// An included registry's families render after the host's own, live,
+// and the whole page still parses.
+func TestIncludeRendersAfterOwnFamilies(t *testing.T) {
+	host, part := NewRegistry(), NewRegistry()
+	host.Counter("host_requests_total", "Host requests.").Inc()
+	host.Include(part)
+	c := part.Counter("part_volumes_total", "Part volumes.", L("worker", "a"))
+	c.Add(2)
+
+	var b strings.Builder
+	if _, err := host.WriteTo(&b); err != nil {
+		t.Fatal(err)
+	}
+	out := b.String()
+	h, p := strings.Index(out, "host_requests_total 1"), strings.Index(out, `part_volumes_total{worker="a"} 2`)
+	if h < 0 || p < 0 || p < h {
+		t.Fatalf("want the host's family, then the included one:\n%s", out)
+	}
+	if _, err := ParseText(strings.NewReader(out)); err != nil {
+		t.Fatalf("exposition with an included registry does not parse: %v\n%s", err, out)
+	}
+}
