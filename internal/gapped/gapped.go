@@ -7,10 +7,13 @@
 package gapped
 
 import (
+	"cmp"
+	"errors"
 	"fmt"
 	"math"
 	"math/bits"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -55,16 +58,14 @@ type Config struct {
 	MaxEValue float64
 	// SearchSpace fixes the database geometry E-values are computed
 	// against. The zero value derives n from the subject bank passed to
-	// Run — correct for a whole-bank comparison. A coordinator that
-	// scatters volumes of a larger bank sets the full bank's geometry
-	// here so each volume's E-values (and the MaxEValue cut) match an
-	// unpartitioned run exactly.
+	// Run, as a whole-bank comparison needs. A coordinator scattering
+	// volumes of a larger bank sets the full bank's geometry, so each
+	// volume's E-values and MaxEValue cut match an unpartitioned run.
 	SearchSpace stats.SearchSpace
 	// Traceback keeps each reported alignment's operations
-	// (Alignment.Ops): the path through the band the search took from
-	// its start to its end, taken after the E-value cut for survivors
-	// only (align.LocalBandedOps). Alignments and Stats are the same
-	// either way.
+	// (Alignment.Ops): its path through the band from start to end,
+	// taken after the E-value cut for survivors only
+	// (align.LocalBandedOps). Alignments and Stats are the same either way.
 	Traceback bool
 	Workers   int // 0 means GOMAXPROCS
 }
@@ -111,21 +112,16 @@ func RunWithStats(b0, b1 *bank.Bank, hits []ungapped.Hit, cfg Config) ([]Alignme
 	return out, st, err
 }
 
-// fill counts the kernel passes of a run: passes, lanes extended, and
-// of those the lanes that were speculative and the speculative lanes
-// whose hit turned out to be contained (their result was dropped).
+// fill counts a run's kernel passes, lanes extended, speculative lanes
+// and speculative lanes whose hit turned out contained (result dropped).
 type fill struct {
 	passes, lanes, speculated, dropped int
 }
 
-func (f *fill) add(g fill) {
-	f.passes += g.passes
-	f.lanes += g.lanes
-	f.speculated += g.speculated
-	f.dropped += g.dropped
-}
-
-// run is RunWithStats plus the kernel's fill, which tests read.
+// run is RunWithStats plus the kernel's fill, which tests read. Hits
+// are partitioned by query, a query's grouped by subject and cut into
+// chunks to extend, and its alignments sorted on their own; every pass
+// is shared by workers, leaving O(queries + workers) serial work.
 func run(b0, b1 *bank.Bank, hits []ungapped.Hit, cfg Config) ([]Alignment, Stats, fill, error) {
 	if cfg.Matrix == nil {
 		return nil, Stats{}, fill{}, fmt.Errorf("gapped: matrix is required")
@@ -139,148 +135,129 @@ func run(b0, b1 *bank.Bank, hits []ungapped.Hit, cfg Config) ([]Alignment, Stats
 	if err := cfg.SearchSpace.Validate(); err != nil {
 		return nil, Stats{}, fill{}, fmt.Errorf("gapped: %w", err)
 	}
-
-	groups, offs, err := groupHits(hits, b0.Len(), b1.Len())
-	if err != nil {
-		return nil, Stats{}, fill{}, err
+	if len(hits) > math.MaxInt32 {
+		return nil, Stats{}, fill{}, fmt.Errorf("gapped: %d hits exceed the stage's 32-bit hit index", len(hits))
 	}
-	order, chunks, longest := planChunks(groups, b0)
-
 	workers := cfg.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	workers = max(min(workers, len(chunks)), 1)
+	bw := workers // partition, group and sort
+	if len(hits) < inlineHits {
+		bw = 1
+	}
+	qs, seeds, err := partition(hits, b0.Len(), bw)
+	if err != nil {
+		return nil, Stats{}, fill{}, err
+	}
+	// Heaviest first, so a homolog-heavy query is not the tail.
+	slices.SortStableFunc(qs, func(a, b query) int { return (b.end - b.start) - (a.end - a.start) })
+	grs := make([]grouper, max(min(bw, len(qs)), 1))
+	if err := each(len(grs), len(qs), func(w, i int) error { return grs[w].groupHits(&qs[i], seeds, b1.Len()) }); err != nil {
+		return nil, Stats{}, fill{}, err
+	}
+	slices.SortFunc(qs, func(a, b query) int { return cmp.Compare(a.seq0, b.seq0) }) // chunks and output in query order
+	nchunks, longest := 0, 0
+	for i := range qs {
+		qs[i].chunk0, qs[i].chunks = nchunks, (len(qs[i].groups)+chunkGroups-1)/chunkGroups
+		nchunks += qs[i].chunks
+		longest = max(longest, len(b0.Seq(int(qs[i].seq0))))
+	}
 	space := cfg.SearchSpace
 	if space.IsZero() {
 		space = stats.SearchSpace{DBLen: b1.TotalResidues(), DBSeqs: b1.Len()}
 	}
 
-	// Workers claim chunks from a shared cursor: a chunk is at most
-	// chunkGroups groups of one query, the groups one kernel pass can
-	// draw its lanes from.
-	var cursor atomic.Int64
-	found := make([][]Alignment, len(groups)) // found[gi]: written by the worker that claimed gi
-	totals := make([]Stats, workers)
-	fills := make([]fill, workers)
-	errs := make([]error, workers)
-	work := func(w int) {
-		al := getAligner(&cfg)
-		al.Reserve(longest, cfg.Band)
-		x := extender{al: al, cfg: &cfg, space: space, groups: groups, offs: offs, b0: b0, b1: b1, found: found,
-			speculate: al.BatchKernel(),
-			gs:        make([]groupState, 0, min(chunkGroups, len(groups))),
-			lanes:     make([]lane, 0, align.BatchLanes),
-			wins:      make([][]byte, 0, align.BatchLanes),
-			diags:     make([]int, 0, align.BatchLanes),
-			ends:      make([]align.Local, 0, align.BatchLanes)}
-		for {
-			c := int(cursor.Add(1)) - 1
-			if c >= len(chunks) {
-				break
-			}
-			lo := 0
-			if c > 0 {
-				lo = chunks[c-1]
-			}
-			if errs[w] = x.chunk(order[lo:chunks[c]]); errs[w] != nil {
-				cursor.Store(int64(len(chunks))) // the other workers stop too
-				break
-			}
+	// Chunk c's alignments are chunkOut[c], in its worker's buffer.
+	chunkOut, found := make([][]Alignment, nchunks), make([]atomic.Int64, len(qs))
+	xs := make([]*extender, max(min(workers, nchunks), 1))
+	err = each(len(xs), nchunks, func(w, c int) error {
+		// An Aligner is taken at the first chunk: a late worker takes none.
+		if xs[w] == nil {
+			al := getAligner(&cfg)
+			al.Reserve(longest, cfg.Band)
+			xs[w] = &extender{al: al, cfg: &cfg, space: space, seeds: seeds, b0: b0, b1: b1,
+				speculate: al.BatchKernel(),
+				gs:        make([]groupState, 0, chunkGroups),
+				lanes:     make([]lane, 0, align.BatchLanes),
+				wins:      make([][]byte, 0, align.BatchLanes),
+				diags:     make([]int, 0, align.BatchLanes),
+				ends:      make([]align.Local, 0, align.BatchLanes)}
 		}
-		putAligner(&cfg, al)
-		totals[w], fills[w] = x.st, x.fill
-	}
-	// The caller is worker 0, so a one-worker run (or a job with a
-	// single chunk) starts no goroutine at all.
-	var wg sync.WaitGroup
-	for w := 1; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			work(w)
-		}()
-	}
-	work(0)
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, Stats{}, fill{}, err
+		i := sort.Search(len(qs), func(i int) bool { return qs[i].chunk0 > c }) - 1
+		x, qu := xs[w], &qs[i]
+		lo, from := (c-qu.chunk0)*chunkGroups, len(x.out)
+		if err := x.chunk(qu.seq0, qu.groups[lo:min(lo+chunkGroups, len(qu.groups))]); err != nil {
+			return err
 		}
+		chunkOut[c] = x.out[from:len(x.out):len(x.out)]
+		found[i].Add(int64(len(x.out) - from))
+		return nil
+	})
+	st := Stats{Hits: len(hits)}
+	var fl fill
+	for _, x := range slices.DeleteFunc(xs, func(x *extender) bool { return x == nil }) {
+		putAligner(&cfg, x.al)
+		st.Contained, st.PreFiltered, st.Extended = st.Contained+x.st.Contained, st.PreFiltered+x.st.PreFiltered, st.Extended+x.st.Extended
+		st.DPRows, st.DPCells = st.DPRows+x.st.DPRows, st.DPCells+x.st.DPCells
+		fl = fill{fl.passes + x.fill.passes, fl.lanes + x.fill.lanes, fl.speculated + x.fill.speculated, fl.dropped + x.fill.dropped}
+	}
+	if err != nil {
+		return nil, Stats{}, fill{}, err
 	}
 
 	total := 0
-	for _, as := range found {
-		total += len(as)
+	for i := range qs {
+		qs[i].out, total = total, total+int(found[i].Load())
 	}
-	var out []Alignment // stays nil when nothing was found
-	if total > 0 {
-		out = make([]Alignment, 0, total)
+	if total == 0 {
+		return nil, st, fl, nil
 	}
-	for _, as := range found {
-		out = append(out, as...)
-	}
-	stats := Stats{Hits: len(hits)}
-	var fl fill
-	for w, st := range totals {
-		stats.Contained += st.Contained
-		stats.PreFiltered += st.PreFiltered
-		stats.Extended += st.Extended
-		stats.DPRows += st.DPRows
-		stats.DPCells += st.DPCells
-		fl.add(fills[w])
-	}
-	sortAlignments(out)
-	return out, stats, fl, nil
+	out := make([]Alignment, total)
+	keys := make([][]sortKey, len(grs))
+	each(len(grs), len(qs), func(w, i int) error {
+		keys[w] = sortAlignments(out[qs[i].out:], chunkOut[qs[i].chunk0:qs[i].chunk0+qs[i].chunks], keys[w])
+		return nil
+	})
+	return out, st, fl, nil
 }
 
-// chunkGroups bounds a chunk: enough groups of one query to fill a
-// kernel pass several times over, few enough that a run of expensive
-// groups cannot leave one worker with the tail.
+// inlineHits is the measured crossover (BenchmarkBookkeeping) below
+// which workers cost partition, grouping and sorting more than they save.
+const inlineHits = 8192
+
+// each runs do(w, i) for every i < n on workers workers claiming i
+// from a shared cursor, the caller as worker 0 (one worker starts no
+// goroutine). The first error stops every worker and is returned.
+func each(workers, n int, do func(w, i int) error) error {
+	var cursor atomic.Int64
+	errs := make([]error, workers)
+	work := func(w int) {
+		for i := int(cursor.Add(1)) - 1; i < n; i = int(cursor.Add(1)) - 1 {
+			if errs[w] = do(w, i); errs[w] != nil {
+				cursor.Store(int64(n))
+				return
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
+		go func() { defer wg.Done(); work(w) }()
+	}
+	work(0)
+	wg.Wait()
+	return errors.Join(errs...)
+}
+
+// chunkGroups bounds a chunk, the groups of one query a kernel pass
+// draws lanes from: enough to fill passes, few enough to share out.
 const chunkGroups = 64
 
-// planChunks puts the group ids in query order by a stable counting
-// sort on seq0 and cuts that order into chunks of at most chunkGroups
-// groups of one query each: chunk c is order[chunks[c-1]:chunks[c]],
-// from 0 for c = 0. It also returns the longest query a group uses.
-// found stays indexed by group id, so the output order does not
-// depend on this order.
-func planChunks(groups []hitGroup, b0 *bank.Bank) (order []uint32, chunks []int, longest int) {
-	if len(groups) == 0 {
-		return nil, nil, 0
-	}
-	start := make([]int, b0.Len()+1)
-	for _, g := range groups {
-		start[g.seq0+1]++
-	}
-	for q := 1; q < len(start); q++ {
-		start[q] += start[q-1]
-	}
-	order = make([]uint32, len(groups))
-	for gi, g := range groups {
-		order[start[g.seq0]] = uint32(gi)
-		start[g.seq0]++
-	}
-	last := 0
-	for i, gi := range order {
-		q := groups[gi].seq0
-		newQuery := i == 0 || q != groups[order[i-1]].seq0
-		if newQuery {
-			longest = max(longest, len(b0.Seq(int(q))))
-		}
-		if i > 0 && (newQuery || i-last == chunkGroups) {
-			chunks = append(chunks, i)
-			last = i
-		}
-	}
-	return order, append(chunks, len(order)), longest
-}
-
-// alignerStore keeps the Aligners of finished runs, with their kernel
-// scratch, for the next run: unlike a sync.Pool it survives garbage
-// collections, so that a daemon's first job after an idle spell does
-// not allocate and clear its kept rows again. It holds at most
-// GOMAXPROCS Aligners.
+// alignerStore keeps up to GOMAXPROCS Aligners of finished runs, with
+// their kernel scratch, for the next run: unlike a sync.Pool it
+// survives garbage collections, so a daemon's first job after an idle
+// spell does not allocate and clear its kept rows again.
 var alignerStore struct {
 	sync.Mutex
 	free []storedAligner
@@ -323,125 +300,166 @@ func putAligner(cfg *Config, al *align.Aligner) {
 	alignerStore.free = append(alignerStore.free, storedAligner{cfg.Matrix, cfg.Gaps, al})
 }
 
-// sortAlignments puts the stage's output in its reported order:
-// (Seq0, EValue, Seq1). The sort is not stable, so the order of its
-// input — groups by first appearance, dedup order inside a group — is
-// part of the result.
-func sortAlignments(out []Alignment) {
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Seq0 != out[j].Seq0 {
-			return out[i].Seq0 < out[j].Seq0
+// sortAlignments writes one query's alignments, found in chunks, to
+// the start of dst in their reported order, (EValue, Seq1), by a
+// stable sort of keys (returned for reuse). Ties are alignments of one
+// pair, which keep dedup order: the order groups finished in never shows.
+func sortAlignments(dst []Alignment, chunks [][]Alignment, keys []sortKey) []sortKey {
+	keys = keys[:0]
+	for c, as := range chunks {
+		for i := range as {
+			keys = append(keys, sortKey{as[i].EValue, uint64(as[i].Seq1)<<32 | uint64(len(keys)), uint32(c), uint32(i)})
 		}
-		if out[i].EValue != out[j].EValue {
-			return out[i].EValue < out[j].EValue
+	}
+	slices.SortFunc(keys, func(a, b sortKey) int {
+		if a.ev != b.ev {
+			return cmp.Compare(a.ev, b.ev)
 		}
-		return out[i].Seq1 < out[j].Seq1
+		return cmp.Compare(a.tie, b.tie)
 	})
+	for k, key := range keys {
+		dst[k] = chunks[key.c][key.i]
+	}
+	return keys
 }
 
-// seedPos is all step 3 reads of a hit: the seed's residue
-// offsets in the bank-0 and bank-1 sequence of its group.
-type seedPos struct{ q, s uint32 }
-
-// hitGroup is one (seq0, seq1) pair's run of the grouped seed buffer:
-// group g owns offs[groups[g-1].end:groups[g].end], from 0 for g = 0.
-type hitGroup struct {
-	seq0, seq1 uint32
-	end        uint32
+// sortKey is an alignment's EValue, Seq1<<32 | rank, and place in chunks.
+type sortKey struct {
+	ev   float64
+	tie  uint64
+	c, i uint32
 }
 
-// groupHits buckets hits by (E0.Seq, E1.Seq) in O(len(hits)) without a
-// map and without per-group storage: one pass through a flat
-// open-addressing table assigns dense group ids and counts group
-// sizes, a counting sort then scatters the seed offsets into one
-// buffer. Two orders are part of the stage's result and are kept by
-// construction: groups are numbered in order of first appearance (the
-// final sort over alignments is not stable, so its input order
-// matters) and a group's seeds keep their input order (the
-// containment rule in extender.chunk is order-dependent). Besides two
-// arrays sized from len(hits) it allocates the group list and the
-// table, which grow with the groups by doubling. A pair naming a
-// sequence outside bank 0's n0 or bank 1's n1 sequences is an error,
-// found when its group is made.
-func groupHits(hits []ungapped.Hit, n0, n1 int) ([]hitGroup, []seedPos, error) {
-	n := len(hits)
-	if n == 0 {
-		return nil, nil, nil
+// seedPos is all step 3 reads of a hit: the seed's residue offsets in
+// its bank-0 and bank-1 sequences, and the bank-1 sequence.
+type seedPos struct{ q, s, seq1 uint32 }
+
+// query is one bank-0 sequence's share of a run, seeds[start:end].
+type query struct {
+	seq0       uint32
+	start, end int
+	groups     []hitGroup
+	chunk0     int // its first chunk
+	chunks     int // chunks of at most chunkGroups groups
+	out        int // its first alignment in the output
+}
+
+// hitGroup is one subject's run of its query's seeds, seeds[start:end].
+type hitGroup struct{ seq1, start, end uint32 }
+
+// partition scatters hits by query (E0.Seq) into seeds, each query's
+// hits contiguous and in input order, and returns the queries with
+// hits in bank order. Each worker's slice of hits is counted per
+// query, a prefix sum over (query, slice) gives each slice its first
+// slot per query, and the slices are scattered, both passes a run of
+// one query's hits at a time (step 2 emits long runs). A hit past bank
+// 0's n0 sequences is an error of the count pass.
+func partition(hits []ungapped.Hit, n0, workers int) ([]query, []seedPos, error) {
+	counts := make([]uint32, workers*n0) // slice i's row is counts[i*n0:(i+1)*n0]
+	slice := func(i int) ([]ungapped.Hit, []uint32) {
+		return hits[len(hits)*i/workers : len(hits)*(i+1)/workers], counts[i*n0 : (i+1)*n0]
 	}
-	if n > math.MaxInt32 {
-		return nil, nil, fmt.Errorf("gapped: %d hits exceed the stage's 32-bit hit index", n)
-	}
-	// table maps a pair's hash slot to its group id + 1 (0 = empty);
-	// the pair itself is compared in groups, which stays cache-sized
-	// when hits outnumber groups — the case where grouping is a
-	// visible share of the stage. Its load factor stays ≤ 1/2: it
-	// starts at room for min(n, 512) groups and doubles as they come.
-	shift := 64 - bits.Len(uint(2*min(n, 512)-1))
-	table := make([]uint32, 1<<(64-shift))
-	gids := make([]uint32, n)
-	groups := make([]hitGroup, 0, min(n, 1024))
-	for i := range hits {
-		s0, s1 := hits[i].E0.Seq, hits[i].E1.Seq
-		slot := pairSlot(s0, s1, shift)
-		for {
-			id := table[slot]
-			if id == 0 {
-				if int(s0) >= n0 || int(s1) >= n1 {
-					return nil, nil, fmt.Errorf("gapped: hit %d pairs sequence %d of bank 0 (%d sequences) with sequence %d of bank 1 (%d sequences)",
-						i, s0, n0, s1, n1)
-				}
-				groups = append(groups, hitGroup{seq0: s0, seq1: s1})
-				id = uint32(len(groups))
-				table[slot] = id
-				if 2*len(groups) > len(table) {
-					shift--
-					table = regroup(groups, shift)
-				}
-			} else if g := &groups[id-1]; g.seq0 != s0 || g.seq1 != s1 {
-				slot = (slot + 1) & uint64(len(table)-1)
-				continue
+	if err := each(workers, workers, func(_, i int) error {
+		hs, c := slice(i)
+		for j := 0; j < len(hs); {
+			s0, k := hs[j].E0.Seq, j
+			if int(s0) >= n0 {
+				return fmt.Errorf("gapped: hit %d names sequence %d of bank 0 (%d sequences)", len(hits)*i/workers+j, s0, n0)
 			}
-			gids[i] = id - 1
-			groups[id-1].end++ // the group's size, for now
-			break
+			for j < len(hs) && hs[j].E0.Seq == s0 {
+				j++
+			}
+			c[s0] += uint32(j - k)
+		}
+		return nil
+	}); err != nil {
+		return nil, nil, err
+	}
+	qs, sum := make([]query, 0, min(n0, len(hits))), uint32(0)
+	for q := 0; q < n0; q++ {
+		start := sum
+		for k := q; k < len(counts); k += n0 {
+			counts[k], sum = sum, sum+counts[k]
+		}
+		if sum > start {
+			qs = append(qs, query{seq0: uint32(q), start: int(start), end: int(sum)})
 		}
 	}
+	seeds := make([]seedPos, len(hits))
+	each(workers, workers, func(_, i int) error {
+		hs, next := slice(i)
+		for j := 0; j < len(hs); {
+			s0 := hs[j].E0.Seq
+			k := next[s0]
+			for ; j < len(hs) && hs[j].E0.Seq == s0; j, k = j+1, k+1 {
+				seeds[k] = seedPos{hs[j].E0.Off, hs[j].E1.Off, hs[j].E1.Seq}
+			}
+			next[s0] = k
+		}
+		return nil
+	})
+	return qs, seeds, nil
+}
 
-	// Counting sort: exclusive prefix sums of the sizes held in end,
-	// then a scatter that advances each group's end to its true value.
-	sum := uint32(0)
+// grouper is a worker's grouping scratch: a table of slots 0 or (subject
+// + 1)<<31 | group, a copy of a query's seeds, and its queries' groups.
+type grouper struct {
+	table  []uint64
+	tmp    []seedPos
+	groups []hitGroup
+}
+
+// groupHits puts qu's seeds in group order, a group being one subject's
+// seeds, by a counting sort: groups in order of first appearance, a
+// group's seeds in input order (containment is order-dependent). The
+// table starts with room for min(hits, n1, 1024) groups and doubles, the
+// query starting over, before they fill more than half of it: it grows
+// with the groups, not the hits or the bank. A subject past n1 is an error.
+func (gr *grouper) groupHits(qu *query, seeds []seedPos, n1 int) error {
+	hs := append(gr.tmp[:0], seeds[qu.start:qu.end]...) // a copy whose seq1 becomes the group
+	gr.tmp, gr.groups = hs, slices.Grow(gr.groups, min(len(hs), n1))
+	var groups []hitGroup
+grow:
+	for size := 1 << bits.Len(uint(2*max(min(len(hs), n1, 1024), 1)-1)); ; size *= 2 {
+		gr.table, groups = slices.Grow(gr.table[:0], size)[:size], gr.groups[len(gr.groups):]
+		clear(gr.table)
+		shift := 65 - bits.Len(uint(size))
+		for i := range hs {
+			s1 := seeds[qu.start+i].seq1
+			slot := uint64(s1) * 0x9E3779B97F4A7C15 >> shift
+			for e := gr.table[slot]; ; e = gr.table[slot] {
+				if e == 0 {
+					if int(s1) >= n1 {
+						return fmt.Errorf("gapped: hit pairs sequence %d of bank 0 with sequence %d of bank 1 (%d sequences)", qu.seq0, s1, n1)
+					}
+					if 2*len(groups) == size {
+						continue grow
+					}
+					e = (uint64(s1)+1)<<31 | uint64(len(groups))
+					gr.table[slot], groups = e, append(groups, hitGroup{seq1: s1})
+				} else if e>>31 != uint64(s1)+1 {
+					slot = (slot + 1) & uint64(size-1)
+					continue
+				}
+				hs[i].seq1 = uint32(e & (1<<31 - 1))
+				groups[hs[i].seq1].end++ // the group's size, for now
+				break
+			}
+		}
+		break
+	}
+	sum := uint32(qu.start) // sizes in end become starts, then ends
 	for g := range groups {
-		size := groups[g].end
-		groups[g].end = sum
-		sum += size
+		groups[g].start, groups[g].end, sum = sum, sum, sum+groups[g].end
 	}
-	offs := make([]seedPos, n)
-	for i, g := range gids {
-		offs[groups[g].end] = seedPos{hits[i].E0.Off, hits[i].E1.Off}
-		groups[g].end++
+	for _, sp := range hs {
+		g := &groups[sp.seq1]
+		seeds[g.end] = seedPos{sp.q, sp.s, g.seq1}
+		g.end++
 	}
-	return groups, offs, nil
-}
-
-// pairSlot is the home slot of a sequence pair in a groupHits table of
-// 1<<(64-shift) slots.
-func pairSlot(s0, s1 uint32, shift int) uint64 {
-	return (uint64(s0)<<32 | uint64(s1)) * 0x9E3779B97F4A7C15 >> shift
-}
-
-// regroup builds a groupHits table of 1<<(64-shift) slots holding every
-// group.
-func regroup(groups []hitGroup, shift int) []uint32 {
-	table := make([]uint32, 1<<(64-shift))
-	mask := uint64(len(table) - 1)
-	for gi, g := range groups {
-		slot := pairSlot(g.seq0, g.seq1, shift)
-		for table[slot] != 0 {
-			slot = (slot + 1) & mask
-		}
-		table[slot] = uint32(gi + 1)
-	}
-	return table
+	qu.groups = groups[:len(groups):len(groups)]
+	gr.groups = gr.groups[:len(gr.groups)+len(groups)]
+	return nil
 }
 
 // extender is one worker's step-3 state: the run it works for, its
@@ -450,13 +468,13 @@ type extender struct {
 	al        *align.Aligner
 	cfg       *Config
 	space     stats.SearchSpace
-	groups    []hitGroup
-	offs      []seedPos
+	seeds     []seedPos
 	b0, b1    *bank.Bank
-	found     [][]Alignment
 	speculate bool // fill empty lanes with next candidates: the kernel runs
 	st        Stats
 	fill      fill
+	seq0      int         // the query of the chunk it is on
+	out       []Alignment // the alignments of every group it finished
 
 	gs    []groupState
 	lanes []lane
@@ -468,7 +486,7 @@ type extender struct {
 // groupState is a group's progress through its hits: hits[cur:] are
 // unresolved.
 type groupState struct {
-	gi         int
+	seq1       int
 	s          []byte
 	hits       []seedPos
 	cur        int
@@ -481,42 +499,35 @@ type groupState struct {
 // lane is one extension of a pass: a hit of a group and its window,
 // and whether its extension is sure to pass the E-value cut.
 type lane struct {
-	g, hit   int
-	winStart int
-	sure     bool
+	g, hit, winStart int
+	sure             bool
 }
 
-// chunk extends every group of one chunk (groups of one query) in
-// kernel passes of up to align.BatchLanes lanes. Each group walks its
-// hits in order with at most one extension in flight, so containment
-// sees exactly the alignments it saw one extension at a time: a pass
-// takes each group's next candidate, from as many groups as fit, and
-// then resolves them. When every group has a lane and lanes are left,
-// they are filled with the same groups' later candidates (speculation);
-// resolving a group in hit order against the alignments found so far
-// then counts a speculated hit that has become contained as Contained
-// and drops its lane's result. Found alignments only grow, so a hit
-// contained when it is drawn stays contained, and Stats and results
-// are exactly those of the sequential walk. A seed offset outside its
-// query or subject is an error, found before any extension.
-func (x *extender) chunk(gids []uint32) error {
-	q := x.b0.Seq(int(x.groups[gids[0]].seq0))
+// chunk extends groups of query seq0 in kernel passes of up to
+// align.BatchLanes lanes. Each group walks its hits in order with at
+// most one extension in flight, so containment sees exactly the
+// alignments it saw one extension at a time: a pass takes each group's
+// next candidate, from as many groups as fit, then resolves them. Left
+// lanes are filled with the same groups' later candidates
+// (speculation); resolving a group in hit order counts a speculated hit
+// that has become contained as Contained and drops its lane's result.
+// Found alignments only grow, so Stats and results are exactly those of
+// the sequential walk. A finished group's alignments go to x.out. A
+// seed offset outside its query or subject is an error, found before
+// any extension.
+func (x *extender) chunk(seq0 uint32, groups []hitGroup) error {
+	x.seq0 = int(seq0)
+	q := x.b0.Seq(x.seq0)
 	x.gs = x.gs[:0]
-	for _, gi := range gids {
-		g := x.groups[gi]
-		start := uint32(0)
-		if gi > 0 {
-			start = x.groups[gi-1].end
-		}
-		s := x.b1.Seq(int(g.seq1))
-		hits := x.offs[start:g.end]
+	for _, g := range groups {
+		s, hits := x.b1.Seq(int(g.seq1)), x.seeds[g.start:g.end]
 		for _, sp := range hits {
 			if int(sp.q) >= len(q) || int(sp.s) >= len(s) {
-				return fmt.Errorf("gapped: hit at offsets %d, %d lies outside sequence %d of bank 0 (%d residues) or %d of bank 1 (%d residues)",
-					sp.q, sp.s, g.seq0, len(q), g.seq1, len(s))
+				return fmt.Errorf("gapped: hit at offsets %d, %d lies outside sequence %d of bank 0 (%d residues) or %d of bank 1 (%d residues)", sp.q, sp.s, seq0, len(q), g.seq1, len(s))
 			}
 		}
-		x.gs = append(x.gs, groupState{gi: int(gi), s: s, hits: hits})
+		found := x.gs[:len(x.gs)+1][len(x.gs)].found[:0] // reused across chunks
+		x.gs = append(x.gs, groupState{seq1: int(g.seq1), s: s, hits: hits, found: found})
 	}
 	for {
 		// Each group's next candidate, from as many groups as fit; a
@@ -531,7 +542,7 @@ func (x *extender) chunk(gids []uint32) error {
 			h, sure := x.next(q, g)
 			if h < 0 {
 				g.done = true
-				x.found[g.gi] = dedup(g.found)
+				x.out = append(x.out, dedup(g.found)...)
 				continue
 			}
 			g.first = len(x.lanes)
@@ -576,11 +587,9 @@ func (x *extender) next(q []byte, g *groupState) (h int, sure bool) {
 
 // triggers is the cheap pre-filter: an ungapped X-drop extension
 // anchored at the seed's first residue must reach the gap trigger
-// before the banded DP is paid for (NCBI's two-stage extension).
-// Chance hits from the ungapped window filter rarely extend. sure
-// reports that the ungapped segment alone passes the E-value cut: the
-// banded pass, whose band holds the segment, then reports an
-// alignment.
+// before the banded DP is paid for (NCBI's two-stage extension), which
+// chance hits rarely do. sure reports that the ungapped segment alone
+// passes the E-value cut, so the banded pass will report an alignment.
 func (x *extender) triggers(q, s []byte, h seedPos) (pass, sure bool) {
 	if x.cfg.GapTrigger <= 0 {
 		return true, false
@@ -591,14 +600,12 @@ func (x *extender) triggers(q, s []byte, h seedPos) (pass, sure bool) {
 
 // speculateLanes fills the pass's empty lanes with later candidates of
 // its groups, one per group per round: hits after the group's last
-// lane that are not contained in what the group has found so far and
-// pass the gap trigger. Lanes of a group stay contiguous and in hit
-// order, and every hit between two of them is contained or below the
-// trigger, which resolve relies on. A group stops speculating at a hit
-// within the band of the diagonal of one of its lanes that is sure to
-// report an alignment: that alignment will most likely contain it, as
-// it does the rest of a homolog's hits, while chance hits (which
-// rarely pass the cut) are worth speculating past.
+// lane, not contained in what it has found and past the gap trigger.
+// A group's lanes stay contiguous and in hit order, and every hit
+// between two is contained or below the trigger, which resolve relies
+// on. A group stops at a hit within the band of the diagonal of a lane
+// sure to report an alignment, which will most likely contain it, as
+// it does a homolog's other hits; chance hits are worth speculating past.
 func (x *extender) speculateLanes(q []byte) {
 	for grew := true; grew && len(x.lanes) < align.BatchLanes; {
 		grew = false
@@ -710,10 +717,9 @@ func (x *extender) resolve(q []byte, g *groupState) {
 
 // report turns lane l's result into an alignment, in subject
 // coordinates, when its E-value passes the cut. The pass scored first;
-// the alignment's start, and under Traceback its operations, are
-// recovered only for survivors, each by a walk back over the pass's
-// kept rows, not a second DP. DPRows and DPCells keep their nominal
-// per-extension definition either way.
+// a survivor's start, and under Traceback its operations, are walked
+// back over the pass's kept rows, not a second DP. DPRows and DPCells
+// keep their nominal per-extension definition.
 func (x *extender) report(q []byte, g *groupState, l int) (Alignment, bool) {
 	loc := x.ends[l]
 	if loc.Score <= 0 {
@@ -729,10 +735,9 @@ func (x *extender) report(q []byte, g *groupState, l int) (Alignment, bool) {
 		ops = x.al.LocalBandedOps(q, x.wins[l], loc, x.diags[l], x.cfg.Band)
 	}
 	ws := x.lanes[l].winStart
-	gr := x.groups[g.gi]
 	return Alignment{
-		Seq0:     int(gr.seq0),
-		Seq1:     int(gr.seq1),
+		Seq0:     x.seq0,
+		Seq1:     g.seq1,
 		Score:    loc.Score,
 		BitScore: x.cfg.Params.BitScore(loc.Score),
 		EValue:   ev,
@@ -759,23 +764,18 @@ func contained(found []Alignment, qPos, sPos, band int) bool {
 }
 
 // dedup removes alignments whose query and subject ranges are both
-// contained in a higher-scoring alignment of the same pair.
+// contained in a higher-scoring alignment of the same pair. It works
+// in place and returns the kept prefix of as.
 func dedup(as []Alignment) []Alignment {
 	if len(as) <= 1 {
 		return as
 	}
 	sort.Slice(as, func(i, j int) bool { return as[i].Score > as[j].Score })
-	var out []Alignment
+	out := as[:0]
 	for _, a := range as {
-		keep := true
-		for _, b := range out {
-			if a.Q.Start >= b.Q.Start && a.Q.End <= b.Q.End &&
-				a.S.Start >= b.S.Start && a.S.End <= b.S.End {
-				keep = false
-				break
-			}
-		}
-		if keep {
+		if !slices.ContainsFunc(out, func(b Alignment) bool {
+			return a.Q.Start >= b.Q.Start && a.Q.End <= b.Q.End && a.S.Start >= b.S.Start && a.S.End <= b.S.End
+		}) {
 			out = append(out, a)
 		}
 	}

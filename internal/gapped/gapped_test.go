@@ -1,8 +1,11 @@
 package gapped
 
 import (
+	"fmt"
+	"math/rand"
 	"reflect"
 	"runtime"
+	"sort"
 	"testing"
 
 	"seedblast/internal/align"
@@ -136,31 +139,128 @@ func TestRunTracebackOps(t *testing.T) {
 func TestRunDeterministicAcrossWorkers(t *testing.T) {
 	// Enough groups (one per subject) that every worker count below
 	// claims many chunks, so the claim order really varies between
-	// runs; run under -race in CI.
+	// runs; run under -race in CI. The skewed bank gives one query most
+	// of the hits, so its chunks are spread over every worker.
+	h0, h1 := homologBank(400)
+	s0, s1 := skewedBank(400)
+	for _, bk := range []struct {
+		name   string
+		b0, b1 *bank.Bank
+	}{{"homolog", h0, h1}, {"skewed", s0, s1}} {
+		hits := runPipelineUpTo2(t, bk.b0, bk.b1, 22)
+		if bk.name == "skewed" {
+			if n := countQuery(hits, 0); 2*n < len(hits) {
+				t.Fatalf("skewed: query 0 has %d of %d hits, want most", n, len(hits))
+			}
+		}
+		var ref []Alignment
+		var refStats Stats
+		for _, workers := range []int{1, 2, 3, 8} {
+			cfg := DefaultConfig()
+			cfg.Workers = workers
+			as, st, err := RunWithStats(bk.b0, bk.b1, hits, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ref == nil {
+				if len(as) < 300 {
+					t.Fatalf("%s: only %d alignments: the bank no longer exercises the dispatch", bk.name, len(as))
+				}
+				ref, refStats = as, st
+				continue
+			}
+			if st != refStats {
+				t.Errorf("%s/workers=%d: stats %+v, want %+v", bk.name, workers, st, refStats)
+			}
+			if !reflect.DeepEqual(as, ref) {
+				t.Fatalf("%s/workers=%d: alignments differ from the one-worker run", bk.name, workers)
+			}
+		}
+	}
+}
+
+// countQuery is the number of hits on query q.
+func countQuery(hits []ungapped.Hit, q uint32) int {
+	n := 0
+	for _, h := range hits {
+		if h.E0.Seq == q {
+			n++
+		}
+	}
+	return n
+}
+
+// TestRunInvariantToCrossQueryOrder reorders hits between queries,
+// each query's own hits kept in order: the query runs rotated, and a
+// random riffle of them. Alignments and Stats must not change, so the
+// order of hits across queries never reaches the output. The hit list
+// is long enough that partition runs on every worker.
+func TestRunInvariantToCrossQueryOrder(t *testing.T) {
 	b0, b1 := homologBank(400)
 	hits := runPipelineUpTo2(t, b0, b1, 22)
-	var ref []Alignment
-	var refStats Stats
-	for _, workers := range []int{1, 2, 3, 8} {
-		cfg := DefaultConfig()
-		cfg.Workers = workers
-		as, st, err := RunWithStats(b0, b1, hits, cfg)
-		if err != nil {
-			t.Fatal(err)
+	if len(hits) < 2*inlineHits {
+		t.Fatalf("%d hits: the parallel partition does not run", len(hits))
+	}
+	runs := make([][]ungapped.Hit, b0.Len()) // each query's hits in order
+	for _, h := range hits {
+		runs[h.E0.Seq] = append(runs[h.E0.Seq], h)
+	}
+	var rotated, riffled []ungapped.Hit
+	for k := range runs {
+		rotated = append(rotated, runs[(k+5)%len(runs)]...)
+	}
+	rng := rand.New(rand.NewSource(5))
+	next := make([]int, len(runs))
+	for len(riffled) < len(hits) {
+		if q := rng.Intn(len(runs)); next[q] < len(runs[q]) {
+			riffled = append(riffled, runs[q][next[q]])
+			next[q]++
 		}
-		if ref == nil {
-			if len(as) < 300 {
-				t.Fatalf("only %d alignments: the bank no longer exercises the dispatch", len(as))
+	}
+	cfg := DefaultConfig()
+	want, wantStats, err := RunWithStats(b0, b1, hits, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, reordered := range map[string][]ungapped.Hit{"rotated": rotated, "riffled": riffled} {
+		for _, workers := range []int{1, 3} {
+			cfg.Workers = workers
+			got, st, err := RunWithStats(b0, b1, reordered, cfg)
+			if err != nil {
+				t.Fatal(err)
 			}
-			ref, refStats = as, st
-			continue
+			if st != wantStats || !reflect.DeepEqual(got, want) {
+				t.Errorf("%s/workers=%d: %d alignments and %+v, in input order %d and %+v", name, workers, len(got), st, len(want), wantStats)
+			}
 		}
-		if st != refStats {
-			t.Errorf("workers=%d: stats %+v, want %+v", workers, st, refStats)
+	}
+}
+
+// TestSortAlignmentsStable: a query's alignments, gathered from its
+// chunks, come out by (EValue, Seq1), and alignments tied on both keep
+// their order across the chunks, as sort.SliceStable keeps it.
+func TestSortAlignmentsStable(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	var chunks [][]Alignment
+	var all []Alignment
+	for c := 0; c < 5; c++ {
+		var as []Alignment
+		for i := 0; i < 40; i++ {
+			// Q.Start numbers the input; 12 (EValue, Seq1) keys, many ties.
+			as = append(as, Alignment{Seq1: rng.Intn(4), EValue: float64(rng.Intn(3)), Q: Span{len(all) + i, 0}})
 		}
-		if !reflect.DeepEqual(as, ref) {
-			t.Fatalf("workers=%d: alignments differ from the one-worker run", workers)
+		chunks, all = append(chunks, as), append(all, as...)
+	}
+	want := append([]Alignment(nil), all...)
+	sort.SliceStable(want, func(i, j int) bool {
+		if want[i].EValue != want[j].EValue {
+			return want[i].EValue < want[j].EValue
 		}
+		return want[i].Seq1 < want[j].Seq1
+	})
+	got := make([]Alignment, len(all))
+	if sortAlignments(got, chunks, nil); !reflect.DeepEqual(got, want) {
+		t.Errorf("sorted %v, want %v", got, want)
 	}
 }
 
@@ -300,6 +400,24 @@ func TestStatsAccounting(t *testing.T) {
 	if st.Extended > 0 && st.DPCells <= st.DPRows {
 		t.Errorf("DP volume inconsistent: %+v", st)
 	}
+}
+
+// skewedBank is homologBank with three of every four subjects copies
+// of query 0, so that query owns most of the hits.
+func skewedBank(subjects int) (*bank.Bank, *bank.Bank) {
+	rng := bank.NewRNG(11)
+	b0, b1 := bank.New("q"), bank.New("s")
+	for i := 0; i < 16; i++ {
+		b0.Add("q", bank.RandomProtein(rng, 90+4*i))
+	}
+	for i := 0; i < subjects; i++ {
+		q := 0
+		if i%4 == 3 {
+			q = i % 16
+		}
+		b1.Add("h", bank.MutateProtein(rng, b0.Seq(q), 0.1+0.1*float64((i/16)%5)))
+	}
+	return b0, b1
 }
 
 // homologBank mirrors the benchmark's homolog_full inputs at a chosen
@@ -484,25 +602,73 @@ func outOfBankCases(b0, b1 *bank.Bank) map[string]func(h *ungapped.Hit) {
 }
 
 // TestRunRejectsHitsOutsideBanks: a hit outside the banks is an error
-// from step 3, not an index-out-of-range panic, at any worker count.
+// from step 3, not an index-out-of-range panic, at any worker count,
+// on a short hit list (partitioned inline) and on one long enough that
+// every worker partitions.
 func TestRunRejectsHitsOutsideBanks(t *testing.T) {
-	b0, b1 := homologPair(t)
-	hits := runPipelineUpTo2(t, b0, b1, 25)
-	if len(hits) < 2 {
-		t.Fatalf("%d hits; test is vacuous", len(hits))
-	}
-	cfg := DefaultConfig()
-	if _, err := Run(b0, b1, hits, cfg); err != nil {
-		t.Fatalf("valid hits rejected: %v", err)
-	}
-	for name, corrupt := range outOfBankCases(b0, b1) {
-		bad := append([]ungapped.Hit(nil), hits...)
-		corrupt(&bad[len(bad)/2])
-		for _, workers := range []int{1, 3} {
-			cfg.Workers = workers
-			if as, err := Run(b0, b1, bad, cfg); err == nil {
-				t.Errorf("%s/workers=%d: accepted, %d alignments", name, workers, len(as))
+	p0, p1 := homologPair(t)
+	h0, h1 := homologBank(400)
+	for _, bk := range []struct {
+		name   string
+		b0, b1 *bank.Bank
+		hits   []ungapped.Hit
+	}{{"short", p0, p1, runPipelineUpTo2(t, p0, p1, 25)}, {"long", h0, h1, runPipelineUpTo2(t, h0, h1, 22)}} {
+		if len(bk.hits) < 2 || (bk.name == "long") != (len(bk.hits) >= 2*inlineHits) {
+			t.Fatalf("%s: %d hits; the test no longer covers its partition path", bk.name, len(bk.hits))
+		}
+		cfg := DefaultConfig()
+		if _, err := Run(bk.b0, bk.b1, bk.hits, cfg); err != nil {
+			t.Fatalf("%s: valid hits rejected: %v", bk.name, err)
+		}
+		for name, corrupt := range outOfBankCases(bk.b0, bk.b1) {
+			bad := append([]ungapped.Hit(nil), bk.hits...)
+			corrupt(&bad[len(bad)/2])
+			for _, workers := range []int{1, 2, 3, 8} {
+				cfg.Workers = workers
+				if as, err := Run(bk.b0, bk.b1, bad, cfg); err == nil {
+					t.Errorf("%s/%s/workers=%d: accepted, %d alignments", bk.name, name, workers, len(as))
+				}
 			}
+		}
+	}
+}
+
+// BenchmarkBookkeeping times partition and per-query grouping, the
+// passes run runs inline below inlineHits hits, on prefixes of a
+// homolog_full-shaped hit list at one and two workers: the crossover
+// where two workers start to pay is where inlineHits sits.
+func BenchmarkBookkeeping(b *testing.B) {
+	b0, b1 := homologBank(5000)
+	model := seed.Default()
+	ix0, err := index.Build(b0, model, 14)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ix1, err := index.Build(b1, model, 14)
+	if err != nil {
+		b.Fatal(err)
+	}
+	res, err := ungapped.Run(ix0, ix1, ungapped.Config{Matrix: matrix.BLOSUM62, Threshold: 38})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, n := range []int{1 << 10, 1 << 12, 1 << 13, 1 << 14, 1 << 15, len(res.Hits)} {
+		hits := res.Hits[:n]
+		for _, workers := range []int{1, 2} {
+			b.Run(fmt.Sprintf("hits=%d/workers=%d", n, workers), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					qs, seeds, err := partition(hits, b0.Len(), workers)
+					if err != nil {
+						b.Fatal(err)
+					}
+					grs := make([]grouper, workers)
+					if err := each(min(workers, len(qs)), len(qs), func(w, i int) error {
+						return grs[w].groupHits(&qs[i], seeds, b1.Len())
+					}); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
 		}
 	}
 }

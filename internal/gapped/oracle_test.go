@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 
 	"seedblast/internal/align"
@@ -16,7 +17,8 @@ import (
 
 // oracleGroups is the map-based grouping RunWithStats used before the
 // flat table: pairs in order of first appearance, each with its hits
-// in input order. Kept as the reference groupHits is pinned to.
+// in input order. Kept as the reference partition and groupHits are
+// pinned to: per query, groupHits' groups are its pairs in this order.
 func oracleGroups(hits []ungapped.Hit) (order [][2]uint32, groups map[[2]uint32][]ungapped.Hit) {
 	groups = make(map[[2]uint32][]ungapped.Hit)
 	for _, h := range hits {
@@ -29,34 +31,103 @@ func oracleGroups(hits []ungapped.Hit) (order [][2]uint32, groups map[[2]uint32]
 	return order, groups
 }
 
+// oracleQueries is the filter oracle of partition: for each query of
+// n0 in bank order, its hits in input order.
+func oracleQueries(hits []ungapped.Hit, n0 int) [][]ungapped.Hit {
+	out := make([][]ungapped.Hit, n0)
+	for _, h := range hits {
+		out[h.E0.Seq] = append(out[h.E0.Seq], h)
+	}
+	return out
+}
+
+// checkPartition checks partition's queries and their hits against
+// oracleQueries.
+func checkPartition(t *testing.T, name string, hits []ungapped.Hit, n0, workers int) ([]query, []seedPos) {
+	t.Helper()
+	qs, seeds, err := partition(hits, n0, workers)
+	if err != nil {
+		t.Fatalf("%s/workers=%d: %v", name, workers, err)
+	}
+	if len(seeds) != len(hits) {
+		t.Fatalf("%s/workers=%d: %d seeds for %d hits", name, workers, len(seeds), len(hits))
+	}
+	var want []query
+	end := 0
+	for q, hs := range oracleQueries(hits, n0) {
+		if len(hs) == 0 {
+			continue
+		}
+		want = append(want, query{seq0: uint32(q), start: end, end: end + len(hs)})
+		for i, h := range hs {
+			if seeds[end+i] != (seedPos{h.E0.Off, h.E1.Off, h.E1.Seq}) {
+				t.Fatalf("%s/workers=%d: query %d hit %d is %+v, oracle %+v", name, workers, q, i, seeds[end+i], h)
+			}
+		}
+		end += len(hs)
+	}
+	if len(qs) != len(want) {
+		t.Fatalf("%s/workers=%d: %d queries with hits, oracle has %d", name, workers, len(qs), len(want))
+	}
+	for i := range want {
+		if qs[i].seq0 != want[i].seq0 || qs[i].start != want[i].start || qs[i].end != want[i].end {
+			t.Fatalf("%s/workers=%d: query %d is (%d, %d:%d), oracle (%d, %d:%d)", name, workers, i,
+				qs[i].seq0, qs[i].start, qs[i].end, want[i].seq0, want[i].start, want[i].end)
+		}
+	}
+	return qs, seeds
+}
+
+// checkGrouping partitions hits and groups every query with one
+// grouper, in reverse bank order so that its table and buffers are
+// reused across queries of different sizes, and checks the groups
+// against oracleGroups.
 func checkGrouping(t *testing.T, name string, hits []ungapped.Hit) {
 	t.Helper()
-	// No bank bounds here: TestRunRejectsHitsOutsideBanks covers them.
-	groups, offs, err := groupHits(hits, math.MaxInt, math.MaxInt)
-	if err != nil {
-		t.Fatalf("%s: %v", name, err)
+	n0 := 0
+	for _, h := range hits {
+		n0 = max(n0, int(h.E0.Seq)+1)
+	}
+	qs, seeds := checkPartition(t, name, hits, n0, 2)
+	var gr grouper
+	for i := len(qs) - 1; i >= 0; i-- {
+		// No bank-1 bound here: TestRunRejectsHitsOutsideBanks covers it.
+		if err := gr.groupHits(&qs[i], seeds, math.MaxInt); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
 	}
 	order, want := oracleGroups(hits)
-	if len(groups) != len(order) {
-		t.Fatalf("%s: %d groups, oracle has %d", name, len(groups), len(order))
+	pairs := map[uint32][][2]uint32{} // each query's pairs in first-appearance order
+	for _, k := range order {
+		pairs[k[0]] = append(pairs[k[0]], k)
 	}
-	if len(offs) != len(hits) {
-		t.Fatalf("%s: %d grouped seeds for %d hits", name, len(offs), len(hits))
+	groups := 0
+	for _, qu := range qs {
+		if len(qu.groups) != len(pairs[qu.seq0]) {
+			t.Fatalf("%s: query %d has %d groups, oracle %d", name, qu.seq0, len(qu.groups), len(pairs[qu.seq0]))
+		}
+		start := uint32(qu.start)
+		for gi, g := range qu.groups {
+			k := pairs[qu.seq0][gi]
+			if g.seq1 != k[1] {
+				t.Fatalf("%s: query %d group %d is subject %d, oracle order has %d", name, qu.seq0, gi, g.seq1, k[1])
+			}
+			var wantOffs []seedPos
+			for _, h := range want[k] {
+				wantOffs = append(wantOffs, seedPos{h.E0.Off, h.E1.Off, h.E1.Seq})
+			}
+			if got := seeds[start:g.end]; !reflect.DeepEqual(got, wantOffs) {
+				t.Fatalf("%s: group %d (%d,%d) seeds %v, oracle %v", name, gi, k[0], k[1], got, wantOffs)
+			}
+			start = g.end
+		}
+		if int(start) != qu.end {
+			t.Fatalf("%s: query %d's groups end at %d, its hits at %d", name, qu.seq0, start, qu.end)
+		}
+		groups += len(qu.groups)
 	}
-	start := uint32(0)
-	for gi, g := range groups {
-		k := order[gi]
-		if g.seq0 != k[0] || g.seq1 != k[1] {
-			t.Fatalf("%s: group %d is pair (%d,%d), oracle order has (%d,%d)", name, gi, g.seq0, g.seq1, k[0], k[1])
-		}
-		var wantOffs []seedPos
-		for _, h := range want[k] {
-			wantOffs = append(wantOffs, seedPos{h.E0.Off, h.E1.Off})
-		}
-		if got := offs[start:g.end]; !reflect.DeepEqual(got, wantOffs) {
-			t.Fatalf("%s: group %d (%d,%d) seeds %v, oracle %v", name, gi, g.seq0, g.seq1, got, wantOffs)
-		}
-		start = g.end
+	if groups != len(order) {
+		t.Fatalf("%s: %d groups, oracle has %d", name, groups, len(order))
 	}
 }
 
@@ -69,7 +140,7 @@ func TestGroupHitsMatchesMapOracle(t *testing.T) {
 	checkGrouping(t, "empty", nil)
 	checkGrouping(t, "single", []ungapped.Hit{hit(3, 9, 1, 2)})
 
-	var giant, singletons, interleaved, swapped, wide []ungapped.Hit
+	var giant, singletons, interleaved, swapped, wide, grows []ungapped.Hit
 	for i := uint32(0); i < 5000; i++ {
 		giant = append(giant, hit(7, 7, rng.Uint32(), rng.Uint32()))
 		singletons = append(singletons, hit(i, 4999-i, i, i))
@@ -78,9 +149,13 @@ func TestGroupHitsMatchesMapOracle(t *testing.T) {
 		interleaved = append(interleaved, hit(i%2, 1-i%2, i, 2*i))
 		// (a,b) and (b,a) must not collide into one group.
 		swapped = append(swapped, hit(i%7, i%5, i, i), hit(i%5, i%7, i, i))
-		// Sequence numbers far beyond the table size, including the
-		// all-ones extremes.
-		wide = append(wide, hit(^uint32(0)-i%3, uint32(1)<<31+i%4, i, i))
+		// Subject numbers far beyond the table size, including the
+		// all-ones extreme. (A query number past bank 0 is partition's
+		// error: TestPartitionMatchesFilterOracle.)
+		wide = append(wide, hit(i%3, ^uint32(0)-i%4, i, i), hit(i%3, uint32(1)<<31+i%5, i, i))
+		// 2500 subjects each for queries 0 and 1: the table outgrows
+		// its starting size twice, starting the query over each time.
+		grows = append(grows, hit(i%2, 7*(i/2)+i%2, i, i))
 	}
 	interleaved = append(interleaved, hit(9, 9, 0, 0), hit(0, 1, 1, 1))
 	checkGrouping(t, "giant", giant)
@@ -88,6 +163,7 @@ func TestGroupHitsMatchesMapOracle(t *testing.T) {
 	checkGrouping(t, "interleaved", interleaved)
 	checkGrouping(t, "swapped", swapped)
 	checkGrouping(t, "wide", wide)
+	checkGrouping(t, "grows", grows)
 
 	for trial := 0; trial < 200; trial++ {
 		n := rng.Intn(400)
@@ -100,13 +176,52 @@ func TestGroupHitsMatchesMapOracle(t *testing.T) {
 	}
 }
 
+// TestPartitionMatchesFilterOracle pins partition to oracleQueries at
+// 1, 2, 3 and 8 workers: no hits, one query holding every hit, most
+// queries without hits, runs of one query that worker slices begin and
+// end inside, and random lists; a query past bank 0 is an error.
+func TestPartitionMatchesFilterOracle(t *testing.T) {
+	hit := func(s0, s1 uint32) ungapped.Hit {
+		return ungapped.Hit{E0: index.Entry{Seq: s0, Off: s1 * 3}, E1: index.Entry{Seq: s1, Off: s0}}
+	}
+	rng := rand.New(rand.NewSource(23))
+	var one, sparse, runs []ungapped.Hit
+	for i := uint32(0); i < 1000; i++ {
+		one = append(one, hit(5, i))
+		sparse = append(sparse, hit(97*(i%3), i))
+		// Runs of seven hits of one query: every worker slice of the
+		// 1000 hits begins and ends inside a run.
+		runs = append(runs, hit(i/7%5, i))
+	}
+	for _, workers := range []int{1, 2, 3, 8} {
+		checkPartition(t, "empty", nil, 4, workers)
+		checkPartition(t, "one query", one, 9, workers)
+		checkPartition(t, "sparse", sparse, 300, workers)
+		checkPartition(t, "runs", runs, 5, workers)
+		for trial := 0; trial < 50; trial++ {
+			n0 := 1 + rng.Intn(20)
+			hits := make([]ungapped.Hit, rng.Intn(300))
+			for i := range hits {
+				hits[i] = hit(uint32(rng.Intn(n0)), rng.Uint32())
+			}
+			checkPartition(t, "random", hits, n0, workers)
+		}
+		bad := append([]ungapped.Hit(nil), runs...)
+		bad[len(bad)-1].E0.Seq = 5
+		if _, _, err := partition(bad, 5, workers); err == nil {
+			t.Errorf("workers=%d: a hit past bank 0 was partitioned", workers)
+		}
+	}
+}
+
 // oracleRun is RunWithStats as it was before the stage was rebuilt:
 // map grouping, one goroutine, and per hit the full forward + reverse
 // scalar banded DP (align.LocalBandedReference) before the E-value
 // cut; under Traceback, a survivor's operations come from a fresh
 // Aligner, which has run no kernel pass and so takes the scalar path.
-// It shares only contained, dedup and the final sort with the shipped
-// path.
+// It shares only contained and dedup with the shipped path: its final
+// sort is its own global sort.Slice over every alignment, with the
+// comparator the stage's per-query stable sort uses.
 func oracleRun(b0, b1 *bank.Bank, hits []ungapped.Hit, cfg Config) ([]Alignment, Stats) {
 	space := cfg.SearchSpace
 	if space.IsZero() {
@@ -166,7 +281,15 @@ func oracleRun(b0, b1 *bank.Bank, hits []ungapped.Hit, cfg Config) ([]Alignment,
 		}
 		out = append(out, dedup(found)...)
 	}
-	sortAlignments(out)
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Seq0 != out[j].Seq0 {
+			return out[i].Seq0 < out[j].Seq0
+		}
+		if out[i].EValue != out[j].EValue {
+			return out[i].EValue < out[j].EValue
+		}
+		return out[i].Seq1 < out[j].Seq1
+	})
 	return out, st
 }
 

@@ -518,8 +518,9 @@ func (b corruptBackend) Step2(ctx context.Context, sh *Shard, ix1 *index.Index) 
 }
 
 // TestStep3RejectsHitsOutsideBanks: a backend that returns a hit
-// outside the banks fails the run with step 3's error; the step-3
-// goroutine must not panic, which would take the process down.
+// outside the banks fails the run with step 3's error, at 1, 2 and 8
+// step-3 workers per shard; the step-3 goroutine must not panic, which
+// would take the process down.
 func TestStep3RejectsHitsOutsideBanks(t *testing.T) {
 	b0, b1 := testBanks(t, 6)
 	cases := map[string]func(sh *Shard, h *ungapped.Hit){
@@ -530,13 +531,17 @@ func TestStep3RejectsHitsOutsideBanks(t *testing.T) {
 	}
 	for name, corrupt := range cases {
 		for _, cfg := range []Config{{}, {ShardSize: 2, InFlight: 2, Step2Workers: 2, Step3Workers: 2}} {
-			eng, err := New(cfg, corruptBackend{testBackend(), corrupt})
-			if err != nil {
-				t.Fatal(err)
-			}
-			_, err = eng.Run(context.Background(), testRequest(t, b0, b1))
-			if err == nil || !strings.Contains(err.Error(), "step 3") {
-				t.Errorf("%s/shard=%d: Run returned %v, want a step-3 error", name, cfg.ShardSize, err)
+			for _, workers := range []int{1, 2, 8} {
+				eng, err := New(cfg, corruptBackend{testBackend(), corrupt})
+				if err != nil {
+					t.Fatal(err)
+				}
+				req := testRequest(t, b0, b1)
+				req.Gapped.Workers = workers
+				_, err = eng.Run(context.Background(), req)
+				if err == nil || !strings.Contains(err.Error(), "step 3") {
+					t.Errorf("%s/shard=%d/workers=%d: Run returned %v, want a step-3 error", name, cfg.ShardSize, workers, err)
+				}
 			}
 		}
 	}
