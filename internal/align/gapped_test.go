@@ -194,8 +194,10 @@ func TestLocalBandedStartRecoveryProperty(t *testing.T) {
 			return true
 		}
 		// Realigning the recovered sub-ranges must reproduce the score.
+		// Diagonal 0 of the full matrices is diagonal AStart-BStart of
+		// the sub-ranges.
 		sub := al.LocalBanded(a[loc.AStart:loc.AEnd], b[loc.BStart:loc.BEnd],
-			loc.BStart-loc.AStart+ /*shift to window*/ loc.AStart-loc.BStart, band)
+			loc.AStart-loc.BStart, band)
 		return sub.Score >= loc.Score
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {

@@ -119,10 +119,11 @@ func Search(queries, subjects *bank.Bank, cfg Config) ([]Match, error) {
 }
 
 // lookup maps word keys to query positions, including neighbourhood
-// words scoring at least T against an indexed query word.
+// words scoring at least T against an indexed query word. buckets has
+// one entry per key of the 20^W word space (wordKey's mixed radix).
 type lookup struct {
 	w       int
-	buckets map[uint32][]int32
+	buckets [][]int32
 }
 
 func wordKey(w []byte) (uint32, bool) {
@@ -141,7 +142,11 @@ func wordKey(w []byte) (uint32, bool) {
 // registered, exactly as BLAST seeds hits on similar (not only
 // identical) words.
 func buildLookup(query []byte, cfg *Config) *lookup {
-	lut := &lookup{w: cfg.W, buckets: make(map[uint32][]int32)}
+	space := 1
+	for range cfg.W {
+		space *= alphabet.NumStandardAA
+	}
+	lut := &lookup{w: cfg.W, buckets: make([][]int32, space)}
 	neighbor := make([]byte, cfg.W)
 	for pos := 0; pos+cfg.W <= len(query); pos++ {
 		word := query[pos : pos+cfg.W]

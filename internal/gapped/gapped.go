@@ -227,9 +227,18 @@ func run(b0, b1 *bank.Bank, hits []ungapped.Hit, cfg Config) ([]Alignment, Stats
 const inlineHits = 8192
 
 // each runs do(w, i) for every i < n on workers workers claiming i
-// from a shared cursor, the caller as worker 0 (one worker starts no
-// goroutine). The first error stops every worker and is returned.
+// from a shared cursor, the caller as worker 0. The first error stops
+// every worker and is returned. One worker is a plain loop: no
+// goroutine, cursor or error slice.
 func each(workers, n int, do func(w, i int) error) error {
+	if workers <= 1 {
+		for i := range n {
+			if err := do(0, i); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
 	var cursor atomic.Int64
 	errs := make([]error, workers)
 	work := func(w int) {

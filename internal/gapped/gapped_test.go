@@ -1,6 +1,7 @@
 package gapped
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -630,6 +631,31 @@ func TestRunRejectsHitsOutsideBanks(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestEachInlineAllocatesNothing: at one worker each is a plain loop,
+// with no cursor, error slice or goroutine closure to allocate, that
+// still visits every index in order and stops at the first error.
+func TestEachInlineAllocatesNothing(t *testing.T) {
+	var seen []int
+	stop := errors.New("stop")
+	do := func(w, i int) error {
+		if w != 0 {
+			t.Fatalf("worker %d of one", w)
+		}
+		seen = append(seen, i)
+		if i == 5 {
+			return stop
+		}
+		return nil
+	}
+	if err := each(1, 9, do); err != stop || !reflect.DeepEqual(seen, []int{0, 1, 2, 3, 4, 5}) {
+		t.Fatalf("each(1, 9) = %v after %v, want stop after 0..5", err, seen)
+	}
+	noop := func(_, _ int) error { return nil }
+	if allocs := testing.AllocsPerRun(100, func() { each(1, 64, noop) }); allocs != 0 {
+		t.Errorf("each at one worker allocates %v times", allocs)
 	}
 }
 

@@ -5,7 +5,10 @@
 // CSR-like (a flat entry array plus per-key offsets) so buckets are
 // contiguous and cache-friendly, and the W+2N neighbourhood windows the
 // ungapped-extension stage consumes are pre-extracted next to their
-// entries, mirroring the data flow into the PSC operator.
+// entries, mirroring the data flow into the PSC operator. A build
+// makes three passes (build.go): it counts keys, scatters the entries
+// into their buckets, and writes the windows in entry order, one copy
+// from the bank per window that does not cross a sequence end.
 package index
 
 import (
@@ -54,73 +57,9 @@ type Index struct {
 // containing ambiguous residues are skipped (they are not indexable
 // under the seed model). n is the neighbourhood extension N: the
 // ungapped stage scores windows of length W+2N centred on the seed.
+// It is BuildParallel at one worker.
 func Build(b *bank.Bank, model seed.Model, n int) (*Index, error) {
-	if n < 0 {
-		return nil, errNegativeN(n)
-	}
-	w := model.Width()
-	ix := &Index{
-		bank:   b,
-		model:  model,
-		n:      n,
-		subLen: w + 2*n,
-	}
-	space := model.KeySpace()
-	// Shifted-prefix layout: pass 1 counts bucket k at counts[k+2], the
-	// prefix sum turns counts[k+1] into bucket k's start, pass 2 uses
-	// counts[k+1] as bucket k's fill cursor, and the fill leaves
-	// counts[k] at bucket k's start — bucketStart, with no second
-	// key-space cursor array.
-	counts := make([]uint32, space+2)
-
-	// Pass 1: bucket sizes.
-	used := 0
-	for s := 0; s < b.Len(); s++ {
-		seq := b.Seq(s)
-		for off := 0; off+w <= len(seq); off++ {
-			if key, ok := model.Key(seq[off : off+w]); ok {
-				if int(key) >= space {
-					return nil, errKeyRange(key, space)
-				}
-				if counts[key+2] == 0 {
-					used++
-				}
-				counts[key+2]++
-			}
-		}
-	}
-	ix.keys = make([]uint32, 0, used)
-	var total uint32
-	for k, c := range counts[2:] {
-		if c != 0 {
-			ix.keys = append(ix.keys, uint32(k))
-		}
-		total += c
-		counts[k+2] = total
-	}
-	ix.entries = make([]Entry, total)
-	ix.neighborhoods = make([]byte, int(total)*ix.subLen)
-
-	// Pass 2: fill buckets.
-	for s := 0; s < b.Len(); s++ {
-		seq := b.Seq(s)
-		for off := 0; off+w <= len(seq); off++ {
-			key, ok := model.Key(seq[off : off+w])
-			if !ok {
-				continue
-			}
-			i := counts[key+1]
-			counts[key+1]++
-			ix.entries[i] = Entry{Seq: uint32(s), Off: uint32(off)}
-			extractWindow(ix.neighborhoods[int(i)*ix.subLen:(int(i)+1)*ix.subLen], seq, off-n)
-		}
-	}
-	ix.bucketStart = counts[:space+1]
-	return ix, nil
-}
-
-func errNegativeN(n int) error {
-	return fmt.Errorf("index: negative neighbourhood %d", n)
+	return BuildParallel(b, model, n, 1)
 }
 
 // errKeyRange reports a seed model returning a key outside its

@@ -9,7 +9,7 @@ import (
 )
 
 func TestBuildParallelBitIdentical(t *testing.T) {
-	// 17 sequences fall back to Build; 17·23 take the parallel path.
+	// 17 sequences build at one worker; 17·23 take the parallel path.
 	for _, nseq := range []int{17, 17 * 23} { // odd counts: uneven worker ranges
 		rng := bank.NewRNG(71)
 		b := bank.New("p")
