@@ -23,8 +23,9 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"maps"
 	"os"
-	"sort"
+	"slices"
 
 	"seedblast"
 	"seedblast/internal/matrix"
@@ -209,12 +210,7 @@ func printTiming(res *seedblast.Summary) {
 	if pm := res.Pipeline; pm.Shards > 1 {
 		fmt.Printf("pipeline: %d shards, wall %v (busy: step1 %v, step2 %v, step3 %v)\n",
 			pm.Shards, pm.Wall, pm.Index.Busy, pm.Step2.Busy, pm.Step3.Busy)
-		names := make([]string, 0, len(pm.ShardsByBackend))
-		for name := range pm.ShardsByBackend {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
+		for _, name := range slices.Sorted(maps.Keys(pm.ShardsByBackend)) {
 			fmt.Printf("  backend %s: %d shards\n", name, pm.ShardsByBackend[name])
 		}
 	}

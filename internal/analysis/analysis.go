@@ -5,19 +5,14 @@
 //
 // The engine carries invariants no off-the-shelf tool checks — mmap
 // lifetimes, goroutine cancellation discipline, asm/noasm kernel
-// parity, copy-on-write option setters — and this package holds one
-// analyzer per invariant (see Analyzers). The build environment
-// vendors no third-party modules, so instead of depending on x/tools
-// the framework mirrors its surface closely enough that the analyzers
+// parity, span lifetimes — and this package holds one analyzer per
+// invariant (see Analyzers). The build environment vendors no
+// third-party modules, so instead of depending on x/tools the
+// framework mirrors its surface closely enough that the analyzers
 // would port to a real multichecker by swapping the import.
 //
-// Analyzers come in two shapes. Per-package analyzers set Run and see
-// one package at a time. Cross-package analyzers set Collect and
-// Finalize: Collect exports Facts from each package (the zero-dep
-// analogue of x/tools fact export), and Finalize sees the whole Unit —
-// every loaded package plus every collected fact — and reports the
-// cross-layer drift no single package can see (a map declared in one
-// package ranged into an order-sensitive sink in another).
+// Every analyzer sees one package at a time, so direct mode and go
+// vet's per-package protocol report the same findings.
 //
 // Analyzers are purely syntactic: they parse, they do not type-check.
 // Each one is calibrated against this repository's idioms (see the
@@ -39,45 +34,17 @@ import (
 	"strings"
 )
 
-// Analyzer is one named invariant check. Per-package analyzers set
-// Run; cross-package analyzers set Collect and/or Finalize instead.
+// Analyzer is one named per-package invariant check.
 type Analyzer struct {
 	// Name identifies the analyzer in diagnostics and in
 	// seedlint:allow directives. Lower-case, no spaces.
 	Name string
 	// Doc is the one-paragraph description printed by seedlint -list.
 	Doc string
-	// Run performs a per-package check. A returned error is an
-	// analyzer malfunction (fixture missing, unreadable directory),
-	// not a finding; findings go through pass.Reportf.
+	// Run checks one package. A returned error is an analyzer
+	// malfunction (fixture missing, unreadable directory), not a
+	// finding; findings go through pass.Reportf.
 	Run func(*Pass) error
-	// Collect extracts this analyzer's facts from one package. It may
-	// also report package-local findings through pass.Reportf.
-	Collect func(*Pass) ([]Fact, error)
-	// Finalize runs once per unit, after every package's Collect, and
-	// reports cross-package findings through unit.Reportf.
-	Finalize func(*Unit) error
-}
-
-// CrossPackage reports whether the analyzer needs the whole-unit
-// phase (Collect/Finalize) rather than the per-package phase.
-func CrossPackage(a *Analyzer) bool { return a.Collect != nil || a.Finalize != nil }
-
-// Fact is one exported per-package observation a cross-package
-// analyzer carries from Collect to Finalize: "package P registers
-// metric N here". The schema of Kind/Name/Attrs is private to each
-// analyzer.
-type Fact struct {
-	// Pkg is the import path of the package the fact came from.
-	Pkg string
-	// Pos is where the evidence sits, for Finalize-time diagnostics.
-	Pos token.Position
-	// Kind discriminates fact flavours within one analyzer.
-	Kind string
-	// Name is the fact's primary key (a setter name, a metric name).
-	Name string
-	// Attrs carries secondary payload, such as field lists.
-	Attrs map[string]string
 }
 
 // Pass carries one package's parsed syntax through one analyzer.
@@ -214,9 +181,10 @@ func (p *Pass) Owned(pos token.Pos) bool {
 	return ok && d.reason != ""
 }
 
-// newPass wraps a loaded package for one analyzer.
-func newPass(a *Analyzer, pkg *Package) *Pass {
-	return &Pass{
+// Run executes one analyzer over one package and returns its resolved
+// findings sorted by position.
+func Run(a *Analyzer, pkg *Package) ([]Finding, error) {
+	pass := &Pass{
 		Analyzer:   a,
 		Fset:       pkg.Fset,
 		Files:      pkg.Files,
@@ -224,12 +192,6 @@ func newPass(a *Analyzer, pkg *Package) *Pass {
 		Dir:        pkg.Dir,
 		OtherFiles: pkg.OtherFiles,
 	}
-}
-
-// Run executes one per-package analyzer over one package and returns
-// its resolved findings sorted by position.
-func Run(a *Analyzer, pkg *Package) ([]Finding, error) {
-	pass := newPass(a, pkg)
 	if err := a.Run(pass); err != nil {
 		return nil, fmt.Errorf("%s: %s: %w", a.Name, pkg.Path, err)
 	}
@@ -238,115 +200,17 @@ func Run(a *Analyzer, pkg *Package) ([]Finding, error) {
 	return out, nil
 }
 
-// Unit is one cross-package analyzer's view of everything loaded: the
-// packages, the facts Collect exported from them, and (internally) the
-// per-package passes so Finalize-time reports still honour allow
-// directives wherever they land.
-type Unit struct {
-	Analyzer *Analyzer
-	Packages []*Package
-	Facts    []Fact
-
-	passes map[string]*Pass // import path → pass
-}
-
-// Pkg returns the first loaded package whose import path matches the
-// suffix (see pathMatches), or nil — how Finalize checks whether a
-// layer is in view before enforcing a contract against it.
-func (u *Unit) Pkg(suffix string) *Package {
-	for _, pkg := range u.Packages {
-		if pathMatches(pkg.Path, suffix) {
-			return pkg
-		}
-	}
-	return nil
-}
-
-// FactsOf returns the collected facts of one kind.
-func (u *Unit) FactsOf(kind string) []Fact {
-	var out []Fact
-	for _, f := range u.Facts {
-		if f.Kind == kind {
-			out = append(out, f)
-		}
-	}
-	return out
-}
-
-// Reportf records a finding at pos inside pkg, honouring that
-// package's allow directives.
-func (u *Unit) Reportf(pkg *Package, pos token.Pos, format string, args ...any) {
-	u.ReportAt(pkg.Path, pkg.Fset.Position(pos), format, args...)
-}
-
-// ReportAt is Reportf for already-resolved positions — the form facts
-// carry (Fact.Pkg, Fact.Pos).
-func (u *Unit) ReportAt(pkgPath string, pos token.Position, format string, args ...any) {
-	pass, ok := u.passes[pkgPath]
-	if !ok {
-		// Position from a package outside the unit (should not happen;
-		// fail open so the finding is not silently dropped).
-		pass = &Pass{Analyzer: u.Analyzer, Fset: token.NewFileSet()}
-		u.passes[pkgPath] = pass
-	}
-	pass.reportAt(pos, format, args...)
-}
-
-// RunCross executes one cross-package analyzer over the whole package
-// set: Collect per package, then Finalize over the unit.
-func RunCross(a *Analyzer, pkgs []*Package) ([]Finding, error) {
-	u := &Unit{Analyzer: a, Packages: pkgs, passes: make(map[string]*Pass)}
-	for _, pkg := range pkgs {
-		pass := newPass(a, pkg)
-		u.passes[pkg.Path] = pass
-		if a.Collect == nil {
-			continue
-		}
-		facts, err := a.Collect(pass)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %s: %w", a.Name, pkg.Path, err)
-		}
-		u.Facts = append(u.Facts, facts...)
-	}
-	if a.Finalize != nil {
-		if err := a.Finalize(u); err != nil {
-			return nil, fmt.Errorf("%s: %w", a.Name, err)
-		}
-	}
-	var out []Finding
-	for _, pass := range u.passes {
-		out = append(out, pass.diags...)
-	}
-	sortFindings(out)
-	return out, nil
-}
-
-// RunAll executes every analyzer over every package: the per-package
-// analyzers package by package, then each cross-package analyzer once
-// over the whole set.
+// RunAll executes every analyzer over every package.
 func RunAll(as []*Analyzer, pkgs []*Package) ([]Finding, error) {
 	var out []Finding
 	for _, pkg := range pkgs {
 		for _, a := range as {
-			if a.Run == nil {
-				continue
-			}
 			fs, err := Run(a, pkg)
 			if err != nil {
 				return nil, err
 			}
 			out = append(out, fs...)
 		}
-	}
-	for _, a := range as {
-		if !CrossPackage(a) {
-			continue
-		}
-		fs, err := RunCross(a, pkgs)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, fs...)
 	}
 	sortFindings(out)
 	return out, nil

@@ -44,113 +44,34 @@ func Run(t *testing.T, a *analysis.Analyzer, rels ...string) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		runDir(t, a, rel, dir)
-	}
-}
-
-// RunTree analyzes a whole fixture tree under testdata/src as one
-// multi-package unit: every directory below root that holds .go files
-// becomes a package whose import path is its slash-path relative to
-// testdata/src, so pathMatches-style layer dispatch works the same way
-// it does on the real module. Cross-package analyzers (Collect /
-// Finalize) run once over the full set; per-package analyzers run on
-// each package. Fixture file base names must be unique within a tree —
-// want-comments are claimed by base name and line.
-func RunTree(t *testing.T, a *analysis.Analyzer, roots ...string) {
-	t.Helper()
-	for _, root := range roots {
-		base, err := filepath.Abs(filepath.Join("testdata", "src"))
+		entries, err := os.ReadDir(dir)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: %v", rel, err)
 		}
-		var pkgs []*analysis.Package
-		var allGoFiles []string
-		walkErr := filepath.WalkDir(filepath.Join(base, filepath.FromSlash(root)), func(dir string, d os.DirEntry, err error) error {
-			if err != nil || !d.IsDir() {
-				return err
-			}
-			rel, err := filepath.Rel(base, dir)
-			if err != nil {
-				return err
-			}
-			pkg, goFiles, err := loadDir(filepath.ToSlash(rel), dir)
-			if err != nil {
-				return err
-			}
-			if pkg != nil {
-				pkgs = append(pkgs, pkg)
-				allGoFiles = append(allGoFiles, goFiles...)
-			}
-			return nil
-		})
-		if walkErr != nil {
-			t.Fatalf("%s: %v", root, walkErr)
-		}
-		if len(pkgs) == 0 {
-			t.Fatalf("%s: fixture tree holds no Go packages", root)
-		}
-		var findings []analysis.Finding
-		if analysis.CrossPackage(a) {
-			findings, err = analysis.RunCross(a, pkgs)
-			if err != nil {
-				t.Fatalf("%s: %v", root, err)
+		var goFiles, otherFiles []string
+		for _, e := range entries {
+			name := e.Name()
+			switch {
+			case strings.HasSuffix(name, "_test.go"):
+			case strings.HasSuffix(name, ".go"):
+				goFiles = append(goFiles, filepath.Join(dir, name))
+			case strings.HasSuffix(name, ".s"):
+				otherFiles = append(otherFiles, filepath.Join(dir, name))
 			}
 		}
-		if a.Run != nil {
-			for _, pkg := range pkgs {
-				fs, err := analysis.Run(a, pkg)
-				if err != nil {
-					t.Fatalf("%s: %v", root, err)
-				}
-				findings = append(findings, fs...)
-			}
+		if len(goFiles) == 0 {
+			t.Fatalf("%s: fixture dir holds no Go files", rel)
 		}
-		checkWants(t, root, findings, allGoFiles)
-	}
-}
-
-func runDir(t *testing.T, a *analysis.Analyzer, rel, dir string) {
-	t.Helper()
-	pkg, goFiles, err := loadDir(rel, dir)
-	if err != nil {
-		t.Fatalf("%s: %v", rel, err)
-	}
-	if pkg == nil {
-		t.Fatalf("%s: fixture dir holds no Go files", rel)
-	}
-	findings, err := analysis.Run(a, pkg)
-	if err != nil {
-		t.Fatalf("%s: %v", rel, err)
-	}
-	checkWants(t, rel, findings, goFiles)
-}
-
-// loadDir parses one fixture directory as a package (nil when the
-// directory has no non-test Go files).
-func loadDir(rel, dir string) (*analysis.Package, []string, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, nil, err
-	}
-	var goFiles, otherFiles []string
-	for _, e := range entries {
-		name := e.Name()
-		switch {
-		case strings.HasSuffix(name, "_test.go"):
-		case strings.HasSuffix(name, ".go"):
-			goFiles = append(goFiles, filepath.Join(dir, name))
-		case strings.HasSuffix(name, ".s"):
-			otherFiles = append(otherFiles, filepath.Join(dir, name))
+		pkg, err := analysis.ParsePackage(rel, dir, goFiles, otherFiles)
+		if err != nil {
+			t.Fatalf("%s: %v", rel, err)
 		}
+		findings, err := analysis.Run(a, pkg)
+		if err != nil {
+			t.Fatalf("%s: %v", rel, err)
+		}
+		checkWants(t, rel, findings, goFiles)
 	}
-	if len(goFiles) == 0 {
-		return nil, nil, nil
-	}
-	pkg, err := analysis.ParsePackage(rel, dir, goFiles, otherFiles)
-	if err != nil {
-		return nil, nil, err
-	}
-	return pkg, goFiles, nil
 }
 
 // checkWants compares findings against the fixtures' want comments.

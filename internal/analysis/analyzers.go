@@ -6,10 +6,8 @@ var Analyzers = []*Analyzer{
 	MmapClose,
 	CtxSelect,
 	KernelParity,
-	OptClone,
 	ErrClose,
 	SpanEnd,
-	MapDet,
 	Directive,
 }
 

@@ -72,19 +72,6 @@ func rootIdent(e ast.Expr) *ast.Ident {
 	}
 }
 
-// mentionsIdent reports whether the expression tree contains an
-// identifier with this name.
-func mentionsIdent(e ast.Expr, name string) bool {
-	found := false
-	ast.Inspect(e, func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok && id.Name == name {
-			found = true
-		}
-		return !found
-	})
-	return found
-}
-
 // enclosingFuncs pairs every function body in f — declarations and
 // literals — with its body, innermost discoverable by position.
 type funcScope struct {
@@ -156,15 +143,6 @@ func splitTrim(s, sep string) []string {
 	return parts
 }
 
-// typeString renders a syntactic type expression in a normalized form
-// for signature comparison (parameter names stripped by the caller).
-func typeString(e ast.Expr) string {
-	if e == nil {
-		return ""
-	}
-	return types.ExprString(e)
-}
-
 // signatureOf renders a function's signature with parameter names
 // stripped, for structural comparison across build-tag variants.
 func signatureOf(fd *ast.FuncDecl) string {
@@ -193,7 +171,7 @@ func fieldTypes(fl *ast.FieldList) []string {
 			n = 1
 		}
 		for i := 0; i < n; i++ {
-			out = append(out, typeString(f.Type))
+			out = append(out, types.ExprString(f.Type))
 		}
 	}
 	return out

@@ -120,3 +120,16 @@ func closeOrigin(call *ast.CallExpr, imports map[string]string, pkgPath string) 
 	}
 	return "", false
 }
+
+// renderExpr prints a short label for a selector chain.
+func renderExpr(e ast.Expr) string {
+	switch x := e.(type) {
+	case *ast.Ident:
+		return x.Name
+	case *ast.SelectorExpr:
+		return renderExpr(x.X) + "." + x.Sel.Name
+	case *ast.IndexExpr:
+		return renderExpr(x.X) + "[...]"
+	}
+	return "container"
+}

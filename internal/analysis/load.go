@@ -11,7 +11,6 @@ import (
 	"os/exec"
 	"path/filepath"
 	"strings"
-	"sync"
 )
 
 // Package is one loaded package: parsed non-test Go files plus enough
@@ -74,38 +73,6 @@ func LoadPackages(dir string, patterns ...string) ([]*Package, error) {
 		}
 		pkgs = append(pkgs, pkg)
 	}
-	return pkgs, nil
-}
-
-// Loader memoizes LoadPackages by (dir, patterns), so the go list
-// subprocess and the parse run once per process however many drivers
-// ask for the same view of the module — the vet-tool anchor package
-// and TestRepoIsClean both load "./..." through here.
-type Loader struct {
-	mu    sync.Mutex
-	cache map[string][]*Package
-}
-
-// SharedLoader is the process-wide package cache.
-var SharedLoader = &Loader{}
-
-// Load returns the packages matching patterns under dir, loading them
-// at most once per Loader.
-func (l *Loader) Load(dir string, patterns ...string) ([]*Package, error) {
-	key := dir + "\x00" + strings.Join(patterns, "\x00")
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if pkgs, ok := l.cache[key]; ok {
-		return pkgs, nil
-	}
-	pkgs, err := LoadPackages(dir, patterns...)
-	if err != nil {
-		return nil, err
-	}
-	if l.cache == nil {
-		l.cache = make(map[string][]*Package)
-	}
-	l.cache[key] = pkgs
 	return pkgs, nil
 }
 

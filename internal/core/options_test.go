@@ -240,3 +240,42 @@ func TestWithGeneticCodeSetsTranslationTable(t *testing.T) {
 		t.Fatal("WithGeneticCode(nil) did not reset to the standard code")
 	}
 }
+
+// sharedOptionTables are the Options fields that may hold a pointer or
+// an interface: immutable tables shared by every copy of Options.
+var sharedOptionTables = map[string]bool{
+	"Matrix":        true,
+	"GeneticCode":   true,
+	"Seed":          true,
+	"Gapped.Matrix": true,
+}
+
+// Options is copied by value into every Searcher and every job, so a
+// copy must share nothing a setter could write through: no map, slice,
+// chan or func anywhere its struct and array fields reach, and
+// pointers or interfaces only to the shared immutable tables.
+func TestOptionsHoldOnlyValues(t *testing.T) {
+	var walk func(path string, typ reflect.Type)
+	walk = func(path string, typ reflect.Type) {
+		switch typ.Kind() {
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				f := typ.Field(i)
+				p := f.Name
+				if path != "" {
+					p = path + "." + f.Name
+				}
+				walk(p, f.Type)
+			}
+		case reflect.Array:
+			walk(path+"[]", typ.Elem())
+		case reflect.Map, reflect.Slice, reflect.Chan, reflect.Func:
+			t.Errorf("Options.%s is a %s: copies of Options would share it", path, typ)
+		case reflect.Pointer, reflect.Interface, reflect.UnsafePointer:
+			if !sharedOptionTables[path] {
+				t.Errorf("Options.%s is a %s outside the shared immutable tables", path, typ)
+			}
+		}
+	}
+	walk("", reflect.TypeOf(Options{}))
+}

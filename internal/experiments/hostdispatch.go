@@ -3,7 +3,8 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"strings"
 	"time"
 
@@ -249,12 +250,7 @@ func RunMultiDispatch(w *Workload, bankIdx, shards int) (*MultiDispatchResult, e
 func FormatMultiDispatch(r *MultiDispatchResult) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Multi-backend dispatch: %d shards in %.3fs wall\n", r.Shards, r.WallSec)
-	names := make([]string, 0, len(r.Split))
-	for name := range r.Split {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
+	for _, name := range slices.Sorted(maps.Keys(r.Split)) {
 		fmt.Fprintf(&b, "%10s: %d shards\n", name, r.Split[name])
 	}
 	return b.String()

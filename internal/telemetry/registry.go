@@ -18,8 +18,10 @@ package telemetry
 import (
 	"fmt"
 	"io"
+	"maps"
 	"math"
 	"net/http"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -53,17 +55,15 @@ func L(name, value string) Label { return Label{Name: name, Value: value} }
 type Registry struct {
 	mu       sync.Mutex
 	fams     map[string]*family
-	order    []string    // family registration order
 	included []*Registry // rendered after r's own families (Include)
 }
 
 // family is every metric sharing one name (differing only in labels).
 type family struct {
-	name  string
-	help  string
-	typ   MetricType
-	mets  map[string]renderable // label signature → metric
-	order []string
+	name string
+	help string
+	typ  MetricType
+	mets map[string]renderable // label signature → metric
 }
 
 // renderable is the exposition hook every metric kind implements.
@@ -101,11 +101,12 @@ func validLabelName(s string) bool {
 	return validName(s) && !strings.Contains(s, ":")
 }
 
-// escapeLabelValue escapes a label value per the exposition format.
-func escapeLabelValue(v string) string {
-	r := strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
-	return r.Replace(v)
-}
+// labelValueEscaper and helpEscaper escape label values and HELP text
+// per the exposition format.
+var (
+	labelValueEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
+	helpEscaper       = strings.NewReplacer(`\`, `\\`, "\n", `\n`)
+)
 
 // labelString renders a sorted, escaped {a="b",c="d"} block ("" when
 // no labels). Sorting makes the signature canonical, so the same label
@@ -125,7 +126,7 @@ func labelString(labels []Label) string {
 		if i > 0 {
 			b.WriteByte(',')
 		}
-		fmt.Fprintf(&b, `%s="%s"`, l.Name, escapeLabelValue(l.Value))
+		fmt.Fprintf(&b, `%s="%s"`, l.Name, labelValueEscaper.Replace(l.Value))
 	}
 	b.WriteByte('}')
 	return b.String()
@@ -147,7 +148,6 @@ func (r *Registry) lookup(name, help string, typ MetricType, labels []Label, mk 
 	if f == nil {
 		f = &family{name: name, help: help, typ: typ, mets: make(map[string]renderable)}
 		r.fams[name] = f
-		r.order = append(r.order, name)
 	} else if f.typ != typ {
 		panic(fmt.Sprintf("telemetry: metric %q registered as %s and %s", name, f.typ, typ))
 	}
@@ -155,7 +155,6 @@ func (r *Registry) lookup(name, help string, typ MetricType, labels []Label, mk 
 	if m == nil {
 		m = mk()
 		f.mets[sig] = m
-		f.order = append(f.order, sig)
 	}
 	return m
 }
@@ -316,8 +315,10 @@ func (r *Registry) Include(other *Registry) {
 	r.included = append(r.included, other)
 }
 
-// WriteTo renders every family in registration order: HELP and TYPE
-// lines first, then each labeled series, then the included registries.
+// WriteTo renders every family sorted by name: HELP and TYPE lines
+// first, then each labeled series sorted by label signature, then the
+// included registries. Registration order never shows, so a page is
+// the same however its instruments came to be registered.
 // The output parses under ParseText — the registry and the parser are
 // tested against each other.
 func (r *Registry) WriteTo(w io.Writer) (int64, error) {
@@ -329,13 +330,13 @@ func (r *Registry) WriteTo(w io.Writer) (int64, error) {
 func (r *Registry) writeTo(cw *countingWriter) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for _, name := range r.order {
+	for _, name := range slices.Sorted(maps.Keys(r.fams)) {
 		f := r.fams[name]
 		if f.help != "" {
-			fmt.Fprintf(cw, "# HELP %s %s\n", f.name, escapeHelp(f.help))
+			fmt.Fprintf(cw, "# HELP %s %s\n", f.name, helpEscaper.Replace(f.help))
 		}
 		fmt.Fprintf(cw, "# TYPE %s %s\n", f.name, f.typ)
-		for _, sig := range f.order {
+		for _, sig := range slices.Sorted(maps.Keys(f.mets)) {
 			f.mets[sig].render(cw, f.name, sig)
 		}
 	}
@@ -350,12 +351,6 @@ func (r *Registry) Handler() http.Handler {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		_, _ = r.WriteTo(w)
 	})
-}
-
-// escapeHelp escapes a HELP string per the exposition format.
-func escapeHelp(s string) string {
-	r := strings.NewReplacer(`\`, `\\`, "\n", `\n`)
-	return r.Replace(s)
 }
 
 // formatFloat renders a float the way Prometheus clients expect:

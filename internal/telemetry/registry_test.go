@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -216,5 +217,61 @@ func TestIncludeRendersAfterOwnFamilies(t *testing.T) {
 	}
 	if _, err := ParseText(strings.NewReader(out)); err != nil {
 		t.Fatalf("exposition with an included registry does not parse: %v\n%s", err, out)
+	}
+}
+
+// The exposition is sorted, so registration order never shows: the
+// same instruments registered in declaration order, in reverse, and
+// from a map range render byte for byte the same page.
+func TestExpositionIgnoresRegistrationOrder(t *testing.T) {
+	type series struct{ name, stage string }
+	all := []series{
+		{"seed_jobs_total", ""},
+		{"seed_stage_seconds", "step3"},
+		{"seed_stage_seconds", "step1"},
+		{"seed_queue_depth", ""},
+		{"seed_stage_seconds", "step2"},
+		{"seed_alignments_total", ""},
+	}
+	render := func(order []series) string {
+		r := NewRegistry()
+		for _, s := range order {
+			switch {
+			case s.stage != "":
+				r.Histogram(s.name, "Stage wall time.", []float64{0.1, 1}, L("stage", s.stage)).Observe(float64(len(s.stage)))
+			case strings.HasSuffix(s.name, "_total"):
+				r.Counter(s.name, "Count of "+s.name+".").Add(float64(len(s.name)))
+			default:
+				r.Gauge(s.name, "").Set(7)
+			}
+		}
+		var b strings.Builder
+		if _, err := r.WriteTo(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
+	}
+
+	want := render(all)
+	reversed := slices.Clone(all)
+	slices.Reverse(reversed)
+	byMap := make(map[series]bool)
+	for _, s := range all {
+		byMap[s] = true
+	}
+	var fromMap []series
+	for s := range byMap {
+		fromMap = append(fromMap, s)
+	}
+	for name, order := range map[string][]series{"reversed": reversed, "map range": fromMap} {
+		if got := render(order); got != want {
+			t.Errorf("%s registration renders a different page:\n got:\n%s\nwant:\n%s", name, got, want)
+		}
+	}
+	if i, j := strings.Index(want, "seed_alignments_total"), strings.Index(want, "seed_stage_seconds"); i < 0 || j < i {
+		t.Errorf("families not sorted by name:\n%s", want)
+	}
+	if i, j := strings.Index(want, `stage="step1"`), strings.Index(want, `stage="step3"`); i < 0 || j < i {
+		t.Errorf("series not sorted by label signature:\n%s", want)
 	}
 }

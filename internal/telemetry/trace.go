@@ -4,6 +4,8 @@ import (
 	"context"
 	"crypto/rand"
 	"encoding/hex"
+	"maps"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -219,15 +221,8 @@ func SpansFromJSON(spans []SpanJSON) []Span {
 			Start:    sj.Start,
 			Duration: time.Duration(sj.DurationMS * 1e6),
 		}
-		if len(sj.Attrs) > 0 {
-			keys := make([]string, 0, len(sj.Attrs))
-			for k := range sj.Attrs {
-				keys = append(keys, k)
-			}
-			sort.Strings(keys)
-			for _, k := range keys {
-				s.Attrs = append(s.Attrs, Attr{Key: k, Value: sj.Attrs[k]})
-			}
+		for _, k := range slices.Sorted(maps.Keys(sj.Attrs)) {
+			s.Attrs = append(s.Attrs, Attr{Key: k, Value: sj.Attrs[k]})
 		}
 		out = append(out, s)
 	}
