@@ -491,17 +491,11 @@ func BenchmarkPSCMicroEngine(b *testing.B) {
 
 // ---- streaming shard engine vs batch -----------------------------------
 
-// BenchmarkStreamingOverlap compares the single-shard run (steps
-// strictly sequential — the batch schedule, pinned element-for-element
-// to the batch oracle by core's TestSingleShardOrderIdentical) against
-// the streaming shard engine at 1, 2 and 4 shards in flight between
-// stages. Every configuration
-// moves identical work with one worker per stage, so the reported
-// overlap_gain is purely the host/device-style stage overlap — step 3
-// of earlier shards running while step 2 of later shards is still
-// extending — not intra-stage parallelism. This is the perf baseline
-// for future pipeline PRs. (The gain exceeds 1 only with
-// GOMAXPROCS > 1; on one core it measures the engine's overhead.)
+// BenchmarkStreamingOverlap compares the one-shard search against
+// the same search cut into 8 shards, at default workers. The shards
+// run one after another, each step parallel inside, so the reported
+// shard_cost (8-shard time over one-shard time) is what sharding adds:
+// eight query-index builds and step-2 and step-3 calls instead of one.
 func BenchmarkStreamingOverlap(b *testing.B) {
 	w, _, _ := workload(b)
 	bk := w.Banks[len(w.Banks)-1]
@@ -509,7 +503,6 @@ func BenchmarkStreamingOverlap(b *testing.B) {
 		core.WithSeed(w.Scale.SeedModel),
 		core.WithNeighborhood(w.Scale.N),
 		core.WithUngappedThreshold(w.Scale.Threshold),
-		core.WithWorkers(1),
 	}
 	// run times one search against fresh targets, so every
 	// configuration pays its own subject-index build.
@@ -525,30 +518,22 @@ func BenchmarkStreamingOverlap(b *testing.B) {
 		return testingClock() - t0
 	}
 
-	var batchSec float64
-	b.Run("batch", func(b *testing.B) {
+	var oneSec float64
+	b.Run("shards=1", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			batchSec = run(b, opts...)
+			oneSec = run(b, opts...)
 		}
 	})
-	for _, inflight := range []int{1, 2, 4} {
-		inflight := inflight
-		b.Run(fmt.Sprintf("stream/inflight=%d", inflight), func(b *testing.B) {
-			sopts := append(opts[:len(opts):len(opts)], core.WithPipeline(pipeline.Config{
-				ShardSize:    (bk.Len() + 7) / 8, // 8 shards
-				InFlight:     inflight,
-				Step2Workers: 1,
-				Step3Workers: 1,
-			}))
-			var streamSec float64
-			for i := 0; i < b.N; i++ {
-				streamSec = run(b, sopts...)
-			}
-			if batchSec > 0 && streamSec > 0 {
-				b.ReportMetric(batchSec/streamSec, "overlap_gain")
-			}
-		})
-	}
+	b.Run("shards=8", func(b *testing.B) {
+		sopts := append(opts[:len(opts):len(opts)], core.WithPipeline(pipeline.Config{ShardSize: (bk.Len() + 7) / 8}))
+		var sec float64
+		for i := 0; i < b.N; i++ {
+			sec = run(b, sopts...)
+		}
+		if oneSec > 0 && sec > 0 {
+			b.ReportMetric(sec/oneSec, "shard_cost")
+		}
+	})
 }
 
 // BenchmarkAblationHostParallel probes the paper's closing question:

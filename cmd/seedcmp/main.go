@@ -12,7 +12,7 @@
 //	seedcmp -proteins bank.fa -genome chr1.fa
 //	seedcmp -synthetic 100 -genome-len 1000000 -plant 10 -engine rasc -pes 192
 //	seedcmp -synthetic 20 -report   # full BLAST-style report with alignments
-//	seedcmp -synthetic 100 -shard-size 16 -inflight 2 -engine multi
+//	seedcmp -synthetic 100 -shard-size 16 -engine rasc
 //	seedcmp -synthetic 100 -format json | jq .eValue   # streaming NDJSON
 //	seedcmp -synthetic 100 -format tsv  | cut -f1,5    # streaming TSV
 package main
@@ -23,9 +23,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"maps"
 	"os"
-	"slices"
 
 	"seedblast"
 	"seedblast/internal/matrix"
@@ -44,10 +42,8 @@ func main() {
 		genomeLen    = flag.Int("genome-len", 500_000, "synthetic genome length in nucleotides (with -synthetic)")
 		plant        = flag.Int("plant", 10, "genes planted in the synthetic genome")
 		seed         = flag.Int64("seed", 1, "synthetic workload RNG seed")
-		engine       = flag.String("engine", "cpu", "step-2 engine: cpu, rasc, or multi (shards fanned across both)")
-		shardSize    = flag.Int("shard-size", 0, "stream the bank through the pipeline in shards of this many proteins (0 = one shard)")
-		inflight     = flag.Int("inflight", 2, "shards in flight between pipeline stages")
-		streamW      = flag.Int("stream-workers", 0, "concurrent shards per pipeline stage (0 = auto: 1, or one per backend with -engine multi)")
+		engine       = flag.String("engine", "cpu", "step-2 engine: cpu or rasc")
+		shardSize    = flag.Int("shard-size", 0, "run the bank through the pipeline in shards of this many proteins, one after another (0 = one shard)")
 		pes          = flag.Int("pes", 192, "PE array size (rasc engine)")
 		fpgas        = flag.Int("fpgas", 1, "FPGAs used (rasc engine, 1 or 2)")
 		offloadGap   = flag.Bool("offload-gapped", false, "simulate the future-work gap operator on the second FPGA")
@@ -73,13 +69,6 @@ func main() {
 		log.Fatal(err)
 	}
 
-	workers := *streamW
-	if workers <= 0 {
-		workers = 1
-		if *engine == "multi" {
-			workers = 2 // one in-flight shard per backend, so cpu and rasc run concurrently
-		}
-	}
 	// The knobs the service also exposes go through its wire-option
 	// translation, so a flag and a JSON field mean — and fail — the same.
 	opts, err := service.OptionsJSON{
@@ -88,15 +77,10 @@ func main() {
 		MaxCandidates: maxCand,
 		MaxEValue:     evalue,
 		ShardSize:     *shardSize,
-		InFlight:      *inflight,
-		StreamWorkers: workers,
 		GeneticCode:   *codeName,
 	}.CoreOptions()
 	if err != nil {
 		log.Fatal(err)
-	}
-	if *offloadGap && *engine == "multi" {
-		log.Fatal("-offload-gapped requires -engine rasc (step 3 stays on the host under multi dispatch)")
 	}
 	opts = append(opts, seedblast.WithRASC(seedblast.RASCOptions{NumPEs: *pes, NumFPGAs: *fpgas, OffloadGapped: *offloadGap}),
 		seedblast.WithTraceback(*full)) // the report's alignment blocks
@@ -210,16 +194,13 @@ func printTiming(res *seedblast.Summary) {
 	if pm := res.Pipeline; pm.Shards > 1 {
 		fmt.Printf("pipeline: %d shards, wall %v (busy: step1 %v, step2 %v, step3 %v)\n",
 			pm.Shards, pm.Wall, pm.Index.Busy, pm.Step2.Busy, pm.Step3.Busy)
-		for _, name := range slices.Sorted(maps.Keys(pm.ShardsByBackend)) {
-			fmt.Printf("  backend %s: %d shards\n", name, pm.ShardsByBackend[name])
-		}
 	}
 	printPrefilter(&res.Pipeline)
 }
 
 // printPrefilter reports the candidate-selection cut when the stage
-// ran. Like the backend split, the counters come from pipeline.Metrics,
-// so a merged (multi-run) Metrics prints its fold-up the same way.
+// ran. The counters come from pipeline.Metrics, so a merged
+// (multi-run) Metrics prints its fold-up the same way.
 func printPrefilter(pm *seedblast.PipelineMetrics) {
 	if pm.Prefilter.Shards == 0 {
 		return

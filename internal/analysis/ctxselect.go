@@ -14,12 +14,9 @@ import (
 // A send is acceptable when it
 //
 //   - sits in a select with a <-ctx.Done() (or done/stop/quit channel)
-//     case, so cancellation unblocks it;
+//     case, so cancellation unblocks it; or
 //   - targets a channel this same goroutine closes — the goroutine is
-//     the channel's owning producer; or
-//   - targets a function-local channel made with capacity len(...) or
-//     cap(...) of the work list — sized to the total number of sends,
-//     so the send can never block (the pipeline's ordered emitter).
+//     the channel's owning producer.
 //
 // Anything else is the goroutine-leak shape that deadlocks
 // scatter-gather under cancellation: a worker parked on a bounded
@@ -27,7 +24,7 @@ import (
 var CtxSelect = &Analyzer{
 	Name: "ctxselect",
 	Doc: "goroutines in pipeline/cluster/service/ungapped/prefilter must keep channel sends cancellable: " +
-		"select on ctx.Done(), own (close) the channel, or send on a workload-sized buffer",
+		"select on ctx.Done() or own (close) the channel",
 	Run: runCtxSelect,
 }
 
@@ -60,10 +57,6 @@ func runCtxSelect(pass *Pass) error {
 			if !ok || fd.Body == nil {
 				continue
 			}
-			// Channel capacities by name within this one function, so
-			// goroutines see the channels their parent function made and
-			// same-named channels in other functions don't collide.
-			caps := chanCapacities(fd.Body)
 			ast.Inspect(fd.Body, func(n ast.Node) bool {
 				g, ok := n.(*ast.GoStmt)
 				if !ok {
@@ -73,7 +66,7 @@ func runCtxSelect(pass *Pass) error {
 				if !ok {
 					return true
 				}
-				checkGoroutineSends(pass, lit, caps)
+				checkGoroutineSends(pass, lit)
 				return true
 			})
 		}
@@ -81,64 +74,9 @@ func runCtxSelect(pass *Pass) error {
 	return nil
 }
 
-// chanCapacities maps channel variable names within one function body
-// to whether their make() capacity is workload-sized. Shadowing
-// collisions are resolved pessimistically: a name made both
-// workload-sized and bounded in the same function is treated as
-// bounded.
-func chanCapacities(body ast.Node) map[string]bool {
-	sized := make(map[string]bool) // name → capacity is len(...)/cap(...) everywhere
-	seen := make(map[string]bool)
-	ast.Inspect(body, func(n ast.Node) bool {
-		as, ok := n.(*ast.AssignStmt)
-		if !ok {
-			return true
-		}
-		for i, rhs := range as.Rhs {
-			call, ok := rhs.(*ast.CallExpr)
-			if !ok {
-				continue
-			}
-			if id, ok := call.Fun.(*ast.Ident); !ok || id.Name != "make" {
-				continue
-			}
-			if len(call.Args) == 0 {
-				continue
-			}
-			if _, ok := call.Args[0].(*ast.ChanType); !ok {
-				continue
-			}
-			lhs := as.Lhs[0]
-			if len(as.Lhs) == len(as.Rhs) {
-				lhs = as.Lhs[i]
-			}
-			name, ok := lhs.(*ast.Ident)
-			if !ok {
-				continue
-			}
-			isSized := false
-			if len(call.Args) == 2 {
-				if capCall, ok := call.Args[1].(*ast.CallExpr); ok {
-					if fn, ok := capCall.Fun.(*ast.Ident); ok && (fn.Name == "len" || fn.Name == "cap") {
-						isSized = true
-					}
-				}
-			}
-			if seen[name.Name] {
-				sized[name.Name] = sized[name.Name] && isSized
-			} else {
-				seen[name.Name] = true
-				sized[name.Name] = isSized
-			}
-		}
-		return true
-	})
-	return sized
-}
-
 // checkGoroutineSends walks one go-routine literal for sends that can
 // block past cancellation.
-func checkGoroutineSends(pass *Pass, lit *ast.FuncLit, sized map[string]bool) {
+func checkGoroutineSends(pass *Pass, lit *ast.FuncLit) {
 	closed := channelsClosedBy(lit)
 	var walk func(n ast.Node) bool
 	walk = func(n ast.Node) bool {
@@ -160,13 +98,8 @@ func checkGoroutineSends(pass *Pass, lit *ast.FuncLit, sized map[string]bool) {
 				return false
 			}
 		case *ast.SendStmt:
-			if name := chanName(x.Chan); name != "" {
-				if closed[name] {
-					return true // goroutine owns the channel
-				}
-				if sized[name] {
-					return true // workload-sized buffer: sends never block
-				}
+			if name := chanName(x.Chan); name != "" && closed[name] {
+				return true // goroutine owns the channel
 			}
 			pass.Reportf(x.Pos(), "goroutine sends on %s without selecting on ctx.Done(); a cancelled consumer leaks this worker", chanLabel(x.Chan))
 		}

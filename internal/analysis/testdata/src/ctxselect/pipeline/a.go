@@ -33,7 +33,7 @@ func fanOutCancellable(ctx context.Context, work []int) <-chan int {
 }
 
 // ownerCloses sends on a channel this same goroutine closes: it is
-// the owning producer, mirroring the pipeline's sharder stage.
+// the owning producer.
 func ownerCloses(work []int) <-chan int {
 	out := make(chan int)
 	go func() {
@@ -45,13 +45,14 @@ func ownerCloses(work []int) <-chan int {
 	return out
 }
 
-// sizedToWorkload sends on a buffer sized to the total send count, so
-// no send can ever block — the ordered-emitter pattern.
+// sizedToWorkload sends on a buffer sized to the total send count.
+// No send blocks while the buffer holds, but the analyzer does not
+// prove that, so the send still needs a cancel case or an owner.
 func sizedToWorkload(work []int) <-chan int {
 	out := make(chan int, len(work))
 	go func() {
 		for _, w := range work {
-			out <- w
+			out <- w // want "without selecting on ctx.Done"
 		}
 	}()
 	return out

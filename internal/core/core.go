@@ -7,18 +7,18 @@
 //	step 2  ungapped extension — all seed pairs scored over W+2N windows
 //	step 3  gapped extension   — surviving pairs aligned with gaps
 //
-// Step 2 runs either on the CPU engine (package ungapped), on the
-// simulated RASC-100 accelerator (package hwsim), or fanned out across
-// both (EngineMulti); results are bit-identical between engines.
+// Step 2 runs either on the CPU engine (package ungapped) or on the
+// simulated RASC-100 accelerator (package hwsim); results are
+// bit-identical between engines.
 //
 // The one entry point is Searcher.Search (search.go): a Searcher built
 // once by NewSearcher from functional options runs any query Target
-// against any subject Target through the streaming shard engine
-// (package pipeline) — bank 0 flows through the stages in shards over
-// bounded channels, so host gapped extension overlaps device ungapped
-// extension. The zero Options.Pipeline runs one shard and reproduces
-// the historical batch driver bit-identically; that driver survives
-// only as the test oracle (CompareBatch in oracle_test.go). Translated
+// against any subject Target through the shard engine (package
+// pipeline), which runs the three steps on bank 0 one shard after
+// another, step 3 on the consuming goroutine. The zero Options.Pipeline
+// runs one shard and reproduces the historical batch driver bit-identically;
+// that driver survives only as the test oracle (CompareBatch in
+// oracle_test.go). Translated
 // targets (GenomeTarget, DNATarget) carry the six-frame translation
 // and map alignments back to nucleotide coordinates, which covers
 // tblastn, blastx and tblastx with the same call.
@@ -44,9 +44,8 @@ type Engine int
 
 // Engines.
 const (
-	EngineCPU   Engine = iota // parallel software engine
-	EngineRASC                // simulated RASC-100 accelerator
-	EngineMulti               // shards fanned out across CPU and RASC
+	EngineCPU  Engine = iota // parallel software engine
+	EngineRASC               // simulated RASC-100 accelerator
 )
 
 // String names the engine.
@@ -56,8 +55,6 @@ func (e Engine) String() string {
 		return "cpu"
 	case EngineRASC:
 		return "rasc"
-	case EngineMulti:
-		return "multi"
 	default:
 		return fmt.Sprintf("engine(%d)", int(e))
 	}
@@ -72,10 +69,8 @@ func ParseEngine(s string) (Engine, error) {
 		return EngineCPU, nil
 	case "rasc":
 		return EngineRASC, nil
-	case "multi":
-		return EngineMulti, nil
 	}
-	return EngineCPU, fmt.Errorf("core: unknown engine %q (want cpu, rasc or multi)", s)
+	return EngineCPU, fmt.Errorf("core: unknown engine %q (want cpu or rasc)", s)
 }
 
 // RASCOptions configures the simulated accelerator when Engine is
@@ -138,9 +133,9 @@ type Options struct {
 	// because the benchmark harness reads it when it runs step 2 on
 	// its own; it goes when that harness is next changed.
 	Step2Kernel ungapped.Kernel
-	// Pipeline tunes the streaming shard engine: shard size and how
-	// many shards each stage runs in flight. The zero value processes
-	// bank 0 as one shard, reproducing the batch path bit-identically.
+	// Pipeline tunes the shard engine: its shard size. The zero value
+	// processes bank 0 as one shard, reproducing the batch path
+	// bit-identically.
 	Pipeline pipeline.Config
 	// MaxCandidates enables the two-stage prefilter: before step 2,
 	// each query's subjects are ranked by hashed-seed diagonal-band
@@ -214,11 +209,11 @@ func DefaultOptions() Options {
 	}
 }
 
-// StepTimes records per-step durations. For the RASC engine, Ungapped
-// is the simulated accelerator time (cycles at the configured clock
-// plus DMA), not host wall time. On a streaming run with several
-// shards in flight the steps overlap, so their sum can exceed the wall
-// time reported in Summary.Pipeline.Wall.
+// StepTimes records per-step durations, each summed over shards. For
+// the RASC engine, Ungapped is the simulated accelerator time (cycles
+// at the configured clock plus DMA), not host wall time. On a
+// one-shard CPU run the steps run one after another, so their sum is
+// within the engine's overhead of Summary.Pipeline.Wall.
 type StepTimes struct {
 	Index    time.Duration
 	Ungapped time.Duration
@@ -246,24 +241,15 @@ func (st StepTimes) Fractions() [3]float64 {
 
 // backendFor builds the step-2 backend for the selected engine.
 func backendFor(opt *Options) (pipeline.Backend, error) {
-	cpu := &pipeline.CPUBackend{
-		Matrix:    opt.Matrix,
-		Threshold: opt.UngappedThreshold,
-		Workers:   opt.Workers,
-	}
 	switch opt.Engine {
 	case EngineCPU:
-		return cpu, nil
-	case EngineRASC, EngineMulti:
+		return &pipeline.CPUBackend{Matrix: opt.Matrix, Threshold: opt.UngappedThreshold, Workers: opt.Workers}, nil
+	case EngineRASC:
 		dev, err := buildDevice(opt, opt.Seed.Width()+2*opt.N)
 		if err != nil {
 			return nil, err
 		}
-		rasc := &pipeline.RASCBackend{Device: dev}
-		if opt.Engine == EngineRASC {
-			return rasc, nil
-		}
-		return pipeline.NewMultiBackend(cpu, rasc)
+		return &pipeline.RASCBackend{Device: dev}, nil
 	default:
 		return nil, fmt.Errorf("core: unknown engine %v", opt.Engine)
 	}

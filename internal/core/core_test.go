@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -193,7 +194,7 @@ func TestEngineString(t *testing.T) {
 		t.Error("unknown engine should still format")
 	}
 	// ParseEngine is String's inverse; "" is the wire default.
-	for _, e := range []Engine{EngineCPU, EngineRASC, EngineMulti} {
+	for _, e := range []Engine{EngineCPU, EngineRASC} {
 		if got, err := ParseEngine(e.String()); err != nil || got != e {
 			t.Errorf("ParseEngine(%q) = %v, %v", e.String(), got, err)
 		}
@@ -201,8 +202,13 @@ func TestEngineString(t *testing.T) {
 	if got, err := ParseEngine(""); err != nil || got != EngineCPU {
 		t.Errorf("ParseEngine(\"\") = %v, %v", got, err)
 	}
-	if _, err := ParseEngine("gpu"); err == nil {
-		t.Error("unknown engine name parsed")
+	// An unknown name, and the retired "multi", fail naming the engines
+	// that exist.
+	for _, name := range []string{"gpu", "multi"} {
+		_, err := ParseEngine(name)
+		if err == nil || !strings.Contains(err.Error(), "cpu") || !strings.Contains(err.Error(), "rasc") {
+			t.Errorf("ParseEngine(%q) error = %v, want one naming cpu and rasc", name, err)
+		}
 	}
 }
 

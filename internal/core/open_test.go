@@ -61,7 +61,7 @@ func TestOpenTargetSearchEquivalent(t *testing.T) {
 		{"rasc", []Option{WithEngine(EngineRASC)}},
 		{"cpu-sharded", []Option{
 			WithEngine(EngineCPU),
-			WithPipeline(pipeline.Config{ShardSize: 3, InFlight: 2, Step2Workers: 2, Step3Workers: 2}),
+			WithPipeline(pipeline.Config{ShardSize: 3}),
 		}},
 	}
 	for _, c := range cfgs {

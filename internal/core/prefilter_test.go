@@ -24,7 +24,6 @@ func prefilterConfigs(n int) []struct {
 		{"cpu/shard=5", EngineCPU, 5},
 		{"rasc/shard=0", EngineRASC, 0},
 		{"rasc/shard=5", EngineRASC, 5},
-		{"multi/shard=5", EngineMulti, 5},
 		{"cpu/shard=big", EngineCPU, n + 9},
 	}
 }
@@ -38,12 +37,7 @@ func prefilterOpts(c struct {
 	opt.Engine = c.eng
 	opt.MaxCandidates = maxCand
 	if c.shard > 0 {
-		opt.Pipeline = pipeline.Config{
-			ShardSize:    c.shard,
-			InFlight:     2,
-			Step2Workers: 2,
-			Step3Workers: 2,
-		}
+		opt.Pipeline = pipeline.Config{ShardSize: c.shard}
 	}
 	return opt
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"iter"
 	"sync"
@@ -64,14 +65,12 @@ func WithUngappedThreshold(threshold int) Option {
 	return func(o *Options) error { o.UngappedThreshold = threshold; return nil }
 }
 
-// WithEngine selects where step 2 runs (CPU, simulated RASC, or multi
-// fan-out).
+// WithEngine selects where step 2 runs (CPU or simulated RASC).
 func WithEngine(e Engine) Option {
 	return func(o *Options) error { o.Engine = e; return nil }
 }
 
-// WithRASC configures the simulated accelerator (used by EngineRASC
-// and EngineMulti).
+// WithRASC configures the simulated accelerator (used by EngineRASC).
 func WithRASC(r RASCOptions) Option {
 	return func(o *Options) error { o.RASC = r; return nil }
 }
@@ -81,8 +80,7 @@ func WithWorkers(n int) Option {
 	return func(o *Options) error { o.Workers = n; return nil }
 }
 
-// WithPipeline tunes the streaming shard engine (shard size, shards in
-// flight, per-stage concurrency).
+// WithPipeline tunes the shard engine (its shard size).
 func WithPipeline(cfg pipeline.Config) Option {
 	return func(o *Options) error { o.Pipeline = cfg; return nil }
 }
@@ -270,10 +268,11 @@ func (r *Results) finish(sum *Summary, err error) {
 	}
 }
 
-// Matches returns the match stream. Iteration runs the engine; an
-// early break cancels the run promptly and leaks nothing. A failure is
-// yielded as the final element's non-nil error. The sequence can be
-// ranged over once; a second call yields an error.
+// Matches returns the match stream. Iteration runs the engine, its
+// step 3 on the iterating goroutine; an early break ends the run
+// before the next shard's step 3. A failure is yielded as the final
+// element's non-nil error. The sequence can be ranged over once; a
+// second call yields an error.
 func (r *Results) Matches() iter.Seq2[Match, error] {
 	return func(yield func(Match, error) bool) {
 		if err := r.begin(); err != nil {
@@ -314,28 +313,13 @@ func (r *Results) Matches() iter.Seq2[Match, error] {
 			req.Index0 = r.query.cached(r.s.opt.Seed, r.s.opt.N)
 		}
 
-		ctx, cancel := context.WithCancel(r.ctx)
-		defer cancel()
-		ch := make(chan []gapped.Alignment)
-		var out *pipeline.Output
-		var runErr error
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			defer close(ch)
-			out, runErr = r.s.eng.RunStream(ctx, req, func(as []gapped.Alignment) error {
-				select {
-				case ch <- as:
-					return nil
-				case <-ctx.Done():
-					return ctx.Err()
-				}
-			})
-		}()
-
+		// The engine runs step 3 on this goroutine and hands each
+		// shard's matches straight to the consumer; a consumer that
+		// stops ends the run through errStopped. yield must not be
+		// called again after it returned false, whatever error the run
+		// reports.
 		stopped := false
-	stream:
-		for as := range ch {
+		out, runErr := r.s.eng.RunStream(r.ctx, req, func(as []gapped.Alignment) error {
 			for i := range as {
 				m := Match{
 					Alignment: as[i],
@@ -344,15 +328,11 @@ func (r *Results) Matches() iter.Seq2[Match, error] {
 				}
 				if !yield(m, nil) {
 					stopped = true
-					cancel()
-					break stream
+					return errStopped
 				}
 			}
-		}
-		for range ch { // drain after an early break so the engine exits
-		}
-		<-done
-
+			return nil
+		})
 		if stopped {
 			r.finish(nil, fmt.Errorf("core: search abandoned before the stream was drained"))
 			return
@@ -374,6 +354,10 @@ func (r *Results) Matches() iter.Seq2[Match, error] {
 		}
 	}
 }
+
+// errStopped is what the engine's emit returns when the consumer
+// breaks out of Matches.
+var errStopped = errors.New("core: match consumer stopped")
 
 // Collect drains the stream into a slice.
 func (r *Results) Collect() ([]Match, error) {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -57,7 +58,7 @@ func TestSearchEquivalentToCompare(t *testing.T) {
 			name := fmt.Sprintf("%s/shard=%d", eng, ss)
 			opt := DefaultOptions()
 			opt.Engine = eng
-			opt.Pipeline = pipeline.Config{ShardSize: ss, InFlight: 2, Step2Workers: 2, Step3Workers: 2}
+			opt.Pipeline = pipeline.Config{ShardSize: ss}
 
 			want, err := CompareBatch(proteins, fb, opt)
 			if err != nil {
@@ -305,13 +306,12 @@ func TestTargetIndexReuse(t *testing.T) {
 }
 
 // TestSearchEarlyBreak pins stream abandonment: breaking out of the
-// iteration cancels the engine promptly, leaks nothing (the race
-// detector and goroutine-chain shutdown cover the rest), and Summary
-// reports the stream as abandoned.
+// iteration ends the engine's run at once, and Summary reports the
+// stream as abandoned.
 func TestSearchEarlyBreak(t *testing.T) {
 	proteins, genome := searchWorkload(t)
 	opt := DefaultOptions()
-	opt.Pipeline = pipeline.Config{ShardSize: 2, InFlight: 2, Step2Workers: 2, Step3Workers: 2}
+	opt.Pipeline = pipeline.Config{ShardSize: 2}
 	s := newSearcher(t, opt)
 	res := s.Search(context.Background(), NewProteinTarget(proteins), NewGenomeTarget(genome, nil))
 	for _, err := range res.Matches() {
@@ -383,7 +383,7 @@ func benchSearch(b *testing.B) (*Searcher, *ProteinTarget, *GenomeTarget) {
 		b.Fatal(err)
 	}
 	opt := DefaultOptions()
-	opt.Pipeline = pipeline.Config{ShardSize: 4, InFlight: 2, Step2Workers: 2, Step3Workers: 2}
+	opt.Pipeline = pipeline.Config{ShardSize: 4}
 	s := newSearcher(b, opt)
 	return s, NewProteinTarget(proteins), NewGenomeTarget(genome, nil)
 }
@@ -518,14 +518,13 @@ func BenchmarkSearchMaterialized(b *testing.B) {
 // TestStreamPeakBelowMaterialized is the asserted form of the two
 // benchmarks: on a multi-shard run the streaming path's peak
 // resident match buffer must be strictly below the materialized
-// path's, whose peak is the whole result. The pipeline holds at most
-// Step2Workers + Step3Workers shards between dispatch and emission,
-// which bounds it to the most matches any three consecutive shards
-// hold, however the shards finish.
+// path's, whose peak is the whole result. The engine hands each
+// shard's matches on before it starts the next, so the peak is
+// exactly the largest shard's match count.
 func TestStreamPeakBelowMaterialized(t *testing.T) {
 	proteins, genome := searchWorkload(t)
 	opt := DefaultOptions()
-	opt.Pipeline = pipeline.Config{ShardSize: 2, InFlight: 2, Step2Workers: 2, Step3Workers: 1}
+	opt.Pipeline = pipeline.Config{ShardSize: 2}
 	s := newSearcher(t, opt)
 	tgt := NewGenomeTarget(genome, nil)
 	q := NewProteinTarget(proteins)
@@ -565,11 +564,7 @@ func TestStreamPeakBelowMaterialized(t *testing.T) {
 	for _, a := range out.Alignments {
 		perShard[int(a.Seq0)/opt.Pipeline.ShardSize]++
 	}
-	bound := 0
-	for i := range perShard[:len(perShard)-2] {
-		bound = max(bound, perShard[i]+perShard[i+1]+perShard[i+2])
-	}
-	if sum.Pipeline.MaxBufferedMatches > bound {
-		t.Errorf("streaming peak %d above the three-shard window's %d", sum.Pipeline.MaxBufferedMatches, bound)
+	if want := slices.Max(perShard); sum.Pipeline.MaxBufferedMatches != want {
+		t.Errorf("streaming peak %d, want the largest shard's %d", sum.Pipeline.MaxBufferedMatches, want)
 	}
 }

@@ -269,86 +269,6 @@ func TestFutureWorkProjection(t *testing.T) {
 	}
 }
 
-func TestHostDispatch(t *testing.T) {
-	ms := getMeasurements(t)
-	rows, err := RunHostDispatch(ms.Workload, len(ms.Workload.Banks)-1, []int{1, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 {
-		t.Fatal("row count")
-	}
-	for _, r := range rows {
-		if r.HostSec <= 0 || r.DeviceSec <= 0 {
-			t.Errorf("non-positive times: %+v", r)
-		}
-	}
-	if rows[0].DeviceSec != rows[1].DeviceSec {
-		t.Error("device time should not depend on host workers")
-	}
-	if _, err := RunHostDispatch(ms.Workload, 99, nil); err == nil {
-		t.Error("out-of-range bank accepted")
-	}
-	if !strings.Contains(FormatHostDispatch(rows), "workers") {
-		t.Error("format wrong")
-	}
-}
-
-func TestOverlap(t *testing.T) {
-	ms := getMeasurements(t)
-	rows, err := RunOverlap(ms.Workload, len(ms.Workload.Banks)-1, []int{2, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 {
-		t.Fatalf("row count %d", len(rows))
-	}
-	for _, r := range rows {
-		if r.BatchSec <= 0 || r.StreamSec <= 0 || r.Gain <= 0 {
-			t.Errorf("non-positive timings: %+v", r)
-		}
-		if r.Shards < 2 {
-			t.Errorf("expected a multi-shard run, got %d shards", r.Shards)
-		}
-	}
-	if _, err := RunOverlap(ms.Workload, 99, nil); err == nil {
-		t.Error("out-of-range bank accepted")
-	}
-	if _, err := RunOverlap(ms.Workload, 0, []int{0}); err == nil {
-		t.Error("zero shard count accepted")
-	}
-	if !strings.Contains(FormatOverlap(rows), "gain") {
-		t.Error("format wrong")
-	}
-}
-
-func TestMultiDispatch(t *testing.T) {
-	ms := getMeasurements(t)
-	res, err := RunMultiDispatch(ms.Workload, len(ms.Workload.Banks)-1, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Shards != 4 {
-		t.Fatalf("shards = %d, want 4", res.Shards)
-	}
-	total := 0
-	for _, n := range res.Split {
-		total += n
-	}
-	if total != res.Shards {
-		t.Fatalf("split %v covers %d of %d shards", res.Split, total, res.Shards)
-	}
-	if res.WallSec <= 0 {
-		t.Error("wall time not recorded")
-	}
-	if _, err := RunMultiDispatch(ms.Workload, 0, 0); err == nil {
-		t.Error("zero shard count accepted")
-	}
-	if !strings.Contains(FormatMultiDispatch(res), "shards") {
-		t.Error("format wrong")
-	}
-}
-
 func TestWorkloadDeterministic(t *testing.T) {
 	a, err := NewWorkload(Tiny())
 	if err != nil {

@@ -104,13 +104,13 @@ func (b scalarBackend) Step2(ctx context.Context, shard *pipeline.Shard, ix1 *in
 	if err != nil {
 		return nil, err
 	}
-	return &pipeline.Step2Output{Shard: shard, Hits: r.Hits, Pairs: r.Pairs, Elapsed: time.Since(t0), Backend: "cpu"}, nil
+	return &pipeline.Step2Output{Hits: r.Hits, Pairs: r.Pairs, Elapsed: time.Since(t0)}, nil
 }
 
 // Measure runs the pipeline over every bank of the workload and
 // collects the raw numbers behind the tables. The software pipeline is
-// driven through the streaming shard engine pinned to one shard and
-// one worker per stage (Workers=1), matching the paper's single-core
+// driven through the shard engine pinned to one shard and one worker
+// per step (Workers=1), matching the paper's single-core
 // methodology; accelerator timings come from the validated cycle model.
 func Measure(w *Workload, opt MeasureOptions) (*Measurements, error) {
 	opt = opt.withDefaults(w.Scale.Threshold)

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -381,4 +382,19 @@ func (t Table6) Format() string {
 
 func pct(f float64) string {
 	return fmt.Sprintf("%.1f%%", 100*f)
+}
+
+// search builds a Searcher from opts and drains one search.
+func search(query, target core.Target, opts ...core.Option) ([]core.Match, *core.Summary, error) {
+	s, err := core.NewSearcher(opts...)
+	if err != nil {
+		return nil, nil, err
+	}
+	res := s.Search(context.Background(), query, target)
+	ms, err := res.Collect()
+	if err != nil {
+		return nil, nil, err
+	}
+	sum, err := res.Summary()
+	return ms, sum, err
 }

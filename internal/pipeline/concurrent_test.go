@@ -62,7 +62,7 @@ func TestIndexFailureNotCountedInShardMetrics(t *testing.T) {
 		Workers: 1,
 		Gapped:  gcfg,
 	}
-	eng, err := New(Config{ShardSize: 2, InFlight: 1}, testBackend())
+	eng, err := New(Config{ShardSize: 2}, testBackend())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestConcurrentRunsBitIdentical(t *testing.T) {
 			Index1:  ix1,
 		}
 	}
-	eng, err := New(Config{ShardSize: 5, InFlight: 2, Step2Workers: 2, Step3Workers: 2}, testBackend())
+	eng, err := New(Config{ShardSize: 5}, testBackend())
 	if err != nil {
 		t.Fatal(err)
 	}

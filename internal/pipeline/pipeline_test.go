@@ -8,7 +8,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -174,8 +173,9 @@ func TestShardSizesEquivalent(t *testing.T) {
 	for _, ss := range []int{1, 4, b0.Len(), b0.Len() + 13} {
 		for _, workers := range []int{1, 3} {
 			name := fmt.Sprintf("shard=%d/workers=%d", ss, workers)
-			cfg := Config{ShardSize: ss, InFlight: 2, Step2Workers: workers, Step3Workers: workers}
-			out := mustRun(t, cfg, testBackend(), req)
+			wreq := *req
+			wreq.Workers, wreq.Gapped.Workers = workers, workers
+			out := mustRun(t, Config{ShardSize: ss}, &CPUBackend{Matrix: matrix.BLOSUM62, Threshold: 30, Workers: workers}, &wreq)
 			if out.Hits != ref.Hits || out.Pairs != ref.Pairs {
 				t.Fatalf("%s: hits/pairs %d/%d, want %d/%d", name, out.Hits, out.Pairs, ref.Hits, ref.Pairs)
 			}
@@ -345,7 +345,7 @@ func TestCancellationShutsDownCleanly(t *testing.T) {
 	b0, b1 := testBanks(t, 8)
 	req := testRequest(t, b0, b1)
 	bb := &blockingBackend{started: make(chan struct{})}
-	eng, err := New(Config{ShardSize: 2, InFlight: 2, Step2Workers: 2, Step3Workers: 2}, bb)
+	eng, err := New(Config{ShardSize: 2}, bb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -398,7 +398,7 @@ func (b *failingBackend) Step2(ctx context.Context, sh *Shard, ix1 *index.Index)
 func TestBackendErrorPropagates(t *testing.T) {
 	b0, b1 := testBanks(t, 8)
 	req := testRequest(t, b0, b1)
-	eng, err := New(Config{ShardSize: 2, InFlight: 2}, &failingBackend{inner: testBackend(), failID: 1})
+	eng, err := New(Config{ShardSize: 2}, &failingBackend{inner: testBackend(), failID: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -420,70 +420,10 @@ func TestBackendErrorPropagates(t *testing.T) {
 	}
 }
 
-// namedBackend wraps a backend under a distinct name so the dispatch
-// split is observable.
-type namedBackend struct {
-	inner Backend
-	label string
-	count atomic.Int32
-}
-
-func (b *namedBackend) Name() string { return b.label }
-
-func (b *namedBackend) Step2(ctx context.Context, sh *Shard, ix1 *index.Index) (*Step2Output, error) {
-	b.count.Add(1)
-	out, err := b.inner.Step2(ctx, sh, ix1)
-	if err != nil {
-		return nil, err
-	}
-	out.Backend = b.label
-	return out, nil
-}
-
-func TestMultiBackendFansOut(t *testing.T) {
-	b0, b1 := testBanks(t, 12)
-	req := testRequest(t, b0, b1)
-	ref := mustRun(t, Config{}, testBackend(), req)
-
-	a := &namedBackend{inner: testBackend(), label: "cpu-a"}
-	b := &namedBackend{inner: testBackend(), label: "cpu-b"}
-	multi, err := NewMultiBackend(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if multi.Name() != "multi(cpu-a+cpu-b)" {
-		t.Errorf("multi name %q", multi.Name())
-	}
-	out := mustRun(t, Config{ShardSize: 2, InFlight: 2, Step2Workers: 2, Step3Workers: 2}, multi, req)
-	if out.Hits != ref.Hits || len(out.Alignments) != len(ref.Alignments) {
-		t.Fatalf("fan-out diverged: %d/%d hits, %d/%d alignments",
-			out.Hits, ref.Hits, len(out.Alignments), len(ref.Alignments))
-	}
-	shards := len(planShards(b0.Len(), 2))
-	total := 0
-	for _, n := range out.Metrics.ShardsByBackend {
-		total += n
-	}
-	if total != shards {
-		t.Fatalf("dispatch split %v covers %d shards, want %d",
-			out.Metrics.ShardsByBackend, total, shards)
-	}
-	if int(a.count.Load())+int(b.count.Load()) != shards {
-		t.Fatalf("backends ran %d+%d shards, want %d", a.count.Load(), b.count.Load(), shards)
-	}
-
-	if _, err := NewMultiBackend(); err == nil {
-		t.Error("empty MultiBackend accepted")
-	}
-	if _, err := NewMultiBackend(a, nil); err == nil {
-		t.Error("nil sub-backend accepted")
-	}
-}
-
 func TestMetricsPopulated(t *testing.T) {
 	b0, b1 := testBanks(t, 8)
 	req := testRequest(t, b0, b1)
-	out := mustRun(t, Config{ShardSize: 2, InFlight: 2, Step2Workers: 2, Step3Workers: 2}, testBackend(), req)
+	out := mustRun(t, Config{ShardSize: 2}, testBackend(), req)
 	m := out.Metrics
 	if m.Shards != 4 {
 		t.Fatalf("shards = %d, want 4", m.Shards)
@@ -530,7 +470,7 @@ func TestStep3RejectsHitsOutsideBanks(t *testing.T) {
 		"query offset":    func(sh *Shard, h *ungapped.Hit) { h.E0.Off = uint32(len(sh.Bank.Seq(int(h.E0.Seq)))) },
 	}
 	for name, corrupt := range cases {
-		for _, cfg := range []Config{{}, {ShardSize: 2, InFlight: 2, Step2Workers: 2, Step3Workers: 2}} {
+		for _, cfg := range []Config{{}, {ShardSize: 2}} {
 			for _, workers := range []int{1, 2, 8} {
 				eng, err := New(cfg, corruptBackend{testBackend(), corrupt})
 				if err != nil {

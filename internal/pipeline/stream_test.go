@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -12,16 +13,16 @@ import (
 
 // TestRunStreamOrderIdentical pins the streaming contract: the
 // concatenation of emitted batches is element-for-element the
-// materialized Run output, for several shard sizes and worker counts.
+// materialized Run output, for several shard sizes.
 func TestRunStreamOrderIdentical(t *testing.T) {
 	b0, b1 := testBanks(t, 12)
 	req := testRequest(t, b0, b1)
 
 	for _, cfg := range []Config{
 		{},
-		{ShardSize: 1, InFlight: 3, Step2Workers: 2, Step3Workers: 2},
-		{ShardSize: 2, InFlight: 2, Step2Workers: 3, Step3Workers: 3},
-		{ShardSize: 5, InFlight: 1, Step2Workers: 1, Step3Workers: 1},
+		{ShardSize: 1},
+		{ShardSize: 2},
+		{ShardSize: 5},
 	} {
 		ref := mustRun(t, cfg, testBackend(), req)
 		if len(ref.Alignments) == 0 {
@@ -59,38 +60,28 @@ func TestRunStreamOrderIdentical(t *testing.T) {
 	}
 }
 
-// windowBound is the most alignments any window consecutive shards
-// of a run hold: with window = Step2Workers + Step3Workers, the
-// ceiling on a streaming run's MaxBufferedMatches, whatever order the
-// shards finish in.
-func windowBound(as []gapped.Alignment, shardSize, window int) int {
-	var perShard []int
+// shardPeak is the most alignments any one shard of a run yields:
+// a streaming run holds one shard's alignments at a time, so this is
+// exactly its MaxBufferedMatches.
+func shardPeak(as []gapped.Alignment, shardSize int) int {
+	perShard := make(map[int]int)
+	peak := 0
 	for _, a := range as {
 		id := int(a.Seq0) / shardSize
-		for len(perShard) <= id {
-			perShard = append(perShard, 0)
-		}
 		perShard[id]++
+		peak = max(peak, perShard[id])
 	}
-	bound := 0
-	for i := range perShard {
-		sum := 0
-		for _, n := range perShard[i:min(i+window, len(perShard))] {
-			sum += n
-		}
-		bound = max(bound, sum)
-	}
-	return bound
+	return peak
 }
 
 // TestRunStreamPeakBuffer pins the memory win the streaming path
 // exists for: on a multi-shard run the peak resident match buffer is
-// bounded by the window and so strictly below the materialized path's
-// (which holds the entire output at once).
+// exactly the largest shard's output, strictly below the materialized
+// path's (which holds the entire output at once).
 func TestRunStreamPeakBuffer(t *testing.T) {
 	b0, b1 := testBanks(t, 16)
 	req := testRequest(t, b0, b1)
-	cfg := Config{ShardSize: 2, InFlight: 2, Step2Workers: 2, Step3Workers: 1}
+	cfg := Config{ShardSize: 2}
 
 	ref := mustRun(t, cfg, testBackend(), req)
 	if got, want := ref.Metrics.MaxBufferedMatches, len(ref.Alignments); got != want {
@@ -116,26 +107,23 @@ func TestRunStreamPeakBuffer(t *testing.T) {
 		t.Errorf("streaming peak buffer %d, want below materialized %d",
 			out.Metrics.MaxBufferedMatches, ref.Metrics.MaxBufferedMatches)
 	}
-	window := cfg.Step2Workers + cfg.Step3Workers
-	if bound := windowBound(ref.Alignments, cfg.ShardSize, window); out.Metrics.MaxBufferedMatches > bound {
-		t.Errorf("streaming peak buffer %d above the %d-shard window's %d",
-			out.Metrics.MaxBufferedMatches, window, bound)
+	if want := shardPeak(ref.Alignments, cfg.ShardSize); out.Metrics.MaxBufferedMatches != want {
+		t.Errorf("streaming peak buffer %d, want the largest shard's %d", out.Metrics.MaxBufferedMatches, want)
 	}
 }
 
 // TestRunStreamWindowHoldsSlowConsumer pins that a consumer slower
-// than the engine stalls dispatch instead of letting finished shards
-// pile up: the peak stays within the window's worth of shards, below
-// the whole output, and the stream is still Run's output in order.
+// than the engine lets no finished shards pile up: the peak is exactly
+// the largest shard's output, below the whole output, and the stream
+// is still Run's output in order.
 func TestRunStreamWindowHoldsSlowConsumer(t *testing.T) {
 	b0, b1 := testBanks(t, 16)
 	req := testRequest(t, b0, b1)
-	cfg := Config{ShardSize: 1, InFlight: 1, Step2Workers: 2, Step3Workers: 1}
+	cfg := Config{ShardSize: 1}
 	ref := mustRun(t, cfg, testBackend(), req)
-	window := cfg.Step2Workers + cfg.Step3Workers
-	bound := windowBound(ref.Alignments, cfg.ShardSize, window)
-	if bound >= len(ref.Alignments) {
-		t.Fatalf("degenerate workload: a %d-shard window holds all %d alignments", window, len(ref.Alignments))
+	peak := shardPeak(ref.Alignments, cfg.ShardSize)
+	if peak >= len(ref.Alignments) {
+		t.Fatalf("degenerate workload: one shard holds all %d alignments", len(ref.Alignments))
 	}
 
 	eng, err := New(cfg, testBackend())
@@ -154,13 +142,14 @@ func TestRunStreamWindowHoldsSlowConsumer(t *testing.T) {
 	if !reflect.DeepEqual(streamed, ref.Alignments) {
 		t.Errorf("streamed alignments diverge from Run (got %d, want %d)", len(streamed), len(ref.Alignments))
 	}
-	if out.Metrics.MaxBufferedMatches > bound {
-		t.Errorf("slow consumer: peak buffer %d above the %d-shard window's %d",
-			out.Metrics.MaxBufferedMatches, window, bound)
+	if out.Metrics.MaxBufferedMatches != peak {
+		t.Errorf("slow consumer: peak buffer %d, want the largest shard's %d", out.Metrics.MaxBufferedMatches, peak)
 	}
 }
 
-// TestRunStreamEmitError pins that a failing consumer sinks the run.
+// TestRunStreamEmitError pins that a failing consumer sinks the run,
+// and that the run returns only after the look-ahead running the next
+// shard has stopped.
 func TestRunStreamEmitError(t *testing.T) {
 	b0, b1 := testBanks(t, 6)
 	req := testRequest(t, b0, b1)
@@ -168,6 +157,7 @@ func TestRunStreamEmitError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	baseline := runtime.NumGoroutine()
 	sinkErr := errors.New("consumer gone")
 	out, err := eng.RunStream(context.Background(), req, func([]gapped.Alignment) error {
 		return sinkErr
@@ -177,6 +167,13 @@ func TestRunStreamEmitError(t *testing.T) {
 	}
 	if out == nil {
 		t.Fatal("failed run returned no metrics")
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > baseline {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutine leak after emit error: %d > baseline %d", runtime.NumGoroutine(), baseline)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 	if _, err := eng.RunStream(context.Background(), req, nil); err == nil {
 		t.Error("nil emit accepted")

@@ -18,7 +18,7 @@ func TestRunRecordsStageSpans(t *testing.T) {
 	tr := telemetry.NewTrace(telemetry.NewTraceID())
 	ctx := telemetry.ContextWithTrace(context.Background(), tr)
 
-	eng, err := New(Config{ShardSize: 3, InFlight: 2, Step2Workers: 2, Step3Workers: 2}, testBackend())
+	eng, err := New(Config{ShardSize: 3}, testBackend())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,40 +87,33 @@ func TestRunWithoutTraceRecordsNothing(t *testing.T) {
 	}
 }
 
-// TestMetricsMergeFoldsMaps is the direct Merge unit test: backend
-// shard counts fold per key, additive fields add, and
-// MaxBufferedMatches keeps the max — not the sum — because peaks of
-// concurrent runs never coexist with each other's totals.
+// TestMetricsMergeFoldsMaps is the direct Merge unit test: additive
+// fields add, and MaxBufferedMatches keeps the max — not the sum —
+// because peaks of concurrent runs never coexist with each other's
+// totals.
 func TestMetricsMergeFoldsMaps(t *testing.T) {
 	a := Metrics{
-		Shards:           2,
-		Wall:             3 * time.Second,
-		Index:            StageMetrics{Shards: 2, Busy: time.Second},
-		Step2:            StageMetrics{Shards: 2, Busy: 2 * time.Second},
-		Step3:            StageMetrics{Shards: 2, Busy: 3 * time.Second},
-		Prefilter:        StageMetrics{Shards: 2, Busy: time.Second},
-		PrefilterKept:    40,
-		PrefilterDropped: 60,
-		PrefilterQueries: 8,
-		ShardsByBackend: map[string]int{
-			"cpu": 2,
-		},
+		Shards:             2,
+		Wall:               3 * time.Second,
+		Index:              StageMetrics{Shards: 2, Busy: time.Second},
+		Step2:              StageMetrics{Shards: 2, Busy: 2 * time.Second},
+		Step3:              StageMetrics{Shards: 2, Busy: 3 * time.Second},
+		Prefilter:          StageMetrics{Shards: 2, Busy: time.Second},
+		PrefilterKept:      40,
+		PrefilterDropped:   60,
+		PrefilterQueries:   8,
 		MaxBufferedMatches: 10,
 	}
 	b := Metrics{
-		Shards:           3,
-		Wall:             time.Second,
-		Index:            StageMetrics{Shards: 3, Busy: time.Second},
-		Step2:            StageMetrics{Shards: 3, Busy: time.Second},
-		Step3:            StageMetrics{Shards: 3, Busy: time.Second},
-		Prefilter:        StageMetrics{Shards: 1, Busy: 2 * time.Second},
-		PrefilterKept:    5,
-		PrefilterDropped: 15,
-		PrefilterQueries: 2,
-		ShardsByBackend: map[string]int{
-			"cpu":  1,
-			"rasc": 2,
-		},
+		Shards:             3,
+		Wall:               time.Second,
+		Index:              StageMetrics{Shards: 3, Busy: time.Second},
+		Step2:              StageMetrics{Shards: 3, Busy: time.Second},
+		Step3:              StageMetrics{Shards: 3, Busy: time.Second},
+		Prefilter:          StageMetrics{Shards: 1, Busy: 2 * time.Second},
+		PrefilterKept:      5,
+		PrefilterDropped:   15,
+		PrefilterQueries:   2,
 		MaxBufferedMatches: 7,
 	}
 	a.Merge(&b)
@@ -138,9 +131,6 @@ func TestMetricsMergeFoldsMaps(t *testing.T) {
 		t.Errorf("prefilter counters = %d/%d/%d, want 45/75/10",
 			a.PrefilterKept, a.PrefilterDropped, a.PrefilterQueries)
 	}
-	if a.ShardsByBackend["cpu"] != 3 || a.ShardsByBackend["rasc"] != 2 {
-		t.Errorf("ShardsByBackend = %v", a.ShardsByBackend)
-	}
 	if a.MaxBufferedMatches != 10 {
 		t.Errorf("MaxBufferedMatches = %d, want max semantics (10)", a.MaxBufferedMatches)
 	}
@@ -150,11 +140,5 @@ func TestMetricsMergeFoldsMaps(t *testing.T) {
 	a.Merge(&c)
 	if a.MaxBufferedMatches != 25 {
 		t.Errorf("MaxBufferedMatches after second merge = %d, want 25", a.MaxBufferedMatches)
-	}
-	// Merging into zero-value maps allocates them.
-	var z Metrics
-	z.Merge(&b)
-	if z.ShardsByBackend["rasc"] != 2 {
-		t.Errorf("zero-value merge = %v", z.ShardsByBackend)
 	}
 }

@@ -77,15 +77,13 @@ type SequenceJSON struct {
 // OptionsJSON is the wire form of the per-request option subset the
 // API exposes. Absent fields take the pipeline defaults.
 type OptionsJSON struct {
-	Engine        string   `json:"engine,omitempty"` // cpu (default), rasc, multi
-	N             *int     `json:"n,omitempty"`
-	Threshold     *int     `json:"threshold,omitempty"`
-	MaxEValue     *float64 `json:"maxEValue,omitempty"`
-	Workers       int      `json:"workers,omitempty"`
-	ShardSize     int      `json:"shardSize,omitempty"`
-	InFlight      int      `json:"inFlight,omitempty"`
-	StreamWorkers int      `json:"streamWorkers,omitempty"`
-	GeneticCode   string   `json:"geneticCode,omitempty"`
+	Engine      string   `json:"engine,omitempty"` // cpu (default) or rasc
+	N           *int     `json:"n,omitempty"`
+	Threshold   *int     `json:"threshold,omitempty"`
+	MaxEValue   *float64 `json:"maxEValue,omitempty"`
+	Workers     int      `json:"workers,omitempty"`
+	ShardSize   int      `json:"shardSize,omitempty"`
+	GeneticCode string   `json:"geneticCode,omitempty"`
 	// MaxCandidates enables the two-stage prefilter: only the top k
 	// subjects per query (by hashed-seed diagonal score) are extended.
 	// Absent or 0 disables it (bit-identical to today's behaviour);
@@ -127,11 +125,10 @@ type JobStatusJSON struct {
 	Finished  *time.Time `json:"finished,omitempty"`
 	Error     string     `json:"error,omitempty"`
 	// Summary fields, present once the job is done.
-	Alignments *int           `json:"alignments,omitempty"`
-	Hits       *int           `json:"hits,omitempty"`
-	Pairs      *int64         `json:"pairs,omitempty"`
-	WallMS     *float64       `json:"wallMS,omitempty"`
-	Shards     map[string]int `json:"shardsByBackend,omitempty"`
+	Alignments *int     `json:"alignments,omitempty"`
+	Hits       *int     `json:"hits,omitempty"`
+	Pairs      *int64   `json:"pairs,omitempty"`
+	WallMS     *float64 `json:"wallMS,omitempty"`
 }
 
 // AlignmentJSON is one reported alignment.
@@ -177,12 +174,7 @@ func (oj OptionsJSON) CoreOptions() ([]core.Option, error) {
 	opts := []core.Option{
 		core.WithEngine(engine),
 		core.WithWorkers(oj.Workers),
-		core.WithPipeline(pipeline.Config{
-			ShardSize:    oj.ShardSize,
-			InFlight:     oj.InFlight,
-			Step2Workers: oj.StreamWorkers,
-			Step3Workers: oj.StreamWorkers,
-		}),
+		core.WithPipeline(pipeline.Config{ShardSize: oj.ShardSize}),
 	}
 	if oj.N != nil {
 		opts = append(opts, core.WithNeighborhood(*oj.N))
@@ -342,7 +334,6 @@ func jobStatus(j *Job) JobStatusJSON {
 		st.Hits = &res.Hits
 		st.Pairs = &res.Pairs
 		st.WallMS = &res.WallMS
-		st.Shards = res.Shards
 	}
 	return st
 }

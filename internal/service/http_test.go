@@ -138,10 +138,11 @@ func TestHTTPSubmitPollFetch(t *testing.T) {
 	}
 }
 
-// TestHTTPIgnoresRetiredKernelOption: the "kernel" and "traceback"
-// options are gone and the request decoder ignores unknown fields, so
-// a client that still sends one — even a value the old parser refused
-// — gets exactly the alignments of a request without it.
+// TestHTTPIgnoresRetiredKernelOption: the "kernel", "traceback",
+// "inFlight" and "streamWorkers" options are gone and the request
+// decoder ignores unknown fields, so a client that still sends one —
+// even a value the old parser refused — gets exactly the alignments of
+// a request without it.
 func TestHTTPIgnoresRetiredKernelOption(t *testing.T) {
 	b0, b1 := testWorkload(t, 6, 61)
 	svc := New(Config{})
@@ -184,6 +185,7 @@ func TestHTTPIgnoresRetiredKernelOption(t *testing.T) {
 	}
 	for _, retired := range []map[string]any{
 		{"kernel": "scalar"}, {"kernel": "blocked"}, {"kernel": "simd"}, {"traceback": true},
+		{"inFlight": 4}, {"streamWorkers": 2},
 	} {
 		if got := run(retired); !bytes.Equal(got, want) {
 			t.Errorf("%v changed the alignments:\n got %s\nwant %s", retired, got, want)
@@ -262,6 +264,7 @@ func TestHTTPValidationAndMetrics(t *testing.T) {
 		"neither":            {Query: []SequenceJSON{{ID: "q", Seq: "MKV"}}},
 		"bad residue":        {Query: []SequenceJSON{{ID: "q", Seq: "M1V"}}, Subject: []SequenceJSON{{ID: "s", Seq: "MKV"}}},
 		"bad engine":         {Query: []SequenceJSON{{ID: "q", Seq: "MKV"}}, Subject: []SequenceJSON{{ID: "s", Seq: "MKV"}}, Options: OptionsJSON{Engine: "gpu"}},
+		"retired engine":     {Query: q, Subject: s, Options: OptionsJSON{Engine: "multi"}},
 		"bad nucleotide":     {Query: []SequenceJSON{{ID: "q", Seq: "MKV"}}, Genome: "ACGZ"},
 		"negative search space": {Query: []SequenceJSON{{ID: "q", Seq: "MKV"}}, Subject: []SequenceJSON{{ID: "s", Seq: "MKV"}},
 			Options: OptionsJSON{SearchSpace: &SearchSpaceJSON{DBLen: -5}}},

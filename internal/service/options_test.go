@@ -2,6 +2,7 @@ package service
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"seedblast/internal/core"
@@ -21,16 +22,12 @@ func TestWireOptionsReachSearcher(t *testing.T) {
 		set  OptionsJSON
 		want func(core.Options) bool
 	}{
-		"Engine":    {OptionsJSON{Engine: "rasc"}, func(o core.Options) bool { return o.Engine == core.EngineRASC }},
-		"N":         {OptionsJSON{N: ptr(9)}, func(o core.Options) bool { return o.N == 9 }},
-		"Threshold": {OptionsJSON{Threshold: ptr(33)}, func(o core.Options) bool { return o.UngappedThreshold == 33 }},
-		"MaxEValue": {OptionsJSON{MaxEValue: ptr(7.5)}, func(o core.Options) bool { return o.Gapped.MaxEValue == 7.5 }},
-		"Workers":   {OptionsJSON{Workers: 3}, func(o core.Options) bool { return o.Workers == 3 }},
-		"ShardSize": {OptionsJSON{ShardSize: 5}, func(o core.Options) bool { return o.Pipeline.ShardSize == 5 }},
-		"InFlight":  {OptionsJSON{InFlight: 4}, func(o core.Options) bool { return o.Pipeline.InFlight == 4 }},
-		"StreamWorkers": {OptionsJSON{StreamWorkers: 2}, func(o core.Options) bool {
-			return o.Pipeline.Step2Workers == 2 && o.Pipeline.Step3Workers == 2
-		}},
+		"Engine":        {OptionsJSON{Engine: "rasc"}, func(o core.Options) bool { return o.Engine == core.EngineRASC }},
+		"N":             {OptionsJSON{N: ptr(9)}, func(o core.Options) bool { return o.N == 9 }},
+		"Threshold":     {OptionsJSON{Threshold: ptr(33)}, func(o core.Options) bool { return o.UngappedThreshold == 33 }},
+		"MaxEValue":     {OptionsJSON{MaxEValue: ptr(7.5)}, func(o core.Options) bool { return o.Gapped.MaxEValue == 7.5 }},
+		"Workers":       {OptionsJSON{Workers: 3}, func(o core.Options) bool { return o.Workers == 3 }},
+		"ShardSize":     {OptionsJSON{ShardSize: 5}, func(o core.Options) bool { return o.Pipeline.ShardSize == 5 }},
 		"GeneticCode":   {OptionsJSON{GeneticCode: "mito"}, func(o core.Options) bool { return o.GeneticCode == translate.VertebrateMitoCode }},
 		"MaxCandidates": {OptionsJSON{MaxCandidates: ptr(17)}, func(o core.Options) bool { return o.MaxCandidates == 17 }},
 		"SearchSpace": {OptionsJSON{SearchSpace: &SearchSpaceJSON{DBLen: 1234, DBSeqs: 5}}, func(o core.Options) bool {
@@ -69,5 +66,11 @@ func TestWireOptionsReachSearcher(t *testing.T) {
 	}
 	if len(rows) != typ.NumField() {
 		t.Errorf("%d rows for %d OptionsJSON fields: a row names no field", len(rows), typ.NumField())
+	}
+	// The retired "multi" engine is refused (a 400 at submit), naming
+	// the engines that exist.
+	if _, err := (OptionsJSON{Engine: "multi"}).CoreOptions(); err == nil ||
+		!strings.Contains(err.Error(), "cpu") || !strings.Contains(err.Error(), "rasc") {
+		t.Errorf(`engine "multi": CoreOptions error = %v, want one naming cpu and rasc`, err)
 	}
 }

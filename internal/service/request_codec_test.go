@@ -26,7 +26,7 @@ func requestCorpus() []JobRequestJSON {
 	options := []OptionsJSON{
 		{},
 		{Engine: "rasc", N: intp(3), Threshold: intp(40), MaxEValue: &ev, Workers: 2,
-			ShardSize: 4, InFlight: 2, StreamWorkers: 3, GeneticCode: "vertebrate-mito", MaxCandidates: intp(100),
+			ShardSize: 4, GeneticCode: "vertebrate-mito", MaxCandidates: intp(100),
 			SearchSpace: &SearchSpaceJSON{DBLen: 1_500_000, DBSeqs: 5000}},
 		{SearchSpace: &SearchSpaceJSON{DBLen: 600_000}},
 		{N: &zero, MaxEValue: new(float64), MaxCandidates: &zero},

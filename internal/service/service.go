@@ -1,5 +1,5 @@
 // Package service is the comparison-as-a-service layer: a long-lived,
-// concurrency-safe front end over the streaming shard engine (package
+// concurrency-safe front end over the shard engine (package
 // pipeline, driven through package core). The paper's host/accelerator
 // split assumes one batch job; a production deployment instead sees
 // many concurrent query banks against a small set of hot subject
@@ -91,8 +91,7 @@ type Result struct {
 	Alignments []AlignmentJSON // in rank order
 	Hits       int
 	Pairs      int64
-	WallMS     float64        // engine wall time; a clustered job sums its volumes'
-	Shards     map[string]int // shards per step-2 backend; nil for a clustered job
+	WallMS     float64 // engine wall time; a clustered job sums its volumes'
 }
 
 func (c Config) withDefaults() Config {
@@ -634,7 +633,6 @@ func (s *Service) runLocal(ctx context.Context, req *Request, started func()) (*
 		Hits:       sum.Hits,
 		Pairs:      sum.Pairs,
 		WallMS:     float64(sum.Pipeline.Wall) / float64(time.Millisecond),
-		Shards:     sum.Pipeline.ShardsByBackend,
 	}
 	for i := range ms {
 		res.Alignments[i] = MatchJSON(&ms[i])

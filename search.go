@@ -114,8 +114,7 @@ func WithMatrix(m *Matrix) Option { return core.WithMatrix(m) }
 // WithUngappedThreshold sets the step-2 score threshold.
 func WithUngappedThreshold(threshold int) Option { return core.WithUngappedThreshold(threshold) }
 
-// WithEngine selects where step 2 runs: EngineCPU, EngineRASC or
-// EngineMulti.
+// WithEngine selects where step 2 runs: EngineCPU or EngineRASC.
 func WithEngine(e Engine) Option { return core.WithEngine(e) }
 
 // WithRASC configures the simulated accelerator.
@@ -124,7 +123,7 @@ func WithRASC(r RASCOptions) Option { return core.WithRASC(r) }
 // WithWorkers sets the host parallelism (0 = GOMAXPROCS).
 func WithWorkers(n int) Option { return core.WithWorkers(n) }
 
-// WithPipeline tunes the streaming shard engine.
+// WithPipeline tunes the shard engine (its shard size).
 func WithPipeline(cfg PipelineConfig) Option { return core.WithPipeline(cfg) }
 
 // WithMaxCandidates enables the two-stage prefilter: each query's

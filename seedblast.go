@@ -44,8 +44,8 @@ type (
 	Engine = core.Engine
 	// Bank is an ordered set of protein sequences.
 	Bank = bank.Bank
-	// PipelineConfig tunes the streaming shard engine (shard size,
-	// shards in flight, per-stage concurrency); see Options.Pipeline.
+	// PipelineConfig tunes the shard engine (its shard size); see
+	// Options.Pipeline.
 	PipelineConfig = pipeline.Config
 	// PipelineMetrics is the streaming engine's per-run accounting,
 	// reported in Summary.Pipeline.
@@ -58,9 +58,6 @@ const (
 	EngineCPU = core.EngineCPU
 	// EngineRASC runs step 2 on the simulated RASC-100 accelerator.
 	EngineRASC = core.EngineRASC
-	// EngineMulti fans shards out across the CPU and RASC backends —
-	// the paper's multicore-plus-FPGA dispatch, answered greedily.
-	EngineMulti = core.EngineMulti
 )
 
 // DefaultOptions returns the paper's defaults: W=4 subset seed, N=14,
