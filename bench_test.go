@@ -118,7 +118,7 @@ func BenchmarkTable1StepBreakdown(b *testing.B) {
 		t1 := testingClock()
 		res := step2Seq(b, ixB, w.Scale.Threshold)
 		t2 := testingClock()
-		if _, err := gapped.Run(bk, w.Frames, res.Hits, seqGapped()); err != nil {
+		if _, _, err := gapped.RunWithStats(bk, w.Frames, res.Hits, seqGapped()); err != nil {
 			b.Fatal(err)
 		}
 		t3 := testingClock()
@@ -172,7 +172,7 @@ func hostOverheadSec(b *testing.B, w *experiments.Workload, bk *bank.Bank,
 	if _, err := index.Build(bk, w.Scale.SeedModel, w.Scale.N); err != nil {
 		b.Fatal(err)
 	}
-	if _, err := gapped.Run(bk, w.Frames, res.Hits, seqGapped()); err != nil {
+	if _, _, err := gapped.RunWithStats(bk, w.Frames, res.Hits, seqGapped()); err != nil {
 		b.Fatal(err)
 	}
 	return testingClock() - t0
@@ -278,7 +278,7 @@ func BenchmarkTable7RASCBreakdown(b *testing.B) {
 		res := step2Seq(b, ixs[bi], w.Scale.Threshold) // hits needed for step 3
 		rep := deviceEstimate(b, ixs[bi], 192, 1, w.Scale.Threshold, len(res.Hits))
 		t2 := testingClock()
-		if _, err := gapped.Run(bk, w.Frames, res.Hits, seqGapped()); err != nil {
+		if _, _, err := gapped.RunWithStats(bk, w.Frames, res.Hits, seqGapped()); err != nil {
 			b.Fatal(err)
 		}
 		t3 := testingClock()

@@ -19,6 +19,7 @@ import (
 
 	"seedblast/internal/service"
 	"seedblast/internal/telemetry"
+	"seedblast/internal/telemetry/telemetrytest"
 )
 
 // buildTool compiles one command into a temp dir and returns its path.
@@ -390,7 +391,7 @@ func TestCmdSeedservdClusterSmoke(t *testing.T) {
 			t.Errorf("/metrics missing %q:\n%s", want, metrics)
 		}
 	}
-	fams, err := telemetry.ParseText(strings.NewReader(metrics))
+	fams, err := telemetrytest.ParseText(strings.NewReader(metrics))
 	if err != nil {
 		t.Fatalf("/metrics violates the exposition grammar: %v\n%s", err, metrics)
 	}

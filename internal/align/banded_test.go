@@ -118,7 +118,7 @@ func TestLocalBandedMatchesReference(t *testing.T) {
 // on fresh copies of the reversed prefixes: the first cell reaching
 // end.Score, as in LocalBandedStart's fallback.
 func reverseStart(al *Aligner, a, b []byte, end Local, diag, band int) (aStart, bStart int) {
-	sub := al.bandedEndScalar(reverse(a[:end.AEnd]), reverse(b[:end.BEnd]), end.BEnd-end.AEnd-diag, band, end.Score, nil)
+	sub := al.bandedEndScalar(reverseInto(nil, a[:end.AEnd]), reverseInto(nil, b[:end.BEnd]), end.BEnd-end.AEnd-diag, band, end.Score, nil)
 	return end.AEnd - sub.AEnd, end.BEnd - sub.BEnd
 }
 

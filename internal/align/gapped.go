@@ -58,17 +58,6 @@ func NewAligner(m *matrix.Matrix, gap GapParams) *Aligner {
 	return al
 }
 
-// Local computes the best local alignment of a against b with affine
-// gaps, unbanded: LocalBanded with a band as wide as the sequences.
-// LocalBandedOps with that band gives its operations.
-func (al *Aligner) Local(a, b []byte) Local {
-	return al.LocalBanded(a, b, 0, max(len(a), len(b)))
-}
-
-func reverse(s []byte) []byte {
-	return reverseInto(nil, s)
-}
-
 // reverseInto writes s reversed into buf's storage, growing it when
 // needed, and returns the result.
 func reverseInto(buf, s []byte) []byte {
@@ -185,16 +174,16 @@ func (al *Aligner) LocalBandedStart(a, b []byte, end Local, diag, band int) (aSt
 
 // LocalBandedReference is LocalBanded computed the plain way: the
 // scalar loop for both passes, the reverse pass run to completion on
-// fresh copies. It is what the equivalence tests of this package, of
-// internal/gapped and of internal/core pin the shipped path to; no
-// option reaches it.
+// fresh copies. It is what the equivalence tests of this package and
+// of internal/gapped pin the shipped path to (which is why it is not
+// in a _test.go file); no option reaches it.
 func (al *Aligner) LocalBandedReference(a, b []byte, diag, band int) Local {
 	best := al.bandedEndScalar(a, b, diag, band, noStop, nil)
 	if best.Score == 0 {
 		return Local{}
 	}
-	ra := reverse(a[:best.AEnd])
-	rb := reverse(b[:best.BEnd])
+	ra := reverseInto(nil, a[:best.AEnd])
+	rb := reverseInto(nil, b[:best.BEnd])
 	sub := al.bandedEndScalar(ra, rb, best.BEnd-best.AEnd-diag, band, noStop, nil)
 	best.AStart = best.AEnd - sub.AEnd
 	best.BStart = best.BEnd - sub.BEnd

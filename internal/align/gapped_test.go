@@ -12,6 +12,12 @@ import (
 	"seedblast/internal/matrix"
 )
 
+// Local is LocalBanded with a band as wide as the sequences: the
+// unbanded affine local alignment the naive oracles score.
+func (al *Aligner) Local(a, b []byte) Local {
+	return al.LocalBanded(a, b, 0, max(len(a), len(b)))
+}
+
 // naiveAffine is an independent full three-matrix affine local
 // alignment used as the reference implementation in tests.
 func naiveAffine(a, b []byte, m *matrix.Matrix, gap GapParams) int {

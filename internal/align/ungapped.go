@@ -34,23 +34,6 @@ func WindowScore(s0, s1 []byte, m *matrix.Matrix) int {
 	return best
 }
 
-// MaxPrefixScore computes the running-sum variant without the zero
-// clamp: the maximum over prefix sums of the window. It is the most
-// literal reading of the PE datapath ("the result is added to the
-// current score and a maximum value is computed") and is kept as an
-// ablation; the pipeline uses WindowScore.
-func MaxPrefixScore(s0, s1 []byte, m *matrix.Matrix) int {
-	table := m.Table()
-	score, best := 0, 0
-	for k := 0; k < len(s0); k++ {
-		score += int(table[int(s0[k])*alphabet.NumAA+int(s1[k])])
-		if score > best {
-			best = score
-		}
-	}
-	return best
-}
-
 // UngappedExtension is the result of an X-drop ungapped extension.
 type UngappedExtension struct {
 	Score  int

@@ -8,6 +8,23 @@ import (
 	"seedblast/internal/matrix"
 )
 
+// maxPrefixScore is the running-sum window score without the zero
+// clamp: the maximum over prefix sums of the window, the most literal
+// reading of the PE datapath ("the result is added to the current
+// score and a maximum value is computed"). WindowScore, which the
+// pipeline runs, must never score below it.
+func maxPrefixScore(s0, s1 []byte, m *matrix.Matrix) int {
+	table := m.Table()
+	score, best := 0, 0
+	for k := 0; k < len(s0); k++ {
+		score += int(table[int(s0[k])*alphabet.NumAA+int(s1[k])])
+		if score > best {
+			best = score
+		}
+	}
+	return best
+}
+
 func TestWindowScoreIdentical(t *testing.T) {
 	m := matrix.NewMatchMismatch(2, -1)
 	w := alphabet.MustEncodeProtein("ARNDAR")
@@ -89,7 +106,7 @@ func TestMaxPrefixScoreMatchesBruteForce(t *testing.T) {
 				best = sum
 			}
 		}
-		return MaxPrefixScore(a, b, m) == best
+		return maxPrefixScore(a, b, m) == best
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -107,7 +124,7 @@ func TestWindowScoreDominatesMaxPrefix(t *testing.T) {
 			a[i] = raw0[i] % alphabet.NumStandardAA
 			b[i] = raw1[i] % alphabet.NumStandardAA
 		}
-		return WindowScore(a, b, m) >= MaxPrefixScore(a, b, m)
+		return WindowScore(a, b, m) >= maxPrefixScore(a, b, m)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -206,8 +223,8 @@ func TestScoringUsesMatrixTableLayout(t *testing.T) {
 			if got := WindowScore([]byte{byte(a)}, []byte{byte(b)}, m); got != want {
 				t.Fatalf("WindowScore(%d,%d) = %d, want %d (table stride broken)", a, b, got, want)
 			}
-			if got := MaxPrefixScore([]byte{byte(a)}, []byte{byte(b)}, m); got != want {
-				t.Fatalf("MaxPrefixScore(%d,%d) = %d, want %d (table stride broken)", a, b, got, want)
+			if got := maxPrefixScore([]byte{byte(a)}, []byte{byte(b)}, m); got != want {
+				t.Fatalf("maxPrefixScore(%d,%d) = %d, want %d (table stride broken)", a, b, got, want)
 			}
 			ext := ExtendUngapped([]byte{byte(a)}, []byte{byte(b)}, 0, 0, 1, 10, m)
 			if ext.Score != want {

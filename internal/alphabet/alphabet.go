@@ -166,9 +166,6 @@ func ProteinLetter(code byte) byte {
 	return proteinLetters[code]
 }
 
-// ValidProtein reports whether code is a valid protein code.
-func ValidProtein(code byte) bool { return code < NumAA }
-
 // IsStandardAA reports whether code is one of the 20 unambiguous amino acids.
 func IsStandardAA(code byte) bool { return code < NumStandardAA }
 
@@ -213,9 +210,6 @@ func NucLetter(code byte) byte {
 	}
 	return nucLetters[code]
 }
-
-// ValidNucleotide reports whether code is a valid nucleotide code.
-func ValidNucleotide(code byte) bool { return code < NumNuc }
 
 // Complement returns the Watson-Crick complement of a nucleotide code.
 // N complements to N.

@@ -179,14 +179,8 @@ func TestReverseComplementInvolution(t *testing.T) {
 }
 
 func TestValidityPredicates(t *testing.T) {
-	if !ValidProtein(0) || !ValidProtein(NumAA-1) || ValidProtein(NumAA) {
-		t.Error("ValidProtein boundary wrong")
-	}
 	if !IsStandardAA(19) || IsStandardAA(20) {
 		t.Error("IsStandardAA boundary wrong")
-	}
-	if !ValidNucleotide(NucN) || ValidNucleotide(NumNuc) {
-		t.Error("ValidNucleotide boundary wrong")
 	}
 }
 

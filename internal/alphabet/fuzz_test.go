@@ -16,7 +16,7 @@ func FuzzEncodeProtein(f *testing.F) {
 			return
 		}
 		for _, c := range codes {
-			if !ValidProtein(c) {
+			if c >= NumAA {
 				t.Fatalf("encoder produced invalid code %d", c)
 			}
 		}
@@ -42,7 +42,7 @@ func FuzzEncodeDNA(f *testing.F) {
 			return
 		}
 		for _, c := range codes {
-			if !ValidNucleotide(c) {
+			if c >= NumNuc {
 				t.Fatalf("encoder produced invalid code %d", c)
 			}
 		}

@@ -70,24 +70,6 @@ func MutateProtein(rng *rand.Rand, seq []byte, subRate float64) []byte {
 	return out
 }
 
-// InsertIndels applies random single-residue insertions and deletions,
-// each occurring per position with probability indelRate.
-func InsertIndels(rng *rand.Rand, seq []byte, indelRate float64) []byte {
-	s := newSampler()
-	out := make([]byte, 0, len(seq)+4)
-	for _, c := range seq {
-		r := rng.Float64()
-		switch {
-		case r < indelRate/2: // deletion
-		case r < indelRate: // insertion before the residue
-			out = append(out, s.draw(rng), c)
-		default:
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
 // ProteinConfig parameterises GenerateProteins.
 type ProteinConfig struct {
 	N         int   // number of proteins

@@ -90,19 +90,6 @@ func TestMutateProteinRate(t *testing.T) {
 	}
 }
 
-func TestInsertIndels(t *testing.T) {
-	rng := NewRNG(4)
-	orig := RandomProtein(rng, 10_000)
-	out := InsertIndels(rng, orig, 0.1)
-	// Insertions and deletions balance in expectation; length stays close.
-	if math.Abs(float64(len(out)-len(orig))) > 300 {
-		t.Errorf("indel length drift %d", len(out)-len(orig))
-	}
-	if string(out) == string(orig) {
-		t.Error("indels did not change sequence")
-	}
-}
-
 func TestReverseTranslateRoundTrip(t *testing.T) {
 	rng := NewRNG(5)
 	protein := RandomProtein(rng, 300)

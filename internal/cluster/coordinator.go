@@ -65,9 +65,6 @@ func New(cfg Config) (*Coordinator, error) {
 	return &Coordinator{cfg: cfg, clients: clients, met: newMetrics(reg, cfg.Workers), reg: reg}, nil
 }
 
-// Config returns the resolved configuration.
-func (c *Coordinator) Config() Config { return c.cfg }
-
 // Registry returns the metrics registry the coordinator reports on;
 // a coordinating service includes it in the registry it serves on
 // /metrics.

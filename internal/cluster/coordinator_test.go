@@ -15,9 +15,27 @@ import (
 	"time"
 
 	"seedblast/internal/alphabet"
+	"seedblast/internal/bank"
 	"seedblast/internal/service"
 	"seedblast/internal/telemetry"
+	"seedblast/internal/telemetry/telemetrytest"
 )
+
+// testWorkload returns a query bank and a subject bank holding mutated
+// copies of the queries plus unrelated decoys, so the pipeline finds
+// real alignments against a length-diverse bank.
+func testWorkload(t testing.TB, n int, seed int64) (*bank.Bank, *bank.Bank) {
+	t.Helper()
+	b0 := bank.GenerateProteins(bank.ProteinConfig{N: n, MeanLen: 100, LenJitter: 40, Seed: seed})
+	rng := bank.NewRNG(seed + 1000)
+	decoys := bank.GenerateProteins(bank.ProteinConfig{N: n, MeanLen: 140, LenJitter: 60, Seed: seed + 2000})
+	b1 := bank.New("subjects")
+	for i := 0; i < b0.Len(); i++ {
+		b1.Add(fmt.Sprintf("s%d", 2*i), bank.MutateProtein(rng, b0.Seq(i), 0.15))
+		b1.Add(fmt.Sprintf("s%d", 2*i+1), decoys.Seq(i))
+	}
+	return b0, b1
+}
 
 // wireWorkload converts the bank workload into the JSON sequence
 // lists a coordinator scatters.
@@ -37,7 +55,7 @@ func wireWorkload(t testing.TB, n int, seed int64) (query, subject []service.Seq
 // parsed: one sample per (family, label set).
 type coordMetrics struct {
 	t    testing.TB
-	fams telemetry.Families
+	fams telemetrytest.Families
 }
 
 func scrapeCoordinator(t testing.TB, c *Coordinator) coordMetrics {
@@ -51,7 +69,7 @@ func scrapeCoordinator(t testing.TB, c *Coordinator) coordMetrics {
 
 func parseCoordMetrics(t testing.TB, text string) coordMetrics {
 	t.Helper()
-	fams, err := telemetry.ParseText(strings.NewReader(text))
+	fams, err := telemetrytest.ParseText(strings.NewReader(text))
 	if err != nil {
 		t.Fatalf("coordinator metrics violate the exposition grammar: %v\n%s", err, text)
 	}
@@ -90,8 +108,9 @@ func startWorker(t testing.TB) string {
 }
 
 // singleNodeReference submits the unpartitioned request to one worker
-// and returns its alignments — the wire-level ground truth.
-func singleNodeReference(t testing.TB, query, subject []service.SequenceJSON) []service.AlignmentJSON {
+// and returns its alignments — the wire-level ground truth — and the
+// job's final status, whose hits and pairs a gathered report sums to.
+func singleNodeReference(t testing.TB, query, subject []service.SequenceJSON) ([]service.AlignmentJSON, *service.JobStatusJSON) {
 	t.Helper()
 	cl := service.NewClient(startWorker(t), service.ClientConfig{})
 	ctx := context.Background()
@@ -113,19 +132,24 @@ func singleNodeReference(t testing.TB, query, subject []service.SequenceJSON) []
 	if len(as) == 0 {
 		t.Fatal("reference run produced no alignments; equivalence would be vacuous")
 	}
-	return as
+	return as, st
 }
 
 // TestCoordinatorEquivalence: scattered over real HTTP workers, the
 // gathered report must be bit-identical to a single worker serving
-// the unpartitioned bank — strategies × volume counts.
+// the unpartitioned bank — strategies × volume counts, more volumes
+// than workers included — and its hits and pairs must sum to the
+// single worker's.
 func TestCoordinatorEquivalence(t *testing.T) {
 	query, subject := wireWorkload(t, 8, 51)
-	want := singleNodeReference(t, query, subject)
+	want, ref := singleNodeReference(t, query, subject)
+	if ref.Hits == nil || ref.Pairs == nil {
+		t.Fatalf("reference status carries no hits/pairs: %+v", ref)
+	}
 
 	workers := []string{startWorker(t), startWorker(t), startWorker(t)}
 	for _, p := range partitioners() {
-		for _, volumes := range []int{2, 3, 5} {
+		for _, volumes := range []int{2, 3, 5, 7} {
 			t.Run(fmt.Sprintf("%s/%dvol", p.Name(), volumes), func(t *testing.T) {
 				coord, err := New(Config{Workers: workers, Partitioner: p, Volumes: volumes})
 				if err != nil {
@@ -138,6 +162,9 @@ func TestCoordinatorEquivalence(t *testing.T) {
 				if !reflect.DeepEqual(rep.Alignments, want) {
 					t.Fatalf("merged wire alignments differ from single-node worker:\n got %d\nwant %d",
 						len(rep.Alignments), len(want))
+				}
+				if rep.Hits != *ref.Hits || rep.Pairs != *ref.Pairs {
+					t.Errorf("hits/pairs differ: got %d/%d, want %d/%d", rep.Hits, rep.Pairs, *ref.Hits, *ref.Pairs)
 				}
 				if rep.Volumes != min(volumes, len(subject)) {
 					t.Errorf("report volumes = %d, want %d", rep.Volumes, volumes)
@@ -180,7 +207,7 @@ func flakyWorker(t testing.TB) string {
 // output must still be bit-identical.
 func TestCoordinatorRetriesOnWorkerFailure(t *testing.T) {
 	query, subject := wireWorkload(t, 6, 52)
-	want := singleNodeReference(t, query, subject)
+	want, _ := singleNodeReference(t, query, subject)
 
 	dead := httptest.NewServer(http.NotFoundHandler())
 	deadURL := dead.URL
@@ -258,7 +285,7 @@ func shortWorker(t testing.TB) (url string, dropped *atomic.Int64) {
 // and the merge is whole, or the request fails; never a short answer.
 func TestCoordinatorRetriesOnShortStream(t *testing.T) {
 	query, subject := wireWorkload(t, 6, 52)
-	want := singleNodeReference(t, query, subject)
+	want, _ := singleNodeReference(t, query, subject)
 
 	short, dropped := shortWorker(t)
 	coord, err := New(Config{Workers: []string{short, startWorker(t)}, Volumes: 2})
@@ -338,7 +365,7 @@ func TestCoordinatorFailsFastOnClientError(t *testing.T) {
 	if r := m.value("volume_retries_total"); r != 0 {
 		t.Errorf("client error burned %g retries; it should fail fast", r)
 	}
-	for _, u := range coord.Config().Workers {
+	for _, u := range coord.cfg.Workers {
 		if f := m.worker("worker_failures_total", u); f != 0 {
 			t.Errorf("worker %s charged %g failures for a client error", u, f)
 		}

@@ -2,41 +2,9 @@ package cluster
 
 import (
 	"fmt"
-	"sort"
 
-	"seedblast/internal/gapped"
 	"seedblast/internal/service"
 )
-
-// MergeAlignments stitches per-volume gapped alignments back into the
-// global subject numbering and re-ranks them under the engine's
-// (Seq0, EValue, Seq1) ordering. perVol[i] must be the alignments the
-// engine produced for vols[i], with volume-local Seq1. Because every
-// (Seq0, Seq1) pair lives in exactly one volume and workers computed
-// E-values against the full-bank search space, the result is
-// bit-identical to a single-node run: equal keys can only come from
-// the same pair, hence the same volume, and the stable sort preserves
-// that volume's internal order exactly as the single-node sort would.
-func MergeAlignments(vols []Volume, perVol [][]gapped.Alignment) []gapped.Alignment {
-	var out []gapped.Alignment
-	for vi, as := range perVol {
-		for _, a := range as {
-			a.Seq1 = vols[vi].Seqs[a.Seq1]
-			out = append(out, a)
-		}
-	}
-	sort.SliceStable(out, func(i, j int) bool {
-		a, b := &out[i], &out[j]
-		if a.Seq0 != b.Seq0 {
-			return a.Seq0 < b.Seq0
-		}
-		if a.EValue != b.EValue {
-			return a.EValue < b.EValue
-		}
-		return a.Seq1 < b.Seq1
-	})
-	return out
-}
 
 // rankedAlignment pairs a wire alignment with the global sequence
 // numbers its ids resolve to, so JSON results can be ranked exactly
@@ -61,42 +29,6 @@ func rankLess(a, b *rankedAlignment, va, vb int) bool {
 		return a.s < b.s
 	}
 	return va < vb
-}
-
-// mergeWireAlignments is MergeAlignments for fully-buffered results
-// gathered over HTTP (see mergeAlignmentStreams for the streaming
-// k-way merge the coordinator uses; this buffered form is the
-// reference it is equivalence-tested against). queryIdx maps a query
-// id to its bank position; vols[i] gives volume i's global subject
-// numbers, and subjIdxInVol maps a subject id to its position within
-// its volume's submission order (ids are resolved per volume, so
-// duplicate subject ids across volumes cannot collide).
-func mergeWireAlignments(vols []Volume, perVol [][]service.AlignmentJSON,
-	queryIdx map[string]int, subjIdxInVol []map[string]int) []service.AlignmentJSON {
-	var ranked []rankedAlignment
-	var volOf []int
-	for vi, as := range perVol {
-		for _, a := range as {
-			ranked = append(ranked, rankedAlignment{
-				a: a,
-				q: queryIdx[a.Query],
-				s: vols[vi].Seqs[subjIdxInVol[vi][a.Subject]],
-			})
-			volOf = append(volOf, vi)
-		}
-	}
-	order := make([]int, len(ranked))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(i, j int) bool {
-		return rankLess(&ranked[order[i]], &ranked[order[j]], volOf[order[i]], volOf[order[j]])
-	})
-	out := make([]service.AlignmentJSON, len(ranked))
-	for i, oi := range order {
-		out[i] = ranked[oi].a
-	}
-	return out
 }
 
 // volumeCursor is one volume's position in the k-way merge: a pull

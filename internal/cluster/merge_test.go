@@ -22,6 +22,42 @@ func sliceCursors(perVol [][]service.AlignmentJSON) []*volumeCursor {
 	return curs
 }
 
+// mergeWireAlignments is the buffered reference merge the streaming
+// k-way merge (mergeAlignmentStreams) is pinned against: every
+// volume's alignments, remapped to global numbers and stably sorted
+// under rankLess. queryIdx maps a query
+// id to its bank position; vols[i] gives volume i's global subject
+// numbers, and subjIdxInVol maps a subject id to its position within
+// its volume's submission order (ids are resolved per volume, so
+// duplicate subject ids across volumes cannot collide).
+func mergeWireAlignments(vols []Volume, perVol [][]service.AlignmentJSON,
+	queryIdx map[string]int, subjIdxInVol []map[string]int) []service.AlignmentJSON {
+	var ranked []rankedAlignment
+	var volOf []int
+	for vi, as := range perVol {
+		for _, a := range as {
+			ranked = append(ranked, rankedAlignment{
+				a: a,
+				q: queryIdx[a.Query],
+				s: vols[vi].Seqs[subjIdxInVol[vi][a.Subject]],
+			})
+			volOf = append(volOf, vi)
+		}
+	}
+	order := make([]int, len(ranked))
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(i, j int) bool {
+		return rankLess(&ranked[order[i]], &ranked[order[j]], volOf[order[i]], volOf[order[j]])
+	})
+	out := make([]service.AlignmentJSON, len(ranked))
+	for i, oi := range order {
+		out[i] = ranked[oi].a
+	}
+	return out
+}
+
 // TestMergeStreamsMatchesBufferedMerge generates random volume
 // partitions and per-volume sorted results, and pins the streaming
 // k-way merge bit-identical to the buffered sort-based reference.

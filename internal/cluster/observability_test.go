@@ -10,6 +10,7 @@ import (
 
 	"seedblast/internal/service"
 	"seedblast/internal/telemetry"
+	"seedblast/internal/telemetry/telemetrytest"
 )
 
 // startClusterOver boots a coordinator daemon over the given workers
@@ -24,6 +25,25 @@ func startClusterOver(t testing.TB, volumes int, workers ...string) string {
 	srv := httptest.NewServer(NewHandler(server))
 	t.Cleanup(func() { srv.Close(); server.Close() })
 	return srv.URL
+}
+
+// scrapeMetrics fetches a daemon's /metrics page and parses it under
+// the strict exposition grammar.
+func scrapeMetrics(t testing.TB, base string) telemetrytest.Families {
+	t.Helper()
+	resp, err := http.Get(base + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("%s/metrics: %d", base, resp.StatusCode)
+	}
+	fams, err := telemetrytest.ParseText(resp.Body)
+	if err != nil {
+		t.Fatalf("%s/metrics violates the exposition grammar: %v", base, err)
+	}
+	return fams
 }
 
 func runWireJob(t *testing.T, cl *service.Client, query, subject []service.SequenceJSON) string {
@@ -53,24 +73,7 @@ func TestMetricsExpositionParses(t *testing.T) {
 	clusterURL := startClusterOver(t, 2, worker, startWorker(t))
 	runWireJob(t, service.NewClient(clusterURL, service.ClientConfig{}), query, subject)
 
-	scrape := func(base string) telemetry.Families {
-		t.Helper()
-		resp, err := http.Get(base + "/metrics")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("%s/metrics: %d", base, resp.StatusCode)
-		}
-		fams, err := telemetry.ParseText(resp.Body)
-		if err != nil {
-			t.Fatalf("%s/metrics violates the exposition grammar: %v", base, err)
-		}
-		return fams
-	}
-
-	wf := scrape(worker)
+	wf := scrapeMetrics(t, worker)
 	for _, name := range []string{
 		"seedservd_requests_submitted_total",
 		"seedservd_requests_completed_total",
@@ -87,7 +90,7 @@ func TestMetricsExpositionParses(t *testing.T) {
 		t.Errorf("worker stage histogram empty: count=%v present=%v", v, ok)
 	}
 
-	cf := scrape(clusterURL)
+	cf := scrapeMetrics(t, clusterURL)
 	for _, name := range []string{
 		"seedclusterd_requests_total",
 		"seedclusterd_requests_completed_total",

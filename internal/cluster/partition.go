@@ -1,8 +1,7 @@
 // Package cluster is the distributed scatter-gather layer over the
 // comparison service: a coordinator splits the subject bank into
 // volumes, scatters one comparison job per volume across seedservd
-// workers (or, in Local mode, across in-process pipeline engines),
-// and gathers the per-volume results into a single merged report.
+// workers, and gathers the per-volume results into a single merged report.
 //
 // The paper accelerates one host with one RASC-100 board; its natural
 // scale-out — argued in Nguyen & Lavenier's fine-grained

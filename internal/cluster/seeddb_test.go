@@ -25,7 +25,7 @@ import (
 func TestClusterPrebuiltVolumeDBs(t *testing.T) {
 	const volumes = 2
 	query, subject := wireWorkload(t, 8, 57)
-	want := singleNodeReference(t, query, subject)
+	want, _ := singleNodeReference(t, query, subject)
 
 	// Rebuild the volume banks exactly as `seeddb build -volumes` does:
 	// partition by encoded residue length (identical to the wire

@@ -20,7 +20,7 @@ import (
 // speaks the worker API, with the coordinator's families on /metrics.
 func TestServerJobFlow(t *testing.T) {
 	query, subject := wireWorkload(t, 6, 55)
-	want := singleNodeReference(t, query, subject)
+	want, _ := singleNodeReference(t, query, subject)
 
 	coord, err := New(Config{Workers: []string{startWorker(t), startWorker(t)}, Volumes: 3})
 	if err != nil {
@@ -74,7 +74,7 @@ func TestServerJobFlow(t *testing.T) {
 	// Three volumes over two healthy workers: round-robin placement
 	// gives each at least one.
 	m := parseCoordMetrics(t, string(body))
-	for _, u := range coord.Config().Workers {
+	for _, u := range coord.cfg.Workers {
 		if v := m.worker("worker_volumes_total", u); v < 1 {
 			t.Errorf("healthy worker %s served %g volumes, want >= 1", u, v)
 		}

@@ -97,16 +97,11 @@ type Stats struct {
 	DPCells     int64 // Σ query length × band width over extended DPs
 }
 
-// Run extends hits into alignments. b0 and b1 are the banks the hits'
-// entries refer to. Results are sorted by (Seq0, EValue, Seq1) and
-// de-duplicated per sequence pair. A hit naming a sequence or offset
-// outside the banks is an error.
-func Run(b0, b1 *bank.Bank, hits []ungapped.Hit, cfg Config) ([]Alignment, error) {
-	as, _, err := RunWithStats(b0, b1, hits, cfg)
-	return as, err
-}
-
-// RunWithStats is Run plus work statistics.
+// RunWithStats extends hits into alignments and reports the work
+// done. b0 and b1 are the banks the hits' entries refer to. Results
+// are sorted by (Seq0, EValue, Seq1) and de-duplicated per sequence
+// pair. A hit naming a sequence or offset outside the banks is an
+// error.
 func RunWithStats(b0, b1 *bank.Bank, hits []ungapped.Hit, cfg Config) ([]Alignment, Stats, error) {
 	out, st, _, err := run(b0, b1, hits, cfg)
 	return out, st, err

@@ -58,7 +58,7 @@ func TestRunFindsHomolog(t *testing.T) {
 		t.Fatal("step 2 produced no hits for a 80%-identical pair")
 	}
 	cfg := DefaultConfig()
-	as, err := Run(b0, b1, hits, cfg)
+	as, _, err := RunWithStats(b0, b1, hits, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestRunRespectsEValueCutoff(t *testing.T) {
 	hits := runPipelineUpTo2(t, b0, b1, 25)
 	cfg := DefaultConfig()
 	cfg.MaxEValue = 1e-300 // impossible
-	as, err := Run(b0, b1, hits, cfg)
+	as, _, err := RunWithStats(b0, b1, hits, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestRunDedupsPerPair(t *testing.T) {
 	if len(hits) < 3 {
 		t.Skip("not enough hits to test dedup")
 	}
-	as, err := Run(b0, b1, hits, DefaultConfig())
+	as, _, err := RunWithStats(b0, b1, hits, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestRunTracebackOps(t *testing.T) {
 	hits := runPipelineUpTo2(t, b0, b1, 25)
 	cfg := DefaultConfig()
 	cfg.Traceback = true
-	as, err := Run(b0, b1, hits, cfg)
+	as, _, err := RunWithStats(b0, b1, hits, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestRunTracebackOps(t *testing.T) {
 	}
 	// Ops must consume exactly the reported spans and score Score.
 	checkOps(t, "homolog pair", b0, b1, as, cfg)
-	off, err := Run(b0, b1, hits, DefaultConfig())
+	off, _, err := RunWithStats(b0, b1, hits, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,17 +270,17 @@ func TestRunValidation(t *testing.T) {
 	b.Add("s", alphabet.MustEncodeProtein("ARND"))
 	cfg := DefaultConfig()
 	cfg.Matrix = nil
-	if _, err := Run(b, b, nil, cfg); err == nil {
+	if _, _, err := RunWithStats(b, b, nil, cfg); err == nil {
 		t.Error("nil matrix accepted")
 	}
 	cfg = DefaultConfig()
 	cfg.Band = 0
-	if _, err := Run(b, b, nil, cfg); err == nil {
+	if _, _, err := RunWithStats(b, b, nil, cfg); err == nil {
 		t.Error("zero band accepted")
 	}
 	cfg = DefaultConfig()
 	cfg.MaxEValue = 0
-	if _, err := Run(b, b, nil, cfg); err == nil {
+	if _, _, err := RunWithStats(b, b, nil, cfg); err == nil {
 		t.Error("zero cutoff accepted")
 	}
 }
@@ -288,7 +288,7 @@ func TestRunValidation(t *testing.T) {
 func TestRunEmptyHits(t *testing.T) {
 	b := bank.New("b")
 	b.Add("s", alphabet.MustEncodeProtein("ARND"))
-	as, err := Run(b, b, nil, DefaultConfig())
+	as, _, err := RunWithStats(b, b, nil, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,7 +314,7 @@ func TestRandomBanksFewFalsePositives(t *testing.T) {
 		b1.Add(string(rune('A'+i)), bank.RandomProtein(rng, 200))
 	}
 	hits := runPipelineUpTo2(t, b0, b1, 25)
-	as, err := Run(b0, b1, hits, DefaultConfig())
+	as, _, err := RunWithStats(b0, b1, hits, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -618,7 +618,7 @@ func TestRunRejectsHitsOutsideBanks(t *testing.T) {
 			t.Fatalf("%s: %d hits; the test no longer covers its partition path", bk.name, len(bk.hits))
 		}
 		cfg := DefaultConfig()
-		if _, err := Run(bk.b0, bk.b1, bk.hits, cfg); err != nil {
+		if _, _, err := RunWithStats(bk.b0, bk.b1, bk.hits, cfg); err != nil {
 			t.Fatalf("%s: valid hits rejected: %v", bk.name, err)
 		}
 		for name, corrupt := range outOfBankCases(bk.b0, bk.b1) {
@@ -626,7 +626,7 @@ func TestRunRejectsHitsOutsideBanks(t *testing.T) {
 			corrupt(&bad[len(bad)/2])
 			for _, workers := range []int{1, 2, 3, 8} {
 				cfg.Workers = workers
-				if as, err := Run(bk.b0, bk.b1, bad, cfg); err == nil {
+				if as, _, err := RunWithStats(bk.b0, bk.b1, bad, cfg); err == nil {
 					t.Errorf("%s/%s/workers=%d: accepted, %d alignments", bk.name, name, workers, len(as))
 				}
 			}

@@ -25,9 +25,6 @@ func NewDevice(cfg DeviceConfig) (*Device, error) {
 	return &Device{cfg: cfg}, nil
 }
 
-// Config returns the device configuration.
-func (d *Device) Config() DeviceConfig { return d.cfg }
-
 // Step2Report is the outcome of running step 2 on the device.
 type Step2Report struct {
 	Hits    []ungapped.Hit

@@ -230,17 +230,22 @@ func TestRunStep2RejectsPairMismatch(t *testing.T) {
 	ix0, ix1 := testIndexes(t, 4, 6, 120, 6)
 	other0, other1 := testIndexes(t, 2, 3, 120, 6)
 	d := deviceFor(t, ix0, 64, 1, 20)
-	res, err := ungapped.Run(other0, other1, ungapped.Config{Matrix: d.cfg.PSC.Matrix, Threshold: 20})
+	cfg := ungapped.Config{Matrix: d.cfg.PSC.Matrix, Threshold: 20}
+	res, err := ungapped.Run(other0, other1, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Pairs == ungapped.PairCount(ix0, ix1) {
+	own, err := ungapped.Run(ix0, ix1, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Pairs == own.Pairs {
 		t.Fatal("test banks have equal pair counts; the mismatch is not exercised")
 	}
 	if _, err := d.report(ix0, ix1, res); err == nil {
 		t.Error("a pair count the device does not account for was accepted")
 	}
-	res.Pairs = ungapped.PairCount(ix0, ix1)
+	res.Pairs = own.Pairs
 	if _, err := d.report(ix0, ix1, res); err != nil {
 		t.Errorf("matching pair count rejected: %v", err)
 	}

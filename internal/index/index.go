@@ -127,9 +127,3 @@ func (ix *Index) KeysIn(lo, hi uint32) []uint32 {
 	j, _ := slices.BinarySearch(ix.keys, hi)
 	return ix.keys[i:j]
 }
-
-// Neighborhood returns the stored window of entry index ei (aliasing
-// internal storage).
-func (ix *Index) Neighborhood(ei int) []byte {
-	return ix.neighborhoods[ei*ix.subLen : (ei+1)*ix.subLen]
-}

@@ -174,9 +174,9 @@ func checkKeys(t *testing.T, name string, ix *Index) {
 }
 
 // TestIndexKeys pins Keys on every constructor: Build, BuildParallel
-// on both sides of the serial fallback, seeddb Load and Open,
-// FilterSeqs (including filters that empty buckets), and banks with
-// no indexable window at all.
+// on both sides of the serial fallback, a seeddb image decoded in
+// memory and one opened from disk, FilterSeqs (including filters that
+// empty buckets), and banks with no indexable window at all.
 func TestIndexKeys(t *testing.T) {
 	model := seed.Default()
 	rng := bank.NewRNG(29)
@@ -212,7 +212,7 @@ func TestIndexKeys(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		loaded, err := Load(data)
+		loaded, err := loadImage(data)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -253,9 +253,7 @@ func TestAccessors(t *testing.T) {
 	if ix.N() != 3 || ix.SubLen() != model.Width()+6 {
 		t.Errorf("N=%d SubLen=%d", ix.N(), ix.SubLen())
 	}
-	if ix.NumEntries() > 0 {
-		if len(ix.Neighborhood(0)) != ix.SubLen() {
-			t.Error("Neighborhood length wrong")
-		}
+	if len(ix.neighborhoods) != ix.NumEntries()*ix.SubLen() {
+		t.Errorf("%d window bytes for %d entries of %d", len(ix.neighborhoods), ix.NumEntries(), ix.SubLen())
 	}
 }

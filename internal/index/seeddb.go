@@ -22,10 +22,10 @@ package index
 // Open maps the file and aliases every section directly out of the
 // mapping: the neighborhood array — by far the largest section — is
 // never materialized a second time, and processes opening the same
-// file share its pages. Load decodes from an in-memory buffer (the
-// non-mmap fallback and the fuzz target). Both recompute the bank
-// fingerprint and compare it to the stamp, so a loaded index is known
-// to describe exactly the bank it claims; the big-array CRCs are
+// file share its pages; without mmap, Open reads the file and decodes
+// the buffer the same way. Both paths recompute the bank fingerprint
+// and compare it to the stamp, so a loaded index is known to describe
+// exactly the bank it claims; the big-array CRCs are
 // checked by Verify (seeddb verify, CI) rather than on every open, to
 // keep the load path from paging in sections the search may never
 // touch.
@@ -252,14 +252,6 @@ func (r *releaser) release() error {
 	return err
 }
 
-// Load decodes a seeddb image from an in-memory buffer. Sections alias
-// data, which must stay immutable and live for the index's lifetime.
-// It is the non-mmap fallback behind Open and the decoder the fuzz
-// tests drive: corrupt input of any shape must error, never panic.
-func Load(data []byte) (*Index, error) {
-	return load(alignedImage(data))
-}
-
 // alignedImage returns data, copied when its base pointer is not
 // aligned for the u32/Entry views the decoder takes. Mappings and
 // large heap buffers are always aligned; tiny fuzz inputs may not be.
@@ -274,7 +266,7 @@ func alignedImage(data []byte) []byte {
 
 // Close releases the resources behind a loaded index (the file mapping
 // for Open). It is a no-op for built indexes. The index, its bank and
-// every slice returned by Bucket/Neighborhood are invalid afterwards.
+// every slice returned by Bucket are invalid afterwards.
 func (ix *Index) Close() error {
 	if ix.close == nil {
 		return nil

@@ -39,7 +39,7 @@ func FuzzSeedDBLoad(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		ix, err := Load(data)
+		ix, err := loadImage(data)
 		if err != nil {
 			return
 		}

@@ -13,6 +13,13 @@ import (
 	"seedblast/internal/seed"
 )
 
+// loadImage decodes a seeddb image from an in-memory buffer, as Open
+// does without mmap: corrupt input of any shape must error, never
+// panic.
+func loadImage(data []byte) (*Index, error) {
+	return load(alignedImage(data))
+}
+
 func testBank(t *testing.T) *bank.Bank {
 	t.Helper()
 	return bank.GenerateProteins(bank.ProteinConfig{N: 24, MeanLen: 90, Seed: 41})
@@ -100,7 +107,7 @@ func TestSeedDBLoadAliasesImage(t *testing.T) {
 		t.Fatal(err)
 	}
 	data := alignedImage(buf.Bytes())
-	got, err := Load(data)
+	got, err := loadImage(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +231,7 @@ func TestSeedDBOpenErrors(t *testing.T) {
 
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := Load(tc.data)
+			_, err := loadImage(tc.data)
 			if err == nil {
 				t.Fatalf("Load accepted %s input", tc.name)
 			}
@@ -247,7 +254,7 @@ func TestSeedDBFingerprintMismatch(t *testing.T) {
 	data := buf.Bytes()
 	// The residues section is the file tail; flip its last byte.
 	data[len(data)-1] ^= 0x01
-	if _, err := Load(data); err == nil || !strings.Contains(err.Error(), "fingerprint") {
+	if _, err := loadImage(data); err == nil || !strings.Contains(err.Error(), "fingerprint") {
 		t.Errorf("Load of a bank-corrupted DB: %v, want fingerprint mismatch", err)
 	}
 }

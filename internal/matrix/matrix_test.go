@@ -8,6 +8,45 @@ import (
 	"seedblast/internal/alphabet"
 )
 
+// MinScore returns the smallest score in the matrix.
+func (m *Matrix) MinScore() int {
+	worst := int(m.scores[0])
+	for _, s := range m.scores {
+		if int(s) < worst {
+			worst = int(s)
+		}
+	}
+	return worst
+}
+
+// IsSymmetric reports whether Score(a,b) == Score(b,a) for all pairs.
+// All distributed substitution matrices are symmetric.
+func (m *Matrix) IsSymmetric() bool {
+	for a := 0; a < alphabet.NumAA; a++ {
+		for b := a + 1; b < alphabet.NumAA; b++ {
+			if m.scores[a*alphabet.NumAA+b] != m.scores[b*alphabet.NumAA+a] {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// ExpectedScore returns the expected per-position score
+// Σ p(a)·p(b)·s(a,b) over the 20 standard amino acids under the given
+// background frequencies. For a matrix usable with local alignment
+// statistics this must be negative.
+func (m *Matrix) ExpectedScore(freqs *[alphabet.NumStandardAA]float64) float64 {
+	var e float64
+	for a := 0; a < alphabet.NumStandardAA; a++ {
+		row := m.Row(byte(a))
+		for b := 0; b < alphabet.NumStandardAA; b++ {
+			e += freqs[a] * freqs[b] * float64(row[b])
+		}
+	}
+	return e
+}
+
 func scoreOf(t *testing.T, m *Matrix, a, b string) int {
 	t.Helper()
 	ca := alphabet.MustEncodeProtein(a)[0]

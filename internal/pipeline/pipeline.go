@@ -126,29 +126,6 @@ type Metrics struct {
 	MaxBufferedMatches int
 }
 
-// Merge folds another run's accounting into m: shard counts and busy
-// times add up. Wall also sums, so on concurrent runs (one engine per
-// volume in the cluster's local mode, or the service's admission pool)
-// the merged Wall is aggregate engine time, not elapsed time — the
-// same semantics the service's /metrics counters use.
-func (m *Metrics) Merge(o *Metrics) {
-	m.Shards += o.Shards
-	m.Wall += o.Wall
-	m.Index.Shards += o.Index.Shards
-	m.Index.Busy += o.Index.Busy
-	m.Prefilter.Shards += o.Prefilter.Shards
-	m.Prefilter.Busy += o.Prefilter.Busy
-	m.PrefilterKept += o.PrefilterKept
-	m.PrefilterDropped += o.PrefilterDropped
-	m.PrefilterQueries += o.PrefilterQueries
-	m.Step2.Shards += o.Step2.Shards
-	m.Step2.Busy += o.Step2.Busy
-	m.Step3.Shards += o.Step3.Shards
-	m.Step3.Busy += o.Step3.Busy
-	// Peaks across runs are not additive; keep the worst single run.
-	m.MaxBufferedMatches = max(m.MaxBufferedMatches, o.MaxBufferedMatches)
-}
-
 // Output is the engine's result.
 type Output struct {
 	// Alignments is the materialized result, sorted by

@@ -86,59 +86,3 @@ func TestRunWithoutTraceRecordsNothing(t *testing.T) {
 		t.Fatalf("shards = %d", out.Metrics.Shards)
 	}
 }
-
-// TestMetricsMergeFoldsMaps is the direct Merge unit test: additive
-// fields add, and MaxBufferedMatches keeps the max — not the sum —
-// because peaks of concurrent runs never coexist with each other's
-// totals.
-func TestMetricsMergeFoldsMaps(t *testing.T) {
-	a := Metrics{
-		Shards:             2,
-		Wall:               3 * time.Second,
-		Index:              StageMetrics{Shards: 2, Busy: time.Second},
-		Step2:              StageMetrics{Shards: 2, Busy: 2 * time.Second},
-		Step3:              StageMetrics{Shards: 2, Busy: 3 * time.Second},
-		Prefilter:          StageMetrics{Shards: 2, Busy: time.Second},
-		PrefilterKept:      40,
-		PrefilterDropped:   60,
-		PrefilterQueries:   8,
-		MaxBufferedMatches: 10,
-	}
-	b := Metrics{
-		Shards:             3,
-		Wall:               time.Second,
-		Index:              StageMetrics{Shards: 3, Busy: time.Second},
-		Step2:              StageMetrics{Shards: 3, Busy: time.Second},
-		Step3:              StageMetrics{Shards: 3, Busy: time.Second},
-		Prefilter:          StageMetrics{Shards: 1, Busy: 2 * time.Second},
-		PrefilterKept:      5,
-		PrefilterDropped:   15,
-		PrefilterQueries:   2,
-		MaxBufferedMatches: 7,
-	}
-	a.Merge(&b)
-
-	if a.Shards != 5 || a.Wall != 4*time.Second {
-		t.Errorf("Shards/Wall = %d/%v", a.Shards, a.Wall)
-	}
-	if a.Step2.Shards != 5 || a.Step2.Busy != 3*time.Second {
-		t.Errorf("Step2 = %+v", a.Step2)
-	}
-	if a.Prefilter.Shards != 3 || a.Prefilter.Busy != 3*time.Second {
-		t.Errorf("Prefilter = %+v", a.Prefilter)
-	}
-	if a.PrefilterKept != 45 || a.PrefilterDropped != 75 || a.PrefilterQueries != 10 {
-		t.Errorf("prefilter counters = %d/%d/%d, want 45/75/10",
-			a.PrefilterKept, a.PrefilterDropped, a.PrefilterQueries)
-	}
-	if a.MaxBufferedMatches != 10 {
-		t.Errorf("MaxBufferedMatches = %d, want max semantics (10)", a.MaxBufferedMatches)
-	}
-	// Max semantics the other way around: the larger peak wins even
-	// when it arrives from the merged-in run.
-	c := Metrics{MaxBufferedMatches: 25}
-	a.Merge(&c)
-	if a.MaxBufferedMatches != 25 {
-		t.Errorf("MaxBufferedMatches after second merge = %d, want 25", a.MaxBufferedMatches)
-	}
-}

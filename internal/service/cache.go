@@ -17,7 +17,7 @@ type CacheStats struct {
 	Misses    int64
 	Evictions int64
 	// DiskLoads counts misses satisfied by loading a registered seeddb
-	// file instead of rebuilding the index (see Service.RegisterDB).
+	// file instead of rebuilding the index (see Service.PreloadDB).
 	DiskLoads int64
 	Entries   int // entries currently resident (including in-flight builds)
 }

@@ -41,15 +41,6 @@ func (d *diskRegistry) lookup(fp string) (string, bool) {
 	return p, ok
 }
 
-// RegisterDB records a seeddb file so cache misses for its fingerprint
-// load it from disk before falling back to a rebuild. The file is
-// header-validated now and fully loaded (mmap + fingerprint recompute)
-// on first use; it must stay in place for the daemon's lifetime. The
-// stamped fingerprint is returned.
-func (s *Service) RegisterDB(path string) (string, error) {
-	return s.disk.register(path)
-}
-
 // PreloadDB registers a seeddb file and loads it into the subject-index
 // cache immediately — the daemon-start warm path behind seedservd -db.
 // The first request against the stored subject is a cache hit; should

@@ -93,15 +93,15 @@ func TestDiskFallbackAfterEviction(t *testing.T) {
 	}
 }
 
-// TestRegisterDBServesColdMiss pins RegisterDB alone (no preload): the
-// first request is a miss served from disk.
+// TestRegisterDBServesColdMiss pins the disk registry alone (no
+// preload): the first request is a miss served from disk.
 func TestRegisterDBServesColdMiss(t *testing.T) {
 	b0, b1 := testWorkload(t, 5, 84)
 	path := writeSubjectDB(t, b1)
 
 	svc := New(Config{})
 	defer svc.Close()
-	if _, err := svc.RegisterDB(path); err != nil {
+	if _, err := svc.disk.register(path); err != nil {
 		t.Fatal(err)
 	}
 	res, err := searchBanks(svc, testSearcher(t), b0, b1)
@@ -124,7 +124,7 @@ func TestDiskFallbackSurvivesMissingFile(t *testing.T) {
 
 	svc := New(Config{})
 	defer svc.Close()
-	if _, err := svc.RegisterDB(path); err != nil {
+	if _, err := svc.disk.register(path); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.Remove(path); err != nil {
@@ -144,15 +144,15 @@ func TestDiskFallbackSurvivesMissingFile(t *testing.T) {
 func TestRegisterDBErrors(t *testing.T) {
 	svc := New(Config{})
 	defer svc.Close()
-	if _, err := svc.RegisterDB(filepath.Join(t.TempDir(), "missing.seeddb")); err == nil {
-		t.Error("RegisterDB accepted a missing file")
+	if _, err := svc.disk.register(filepath.Join(t.TempDir(), "missing.seeddb")); err == nil {
+		t.Error("the disk registry accepted a missing file")
 	}
 	junk := filepath.Join(t.TempDir(), "junk.seeddb")
 	if err := os.WriteFile(junk, []byte("not a seeddb file at all, just some bytes"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := svc.RegisterDB(junk); err == nil {
-		t.Error("RegisterDB accepted a non-seeddb file")
+	if _, err := svc.disk.register(junk); err == nil {
+		t.Error("the disk registry accepted a non-seeddb file")
 	}
 	if _, err := svc.PreloadDB(junk); err == nil {
 		t.Error("PreloadDB accepted a non-seeddb file")

@@ -140,15 +140,6 @@ func (s *JobStore) StopSweeper() {
 	<-done
 }
 
-// len reports the retained job count without pruning — the observer
-// the sweeper tests watch to see eviction happen with no access
-// traffic.
-func (s *JobStore) len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.order)
-}
-
 // pruneLocked drops finished jobs beyond the count cap (oldest first)
 // and finished jobs older than the TTL. Caller holds s.mu.
 func (s *JobStore) pruneLocked() {

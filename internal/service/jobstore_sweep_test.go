@@ -1,7 +1,6 @@
 package service
 
 import (
-	"context"
 	"testing"
 	"time"
 )
@@ -14,6 +13,14 @@ func fakeJob() *Job { return &Job{done: make(chan struct{})} }
 func finish(j *Job, at time.Time) {
 	j.snap = JobSnapshot{State: JobDone, Finished: at}
 	close(j.done)
+}
+
+// retained reports the store's job count without pruning — what the
+// sweeper tests watch to see eviction happen with no access traffic.
+func retained(s *JobStore) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.order)
 }
 
 func finishedFakeJob(at time.Time) *Job {
@@ -36,9 +43,9 @@ func TestJobStoreBackgroundSweep(t *testing.T) {
 	// Observe via len(), which deliberately does not prune: any
 	// eviction seen here was the sweeper's doing.
 	deadline := time.Now().Add(2 * time.Second)
-	for s.len() != 0 {
+	for retained(s) != 0 {
 		if time.Now().After(deadline) {
-			t.Fatalf("idle store still retains %d expired jobs; sweeper never evicted", s.len())
+			t.Fatalf("idle store still retains %d expired jobs; sweeper never evicted", retained(s))
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -58,7 +65,7 @@ func TestJobStoreSweeperShutdown(t *testing.T) {
 	// untouched: neither len() nor anything else prunes it.
 	s.Add("stale", finishedFakeJob(time.Now()))
 	time.Sleep(30 * time.Millisecond)
-	if s.len() != 1 {
+	if retained(s) != 1 {
 		t.Fatal("job evicted after StopSweeper returned")
 	}
 
@@ -66,7 +73,7 @@ func TestJobStoreSweeperShutdown(t *testing.T) {
 	s.StartSweeper(2 * time.Millisecond)
 	defer s.StopSweeper()
 	deadline := time.Now().Add(2 * time.Second)
-	for s.len() != 0 {
+	for retained(s) != 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("restarted sweeper never evicted")
 		}
@@ -81,7 +88,7 @@ func TestJobStoreSweeperDisabled(t *testing.T) {
 	s.StopSweeper()    // nothing to stop
 	s.Add("stale", finishedFakeJob(time.Now()))
 	time.Sleep(25 * time.Millisecond)
-	if s.len() != 1 {
+	if retained(s) != 1 {
 		t.Fatal("disabled sweeper still evicted")
 	}
 }
@@ -98,11 +105,11 @@ func TestServiceIdleTTLSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := j.Wait(context.Background()); err != nil {
+	if err := waitDone(j); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(2 * time.Second)
-	for svc.store.len() != 0 {
+	for retained(svc.store) != 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("idle service retained an expired job; background sweep missing")
 		}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"seedblast/internal/telemetry"
+	"seedblast/internal/telemetry/telemetrytest"
 )
 
 // workerFamilies is the seedservd_ metric surface a worker serves on
@@ -49,7 +50,7 @@ func TestWorkerFamiliesMatchServiceRegistry(t *testing.T) {
 	if _, err := s.Registry().WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	fams, err := telemetry.ParseText(&buf)
+	fams, err := telemetrytest.ParseText(&buf)
 	if err != nil {
 		t.Fatalf("service registry violates the exposition grammar: %v", err)
 	}

@@ -13,8 +13,7 @@
 //   - Bounded admission. A semaphore caps how many comparisons run
 //     simultaneously, so K requests stream through the engine without
 //     oversubscribing the step-2 backend or the host; the rest queue.
-//   - Async jobs. Submit returns immediately with a pollable Job;
-//     the synchronous Search wraps the same path.
+//   - Async jobs. Submit returns immediately with a pollable Job.
 //
 // Every request runs through its core.Searcher against a per-request
 // Target that adopts the cached index, so results are bit-identical to
@@ -219,25 +218,12 @@ func (j *Job) Snapshot() JobSnapshot {
 // State returns the current lifecycle state.
 func (j *Job) State() JobState { return j.Snapshot().State }
 
-// Err returns the job's failure, nil unless State is JobFailed.
-func (j *Job) Err() error { return j.Snapshot().Err }
-
 // Done returns a channel closed when the job finishes (done or failed).
 func (j *Job) Done() <-chan struct{} { return j.done }
 
 // Cancel stops the job; a queued job fails without running, a running
 // one is cancelled through its context.
 func (j *Job) Cancel() { j.cancel() }
-
-// Wait blocks until the job finishes or ctx is cancelled.
-func (j *Job) Wait(ctx context.Context) error {
-	select {
-	case <-j.done:
-		return j.Err()
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
 
 // MetricsSnapshot is a point-in-time view of the service's counters.
 type MetricsSnapshot struct {
@@ -277,7 +263,7 @@ type Service struct {
 	sem      chan struct{}
 	buildSem chan struct{} // bounds concurrent cold index builds
 	cache    *indexCache
-	disk     diskRegistry // fingerprint → seeddb path (RegisterDB)
+	disk     diskRegistry // fingerprint → seeddb path (PreloadDB)
 
 	store *JobStore
 	run   RunFunc // Config.Run, or the in-process runLocal
@@ -423,25 +409,6 @@ func (s *Service) observeTrace(tr *telemetry.Trace) {
 			h.Observe(sp.Duration.Seconds())
 		}
 	}
-}
-
-// Search runs a request synchronously in process, whatever Config.Run
-// says. Results are bit-identical to the request's Searcher run
-// standalone. A genome's six-frame index is cached like any subject
-// bank, keyed by genome digest, genetic code, seed and N.
-func (s *Service) Search(ctx context.Context, req *Request) ([]core.Match, *core.Summary, error) {
-	if err := validate(req); err != nil {
-		return nil, nil, err
-	}
-	tr := telemetry.TraceFromContext(ctx)
-	if tr == nil {
-		tr = telemetry.NewTrace(telemetry.NewTraceID())
-		ctx = telemetry.ContextWithTrace(ctx, tr)
-	}
-	start := s.begin()
-	ms, sum, err := s.compare(ctx, req, nil)
-	s.end(tr, start, err)
-	return ms, sum, err
 }
 
 // Submit accepts a request for asynchronous execution and returns its
@@ -642,9 +609,9 @@ func (s *Service) runLocal(ctx context.Context, req *Request, started func()) (*
 
 // compare is the in-process execution path of a validated request:
 // obtain the shared subject index (cache + singleflight), pass
-// admission, run the engine, record the engine's metrics. onStart,
-// when non-nil, fires once the request passes admission and actually
-// starts comparing.
+// admission, run the engine, record the engine's metrics. onStart
+// fires once the request passes admission and actually starts
+// comparing.
 func (s *Service) compare(ctx context.Context, req *Request, onStart func()) ([]core.Match, *core.Summary, error) {
 	searcher := req.Searcher
 	if searcher == nil {
@@ -656,7 +623,7 @@ func (s *Service) compare(ctx context.Context, req *Request, onStart func()) ([]
 	opt := searcher.Options()
 
 	// The pipeline records per-shard stage spans into the run's trace
-	// (Submit and Search put one in ctx); on success they feed the
+	// (Submit puts one in ctx); on success they feed the
 	// stage-latency histograms.
 	tr := telemetry.TraceFromContext(ctx)
 
@@ -737,9 +704,7 @@ func (s *Service) compare(ctx context.Context, req *Request, onStart func()) ([]
 		s.mu.Unlock()
 		<-s.sem
 	}()
-	if onStart != nil {
-		onStart()
-	}
+	onStart()
 
 	res := searcher.Search(ctx, core.NewProteinTarget(req.Query), tgt)
 	ms, err := res.Collect()

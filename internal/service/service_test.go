@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -67,24 +68,43 @@ func libraryBanks(t testing.TB, s *core.Searcher, b0, b1 *bank.Bank) outcome {
 	return library(t, s, b0, core.NewProteinTarget(b1))
 }
 
-// searchBanks runs a bank-vs-bank request synchronously through svc.
-func searchBanks(svc *Service, s *core.Searcher, b0, b1 *bank.Bank) (outcome, error) {
-	ms, sum, err := svc.Search(context.Background(), &Request{Query: b0, Subject: b1, Searcher: s})
-	return outcome{ms, sum}, err
+// waitDone blocks until j finishes and returns its failure.
+func waitDone(j *Job) error {
+	<-j.Done()
+	return j.Snapshot().Err
 }
 
-func assertSameResult(t *testing.T, want, got outcome) {
+// submitWait runs req through svc as a job and returns the done job's
+// result.
+func submitWait(svc *Service, req *Request) (*Result, error) {
+	j, err := svc.Submit(req)
+	if err != nil {
+		return nil, err
+	}
+	if err := waitDone(j); err != nil {
+		return nil, err
+	}
+	return j.Snapshot().Result, nil
+}
+
+// searchBanks runs a bank-vs-bank request through svc as a job.
+func searchBanks(svc *Service, s *core.Searcher, b0, b1 *bank.Bank) (*Result, error) {
+	return submitWait(svc, &Request{Query: b0, Subject: b1, Searcher: s})
+}
+
+// assertSameResult checks a job's result against the standalone run:
+// the same hits and pairs, and each match in the wire form the service
+// reports it in.
+func assertSameResult(t *testing.T, want outcome, got *Result) {
 	t.Helper()
 	if want.Hits != got.Hits || want.Pairs != got.Pairs {
 		t.Fatalf("hits/pairs differ: want %d/%d, got %d/%d", want.Hits, want.Pairs, got.Hits, got.Pairs)
 	}
-	if len(want.Matches) != len(got.Matches) {
-		t.Fatalf("alignment counts differ: want %d, got %d", len(want.Matches), len(got.Matches))
+	if len(want.Matches) != len(got.Alignments) {
+		t.Fatalf("alignment counts differ: want %d, got %d", len(want.Matches), len(got.Alignments))
 	}
 	for i := range want.Matches {
-		w, g := want.Matches[i], got.Matches[i]
-		if w.Seq0 != g.Seq0 || w.Seq1 != g.Seq1 || w.Score != g.Score ||
-			w.EValue != g.EValue || w.Q != g.Q || w.S != g.S {
+		if w, g := MatchJSON(&want.Matches[i]), got.Alignments[i]; !reflect.DeepEqual(w, g) {
 			t.Fatalf("alignment %d differs:\nwant %+v\n got %+v", i, w, g)
 		}
 	}
@@ -286,20 +306,11 @@ func TestServiceGenomeCached(t *testing.T) {
 	svc := New(Config{})
 	defer svc.Close()
 	for round := 0; round < 2; round++ {
-		ms, sum, err := svc.Search(context.Background(), &Request{Query: proteins, Genome: genome, Searcher: s})
+		got, err := submitWait(svc, &Request{Query: proteins, Genome: genome, Searcher: s})
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := outcome{ms, sum}
 		assertSameResult(t, want, got)
-		if len(got.Matches) != len(want.Matches) {
-			t.Fatalf("round %d: %d matches, want %d", round, len(got.Matches), len(want.Matches))
-		}
-		for i := range want.Matches {
-			if want.Matches[i].Subject != got.Matches[i].Subject {
-				t.Fatalf("round %d: genome match %d differs", round, i)
-			}
-		}
 	}
 	if m := svc.Metrics(); m.Cache.Hits != 1 || m.Cache.Misses != 1 {
 		t.Errorf("genome frame index not cached across runs: %+v", m.Cache)
@@ -314,7 +325,7 @@ func TestJobLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := j.Wait(context.Background()); err != nil {
+	if err := waitDone(j); err != nil {
 		t.Fatal(err)
 	}
 	if j.State() != JobDone {
@@ -364,8 +375,8 @@ func TestJobCancel(t *testing.T) {
 		t.Fatal(err)
 	}
 	second.Cancel()
-	_ = second.Wait(context.Background())
-	if err := first.Wait(context.Background()); err != nil {
+	_ = waitDone(second)
+	if err := waitDone(first); err != nil {
 		t.Fatalf("first job: %v", err)
 	}
 	// The cancelled job either failed with a context error or finished
@@ -426,7 +437,7 @@ func TestJobRetentionBounded(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := j.Wait(context.Background()); err != nil {
+		if err := waitDone(j); err != nil {
 			t.Fatal(err)
 		}
 		last = j
@@ -456,7 +467,7 @@ func TestJobTTLEviction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := j.Wait(context.Background()); err != nil {
+	if err := waitDone(j); err != nil {
 		t.Fatal(err)
 	}
 	// Freshly finished: still pollable.
@@ -481,7 +492,7 @@ func TestJobTTLEviction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := j2.Wait(context.Background()); err != nil {
+	if err := waitDone(j2); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := svc.Job(j2.ID()); !ok {
@@ -495,7 +506,7 @@ func TestJobTTLEviction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := k.Wait(context.Background()); err != nil {
+	if err := waitDone(k); err != nil {
 		t.Fatal(err)
 	}
 	time.Sleep(50 * time.Millisecond)
@@ -525,10 +536,10 @@ func TestSubmitQueueBounded(t *testing.T) {
 		t.Fatal("submission beyond MaxQueued accepted")
 	}
 	<-svc.sem // release admission; the pending jobs drain
-	if err := j1.Wait(context.Background()); err != nil {
+	if err := waitDone(j1); err != nil {
 		t.Fatal(err)
 	}
-	if err := j2.Wait(context.Background()); err != nil {
+	if err := waitDone(j2); err != nil {
 		t.Fatal(err)
 	}
 	// With the queue drained, submissions are accepted again.
@@ -536,7 +547,7 @@ func TestSubmitQueueBounded(t *testing.T) {
 	if err != nil {
 		t.Fatalf("queue did not reopen after draining: %v", err)
 	}
-	if err := j3.Wait(context.Background()); err != nil {
+	if err := waitDone(j3); err != nil {
 		t.Fatal(err)
 	}
 }

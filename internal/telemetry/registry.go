@@ -172,9 +172,6 @@ func (c *Counter) Add(v float64) {
 	}
 }
 
-// Value returns the current total.
-func (c *Counter) Value() float64 { return c.bits.load() }
-
 func (c *Counter) render(w io.Writer, name, labels string) {
 	fmt.Fprintf(w, "%s%s %s\n", name, labels, formatFloat(c.bits.load()))
 }
@@ -189,12 +186,6 @@ type Gauge struct{ bits atomicFloat }
 
 // Set replaces the value.
 func (g *Gauge) Set(v float64) { g.bits.store(v) }
-
-// Add adjusts the value by v (may be negative).
-func (g *Gauge) Add(v float64) { g.bits.add(v) }
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 { return g.bits.load() }
 
 func (g *Gauge) render(w io.Writer, name, labels string) {
 	fmt.Fprintf(w, "%s%s %s\n", name, labels, formatFloat(g.bits.load()))
@@ -243,12 +234,6 @@ func (h *Histogram) Observe(v float64) {
 	h.total.Add(1)
 	h.sum.add(v)
 }
-
-// Count returns how many observations the histogram has recorded.
-func (h *Histogram) Count() uint64 { return h.total.Load() }
-
-// Sum returns the sum of all observed values.
-func (h *Histogram) Sum() float64 { return h.sum.load() }
 
 func (h *Histogram) render(w io.Writer, name, labels string) {
 	// The _bucket series carries an extra le label; splice it into any
@@ -319,8 +304,8 @@ func (r *Registry) Include(other *Registry) {
 // first, then each labeled series sorted by label signature, then the
 // included registries. Registration order never shows, so a page is
 // the same however its instruments came to be registered.
-// The output parses under ParseText — the registry and the parser are
-// tested against each other.
+// The output parses under telemetrytest.ParseText — the registry and
+// the parser are tested against each other.
 func (r *Registry) WriteTo(w io.Writer) (int64, error) {
 	cw := &countingWriter{w: w}
 	r.writeTo(cw)

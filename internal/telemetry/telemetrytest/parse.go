@@ -1,14 +1,26 @@
-package telemetry
+// Package telemetrytest parses the Prometheus text exposition that
+// telemetry.Registry renders, strictly, so tests can assert that every
+// daemon's /metrics page stays machine-consumable and read values off
+// it. It is written apart from the registry's renderer (its own name
+// grammar and series signatures) so that the two check each other, and
+// no program links it.
+package telemetrytest
 
 import (
 	"bufio"
 	"fmt"
 	"io"
 	"math"
+	"regexp"
 	"sort"
 	"strconv"
 	"strings"
+
+	"seedblast/internal/telemetry"
 )
+
+// Label is a metric label, as the registry renders it.
+type Label = telemetry.Label
 
 // Sample is one parsed series: a metric name, its sorted label set and
 // the value.
@@ -32,7 +44,7 @@ func (s *Sample) Label(name string) string {
 type Family struct {
 	Name    string
 	Help    string
-	Type    MetricType // "untyped" when no TYPE line preceded the samples
+	Type    telemetry.MetricType // "untyped" when no TYPE line preceded the samples
 	Samples []Sample
 }
 
@@ -75,8 +87,7 @@ outer:
 }
 
 // ParseText parses (and validates) the Prometheus text exposition
-// format, version 0.0.4. It is deliberately strict — it exists so
-// tests can assert both daemons' /metrics stay machine-consumable:
+// format, version 0.0.4. It is deliberately strict:
 //
 //   - metric and label names must match the grammar;
 //   - HELP/TYPE lines must precede their family's samples and appear
@@ -137,13 +148,13 @@ func ParseText(r io.Reader) (Families, error) {
 				if len(f.Samples) > 0 {
 					return nil, fmt.Errorf("line %d: TYPE for %s after its samples", lineNo, name)
 				}
-				switch MetricType(rest) {
-				case TypeCounter, TypeGauge, TypeHistogram, "summary", "untyped":
+				switch telemetry.MetricType(rest) {
+				case telemetry.TypeCounter, telemetry.TypeGauge, telemetry.TypeHistogram, "summary", "untyped":
 				default:
 					return nil, fmt.Errorf("line %d: unknown TYPE %q for %s", lineNo, rest, name)
 				}
 				typed[name] = true
-				f.Type = MetricType(rest)
+				f.Type = telemetry.MetricType(rest)
 			}
 			continue
 		}
@@ -151,7 +162,7 @@ func ParseText(r io.Reader) (Families, error) {
 		if err != nil {
 			return nil, fmt.Errorf("line %d: %w", lineNo, err)
 		}
-		sig := s.Name + labelString(s.Labels)
+		sig := s.Name + signature(s.Labels)
 		if seen[sig] {
 			return nil, fmt.Errorf("line %d: duplicate series %s", lineNo, sig)
 		}
@@ -161,7 +172,7 @@ func ParseText(r io.Reader) (Families, error) {
 		fam := s.Name
 		for _, suffix := range []string{"_bucket", "_sum", "_count"} {
 			base := strings.TrimSuffix(s.Name, suffix)
-			if base != s.Name && typed[base] && fams[base].Type == TypeHistogram {
+			if base != s.Name && typed[base] && fams[base].Type == telemetry.TypeHistogram {
 				fam = base
 				break
 			}
@@ -174,7 +185,7 @@ func ParseText(r io.Reader) (Families, error) {
 	}
 	for _, name := range order {
 		f := fams[name]
-		if f.Type == TypeHistogram {
+		if f.Type == telemetry.TypeHistogram {
 			if err := validateHistogram(f); err != nil {
 				return nil, fmt.Errorf("histogram %s: %w", name, err)
 			}
@@ -201,7 +212,7 @@ func validateHistogram(f *Family) error {
 				ls = append(ls, l)
 			}
 		}
-		return labelString(ls)
+		return signature(ls)
 	}
 	for i := range f.Samples {
 		s := &f.Samples[i]
@@ -401,6 +412,23 @@ func parseLabels(body string) ([]Label, error) {
 		}
 	}
 	return out, nil
+}
+
+var (
+	metricNameRE = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*$`)
+	labelNameRE  = regexp.MustCompile(`^[a-zA-Z_][a-zA-Z0-9_]*$`)
+)
+
+func validName(s string) bool      { return metricNameRE.MatchString(s) }
+func validLabelName(s string) bool { return labelNameRE.MatchString(s) }
+
+// signature is a label set's identity within one family.
+func signature(ls []Label) string {
+	var b strings.Builder
+	for _, l := range ls {
+		fmt.Fprintf(&b, "{%s=%q}", l.Name, l.Value)
+	}
+	return b.String()
 }
 
 // parseFloat parses a sample value, accepting the exposition spellings

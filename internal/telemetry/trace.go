@@ -87,9 +87,8 @@ func (t *Trace) ID() string {
 	return t.id
 }
 
-// Record appends one finished span. It is the low-level hook for call
-// sites that already hold a start time and duration (the pipeline's
-// stage timings); StartSpan is the ergonomic wrapper.
+// Record appends one finished span: call sites hold the start time
+// and measure the duration themselves (the pipeline's stage timings).
 func (t *Trace) Record(name string, start time.Time, d time.Duration, attrs ...Attr) {
 	if t == nil {
 		return
@@ -127,23 +126,6 @@ func (t *Trace) Spans() []Span {
 	return out
 }
 
-// ActiveSpan is an in-progress span; End records it.
-type ActiveSpan struct {
-	trace *Trace
-	name  string
-	start time.Time
-	attrs []Attr
-}
-
-// End finishes the span and records it on its trace. Safe on the
-// no-trace zero span.
-func (s *ActiveSpan) End() {
-	if s.trace == nil {
-		return
-	}
-	s.trace.Record(s.name, s.start, time.Since(s.start), s.attrs...)
-}
-
 // ctxKey keys the trace in a context.
 type ctxKey struct{}
 
@@ -161,16 +143,6 @@ func ContextWithTrace(ctx context.Context, t *Trace) context.Context {
 func TraceFromContext(ctx context.Context) *Trace {
 	t, _ := ctx.Value(ctxKey{}).(*Trace)
 	return t
-}
-
-// StartSpan begins a span on the context's trace; End records it. With
-// no trace in ctx the returned span is inert.
-func StartSpan(ctx context.Context, name string, attrs ...Attr) *ActiveSpan {
-	t := TraceFromContext(ctx)
-	if t == nil {
-		return &ActiveSpan{}
-	}
-	return &ActiveSpan{trace: t, name: name, start: time.Now(), attrs: attrs}
 }
 
 // SpanJSON is a span's wire form on the GET /v1/jobs/{id}/trace

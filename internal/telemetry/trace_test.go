@@ -37,17 +37,17 @@ func TestContextPropagation(t *testing.T) {
 	if TraceFromContext(ctx) != nil {
 		t.Fatal("empty context carries a trace")
 	}
-	// Inert span on a trace-free context.
-	StartSpan(ctx, "noop").End()
+	// Recording on a trace-free context is a no-op.
+	TraceFromContext(ctx).Record("noop", time.Now(), time.Millisecond)
 
 	tr := NewTrace(NewTraceID())
 	ctx = ContextWithTrace(ctx, tr)
 	if TraceFromContext(ctx) != tr {
 		t.Fatal("trace did not round-trip through context")
 	}
-	sp := StartSpan(ctx, "work", String("k", "v"))
+	start := time.Now()
 	time.Sleep(time.Millisecond)
-	sp.End()
+	TraceFromContext(ctx).Record("work", start, time.Since(start), String("k", "v"))
 	spans := tr.Spans()
 	if len(spans) != 1 || spans[0].Name != "work" || spans[0].Duration <= 0 {
 		t.Fatalf("spans = %+v", spans)

@@ -34,7 +34,6 @@
 package ungapped
 
 import (
-	"fmt"
 	"math/bits"
 	"slices"
 
@@ -65,19 +64,6 @@ const (
 	// bit-identical either way).
 	KernelBlocked
 )
-
-// String returns the kernel's name.
-func (k Kernel) String() string {
-	switch k {
-	case KernelAuto:
-		return "auto"
-	case KernelScalar:
-		return "scalar"
-	case KernelBlocked:
-		return "blocked"
-	}
-	return fmt.Sprintf("kernel(%d)", int(k))
-}
 
 const (
 	// tabRows is both the row count and the row length of the signed

@@ -1,7 +1,6 @@
 package ungapped
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
 	"os"
@@ -22,6 +21,19 @@ import (
 // blockedOnHost is what a fitting workload resolves to here: the
 // blocked kernel where the AVX2 scanner runs, the scalar reference
 // elsewhere.
+// String returns the kernel's name.
+func (k Kernel) String() string {
+	switch k {
+	case KernelAuto:
+		return "auto"
+	case KernelScalar:
+		return "scalar"
+	case KernelBlocked:
+		return "blocked"
+	}
+	return fmt.Sprintf("kernel(%d)", int(k))
+}
+
 func blockedOnHost() Kernel {
 	if hasAVX2 {
 		return KernelBlocked
@@ -271,14 +283,15 @@ func edgeIndexes(t *testing.T, rng *rand.Rand, n, nExt int) (*index.Index, map[s
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if _, err := built.WriteTo(&buf); err != nil {
+	path := filepath.Join(t.TempDir(), "subject.seeddb")
+	if err := built.WriteFile(path); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := index.Load(buf.Bytes())
+	loaded, err := index.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { _ = loaded.Close() })
 	subjects := map[string]*index.Index{
 		"built": built, "parallel": parallel,
 		"filtered": built.FilterSeqs([]uint32{1, 2}), "seeddb": loaded,

@@ -11,6 +11,17 @@ import (
 	"seedblast/internal/seed"
 )
 
+// PairCount is the number of neighbourhood scorings step 2 must
+// perform for the two indexes — Σk |IL0k|·|IL1k| — counted without
+// running them: the reference Result.Pairs is checked against.
+func PairCount(ix0, ix1 *index.Index) int64 {
+	var n int64
+	for _, k := range ix0.Keys() {
+		n += int64(ix0.BucketLen(k)) * int64(ix1.BucketLen(k))
+	}
+	return n
+}
+
 // keySpaceOracle is step 2 as it was before Run walked occupied keys:
 // every key of the model, both bucket lengths probed, the scalar
 // reference loop inside. It is kept here, not shipped, as the

@@ -190,14 +190,3 @@ func scanKeys(ix0, ix1 *index.Index, lo, hi, span uint32, cfg *Config, kernel Ke
 	}
 	return c
 }
-
-// PairCount returns the total number of neighbourhood scorings step 2
-// must perform for the two indexes — Σk |IL0k|·|IL1k| — without
-// running them. The hardware simulator uses it for cross-checking.
-func PairCount(ix0, ix1 *index.Index) int64 {
-	var n int64
-	for _, k := range ix0.Keys() {
-		n += int64(ix0.BucketLen(k)) * int64(ix1.BucketLen(k))
-	}
-	return n
-}
