@@ -1,9 +1,9 @@
 // Seedlint is the repository's own static analyzer: a multichecker of
-// six repo-specific analyzers enforcing engine invariants that no
+// five repo-specific analyzers enforcing engine invariants that no
 // off-the-shelf tool knows about — mmap lifetimes (mmapclose),
 // goroutine cancellation discipline (ctxselect), asm/noasm kernel
-// parity (kernelparity), meaningful Close errors (errclose), span
-// lifetimes (spanend) and directive hygiene (directive). Each one
+// parity (kernelparity), meaningful Close errors (errclose) and
+// directive hygiene (directive). Each one
 // checks one package at a time. See DESIGN.md "Static analysis" for the
 // invariants and internal/analysis for the implementations.
 //

@@ -173,7 +173,7 @@ func (p *Pass) allowed(at token.Position) bool {
 }
 
 // Owned reports whether a //seedlint:owns directive covers pos — the
-// ownership marker mmapclose and spanend require when a tracked value
+// ownership marker mmapclose requires when a tracked value
 // is stored somewhere that outlives the opening function. Like allow,
 // an owns marker without a reason naming the owner is inert.
 func (p *Pass) Owned(pos token.Pos) bool {

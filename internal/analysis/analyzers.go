@@ -7,7 +7,6 @@ var Analyzers = []*Analyzer{
 	CtxSelect,
 	KernelParity,
 	ErrClose,
-	SpanEnd,
 	Directive,
 }
 

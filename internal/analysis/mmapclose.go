@@ -13,8 +13,8 @@ import (
 // under a //seedlint:owns marker naming who closes it. An aliased
 // value stored into state that outlives the opening function without
 // that marker is exactly the dangling-mapping bug the contract exists
-// to prevent. The path tracking itself is the shared resourcelifetime
-// walker (checkLifetime), which spanend reuses for span End coverage.
+// to prevent. The path tracking itself is the resourcelifetime walker
+// (checkLifetime).
 var MmapClose = &Analyzer{
 	Name: "mmapclose",
 	Doc: "mmap-backed opens (index.Open, core.OpenTarget) must reach Close on all paths " +

@@ -5,19 +5,17 @@ import (
 	"go/token"
 )
 
-// This file is the shared resource-lifetime walker behind mmapclose
-// and spanend. Both analyzers enforce the same shape of contract — a
-// constructor hands back a value carrying an obligation (Close the
-// mapping, End the span) that must be discharged on every path out of
-// the acquiring function or visibly transferred — so the path
-// tracking lives here once, parameterized by the discharge method and
-// the analyzer's diagnostic wording. The wording stays with each
-// analyzer (see lifetimeSpec's report callbacks) so extracting the
-// walker changed no pinned fixture output.
+// This file is the resource-lifetime walker behind mmapclose. It
+// enforces one shape of contract — a constructor hands back a value
+// carrying an obligation (Close the mapping) that must be discharged on
+// every path out of the acquiring function or visibly transferred —
+// parameterized by the discharge method and the analyzer's diagnostic
+// wording (see lifetimeSpec's report callbacks), which stays with the
+// analyzer.
 
 // lifetimeSpec parameterizes checkLifetime over one resource kind.
 type lifetimeSpec struct {
-	// closeMethod discharges the obligation ("Close", "End").
+	// closeMethod discharges the obligation ("Close").
 	closeMethod string
 
 	// reportBadStore fires when the value is stored into state rooted
@@ -76,7 +74,7 @@ func checkLifetime(pass *Pass, body *ast.BlockStmt, open *ast.CallExpr, spec lif
 				}
 			}
 		case *ast.SelectorExpr:
-			// A v.Close / v.End method value outside a call is an
+			// A v.Close method value outside a call is an
 			// ownership handoff (e.g. t.closer = ix.Close).
 			if id, ok := x.X.(*ast.Ident); ok && id.Name == v && x.Sel.Name == spec.closeMethod {
 				transferred = true

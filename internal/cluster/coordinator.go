@@ -98,17 +98,18 @@ type VolumeReport struct {
 // work, not elapsed time).
 type Report struct {
 	service.Result
-	Volumes   int
-	Retries   int // volume attempts beyond the first, summed
-	PerVolume []VolumeReport
+	Alignments []service.AlignmentJSON // Result.NDJSON decoded
+	Volumes    int
+	Retries    int // volume attempts beyond the first, summed
+	PerVolume  []VolumeReport
 }
 
 // Run is the service.RunFunc of a coordinating service: it compares
 // the job's wire body as it arrived, with no admission wait of its
-// own.
+// own, and holds the merged lines undecoded for the job's fetches.
 func (c *Coordinator) Run(ctx context.Context, req *service.Request, started func()) (*service.Result, error) {
 	started()
-	rep, err := c.Compare(ctx, req.Body.Query, req.Body.Subject, req.Body.Options)
+	rep, err := c.compare(ctx, req.Body.Query, req.Body.Subject, req.Body.Options)
 	if err != nil {
 		return nil, err
 	}
@@ -142,6 +143,18 @@ func (c *Coordinator) Run(ctx context.Context, req *service.Request, started fun
 // every worker) the whole request fails and every
 // outstanding worker job is cancelled; cancelling ctx does the same.
 func (c *Coordinator) Compare(ctx context.Context, query, subject []service.SequenceJSON, opt service.OptionsJSON) (*Report, error) {
+	rep, err := c.compare(ctx, query, subject, opt)
+	if err != nil {
+		return nil, err
+	}
+	if rep.Alignments, err = service.DecodeAlignments(rep.NDJSON); err != nil {
+		return nil, fmt.Errorf("cluster: %w", err)
+	}
+	return rep, nil
+}
+
+// compare is Compare with the merged alignments left as NDJSON.
+func (c *Coordinator) compare(ctx context.Context, query, subject []service.SequenceJSON, opt service.OptionsJSON) (*Report, error) {
 	if len(query) == 0 {
 		return nil, fmt.Errorf("cluster: request needs a query bank")
 	}
@@ -187,10 +200,10 @@ func (c *Coordinator) Compare(ctx context.Context, query, subject []service.Sequ
 }
 
 // volumeResult is one scattered volume's completed job with its
-// fetched result behind a merge cursor, ready for the gather.
+// fetched lines, ready for the gather.
 type volumeResult struct {
 	status   *service.JobStatusJSON
-	cursor   *volumeCursor
+	lines    volumeLines
 	worker   int
 	attempts int
 	latency  time.Duration
@@ -214,7 +227,7 @@ func (c *Coordinator) scatterGather(pctx context.Context, query, subject []servi
 		cancel() // a lost volume sinks the request: stop scattering
 	}
 
-	rank := wireRanker(vols, query, subject)
+	rk := newRanker(vols, query, subject)
 	sem := make(chan struct{}, len(c.clients)) // one volume per worker in flight
 	results := make([]volumeResult, len(vols))
 	tr := telemetry.TraceFromContext(pctx)
@@ -230,7 +243,7 @@ func (c *Coordinator) scatterGather(pctx context.Context, query, subject []servi
 				return
 			}
 			defer func() { <-sem }()
-			res, err := c.runVolume(ctx, vi, vols[vi], query, subject, opt)
+			res, err := c.runVolume(ctx, vi, vols[vi], query, subject, opt, rk)
 			if err != nil {
 				fail(err)
 				return
@@ -251,21 +264,19 @@ func (c *Coordinator) scatterGather(pctx context.Context, query, subject []servi
 		return nil, err
 	}
 
-	// Gather: k-way merge the per-volume results, each already in the
-	// global order, into the global ranking — no ranking scratch and no
-	// sort. The merged output is materialized: the async job API has to
-	// hold it for later fetches.
+	// Gather: k-way merge the per-volume lines, each volume already in
+	// the global order, into the global ranking — no sort and no
+	// decode. The merged output is materialized: the async job API has
+	// to hold it for later fetches.
 	rep := &Report{Volumes: len(vols)}
-	curs := make([]*volumeCursor, len(vols))
+	lines := make([]volumeLines, len(vols))
 	for vi := range results {
-		curs[vi] = results[vi].cursor
+		lines[vi] = results[vi].lines
+		rep.Count += len(lines[vi].keys)
 	}
 	gatherStart := time.Now()
-	rep.Alignments, err = mergeAlignmentStreams(curs, rank)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: gather: %w", err)
-	}
-	tr.Record("gather", gatherStart, time.Since(gatherStart), telemetry.Int("alignments", len(rep.Alignments)))
+	rep.NDJSON = mergeLines(lines)
+	tr.Record("gather", gatherStart, time.Since(gatherStart), telemetry.Int("alignments", rep.Count))
 
 	for vi := range vols {
 		r := &results[vi]
@@ -287,44 +298,42 @@ func (c *Coordinator) scatterGather(pctx context.Context, query, subject []servi
 			Residues:   vols[vi].Residues,
 			Attempts:   r.attempts,
 			Latency:    r.latency,
-			Alignments: r.cursor.count,
+			Alignments: len(r.lines.keys),
 		})
 	}
 	return rep, nil
 }
 
-// wireRanker builds the id→global-number resolver the gather ranks
-// wire alignments with.
-func wireRanker(vols []Volume, query, subject []service.SequenceJSON) func(int, service.AlignmentJSON) rankedAlignment {
-	queryIdx := make(map[string]int, len(query))
+// ranker resolves the wire ids of a volume's alignments to the global
+// sequence numbers the gather ranks by. Ids are unique (checkUniqueIDs).
+type ranker struct {
+	query     map[string]int   // query id → bank position
+	subject   []map[string]int // per volume: subject id → global number
+	lineBytes int              // a line's expected size, from the mean id lengths
+}
+
+func newRanker(vols []Volume, query, subject []service.SequenceJSON) *ranker {
+	r := &ranker{query: make(map[string]int, len(query)), subject: make([]map[string]int, len(vols))}
+	qb, sb := 0, 0
 	for i, q := range query {
-		if _, dup := queryIdx[q.ID]; !dup {
-			queryIdx[q.ID] = i
+		r.query[q.ID] = i
+		qb += len(q.ID)
+	}
+	for vi, v := range vols {
+		r.subject[vi] = make(map[string]int, len(v.Seqs))
+		for _, gi := range v.Seqs {
+			r.subject[vi][subject[gi].ID] = gi
+			sb += len(subject[gi].ID)
 		}
 	}
-	subjIdxInVol := make([]map[string]int, len(vols))
-	for vi := range vols {
-		m := make(map[string]int, len(vols[vi].Seqs))
-		for local, gi := range vols[vi].Seqs {
-			if _, dup := m[subject[gi].ID]; !dup {
-				m[subject[gi].ID] = local
-			}
-		}
-		subjIdxInVol[vi] = m
-	}
-	return func(vi int, a service.AlignmentJSON) rankedAlignment {
-		return rankedAlignment{
-			a: a,
-			q: queryIdx[a.Query],
-			s: vols[vi].Seqs[subjIdxInVol[vi][a.Subject]],
-		}
-	}
+	r.lineBytes = service.LineBytes + qb/len(query) + sb/len(subject)
+	return r
 }
 
 // runVolume tries one volume on each worker at most once, starting at
 // the volume's preferred worker (volumes spread round-robin).
 func (c *Coordinator) runVolume(ctx context.Context, vi int, vol Volume,
-	query, subject []service.SequenceJSON, opt service.OptionsJSON) (volumeResult, error) {
+	query, subject []service.SequenceJSON, opt service.OptionsJSON, rk *ranker) (volumeResult, error) {
 	sub := make([]service.SequenceJSON, len(vol.Seqs))
 	for local, gi := range vol.Seqs {
 		sub[local] = subject[gi]
@@ -338,13 +347,13 @@ func (c *Coordinator) runVolume(ctx context.Context, vi int, vol Volume,
 		wi := (vi + try) % len(c.clients)
 		attempts := try + 1
 		start := time.Now()
-		st, cur, err := c.runVolumeOn(ctx, c.clients[wi], req, vi)
+		st, lines, err := c.runVolumeOn(ctx, c.clients[wi], req, vi, rk)
 		if err == nil {
 			latency := time.Since(start)
 			c.met.volumeDone(wi, latency)
 			telemetry.TraceFromContext(ctx).Record("volume", start, latency,
 				telemetry.Int("volume", vi), telemetry.String("worker", c.cfg.Workers[wi]))
-			return volumeResult{status: st, cursor: cur, worker: wi, attempts: attempts, latency: latency}, nil
+			return volumeResult{status: st, lines: lines, worker: wi, attempts: attempts, latency: latency}, nil
 		}
 		if ctx.Err() != nil {
 			// Cancellation, not worker failure: don't charge the worker.
@@ -374,26 +383,28 @@ func (e *permanentError) Error() string { return e.err.Error() }
 func (e *permanentError) Unwrap() error { return e.err }
 
 // runVolumeOn executes one volume job on one worker: submit → long-poll
-// to completion → stream the result off the worker and count it. The
+// to completion → stream the result's lines off the worker, reading
+// each one's rank key, and count them. The
 // fetch follows the job's end at once, so the result cannot be evicted
 // from the worker's job store (max-jobs / job-ttl) while slower volumes
 // finish, and it happens here rather than in the gather so that a
-// stream that fails, or ends cleanly short of the alignment count the
-// job's status reports, is this worker's failure — the caller retries
-// the volume on another worker — and never a short merge. When the wait
+// stream that fails, ends cleanly short of the alignment count the
+// job's status reports, or names a sequence outside the volume, is this
+// worker's failure — the caller retries the volume on another worker —
+// and never a short or misordered merge. When the wait
 // or the fetch is abandoned (context cancelled or worker unreachable)
 // the job is best-effort cancelled on the worker over a detached
 // context, so an abandoned volume does not keep burning a worker's
 // admission slot.
 func (c *Coordinator) runVolumeOn(ctx context.Context, cl *service.Client,
-	req *service.JobRequestJSON, vi int) (*service.JobStatusJSON, *volumeCursor, error) {
+	req *service.JobRequestJSON, vi int, rk *ranker) (*service.JobStatusJSON, volumeLines, error) {
 	id, err := cl.Submit(ctx, req)
 	if err != nil {
 		var ae *service.APIError
 		if errors.As(err, &ae) && ae.StatusCode >= 400 && ae.StatusCode < 500 {
-			return nil, nil, &permanentError{fmt.Errorf("submit rejected: %w", err)}
+			return nil, volumeLines{}, &permanentError{fmt.Errorf("submit rejected: %w", err)}
 		}
-		return nil, nil, fmt.Errorf("submit: %w", err)
+		return nil, volumeLines{}, fmt.Errorf("submit: %w", err)
 	}
 	abandon := func() {
 		dctx, dcancel := context.WithTimeout(context.WithoutCancel(ctx), 2*time.Second)
@@ -403,26 +414,41 @@ func (c *Coordinator) runVolumeOn(ctx context.Context, cl *service.Client,
 	st, err := cl.Wait(ctx, id, 0)
 	if err != nil {
 		abandon()
-		return nil, nil, fmt.Errorf("wait: %w", err)
+		return nil, volumeLines{}, fmt.Errorf("wait: %w", err)
 	}
 	if st.State != string(service.JobDone) {
-		return nil, nil, &permanentError{fmt.Errorf("worker job %s: %s", st.State, st.Error)}
-	}
-	var aligns []service.AlignmentJSON
-	for a, err := range cl.StreamAlignments(ctx, id) {
-		if err != nil {
-			abandon()
-			return nil, nil, fmt.Errorf("fetch: %w", err)
-		}
-		aligns = append(aligns, a)
+		return nil, volumeLines{}, &permanentError{fmt.Errorf("worker job %s: %s", st.State, st.Error)}
 	}
 	want := -1 // a done status without its summary matches no stream
 	if st.Alignments != nil {
 		want = *st.Alignments
 	}
-	if len(aligns) != want {
-		return nil, nil, fmt.Errorf("fetch: stream ended after %d alignments, job status reports %d", len(aligns), want)
+	// The status count sizes the buffers.
+	n := max(want, 0)
+	vl := volumeLines{keys: make([]lineKey, 0, n)}
+	end := 0
+	fetchStart := time.Now()
+	vl.buf, err = cl.AlignmentLines(ctx, id, make([]byte, 0, n*rk.lineBytes),
+		func(line, q, s []byte, e float64) error {
+			qi, okq := rk.query[string(q)]
+			si, oks := rk.subject[vi][string(s)]
+			if !okq || !oks {
+				return fmt.Errorf("alignment of %q against %q names a sequence outside the volume", q, s)
+			}
+			start := end
+			end += len(line) + 1
+			vl.keys = append(vl.keys, lineKey{q: qi, s: si, e: e, start: start, end: end})
+			return nil
+		})
+	if err != nil {
+		abandon()
+		return nil, volumeLines{}, fmt.Errorf("fetch: %w", err)
 	}
+	if len(vl.keys) != want {
+		return nil, volumeLines{}, fmt.Errorf("fetch: stream ended after %d alignments, job status reports %d", len(vl.keys), want)
+	}
+	telemetry.TraceFromContext(ctx).Record("fetch", fetchStart, time.Since(fetchStart),
+		telemetry.Int("volume", vi), telemetry.String("worker", cl.BaseURL()), telemetry.Int("bytes", len(vl.buf)))
 	// Stitch the worker's spans into the request trace, stamped with
 	// where they ran. The worker recorded them under the same trace ID
 	// (Submit propagated it in the Seedblast-Trace-Id header). Strictly
@@ -433,7 +459,7 @@ func (c *Coordinator) runVolumeOn(ctx context.Context, cl *service.Client,
 				telemetry.String("worker", cl.BaseURL()), telemetry.Int("volume", vi))
 		}
 	}
-	return st, sliceCursor(vi, aligns), nil
+	return st, vl, nil
 }
 
 // normalizeIDs fills empty sequence ids with the same positional

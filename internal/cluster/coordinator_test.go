@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -135,17 +136,57 @@ func singleNodeReference(t testing.TB, query, subject []service.SequenceJSON) ([
 	return as, st
 }
 
+// jobBodies runs one job through the daemon at url and returns its
+// ?stream=1 and JSON-array alignment bodies as served.
+func jobBodies(t testing.TB, url string, query, subject []service.SequenceJSON) (stream, array []byte) {
+	t.Helper()
+	ctx := context.Background()
+	cl := service.NewClient(url, service.ClientConfig{})
+	id, err := cl.Submit(ctx, &service.JobRequestJSON{Query: query, Subject: subject, Options: wireOptions()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st, err := cl.Wait(ctx, id, 0); err != nil || st.State != string(service.JobDone) {
+		t.Fatalf("job %s: %v %+v", id, err, st)
+	}
+	get := func(query string) []byte {
+		resp, err := http.Get(url + "/v1/jobs/" + id + "/alignments" + query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("fetch%s: %d %v", query, resp.StatusCode, err)
+		}
+		return b
+	}
+	return get("?stream=1"), get("")
+}
+
+// coordinatorURL serves coord behind a coordinating service.
+func coordinatorURL(t testing.TB, coord *Coordinator) string {
+	t.Helper()
+	server := NewServer(coord, ServerConfig{})
+	srv := httptest.NewServer(NewHandler(server))
+	t.Cleanup(func() { srv.Close(); server.Close() })
+	return srv.URL
+}
+
 // TestCoordinatorEquivalence: scattered over real HTTP workers, the
 // gathered report must be bit-identical to a single worker serving
 // the unpartitioned bank — strategies × volume counts, more volumes
 // than workers included — and its hits and pairs must sum to the
-// single worker's.
+// single worker's. Served over HTTP, the coordinator's stream body is
+// the single worker's byte for byte, and its array body decodes to the
+// same alignments.
 func TestCoordinatorEquivalence(t *testing.T) {
 	query, subject := wireWorkload(t, 8, 51)
 	want, ref := singleNodeReference(t, query, subject)
 	if ref.Hits == nil || ref.Pairs == nil {
 		t.Fatalf("reference status carries no hits/pairs: %+v", ref)
 	}
+	wantStream, _ := jobBodies(t, startWorker(t), query, subject)
 
 	workers := []string{startWorker(t), startWorker(t), startWorker(t)}
 	for _, p := range partitioners() {
@@ -171,6 +212,15 @@ func TestCoordinatorEquivalence(t *testing.T) {
 				}
 				if rep.Retries != 0 {
 					t.Errorf("healthy workers, but %d retries", rep.Retries)
+				}
+
+				stream, array := jobBodies(t, coordinatorURL(t, coord), query, subject)
+				if !bytes.Equal(stream, wantStream) {
+					t.Errorf("coordinator stream body (%d bytes) differs from the single worker's (%d bytes)", len(stream), len(wantStream))
+				}
+				var got []service.AlignmentJSON
+				if err := json.Unmarshal(array, &got); err != nil || !reflect.DeepEqual(got, want) {
+					t.Errorf("coordinator array body decodes to %d alignments (%v), want %d", len(got), err, len(want))
 				}
 			})
 		}
@@ -248,14 +298,14 @@ func TestCoordinatorRetriesOnWorkerFailure(t *testing.T) {
 	}
 }
 
-// shortWorker is a real worker whose NDJSON fetch drops the last line
-// of every non-empty result and still ends the body cleanly — the
-// handler that stops writing early. dropped counts the lines lost.
-func shortWorker(t testing.TB) (url string, dropped *atomic.Int64) {
+// rewritingWorker is a real worker whose successful NDJSON fetches
+// pass through rewrite, which returns the body to serve; rewrites
+// counts the bodies it changed.
+func rewritingWorker(t testing.TB, rewrite func(body []byte) []byte) (url string, rewrites *atomic.Int64) {
 	t.Helper()
 	svc := service.New(service.Config{})
 	h := service.NewHandler(svc)
-	dropped = new(atomic.Int64)
+	rewrites = new(atomic.Int64)
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Query().Get("stream") != "1" {
 			h.ServeHTTP(w, r)
@@ -264,9 +314,11 @@ func shortWorker(t testing.TB) (url string, dropped *atomic.Int64) {
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, r)
 		body := rec.Body.Bytes()
-		if cut := bytes.LastIndexByte(bytes.TrimSuffix(body, []byte("\n")), '\n'); rec.Code == http.StatusOK && cut >= 0 {
-			body = body[:cut+1]
-			dropped.Add(1)
+		if rec.Code == http.StatusOK {
+			if out := rewrite(bytes.Clone(body)); !bytes.Equal(out, body) {
+				body = out
+				rewrites.Add(1)
+			}
 		}
 		w.Header().Set("Content-Type", rec.Header().Get("Content-Type"))
 		w.WriteHeader(rec.Code)
@@ -276,7 +328,20 @@ func shortWorker(t testing.TB) (url string, dropped *atomic.Int64) {
 		srv.Close()
 		svc.Close()
 	})
-	return srv.URL, dropped
+	return srv.URL, rewrites
+}
+
+// shortWorker is a real worker whose NDJSON fetch drops the last line
+// of every non-empty result and still ends the body cleanly — the
+// handler that stops writing early. dropped counts the lines lost.
+func shortWorker(t testing.TB) (url string, dropped *atomic.Int64) {
+	t.Helper()
+	return rewritingWorker(t, func(body []byte) []byte {
+		if cut := bytes.LastIndexByte(bytes.TrimSuffix(body, []byte("\n")), '\n'); cut >= 0 {
+			return body[:cut+1]
+		}
+		return body
+	})
 }
 
 // TestCoordinatorRetriesOnShortStream: a volume whose stream delivers
@@ -315,6 +380,84 @@ func TestCoordinatorRetriesOnShortStream(t *testing.T) {
 	_, err = alone.Compare(context.Background(), query, subject, wireOptions())
 	if err == nil || !strings.Contains(err.Error(), "job status reports") {
 		t.Fatalf("short stream from the only worker: %v", err)
+	}
+}
+
+// TestCoordinatorRetriesOnUnknownID: a worker line naming a subject
+// outside its volume is the worker's fault, not sequence 0: the volume
+// moves to the next worker, and with nobody left the request fails.
+func TestCoordinatorRetriesOnUnknownID(t *testing.T) {
+	query, subject := wireWorkload(t, 6, 52)
+	want, _ := singleNodeReference(t, query, subject)
+
+	stray, rewrites := rewritingWorker(t, func(body []byte) []byte {
+		return bytes.Replace(body, []byte(`"subject":"s`), []byte(`"subject":"stray-s`), 1)
+	})
+	coord, err := New(Config{Workers: []string{stray, startWorker(t)}, Volumes: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := coord.Compare(context.Background(), query, subject, wireOptions())
+	if err != nil {
+		t.Fatalf("unknown subject id was not retried around: %v", err)
+	}
+	if rewrites.Load() == 0 {
+		t.Fatal("the stray worker rewrote no stream; the test exercised nothing")
+	}
+	if !reflect.DeepEqual(rep.Alignments, want) {
+		t.Fatalf("gather after an unknown id differs from single-node output: got %d alignments, want %d",
+			len(rep.Alignments), len(want))
+	}
+	if f := scrapeCoordinator(t, coord).worker("worker_failures_total", stray); rep.Retries == 0 || f == 0 {
+		t.Errorf("unknown id not charged: %d retries, %g failures on the stray worker", rep.Retries, f)
+	}
+
+	alone, err := New(Config{Workers: []string{stray}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err = alone.Compare(context.Background(), query, subject, wireOptions()); err == nil ||
+		!strings.Contains(err.Error(), "outside the volume") {
+		t.Fatalf("unknown subject id from the only worker: %v", err)
+	}
+}
+
+// TestCoordinatorCanonicalizesLines: a worker line the codec does not
+// recognise — here its keys in another order — is decoded and
+// forwarded in canonical form, so the coordinator's stream body is
+// still the single worker's byte for byte.
+func TestCoordinatorCanonicalizesLines(t *testing.T) {
+	query, subject := wireWorkload(t, 6, 52)
+	want, _ := singleNodeReference(t, query, subject)
+	wantStream, _ := jobBodies(t, startWorker(t), query, subject)
+
+	// Every other line with its keys sorted, as a map marshals.
+	reorder := func(body []byte) []byte {
+		lines := bytes.SplitAfter(body, []byte("\n"))
+		for i := 0; i < len(lines); i += 2 {
+			var m map[string]json.RawMessage
+			if json.Unmarshal(lines[i], &m) == nil {
+				b, _ := json.Marshal(m)
+				lines[i] = append(b, '\n')
+			}
+		}
+		return bytes.Join(lines, nil)
+	}
+	sorted, rewrites := rewritingWorker(t, reorder)
+	coord, err := New(Config{Workers: []string{sorted}, Volumes: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stream, _ := jobBodies(t, coordinatorURL(t, coord), query, subject)
+	if rewrites.Load() == 0 {
+		t.Fatal("the worker rewrote no stream; the test exercised nothing")
+	}
+	if !bytes.Equal(stream, wantStream) {
+		t.Errorf("stream body over reordered lines (%d bytes) differs from the single worker's (%d bytes)", len(stream), len(wantStream))
+	}
+	rep, err := coord.Compare(context.Background(), query, subject, wireOptions())
+	if err != nil || !reflect.DeepEqual(rep.Alignments, want) || rep.Retries != 0 {
+		t.Fatalf("gather over reordered lines: %v, %d retries, %d alignments, want %d", err, rep.Retries, len(rep.Alignments), len(want))
 	}
 }
 

@@ -1,29 +1,24 @@
 package cluster
 
-import (
-	"fmt"
-
-	"seedblast/internal/service"
-)
-
-// rankedAlignment pairs a wire alignment with the global sequence
-// numbers its ids resolve to, so JSON results can be ranked exactly
-// like engine results.
-type rankedAlignment struct {
-	a    service.AlignmentJSON
-	q, s int
+// lineKey is one fetched alignment line's place in the global ranking:
+// the global query and subject numbers its ids resolve to, its E-value,
+// and the line's bytes, newline included, in its volume's buffer.
+type lineKey struct {
+	q, s       int
+	e          float64
+	start, end int
 }
 
-// rankLess orders wire alignments under the engine's global
+// rankLess orders alignments under the engine's global
 // (Seq0, EValue, Seq1) ranking. Equal full keys can only come from the
 // same (query, subject) pair, hence the same volume; the volume number
 // completes a total order for determinism.
-func rankLess(a, b *rankedAlignment, va, vb int) bool {
+func rankLess(a, b *lineKey, va, vb int) bool {
 	if a.q != b.q {
 		return a.q < b.q
 	}
-	if a.a.EValue != b.a.EValue {
-		return a.a.EValue < b.a.EValue
+	if a.e != b.e {
+		return a.e < b.e
 	}
 	if a.s != b.s {
 		return a.s < b.s
@@ -31,81 +26,43 @@ func rankLess(a, b *rankedAlignment, va, vb int) bool {
 	return va < vb
 }
 
-// volumeCursor is one volume's position in the k-way merge: a pull
-// over its (already globally-ranked) records plus the current head.
-type volumeCursor struct {
-	vi     int
-	pull   func() (service.AlignmentJSON, error, bool)
-	cur    rankedAlignment
-	primed bool // cur holds an unconsumed head
-	done   bool // stream exhausted
-	count  int  // alignments consumed from this volume
+// volumeLines is one volume's fetched result: its NDJSON lines, in the
+// volume's rank order, and their keys.
+type volumeLines struct {
+	buf  []byte
+	keys []lineKey
 }
 
-// sliceCursor is a cursor over one volume's fetched records.
-func sliceCursor(vi int, as []service.AlignmentJSON) *volumeCursor {
-	return &volumeCursor{vi: vi, pull: func() (a service.AlignmentJSON, err error, ok bool) {
-		if len(as) == 0 {
-			return a, nil, false
-		}
-		a, as = as[0], as[1:]
-		return a, nil, true
-	}}
-}
-
-// advance loads the next stream element into cur, setting primed, or
-// done on exhaustion.
-func (c *volumeCursor) advance(rank func(vi int, a service.AlignmentJSON) rankedAlignment) error {
-	a, err, ok := c.pull()
-	if !ok {
-		c.primed, c.done = false, true
-		return nil
-	}
-	if err != nil {
-		c.primed, c.done = false, true
-		return err
-	}
-	c.cur = rank(c.vi, a)
-	c.primed = true
-	c.count++
-	return nil
-}
-
-// mergeAlignmentStreams k-way merges per-volume wire streams into the
-// globally ranked result in one pass, holding one head per volume.
-// Each stream must already be ordered under the global ranking — which
+// mergeLines k-way merges the volumes' lines into the globally ranked
+// NDJSON result in one pass, copying each line once and decoding none.
+// Each volume must already be ordered under the global ranking — which
 // per-volume results are: a worker sorts by (Seq0, EValue, local
 // Seq1), query numbering is shared, and a volume's local→global
 // subject remap is monotonic (Volume.Seqs ascend). Equal full keys
 // only occur within one volume (one (query, subject) pair lives in
-// exactly one volume) and FIFO pops preserve their stream order, so
-// the merge is bit-identical to buffering everything and sorting —
-// pinned against mergeWireAlignments by tests.
-func mergeAlignmentStreams(curs []*volumeCursor,
-	rank func(vi int, a service.AlignmentJSON) rankedAlignment) ([]service.AlignmentJSON, error) {
-	// Seed the heap with each stream's head.
-	h := make([]*volumeCursor, 0, len(curs))
-	for _, c := range curs {
-		if err := c.advance(rank); err != nil {
-			return nil, fmt.Errorf("volume %d: %w", c.vi, err)
-		}
-		if c.primed {
-			h = append(h, c)
+// exactly one volume) and the heap pops them in stream order, so the
+// merge is bit-identical to buffering everything and sorting stably —
+// pinned against that reference by tests.
+func mergeLines(vols []volumeLines) []byte {
+	size := 0
+	pos := make([]int, len(vols))
+	h := make([]int, 0, len(vols)) // volumes with lines left, by head
+	for vi := range vols {
+		size += len(vols[vi].buf)
+		if len(vols[vi].keys) > 0 {
+			h = append(h, vi)
 		}
 	}
-	less := func(a, b *volumeCursor) bool { return rankLess(&a.cur, &b.cur, a.vi, b.vi) }
+	less := func(a, b int) bool { return rankLess(&vols[a].keys[pos[a]], &vols[b].keys[pos[b]], a, b) }
 	for i := len(h)/2 - 1; i >= 0; i-- {
 		siftDown(h, i, less)
 	}
-
-	var out []service.AlignmentJSON
+	out := make([]byte, 0, size)
 	for len(h) > 0 {
-		top := h[0]
-		out = append(out, top.cur.a)
-		if err := top.advance(rank); err != nil {
-			return nil, fmt.Errorf("volume %d: %w", top.vi, err)
-		}
-		if top.done {
+		vi := h[0]
+		k := &vols[vi].keys[pos[vi]]
+		out = append(out, vols[vi].buf[k.start:k.end]...)
+		if pos[vi]++; pos[vi] == len(vols[vi].keys) {
 			h[0] = h[len(h)-1]
 			h = h[:len(h)-1]
 		}
@@ -113,7 +70,7 @@ func mergeAlignmentStreams(curs []*volumeCursor,
 			siftDown(h, 0, less)
 		}
 	}
-	return out, nil
+	return out
 }
 
 // siftDown restores the min-heap property at i.

@@ -1,66 +1,64 @@
 package cluster
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
-	"iter"
 	"math/rand/v2"
-	"reflect"
 	"sort"
 	"testing"
 
 	"seedblast/internal/service"
 )
 
-// sliceCursors wraps buffered per-volume lists as the cursors the
-// coordinator builds, so the k-way merge can be pinned against the
-// buffered reference merge on synthetic data.
-func sliceCursors(perVol [][]service.AlignmentJSON) []*volumeCursor {
-	curs := make([]*volumeCursor, len(perVol))
-	for vi, as := range perVol {
-		curs[vi] = sliceCursor(vi, as)
+// volumeOf lays a volume's alignments out as the fetch does: one
+// NDJSON line each, keyed through the ranker.
+func volumeOf(rk *ranker, vi int, as []service.AlignmentJSON) volumeLines {
+	var v volumeLines
+	for _, a := range as {
+		line, _ := json.Marshal(&a)
+		start := len(v.buf)
+		v.buf = append(append(v.buf, line...), '\n')
+		v.keys = append(v.keys, lineKey{q: rk.query[a.Query], s: rk.subject[vi][a.Subject], e: a.EValue, start: start, end: len(v.buf)})
 	}
-	return curs
+	return v
 }
 
-// mergeWireAlignments is the buffered reference merge the streaming
-// k-way merge (mergeAlignmentStreams) is pinned against: every
-// volume's alignments, remapped to global numbers and stably sorted
-// under rankLess. queryIdx maps a query
-// id to its bank position; vols[i] gives volume i's global subject
-// numbers, and subjIdxInVol maps a subject id to its position within
-// its volume's submission order (ids are resolved per volume, so
-// duplicate subject ids across volumes cannot collide).
-func mergeWireAlignments(vols []Volume, perVol [][]service.AlignmentJSON,
-	queryIdx map[string]int, subjIdxInVol []map[string]int) []service.AlignmentJSON {
-	var ranked []rankedAlignment
-	var volOf []int
-	for vi, as := range perVol {
-		for _, a := range as {
-			ranked = append(ranked, rankedAlignment{
-				a: a,
-				q: queryIdx[a.Query],
-				s: vols[vi].Seqs[subjIdxInVol[vi][a.Subject]],
-			})
-			volOf = append(volOf, vi)
+// mergeWireLines is the buffered reference the k-way merge is pinned
+// against: every volume's lines stably sorted by (query, E-value,
+// subject). A (query, subject) pair lives in one volume, so equal keys
+// come from one volume and keep its order.
+func mergeWireLines(vols []volumeLines) []byte {
+	type ranked struct {
+		k    lineKey
+		line []byte
+	}
+	var all []ranked
+	for _, v := range vols {
+		for _, k := range v.keys {
+			all = append(all, ranked{k, v.buf[k.start:k.end]})
 		}
 	}
-	order := make([]int, len(ranked))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(i, j int) bool {
-		return rankLess(&ranked[order[i]], &ranked[order[j]], volOf[order[i]], volOf[order[j]])
+	sort.SliceStable(all, func(i, j int) bool {
+		a, b := all[i].k, all[j].k
+		if a.q != b.q {
+			return a.q < b.q
+		}
+		if a.e != b.e {
+			return a.e < b.e
+		}
+		return a.s < b.s
 	})
-	out := make([]service.AlignmentJSON, len(ranked))
-	for i, oi := range order {
-		out[i] = ranked[oi].a
+	var out []byte
+	for _, r := range all {
+		out = append(out, r.line...)
 	}
 	return out
 }
 
 // TestMergeStreamsMatchesBufferedMerge generates random volume
-// partitions and per-volume sorted results, and pins the streaming
-// k-way merge bit-identical to the buffered sort-based reference.
+// partitions and per-volume sorted results, and pins the k-way merge of
+// their lines byte-identical to the buffered sort-based reference.
 func TestMergeStreamsMatchesBufferedMerge(t *testing.T) {
 	rng := rand.New(rand.NewPCG(1, 2))
 	for trial := 0; trial < 50; trial++ {
@@ -95,15 +93,14 @@ func TestMergeStreamsMatchesBufferedMerge(t *testing.T) {
 		// Per-volume results: random alignments per (q, s) pair, sorted
 		// the way a worker sorts (Seq0, EValue, local Seq1). E-values are
 		// drawn from a tiny set so cross-volume ties actually occur.
-		subjIdxInVol := make([]map[string]int, len(vols))
-		perVol := make([][]service.AlignmentJSON, len(vols))
+		rk := newRanker(vols, query, subject)
+		lines := make([]volumeLines, len(vols))
 		evs := []float64{1e-8, 1e-4, 0.5}
 		for vi, v := range vols {
 			m := make(map[string]int)
 			for local, gi := range v.Seqs {
 				m[subject[gi].ID] = local
 			}
-			subjIdxInVol[vi] = m
 			var as []service.AlignmentJSON
 			for q := 0; q < nq; q++ {
 				for _, gi := range v.Seqs {
@@ -127,39 +124,14 @@ func TestMergeStreamsMatchesBufferedMerge(t *testing.T) {
 				}
 				return m[as[i].Subject] < m[as[j].Subject]
 			})
-			perVol[vi] = as
+			lines[vi] = volumeOf(rk, vi, as)
 		}
 
-		want := mergeWireAlignments(vols, perVol, queryIdx, subjIdxInVol)
-		got, err := mergeAlignmentStreams(sliceCursors(perVol), wireRanker(vols, query, subject))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(want) == 0 {
-			continue
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("trial %d: k-way merge diverges from buffered reference\n got %+v\nwant %+v",
+		want := mergeWireLines(lines)
+		got := mergeLines(lines)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("trial %d: k-way merge diverges from buffered reference\n got %s\nwant %s",
 				trial, got, want)
 		}
-	}
-}
-
-// TestMergeStreamsPropagatesError pins that a mid-stream failure in
-// any volume fails the merge.
-func TestMergeStreamsPropagatesError(t *testing.T) {
-	bad := func(yield func(service.AlignmentJSON, error) bool) {
-		if !yield(service.AlignmentJSON{Query: "q0", Subject: "s0"}, nil) {
-			return
-		}
-		yield(service.AlignmentJSON{}, fmt.Errorf("stream torn"))
-	}
-	next, stop := iter.Pull2(iter.Seq2[service.AlignmentJSON, error](bad))
-	defer stop()
-	curs := []*volumeCursor{{vi: 0, pull: next}}
-	rank := wireRanker([]Volume{{Seqs: []int{0}}},
-		[]service.SequenceJSON{{ID: "q0"}}, []service.SequenceJSON{{ID: "s0"}})
-	if _, err := mergeAlignmentStreams(curs, rank); err == nil {
-		t.Fatal("mid-stream failure not propagated")
 	}
 }

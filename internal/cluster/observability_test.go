@@ -158,7 +158,9 @@ func TestCoordinatorFamiliesMatchRegistry(t *testing.T) {
 // TestClusterTraceSpansWorkers is the distributed-tracing acceptance
 // gate: one clustered job yields one trace, under the caller's own
 // trace ID when supplied, containing the coordinator's stages plus
-// engine spans grafted from at least two distinct workers.
+// engine spans grafted from at least two distinct workers — and the
+// hop between them: each worker job's one NDJSON encode, and the
+// coordinator's fetch of each volume.
 func TestClusterTraceSpansWorkers(t *testing.T) {
 	query, subject := wireWorkload(t, 6, 55)
 	clusterURL := startClusterOver(t, 4, startWorker(t), startWorker(t))
@@ -194,6 +196,7 @@ func TestClusterTraceSpansWorkers(t *testing.T) {
 	byName := map[string]int{}
 	workersSeen := map[string]bool{}
 	enginesGrafted := map[string]bool{}
+	encodes, fetches := map[string]bool{}, map[string]bool{}
 	var request *telemetry.Span
 	spans := telemetry.SpansFromJSON(tj.Spans)
 	for i, sp := range tj.Spans {
@@ -203,6 +206,12 @@ func TestClusterTraceSpansWorkers(t *testing.T) {
 				t.Errorf("two coordinator request spans")
 			}
 			request = &spans[i]
+		}
+		switch sp.Name {
+		case "encode":
+			encodes[sp.Attrs["volume"]] = true
+		case "fetch":
+			fetches[sp.Attrs["volume"]] = true
 		}
 		if w := sp.Attrs["worker"]; w != "" {
 			workersSeen[w] = true
@@ -216,8 +225,13 @@ func TestClusterTraceSpansWorkers(t *testing.T) {
 			t.Errorf("coordinator stage %q appears %d times, want 1", stage, byName[stage])
 		}
 	}
-	if byName["volume"] != 4 {
-		t.Errorf("volume spans = %d, want 4", byName["volume"])
+	for _, name := range []string{"volume", "encode", "fetch"} {
+		if byName[name] != 4 {
+			t.Errorf("%s spans = %d, want 4", name, byName[name])
+		}
+	}
+	if len(encodes) != 4 || len(fetches) != 4 {
+		t.Errorf("encode spans grafted for volumes %v, fetch spans for volumes %v; want each of the 4", encodes, fetches)
 	}
 	if len(workersSeen) < 2 {
 		t.Errorf("trace carries spans from %d worker(s), want >= 2: %v", len(workersSeen), workersSeen)
@@ -234,7 +248,7 @@ func TestClusterTraceSpansWorkers(t *testing.T) {
 	reqEnd := request.Start.Add(request.Duration)
 	for _, sp := range spans {
 		switch sp.Name {
-		case "partition", "scatter", "volume", "gather":
+		case "partition", "scatter", "volume", "fetch", "gather":
 			if sp.Start.Before(request.Start) || sp.Start.Add(sp.Duration).After(reqEnd) {
 				t.Errorf("%s span [%v +%v] outside the request span [%v +%v]",
 					sp.Name, sp.Start, sp.Duration, request.Start, request.Duration)

@@ -169,16 +169,9 @@ func (c *Client) StreamAlignments(ctx context.Context, id string) iter.Seq2[Alig
 			return
 		}
 		defer drainClose(resp.Body) // drained even when the consumer stops early, so the stream connection is reused
-		records := ndjsonAlignments
-		if strings.Contains(resp.Header.Get("Content-Type"), "application/json") {
-			records = arrayAlignments
-		}
-		for aj, err := range records(resp.Body) {
+		for aj, err := range decodeLines(responseLines(resp)) {
 			if err != nil {
-				if ctx.Err() != nil {
-					err = ctx.Err()
-				}
-				yield(AlignmentJSON{}, fmt.Errorf("service: decoding alignments: %w", err))
+				yield(AlignmentJSON{}, decodeError(ctx, err))
 				return
 			}
 			if !yield(aj, nil) {
@@ -188,12 +181,95 @@ func (c *Client) StreamAlignments(ctx context.Context, id string) iter.Seq2[Alig
 	}
 }
 
-// ndjsonAlignments decodes one alignment per line: parseAlignment for
-// the lines writeNDJSON writes, json.Unmarshal for any other. A body
-// that ends inside a line is an error, from the read or from the
-// decode of the fragment.
-func ndjsonAlignments(body io.Reader) iter.Seq2[AlignmentJSON, error] {
+// AlignmentLines fetches a finished job's alignments as StreamAlignments
+// does and appends them to dst undecoded, one NDJSON line each in the
+// server's order: the line as sent when parseAlignment recognises it,
+// else its json.Unmarshal decode as appendAlignment writes it. Before a
+// line is appended, key gets it with its query id, subject id and
+// E-value (slices valid during the call); an error from key ends the
+// fetch. A coordinator gathers its workers' results this way.
+func (c *Client) AlignmentLines(ctx context.Context, id string, dst []byte,
+	key func(line, query, subject []byte, eValue float64) error) ([]byte, error) {
+	resp, err := c.get(ctx, "/v1/jobs/"+id+"/alignments?stream=1")
+	if err != nil {
+		return dst, err
+	}
+	defer drainClose(resp.Body)
+	for line, err := range responseLines(resp) {
+		if err != nil {
+			return dst, decodeError(ctx, err)
+		}
+		q, s, e, ok := alignmentKey(line)
+		if !ok {
+			var a AlignmentJSON
+			if err := json.Unmarshal(line, &a); err != nil {
+				return dst, decodeError(ctx, err)
+			}
+			line, _ = appendAlignment(nil, &a) // decoded JSON holds no NaN or infinity
+			q, s, e = []byte(a.Query), []byte(a.Subject), a.EValue
+		}
+		if err := key(line, q, s, e); err != nil {
+			return dst, err
+		}
+		dst = append(append(dst, line...), '\n')
+	}
+	return dst, nil
+}
+
+// DecodeAlignments decodes an NDJSON body such as Result.NDJSON; an
+// empty body is nil.
+func DecodeAlignments(nd []byte) ([]AlignmentJSON, error) {
+	var out []AlignmentJSON
+	for aj, err := range decodeLines(ndjsonLines(bytes.NewReader(nd))) {
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, aj)
+	}
+	return out, nil
+}
+
+func decodeError(ctx context.Context, err error) error {
+	if ctx.Err() != nil {
+		err = ctx.Err()
+	}
+	return fmt.Errorf("service: decoding alignments: %w", err)
+}
+
+// responseLines yields the alignment lines of a fetch response: NDJSON
+// lines as sent, or the elements of a JSON-array answer re-encoded.
+func responseLines(resp *http.Response) iter.Seq2[[]byte, error] {
+	if strings.Contains(resp.Header.Get("Content-Type"), "application/json") {
+		return arrayLines(resp.Body)
+	}
+	return ndjsonLines(resp.Body)
+}
+
+// decodeLines decodes one alignment per line: parseAlignment for the
+// lines appendAlignment writes, json.Unmarshal for any other.
+func decodeLines(lines iter.Seq2[[]byte, error]) iter.Seq2[AlignmentJSON, error] {
 	return func(yield func(AlignmentJSON, error) bool) {
+		for line, err := range lines {
+			var aj AlignmentJSON
+			if err == nil {
+				var ok bool
+				if aj, ok = parseAlignment(line); !ok {
+					aj = AlignmentJSON{}
+					err = json.Unmarshal(line, &aj)
+				}
+			}
+			if !yield(aj, err) || err != nil {
+				return
+			}
+		}
+	}
+}
+
+// ndjsonLines yields a body's non-blank lines, trimmed. A body that
+// ends inside a line yields the fragment or the read's error; the
+// fragment then fails to decode.
+func ndjsonLines(body io.Reader) iter.Seq2[[]byte, error] {
+	return func(yield func([]byte, error) bool) {
 		br := bufio.NewReaderSize(body, 32<<10)
 		var long []byte // a line that outgrew br's buffer, collected
 		for {
@@ -207,21 +283,11 @@ func ndjsonAlignments(body io.Reader) iter.Seq2[AlignmentJSON, error] {
 				line = long
 			}
 			if err != nil && err != io.EOF {
-				yield(AlignmentJSON{}, err)
+				yield(nil, err)
 				return
 			}
-			if line = bytes.TrimSpace(line); len(line) > 0 {
-				aj, ok := parseAlignment(line)
-				if !ok {
-					aj = AlignmentJSON{}
-					if uerr := json.Unmarshal(line, &aj); uerr != nil {
-						yield(AlignmentJSON{}, uerr)
-						return
-					}
-				}
-				if !yield(aj, nil) {
-					return
-				}
+			if line = bytes.TrimSpace(line); len(line) > 0 && !yield(line, nil) {
+				return
 			}
 			if err == io.EOF {
 				return
@@ -230,21 +296,24 @@ func ndjsonAlignments(body io.Reader) iter.Seq2[AlignmentJSON, error] {
 	}
 }
 
-// arrayAlignments decodes the JSON-array form element by element.
-func arrayAlignments(body io.Reader) iter.Seq2[AlignmentJSON, error] {
-	return func(yield func(AlignmentJSON, error) bool) {
+// arrayLines yields the elements of a JSON-array body, each decoded and
+// re-encoded as one line.
+func arrayLines(body io.Reader) iter.Seq2[[]byte, error] {
+	return func(yield func([]byte, error) bool) {
 		dec := json.NewDecoder(body)
 		if _, err := dec.Token(); err != nil { // the opening bracket
-			yield(AlignmentJSON{}, err)
+			yield(nil, err)
 			return
 		}
+		var line []byte
 		for dec.More() {
 			var aj AlignmentJSON
 			if err := dec.Decode(&aj); err != nil {
-				yield(AlignmentJSON{}, err)
+				yield(nil, err)
 				return
 			}
-			if !yield(aj, nil) {
+			line, _ = appendAlignment(line[:0], &aj)
+			if !yield(line, nil) {
 				return
 			}
 		}

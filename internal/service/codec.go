@@ -7,14 +7,16 @@ import (
 )
 
 // The NDJSON alignment codec. AlignmentJSON is the one wire type that
-// crosses the network thousands of times per job — twice on a clustered
-// one — so its encode and decode do not go through reflection. The
-// pattern is the kernels': a fast path for the common input and
-// encoding/json as the reference. appendAlignment writes the exact
-// bytes json.Marshal would; parseAlignment accepts exactly what
+// crosses the network thousands of times per job, so its encode and
+// decode do not go through reflection. The pattern is the kernels': a
+// fast path for the common input and encoding/json as the reference.
+// appendAlignment writes the exact bytes json.Marshal would, once per
+// alignment when a job ends; parseAlignment accepts exactly what
 // appendAlignment writes and reports anything else as not recognised,
-// for json.Unmarshal to decide. TestAlignmentCodecMatchesEncodingJSON
-// and FuzzAlignmentLine pin both directions.
+// for json.Unmarshal to decide. A coordinator forwards its workers'
+// lines as they are and reads only their rank keys (alignmentKey).
+// TestAlignmentCodecMatchesEncodingJSON, FuzzAlignmentLine and
+// FuzzAlignmentKey pin all three.
 
 // plainString reports whether encoding/json writes s between quotes
 // unchanged: printable ASCII with none of the characters it escapes
@@ -63,6 +65,10 @@ var plainByte = func() (t [256]bool) {
 	}
 	return t
 }()
+
+// LineBytes sizes buffers of NDJSON alignment lines: a bank job's line
+// besides its ids (keys, newline, typical numbers).
+const LineBytes = 150
 
 // appendAlignment appends a's JSON object to dst, byte for byte what
 // json.Marshal(a) returns, including its error for a NaN or infinite
@@ -133,9 +139,26 @@ func appendFloat(dst []byte, f float64) []byte {
 // an unknown field, a number out of range — and the line then belongs
 // to json.Unmarshal; when ok is true the result equals json.Unmarshal's.
 func parseAlignment(line []byte) (a AlignmentJSON, ok bool) {
+	q, s, ok := scanAlignment(line, &a)
+	a.Query, a.Subject = string(q), string(s)
+	return a, ok
+}
+
+// alignmentKey reads the rank key of a line — query id, subject id and
+// E-value — with the ids left in line, so a gather ranks the line
+// without allocating. ok is parseAlignment's: the whole line is checked.
+func alignmentKey(line []byte) (query, subject []byte, eValue float64, ok bool) {
+	var a AlignmentJSON
+	query, subject, ok = scanAlignment(line, &a)
+	return query, subject, a.EValue, ok
+}
+
+// scanAlignment is parseAlignment with the two ids returned as slices
+// of line instead of set in a.
+func scanAlignment(line []byte, a *AlignmentJSON) (query, subject []byte, ok bool) {
 	p := lineParser{b: line}
-	a.Query = p.str(`{"query":"`)
-	a.Subject = p.str(`,"subject":"`)
+	query = p.str(`{"query":"`)
+	subject = p.str(`,"subject":"`)
 	a.Score = p.int(`,"score":`)
 	a.BitScore = p.float(`,"bitScore":`)
 	a.EValue = p.float(`,"eValue":`)
@@ -144,7 +167,7 @@ func parseAlignment(line []byte) (a AlignmentJSON, ok bool) {
 	a.SStart = p.int(`,"sStart":`)
 	a.SEnd = p.int(`,"sEnd":`)
 	if p.has(`,"frame":`) {
-		a.Frame = p.str(`"`)
+		a.Frame = string(p.str(`"`))
 	}
 	if p.has(`,"nucStart":`) {
 		v := p.int("")
@@ -155,7 +178,7 @@ func parseAlignment(line []byte) (a AlignmentJSON, ok bool) {
 		a.NucEnd = &v
 	}
 	p.lit("}")
-	return a, !p.bad && len(p.b) == 0
+	return query, subject, !p.bad && len(p.b) == 0
 }
 
 // lineParser consumes a line from the front. The first mismatch sets
@@ -181,19 +204,20 @@ func (p *lineParser) lit(lit string) {
 }
 
 // str consumes open, which ends with the opening quote, and a string
-// of plain characters up to its closing quote.
-func (p *lineParser) str(open string) string {
+// of plain characters up to its closing quote, and returns the string's
+// bytes.
+func (p *lineParser) str(open string) []byte {
 	p.lit(open)
 	if p.bad {
-		return ""
+		return nil
 	}
 	if i := plainPrefix(p.b); i < len(p.b) && p.b[i] == '"' {
 		s := p.b[:i]
 		p.b = p.b[i+1:]
-		return string(s)
+		return s
 	}
 	p.bad = true
-	return ""
+	return nil
 }
 
 // number consumes key and returns the run of number characters after

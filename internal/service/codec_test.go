@@ -10,6 +10,9 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"seedblast/internal/alphabet"
+	"seedblast/internal/core"
 )
 
 func intp(v int) *int { return &v }
@@ -180,54 +183,143 @@ func FuzzAlignmentLine(f *testing.F) {
 	})
 }
 
+// FuzzAlignmentKey: the coordinator's key reader accepts exactly the
+// lines parseAlignment accepts, and reads the same query, subject and
+// E-value from them.
+func FuzzAlignmentKey(f *testing.F) {
+	for i, a := range codecCorpus() {
+		if i%7 == 0 {
+			b, _ := json.Marshal(&a)
+			f.Add(b)
+		}
+	}
+	const tail = `,"score":1,"bitScore":2,"eValue":3,"qStart":4,"qEnd":5,"sStart":6,"sEnd":7`
+	f.Add([]byte(`{"query":"q","subject":"s"` + tail + `,"frame":"+2","nucStart":9,"nucEnd":99}`))
+	f.Add([]byte(`{"subject":"s","query":"q"` + tail + `}`))
+	f.Add([]byte(`{"query":"q","subject":"s","score":99999999999999999999,"bitScore":2,"eValue":3,"qStart":4,"qEnd":5,"sStart":6,"sEnd":7}`))
+	f.Fuzz(func(t *testing.T, line []byte) {
+		q, s, e, ok := alignmentKey(line)
+		a, want := parseAlignment(line)
+		if ok != want {
+			t.Fatalf("%q: key reader accepts %v, parseAlignment %v", line, ok, want)
+		}
+		if ok && (string(q) != a.Query || string(s) != a.Subject || math.Float64bits(e) != math.Float64bits(a.EValue)) {
+			t.Fatalf("%q: key (%q, %q, %v), parseAlignment (%q, %q, %v)", line, q, s, e, a.Query, a.Subject, a.EValue)
+		}
+	})
+}
+
 // TestStreamBodyMatchesJSONEncoder is the wire golden: the ?stream=1
 // body of a finished job is, byte for byte, what a json.Encoder writes
-// for the same matches — what the route served before the codec.
+// for the standalone run's matches one by one — what the route served
+// before the codec — and the array fetch what it writes for the slice.
 func TestStreamBodyMatchesJSONEncoder(t *testing.T) {
 	b0, b1 := testWorkload(t, 10, 23)
+	genome := testGenomeString(t, b0)
+	dna, err := alphabet.EncodeDNA(genome)
+	if err != nil {
+		t.Fatal(err)
+	}
 	svc := New(Config{})
 	defer svc.Close()
 	ts := httptest.NewServer(NewHandler(svc))
 	defer ts.Close()
 	ev := 10.0
-	for name, req := range map[string]JobRequestJSON{
-		"bank":   {Query: bankToJSON(b0), Subject: bankToJSON(b1), Options: OptionsJSON{MaxEValue: &ev}},
-		"genome": {Query: bankToJSON(b0), Genome: testGenomeString(t, b0), Options: OptionsJSON{MaxEValue: &ev}},
+	for name, c := range map[string]struct {
+		req    JobRequestJSON
+		target core.Target
+	}{
+		"bank":   {JobRequestJSON{Query: bankToJSON(b0), Subject: bankToJSON(b1), Options: OptionsJSON{MaxEValue: &ev}}, core.NewProteinTarget(b1)},
+		"genome": {JobRequestJSON{Query: bankToJSON(b0), Genome: genome, Options: OptionsJSON{MaxEValue: &ev}}, core.NewGenomeTarget(dna, nil)},
+		"empty":  {JobRequestJSON{Query: bankToJSON(b0)[:1], Subject: bankToJSON(b1)[1:2], Options: OptionsJSON{MaxEValue: &ev}}, nil},
 	} {
-		id := submitAndFinish(t, ts, req)
-		resp, err := http.Get(ts.URL + "/v1/jobs/" + id + "/alignments?stream=1")
-		if err != nil {
+		id := submitAndFinish(t, ts, c.req)
+		var want, wantArray bytes.Buffer
+		aligns := []AlignmentJSON{}
+		if c.target != nil {
+			enc := json.NewEncoder(&want)
+			for _, m := range library(t, testSearcher(t), b0, c.target).Matches {
+				aj := MatchJSON(&m)
+				if err := enc.Encode(aj); err != nil {
+					t.Fatal(err)
+				}
+				aligns = append(aligns, aj)
+			}
+			if len(aligns) == 0 {
+				t.Fatalf("%s job has no alignments; the golden compares nothing", name)
+			}
+		}
+		if err := json.NewEncoder(&wantArray).Encode(aligns); err != nil {
 			t.Fatal(err)
 		}
-		got, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		j, _ := svc.Job(id)
-		var want bytes.Buffer
-		enc := json.NewEncoder(&want)
-		n := 0
-		for _, aj := range j.Snapshot().Result.Alignments {
-			if err := enc.Encode(aj); err != nil {
+		for query, want := range map[string][]byte{"?stream=1": want.Bytes(), "": wantArray.Bytes()} {
+			resp, err := http.Get(ts.URL + "/v1/jobs/" + id + "/alignments" + query)
+			if err != nil {
 				t.Fatal(err)
 			}
-			n++
-		}
-		if n == 0 {
-			t.Fatalf("%s job has no alignments; the golden compares nothing", name)
-		}
-		if !bytes.Equal(got, want.Bytes()) {
-			t.Errorf("%s: stream body (%d bytes) differs from json.Encoder output (%d bytes)", name, len(got), want.Len())
+			got, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("%s%s: body (%d bytes) differs from json.Encoder output (%d bytes)", name, query, len(got), len(want))
+			}
 		}
 	}
 }
 
-// A record that cannot be encoded must tear the connection: a reader
+// A non-finite score is refused when the job's result is encoded, so
+// runLocal fails the job at its end instead of serving a torn fetch.
+func TestNonFiniteScoreFailsEncode(t *testing.T) {
+	m := core.Match{Query: core.Locus{ID: "q0"}, Subject: core.Locus{ID: "s0"}}
+	if nd, err := encodeMatches([]core.Match{m}); err != nil || string(nd) != `{"query":"q0","subject":"s0","score":0,"bitScore":0,"eValue":0,"qStart":0,"qEnd":0,"sStart":0,"sEnd":0}`+"\n" {
+		t.Fatalf("encodeMatches = %q, %v", nd, err)
+	}
+	for _, f := range []float64{math.NaN(), math.Inf(1)} {
+		bad := m
+		bad.EValue = f
+		if _, err := encodeMatches([]core.Match{m, bad}); err == nil {
+			t.Errorf("E-value %v encoded", f)
+		}
+		bad = m
+		bad.BitScore = f
+		if _, err := encodeMatches([]core.Match{bad}); err == nil {
+			t.Errorf("bit score %v encoded", f)
+		}
+	}
+}
+
+// failingWriter passes its first write through and fails every later one.
+type failingWriter struct {
+	http.ResponseWriter
+	writes int
+}
+
+func (w *failingWriter) Write(b []byte) (int, error) {
+	if w.writes++; w.writes > 1 {
+		return 0, io.ErrClosedPipe
+	}
+	return w.ResponseWriter.Write(b)
+}
+
+func (w *failingWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
+
+// A chunk that cannot be written must tear the connection: a reader
 // may see an error, never a short body with a clean end.
-func TestWriteNDJSONAbortsOnUnencodableRecord(t *testing.T) {
+func TestStreamWriteErrorTearsStream(t *testing.T) {
+	// Lines of 128 bytes, so the first chunk ends at a line's end and
+	// only the abort can tell the reader the body is short.
+	a := AlignmentJSON{Subject: "s0"}
+	line, _ := appendAlignment(nil, &a)
+	a.Query = strings.Repeat("q", 127-len(line))
+	line, err := appendAlignment(nil, &a)
+	if err != nil || streamChunkBytes%(len(line)+1) != 0 {
+		t.Fatalf("line of %d bytes: %v", len(line)+1, err)
+	}
+	nd := bytes.Repeat(append(line, '\n'), 3*streamChunkBytes/(len(line)+1))
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		writeNDJSON(w, []AlignmentJSON{{Query: "q0", Subject: "s0"}, {Query: "q1", EValue: math.NaN()}})
+		writeNDJSON(&failingWriter{ResponseWriter: w}, nd)
 	}))
 	defer ts.Close()
 	n := 0
@@ -238,6 +330,6 @@ func TestWriteNDJSONAbortsOnUnencodableRecord(t *testing.T) {
 		}
 	}
 	if last == nil {
-		t.Fatalf("stream of %d records ended cleanly although the second could not be encoded", n)
+		t.Fatalf("stream of %d records ended cleanly although its second chunk could not be written", n)
 	}
 }

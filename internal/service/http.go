@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -19,11 +20,11 @@ import (
 // MaxRequestBytes bounds a submitted job body (banks are sent inline).
 const MaxRequestBytes = 64 << 20
 
-// streamFlushEvery is how many NDJSON lines the streaming alignments
-// fetch writes between flushes: small enough that a slow consumer sees
-// steady progress, large enough to amortize the chunked-encoding
-// overhead.
-const streamFlushEvery = 64
+// streamChunkBytes is how much of the NDJSON body the streaming
+// alignments fetch writes between flushes: small enough that a slow
+// consumer sees steady progress, large enough to amortize the
+// chunked-encoding overhead.
+const streamChunkBytes = 32 << 10
 
 // NewHandler returns the service's HTTP+JSON API:
 //
@@ -329,8 +330,7 @@ func jobStatus(j *Job) JobStatusJSON {
 		st.Error = snap.Err.Error()
 	}
 	if res := snap.Result; res != nil {
-		n := len(res.Alignments)
-		st.Alignments = &n
+		st.Alignments = &res.Count
 		st.Hits = &res.Hits
 		st.Pairs = &res.Pairs
 		st.WallMS = &res.WallMS
@@ -434,48 +434,47 @@ func (h *handler) alignments(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusConflict, "job is %s; GET /v1/jobs/%s?wait=30s returns when it ends", snap.State, j.ID())
 		return
 	}
-	aligns := snap.Result.Alignments
 	if r.URL.Query().Get("stream") == "1" {
-		writeNDJSON(w, aligns)
+		writeNDJSON(w, snap.Result.NDJSON)
 		return
 	}
-	if aligns == nil {
-		// A zero-match merge is nil; the wire contract is an empty array.
-		aligns = []AlignmentJSON{}
-	}
-	writeJSON(w, http.StatusOK, aligns)
+	writeArray(w, snap.Result.NDJSON)
 }
 
-// writeNDJSON streams records as application/x-ndjson — one JSON
-// object per line, the bytes json.Encoder would write, flushed every
-// streamFlushEvery lines so consumers decode results while the response
-// is still being written. The status line is out before the first
-// record, so a record that cannot be encoded or written aborts the
-// connection: the reader sees a torn stream, never a short body that
-// ends cleanly.
-func writeNDJSON(w http.ResponseWriter, aligns []AlignmentJSON) {
+// writeNDJSON streams a job's NDJSON body as application/x-ndjson,
+// flushed every streamChunkBytes so consumers decode results while the
+// response is still being written. The status line is out before the
+// first chunk, so a chunk that cannot be written aborts the connection:
+// the reader sees a torn stream, never a short body that ends cleanly.
+func writeNDJSON(w http.ResponseWriter, nd []byte) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	rc := http.NewResponseController(w)
-	var buf []byte
-	flush := func() {
-		if _, err := w.Write(buf); err != nil {
+	for len(nd) > 0 {
+		n := min(len(nd), streamChunkBytes)
+		if _, err := w.Write(nd[:n]); err != nil {
 			panic(http.ErrAbortHandler)
 		}
 		_ = rc.Flush()
-		buf = buf[:0]
+		nd = nd[n:]
 	}
-	for i := range aligns {
-		var err error
-		if buf, err = appendAlignment(buf, &aligns[i]); err != nil {
-			panic(http.ErrAbortHandler)
-		}
-		buf = append(buf, '\n')
-		if (i+1)%streamFlushEvery == 0 {
-			flush()
+}
+
+// writeArray serves a job's NDJSON body as one JSON array: the lines
+// joined by commas between brackets, which is what json.Encoder writes
+// for the decoded slice. A raw newline in a line of JSON can only be
+// its end.
+func writeArray(w http.ResponseWriter, nd []byte) {
+	out := append(append(make([]byte, 0, len(nd)+3), '['), nd...)
+	for i, c := range out {
+		if c == '\n' {
+			out[i] = ','
 		}
 	}
-	flush()
+	out = append(bytes.TrimSuffix(out, []byte(",")), "]\n"...)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(out)
 }
 
 // MatchJSON renders a match in the service's wire encoding: the query

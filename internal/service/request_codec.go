@@ -74,7 +74,7 @@ func parseJobRequest(raw []byte) (*JobRequestJSON, bool) {
 		req.Subject = p.seqs()
 	}
 	if p.has(`,"genome":`) {
-		req.Genome = p.str(`"`)
+		req.Genome = string(p.str(`"`))
 	}
 	p.lit(`,"options":`)
 	// Options is the last field, so its object runs to the body's
@@ -98,7 +98,7 @@ func (p *lineParser) seqs() []SequenceJSON {
 		id := p.str(`{"id":"`)
 		seq := p.str(`,"seq":"`)
 		p.lit("}")
-		out = append(out, SequenceJSON{ID: id, Seq: seq})
+		out = append(out, SequenceJSON{ID: string(id), Seq: string(seq)})
 		if !p.has(",") {
 			break
 		}

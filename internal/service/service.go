@@ -87,10 +87,13 @@ type RunFunc func(ctx context.Context, req *Request, started func()) (*Result, e
 
 // Result is a finished job's outcome as the API reports it.
 type Result struct {
-	Alignments []AlignmentJSON // in rank order
-	Hits       int
-	Pairs      int64
-	WallMS     float64 // engine wall time; a clustered job sums its volumes'
+	// NDJSON holds the alignments in rank order, one appendAlignment
+	// line each: the body of the ?stream=1 fetch.
+	NDJSON []byte
+	Count  int // alignments, one per NDJSON line
+	Hits   int
+	Pairs  int64
+	WallMS float64 // engine wall time; a clustered job sums its volumes'
 }
 
 func (c Config) withDefaults() Config {
@@ -588,23 +591,44 @@ func (s *Service) end(tr *telemetry.Trace, start time.Time, err error) {
 	}
 }
 
-// runLocal is the in-process RunFunc: compare, with the matches put in
-// wire form.
+// runLocal is the in-process RunFunc: compare, with the matches
+// encoded once into the job's NDJSON body.
 func (s *Service) runLocal(ctx context.Context, req *Request, started func()) (*Result, error) {
 	ms, sum, err := s.compare(ctx, req, started)
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{
-		Alignments: make([]AlignmentJSON, len(ms)),
-		Hits:       sum.Hits,
-		Pairs:      sum.Pairs,
-		WallMS:     float64(sum.Pipeline.Wall) / float64(time.Millisecond),
+	t0 := time.Now()
+	nd, err := encodeMatches(ms)
+	if err != nil {
+		return nil, err
 	}
+	telemetry.TraceFromContext(ctx).Record("encode", t0, time.Since(t0), telemetry.Int("alignments", len(ms)))
+	return &Result{
+		NDJSON: nd,
+		Count:  len(ms),
+		Hits:   sum.Hits,
+		Pairs:  sum.Pairs,
+		WallMS: float64(sum.Pipeline.Wall) / float64(time.Millisecond),
+	}, nil
+}
+
+// encodeMatches writes ms as NDJSON into one buffer sized for them.
+func encodeMatches(ms []core.Match) ([]byte, error) {
+	n := 0
 	for i := range ms {
-		res.Alignments[i] = MatchJSON(&ms[i])
+		n += LineBytes + len(ms[i].Query.ID) + len(ms[i].Subject.ID)
 	}
-	return res, nil
+	buf := make([]byte, 0, n)
+	for i := range ms {
+		a := MatchJSON(&ms[i])
+		var err error
+		if buf, err = appendAlignment(buf, &a); err != nil {
+			return nil, fmt.Errorf("service: alignment %d of %s against %s: %w", i, a.Query, a.Subject, err)
+		}
+		buf = append(buf, '\n')
+	}
+	return buf, nil
 }
 
 // compare is the in-process execution path of a validated request:

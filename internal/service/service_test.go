@@ -100,11 +100,15 @@ func assertSameResult(t *testing.T, want outcome, got *Result) {
 	if want.Hits != got.Hits || want.Pairs != got.Pairs {
 		t.Fatalf("hits/pairs differ: want %d/%d, got %d/%d", want.Hits, want.Pairs, got.Hits, got.Pairs)
 	}
-	if len(want.Matches) != len(got.Alignments) {
-		t.Fatalf("alignment counts differ: want %d, got %d", len(want.Matches), len(got.Alignments))
+	aligns, err := DecodeAlignments(got.NDJSON)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want.Matches) != len(aligns) || got.Count != len(aligns) {
+		t.Fatalf("alignment counts differ: want %d, got %d lines and a count of %d", len(want.Matches), len(aligns), got.Count)
 	}
 	for i := range want.Matches {
-		if w, g := MatchJSON(&want.Matches[i]), got.Alignments[i]; !reflect.DeepEqual(w, g) {
+		if w, g := MatchJSON(&want.Matches[i]), aligns[i]; !reflect.DeepEqual(w, g) {
 			t.Fatalf("alignment %d differs:\nwant %+v\n got %+v", i, w, g)
 		}
 	}
@@ -332,7 +336,7 @@ func TestJobLifecycle(t *testing.T) {
 		t.Fatalf("state = %s, want done", j.State())
 	}
 	snap := j.Snapshot()
-	if snap.Result == nil || len(snap.Result.Alignments) == 0 {
+	if snap.Result == nil || snap.Result.Count == 0 {
 		t.Fatal("done job has no result")
 	}
 	if sub, started, fin := snap.Submitted, snap.Started, snap.Finished; sub.IsZero() || started.IsZero() || fin.IsZero() || fin.Before(started) {

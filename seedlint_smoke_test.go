@@ -24,11 +24,11 @@ func TestSeedlintSmoke(t *testing.T) {
 	// -list enumerates the analyzers, one per line; pin the full set so
 	// adding or dropping one from the registry is caught.
 	out = run(t, bin, "-list")
-	if n := len(strings.Split(strings.TrimSpace(out), "\n")); n != 6 {
-		t.Errorf("seedlint -list shows %d analyzers, want 6:\n%s", n, out)
+	if n := len(strings.Split(strings.TrimSpace(out), "\n")); n != 5 {
+		t.Errorf("seedlint -list shows %d analyzers, want 5:\n%s", n, out)
 	}
 	for _, name := range []string{
-		"mmapclose", "ctxselect", "kernelparity", "errclose", "spanend", "directive",
+		"mmapclose", "ctxselect", "kernelparity", "errclose", "directive",
 	} {
 		if !strings.Contains(out, name) {
 			t.Errorf("seedlint -list missing analyzer %q:\n%s", name, out)
