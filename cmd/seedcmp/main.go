@@ -199,8 +199,7 @@ func printTiming(res *seedblast.Summary) {
 }
 
 // printPrefilter reports the candidate-selection cut when the stage
-// ran. The counters come from pipeline.Metrics, so a merged
-// (multi-run) Metrics prints its fold-up the same way.
+// ran, from the run's pipeline.Metrics counters.
 func printPrefilter(pm *seedblast.PipelineMetrics) {
 	if pm.Prefilter.Shards == 0 {
 		return

@@ -382,6 +382,10 @@ type permanentError struct{ err error }
 func (e *permanentError) Error() string { return e.err.Error() }
 func (e *permanentError) Unwrap() error { return e.err }
 
+// abandonGrace bounds the calls that finish a volume job off after its
+// request was cancelled: the submit's round trip and the DELETE.
+const abandonGrace = 2 * time.Second
+
 // runVolumeOn executes one volume job on one worker: submit → long-poll
 // to completion → stream the result's lines off the worker, reading
 // each one's rank key, and count them. The
@@ -395,10 +399,17 @@ func (e *permanentError) Unwrap() error { return e.err }
 // or the fetch is abandoned (context cancelled or worker unreachable)
 // the job is best-effort cancelled on the worker over a detached
 // context, so an abandoned volume does not keep burning a worker's
-// admission slot.
+// admission slot. For the same reason the submit outlives a cancelled
+// ctx by up to abandonGrace: a worker that accepted the job must hand
+// its id back, or a cancellation during the round trip would leave
+// the job running there; the wait then fails on ctx and abandons it.
 func (c *Coordinator) runVolumeOn(ctx context.Context, cl *service.Client,
 	req *service.JobRequestJSON, vi int, rk *ranker) (*service.JobStatusJSON, volumeLines, error) {
-	id, err := cl.Submit(ctx, req)
+	sctx, scancel := context.WithCancel(context.WithoutCancel(ctx))
+	stop := context.AfterFunc(ctx, func() { time.AfterFunc(abandonGrace, scancel) })
+	id, err := cl.Submit(sctx, req)
+	stop()
+	scancel()
 	if err != nil {
 		var ae *service.APIError
 		if errors.As(err, &ae) && ae.StatusCode >= 400 && ae.StatusCode < 500 {
@@ -407,7 +418,7 @@ func (c *Coordinator) runVolumeOn(ctx context.Context, cl *service.Client,
 		return nil, volumeLines{}, fmt.Errorf("submit: %w", err)
 	}
 	abandon := func() {
-		dctx, dcancel := context.WithTimeout(context.WithoutCancel(ctx), 2*time.Second)
+		dctx, dcancel := context.WithTimeout(context.WithoutCancel(ctx), abandonGrace)
 		defer dcancel()
 		_ = cl.Cancel(dctx, id)
 	}

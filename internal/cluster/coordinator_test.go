@@ -543,12 +543,15 @@ func TestCoordinatorRejectsDuplicateIDs(t *testing.T) {
 }
 
 // hangingWorker accepts jobs that never finish and records which ones
-// get cancelled — for pinning cancellation propagation.
+// get cancelled — for pinning cancellation propagation. When answer is
+// set, a submit is recorded at once but answered only once answer is
+// closed.
 type hangingWorker struct {
 	mu        sync.Mutex
 	submitted []string
 	cancelled map[string]bool
 	n         int
+	answer    <-chan struct{}
 }
 
 func newHangingWorker(t testing.TB) (*hangingWorker, string) {
@@ -560,7 +563,11 @@ func newHangingWorker(t testing.TB) (*hangingWorker, string) {
 		h.n++
 		id := fmt.Sprintf("hang-%d", h.n)
 		h.submitted = append(h.submitted, id)
+		answer := h.answer
 		h.mu.Unlock()
+		if answer != nil {
+			<-answer
+		}
 		w.WriteHeader(http.StatusAccepted)
 		fmt.Fprintf(w, `{"id":%q,"state":"queued"}`, id)
 	})
@@ -578,36 +585,47 @@ func newHangingWorker(t testing.TB) (*hangingWorker, string) {
 	return h, srv.URL
 }
 
+// submits counts the jobs submitted to the worker.
+func (h *hangingWorker) submits() int {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return len(h.submitted)
+}
+
 // TestCoordinatorCancellationPropagates: cancelling the request
 // context must abort the gather promptly AND cancel every outstanding
 // job on the workers, so abandoned volumes stop burning worker
-// admission slots.
+// admission slots. Two volumes over two workers put one volume on each
+// (volume k prefers worker k, and each takes one of the two in-flight
+// slots), so both workers hold a job when the context dies. The
+// workers answer their submits only after it has died: a job a worker
+// accepted in the middle of the cancellation must be cancelled too.
 func TestCoordinatorCancellationPropagates(t *testing.T) {
 	query, subject := wireWorkload(t, 4, 54)
 	h1, u1 := newHangingWorker(t)
 	h2, u2 := newHangingWorker(t)
-	coord, err := New(Config{Workers: []string{u1, u2}, Volumes: 4})
+	release := make(chan struct{})
+	h1.answer, h2.answer = release, release
+	coord, err := New(Config{Workers: []string{u1, u2}, Volumes: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
+	reached := make(chan bool, 1)
 	go func() {
-		// Let the scatter reach the workers, then pull the plug.
-		deadline := time.Now().Add(5 * time.Second)
-		for time.Now().Before(deadline) {
-			h1.mu.Lock()
-			n1 := len(h1.submitted)
-			h1.mu.Unlock()
-			h2.mu.Lock()
-			n2 := len(h2.submitted)
-			h2.mu.Unlock()
-			if n1 > 0 && n2 > 0 {
-				break
+		// Let the scatter reach both workers, then pull the plug before
+		// they answer.
+		defer close(release)
+		defer cancel()
+		for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); {
+			if h1.submits() > 0 && h2.submits() > 0 {
+				reached <- true
+				return
 			}
 			time.Sleep(2 * time.Millisecond)
 		}
-		cancel()
+		reached <- false
 	}()
 
 	start := time.Now()
@@ -617,6 +635,9 @@ func TestCoordinatorCancellationPropagates(t *testing.T) {
 	}
 	if context.Cause(ctx) == nil || time.Since(start) > 10*time.Second {
 		t.Fatalf("Compare returned %v after %v", err, time.Since(start))
+	}
+	if !<-reached {
+		t.Fatalf("the scatter reached %d and %d submits on the two workers in 5s, want one each", h1.submits(), h2.submits())
 	}
 
 	// Every job the workers accepted must have received its DELETE.

@@ -43,7 +43,6 @@ func TestClusterPrebuiltVolumeDBs(t *testing.T) {
 
 	opt := core.DefaultOptions()
 	var workerURLs []string
-	var svcs []*service.Service
 	dir := t.TempDir()
 	for vi, vol := range vols {
 		vb := bank.New(fmt.Sprintf("vol%d", vi))
@@ -69,7 +68,6 @@ func TestClusterPrebuiltVolumeDBs(t *testing.T) {
 		}
 		srv := httptest.NewServer(service.NewHandler(svc))
 		t.Cleanup(func() { srv.Close(); svc.Close() })
-		svcs = append(svcs, svc)
 		workerURLs = append(workerURLs, srv.URL)
 	}
 
@@ -87,14 +85,16 @@ func TestClusterPrebuiltVolumeDBs(t *testing.T) {
 
 	// The point of the exercise: every volume job hit its worker's
 	// pre-warmed cache — no worker ran step 1 on its subject volume.
-	// (IndexBusy stays nonzero: it also counts query-side shard
-	// indexing, which is per-request by design.)
-	for wi, svc := range svcs {
-		st := svc.Metrics()
-		if st.Cache.Misses != 0 {
-			t.Errorf("worker %d: %d cache misses, want 0 (prebuilt volume should cover its scatter)", wi, st.Cache.Misses)
+	// (The index stage's busy time stays nonzero: it counts the
+	// query-side shard indexing, which is per-request by design.)
+	for wi, u := range workerURLs {
+		fams := scrapeMetrics(t, u)
+		misses, _ := fams.Value("seedservd_index_cache_misses_total")
+		hits, _ := fams.Value("seedservd_index_cache_hits_total")
+		if misses != 0 {
+			t.Errorf("worker %d: %v cache misses, want 0 (prebuilt volume should cover its scatter)", wi, misses)
 		}
-		if st.Cache.Hits == 0 {
+		if hits == 0 {
 			t.Errorf("worker %d: no cache hits; did the coordinator's scatter reach it?", wi)
 		}
 	}

@@ -209,9 +209,13 @@ func DefaultOptions() Options {
 	}
 }
 
-// StepTimes records per-step durations, each summed over shards. For
-// the RASC engine, Ungapped is the simulated accelerator time (cycles
-// at the configured clock plus DMA), not host wall time. On a
+// StepTimes is the paper's per-step view of a run (Tables 1 and 7),
+// each step summed over shards. It is derived from Summary.Pipeline
+// and the device reports, not timed on its own: Index is
+// Pipeline.Index.Busy; Ungapped is Pipeline.Step2.Busy, or for the
+// RASC engine Device.Seconds, the simulated accelerator time (cycles
+// at the configured clock plus DMA); Gapped is Pipeline.Step3.Busy, or
+// with RASC.OffloadGapped the gap operator's GapDevice.Seconds. On a
 // one-shard CPU run the steps run one after another, so their sum is
 // within the engine's overhead of Summary.Pipeline.Wall.
 type StepTimes struct {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -208,6 +209,55 @@ func TestEngineString(t *testing.T) {
 		_, err := ParseEngine(name)
 		if err == nil || !strings.Contains(err.Error(), "cpu") || !strings.Contains(err.Error(), "rasc") {
 			t.Errorf("ParseEngine(%q) error = %v, want one naming cpu and rasc", name, err)
+		}
+	}
+}
+
+// TestStepTimesDerivedFromMetrics: Summary.Times is derived from the
+// engine's Metrics and the device reports, at one and four shards, on
+// both engines, with and without the offloaded gap operator (which
+// only the RASC engine carries).
+func TestStepTimesDerivedFromMetrics(t *testing.T) {
+	proteins, genome, _ := plantedWorkload(t, 8, 30_000, 3)
+	sec := func(s float64) time.Duration { return time.Duration(s * float64(time.Second)) }
+	for _, eng := range []Engine{EngineCPU, EngineRASC} {
+		for _, shards := range []int{1, 4} {
+			for _, offload := range []bool{false, true} {
+				name := fmt.Sprintf("%s/shards=%d/offload=%t", eng, shards, offload)
+				opt := DefaultOptions()
+				opt.Engine = eng
+				opt.RASC.OffloadGapped = offload
+				if shards > 1 {
+					opt.Pipeline.ShardSize = proteins.Len() / shards
+				}
+				res, err := searchGenome(proteins, genome, opt)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				pm := res.Pipeline
+				if pm.Shards != shards || pm.Index.Busy <= 0 || pm.Step2.Busy <= 0 || pm.Step3.Busy <= 0 {
+					t.Fatalf("%s: engine metrics %+v, want %d shards and every step timed", name, pm, shards)
+				}
+				want := StepTimes{Index: pm.Index.Busy, Ungapped: pm.Step2.Busy, Gapped: pm.Step3.Busy}
+				if eng == EngineRASC {
+					if res.Device == nil {
+						t.Fatalf("%s: no device report", name)
+					}
+					want.Ungapped = sec(res.Device.Seconds)
+					if offload {
+						if res.GapDevice == nil {
+							t.Fatalf("%s: no gap-operator report", name)
+						}
+						want.Gapped = sec(res.GapDevice.Seconds)
+					}
+				}
+				if res.Times != want {
+					t.Errorf("%s: Times %+v, want %+v", name, res.Times, want)
+				}
+				if got := res.GapDevice != nil; got != (eng == EngineRASC && offload) {
+					t.Errorf("%s: gap-operator report present = %t", name, got)
+				}
+			}
 		}
 	}
 }

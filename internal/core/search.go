@@ -343,11 +343,8 @@ func (r *Results) Matches() iter.Seq2[Match, error] {
 			yield(Match{}, err)
 			return
 		}
+		out.Metrics.Index.Busy += ixDur
 		sum, err := summarize(out, &r.s.opt, r.s.gcfg)
-		if err == nil {
-			sum.Times.Index += ixDur
-			sum.Pipeline.Index.Busy += ixDur
-		}
 		r.finish(sum, err)
 		if err != nil {
 			yield(Match{}, err)
@@ -386,25 +383,29 @@ func (r *Results) Summary() (*Summary, error) {
 	return r.sum, nil
 }
 
-// summarize maps the engine output onto the StepTimes semantics: the
-// RASC engine's step-2 time is the aggregated simulated device
-// seconds, and the future-work configuration times step 3 on the
-// simulated gap operator.
+// summarize maps the engine output onto the StepTimes semantics, the
+// one place Summary.Times is derived: Index is the engine's step-1
+// busy time; Ungapped is the simulated device seconds on the RASC
+// engine and step-2 busy time on the CPU; Gapped is the simulated gap
+// operator's seconds in the future-work configuration and step-3 busy
+// time otherwise.
 func summarize(out *pipeline.Output, opt *Options, gcfg gapped.Config) (*Summary, error) {
+	pm := &out.Metrics
 	sum := &Summary{
 		Hits:       out.Hits,
 		Pairs:      out.Pairs,
+		Times:      StepTimes{Index: pm.Index.Busy, Ungapped: pm.Step2.Busy, Gapped: pm.Step3.Busy},
 		Device:     out.Device,
 		GappedWork: out.GappedWork,
-		Pipeline:   out.Metrics,
+		Pipeline:   *pm,
 	}
-	sum.Times.Index = out.IndexTime
-	sum.Times.Ungapped = out.Step2Time
-	sum.Times.Gapped = out.Step3Time
-	if opt.Engine == EngineRASC && out.Device != nil {
+	if opt.Engine != EngineRASC {
+		return sum, nil
+	}
+	if out.Device != nil {
 		sum.Times.Ungapped = time.Duration(out.Device.Seconds * float64(time.Second))
 	}
-	if opt.Engine == EngineRASC && opt.RASC.OffloadGapped {
+	if opt.RASC.OffloadGapped {
 		gop := hwsim.DefaultGapOp(gcfg.Band)
 		if opt.RASC.ClockHz != 0 {
 			gop.ClockHz = opt.RASC.ClockHz

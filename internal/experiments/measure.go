@@ -94,7 +94,6 @@ func (b scalarBackend) Step2(ctx context.Context, shard *pipeline.Shard, ix1 *in
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	t0 := time.Now()
 	r, err := ungapped.Run(shard.Index, ix1, ungapped.Config{
 		Matrix:    matrix.BLOSUM62,
 		Threshold: b.threshold,
@@ -104,7 +103,7 @@ func (b scalarBackend) Step2(ctx context.Context, shard *pipeline.Shard, ix1 *in
 	if err != nil {
 		return nil, err
 	}
-	return &pipeline.Step2Output{Hits: r.Hits, Pairs: r.Pairs, Elapsed: time.Since(t0)}, nil
+	return &pipeline.Step2Output{Hits: r.Hits, Pairs: r.Pairs}, nil
 }
 
 // Measure runs the pipeline over every bank of the workload and
@@ -169,8 +168,8 @@ func Measure(w *Workload, opt MeasureOptions) (*Measurements, error) {
 		if err != nil {
 			return nil, err
 		}
-		m.Step2SeqSec = out.Step2Time.Seconds()
-		m.Step3Sec = out.Step3Time.Seconds()
+		m.Step2SeqSec = out.Metrics.Step2.Busy.Seconds()
+		m.Step3Sec = out.Metrics.Step3.Busy.Seconds()
 		m.Hits = out.Hits
 		m.Pairs = out.Pairs
 		m.GapStats = out.GappedWork

@@ -21,10 +21,6 @@ type Step2Output struct {
 	// numbering before step 3.
 	Hits  []ungapped.Hit
 	Pairs int64
-	// Elapsed is the stage's cost under StepTimes semantics: host wall
-	// time for the CPU backend, simulated device seconds for the RASC
-	// backend.
-	Elapsed time.Duration
 	// Device is the accelerator report when the shard ran on hardware.
 	Device *hwsim.Step2Report
 }
@@ -52,7 +48,6 @@ func (b *CPUBackend) Step2(ctx context.Context, shard *Shard, ix1 *index.Index) 
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	t0 := time.Now()
 	r, err := ungapped.Run(shard.Index, ix1, ungapped.Config{
 		Matrix:    b.Matrix,
 		Threshold: b.Threshold,
@@ -61,17 +56,13 @@ func (b *CPUBackend) Step2(ctx context.Context, shard *Shard, ix1 *index.Index) 
 	if err != nil {
 		return nil, err
 	}
-	return &Step2Output{
-		Hits:    r.Hits,
-		Pairs:   r.Pairs,
-		Elapsed: time.Since(t0),
-	}, nil
+	return &Step2Output{Hits: r.Hits, Pairs: r.Pairs}, nil
 }
 
-// RASCBackend runs step 2 on the simulated RASC-100 accelerator.
-// Elapsed is the simulated device time (cycles at the configured clock
-// plus DMA), not host wall time, matching the batch path's StepTimes
-// semantics for the RASC engine.
+// RASCBackend runs step 2 on the simulated RASC-100 accelerator. Its
+// report's Seconds is the simulated device time (cycles at the
+// configured clock plus DMA); the engine sums the reports into
+// Output.Device.
 type RASCBackend struct {
 	Device *hwsim.Device
 }
@@ -88,12 +79,7 @@ func (b *RASCBackend) Step2(ctx context.Context, shard *Shard, ix1 *index.Index)
 	if err != nil {
 		return nil, err
 	}
-	return &Step2Output{
-		Hits:    rep.Hits,
-		Pairs:   rep.Pairs,
-		Elapsed: time.Duration(rep.Seconds * float64(time.Second)),
-		Device:  rep,
-	}, nil
+	return &Step2Output{Hits: rep.Hits, Pairs: rep.Pairs, Device: rep}, nil
 }
 
 // frontResult is one shard after steps 1 and 2: its hits in bank-0

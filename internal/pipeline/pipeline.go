@@ -31,7 +31,6 @@ import (
 	"seedblast/internal/prefilter"
 	"seedblast/internal/seed"
 	"seedblast/internal/telemetry"
-	"seedblast/internal/ungapped"
 )
 
 // Config tunes the engine. The zero value processes bank 0 as a single
@@ -78,12 +77,6 @@ type Request struct {
 	// and N. Callers that already hold it avoid a rebuild this way.
 	Index0 *index.Index
 
-	// KeepHits retains the step-2 hits in Output.UngappedHits
-	// (concatenated in shard order). Off by default: hit lists are the
-	// engine's largest intermediate and are normally dropped once step
-	// 3 has consumed them.
-	KeepHits bool
-
 	// Prefilter enables the candidate-selection stage between step 1
 	// and step 2 (see Engine.step2). The zero value bypasses it, and
 	// E-values are unaffected either way: Gapped's search space still
@@ -97,10 +90,13 @@ type StageMetrics struct {
 	Busy   time.Duration // summed host wall time spent processing
 }
 
-// Metrics is the engine's per-run accounting. Busy times are host wall
-// durations. On a one-shard run they sum to within the loop's own
-// overhead of Wall; on a sharded run the look-ahead's steps 1 and 2
-// overlap step 3, so the sum can exceed Wall.
+// Metrics is the engine's per-run accounting and the one record of a
+// run's stage times. Busy times are host wall durations (on the RASC
+// backend, Step2.Busy is the simulator's host time; the simulated
+// device time is Output.Device.Seconds). On a one-shard run they sum
+// to within the loop's own overhead of Wall; on a sharded run the
+// look-ahead's steps 1 and 2 overlap step 3, so the sum can exceed
+// Wall.
 type Metrics struct {
 	Shards    int           // shards planned
 	Wall      time.Duration // end-to-end engine wall time
@@ -136,21 +132,9 @@ type Output struct {
 	Pairs      int64 // step-2 scorings performed
 	GappedWork gapped.Stats
 
-	// Step durations under the batch StepTimes semantics: IndexTime
-	// sums the subject-index and shard-index builds; Step2Time sums the
-	// backends' Elapsed (simulated seconds for the RASC backend, host
-	// wall for the CPU backend); Step3Time sums the gapped stage.
-	IndexTime time.Duration
-	Step2Time time.Duration
-	Step3Time time.Duration
-
 	// Device sums the per-shard accelerator reports when the backend
 	// attached any (see sumReports).
 	Device *hwsim.Step2Report
-
-	// UngappedHits holds the step-2 hits in shard order when
-	// Request.KeepHits is set.
-	UngappedHits []ungapped.Hit
 
 	Metrics Metrics
 }
@@ -273,13 +257,8 @@ func (e *Engine) run(ctx context.Context, req *Request, emit func([]gapped.Align
 		out.Hits += len(r.Hits)
 		out.Pairs += r.Pairs
 		addGappedStats(&out.GappedWork, &gs)
-		out.Step2Time += r.Elapsed
-		out.Step3Time += d
 		if r.Device != nil {
 			reports = append(reports, r.Device)
-		}
-		if req.KeepHits {
-			out.UngappedHits = append(out.UngappedHits, r.Hits...)
 		}
 		if emit == nil {
 			out.Alignments = append(out.Alignments, as...)
@@ -329,7 +308,6 @@ func (e *Engine) run(ctx context.Context, req *Request, emit func([]gapped.Align
 		}
 	}
 	out.Device = sumReports(reports)
-	out.IndexTime = met.Index.Busy
 	met.Wall = time.Since(start)
 	return out, nil
 }

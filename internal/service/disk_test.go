@@ -53,9 +53,9 @@ func TestPreloadDBWarmsCache(t *testing.T) {
 	}
 	assertSameResult(t, ref, res)
 
-	st := svc.Metrics()
-	if st.Cache.Misses != 0 || st.Cache.Hits != 1 {
-		t.Errorf("first request after preload: %+v, want 1 hit / 0 misses", st.Cache)
+	st := scrape(t, svc).cache()
+	if st.Misses != 0 || st.Hits != 1 {
+		t.Errorf("first request after preload: %+v, want 1 hit / 0 misses", st)
 	}
 }
 
@@ -87,9 +87,9 @@ func TestDiskFallbackAfterEviction(t *testing.T) {
 	}
 	assertSameResult(t, ref, res)
 
-	st := svc.Metrics()
-	if st.Cache.DiskLoads != 1 {
-		t.Errorf("disk loads = %d, want 1 (miss on a registered fingerprint must reload, not rebuild)", st.Cache.DiskLoads)
+	st := scrape(t, svc).cache()
+	if st.DiskLoads != 1 {
+		t.Errorf("disk loads = %d, want 1 (miss on a registered fingerprint must reload, not rebuild)", st.DiskLoads)
 	}
 }
 
@@ -110,8 +110,8 @@ func TestRegisterDBServesColdMiss(t *testing.T) {
 	}
 	ref := libraryBanks(t, testSearcher(t), b0, b1)
 	assertSameResult(t, ref, res)
-	if st := svc.Metrics(); st.Cache.DiskLoads != 1 || st.Cache.Misses != 1 {
-		t.Errorf("cache stats %+v, want 1 miss served by 1 disk load", st.Cache)
+	if st := scrape(t, svc).cache(); st.DiskLoads != 1 || st.Misses != 1 {
+		t.Errorf("cache stats %+v, want 1 miss served by 1 disk load", st)
 	}
 }
 
@@ -136,8 +136,8 @@ func TestDiskFallbackSurvivesMissingFile(t *testing.T) {
 	}
 	ref := libraryBanks(t, testSearcher(t), b0, b1)
 	assertSameResult(t, ref, res)
-	if st := svc.Metrics(); st.Cache.DiskLoads != 0 {
-		t.Errorf("disk loads = %d for a vanished file, want 0 (rebuild fallback)", st.Cache.DiskLoads)
+	if st := scrape(t, svc).cache(); st.DiskLoads != 0 {
+		t.Errorf("disk loads = %d for a vanished file, want 0 (rebuild fallback)", st.DiskLoads)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"seedblast/internal/core"
+	"seedblast/internal/telemetry"
 )
 
 // TestHTTPMaxCandidates covers the wire plumbing for the prefilter
@@ -75,12 +76,12 @@ func TestHTTPMaxCandidates(t *testing.T) {
 	if _, err := searchBanks(svc, testSearcher(t, core.WithMaxCandidates(2)), b0, b1); err != nil {
 		t.Fatal(err)
 	}
-	snap := svc.Metrics()
-	if snap.PrefilterKept == 0 || snap.PrefilterDropped == 0 {
-		t.Fatalf("prefilter counters not fed: %+v", snap)
+	m := scrape(t, svc)
+	if kept, dropped := m.value("prefilter_kept_total"), m.value("prefilter_dropped_total"); kept == 0 || dropped == 0 {
+		t.Fatalf("prefilter counters not fed: kept %v, dropped %v", kept, dropped)
 	}
-	if snap.PrefilterBusy <= 0 {
-		t.Fatalf("prefilter busy time not fed: %v", snap.PrefilterBusy)
+	if busy := m.value("stage_busy_seconds_total", telemetry.L("stage", "prefilter")); busy <= 0 {
+		t.Fatalf("prefilter busy time not fed: %v", busy)
 	}
 
 	resp, err = http.Get(ts.URL + "/metrics")

@@ -228,35 +228,14 @@ func (j *Job) Done() <-chan struct{} { return j.done }
 // one is cancelled through its context.
 func (j *Job) Cancel() { j.cancel() }
 
-// MetricsSnapshot is a point-in-time view of the service's counters.
+// MetricsSnapshot is a point-in-time view of the subject-index
+// cache's counters. Every other count of the service lives on its
+// registry (Registry, served on /metrics). This view is kept only
+// because the benchmark harness reads the cache's hits and misses
+// through it; it goes when that harness reads the registry (ROADMAP
+// item 7).
 type MetricsSnapshot struct {
-	Submitted int64 // requests accepted (sync + async)
-	Completed int64
-	Failed    int64
-	Running   int // comparisons currently admitted
-	Waiting   int // requests blocked on admission or on a shared index build
-
-	Cache        CacheStats
-	CacheHitRate float64
-
-	// Per-stage busy time summed over all completed runs (the engine's
-	// Metrics accounting), plus total engine wall time. IndexBusy only
-	// grows when an index is actually built, so its ratio to Step2Busy
-	// shrinks as the cache gets hotter.
-	IndexBusy     time.Duration
-	PrefilterBusy time.Duration
-	Step2Busy     time.Duration
-	Step3Busy     time.Duration
-	Wall          time.Duration
-
-	Alignments int64 // alignments reported across completed runs
-
-	// Prefilter pair accounting summed over completed runs: candidate
-	// (query, subject) pairs kept by and dropped at the per-query
-	// top-K cut. Both stay zero while no request enables
-	// maxCandidates.
-	PrefilterKept    int64
-	PrefilterDropped int64
+	Cache CacheStats
 }
 
 // Service is the comparison service. Create with New; all methods are
@@ -271,29 +250,13 @@ type Service struct {
 	store *JobStore
 	run   RunFunc // Config.Run, or the in-process runLocal
 
-	reg           *telemetry.Registry
-	stageHist     map[string]*telemetry.Histogram // span name → latency histogram
-	reqHist       *telemetry.Histogram            // whole-request latency
-	survivorsHist *telemetry.Histogram            // prefilter survivors per query
+	reg *telemetry.Registry
+	met *metrics
 
 	mu      sync.Mutex
 	seq     int
 	pending int // async jobs admitted but not finished
 	closed  bool
-	running int
-	waiting int
-
-	submitted        int64
-	completed        int64
-	failed           int64
-	indexBusy        time.Duration
-	prefilterBusy    time.Duration
-	step2Busy        time.Duration
-	step3Busy        time.Duration
-	wall             time.Duration
-	alignments       int64
-	prefilterKept    int64
-	prefilterDropped int64
 
 	wg sync.WaitGroup // outstanding async jobs
 }
@@ -313,7 +276,7 @@ func New(cfg Config) *Service {
 	if s.run == nil {
 		s.run = s.runLocal
 	}
-	s.registerMetrics()
+	s.met = newMetrics(s.reg, s.cache)
 	s.store.StartSweeper(cfg.SweepInterval)
 	return s
 }
@@ -321,98 +284,6 @@ func New(cfg Config) *Service {
 // Registry returns the metrics registry the service reports on; the
 // HTTP layer serves it on /metrics.
 func (s *Service) Registry() *telemetry.Registry { return s.reg }
-
-// registerMetrics puts the service's counters on the registry. The
-// historical /metrics names are kept verbatim as callback-backed
-// metrics over the MetricsSnapshot counters — one source of truth, now
-// with HELP/TYPE lines — and per-shard stage latencies gain real
-// histograms fed from each finished run's trace spans.
-func (s *Service) registerMetrics() {
-	r := s.reg
-	cnt := func(name, help string, get func(MetricsSnapshot) float64) {
-		r.Func("seedservd_"+name, help, telemetry.TypeCounter, func() float64 { return get(s.Metrics()) })
-	}
-	gau := func(name, help string, get func(MetricsSnapshot) float64) {
-		r.Func("seedservd_"+name, help, telemetry.TypeGauge, func() float64 { return get(s.Metrics()) })
-	}
-	cnt("requests_submitted_total", "Requests accepted (sync and async).",
-		func(m MetricsSnapshot) float64 { return float64(m.Submitted) })
-	cnt("requests_completed_total", "Requests finished successfully.",
-		func(m MetricsSnapshot) float64 { return float64(m.Completed) })
-	cnt("requests_failed_total", "Requests that errored or were cancelled.",
-		func(m MetricsSnapshot) float64 { return float64(m.Failed) })
-	gau("requests_running", "Comparisons currently admitted.",
-		func(m MetricsSnapshot) float64 { return float64(m.Running) })
-	gau("requests_waiting", "Requests blocked on admission or an index build.",
-		func(m MetricsSnapshot) float64 { return float64(m.Waiting) })
-	cnt("index_cache_hits_total", "Subject-index cache hits.",
-		func(m MetricsSnapshot) float64 { return float64(m.Cache.Hits) })
-	cnt("index_cache_misses_total", "Subject-index cache misses.",
-		func(m MetricsSnapshot) float64 { return float64(m.Cache.Misses) })
-	cnt("index_cache_evictions_total", "Subject indexes evicted from the LRU.",
-		func(m MetricsSnapshot) float64 { return float64(m.Cache.Evictions) })
-	cnt("index_cache_disk_loads_total", "Cache misses served from a registered seeddb.",
-		func(m MetricsSnapshot) float64 { return float64(m.Cache.DiskLoads) })
-	gau("index_cache_entries", "Subject indexes resident in the cache.",
-		func(m MetricsSnapshot) float64 { return float64(m.Cache.Entries) })
-	gau("index_cache_hit_rate", "Cache hits over lookups since start.",
-		func(m MetricsSnapshot) float64 { return m.CacheHitRate })
-	// Registration order fixes the exposition order (index first —
-	// scrapers reading the family without labels see a live series),
-	// so this stays a slice, not a map.
-	for _, sc := range []struct {
-		stage string
-		get   func(MetricsSnapshot) time.Duration
-	}{
-		{"index", func(m MetricsSnapshot) time.Duration { return m.IndexBusy }},
-		{"prefilter", func(m MetricsSnapshot) time.Duration { return m.PrefilterBusy }},
-		{"step2", func(m MetricsSnapshot) time.Duration { return m.Step2Busy }},
-		{"step3", func(m MetricsSnapshot) time.Duration { return m.Step3Busy }},
-	} {
-		stage, get := sc.stage, sc.get
-		r.Func("seedservd_stage_busy_seconds_total",
-			"Per-stage busy time summed over completed runs.",
-			telemetry.TypeCounter,
-			func() float64 { return get(s.Metrics()).Seconds() },
-			telemetry.L("stage", stage))
-	}
-	cnt("engine_wall_seconds_total", "Engine wall time summed over completed runs.",
-		func(m MetricsSnapshot) float64 { return m.Wall.Seconds() })
-	cnt("alignments_total", "Alignments reported across completed runs.",
-		func(m MetricsSnapshot) float64 { return float64(m.Alignments) })
-	cnt("prefilter_kept_total", "Candidate pairs kept by the prefilter's per-query top-K cut.",
-		func(m MetricsSnapshot) float64 { return float64(m.PrefilterKept) })
-	cnt("prefilter_dropped_total", "Candidate pairs dropped at the prefilter's per-query top-K cut.",
-		func(m MetricsSnapshot) float64 { return float64(m.PrefilterDropped) })
-
-	// Survivors per query, observed once per completed prefiltered run
-	// (the run's mean): the distribution shows how often the top-K cut
-	// actually binds versus passes everything through.
-	s.survivorsHist = r.Histogram("seedservd_prefilter_survivors",
-		"Mean surviving subjects per query on completed prefiltered runs.",
-		telemetry.ExpBuckets(1, 2, 16))
-
-	s.stageHist = make(map[string]*telemetry.Histogram)
-	for _, stage := range []string{"step1", "prefilter", "step2", "step3"} {
-		s.stageHist[stage] = r.Histogram("seedservd_stage_seconds",
-			"Per-shard stage latency, one observation per pipeline span.",
-			telemetry.DurationBuckets, telemetry.L("stage", stage))
-	}
-	s.reqHist = r.Histogram("seedservd_request_seconds",
-		"End-to-end request latency (admission wait included).",
-		telemetry.DurationBuckets)
-}
-
-// observeTrace feeds one finished run's stage spans into the latency
-// histograms. Each job and each sync call runs under its own trace, so
-// the spans seen here are exactly this run's.
-func (s *Service) observeTrace(tr *telemetry.Trace) {
-	for _, sp := range tr.Spans() {
-		if h, ok := s.stageHist[sp.Name]; ok {
-			h.Observe(sp.Duration.Seconds())
-		}
-	}
-}
 
 // Submit accepts a request for asynchronous execution and returns its
 // Job immediately. The job runs as soon as admission allows.
@@ -463,14 +334,15 @@ func (s *Service) Submit(req *Request) (*Job, error) {
 	go func() {
 		defer s.wg.Done()
 		defer cancel()
-		start := s.begin()
+		s.met.submitted.Inc()
+		start := time.Now()
 		res, err := s.run(ctx, req, func() {
 			j.mu.Lock()
 			j.snap.State = JobRunning
 			j.snap.Started = time.Now()
 			j.mu.Unlock()
 		})
-		s.end(tr, start, err)
+		s.met.requestDone(tr, start, err)
 		j.mu.Lock()
 		j.snap.Finished = time.Now()
 		if err != nil {
@@ -511,29 +383,8 @@ func (s *Service) Close() {
 	s.store.StopSweeper()
 }
 
-// Metrics returns a snapshot of the service counters.
-func (s *Service) Metrics() MetricsSnapshot {
-	cs := s.cache.snapshot()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return MetricsSnapshot{
-		Submitted:        s.submitted,
-		Completed:        s.completed,
-		Failed:           s.failed,
-		Running:          s.running,
-		Waiting:          s.waiting,
-		Cache:            cs,
-		CacheHitRate:     cs.HitRate(),
-		IndexBusy:        s.indexBusy,
-		PrefilterBusy:    s.prefilterBusy,
-		Step2Busy:        s.step2Busy,
-		Step3Busy:        s.step3Busy,
-		Wall:             s.wall,
-		Alignments:       s.alignments,
-		PrefilterKept:    s.prefilterKept,
-		PrefilterDropped: s.prefilterDropped,
-	}
-}
+// Metrics returns a snapshot of the cache counters.
+func (s *Service) Metrics() MetricsSnapshot { return MetricsSnapshot{Cache: s.cache.snapshot()} }
 
 func validate(req *Request) error {
 	if req == nil || req.Query == nil {
@@ -564,31 +415,6 @@ func subject(req *Request, opt *core.Options) (subjectTarget, string) {
 			index.ModelIdentity(opt.Seed, opt.N))
 	}
 	return core.NewProteinTarget(req.Subject), index.Fingerprint(req.Subject, opt.Seed, opt.N)
-}
-
-// begin counts a request in and returns its start.
-func (s *Service) begin() time.Time {
-	s.mu.Lock()
-	s.submitted++
-	s.mu.Unlock()
-	return time.Now()
-}
-
-// end accounts a finished request: the outcome counters and, on
-// success, the request span over the whole run and its latency.
-func (s *Service) end(tr *telemetry.Trace, start time.Time, err error) {
-	d := time.Since(start)
-	s.mu.Lock()
-	if err != nil {
-		s.failed++
-	} else {
-		s.completed++
-	}
-	s.mu.Unlock()
-	if err == nil {
-		tr.Record("request", start, d)
-		s.reqHist.Observe(d.Seconds())
-	}
 }
 
 // runLocal is the in-process RunFunc: compare, with the matches
@@ -646,37 +472,6 @@ func (s *Service) compare(ctx context.Context, req *Request, onStart func()) ([]
 	}
 	opt := searcher.Options()
 
-	// The pipeline records per-shard stage spans into the run's trace
-	// (Submit puts one in ctx); on success they feed the
-	// stage-latency histograms.
-	tr := telemetry.TraceFromContext(ctx)
-
-	s.mu.Lock()
-	s.waiting++
-	s.mu.Unlock()
-
-	finish := func(ms []core.Match, sum *core.Summary, err error) ([]core.Match, *core.Summary, error) {
-		if err != nil {
-			return nil, nil, err
-		}
-		s.mu.Lock()
-		pm := &sum.Pipeline
-		s.indexBusy += pm.Index.Busy
-		s.prefilterBusy += pm.Prefilter.Busy
-		s.step2Busy += pm.Step2.Busy
-		s.step3Busy += pm.Step3.Busy
-		s.wall += pm.Wall
-		s.alignments += int64(len(ms))
-		s.prefilterKept += pm.PrefilterKept
-		s.prefilterDropped += pm.PrefilterDropped
-		s.mu.Unlock()
-		if q := pm.PrefilterQueries; q > 0 {
-			s.survivorsHist.Observe(float64(pm.PrefilterKept) / float64(q))
-		}
-		s.observeTrace(tr)
-		return ms, sum, nil
-	}
-
 	// The index build/lookup happens outside the admission gate: a
 	// build is one-off per subject (singleflight), and keeping waiters
 	// out of the semaphore means a slow build never pins a compare
@@ -700,41 +495,41 @@ func (s *Service) compare(ctx context.Context, req *Request, onStart func()) ([]
 		}
 		return index.BuildParallel(tgt.Bank(), opt.Seed, opt.N, opt.Workers)
 	}
+	s.met.waiting.Add(1)
 	ix, err := s.cache.get(ctx, key, gatedBuild)
 	if err != nil {
-		s.mu.Lock()
-		s.waiting--
-		s.mu.Unlock()
-		return finish(nil, nil, fmt.Errorf("service: subject index: %w", err))
+		err = fmt.Errorf("service: subject index: %w", err)
+	} else {
+		// Admission: at most MaxConcurrent comparisons in flight.
+		select {
+		case s.sem <- struct{}{}:
+		case <-ctx.Done():
+			err = ctx.Err()
+		}
 	}
-	tgt.Adopt(ix)
-
-	// Admission: at most MaxConcurrent comparisons in flight.
-	select {
-	case s.sem <- struct{}{}:
-	case <-ctx.Done():
-		s.mu.Lock()
-		s.waiting--
-		s.mu.Unlock()
-		return finish(nil, nil, ctx.Err())
+	s.met.waiting.Add(-1)
+	if err != nil {
+		return nil, nil, err
 	}
-	s.mu.Lock()
-	s.waiting--
-	s.running++
-	s.mu.Unlock()
+	s.met.running.Add(1)
 	defer func() {
-		s.mu.Lock()
-		s.running--
-		s.mu.Unlock()
+		s.met.running.Add(-1)
 		<-s.sem
 	}()
+	tgt.Adopt(ix)
 	onStart()
 
 	res := searcher.Search(ctx, core.NewProteinTarget(req.Query), tgt)
 	ms, err := res.Collect()
 	if err != nil {
-		return finish(nil, nil, err)
+		return nil, nil, err
 	}
 	sum, err := res.Summary()
-	return finish(ms, sum, err)
+	if err != nil {
+		return nil, nil, err
+	}
+	// The pipeline recorded per-shard stage spans into the run's trace
+	// (Submit puts one in ctx); they feed the stage-latency histograms.
+	s.met.runDone(len(ms), &sum.Pipeline, telemetry.TraceFromContext(ctx))
+	return ms, sum, nil
 }

@@ -222,9 +222,9 @@ func TestServiceMatchesCore(t *testing.T) {
 	}
 	assertSameResult(t, want, got)
 
-	m := svc.Metrics()
-	if m.Completed != 1 || m.Cache.Misses != 1 {
-		t.Errorf("metrics after one request: %+v", m)
+	m := scrape(t, svc)
+	if done, misses := m.value("requests_completed_total"), m.value("index_cache_misses_total"); done != 1 || misses != 1 {
+		t.Errorf("metrics after one request: %v completed, %v misses", done, misses)
 	}
 
 	// Second identical request: cache hit, identical result.
@@ -233,12 +233,12 @@ func TestServiceMatchesCore(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertSameResult(t, want, got2)
-	m = svc.Metrics()
-	if m.Cache.Hits != 1 {
-		t.Errorf("second request did not hit the index cache: %+v", m.Cache)
+	m = scrape(t, svc)
+	if st := m.cache(); st.Hits != 1 {
+		t.Errorf("second request did not hit the index cache: %+v", st)
 	}
-	if m.CacheHitRate != 0.5 {
-		t.Errorf("hit rate = %v, want 0.5", m.CacheHitRate)
+	if rate := m.value("index_cache_hit_rate"); rate != 0.5 {
+		t.Errorf("hit rate = %v, want 0.5", rate)
 	}
 }
 
@@ -280,16 +280,16 @@ func TestServiceConcurrentBitIdentical(t *testing.T) {
 			t.Fatalf("request %d: %v", i, err)
 		}
 	}
-	m := svc.Metrics()
-	if m.Cache.Misses != 1 {
+	m := scrape(t, svc)
+	if st := m.cache(); st.Misses != 1 {
 		t.Errorf("%d index builds for one hot subject bank, want 1 (singleflight+cache): %+v",
-			m.Cache.Misses, m.Cache)
+			st.Misses, st)
 	}
-	if m.Completed != rounds {
-		t.Errorf("completed = %d, want %d", m.Completed, rounds)
+	if done := m.value("requests_completed_total"); done != rounds {
+		t.Errorf("completed = %v, want %d", done, rounds)
 	}
-	if m.Running != 0 || m.Waiting != 0 {
-		t.Errorf("gauges not drained: %+v", m)
+	if running, waiting := m.value("requests_running"), m.value("requests_waiting"); running != 0 || waiting != 0 {
+		t.Errorf("gauges not drained: %v running, %v waiting", running, waiting)
 	}
 }
 
@@ -316,8 +316,8 @@ func TestServiceGenomeCached(t *testing.T) {
 		}
 		assertSameResult(t, want, got)
 	}
-	if m := svc.Metrics(); m.Cache.Hits != 1 || m.Cache.Misses != 1 {
-		t.Errorf("genome frame index not cached across runs: %+v", m.Cache)
+	if st := scrape(t, svc).cache(); st.Hits != 1 || st.Misses != 1 {
+		t.Errorf("genome frame index not cached across runs: %+v", st)
 	}
 }
 
@@ -389,8 +389,8 @@ func TestJobCancel(t *testing.T) {
 	if s := second.State(); s != JobFailed && s != JobDone {
 		t.Errorf("cancelled job state = %s", s)
 	}
-	if m := svc.Metrics(); m.Running != 0 || m.Waiting != 0 {
-		t.Errorf("gauges not drained after cancel: %+v", m)
+	if m := scrape(t, svc); m.value("requests_running") != 0 || m.value("requests_waiting") != 0 {
+		t.Errorf("gauges not drained after cancel: %v running, %v waiting", m.value("requests_running"), m.value("requests_waiting"))
 	}
 }
 

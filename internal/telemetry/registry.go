@@ -187,6 +187,9 @@ type Gauge struct{ bits atomicFloat }
 // Set replaces the value.
 func (g *Gauge) Set(v float64) { g.bits.store(v) }
 
+// Add adds v, which may be negative.
+func (g *Gauge) Add(v float64) { g.bits.add(v) }
+
 func (g *Gauge) render(w io.Writer, name, labels string) {
 	fmt.Fprintf(w, "%s%s %s\n", name, labels, formatFloat(g.bits.load()))
 }
@@ -196,10 +199,10 @@ func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
 	return r.lookup(name, help, TypeGauge, labels, func() renderable { return &Gauge{} }).(*Gauge)
 }
 
-// funcMetric reads its value from a callback at scrape time — the
-// bridge for counters that already live elsewhere (the service's
-// MetricsSnapshot) so migrating onto the registry does not mean
-// double-counting.
+// funcMetric reads its value from a callback at scrape time — for
+// counters a component keeps for its own use (the service's index
+// cache statistics), so the registry reads them instead of holding a
+// second copy.
 type funcMetric struct{ fn func() float64 }
 
 func (f *funcMetric) render(w io.Writer, name, labels string) {
