@@ -177,7 +177,9 @@ func run(b0, b1 *bank.Bank, hits []ungapped.Hit, cfg Config) ([]Alignment, Stats
 				lanes:     make([]lane, 0, align.BatchLanes),
 				wins:      make([][]byte, 0, align.BatchLanes),
 				diags:     make([]int, 0, align.BatchLanes),
-				ends:      make([]align.Local, 0, align.BatchLanes)}
+				ends:      make([]align.Local, 0, align.BatchLanes),
+				shift:     bits.Len(uint(cfg.Band)),
+				heads:     make([]int32, 0, 32*chunkGroups), links: make([]link, 0, 2*chunkGroups)}
 		}
 		i := sort.Search(len(qs), func(i int) bool { return qs[i].chunk0 > c }) - 1
 		x, qu := xs[w], &qs[i]
@@ -479,6 +481,12 @@ type extender struct {
 	fill      fill
 	seq0      int         // the query of the chunk it is on
 	out       []Alignment // the alignments of every group it finished
+	// The chunk's found alignments by start diagonal: a group's bucket
+	// k of 1<<shift > Band diagonals is heads[g.heads+k], one past its
+	// last alignment's link.
+	shift int
+	heads []int32
+	links []link
 
 	gs    []groupState
 	lanes []lane
@@ -496,6 +504,7 @@ type groupState struct {
 	cur        int
 	done       bool
 	found      []Alignment
+	heads      int  // its first bucket in x.heads, once it has found one
 	first, end int  // the group's lanes in the current pass
 	settled    bool // the group speculates no further in the current pass
 }
@@ -522,7 +531,7 @@ type lane struct {
 func (x *extender) chunk(seq0 uint32, groups []hitGroup) error {
 	x.seq0 = int(seq0)
 	q := x.b0.Seq(x.seq0)
-	x.gs = x.gs[:0]
+	x.gs, x.heads, x.links = x.gs[:0], x.heads[:0], x.links[:0]
 	for _, g := range groups {
 		s, hits := x.b1.Seq(int(g.seq1)), x.seeds[g.start:g.end]
 		for _, sp := range hits {
@@ -576,7 +585,7 @@ func (x *extender) chunk(seq0 uint32, groups []hitGroup) error {
 func (x *extender) next(q []byte, g *groupState) (h int, sure bool) {
 	for ; g.cur < len(g.hits); g.cur++ {
 		sp := g.hits[g.cur]
-		if contained(g.found, int(sp.q), int(sp.s), x.cfg.Band) {
+		if x.contained(g, len(q), sp) {
 			x.st.Contained++
 			continue
 		}
@@ -620,7 +629,7 @@ func (x *extender) speculateLanes(q []byte) {
 			}
 			for h := x.lanes[g.end-1].hit + 1; h < len(g.hits); h++ {
 				sp := g.hits[h]
-				if contained(g.found, int(sp.q), int(sp.s), x.cfg.Band) {
+				if x.contained(g, len(q), sp) {
 					continue
 				}
 				if x.nearSureLane(g, sp) {
@@ -697,7 +706,7 @@ func (x *extender) resolve(q []byte, g *groupState) {
 	for l := g.first; l < g.end; g.cur++ {
 		h := g.hits[g.cur]
 		switch {
-		case contained(g.found, int(h.q), int(h.s), x.cfg.Band):
+		case x.contained(g, len(q), h):
 			x.st.Contained++
 			if x.lanes[l].hit == g.cur {
 				if l > g.first {
@@ -712,7 +721,7 @@ func (x *extender) resolve(q []byte, g *groupState) {
 			x.st.DPRows += int64(len(q))
 			x.st.DPCells += int64(len(q)) * int64(2*x.cfg.Band+1)
 			if a, ok := x.report(q, g, l); ok {
-				g.found = append(g.found, a)
+				x.add(g, len(q), a)
 			}
 			l++
 		}
@@ -751,20 +760,51 @@ func (x *extender) report(q []byte, g *groupState, l int) (Alignment, bool) {
 	}, true
 }
 
-// contained reports whether the seed (qPos, sPos) lies inside an
-// already-reported alignment on a nearby diagonal.
-func contained(found []Alignment, qPos, sPos, band int) bool {
-	for i := range found {
-		a := &found[i]
-		if qPos >= a.Q.Start && qPos < a.Q.End &&
-			sPos >= a.S.Start && sPos < a.S.End {
-			d := (sPos - qPos) - (a.S.Start - a.Q.Start)
-			if d >= -band && d <= band {
+// link is a found alignment's index in its group's found and the
+// link after the one before it in its bucket (0 ends a chain).
+type link struct{ found, prev int32 }
+
+// add records alignment a of group g, whose query has qlen residues,
+// and links it into the bucket of its start diagonal.
+func (x *extender) add(g *groupState, qlen int, a Alignment) {
+	if len(g.found) == 0 {
+		g.heads, x.heads = len(x.heads), append(x.heads, make([]int32, (qlen+len(g.s))>>x.shift+1)...)
+	}
+	h := &x.heads[g.heads+(a.S.Start-a.Q.Start+qlen)>>x.shift]
+	x.links = append(x.links, link{int32(len(g.found)), *h})
+	*h, g.found = int32(len(x.links)), append(g.found, a)
+}
+
+// contained reports whether seed sp lies inside an alignment g has
+// found, on a diagonal within Band of the alignment's start. A group
+// with one alignment checks it; past that only the ≤ 3 buckets around
+// the seed's diagonal are looked at, so a repetitive pair's many
+// alignments do not each cost every hit (the diagonal array of NCBI
+// BLAST).
+func (x *extender) contained(g *groupState, qlen int, sp seedPos) bool {
+	switch len(g.found) {
+	case 0:
+		return false
+	case 1:
+		return covers(&g.found[0], sp, x.cfg.Band)
+	}
+	d, band := int(sp.s)-int(sp.q)+qlen, x.cfg.Band
+	for k := max(d-band, 0) >> x.shift; k <= min(d+band, qlen+len(g.s))>>x.shift; k++ {
+		for l := x.heads[g.heads+k]; l > 0; l = x.links[l-1].prev {
+			if covers(&g.found[x.links[l-1].found], sp, band) {
 				return true
 			}
 		}
 	}
 	return false
+}
+
+// covers reports whether seed sp lies inside a, on a diagonal within
+// band of a's start diagonal.
+func covers(a *Alignment, sp seedPos, band int) bool {
+	q, s := int(sp.q), int(sp.s)
+	d := (s - q) - (a.S.Start - a.Q.Start)
+	return q >= a.Q.Start && q < a.Q.End && s >= a.S.Start && s < a.S.End && d >= -band && d <= band
 }
 
 // dedup removes alignments whose query and subject ranges are both

@@ -20,7 +20,7 @@ import (
 
 // runPipelineUpTo2 indexes two banks and runs step 2, returning
 // everything step 3 needs.
-func runPipelineUpTo2(t *testing.T, b0, b1 *bank.Bank, threshold int) []ungapped.Hit {
+func runPipelineUpTo2(t testing.TB, b0, b1 *bank.Bank, threshold int) []ungapped.Hit {
 	t.Helper()
 	model := seed.Default()
 	ix0, err := index.Build(b0, model, 8)

@@ -214,12 +214,30 @@ func TestPartitionMatchesFilterOracle(t *testing.T) {
 	}
 }
 
+// oracleContained is the stage's containment predicate over every
+// alignment found, as the stage checked it before it indexed them by
+// diagonal.
+func oracleContained(found []Alignment, qPos, sPos, band int) bool {
+	for i := range found {
+		a := &found[i]
+		if qPos >= a.Q.Start && qPos < a.Q.End &&
+			sPos >= a.S.Start && sPos < a.S.End {
+			d := (sPos - qPos) - (a.S.Start - a.Q.Start)
+			if d >= -band && d <= band {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // oracleRun is RunWithStats as it was before the stage was rebuilt:
 // map grouping, one goroutine, and per hit the full forward + reverse
 // scalar banded DP (align.LocalBandedReference) before the E-value
 // cut; under Traceback, a survivor's operations come from a fresh
 // Aligner, which has run no kernel pass and so takes the scalar path.
-// It shares only contained and dedup with the shipped path: its final
+// It shares only dedup with the shipped path, and checks containment
+// against every alignment its group found (oracleContained): its final
 // sort is its own global sort.Slice over every alignment, with the
 // comparator the stage's per-query stable sort uses.
 func oracleRun(b0, b1 *bank.Bank, hits []ungapped.Hit, cfg Config) ([]Alignment, Stats) {
@@ -236,7 +254,7 @@ func oracleRun(b0, b1 *bank.Bank, hits []ungapped.Hit, cfg Config) ([]Alignment,
 		var found []Alignment
 		for _, h := range groups[k] {
 			qPos, sPos := int(h.E0.Off), int(h.E1.Off)
-			if contained(found, qPos, sPos, cfg.Band) {
+			if oracleContained(found, qPos, sPos, cfg.Band) {
 				st.Contained++
 				continue
 			}
