@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
 	"math"
 	"strconv"
@@ -139,28 +140,34 @@ func appendFloat(dst []byte, f float64) []byte {
 // an unknown field, a number out of range — and the line then belongs
 // to json.Unmarshal; when ok is true the result equals json.Unmarshal's.
 func parseAlignment(line []byte) (a AlignmentJSON, ok bool) {
-	q, s, ok := scanAlignment(line, &a)
+	q, s, ok := scanAlignment(line, &a, true)
 	a.Query, a.Subject = string(q), string(s)
 	return a, ok
 }
 
 // alignmentKey reads the rank key of a line — query id, subject id and
 // E-value — with the ids left in line, so a gather ranks the line
-// without allocating. ok is parseAlignment's: the whole line is checked.
+// without allocating. ok is parseAlignment's: the whole line is
+// checked, the bit score only for being a number a float64 holds.
 func alignmentKey(line []byte) (query, subject []byte, eValue float64, ok bool) {
 	var a AlignmentJSON
-	query, subject, ok = scanAlignment(line, &a)
+	query, subject, ok = scanAlignment(line, &a, false)
 	return query, subject, a.EValue, ok
 }
 
 // scanAlignment is parseAlignment with the two ids returned as slices
-// of line instead of set in a.
-func scanAlignment(line []byte, a *AlignmentJSON) (query, subject []byte, ok bool) {
+// of line instead of set in a, and the bit score converted only when
+// bitScore is set.
+func scanAlignment(line []byte, a *AlignmentJSON, bitScore bool) (query, subject []byte, ok bool) {
 	p := lineParser{b: line}
 	query = p.str(`{"query":"`)
 	subject = p.str(`,"subject":"`)
 	a.Score = p.int(`,"score":`)
-	a.BitScore = p.float(`,"bitScore":`)
+	if bitScore {
+		a.BitScore = p.float(`,"bitScore":`)
+	} else {
+		p.inRange(`,"bitScore":`)
+	}
 	a.EValue = p.float(`,"eValue":`)
 	a.QStart = p.int(`,"qStart":`)
 	a.QEnd = p.int(`,"qEnd":`)
@@ -285,6 +292,24 @@ func (p *lineParser) float(key string) float64 {
 		p.bad = true
 	}
 	return f
+}
+
+// inRange consumes key and a number float accepts, without converting
+// it when it cannot overflow: with no exponent and at most 308
+// characters before any '.', it is below 1e308.
+func (p *lineParser) inRange(key string) {
+	tok := p.number(key)
+	whole := bytes.IndexByte(tok, '.')
+	if whole < 0 {
+		whole = len(tok)
+	}
+	if !jsonNumber(tok) {
+		p.bad = true
+	} else if bytes.ContainsAny(tok, "eE") || whole > 308 {
+		if _, err := strconv.ParseFloat(string(tok), 64); err != nil {
+			p.bad = true
+		}
+	}
 }
 
 // jsonNumber reports whether b is a number literal of the JSON grammar:

@@ -197,6 +197,11 @@ func FuzzAlignmentKey(f *testing.F) {
 	f.Add([]byte(`{"query":"q","subject":"s"` + tail + `,"frame":"+2","nucStart":9,"nucEnd":99}`))
 	f.Add([]byte(`{"subject":"s","query":"q"` + tail + `}`))
 	f.Add([]byte(`{"query":"q","subject":"s","score":99999999999999999999,"bitScore":2,"eValue":3,"qStart":4,"qEnd":5,"sStart":6,"sEnd":7}`))
+	// Bit scores at and past float64's range, with and without an
+	// exponent: the key reader converts only these.
+	for _, bits := range []string{"1e309", "-1.8e308", "1.7e308", "1" + strings.Repeat("0", 308), "2" + strings.Repeat("0", 308), "-" + strings.Repeat("9", 307) + ".5"} {
+		f.Add([]byte(`{"query":"q","subject":"s","score":1,"bitScore":` + bits + `,"eValue":3,"qStart":4,"qEnd":5,"sStart":6,"sEnd":7}`))
+	}
 	f.Fuzz(func(t *testing.T, line []byte) {
 		q, s, e, ok := alignmentKey(line)
 		a, want := parseAlignment(line)
