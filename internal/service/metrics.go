@@ -21,7 +21,7 @@ type metrics struct {
 	// Per-stage busy time of completed runs (the engine's Metrics),
 	// plus engine wall time. The subject index comes from the cache
 	// before the run starts, so index busy time is the query side's
-	// step 1.
+	// step 1 plus every cold subject-index build or seeddb load.
 	indexBusy     *telemetry.Counter
 	prefilterBusy *telemetry.Counter
 	step2Busy     *telemetry.Counter

@@ -135,13 +135,34 @@ func TestMetricsAccountEveryJob(t *testing.T) {
 	svc := New(Config{MaxConcurrent: 1})
 	defer svc.Close()
 
+	// The first job builds the subject index: its index span, and at
+	// least that much index busy time, account for the cold build.
+	indexBusy := func() float64 {
+		return scrape(t, svc).value("stage_busy_seconds_total", telemetry.L("stage", "index"))
+	}
 	wantAlignments := 0
-	for _, q := range []*bank.Bank{b0, b0, b1} {
-		res, err := submitWait(svc, &Request{Query: q, Subject: b1, Searcher: testSearcher(t)})
+	for i, q := range []*bank.Bank{b0, b0, b1} {
+		before := indexBusy()
+		j, err := svc.Submit(&Request{Query: q, Subject: b1, Searcher: testSearcher(t)})
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantAlignments += res.Count
+		if err := waitDone(j); err != nil {
+			t.Fatal(err)
+		}
+		var build time.Duration
+		for _, sp := range j.Trace().Spans() {
+			if sp.Name == "index" {
+				build += sp.Duration
+			}
+		}
+		if cold := i == 0; cold != (build > 0) {
+			t.Fatalf("job %d: index span %v, cold %v", i, build, cold)
+		}
+		if grew := indexBusy() - before; grew < build.Seconds() {
+			t.Errorf("job %d: index busy grew %vs, its build took %v", i, grew, build)
+		}
+		wantAlignments += j.Snapshot().Result.Count
 	}
 	if wantAlignments == 0 {
 		t.Fatal("workload produced no alignments")

@@ -486,6 +486,14 @@ func (s *Service) compare(ctx context.Context, req *Request, onStart func()) ([]
 	gatedBuild := func() (*index.Index, error) {
 		s.buildSem <- struct{}{}
 		defer func() { <-s.buildSem }()
+		// The build or load is index busy time, and a span of the job
+		// that ran it, whether or not it succeeds.
+		t0 := time.Now()
+		defer func() {
+			d := time.Since(t0)
+			s.met.indexBusy.Add(d.Seconds())
+			telemetry.TraceFromContext(ctx).Record("index", t0, d)
+		}()
 		// Second tier before rebuild: a registered seeddb with this
 		// fingerprint is loaded from disk (mmap, no step-1 pass). A
 		// failed or stale disk load silently falls back to building —
