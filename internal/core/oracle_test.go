@@ -78,13 +78,13 @@ func CompareBatch(b0, b1 *bank.Bank, opt Options) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		rep, err := dev.RunStep2(ix0, ix1)
+		rep, out, err := dev.Scan(ix0, ix1)
 		if err != nil {
 			return nil, fmt.Errorf("core: step 2 (rasc): %w", err)
 		}
 		res.Device = rep
 		res.Times.Ungapped = time.Duration(rep.Seconds * float64(time.Second))
-		hits = rep.Hits
+		hits = out.Hits()
 		res.Pairs = rep.Pairs
 	default:
 		return nil, fmt.Errorf("core: engine %v not supported by the batch path", opt.Engine)

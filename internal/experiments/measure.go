@@ -94,7 +94,7 @@ func (b scalarBackend) Step2(ctx context.Context, shard *pipeline.Shard, ix1 *in
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	r, err := ungapped.Run(shard.Index, ix1, ungapped.Config{
+	out, err := ungapped.Scan(shard.Index, ix1, ungapped.Config{
 		Matrix:    matrix.BLOSUM62,
 		Threshold: b.threshold,
 		Workers:   1,
@@ -103,7 +103,7 @@ func (b scalarBackend) Step2(ctx context.Context, shard *pipeline.Shard, ix1 *in
 	if err != nil {
 		return nil, err
 	}
-	return &pipeline.Step2Output{Hits: r.Hits, Pairs: r.Pairs}, nil
+	return &pipeline.Step2Output{Hits: out}, nil
 }
 
 // Measure runs the pipeline over every bank of the workload and

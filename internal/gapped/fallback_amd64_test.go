@@ -33,7 +33,7 @@ func TestScalarFallbackWithoutAVX2(t *testing.T) {
 				cfg.GapTrigger = trigger
 				cfg.Workers = 2
 				for _, bk := range banks {
-					as, st, fl, err := run(bk.b0, bk.b1, bk.hits, cfg)
+					as, st, fl, err := runFlat(bk.b0, bk.b1, bk.hits, cfg)
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -20,6 +20,7 @@ import (
 
 	"seedblast/internal/align"
 	"seedblast/internal/bank"
+	"seedblast/internal/keep"
 	"seedblast/internal/matrix"
 	"seedblast/internal/stats"
 	"seedblast/internal/ungapped"
@@ -101,10 +102,45 @@ type Stats struct {
 // done. b0 and b1 are the banks the hits' entries refer to. Results
 // are sorted by (Seq0, EValue, Seq1) and de-duplicated per sequence
 // pair. A hit naming a sequence or offset outside the banks is an
-// error.
+// error. The hits are cut into one chunk per worker and counted per
+// query, as step 2 hands them to Extend.
 func RunWithStats(b0, b1 *bank.Bank, hits []ungapped.Hit, cfg Config) ([]Alignment, Stats, error) {
-	out, st, _, err := run(b0, b1, hits, cfg)
+	n0, pieces := b0.Len(), bookkeepers(len(hits), cfg.Workers)
+	in, counts := &ungapped.Output{Chunks: make([]ungapped.Chunk, pieces)}, make([]uint32, pieces*n0)
+	if err := each(pieces, pieces, func(_, i int) error {
+		c := &in.Chunks[i]
+		c.Hits, c.Counts = hits[len(hits)*i/pieces:len(hits)*(i+1)/pieces], counts[i*n0:(i+1)*n0]
+		for _, h := range c.Hits {
+			if int(h.E0.Seq) >= n0 {
+				return fmt.Errorf("gapped: hit names sequence %d of bank 0 (%d sequences)", h.E0.Seq, n0)
+			}
+			c.Counts[h.E0.Seq]++
+		}
+		return nil
+	}); err != nil {
+		return nil, Stats{}, err
+	}
+	return Extend(b0, b1, in, cfg)
+}
+
+// Extend is RunWithStats on step 2's hand-off, read in place: its
+// per-query counts place every hit, so no pass counts them again. Its
+// chunks' hits must be in bank-0 numbering from in.Base on.
+func Extend(b0, b1 *bank.Bank, in *ungapped.Output, cfg Config) ([]Alignment, Stats, error) {
+	out, st, _, err := run(b0, b1, in, cfg)
 	return out, st, err
+}
+
+// bookkeepers is the number of workers that partition, group and sort
+// n hits on a run of workers workers: one below inlineHits.
+func bookkeepers(n, workers int) int {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	if n < inlineHits {
+		return 1
+	}
+	return workers
 }
 
 // fill counts a run's kernel passes, lanes extended, speculative lanes
@@ -117,7 +153,7 @@ type fill struct {
 // are partitioned by query, a query's grouped by subject and cut into
 // chunks to extend, and its alignments sorted on their own; every pass
 // is shared by workers, leaving O(queries + workers) serial work.
-func run(b0, b1 *bank.Bank, hits []ungapped.Hit, cfg Config) ([]Alignment, Stats, fill, error) {
+func run(b0, b1 *bank.Bank, in *ungapped.Output, cfg Config) ([]Alignment, Stats, fill, error) {
 	if cfg.Matrix == nil {
 		return nil, Stats{}, fill{}, fmt.Errorf("gapped: matrix is required")
 	}
@@ -130,18 +166,13 @@ func run(b0, b1 *bank.Bank, hits []ungapped.Hit, cfg Config) ([]Alignment, Stats
 	if err := cfg.SearchSpace.Validate(); err != nil {
 		return nil, Stats{}, fill{}, fmt.Errorf("gapped: %w", err)
 	}
-	if len(hits) > math.MaxInt32 {
-		return nil, Stats{}, fill{}, fmt.Errorf("gapped: %d hits exceed the stage's 32-bit hit index", len(hits))
+	nhits := in.Len()
+	if nhits > math.MaxInt32 {
+		return nil, Stats{}, fill{}, fmt.Errorf("gapped: %d hits exceed the stage's 32-bit hit index", nhits)
 	}
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	bw := workers // partition, group and sort
-	if len(hits) < inlineHits {
-		bw = 1
-	}
-	qs, seeds, err := partition(hits, b0.Len(), bw)
+	workers, bw := bookkeepers(math.MaxInt, cfg.Workers), bookkeepers(nhits, cfg.Workers)
+	qs, seeds, err := partition(in, b0.Len(), bw)
+	defer kept.Put(seeds)
 	if err != nil {
 		return nil, Stats{}, fill{}, err
 	}
@@ -183,15 +214,15 @@ func run(b0, b1 *bank.Bank, hits []ungapped.Hit, cfg Config) ([]Alignment, Stats
 		}
 		i := sort.Search(len(qs), func(i int) bool { return qs[i].chunk0 > c }) - 1
 		x, qu := xs[w], &qs[i]
-		lo, from := (c-qu.chunk0)*chunkGroups, len(x.out)
+		lo := (c - qu.chunk0) * chunkGroups
 		if err := x.chunk(qu.seq0, qu.groups[lo:min(lo+chunkGroups, len(qu.groups))]); err != nil {
 			return err
 		}
-		chunkOut[c] = x.out[from:len(x.out):len(x.out)]
-		found[i].Add(int64(len(x.out) - from))
+		chunkOut[c] = x.out[x.from:len(x.out):len(x.out)]
+		found[i].Add(int64(len(chunkOut[c])))
 		return nil
 	})
-	st := Stats{Hits: len(hits)}
+	st := Stats{Hits: nhits}
 	var fl fill
 	for _, x := range slices.DeleteFunc(xs, func(x *extender) bool { return x == nil }) {
 		putAligner(&cfg, x.al)
@@ -218,6 +249,9 @@ func run(b0, b1 *bank.Bank, hits []ungapped.Hit, cfg Config) ([]Alignment, Stats
 	})
 	return out, st, fl, nil
 }
+
+// kept holds runs' seed buffers for later runs.
+var kept keep.Store[seedPos]
 
 // inlineHits is the measured crossover (BenchmarkBookkeeping) below
 // which workers cost partition, grouping and sorting more than they save.
@@ -353,112 +387,112 @@ type query struct {
 // hitGroup is one subject's run of its query's seeds, seeds[start:end].
 type hitGroup struct{ seq1, start, end uint32 }
 
-// partition scatters hits by query (E0.Seq) into seeds, each query's
-// hits contiguous and in input order, and returns the queries with
-// hits in bank order. Each worker's slice of hits is counted per
-// query, a prefix sum over (query, slice) gives each slice its first
-// slot per query, and the slices are scattered, both passes a run of
-// one query's hits at a time (step 2 emits long runs). A hit past bank
-// 0's n0 sequences is an error of the count pass.
-func partition(hits []ungapped.Hit, n0, workers int) ([]query, []seedPos, error) {
-	counts := make([]uint32, workers*n0) // slice i's row is counts[i*n0:(i+1)*n0]
-	slice := func(i int) ([]ungapped.Hit, []uint32) {
-		return hits[len(hits)*i/workers : len(hits)*(i+1)/workers], counts[i*n0 : (i+1)*n0]
+// partition scatters step 2's hits by query (E0.Seq) into seeds, each
+// query's hits contiguous and in chunk order, and returns the queries
+// with hits in bank order. One prefix sum over the chunks' per-query
+// counts gives every (query, chunk) its slots, and each chunk is
+// scattered in place, a run of one query's hits at a time (step 2
+// emits long runs). A hit past bank 0's n0 sequences, or beyond its
+// chunk's count for its query, is an error.
+func partition(in *ungapped.Output, n0, workers int) ([]query, []seedPos, error) {
+	nc, nq := len(in.Chunks), 0
+	if nc > 0 {
+		nq = len(in.Chunks[0].Counts)
 	}
-	if err := each(workers, workers, func(_, i int) error {
-		hs, c := slice(i)
-		for j := 0; j < len(hs); {
-			s0, k := hs[j].E0.Seq, j
-			if int(s0) >= n0 {
-				return fmt.Errorf("gapped: hit %d names sequence %d of bank 0 (%d sequences)", len(hits)*i/workers+j, s0, n0)
-			}
-			for j < len(hs) && hs[j].E0.Seq == s0 {
-				j++
-			}
-			c[s0] += uint32(j - k)
-		}
-		return nil
-	}); err != nil {
-		return nil, nil, err
-	}
-	qs, sum := make([]query, 0, min(n0, len(hits))), uint32(0)
-	for q := 0; q < n0; q++ {
+	slots := make([]uint32, 2*nc*nq) // chunk c's next and end slot for query q at 2*(c*nq+q)
+	qs, sum := make([]query, 0, min(nq, 1024)), uint32(0)
+	for q := range nq {
 		start := sum
-		for k := q; k < len(counts); k += n0 {
-			counts[k], sum = sum, sum+counts[k]
+		for c := range in.Chunks {
+			counts := in.Chunks[c].Counts
+			if len(counts) != nq {
+				return nil, nil, fmt.Errorf("gapped: chunk %d counts hits of %d queries, chunk 0 of %d", c, len(counts), nq)
+			}
+			slots[2*(c*nq+q)], sum = sum, sum+counts[q]
+			slots[2*(c*nq+q)+1] = sum
 		}
-		if sum > start {
-			qs = append(qs, query{seq0: uint32(q), start: int(start), end: int(sum)})
+		if sum == start {
+			continue
 		}
+		if int(in.Base)+q >= n0 {
+			return nil, nil, fmt.Errorf("gapped: %d hits name sequence %d of bank 0 (%d sequences)", sum-start, int(in.Base)+q, n0)
+		}
+		qs = append(qs, query{seq0: in.Base + uint32(q), start: int(start), end: int(sum)})
 	}
-	seeds := make([]seedPos, len(hits))
-	each(workers, workers, func(_, i int) error {
-		hs, next := slice(i)
+	if n := in.Len(); int(sum) != n {
+		return nil, nil, fmt.Errorf("gapped: step 2 counted %d hits and handed over %d", sum, n)
+	}
+	seeds := kept.Get(int(sum))
+	return qs, seeds, each(min(workers, nc), nc, func(_, c int) error {
+		hs, slot := in.Chunks[c].Hits, slots[2*c*nq:2*(c+1)*nq]
 		for j := 0; j < len(hs); {
 			s0 := hs[j].E0.Seq
-			k := next[s0]
+			q := s0 - in.Base
+			if int(q) >= nq {
+				return fmt.Errorf("gapped: hit %d of chunk %d names sequence %d of bank 0, past step 2's counts", j, c, s0)
+			}
+			k, end := slot[2*q], slot[2*q+1]
 			for ; j < len(hs) && hs[j].E0.Seq == s0; j, k = j+1, k+1 {
+				if k == end {
+					return fmt.Errorf("gapped: chunk %d holds more hits of sequence %d of bank 0 than step 2 counted", c, s0)
+				}
 				seeds[k] = seedPos{hs[j].E0.Off, hs[j].E1.Off, hs[j].E1.Seq}
 			}
-			next[s0] = k
+			slot[2*q] = k
 		}
 		return nil
 	})
-	return qs, seeds, nil
 }
 
-// grouper is a worker's grouping scratch: a table of slots 0 or (subject
-// + 1)<<31 | group, a copy of a query's seeds, and its queries' groups.
+// grouper is a worker's grouping scratch: a table of slots 0 or
+// (subject + 1)<<31 | group, the query's seeds tagged with their
+// group, and its queries' groups.
 type grouper struct {
 	table  []uint64
-	tmp    []seedPos
+	tagged []seedPos
 	groups []hitGroup
 }
 
 // groupHits puts qu's seeds in group order, a group being one subject's
 // seeds, by a counting sort: groups in order of first appearance, a
-// group's seeds in input order (containment is order-dependent). The
-// table starts with room for min(hits, n1, 1024) groups and doubles, the
-// query starting over, before they fill more than half of it: it grows
-// with the groups, not the hits or the bank. A subject past n1 is an error.
+// group's seeds in input order (containment is order-dependent). One
+// pass reads the seeds and writes them, tagged with their group, to
+// the worker's scratch; the other scatters them back. The table starts
+// with room for min(hits, n1, 1024) groups and doubles before they
+// fill half of it, re-entering the groups, not the hits: it grows with
+// the groups, not the hits or the bank. A subject past n1 is an error.
 func (gr *grouper) groupHits(qu *query, seeds []seedPos, n1 int) error {
-	hs := append(gr.tmp[:0], seeds[qu.start:qu.end]...) // a copy whose seq1 becomes the group
-	gr.tmp, gr.groups = hs, slices.Grow(gr.groups, min(len(hs), n1))
-	var groups []hitGroup
-grow:
-	for size := 1 << bits.Len(uint(2*max(min(len(hs), n1, 1024), 1)-1)); ; size *= 2 {
-		gr.table, groups = slices.Grow(gr.table[:0], size)[:size], gr.groups[len(gr.groups):]
-		clear(gr.table)
-		shift := 65 - bits.Len(uint(size))
-		for i := range hs {
-			s1 := seeds[qu.start+i].seq1
-			slot := uint64(s1) * 0x9E3779B97F4A7C15 >> shift
-			for e := gr.table[slot]; ; e = gr.table[slot] {
-				if e == 0 {
-					if int(s1) >= n1 {
-						return fmt.Errorf("gapped: hit pairs sequence %d of bank 0 with sequence %d of bank 1 (%d sequences)", qu.seq0, s1, n1)
-					}
-					if 2*len(groups) == size {
-						continue grow
-					}
-					e = (uint64(s1)+1)<<31 | uint64(len(groups))
-					gr.table[slot], groups = e, append(groups, hitGroup{seq1: s1})
-				} else if e>>31 != uint64(s1)+1 {
-					slot = (slot + 1) & uint64(size-1)
-					continue
-				}
-				hs[i].seq1 = uint32(e & (1<<31 - 1))
-				groups[hs[i].seq1].end++ // the group's size, for now
-				break
+	hs := seeds[qu.start:qu.end]
+	gr.tagged = slices.Grow(gr.tagged[:0], len(hs))[:len(hs)]
+	gr.groups = slices.Grow(gr.groups, min(len(hs), n1))
+	groups := gr.groups[len(gr.groups):]
+	shift := gr.index(groups, 1<<bits.Len(uint(2*max(min(len(hs), n1, 1024), 1)-1)))
+	for i, sp := range hs {
+		slot := uint64(sp.seq1) * 0x9E3779B97F4A7C15 >> shift
+		e := gr.table[slot]
+		for e != 0 && e>>31 != uint64(sp.seq1)+1 {
+			slot = (slot + 1) & uint64(len(gr.table)-1)
+			e = gr.table[slot]
+		}
+		if e == 0 {
+			if int(sp.seq1) >= n1 {
+				return fmt.Errorf("gapped: hit pairs sequence %d of bank 0 with sequence %d of bank 1 (%d sequences)", qu.seq0, sp.seq1, n1)
+			}
+			e = (uint64(sp.seq1)+1)<<31 | uint64(len(groups))
+			gr.table[slot], groups = e, append(groups, hitGroup{seq1: sp.seq1})
+			if 2*len(groups) > len(gr.table) {
+				shift = gr.index(groups, 2*len(gr.table))
 			}
 		}
-		break
+		g := uint32(e & (1<<31 - 1))
+		gr.tagged[i] = seedPos{sp.q, sp.s, g}
+		groups[g].end++ // the group's size, for now
 	}
 	sum := uint32(qu.start) // sizes in end become starts, then ends
 	for g := range groups {
 		groups[g].start, groups[g].end, sum = sum, sum, sum+groups[g].end
 	}
-	for _, sp := range hs {
+	for _, sp := range gr.tagged {
 		g := &groups[sp.seq1]
 		seeds[g.end] = seedPos{sp.q, sp.s, g.seq1}
 		g.end++
@@ -466,6 +500,22 @@ grow:
 	qu.groups = groups[:len(groups):len(groups)]
 	gr.groups = gr.groups[:len(gr.groups)+len(groups)]
 	return nil
+}
+
+// index clears the table to size slots, enters groups in it and
+// returns the hash's shift.
+func (gr *grouper) index(groups []hitGroup, size int) int {
+	gr.table = slices.Grow(gr.table[:0], size)[:size]
+	clear(gr.table)
+	shift := 65 - bits.Len(uint(size))
+	for g, grp := range groups {
+		slot := uint64(grp.seq1) * 0x9E3779B97F4A7C15 >> shift
+		for gr.table[slot] != 0 {
+			slot = (slot + 1) & uint64(size-1)
+		}
+		gr.table[slot] = (uint64(grp.seq1)+1)<<31 | uint64(g)
+	}
+	return shift
 }
 
 // extender is one worker's step-3 state: the run it works for, its
@@ -480,7 +530,8 @@ type extender struct {
 	st        Stats
 	fill      fill
 	seq0      int         // the query of the chunk it is on
-	out       []Alignment // the alignments of every group it finished
+	out       []Alignment // its block of finished groups' alignments
+	from      int         // the chunk's first alignment in out
 	// The chunk's found alignments by start diagonal: a group's bucket
 	// k of 1<<shift > Band diagonals is heads[g.heads+k], one past its
 	// last alignment's link.
@@ -531,7 +582,7 @@ type lane struct {
 func (x *extender) chunk(seq0 uint32, groups []hitGroup) error {
 	x.seq0 = int(seq0)
 	q := x.b0.Seq(x.seq0)
-	x.gs, x.heads, x.links = x.gs[:0], x.heads[:0], x.links[:0]
+	x.gs, x.heads, x.links, x.from = x.gs[:0], x.heads[:0], x.links[:0], len(x.out)
 	for _, g := range groups {
 		s, hits := x.b1.Seq(int(g.seq1)), x.seeds[g.start:g.end]
 		for _, sp := range hits {
@@ -555,7 +606,7 @@ func (x *extender) chunk(seq0 uint32, groups []hitGroup) error {
 			h, sure := x.next(q, g)
 			if h < 0 {
 				g.done = true
-				x.out = append(x.out, dedup(g.found)...)
+				x.emit(dedup(g.found))
 				continue
 			}
 			g.first = len(x.lanes)
@@ -576,6 +627,22 @@ func (x *extender) chunk(seq0 uint32, groups []hitGroup) error {
 		}
 	}
 }
+
+// emit appends a finished group's alignments to the worker's block.
+// A full block is not regrown and copied out: the next one, twice as
+// large up to outBlock alignments, takes only the current chunk's, and
+// earlier chunks keep theirs where they are.
+func (x *extender) emit(as []Alignment) {
+	if len(x.out)+len(as) > cap(x.out) {
+		n := len(x.out) - x.from + len(as)
+		x.out, x.from = append(make([]Alignment, 0, max(n, min(2*cap(x.out), outBlock))), x.out[x.from:]...), 0
+	}
+	x.out = append(x.out, as...)
+}
+
+// outBlock bounds a worker's output block, in alignments, so that the
+// last block's unused room is small beside a large run's output.
+const outBlock = 256
 
 // next advances g to its next candidate, a hit not contained in what
 // the group has found and past the gap trigger, counting the hits

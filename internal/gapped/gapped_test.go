@@ -518,6 +518,10 @@ func benchmarkRun(b *testing.B, b0, b1 *bank.Bank, traceback bool) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	in, err := ungapped.Scan(ix0, ix1, ungapped.Config{Matrix: matrix.BLOSUM62, Threshold: 38})
+	if err != nil {
+		b.Fatal(err)
+	}
 	var runs [2][]Alignment
 	var sts [2]Stats
 	for i := range runs {
@@ -547,7 +551,7 @@ func benchmarkRun(b *testing.B, b0, b1 *bank.Bank, traceback bool) {
 			var cells int64
 			var fl fill
 			for i := 0; i < b.N; i++ {
-				_, st, f, err := run(b0, b1, res.Hits, cfg)
+				_, st, f, err := run(b0, b1, in, cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -661,7 +665,8 @@ func TestEachInlineAllocatesNothing(t *testing.T) {
 
 // BenchmarkBookkeeping times partition and per-query grouping, the
 // passes run runs inline below inlineHits hits, on prefixes of a
-// homolog_full-shaped hit list at one and two workers: the crossover
+// homolog_full-shaped hit list cut into one counted chunk per worker,
+// as step 2 hands them over, at one and two workers: the crossover
 // where two workers start to pay is where inlineHits sits.
 func BenchmarkBookkeeping(b *testing.B) {
 	b0, b1 := homologBank(5000)
@@ -682,8 +687,9 @@ func BenchmarkBookkeeping(b *testing.B) {
 		hits := res.Hits[:n]
 		for _, workers := range []int{1, 2} {
 			b.Run(fmt.Sprintf("hits=%d/workers=%d", n, workers), func(b *testing.B) {
+				in := chunked(hits, b0.Len(), workers) // counted chunks, as step 2 hands them over
 				for i := 0; i < b.N; i++ {
-					qs, seeds, err := partition(hits, b0.Len(), workers)
+					qs, seeds, err := partition(in, b0.Len(), workers)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -693,6 +699,7 @@ func BenchmarkBookkeeping(b *testing.B) {
 					}); err != nil {
 						b.Fatal(err)
 					}
+					kept.Put(seeds)
 				}
 			})
 		}

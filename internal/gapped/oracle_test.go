@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -41,11 +42,42 @@ func oracleQueries(hits []ungapped.Hit, n0 int) [][]ungapped.Hit {
 	return out
 }
 
-// checkPartition checks partition's queries and their hits against
-// oracleQueries.
+// chunked cuts hits into pieces counted per query over n0 queries, as
+// step 2 hands them over. A hit past n0 is left uncounted, for
+// partition to reject.
+func chunked(hits []ungapped.Hit, n0, pieces int) *ungapped.Output {
+	in := &ungapped.Output{Chunks: make([]ungapped.Chunk, pieces)}
+	for i := range in.Chunks {
+		c := &in.Chunks[i]
+		c.Hits, c.Counts = hits[len(hits)*i/pieces:len(hits)*(i+1)/pieces], make([]uint32, n0)
+		for _, h := range c.Hits {
+			if int(h.E0.Seq) < n0 {
+				c.Counts[h.E0.Seq]++
+			}
+		}
+	}
+	return in
+}
+
+// runFlat is run on a flat hit list, cut and counted as RunWithStats
+// cuts it.
+func runFlat(b0, b1 *bank.Bank, hits []ungapped.Hit, cfg Config) ([]Alignment, Stats, fill, error) {
+	return run(b0, b1, chunked(hits, b0.Len(), bookkeepers(len(hits), cfg.Workers)), cfg)
+}
+
+// checkPartition checks partition of hits cut into workers counted
+// chunks against oracleQueries.
 func checkPartition(t *testing.T, name string, hits []ungapped.Hit, n0, workers int) ([]query, []seedPos) {
 	t.Helper()
-	qs, seeds, err := partition(hits, n0, workers)
+	return checkHandOff(t, name, chunked(hits, n0, workers), n0, workers)
+}
+
+// checkHandOff checks partition's queries of a hand-off and their
+// hits against oracleQueries of its hits concatenated.
+func checkHandOff(t *testing.T, name string, in *ungapped.Output, n0, workers int) ([]query, []seedPos) {
+	t.Helper()
+	hits := in.Hits()
+	qs, seeds, err := partition(in, n0, workers)
 	if err != nil {
 		t.Fatalf("%s/workers=%d: %v", name, workers, err)
 	}
@@ -154,7 +186,7 @@ func TestGroupHitsMatchesMapOracle(t *testing.T) {
 		// error: TestPartitionMatchesFilterOracle.)
 		wide = append(wide, hit(i%3, ^uint32(0)-i%4, i, i), hit(i%3, uint32(1)<<31+i%5, i, i))
 		// 2500 subjects each for queries 0 and 1: the table outgrows
-		// its starting size twice, starting the query over each time.
+		// its starting size twice, re-entering its groups each time.
 		grows = append(grows, hit(i%2, 7*(i/2)+i%2, i, i))
 	}
 	interleaved = append(interleaved, hit(9, 9, 0, 0), hit(0, 1, 1, 1))
@@ -178,8 +210,12 @@ func TestGroupHitsMatchesMapOracle(t *testing.T) {
 
 // TestPartitionMatchesFilterOracle pins partition to oracleQueries at
 // 1, 2, 3 and 8 workers: no hits, one query holding every hit, most
-// queries without hits, runs of one query that worker slices begin and
-// end inside, and random lists; a query past bank 0 is an error.
+// queries without hits, runs of one query that chunks begin and end
+// inside, and random lists, each cut into one counted chunk per
+// worker; then hand-offs as the pipeline passes them on: empty chunks
+// among full ones, a shard's hits renumbered into the bank (Base), and
+// hits dropped by the prefilter off their counts. A query past bank 0
+// or past the counts, and counts that do not match the hits, are errors.
 func TestPartitionMatchesFilterOracle(t *testing.T) {
 	hit := func(s0, s1 uint32) ungapped.Hit {
 		return ungapped.Hit{E0: index.Entry{Seq: s0, Off: s1 * 3}, E1: index.Entry{Seq: s1, Off: s0}}
@@ -189,8 +225,8 @@ func TestPartitionMatchesFilterOracle(t *testing.T) {
 	for i := uint32(0); i < 1000; i++ {
 		one = append(one, hit(5, i))
 		sparse = append(sparse, hit(97*(i%3), i))
-		// Runs of seven hits of one query: every worker slice of the
-		// 1000 hits begins and ends inside a run.
+		// Runs of seven hits of one query: every chunk of the 1000 hits
+		// begins and ends inside a run.
 		runs = append(runs, hit(i/7%5, i))
 	}
 	for _, workers := range []int{1, 2, 3, 8} {
@@ -206,11 +242,57 @@ func TestPartitionMatchesFilterOracle(t *testing.T) {
 			}
 			checkPartition(t, "random", hits, n0, workers)
 		}
-		bad := append([]ungapped.Hit(nil), runs...)
-		bad[len(bad)-1].E0.Seq = 5
-		if _, _, err := partition(bad, 5, workers); err == nil {
-			t.Errorf("workers=%d: a hit past bank 0 was partitioned", workers)
+
+		in := chunked(runs, 5, workers)
+		empty := ungapped.Chunk{Counts: make([]uint32, 5)}
+		in.Chunks = append([]ungapped.Chunk{empty}, slices.Insert(in.Chunks, len(in.Chunks)/2, empty, empty)...)
+		in.Chunks = append(in.Chunks, empty)
+		checkHandOff(t, "empty chunks", in, 5, workers)
+
+		// A shard of queries 40 to 44 of a 45-query bank, renumbered as
+		// the pipeline does: its counts stay shard-local.
+		in = chunked(slices.Clone(runs), 5, workers)
+		for _, c := range in.Chunks {
+			for j := range c.Hits {
+				c.Hits[j].E0.Seq += 40
+			}
 		}
+		in.Base = 40
+		checkHandOff(t, "shard", in, 45, workers)
+
+		// The prefilter drops every third subject's hits in place.
+		in = chunked(slices.Clone(runs), 5, workers)
+		for i := range in.Chunks {
+			c := &in.Chunks[i]
+			c.Hits = slices.DeleteFunc(c.Hits, func(h ungapped.Hit) bool {
+				if h.E1.Seq%3 == 0 {
+					c.Counts[h.E0.Seq]--
+					return true
+				}
+				return false
+			})
+		}
+		checkHandOff(t, "prefiltered", in, 5, workers)
+
+		bad := func(name string, n0 int, spoil func(in *ungapped.Output)) {
+			t.Helper()
+			in := chunked(slices.Clone(runs), 5, workers)
+			spoil(in)
+			if _, _, err := partition(in, n0, workers); err == nil {
+				t.Errorf("workers=%d: %s was partitioned", workers, name)
+			}
+		}
+		bad("a hit past bank 0", 4, func(*ungapped.Output) {})
+		bad("a hit past the counts", 9, func(in *ungapped.Output) {
+			c := &in.Chunks[len(in.Chunks)-1]
+			c.Hits = append(c.Hits, hit(5, 0))
+		})
+		bad("an uncounted hit", 5, func(in *ungapped.Output) { in.Chunks[0].Counts[0]-- })
+		bad("a hit counted in another chunk", 5, func(in *ungapped.Output) {
+			in.Chunks[0].Counts[0]--
+			in.Chunks = append(in.Chunks, ungapped.Chunk{Counts: []uint32{1, 0, 0, 0, 0}})
+		})
+		bad("counts of another bank", 5, func(in *ungapped.Output) { in.Chunks[0].Counts = in.Chunks[0].Counts[:4] })
 	}
 }
 
@@ -395,7 +477,7 @@ func TestRunMatchesOracle(t *testing.T) {
 					cfg.GapTrigger = trigger
 					cfg.MaxEValue = maxE
 					cfg.Workers = 3
-					got, gotStats, fl, err := run(bk.b0, bk.b1, bk.hits, cfg)
+					got, gotStats, fl, err := runFlat(bk.b0, bk.b1, bk.hits, cfg)
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -9,10 +9,10 @@ import (
 
 // Device models a RASC-100 style accelerator: one or two FPGAs, each
 // carrying one PSC operator, fed by DMA over a (possibly shared) host
-// link, as in Figure 3. RunStep2 executes the paper's step 2 on the
-// device model: the functional results are the CPU engine's
-// (ungapped.Run), while time is accounted from the cycle model at the
-// configured clock plus the DMA model.
+// link, as in Figure 3. Scan executes the paper's step 2 on the device
+// model: the functional results are the CPU engine's (ungapped.Scan),
+// while time is accounted from the cycle model at the configured clock
+// plus the DMA model.
 type Device struct {
 	cfg DeviceConfig
 }
@@ -25,9 +25,8 @@ func NewDevice(cfg DeviceConfig) (*Device, error) {
 	return &Device{cfg: cfg}, nil
 }
 
-// Step2Report is the outcome of running step 2 on the device.
+// Step2Report is the device's account of running step 2.
 type Step2Report struct {
-	Hits    []ungapped.Hit
 	Pairs   int64 // neighbourhood scorings performed
 	Records int   // results crossing the host link
 
@@ -41,34 +40,38 @@ type Step2Report struct {
 	Utilization    float64 // useful PE-cycles / provisioned PE-cycles
 }
 
-// RunStep2 runs the ungapped stage for two indexes on the device. The
-// PSC operator changes where step 2 runs, not what it returns, so the
-// hits and the pair count come from the CPU engine (ungapped.Run) and
-// the cycles, DMA traffic and simulated time from EstimateStep2.
-func (d *Device) RunStep2(ix0, ix1 *index.Index) (*Step2Report, error) {
+// Scan runs the ungapped stage for two indexes on the device. The PSC
+// operator changes where step 2 runs, not what it returns, so the hits
+// and the pair count come from the CPU engine (ungapped.Scan), handed
+// over as it hands them to step 3, and the cycles, DMA traffic and
+// simulated time from EstimateStep2.
+func (d *Device) Scan(ix0, ix1 *index.Index) (*Step2Report, *ungapped.Output, error) {
 	if err := d.check(ix0, ix1); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	res, err := ungapped.Run(ix0, ix1, ungapped.Config{Matrix: d.cfg.PSC.Matrix, Threshold: d.cfg.PSC.Threshold})
+	out, err := ungapped.Scan(ix0, ix1, ungapped.Config{Matrix: d.cfg.PSC.Matrix, Threshold: d.cfg.PSC.Threshold})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return d.report(ix0, ix1, res)
+	rep, err := d.report(ix0, ix1, out)
+	if err != nil {
+		return nil, nil, err
+	}
+	return rep, out, nil
 }
 
-// report accounts the device time of res, the functional step 2 of ix0
-// against ix1, and returns it with res's hits. The engine and the
-// accounting count the same K0×K1 products; if their pair counts
-// differ, one of the two walks has broken that contract.
-func (d *Device) report(ix0, ix1 *index.Index, res *ungapped.Result) (*Step2Report, error) {
-	rep, err := d.EstimateStep2(ix0, ix1, len(res.Hits))
+// report accounts the device time of out, the functional step 2 of ix0
+// against ix1. The engine and the accounting count the same K0×K1
+// products; if their pair counts differ, one of the two walks has
+// broken that contract.
+func (d *Device) report(ix0, ix1 *index.Index, out *ungapped.Output) (*Step2Report, error) {
+	rep, err := d.EstimateStep2(ix0, ix1, out.Len())
 	if err != nil {
 		return nil, err
 	}
-	if rep.Pairs != res.Pairs {
-		return nil, fmt.Errorf("hwsim: step 2 scored %d pairs but the device accounts for %d", res.Pairs, rep.Pairs)
+	if rep.Pairs != out.Pairs {
+		return nil, fmt.Errorf("hwsim: step 2 scored %d pairs but the device accounts for %d", out.Pairs, rep.Pairs)
 	}
-	rep.Hits = res.Hits
 	return rep, nil
 }
 

@@ -1,6 +1,7 @@
 package hwsim
 
 import (
+	"slices"
 	"testing"
 
 	"seedblast/internal/bank"
@@ -396,5 +397,29 @@ func TestDeviceValidationSRAM(t *testing.T) {
 	cfg.SRAMBytes = -1
 	if _, err := NewDevice(cfg); err == nil {
 		t.Error("negative SRAM accepted")
+	}
+}
+
+// TestDeviceScanCountsMatchRecount checks the device's hand-off to
+// step 3: each chunk's per-query counts equal a recount of its hits.
+func TestDeviceScanCountsMatchRecount(t *testing.T) {
+	ix0, ix1 := testIndexes(t, 4, 6, 120, 6)
+	for _, fpgas := range []int{1, 2} {
+		_, out, err := deviceFor(t, ix0, 64, fpgas, 20).Scan(ix0, ix1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out.Len() == 0 {
+			t.Fatal("no hits; the test is vacuous")
+		}
+		for c, ch := range out.Chunks {
+			recount := make([]uint32, ix0.Bank().Len())
+			for _, h := range ch.Hits {
+				recount[h.E0.Seq]++
+			}
+			if !slices.Equal(ch.Counts, recount) {
+				t.Fatalf("fpgas=%d: chunk %d counts %v, its hits %v", fpgas, c, ch.Counts, recount)
+			}
+		}
 	}
 }

@@ -6,7 +6,7 @@ import (
 	"seedblast/internal/index"
 )
 
-// EstimateStep2 computes the timing side of RunStep2 — cycles, DMA
+// EstimateStep2 computes the timing side of Scan — cycles, DMA
 // traffic and the derived simulated seconds — without scoring any
 // pairs. The key space is split between FPGAs by balancing the pair
 // workload; each FPGA processes its keys in passes of up to NumPEs IL0

@@ -16,11 +16,11 @@ import (
 
 // Step2Output is one shard's ungapped-extension result.
 type Step2Output struct {
-	// Hits are the surviving seed pairs. Backends return them in
-	// shard-local sequence numbering; the engine remaps them to bank
-	// numbering before step 3.
-	Hits  []ungapped.Hit
-	Pairs int64
+	// Hits is step 2's hand-off to step 3: the surviving seed pairs in
+	// their workers' chunks, counted per query, and the pairs scored.
+	// Backends return it in shard-local sequence numbering; the engine
+	// renumbers it into bank numbering before step 3.
+	Hits *ungapped.Output
 	// Device is the accelerator report when the shard ran on hardware.
 	Device *hwsim.Step2Report
 }
@@ -48,7 +48,7 @@ func (b *CPUBackend) Step2(ctx context.Context, shard *Shard, ix1 *index.Index) 
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	r, err := ungapped.Run(shard.Index, ix1, ungapped.Config{
+	out, err := ungapped.Scan(shard.Index, ix1, ungapped.Config{
 		Matrix:    b.Matrix,
 		Threshold: b.Threshold,
 		Workers:   b.Workers,
@@ -56,7 +56,7 @@ func (b *CPUBackend) Step2(ctx context.Context, shard *Shard, ix1 *index.Index) 
 	if err != nil {
 		return nil, err
 	}
-	return &Step2Output{Hits: r.Hits, Pairs: r.Pairs}, nil
+	return &Step2Output{Hits: out}, nil
 }
 
 // RASCBackend runs step 2 on the simulated RASC-100 accelerator. Its
@@ -75,11 +75,11 @@ func (b *RASCBackend) Step2(ctx context.Context, shard *Shard, ix1 *index.Index)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	rep, err := b.Device.RunStep2(shard.Index, ix1)
+	rep, out, err := b.Device.Scan(shard.Index, ix1)
 	if err != nil {
 		return nil, err
 	}
-	return &Step2Output{Hits: rep.Hits, Pairs: rep.Pairs, Device: rep}, nil
+	return &Step2Output{Hits: out, Device: rep}, nil
 }
 
 // frontResult is one shard after steps 1 and 2: its hits in bank-0
@@ -160,20 +160,24 @@ func (e *Engine) step2(ctx context.Context, req *Request, sh *Shard, ix1 *index.
 	if err != nil {
 		return nil, fmt.Errorf("pipeline: step 2, shard %d (%s): %w", sh.ID, e.backend.Name(), err)
 	}
-	if pf != nil {
-		kept := r.Hits[:0]
-		for i := range r.Hits {
-			if pf.Keeps(int(r.Hits[i].E0.Seq), r.Hits[i].E1.Seq) {
-				kept = append(kept, r.Hits[i])
+	// Chunk by chunk, drop the hits of pairs no query kept, taking them
+	// off their query's count, and renumber the rest into the bank.
+	if pf != nil || sh.Start != 0 {
+		for i := range r.Hits.Chunks {
+			c := &r.Hits.Chunks[i]
+			kept := c.Hits[:0]
+			for _, h := range c.Hits {
+				if pf != nil && !pf.Keeps(int(h.E0.Seq), h.E1.Seq) {
+					c.Counts[h.E0.Seq]--
+					continue
+				}
+				h.E0.Seq += uint32(sh.Start)
+				kept = append(kept, h)
 			}
-		}
-		r.Hits = kept
-	}
-	if sh.Start != 0 {
-		for i := range r.Hits {
-			r.Hits[i].E0.Seq += uint32(sh.Start)
+			c.Hits = kept
 		}
 	}
+	r.Hits.Base = uint32(sh.Start)
 	met.Step2.Shards++
 	met.Step2.Busy += d
 	tr.Record("step2", t0, d, telemetry.Int("shard", sh.ID), telemetry.String("backend", e.backend.Name()))
@@ -182,7 +186,7 @@ func (e *Engine) step2(ctx context.Context, req *Request, sh *Shard, ix1 *index.
 
 // sumReports folds per-shard accelerator reports into one: cycle,
 // byte and time totals add up and utilization is cycle-weighted. A
-// single report is returned verbatim; a sum carries no Hits.
+// single report is returned verbatim.
 func sumReports(reps []*hwsim.Step2Report) *hwsim.Step2Report {
 	switch len(reps) {
 	case 0:

@@ -63,7 +63,7 @@ type Request struct {
 	// Workers is the per-shard index-build parallelism (0 = GOMAXPROCS).
 	Workers int
 
-	// Gapped parameterises step 3; it is passed to gapped.RunWithStats
+	// Gapped parameterises step 3; it is passed to gapped.Extend
 	// unchanged and validated there.
 	Gapped gapped.Config
 
@@ -246,16 +246,17 @@ func (e *Engine) run(ctx context.Context, req *Request, emit func([]gapped.Align
 	// in the batch path.
 	step3 := func(id int, r *Step2Output) error {
 		t0 := time.Now()
-		as, gs, err := gapped.RunWithStats(req.Bank0, req.Bank1, r.Hits, req.Gapped)
+		as, gs, err := gapped.Extend(req.Bank0, req.Bank1, r.Hits, req.Gapped)
 		d := time.Since(t0)
+		r.Hits.Release() // step 3 has read them
 		if err != nil {
 			return fmt.Errorf("pipeline: step 3, shard %d: %w", id, err)
 		}
 		met.Step3.Shards++
 		met.Step3.Busy += d
 		tr.Record("step3", t0, d, telemetry.Int("shard", id))
-		out.Hits += len(r.Hits)
-		out.Pairs += r.Pairs
+		out.Hits += gs.Hits
+		out.Pairs += r.Hits.Pairs
 		addGappedStats(&out.GappedWork, &gs)
 		if r.Device != nil {
 			reports = append(reports, r.Device)

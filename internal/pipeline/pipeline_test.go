@@ -167,7 +167,7 @@ func (b *hitRecorder) Step2(ctx context.Context, sh *Shard, ix1 *index.Index) (*
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	for _, h := range r.Hits {
+	for _, h := range r.Hits.Hits() {
 		h.E0.Seq += uint32(sh.Start)
 		b.hits = append(b.hits, h)
 	}
@@ -459,8 +459,9 @@ func TestMetricsPopulated(t *testing.T) {
 	}
 }
 
-// corruptBackend runs step 2 on the CPU, then appends a copy of one
-// hit that corrupt has moved outside the banks.
+// corruptBackend runs step 2 on the CPU, then appends to the last
+// chunk a copy of one hit that corrupt has moved outside the banks,
+// counted against its query when that is one of the shard's.
 type corruptBackend struct {
 	*CPUBackend
 	corrupt func(sh *Shard, h *ungapped.Hit)
@@ -468,12 +469,17 @@ type corruptBackend struct {
 
 func (b corruptBackend) Step2(ctx context.Context, sh *Shard, ix1 *index.Index) (*Step2Output, error) {
 	r, err := b.CPUBackend.Step2(ctx, sh, ix1)
-	if err != nil || len(r.Hits) == 0 {
+	if err != nil || r.Hits.Len() == 0 {
 		return r, err
 	}
-	h := r.Hits[len(r.Hits)/2]
+	hits := r.Hits.Hits()
+	h := hits[len(hits)/2]
 	b.corrupt(sh, &h)
-	r.Hits = append(r.Hits, h)
+	c := &r.Hits.Chunks[len(r.Hits.Chunks)-1]
+	c.Hits = append(c.Hits, h)
+	if int(h.E0.Seq) < len(c.Counts) {
+		c.Counts[h.E0.Seq]++
+	}
 	return r, nil
 }
 

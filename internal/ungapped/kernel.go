@@ -156,8 +156,8 @@ func newBlockedScratch(m *matrix.Matrix, subLen, threshold int) *blockedScratch 
 }
 
 // scanBucket scores every (IL0, IL1) pair of one bucket and appends
-// the hits to c in exactly the scalar kernel's (i, j) order; done and
-// span feed chunk.reserve. The caller guarantees that hood1 has
+// the hits to c in exactly the scalar kernel's (i, j) order, counting
+// them per query. The caller guarantees that hood1 has
 // capacity for avx2Lanes windows: index.Bucket's window slice runs at
 // least to the end of the index's window array, so a short bucket scans
 // one full group from its first window and masks off the lanes past its
@@ -168,7 +168,7 @@ func newBlockedScratch(m *matrix.Matrix, subLen, threshold int) *blockedScratch 
 // then interleave, so they are chained per row (each chain sorted by j:
 // blocks, groups and lanes all advance in ascending j) and flushed row
 // by row at the end.
-func (ks *blockedScratch) scanBucket(c *chunk, done, span uint32, il0 []index.Entry, hood0 []byte, il1 []index.Entry, hood1 []byte) {
+func (ks *blockedScratch) scanBucket(c *Chunk, il0 []index.Entry, hood0 []byte, il1 []index.Entry, hood1 []byte) {
 	subLen, n1 := ks.subLen, len(il1)
 	room := cap(hood1) / subLen
 	ks.rows = slices.Grow(ks.rows[:0], len(il0))[:len(il0)]
@@ -194,8 +194,7 @@ func (ks *blockedScratch) scanBucket(c *chunk, done, span uint32, il0 []index.En
 			}
 		}
 	}
-	c.reserve(len(ks.nodes), done, span)
-	ks.flush(il0, il1, &c.hits)
+	ks.flush(il0, il1, c)
 }
 
 // group scores the avx2Lanes windows of hood1 starting at window base
@@ -226,12 +225,15 @@ func (ks *blockedScratch) pendRow(i int, j int32) {
 	ks.rows[i][1] = int(n)
 }
 
-// flush emits the bucket's pending hits in (i, j) order.
-func (ks *blockedScratch) flush(il0, il1 []index.Entry, hits *[]Hit) {
+// flush emits the bucket's pending hits to c in (i, j) order, adding
+// each row's to its query's count.
+func (ks *blockedScratch) flush(il0, il1 []index.Entry, c *Chunk) {
 	for i := range ks.rows[:len(il0)] {
+		row := len(c.Hits)
 		for n := int32(ks.rows[i][0]); n >= 0; n = ks.nodes[n].next {
-			*hits = append(*hits, Hit{il0[i], il1[ks.nodes[n].j]})
+			c.Hits = append(c.Hits, Hit{il0[i], il1[ks.nodes[n].j]})
 		}
+		c.Counts[il0[i].Seq] += uint32(len(c.Hits) - row)
 	}
 	ks.nodes = ks.nodes[:0]
 }

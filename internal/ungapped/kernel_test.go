@@ -396,8 +396,9 @@ func TestSmallBucketsBuildNoScratch(t *testing.T) {
 	}
 	cfg := Config{Matrix: matrix.BLOSUM62, Threshold: 1000}
 	space := uint32(ix0.Model().KeySpace())
+	c := Chunk{Counts: make([]uint32, ix0.Bank().Len())}
 	allocs := testing.AllocsPerRun(20, func() {
-		if c := scanKeys(ix0, ix1, 0, space, space, &cfg, KernelBlocked); c.pairs == 0 {
+		if pairs := scanKeys(ix0, ix1, 0, space, &cfg, KernelBlocked, &c); pairs == 0 {
 			t.Fatal("no pairs scored; test is vacuous")
 		}
 	})
@@ -619,6 +620,57 @@ func BenchmarkStep2Kernel(b *testing.B) {
 				b.ReportMetric(nsPerPair, "ns/pair")
 				b.ReportMetric(1e9/nsPerPair, "pairs/s")
 			})
+		}
+	}
+}
+
+// checkCounts checks a hand-off's per-query counts against a recount
+// of each chunk's hits over the indexed bank's n0 sequences.
+func checkCounts(t *testing.T, label string, out *Output, n0 int) {
+	t.Helper()
+	if out.Base != 0 {
+		t.Fatalf("%s: Base %d, want 0 before any renumbering", label, out.Base)
+	}
+	for c, ch := range out.Chunks {
+		recount := make([]uint32, n0)
+		for _, h := range ch.Hits {
+			recount[h.E0.Seq]++
+		}
+		if !slices.Equal(ch.Counts, recount) {
+			t.Fatalf("%s: chunk %d counts %v, its hits %v", label, c, ch.Counts, recount)
+		}
+	}
+}
+
+// TestScanCountsMatchRecount checks step 2's hand-off for both kernels
+// at 1, 2, 3 and 8 workers: one chunk per worker, each chunk's
+// per-query counts equal a recount of its hits, and the chunks
+// concatenated are Run's hits and pairs.
+func TestScanCountsMatchRecount(t *testing.T) {
+	ix0, ix1 := randomIndexes(t, 23, 12, 200, 6)
+	for _, kernel := range []Kernel{KernelScalar, KernelBlocked} {
+		for _, workers := range []int{1, 2, 3, 8} {
+			label := fmt.Sprintf("kernel=%v workers=%d", kernel, workers)
+			cfg := Config{Matrix: matrix.BLOSUM62, Threshold: 16, Workers: workers, Kernel: kernel}
+			out, err := Scan(ix0, ix1, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(out.Chunks) != workers {
+				t.Fatalf("%s: %d chunks", label, len(out.Chunks))
+			}
+			checkCounts(t, label, out, ix0.Bank().Len())
+			res, err := Run(ix0, ix1, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Hits) == 0 {
+				t.Fatalf("%s: no hits; the test is vacuous", label)
+			}
+			if !slices.Equal(out.Hits(), res.Hits) || out.Pairs != res.Pairs {
+				t.Fatalf("%s: the chunks hold %d hits / %d pairs, Run %d / %d", label, out.Len(), out.Pairs, len(res.Hits), res.Pairs)
+			}
+			out.Release()
 		}
 	}
 }

@@ -14,6 +14,7 @@ import (
 
 	"seedblast/internal/align"
 	"seedblast/internal/index"
+	"seedblast/internal/keep"
 	"seedblast/internal/matrix"
 )
 
@@ -35,24 +36,96 @@ type Config struct {
 	Kernel    Kernel // inner-loop implementation (default KernelAuto; see Kernel for who sets it)
 }
 
-// Result is the outcome of step 2.
+// Result is the outcome of step 2 as one flat hit list.
 type Result struct {
 	Hits   []Hit
 	Pairs  int64  // total K0×K1 pairs scored, the stage's work measure
 	Kernel Kernel // the kernel that actually ran (never KernelAuto)
 }
 
+// Output is step 2 as step 3 reads it: each worker's chunk, written
+// once and read in place, never merged.
+type Output struct {
+	Chunks []Chunk // in key order: concatenated, they are Run's hits
+	// Base is the bank-0 sequence number of each chunk's Counts[0]:
+	// zero from Scan, a shard's first sequence once its hits are
+	// renumbered into the whole bank.
+	Base   uint32
+	Pairs  int64  // total K0×K1 pairs scored, the stage's work measure
+	Kernel Kernel // the kernel that actually ran (never KernelAuto)
+}
+
+// Chunk is one worker's hits, from a contiguous key range in key
+// order, and per bank-0 sequence q of the indexed bank the number
+// Counts[q] of them whose E0.Seq is Base+q.
+type Chunk struct {
+	Hits   []Hit
+	Counts []uint32
+}
+
+// Len returns the number of hits.
+func (o *Output) Len() (n int) {
+	for _, c := range o.Chunks {
+		n += len(c.Hits)
+	}
+	return n
+}
+
+// Hits returns the chunks' hits concatenated, nil when there are none.
+func (o *Output) Hits() []Hit {
+	n := o.Len()
+	if n == 0 {
+		return nil
+	} else if len(o.Chunks) == 1 {
+		return o.Chunks[0].Hits
+	}
+	hits := make([]Hit, 0, n)
+	for _, c := range o.Chunks {
+		hits = append(hits, c.Hits...)
+	}
+	return hits
+}
+
+// Release keeps the chunks' hit buffers for a later Scan; neither o's
+// hits nor a slice of them may be read after.
+func (o *Output) Release() {
+	for _, c := range o.Chunks {
+		kept.Put(c.Hits)
+	}
+	o.Chunks = nil
+}
+
+// kept holds the hit buffers of released hand-offs.
+var kept keep.Store[Hit]
+
 // Run executes step 2 over two indexes built with the same seed model
 // and neighbourhood. Hits are returned in deterministic order (by key,
 // then IL0 position, then IL1 position) regardless of worker count.
 func Run(ix0, ix1 *index.Index, cfg Config) (*Result, error) {
+	out, err := Scan(ix0, ix1, cfg)
+	if err != nil {
+		return nil, err
+	}
+	res := &Result{Hits: out.Hits(), Pairs: out.Pairs, Kernel: out.Kernel}
+	if len(out.Chunks) > 1 { // copied out
+		out.Release()
+	}
+	return res, nil
+}
+
+// Scan is Run without the merge: each worker owns a contiguous key
+// range, walks the occupied bank-0 keys inside it and appends hits to
+// its own chunk, counting each flushed row's hits against the row's
+// query, so the chunks in order hold Run's hits whatever the worker
+// count.
+func Scan(ix0, ix1 *index.Index, cfg Config) (*Output, error) {
 	if err := validate(ix0, ix1, &cfg); err != nil {
 		return nil, err
 	}
-	kernel := cfg.Kernel.resolve(cfg.Matrix, ix0.SubLen())
+	out := &Output{Kernel: cfg.Kernel.resolve(cfg.Matrix, ix0.SubLen())}
 	used := len(ix0.Keys())
 	if used == 0 {
-		return &Result{Kernel: kernel}, nil
+		return out, nil
 	}
 	workers := cfg.Workers
 	if workers <= 0 {
@@ -60,48 +133,25 @@ func Run(ix0, ix1 *index.Index, cfg Config) (*Result, error) {
 	}
 	workers = min(workers, used)
 	space := ix0.Model().KeySpace()
-
-	// Static partition of the key space: each worker owns a contiguous
-	// key range, walks the occupied bank-0 keys inside it, appends hits
-	// locally, and chunks are concatenated in order, keeping the result
-	// deterministic.
-	chunks := make([]chunk, workers)
+	n0 := ix0.Bank().Len()
+	counts, pairs := make([]uint32, workers*n0), make([]int64, workers)
+	out.Chunks = make([]Chunk, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			lo := space * w / workers
-			hi := space * (w + 1) / workers
-			// Chunk 0 projects its growth over the whole key space
-			// rather than its own share, so that it usually ends up
-			// with room for every chunk and the merge below can append
-			// to it in place.
-			span := hi - lo
-			if w == 0 {
-				span = space
-			}
-			chunks[w] = scanKeys(ix0, ix1, uint32(lo), uint32(hi), uint32(span), &cfg, kernel)
+			lo, hi := space*w/workers, space*(w+1)/workers
+			c := &out.Chunks[w]
+			c.Hits, c.Counts = kept.Get(0), counts[w*n0:(w+1)*n0:(w+1)*n0]
+			pairs[w] = scanKeys(ix0, ix1, uint32(lo), uint32(hi), &cfg, out.Kernel, c)
 		}(w)
 	}
 	wg.Wait()
-
-	res := &Result{Kernel: kernel}
-	total := 0
-	for _, c := range chunks {
-		total += len(c.hits)
-		res.Pairs += c.pairs
+	for _, p := range pairs {
+		out.Pairs += p
 	}
-	// Merge into chunk 0's buffer when it has the room, into one exact
-	// allocation otherwise.
-	res.Hits = chunks[0].hits
-	if cap(res.Hits) < total {
-		res.Hits = append(make([]Hit, 0, total), res.Hits...)
-	}
-	for _, c := range chunks[1:] {
-		res.Hits = append(res.Hits, c.hits...)
-	}
-	return res, nil
+	return out, nil
 }
 
 func validate(ix0, ix1 *index.Index, cfg *Config) error {
@@ -123,38 +173,12 @@ func validate(ix0, ix1 *index.Index, cfg *Config) error {
 	return nil
 }
 
-// chunk is one worker's share of step 2: locally-appended hits plus
-// the pair count.
-type chunk struct {
-	hits  []Hit
-	pairs int64
-}
-
-// reserve makes room for need more hits. append alone regrows a large
-// slice 1.25× at a time — on a bank of homologs, where most pairs
-// pass, that copied a search's hits five times over and was its
-// largest allocator. Instead the chunk grows to the size its hit rate
-// so far projects over span keys, of which done have been scanned,
-// plus an eighth; the projection is clamped to [2×, 4×] of what is
-// needed now, so a skewed start can neither stall growth nor
-// over-allocate by more than that.
-func (c *chunk) reserve(need int, done, span uint32) {
-	need += len(c.hits)
-	if need <= cap(c.hits) {
-		return
-	}
-	projected := int(int64(need) * int64(span) / int64(done))
-	projected += projected / 8
-	grown := make([]Hit, len(c.hits), min(max(projected, 2*need), 4*need))
-	copy(grown, c.hits)
-	c.hits = grown
-}
-
 // scanKeys runs the paper's nested loops over the occupied bank-0
-// keys in [lo, hi) with the resolved kernel (never KernelAuto).
-func scanKeys(ix0, ix1 *index.Index, lo, hi, span uint32, cfg *Config, kernel Kernel) (c chunk) {
+// keys in [lo, hi) with the resolved kernel (never KernelAuto),
+// appending hits to c and counting them in c.Counts, one per bank-0
+// sequence. It returns the pairs scored.
+func scanKeys(ix0, ix1 *index.Index, lo, hi uint32, cfg *Config, kernel Kernel, c *Chunk) (pairs int64) {
 	subLen := ix0.SubLen()
-
 	var ks *blockedScratch
 	for _, k := range ix0.KeysIn(lo, hi) {
 		// A length-only probe first: skipping keys empty in bank 1
@@ -164,7 +188,7 @@ func scanKeys(ix0, ix1 *index.Index, lo, hi, span uint32, cfg *Config, kernel Ke
 		}
 		il0, hood0 := ix0.Bucket(k)
 		il1, hood1 := ix1.Bucket(k)
-		c.pairs += int64(len(il0)) * int64(len(il1))
+		pairs += int64(len(il0)) * int64(len(il1))
 		// The vector path reads a full group of windows from the
 		// bucket's start (see scanBucket); its scratch is built at the
 		// first bucket that takes it.
@@ -172,21 +196,21 @@ func scanKeys(ix0, ix1 *index.Index, lo, hi, span uint32, cfg *Config, kernel Ke
 			if ks == nil {
 				ks = newBlockedScratch(cfg.Matrix, subLen, cfg.Threshold)
 			}
-			ks.scanBucket(&c, k-lo+1, span, il0, hood0, il1, hood1)
+			ks.scanBucket(c, il0, hood0, il1, hood1)
 			continue
 		}
 		// Scalar reference path; also used by the blocked kernel for
 		// small buckets where lane occupancy would be poor.
 		for i := range il0 {
-			w0 := hood0[i*subLen : (i+1)*subLen]
+			w0, row := hood0[i*subLen:(i+1)*subLen], len(c.Hits)
 			for j := range il1 {
 				w1 := hood1[j*subLen : (j+1)*subLen]
 				if align.WindowScore(w0, w1, cfg.Matrix) >= cfg.Threshold {
-					c.reserve(1, k-lo+1, span)
-					c.hits = append(c.hits, Hit{il0[i], il1[j]})
+					c.Hits = append(c.Hits, Hit{il0[i], il1[j]})
 				}
 			}
+			c.Counts[il0[i].Seq] += uint32(len(c.Hits) - row)
 		}
 	}
-	return c
+	return pairs
 }
