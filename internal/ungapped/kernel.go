@@ -228,12 +228,15 @@ func (ks *blockedScratch) pendRow(i int, j int32) {
 // flush emits the bucket's pending hits to c in (i, j) order, adding
 // each row's to its query's count.
 func (ks *blockedScratch) flush(il0, il1 []index.Entry, c *Chunk) {
+	k := len(c.Hits)
+	c.Hits = slices.Grow(c.Hits, len(ks.nodes))[:k+len(ks.nodes)]
 	for i := range ks.rows[:len(il0)] {
-		row := len(c.Hits)
+		row := k
 		for n := int32(ks.rows[i][0]); n >= 0; n = ks.nodes[n].next {
-			c.Hits = append(c.Hits, Hit{il0[i], il1[ks.nodes[n].j]})
+			c.Hits[k] = Hit{il0[i], il1[ks.nodes[n].j]}
+			k++
 		}
-		c.Counts[il0[i].Seq] += uint32(len(c.Hits) - row)
+		c.Counts[il0[i].Seq] += uint32(k - row)
 	}
 	ks.nodes = ks.nodes[:0]
 }
