@@ -170,7 +170,8 @@ func run(b0, b1 *bank.Bank, in *ungapped.Output, cfg Config) ([]Alignment, Stats
 	if nhits > math.MaxInt32 {
 		return nil, Stats{}, fill{}, fmt.Errorf("gapped: %d hits exceed the stage's 32-bit hit index", nhits)
 	}
-	workers, bw := bookkeepers(math.MaxInt, cfg.Workers), bookkeepers(nhits, cfg.Workers)
+	// Every worker extends; below inlineHits one does the bookkeeping.
+	workers, bw := bookkeepers(inlineHits, cfg.Workers), bookkeepers(nhits, cfg.Workers)
 	qs, seeds, err := partition(in, b0.Len(), bw)
 	defer kept.Put(seeds)
 	if err != nil {
