@@ -2,25 +2,41 @@
 // next one, so that a warm search neither allocates them nor has the
 // runtime fault in and clear fresh pages for them. Unlike a sync.Pool,
 // a Store survives garbage collections.
+//
+// A Store is bounded by the bytes it keeps, not by a count: a search's
+// hits and seeds take the same bytes however many workers cut them.
+// (internal/gapped's Aligner store is bounded by GOMAXPROCS instead:
+// it keeps one Aligner per worker, sized by the longest query.)
 package keep
 
 import (
-	"runtime"
+	"slices"
 	"sync"
 	"unsafe"
 )
 
-// MaxBytes bounds a kept buffer. A larger one, made for a search far
-// beyond the usual, is left to the collector, so that one hostile
-// search does not pin its memory: a Store holds at most 2×GOMAXPROCS
-// buffers of at most MaxBytes each.
-const MaxBytes = 4 << 20
+// Budget bounds the bytes one Store keeps, on any core count. The
+// largest buffers the benchmark's workloads hand over are a
+// homolog_full search's: 3.9 MB of step-2 chunks (16-byte hits, two
+// chunks of 1.9–2.0 MB at two workers) and 2.4 MB of step-3 seeds
+// (12-byte); two volume searches of cluster_homolog at once take the
+// same. Budget holds twice that, so two such searches at once both
+// find their buffers; a buffer above it, made for a search far beyond
+// the usual, is left to the collector.
+const Budget = 8 << 20
 
 // Store keeps buffers of one element type. The zero value is empty
 // and ready to use.
 type Store[T any] struct {
-	mu   sync.Mutex
-	free [][]T
+	mu    sync.Mutex
+	free  [][]T
+	bytes uintptr // Σ size(free)
+}
+
+// size returns the bytes of b's backing array.
+func size[T any](b []T) uintptr {
+	var t T
+	return uintptr(cap(b)) * unsafe.Sizeof(t)
 }
 
 // Get returns a buffer of length n whose contents are not cleared: the
@@ -38,21 +54,22 @@ func (s *Store[T]) Get(n int) []T {
 		return make([]T, n)
 	}
 	b := s.free[best]
-	s.free = append(s.free[:best], s.free[best+1:]...)
+	s.free, s.bytes = slices.Delete(s.free, best, best+1), s.bytes-size(b)
 	return b[:n]
 }
 
-// Put keeps b for a later Get, dropping the oldest kept buffer when
-// the store is full. A buffer above MaxBytes is not kept.
+// Put keeps b for a later Get, dropping the oldest kept buffers when
+// the store would pass Budget. A buffer above Budget is not kept.
 func (s *Store[T]) Put(b []T) {
-	var t T
-	if cap(b) == 0 || uintptr(cap(b))*unsafe.Sizeof(t) > MaxBytes {
+	n := size(b)
+	if n == 0 || n > Budget {
 		return
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if len(s.free) >= 2*runtime.GOMAXPROCS(0) {
-		s.free = append(s.free[:0], s.free[1:]...)
+	for s.bytes+n > Budget {
+		s.bytes -= size(s.free[0])
+		s.free = slices.Delete(s.free, 0, 1)
 	}
-	s.free = append(s.free, b[:0])
+	s.free, s.bytes = append(s.free, b[:0]), s.bytes+n
 }

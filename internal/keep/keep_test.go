@@ -1,14 +1,14 @@
 package keep
 
 import (
-	"runtime"
 	"sync"
 	"testing"
 )
 
 // TestStoreKeepsLargestWithRoom pins Get's choice and Put's bounds: Get
 // takes the largest kept buffer when it has room for n, else makes one;
-// Put drops a buffer above MaxBytes and the oldest past 2×GOMAXPROCS.
+// Put drops a buffer above Budget, and the oldest while the kept bytes
+// would pass it.
 func TestStoreKeepsLargestWithRoom(t *testing.T) {
 	var s Store[uint64]
 	small, large := make([]uint64, 8), make([]uint64, 64)
@@ -23,18 +23,26 @@ func TestStoreKeepsLargestWithRoom(t *testing.T) {
 	if b := s.Get(0); &b[:1][0] != &small[0] || len(b) != 0 {
 		t.Fatalf("Get(0) did not take the one buffer left")
 	}
+	if s.bytes != 0 {
+		t.Fatalf("an empty store counts %d bytes", s.bytes)
+	}
 
-	s.Put(make([]uint64, MaxBytes/8+1))
+	s.Put(make([]uint64, Budget/8+1))
 	s.Put(nil)
 	if len(s.free) != 0 {
-		t.Fatalf("kept %d buffers, want none above MaxBytes or empty", len(s.free))
+		t.Fatalf("kept %d buffers, want none above Budget or empty", len(s.free))
 	}
-	limit := 2 * runtime.GOMAXPROCS(0)
-	for i := 1; i <= limit+3; i++ {
-		s.Put(make([]uint64, i))
+	quarter := Budget / 8 / 4 // elements in a quarter of Budget
+	for i := 1; i <= 6; i++ {
+		s.Put(make([]uint64, quarter+i))
 	}
-	if len(s.free) != limit || cap(s.free[0]) != 4 {
-		t.Fatalf("kept %d buffers from cap %d, want the newest %d", len(s.free), cap(s.free[0]), limit)
+	// Each buffer is a little over a quarter of Budget: three fit.
+	if len(s.free) != 3 || cap(s.free[0]) != quarter+4 || s.bytes != uintptr(3*quarter+4+5+6)*8 {
+		t.Fatalf("kept %d buffers (%d bytes) from cap %d, want the newest three", len(s.free), s.bytes, cap(s.free[0]))
+	}
+	s.Put(make([]uint64, 2*quarter))
+	if len(s.free) != 2 || s.bytes > Budget {
+		t.Fatalf("kept %d buffers (%d bytes) after a half-Budget one, want 2 within %d", len(s.free), s.bytes, Budget)
 	}
 }
 

@@ -157,7 +157,7 @@ func newBlockedScratch(m *matrix.Matrix, subLen, threshold int) *blockedScratch 
 
 // scanBucket scores every (IL0, IL1) pair of one bucket and appends
 // the hits to c in exactly the scalar kernel's (i, j) order, counting
-// them per query. The caller guarantees that hood1 has
+// them per query; done and span feed Chunk.reserve. The caller guarantees that hood1 has
 // capacity for avx2Lanes windows: index.Bucket's window slice runs at
 // least to the end of the index's window array, so a short bucket scans
 // one full group from its first window and masks off the lanes past its
@@ -168,7 +168,7 @@ func newBlockedScratch(m *matrix.Matrix, subLen, threshold int) *blockedScratch 
 // then interleave, so they are chained per row (each chain sorted by j:
 // blocks, groups and lanes all advance in ascending j) and flushed row
 // by row at the end.
-func (ks *blockedScratch) scanBucket(c *Chunk, il0 []index.Entry, hood0 []byte, il1 []index.Entry, hood1 []byte) {
+func (ks *blockedScratch) scanBucket(c *Chunk, done, span uint32, il0 []index.Entry, hood0 []byte, il1 []index.Entry, hood1 []byte) {
 	subLen, n1 := ks.subLen, len(il1)
 	room := cap(hood1) / subLen
 	ks.rows = slices.Grow(ks.rows[:0], len(il0))[:len(il0)]
@@ -194,6 +194,7 @@ func (ks *blockedScratch) scanBucket(c *Chunk, il0 []index.Entry, hood0 []byte, 
 			}
 		}
 	}
+	c.reserve(len(ks.nodes), done, span)
 	ks.flush(il0, il1, c)
 }
 
@@ -229,7 +230,7 @@ func (ks *blockedScratch) pendRow(i int, j int32) {
 // each row's to its query's count.
 func (ks *blockedScratch) flush(il0, il1 []index.Entry, c *Chunk) {
 	k := len(c.Hits)
-	c.Hits = slices.Grow(c.Hits, len(ks.nodes))[:k+len(ks.nodes)]
+	c.Hits = c.Hits[:k+len(ks.nodes)]
 	for i := range ks.rows[:len(il0)] {
 		row := k
 		for n := int32(ks.rows[i][0]); n >= 0; n = ks.nodes[n].next {

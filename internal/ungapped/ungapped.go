@@ -173,6 +173,26 @@ func validate(ix0, ix1 *index.Index, cfg *Config) error {
 	return nil
 }
 
+// reserve makes room for need more hits. append alone regrows a large
+// slice 1.25× at a time — on a bank of homologs, where most pairs
+// pass, that copied a search's hits five times over and was its
+// largest allocator. Instead the chunk grows to the size its hit rate
+// so far projects over span keys, of which done have been scanned,
+// plus an eighth; the projection is clamped to [2×, 4×] of what is
+// needed now, so a skewed start can neither stall growth nor
+// over-allocate by more than that.
+func (c *Chunk) reserve(need int, done, span uint32) {
+	need += len(c.Hits)
+	if need <= cap(c.Hits) {
+		return
+	}
+	projected := int(int64(need) * int64(span) / int64(done))
+	projected += projected / 8
+	grown := make([]Hit, len(c.Hits), min(max(projected, 2*need), 4*need))
+	copy(grown, c.Hits)
+	c.Hits = grown
+}
+
 // scanKeys runs the paper's nested loops over the occupied bank-0
 // keys in [lo, hi) with the resolved kernel (never KernelAuto),
 // appending hits to c and counting them in c.Counts, one per bank-0
@@ -196,7 +216,7 @@ func scanKeys(ix0, ix1 *index.Index, lo, hi uint32, cfg *Config, kernel Kernel, 
 			if ks == nil {
 				ks = newBlockedScratch(cfg.Matrix, subLen, cfg.Threshold)
 			}
-			ks.scanBucket(c, il0, hood0, il1, hood1)
+			ks.scanBucket(c, k-lo+1, hi-lo, il0, hood0, il1, hood1)
 			continue
 		}
 		// Scalar reference path; also used by the blocked kernel for
@@ -206,6 +226,7 @@ func scanKeys(ix0, ix1 *index.Index, lo, hi uint32, cfg *Config, kernel Kernel, 
 			for j := range il1 {
 				w1 := hood1[j*subLen : (j+1)*subLen]
 				if align.WindowScore(w0, w1, cfg.Matrix) >= cfg.Threshold {
+					c.reserve(1, k-lo+1, hi-lo)
 					c.Hits = append(c.Hits, Hit{il0[i], il1[j]})
 				}
 			}
