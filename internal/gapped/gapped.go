@@ -105,7 +105,10 @@ type Stats struct {
 // error. The hits are cut into one chunk per worker and counted per
 // query, as step 2 hands them to Extend.
 func RunWithStats(b0, b1 *bank.Bank, hits []ungapped.Hit, cfg Config) ([]Alignment, Stats, error) {
-	n0, pieces := b0.Len(), bookkeepers(len(hits), cfg.Workers)
+	n0, pieces := b0.Len(), 1
+	if len(hits) >= inlineHits {
+		pieces = cmp.Or(max(cfg.Workers, 0), runtime.GOMAXPROCS(0))
+	}
 	in, counts := &ungapped.Output{Chunks: make([]ungapped.Chunk, pieces)}, make([]uint32, pieces*n0)
 	if err := each(pieces, pieces, func(_, i int) error {
 		c := &in.Chunks[i]
@@ -129,18 +132,6 @@ func RunWithStats(b0, b1 *bank.Bank, hits []ungapped.Hit, cfg Config) ([]Alignme
 func Extend(b0, b1 *bank.Bank, in *ungapped.Output, cfg Config) ([]Alignment, Stats, error) {
 	out, st, _, err := run(b0, b1, in, cfg)
 	return out, st, err
-}
-
-// bookkeepers is the number of workers that partition, group and sort
-// n hits on a run of workers workers: one below inlineHits.
-func bookkeepers(n, workers int) int {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if n < inlineHits {
-		return 1
-	}
-	return workers
 }
 
 // fill counts a run's kernel passes, lanes extended, speculative lanes
@@ -170,8 +161,14 @@ func run(b0, b1 *bank.Bank, in *ungapped.Output, cfg Config) ([]Alignment, Stats
 	if nhits > math.MaxInt32 {
 		return nil, Stats{}, fill{}, fmt.Errorf("gapped: %d hits exceed the stage's 32-bit hit index", nhits)
 	}
-	// Every worker extends; below inlineHits one does the bookkeeping.
-	workers, bw := bookkeepers(inlineHits, cfg.Workers), bookkeepers(nhits, cfg.Workers)
+	workers := cfg.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	bw := workers // partition, group and sort
+	if nhits < inlineHits {
+		bw = 1
+	}
 	qs, seeds, err := partition(in, b0.Len(), bw)
 	defer kept.Put(seeds)
 	if err != nil {
@@ -195,7 +192,8 @@ func run(b0, b1 *bank.Bank, in *ungapped.Output, cfg Config) ([]Alignment, Stats
 		space = stats.SearchSpace{DBLen: b1.TotalResidues(), DBSeqs: b1.Len()}
 	}
 
-	// Chunk c's alignments are chunkOut[c], in its worker's buffer.
+	// Chunk c's alignments are chunkOut[c], copied out of its worker's
+	// scratch at their exact size.
 	chunkOut, found := make([][]Alignment, nchunks), make([]atomic.Int64, len(qs))
 	xs := make([]*extender, max(min(workers, nchunks), 1))
 	err = each(len(xs), nchunks, func(w, c int) error {
@@ -210,7 +208,6 @@ func run(b0, b1 *bank.Bank, in *ungapped.Output, cfg Config) ([]Alignment, Stats
 				wins:      make([][]byte, 0, align.BatchLanes),
 				diags:     make([]int, 0, align.BatchLanes),
 				ends:      make([]align.Local, 0, align.BatchLanes),
-				shift:     bits.Len(uint(cfg.Band)),
 				heads:     make([]int32, 0, 32*chunkGroups), links: make([]link, 0, 2*chunkGroups)}
 		}
 		i := sort.Search(len(qs), func(i int) bool { return qs[i].chunk0 > c }) - 1
@@ -219,7 +216,7 @@ func run(b0, b1 *bank.Bank, in *ungapped.Output, cfg Config) ([]Alignment, Stats
 		if err := x.chunk(qu.seq0, qu.groups[lo:min(lo+chunkGroups, len(qu.groups))]); err != nil {
 			return err
 		}
-		chunkOut[c] = x.out[x.from:len(x.out):len(x.out)]
+		chunkOut[c] = slices.Clone(x.out)
 		found[i].Add(int64(len(chunkOut[c])))
 		return nil
 	})
@@ -531,12 +528,10 @@ type extender struct {
 	st        Stats
 	fill      fill
 	seq0      int         // the query of the chunk it is on
-	out       []Alignment // its block of finished groups' alignments
-	from      int         // the chunk's first alignment in out
-	// The chunk's found alignments by start diagonal: a group's bucket
-	// k of 1<<shift > Band diagonals is heads[g.heads+k], one past its
-	// last alignment's link.
-	shift int
+	out       []Alignment // the alignments of the chunk's finished groups
+	// The chunk's found alignments by start diagonal: bucket k of a
+	// group with two or more is heads[g.heads+k], one past its last
+	// alignment's link.
 	heads []int32
 	links []link
 
@@ -556,7 +551,8 @@ type groupState struct {
 	cur        int
 	done       bool
 	found      []Alignment
-	heads      int  // its first bucket in x.heads, once it has found one
+	heads      int  // its first bucket in x.heads, once it has found two
+	shift      int  // its buckets span 1<<shift > Band diagonals
 	first, end int  // the group's lanes in the current pass
 	settled    bool // the group speculates no further in the current pass
 }
@@ -583,7 +579,7 @@ type lane struct {
 func (x *extender) chunk(seq0 uint32, groups []hitGroup) error {
 	x.seq0 = int(seq0)
 	q := x.b0.Seq(x.seq0)
-	x.gs, x.heads, x.links, x.from = x.gs[:0], x.heads[:0], x.links[:0], len(x.out)
+	x.gs, x.heads, x.links, x.out = x.gs[:0], x.heads[:0], x.links[:0], x.out[:0]
 	for _, g := range groups {
 		s, hits := x.b1.Seq(int(g.seq1)), x.seeds[g.start:g.end]
 		for _, sp := range hits {
@@ -607,7 +603,7 @@ func (x *extender) chunk(seq0 uint32, groups []hitGroup) error {
 			h, sure := x.next(q, g)
 			if h < 0 {
 				g.done = true
-				x.emit(dedup(g.found))
+				x.out = append(x.out, dedup(g.found)...)
 				continue
 			}
 			g.first = len(x.lanes)
@@ -628,22 +624,6 @@ func (x *extender) chunk(seq0 uint32, groups []hitGroup) error {
 		}
 	}
 }
-
-// emit appends a finished group's alignments to the worker's block.
-// A full block is not regrown and copied out: the next one, twice as
-// large up to outBlock alignments, takes only the current chunk's, and
-// earlier chunks keep theirs where they are.
-func (x *extender) emit(as []Alignment) {
-	if len(x.out)+len(as) > cap(x.out) {
-		n := len(x.out) - x.from + len(as)
-		x.out, x.from = append(make([]Alignment, 0, max(n, min(2*cap(x.out), outBlock))), x.out[x.from:]...), 0
-	}
-	x.out = append(x.out, as...)
-}
-
-// outBlock bounds a worker's output block, in alignments, so that the
-// last block's unused room is small beside a large run's output.
-const outBlock = 256
 
 // next advances g to its next candidate, a hit not contained in what
 // the group has found and past the gap trigger, counting the hits
@@ -832,15 +812,26 @@ func (x *extender) report(q []byte, g *groupState, l int) (Alignment, bool) {
 // link after the one before it in its bucket (0 ends a chain).
 type link struct{ found, prev int32 }
 
-// add records alignment a of group g, whose query has qlen residues,
-// and links it into the bucket of its start diagonal.
+// add records alignment a of group g, whose query has qlen residues.
+// At its second alignment the group gets at most 1 024 buckets of
+// start diagonals, so a group with one allocates nothing and a long
+// subject's buckets widen rather than multiply; every alignment from
+// then on is linked into its bucket.
 func (x *extender) add(g *groupState, qlen int, a Alignment) {
-	if len(g.found) == 0 {
-		g.heads, x.heads = len(x.heads), append(x.heads, make([]int32, (qlen+len(g.s))>>x.shift+1)...)
+	g.found = append(g.found, a)
+	i := len(g.found) - 1
+	if i == 0 {
+		return
+	} else if i == 1 {
+		n := qlen + len(g.s)
+		g.shift = max(bits.Len(uint(x.cfg.Band)), bits.Len(uint(n>>10)))
+		g.heads, x.heads, i = len(x.heads), append(x.heads, make([]int32, n>>g.shift+1)...), 0
 	}
-	h := &x.heads[g.heads+(a.S.Start-a.Q.Start+qlen)>>x.shift]
-	x.links = append(x.links, link{int32(len(g.found)), *h})
-	*h, g.found = int32(len(x.links)), append(g.found, a)
+	for ; i < len(g.found); i++ {
+		h := &x.heads[g.heads+(g.found[i].S.Start-g.found[i].Q.Start+qlen)>>g.shift]
+		x.links = append(x.links, link{int32(i), *h})
+		*h = int32(len(x.links))
+	}
 }
 
 // contained reports whether seed sp lies inside an alignment g has
@@ -857,7 +848,7 @@ func (x *extender) contained(g *groupState, qlen int, sp seedPos) bool {
 		return covers(&g.found[0], sp, x.cfg.Band)
 	}
 	d, band := int(sp.s)-int(sp.q)+qlen, x.cfg.Band
-	for k := max(d-band, 0) >> x.shift; k <= min(d+band, qlen+len(g.s))>>x.shift; k++ {
+	for k := max(d-band, 0) >> g.shift; k <= min(d+band, qlen+len(g.s))>>g.shift; k++ {
 		for l := x.heads[g.heads+k]; l > 0; l = x.links[l-1].prev {
 			if covers(&g.found[x.links[l-1].found], sp, band) {
 				return true

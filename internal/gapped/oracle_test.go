@@ -59,10 +59,9 @@ func chunked(hits []ungapped.Hit, n0, pieces int) *ungapped.Output {
 	return in
 }
 
-// runFlat is run on a flat hit list, cut and counted as RunWithStats
-// cuts it.
+// runFlat is run on a flat hit list handed over as one counted chunk.
 func runFlat(b0, b1 *bank.Bank, hits []ungapped.Hit, cfg Config) ([]Alignment, Stats, fill, error) {
-	return run(b0, b1, chunked(hits, b0.Len(), bookkeepers(len(hits), cfg.Workers)), cfg)
+	return run(b0, b1, chunked(hits, b0.Len(), 1), cfg)
 }
 
 // checkPartition checks partition of hits cut into workers counted

@@ -21,8 +21,11 @@ func polyL(nq, ns int) (*bank.Bank, *bank.Bank) {
 
 // tandemRepeat is a query holding 10 copies of an 11-residue unit and
 // a subject holding 40 copies at 15 % divergence, each between random
-// flanks, beside a random decoy subject.
-func tandemRepeat() (*bank.Bank, *bank.Bank) {
+// flanks, beside a random decoy subject. With long set the subject
+// holds two such runs 40 000 random residues apart, as a translated
+// genome frame would: more diagonals than a group's 1 024 buckets
+// cover at one bucket per 32.
+func tandemRepeat(long bool) (*bank.Bank, *bank.Bank) {
 	rng := bank.NewRNG(11)
 	unit := bank.RandomProtein(rng, 11)
 	repeat := func(n int) []byte { return bytes.Repeat(unit, n) }
@@ -31,7 +34,11 @@ func tandemRepeat() (*bank.Bank, *bank.Bank) {
 	}
 	b0, b1 := bank.New("q"), bank.New("s")
 	b0.Add("tandem", flanked(repeat(10)))
-	b1.Add("tandem", flanked(bank.MutateProtein(rng, repeat(40), 0.15)))
+	s := flanked(bank.MutateProtein(rng, repeat(40), 0.15))
+	if long {
+		s = append(append(s, bank.RandomProtein(rng, 40000)...), flanked(bank.MutateProtein(rng, repeat(40), 0.15))...)
+	}
+	b1.Add("tandem", s)
 	b1.Add("decoy", bank.RandomProtein(rng, 500))
 	return b0, b1
 }
@@ -42,11 +49,12 @@ func tandemRepeat() (*bank.Bank, *bank.Bank) {
 // alignments and Stats at one and three workers.
 func TestRepeatsMatchOracle(t *testing.T) {
 	p0, p1 := polyL(60, 600)
-	r0, r1 := tandemRepeat()
+	r0, r1 := tandemRepeat(false)
+	l0, l1 := tandemRepeat(true)
 	for _, bk := range []struct {
 		name   string
 		b0, b1 *bank.Bank
-	}{{"poly-L", p0, p1}, {"tandem", r0, r1}} {
+	}{{"poly-L", p0, p1}, {"tandem", r0, r1}, {"long-subject", l0, l1}} {
 		hits := runPipelineUpTo2(t, bk.b0, bk.b1, 38)
 		cfg := DefaultConfig()
 		want, wantStats := oracleRun(bk.b0, bk.b1, hits, cfg)
